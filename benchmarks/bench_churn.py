@@ -153,9 +153,7 @@ def test_delta_catch_up_is_strictly_cheaper_than_full_reloads():
         inserted_so_far = []
         for round_index in range(ROUNDS):
             chunk = pool[round_index * BATCH : (round_index + 1) * BATCH]
-            ingest = leader.ingest_stream(
-                iter(chunk), chunk_size=max(1, BATCH // 4), refresh_statistics=False
-            )
+            ingest = leader.ingest_stream(iter(chunk), chunk_size=max(1, BATCH // 4))
             ingested += ingest.triples
             modelled_ingest_seconds += ingest.modelled_seconds
             inserted_so_far.extend(chunk)

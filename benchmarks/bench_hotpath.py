@@ -12,10 +12,10 @@ For each dataset scale, the join-heavy WatDiv stand-in templates (snowflake +
 complex families, ≥ 3 patterns each) run through
 
 * ``RelationalStore(engine="reference")`` — decode-per-row baseline,
-* ``RelationalStore()`` — the ID-space engine (plan memo warm after the
-  first pass, the serving-layer reality),
-* ``RelationalStore(engine="columnar")`` — batch kernels over term-id
-  columns (numpy when importable), and
+* ``RelationalStore(engine="idspace")`` — the ID-space row engine (plan memo
+  warm after the first pass, the serving-layer reality),
+* ``RelationalStore(engine="columnar")`` — the default engine: batch kernels
+  over term-id columns (numpy when importable), and
 * the same columnar engine with ``REPRO_COLUMNAR_FORCE_STDLIB=1`` — the
   pure-stdlib ``array('q')`` kernel path, measured so the optional numpy
   dependency never becomes load-bearing.
@@ -132,7 +132,7 @@ def test_engines_beat_their_baselines_on_join_heavy_templates():
         queries = _join_heavy_queries(dataset)
 
         reference = RelationalStore(engine="reference")
-        idspace = RelationalStore()
+        idspace = RelationalStore(engine="idspace")
         columnar = RelationalStore(engine="columnar")
         stdlib_columnar = _stdlib_columnar_store()
         for store in (reference, idspace, columnar, stdlib_columnar):

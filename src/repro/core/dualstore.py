@@ -30,7 +30,7 @@ from repro.rdf.terms import IRI, Triple
 from repro.relstore.backend import RelationalBackend
 from repro.relstore.executor import relational_work_units
 from repro.relstore.sharded import ShardedRelationalStore, ShardingConfig
-from repro.relstore.store import RelationalStore
+from repro.relstore.store import DEFAULT_ENGINE, RelationalStore
 from repro.graphstore.store import GraphStore
 from repro.sparql.ast import SelectQuery
 
@@ -104,8 +104,8 @@ class DualStore:
         to use instead of constructing one (overrides ``shards``/``sharding``;
         the caller is responsible for matching cost models).
     engine:
-        Relational execution engine for the constructed store (``"idspace"``
-        default, or ``"columnar"``; the unsharded store also accepts
+        Relational execution engine for the constructed store (``"columnar"``
+        default, or ``"idspace"``; the unsharded store also accepts
         ``"reference"``).  With an explicit ``relational_store`` the engines
         must agree — a mismatch raises instead of silently running a
         different engine than the one configured.
@@ -135,14 +135,14 @@ class DualStore:
         elif shards is not None:
             self.relational = ShardedRelationalStore(
                 shards=shards, cost_model=cost_model, config=sharding,
-                engine=engine or "idspace",
+                engine=engine or DEFAULT_ENGINE,
             )
         elif sharding is not None:
             self.relational = ShardedRelationalStore(
-                cost_model=cost_model, config=sharding, engine=engine or "idspace"
+                cost_model=cost_model, config=sharding, engine=engine or DEFAULT_ENGINE
             )
         else:
-            self.relational = RelationalStore(cost_model=cost_model, engine=engine or "idspace")
+            self.relational = RelationalStore(cost_model=cost_model, engine=engine or DEFAULT_ENGINE)
         self.graph = GraphStore(storage_budget=storage_budget, cost_model=cost_model, throttle=throttle)
         self.identifier = ComplexSubqueryIdentifier()
         self.processor = QueryProcessor(self.relational, self.graph, cost_model=cost_model)

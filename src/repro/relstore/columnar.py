@@ -1,16 +1,20 @@
-"""Vectorized columnar execution engine (``RelationalStore(engine="columnar")``).
+"""Vectorized columnar execution engine — the default (``RelationalStore()``).
 
-The third engine behind the :class:`~repro.relstore.backend.RelationalBackend`
-seam.  Where the ID-space engine (PR 3) pipelines python *int tuples* row by
-row, this engine stores and pipelines **term-id columns**:
+The engine a store runs behind the
+:class:`~repro.relstore.backend.RelationalBackend` seam unless another is
+named.  Where the ID-space engine (PR 3, kept as its row-at-a-time oracle)
+pipelines python *int tuples* row by row, this engine stores and pipelines
+**term-id columns**:
 
 * :class:`ColumnarTripleTable` keeps the row-oriented base table (mutations,
   tombstones, snapshots, and the secondary indexes are inherited unchanged,
   so WAL/snapshot payloads stay byte-identical) and materializes per-predicate
   **column blocks** — stdlib ``array('q')`` id buffers in partition-scan
-  order — lazily, invalidated by the same mutations that bump the store's
-  plan generation.  With numpy present (a *feature probe*, never a hard
-  dependency) the buffers are wrapped zero-copy as ``int64`` vectors.
+  order — lazily; a cached block then *follows* writes (inserted rows are
+  appended, a deleted row's one position is removed) instead of being
+  dropped and rebuilt.  With numpy present (a *feature probe*; the stdlib
+  kernels are the import-failure fallback) the buffers are wrapped zero-copy
+  as ``int64`` vectors.
 * Pattern access is mask selection over those blocks: constants arrive
   pre-resolved on the :class:`~repro.relstore.executor.CompiledStep` (bound
   once per store generation through the existing
@@ -41,9 +45,9 @@ bindings and counter equality against both retained engines.
 from __future__ import annotations
 
 import os
-import weakref
 from array import array
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.cost.counters import WorkCounters
 from repro.errors import QueryExecutionError
@@ -64,7 +68,8 @@ from repro.relstore.executor import (
     compile_plan,
 )
 from repro.relstore.planner import RelationalPlan
-from repro.relstore.table import TripleTable
+from repro.relstore.stats import PredicateStatistics, predicate_statistics
+from repro.relstore.table import Row, TripleTable
 
 __all__ = [
     "ColumnarTripleTable",
@@ -72,6 +77,7 @@ __all__ = [
     "numpy_available",
     "numpy_enabled",
     "FORCE_STDLIB_ENV",
+    "ColumnBlock",
     "join_block",
     "join_columnar_tables",
     "finish_columnar_pipeline",
@@ -131,11 +137,15 @@ class _StdlibKernels:
         return [col[i] for i in sel]
 
     @staticmethod
-    def concat(parts):
+    def concat(parts, between=None):
+        """One column from its parts; ``between`` (a deadline probe) is
+        called before each part is copied."""
         if len(parts) == 1:
             return parts[0]
         out: List[int] = []
         for part in parts:
+            if between is not None:
+                between()
             out.extend(part)
         return out
 
@@ -158,52 +168,81 @@ class _StdlibKernels:
             sel = [i for i in sel if left_col[i] == right_col[i]]
         return list(sel)
 
+    # -- the two-phase join --------------------------------------------- #
+    # A join's output size is known — and can be charged, budget-checked and
+    # deadline-probed — before any output-sized array exists:
+    # ``join_matches``/``cartesian_matches`` pair probe rows with build rows
+    # (sized by the inputs), ``gather`` expands a run of those pairs into the
+    # two gather index vectors (sized by the output).  Output order matches
+    # the row engine's hash join exactly: probe rows in pipeline order, and
+    # within one key the build rows in block order.
     @staticmethod
-    def hash_join(probe_col, build_col):
-        """Gather indices of ``probe ⋈ build`` on one id column.
-
-        Output order matches the row engine's hash join exactly: probe rows
-        in pipeline order, and within one key the build rows in block order
-        (buckets accumulate positions ascending).
-        """
-        buckets: Dict[int, List[int]] = {}
+    def group_index(build_keys) -> Dict[object, List[int]]:
+        """The build side's positions per key, ascending (block order)."""
+        buckets: Dict[object, List[int]] = {}
         get_bucket = buckets.get
-        for position, key in enumerate(build_col):
+        for position, key in enumerate(build_keys):
             bucket = get_bucket(key)
             if bucket is None:
                 buckets[key] = [position]
             else:
                 bucket.append(position)
-        left: List[int] = []
-        right: List[int] = []
-        left_append = left.append
-        right_append = right.append
-        left_extend = left.extend
-        right_extend = right.extend
-        for position, key in enumerate(probe_col):
+        return buckets
+
+    @staticmethod
+    def composite_keys(probe_cols, build_cols):
+        """Several shared variables: join on the tuple of their ids."""
+        return zip(*probe_cols), zip(*build_cols)
+
+    @classmethod
+    def join_matches(cls, probe_keys, build_keys, group_index=None):
+        """``((probe positions, their build buckets), output rows)``."""
+        if group_index is None:
+            group_index = cls.group_index(build_keys)
+        get_bucket = group_index.get
+        positions: List[int] = []
+        buckets: List[List[int]] = []
+        total = 0
+        for position, key in enumerate(probe_keys):
             bucket = get_bucket(key)
             if bucket is not None:
-                if len(bucket) == 1:
-                    left_append(position)
-                    right_append(bucket[0])
-                else:
-                    left_extend([position] * len(bucket))
-                    right_extend(bucket)
-        return left, right, len(left)
+                positions.append(position)
+                buckets.append(bucket)
+                total += len(bucket)
+        return (positions, buckets), total
 
     @staticmethod
-    def hash_join_multi(probe_cols, build_cols):
-        return _hash_join_multi(probe_cols, build_cols)
+    def cartesian_matches(left_count: int, right_count: int):
+        every = list(range(right_count))
+        return (range(left_count), [every] * left_count), left_count * right_count
 
     @staticmethod
-    def cartesian(left_count: int, right_count: int):
+    def gather(matches, start: int = 0, stop: Optional[int] = None):
+        positions, buckets = matches
         left: List[int] = []
         right: List[int] = []
-        block = list(range(right_count))
-        for i in range(left_count):
-            left.extend([i] * right_count)
-            right.extend(block)
-        return left, right, left_count * right_count
+        left_extend = left.extend
+        right_extend = right.extend
+        for position, bucket in zip(positions[start:stop], buckets[start:stop]):
+            left_extend([position] * len(bucket))
+            right_extend(bucket)
+        return left, right
+
+    @staticmethod
+    def chunk_bounds(matches, rows: int) -> List[int]:
+        """Cut points over the matched probe rows, about ``rows`` output rows
+        (at most ``rows`` plus one bucket) between neighbours."""
+        buckets = matches[1]
+        bounds = [0]
+        pending = 0
+        for cut, bucket in enumerate(buckets, 1):
+            pending += len(bucket)
+            if pending >= rows:
+                bounds.append(cut)
+                pending = 0
+        if bounds[-1] != len(buckets):
+            bounds.append(len(buckets))
+        return bounds
 
     @staticmethod
     def distinct_selection(key_cols, count: int):
@@ -232,39 +271,31 @@ class _StdlibKernels:
                 append(i)
         return out
 
+    # -- block maintenance and statistics ------------------------------- #
+    @staticmethod
+    def appended(col: array, tail: array) -> array:
+        return col + tail
 
-#: Build-side group index memo for the numpy merge join, keyed by the key
-#: column's identity.  The build side of a join step is usually a *cached*
-#: partition column (the zero-copy handover path), so across the repeated
-#: executions the serving layer sees, its stable argsort + grouping — the
-#: O(n log n) part of every join — is computed once per block, not per query.
-#: Entries validate against a weakref (a recycled ``id()`` can never alias a
-#: live array) and die with their arrays; a small sweep bounds the dict.
-_GROUP_INDEX_CACHE: Dict[int, Tuple[object, tuple]] = {}
-_GROUP_INDEX_CACHE_LIMIT = 512
+    @staticmethod
+    def removed(col: array, position: int) -> array:
+        return col[:position] + col[position + 1 :]
 
+    @staticmethod
+    def find_pair(first_col, second_col, first: int, second: int) -> Optional[int]:
+        """The position where both columns hold the given pair, or ``None``."""
+        position = -1
+        try:
+            while True:
+                position = first_col.index(first, position + 1)
+                if second_col[position] == second:
+                    return position
+        except ValueError:
+            return None
 
-def _numpy_group_index(build):
-    """``(order, unique_keys, group_starts, group_counts)`` of a key column."""
-    key = id(build)
-    entry = _GROUP_INDEX_CACHE.get(key)
-    if entry is not None:
-        ref, data = entry
-        if ref() is build:
-            return data
-    np = _numpy
-    order = np.argsort(build, kind="stable")
-    sorted_keys = build[order]
-    unique_keys, group_starts = np.unique(sorted_keys, return_index=True)
-    group_counts = np.diff(np.append(group_starts, len(sorted_keys)))
-    data = (order, unique_keys, group_starts, group_counts)
-    if len(_GROUP_INDEX_CACHE) >= _GROUP_INDEX_CACHE_LIMIT:
-        for dead in [k for k, (ref, _) in _GROUP_INDEX_CACHE.items() if ref() is None]:
-            del _GROUP_INDEX_CACHE[dead]
-        if len(_GROUP_INDEX_CACHE) >= _GROUP_INDEX_CACHE_LIMIT:
-            _GROUP_INDEX_CACHE.clear()
-    _GROUP_INDEX_CACHE[key] = (weakref.ref(build), data)
-    return data
+    @staticmethod
+    def statistics(subjects, objects) -> PredicateStatistics:
+        """One predicate's statistics from its block columns."""
+        return predicate_statistics(zip(subjects, repeat(0), objects))
 
 
 class _NumpyKernels:
@@ -301,10 +332,20 @@ class _NumpyKernels:
         return col[sel]
 
     @staticmethod
-    def concat(parts):
+    def concat(parts, between=None):
         if len(parts) == 1:
             return parts[0]
-        return _numpy.concatenate(parts)
+        if between is None:
+            return _numpy.concatenate(parts)
+        # Part by part, so the page faults of a large output are taken
+        # between probes instead of inside one uninterruptible copy.
+        out = _numpy.empty(sum(map(len, parts)), dtype=_numpy.int64)
+        offset = 0
+        for part in parts:
+            between()
+            out[offset : offset + len(part)] = part
+            offset += len(part)
+        return out
 
     @staticmethod
     def equal_selection(const_pairs, dup_pairs, count: int):
@@ -319,35 +360,83 @@ class _NumpyKernels:
             return None
         return _numpy.nonzero(mask)[0]
 
+    # -- the two-phase join --------------------------------------------- #
     @staticmethod
-    def hash_join(probe_col, build_col):
+    def group_index(build_col):
+        """``(order, unique_keys, group_starts, group_counts)`` of a join's
+        build side — the O(n log n) part of the merge, which
+        :meth:`ColumnBlock.group_index` memoizes for cached columns."""
         np = _numpy
         build = np.asarray(build_col, dtype=np.int64)
+        order = np.argsort(build, kind="stable")
+        sorted_keys = build[order]
+        unique_keys, group_starts = np.unique(sorted_keys, return_index=True)
+        group_counts = np.diff(np.append(group_starts, len(sorted_keys)))
+        return order, unique_keys, group_starts, group_counts
+
+    @staticmethod
+    def composite_keys(probe_cols, build_cols):
+        """Several shared variables: dense-rank the composite keys.
+
+        Both sides' key rows are ranked together by one ``np.unique(axis=0)``
+        pass, so equal tuples — and only equal tuples — share a dense id, and
+        the single-key merge produces the same gather as the tuple-bucket
+        join of the stdlib kernels.
+        """
+        np = _numpy
+        probe = np.stack([np.asarray(col, dtype=np.int64) for col in probe_cols], axis=1)
+        build = np.stack([np.asarray(col, dtype=np.int64) for col in build_cols], axis=1)
+        _, inverse = np.unique(np.concatenate([probe, build], axis=0), axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)  # numpy<2.3 returns an (n, 1) inverse for axis=0
+        return inverse[: len(probe)], inverse[len(probe) :]
+
+    @classmethod
+    def join_matches(cls, probe_col, build_col, group_index=None):
+        """``((probe positions, their group starts, their group sizes, the
+        build order), output rows)`` — every array sized by an input."""
+        np = _numpy
         probe = np.asarray(probe_col, dtype=np.int64)
-        order, unique_keys, group_starts, group_counts = _numpy_group_index(build)
+        if group_index is None:
+            group_index = cls.group_index(build_col)
+        order, unique_keys, group_starts, group_counts = group_index
         slot = np.searchsorted(unique_keys, probe)
         clamped = np.minimum(slot, len(unique_keys) - 1)
         matched = (slot < len(unique_keys)) & (unique_keys[clamped] == probe)
-        probe_positions = np.nonzero(matched)[0]
-        groups = slot[probe_positions]
+        positions = np.nonzero(matched)[0]
+        groups = slot[positions]
         counts = group_counts[groups]
-        total = int(counts.sum())
-        left = np.repeat(probe_positions, counts)
-        out_ends = np.cumsum(counts)
-        within = np.arange(total, dtype=np.int64) - np.repeat(out_ends - counts, counts)
-        right = order[np.repeat(group_starts[groups], counts) + within]
-        return left, right, total
+        return (positions, group_starts[groups], counts, order), int(counts.sum())
 
     @staticmethod
-    def hash_join_multi(probe_cols, build_cols):
-        return _numpy_hash_join_multi(probe_cols, build_cols)
-
-    @staticmethod
-    def cartesian(left_count: int, right_count: int):
+    def cartesian_matches(left_count: int, right_count: int):
         np = _numpy
-        left = np.repeat(np.arange(left_count, dtype=np.int64), right_count)
-        right = np.tile(np.arange(right_count, dtype=np.int64), left_count)
-        return left, right, left_count * right_count
+        matches = (
+            np.arange(left_count, dtype=np.int64),
+            np.zeros(left_count, dtype=np.int64),
+            np.full(left_count, right_count, dtype=np.int64),
+            np.arange(right_count, dtype=np.int64),
+        )
+        return matches, left_count * right_count
+
+    @staticmethod
+    def gather(matches, start: int = 0, stop: Optional[int] = None):
+        np = _numpy
+        positions, starts, counts, order = matches
+        if start or stop is not None:
+            positions, starts, counts = positions[start:stop], starts[start:stop], counts[start:stop]
+        out_ends = np.cumsum(counts)
+        total = int(out_ends[-1]) if len(out_ends) else 0
+        left = np.repeat(positions, counts)
+        within = np.arange(total, dtype=np.int64) - np.repeat(out_ends - counts, counts)
+        right = order[np.repeat(starts, counts) + within]
+        return left, right
+
+    @staticmethod
+    def chunk_bounds(matches, rows: int) -> List[int]:
+        np = _numpy
+        out_ends = np.cumsum(matches[2])
+        cuts = np.searchsorted(out_ends, np.arange(rows, int(out_ends[-1]), rows)) + 1
+        return np.unique(np.concatenate([[0], cuts, [len(out_ends)]])).tolist()
 
     @staticmethod
     def distinct_selection(key_cols, count: int):
@@ -362,6 +451,33 @@ class _NumpyKernels:
             stacked = np.stack(key_cols, axis=1)
             _, first = np.unique(stacked, axis=0, return_index=True)
         return np.sort(first)
+
+    # -- block maintenance and statistics ------------------------------- #
+    @classmethod
+    def appended(cls, col, tail: array):
+        return _numpy.concatenate([col, cls.column(tail)])
+
+    @staticmethod
+    def removed(col, position: int):
+        return _numpy.delete(col, position)
+
+    @staticmethod
+    def find_pair(first_col, second_col, first: int, second: int) -> Optional[int]:
+        hits = _numpy.nonzero((first_col == first) & (second_col == second))[0]
+        return int(hits[0]) if len(hits) else None
+
+    @staticmethod
+    def statistics(subjects, objects) -> PredicateStatistics:
+        """One value count per column instead of the per-row dict loop."""
+        subject_rows = _numpy.unique(subjects, return_counts=True)[1]
+        object_rows = _numpy.unique(objects, return_counts=True)[1]
+        return PredicateStatistics(
+            cardinality=len(subjects),
+            distinct_subjects=len(subject_rows),
+            distinct_objects=len(object_rows),
+            max_subject_rows=int(subject_rows.max()) if len(subject_rows) else 0,
+            max_object_rows=int(object_rows.max()) if len(object_rows) else 0,
+        )
 
 
 def select_kernels(use_numpy: Optional[bool] = None):
@@ -383,46 +499,92 @@ def select_kernels(use_numpy: Optional[bool] = None):
 # ---------------------------------------------------------------------- #
 # Columnar storage: the row table plus cached id-column blocks
 # ---------------------------------------------------------------------- #
+class ColumnBlock(NamedTuple):
+    """One predicate's cached ``(subjects, objects)`` id columns, scan order.
+
+    ``consumed`` is how many entries of the table's per-predicate row-id list
+    the block covers (live or tombstoned); entries past it were inserted
+    since and are appended on the next access.  ``group_indexes`` memoizes
+    the join group index of each column.  A write replaces the block, so the
+    memo lives and dies with the arrays it describes.
+    """
+
+    subjects: object
+    objects: object
+    count: int
+    consumed: int
+    group_indexes: List[object]  # [of subjects, of objects], None until needed
+
+    @classmethod
+    def of(cls, subjects, objects, count: int, consumed: int) -> "ColumnBlock":
+        return cls(subjects, objects, count, consumed, [None, None])
+
+    def group_index(self, column, kernels):
+        """The memoized group index of one of this block's own columns, or
+        ``None`` for any other array: a temporary dies with its query, so an
+        index kept for it could never be hit."""
+        slot = 0 if column is self.subjects else 1 if column is self.objects else None
+        if slot is None:
+            return None
+        index = self.group_indexes[slot]
+        if index is None:
+            # Concurrent readers may both build it; the results are equal
+            # and the slot assignment is atomic, so last write wins.
+            index = self.group_indexes[slot] = kernels.group_index(column)
+        return index
+
+
 class ColumnarTripleTable(TripleTable):
     """A :class:`TripleTable` that serves scans as cached id-column blocks.
 
     The row-oriented base (mutations, tombstones, ``dump_rows``/``load_rows``
     and the secondary indexes) is inherited unchanged — snapshots and the WAL
     see the exact same logical rows, so persistence needs no new format.  On
-    top, per-predicate ``(subjects, objects)`` column pairs (and one full
-    ``(s, p, o)`` triple of columns for table scans) are built lazily in scan
-    order and dropped on the same mutations that invalidate bound plans:
-    inserts drop only the touched predicate's block, deletes/extractions/
-    compactions drop everything.
+    top, per-predicate :class:`ColumnBlock` s (and one full ``(s, p, o)``
+    triple of columns for table scans) are built lazily in scan order.
+
+    A cached block follows writes.  Inserts cost the write path nothing:
+    the block knows how much of the predicate's append-only row-id list it
+    covers and appends the rest on its next access, so bulk loads and log
+    replay never pay a per-row hook.  A delete removes the row's one
+    position at once.  Only ``extract_predicate``/``compact``, which rebuild
+    the row-id lists, drop blocks; the full-table columns (read only by
+    unbound-predicate scans) are dropped by every write.
     """
 
     def __init__(self, dictionary=None, use_numpy: Optional[bool] = None):
         super().__init__(dictionary)
         self.kernels = select_kernels(use_numpy)
-        self._partition_columns: Dict[int, Tuple[object, object, int]] = {}
+        self._partition_columns: Dict[int, ColumnBlock] = {}
         self._full_columns: Optional[Tuple[object, object, object, int]] = None
+        self._full_rows = 0  # len(self._rows) when _full_columns was built
 
     # -- mutation hooks: keep blocks coherent with the row table -------- #
-    def insert_row(self, row) -> bool:
-        inserted = super().insert_row(row)
-        if inserted:
-            self._partition_columns.pop(row[1], None)
-            self._full_columns = None
-        return inserted
-
-    def delete(self, triple) -> bool:
-        removed = super().delete(triple)
+    def delete_row(self, row: Row) -> bool:
+        removed = super().delete_row(row)
         if removed:
-            self._partition_columns.clear()
             self._full_columns = None
+            block = self._partition_columns.get(row[1])
+            if block is not None:
+                kernels = self.kernels
+                position = kernels.find_pair(block.subjects, block.objects, row[0], row[2])
+                # Not found: inserted after the block last caught up — the
+                # catch-up skips its tombstone.
+                if position is not None:
+                    self._partition_columns[row[1]] = ColumnBlock.of(
+                        kernels.removed(block.subjects, position),
+                        kernels.removed(block.objects, position),
+                        block.count - 1,
+                        block.consumed,
+                    )
         return removed
 
     def extract_predicate(self, predicate_id: int):
-        removed = super().extract_predicate(predicate_id)
-        if removed:
-            self._partition_columns.pop(predicate_id, None)
-            self._full_columns = None
-        return removed
+        # Even with no live row left to remove, the row-id list is gone and
+        # the block that counted its entries with it.
+        self._partition_columns.pop(predicate_id, None)
+        self._full_columns = None
+        return super().extract_predicate(predicate_id)
 
     def compact(self) -> int:
         reclaimed = super().compact()
@@ -432,29 +594,52 @@ class ColumnarTripleTable(TripleTable):
         return reclaimed
 
     # -- block access --------------------------------------------------- #
-    def partition_columns(self, predicate_id: int) -> Tuple[object, object, int]:
-        """The ``(subjects, objects, count)`` block of one predicate, cached.
+    def partition_columns(self, predicate_id: int) -> ColumnBlock:
+        """The block of one predicate, cached and caught up with inserts.
 
-        Built from :meth:`scan_predicate`, so block order *is* scan order —
+        Rows are taken from the predicate's row-id list exactly as
+        :meth:`scan_predicate` walks it, so block order *is* scan order —
         the property every ordering guarantee downstream rests on.
         """
-        cached = self._partition_columns.get(predicate_id)
-        if cached is None:
-            subjects = array("q")
-            objects = array("q")
-            append_subject = subjects.append
-            append_object = objects.append
-            for row in self.scan_predicate(predicate_id):
+        row_ids = self._by_predicate.get(predicate_id, ())
+        covered = len(row_ids)
+        block = self._partition_columns.get(predicate_id)
+        if block is not None and block.consumed == covered:
+            return block
+        subjects = array("q")
+        objects = array("q")
+        append_subject = subjects.append
+        append_object = objects.append
+        rows = self._rows
+        for row_id in row_ids[block.consumed if block is not None else 0 : covered]:
+            row = rows[row_id]
+            if row is not None:
                 append_subject(row[0])
                 append_object(row[2])
-            kernels = self.kernels
-            cached = (kernels.column(subjects), kernels.column(objects), len(subjects))
-            self._partition_columns[predicate_id] = cached
-        return cached
+        kernels = self.kernels
+        if block is None:
+            block = ColumnBlock.of(
+                kernels.column(subjects), kernels.column(objects), len(subjects), covered
+            )
+        else:
+            block = ColumnBlock.of(
+                kernels.appended(block.subjects, subjects),
+                kernels.appended(block.objects, objects),
+                block.count + len(subjects),
+                covered,
+            )
+        self._partition_columns[predicate_id] = block
+        return block
+
+    def predicate_statistics(self, predicate_id: int) -> PredicateStatistics:
+        """One predicate's statistics from its block, equal to the base
+        table's scan of the partition value for value."""
+        block = self.partition_columns(predicate_id)
+        return self.kernels.statistics(block.subjects, block.objects)
 
     def full_columns(self) -> Tuple[object, object, object, int]:
         """The whole table as ``(s, p, o, count)`` columns in scan order."""
-        if self._full_columns is None:
+        if self._full_columns is None or self._full_rows != len(self._rows):
             subjects = array("q")
             predicates = array("q")
             objects = array("q")
@@ -472,13 +657,19 @@ class ColumnarTripleTable(TripleTable):
                 kernels.column(objects),
                 len(subjects),
             )
+            self._full_rows = len(self._rows)
         return self._full_columns
 
     # -- block matching (the scan access paths) ------------------------- #
     def match_partition(self, matcher: CompiledPattern, predicate_id: int, counters: WorkCounters):
-        subjects, objects, count = self.partition_columns(predicate_id)
+        block = self.partition_columns(predicate_id)
         return match_block(
-            matcher, {0: subjects, 2: objects}, {1: predicate_id}, count, counters, self.kernels
+            matcher,
+            {0: block.subjects, 2: block.objects},
+            {1: predicate_id},
+            block.count,
+            counters,
+            self.kernels,
         )
 
     def match_full(self, matcher: CompiledPattern, counters: WorkCounters):
@@ -495,9 +686,17 @@ class ColumnarTripleTable(TripleTable):
         bound_id: int,
         counters: WorkCounters,
     ):
-        subjects, objects, count = self.partition_columns(predicate_id)
+        block = self.partition_columns(predicate_id)
         return match_index_block(
-            matcher, subjects, objects, predicate_id, position, bound_id, count, counters, self.kernels
+            matcher,
+            block.subjects,
+            block.objects,
+            predicate_id,
+            position,
+            bound_id,
+            block.count,
+            counters,
+            self.kernels,
         )
 
 
@@ -607,42 +806,11 @@ def match_index_block(
     return names, out_cols, matched if selection is None else len(selection)
 
 
-def _hash_join_multi(probe_cols: List[List[int]], build_cols: List[List[int]]):
-    """Tuple-key bucket join for patterns sharing several variables."""
-    buckets: Dict[Tuple[int, ...], List[int]] = {}
-    get_bucket = buckets.get
-    for position, key in enumerate(zip(*build_cols)):
-        bucket = get_bucket(key)
-        if bucket is None:
-            buckets[key] = [position]
-        else:
-            bucket.append(position)
-    left: List[int] = []
-    right: List[int] = []
-    left_extend = left.extend
-    right_extend = right.extend
-    for position, key in enumerate(zip(*probe_cols)):
-        bucket = get_bucket(key)
-        if bucket is not None:
-            left_extend([position] * len(bucket))
-            right_extend(bucket)
-    return left, right, len(left)
-
-
-def _numpy_hash_join_multi(probe_cols, build_cols):
-    """Vectorized tuple-key join: dense-rank the composite keys, then merge.
-
-    Both sides' key rows are ranked together by one ``np.unique(axis=0)``
-    pass, so equal tuples — and only equal tuples — share a dense id; the
-    single-key merge join then produces the standard probe-order /
-    build-block-order gather, identical to the dict-bucket fallback.
-    """
-    np = _numpy
-    probe = np.stack([np.asarray(col, dtype=np.int64) for col in probe_cols], axis=1)
-    build = np.stack([np.asarray(col, dtype=np.int64) for col in build_cols], axis=1)
-    _, inverse = np.unique(np.concatenate([probe, build], axis=0), axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)  # numpy<2.3 returns an (n, 1) inverse for axis=0
-    return _NumpyKernels.hash_join(inverse[: len(probe)], inverse[len(probe) :])
+#: Output rows one gather kernel may emit while a deadline is active.  A
+#: chunk this size costs a few hundred microseconds with the numpy kernels and
+#: a few milliseconds with the stdlib ones — far inside the 2x-budget bound of
+#: a 50 ms deadline — and the per-chunk overhead stays in the noise.
+GATHER_CHUNK_ROWS = 1 << 15
 
 
 def join_block(
@@ -654,14 +822,23 @@ def join_block(
     block_count: int,
     counters: WorkCounters,
     kernels,
+    work_budget: Optional[float] = None,
+    source: Optional[ColumnBlock] = None,
 ) -> Tuple[Tuple[str, ...], List[object], int]:
     """Hash-join a pattern block into the columnar pipeline.
 
     Mirrors :func:`~repro.relstore.executor.join_id_pattern_rows` decision
     for decision — the empty guard, the pipeline-seed handover, shared-key
     probing versus the cartesian fallback — and charges ``rows_joined`` per
-    produced tuple at the same point, so counters and output order are
-    bit-identical.
+    produced tuple, so counters and output order are bit-identical.
+
+    The output size is known once probe rows are paired with build rows, and
+    nothing output-sized exists yet at that point: the join is charged, the
+    work budget (the same step-level check the executors run after this call)
+    and the deadline are consulted, and only then is the gather emitted — in
+    one kernel, or while a deadline is active in bounded chunks with a probe
+    between them.  ``source`` is the cached block ``block_cols`` was handed
+    over from, if any; its memoized group index spares the build-side sort.
     """
     new_names = tuple(name for name in names if name not in schema)
     if count == 0 or block_count == 0:
@@ -673,26 +850,48 @@ def join_block(
         counters.rows_joined += block_count
         return tuple(names), list(block_cols), block_count
 
+    shared = [name for name in names if name in schema]
+    name_position = {name: i for i, name in enumerate(names)}
+    if not shared:
+        matches, total = kernels.cartesian_matches(count, block_count)
+    elif len(shared) == 1:
+        build_col = block_cols[name_position[shared[0]]]
+        matches, total = kernels.join_matches(
+            cols[schema.index(shared[0])],
+            build_col,
+            source.group_index(build_col, kernels) if source is not None else None,
+        )
+    else:
+        matches, total = kernels.join_matches(
+            *kernels.composite_keys(
+                [cols[schema.index(name)] for name in shared],
+                [block_cols[name_position[name]] for name in shared],
+            )
+        )
+    counters.rows_joined += total
+    check_work_budget(counters, work_budget)
     deadline = current_deadline()
     if deadline is not None:
         deadline.check(counters)
-    shared = [name for name in names if name in schema]
-    name_position = {name: i for i, name in enumerate(names)}
-    if shared:
-        if len(shared) == 1:
-            left, right, total = kernels.hash_join(
-                cols[schema.index(shared[0])], block_cols[name_position[shared[0]]]
-            )
-        else:
-            probe_cols = [cols[schema.index(name)] for name in shared]
-            build_cols = [block_cols[name_position[name]] for name in shared]
-            left, right, total = kernels.hash_join_multi(probe_cols, build_cols)
-    else:
-        left, right, total = kernels.cartesian(count, block_count)
-    out_cols = [kernels.take(column, left) for column in cols]
-    for name in new_names:
-        out_cols.append(kernels.take(block_cols[name_position[name]], right))
-    counters.rows_joined += total
+
+    new_cols = [block_cols[name_position[name]] for name in new_names]
+
+    def gathered(start: int = 0, stop: Optional[int] = None) -> List[object]:
+        left, right = kernels.gather(matches, start, stop)
+        return [kernels.take(column, left) for column in cols] + [
+            kernels.take(column, right) for column in new_cols
+        ]
+
+    if deadline is None or total <= GATHER_CHUNK_ROWS:
+        return schema + new_names, gathered(), total
+    bounds = kernels.chunk_bounds(matches, GATHER_CHUNK_ROWS)
+    chunks = []
+    for start, stop in zip(bounds, bounds[1:]):
+        deadline.check(counters)
+        chunks.append(gathered(start, stop))
+    out_cols = [
+        kernels.concat(parts, lambda: deadline.check(counters)) for parts in zip(*chunks)
+    ]
     return schema + new_names, out_cols, total
 
 
@@ -711,6 +910,7 @@ def join_columnar_table(
     counters: WorkCounters,
     kernels,
     as_view: bool = False,
+    work_budget: Optional[float] = None,
 ) -> Tuple[Tuple[str, ...], List[object], int]:
     """Join a migrated intermediate-result table into the columnar pipeline.
 
@@ -731,7 +931,9 @@ def join_columnar_table(
         counters.rows_scanned += len(table)
     id_rows = table.encoded_rows(space.encode)
     block_cols = _transpose_id_rows(id_rows, len(table_vars), kernels)
-    return join_block(schema, cols, count, table_vars, block_cols, len(id_rows), counters, kernels)
+    return join_block(
+        schema, cols, count, table_vars, block_cols, len(id_rows), counters, kernels, work_budget
+    )
 
 
 def join_columnar_tables(
@@ -748,7 +950,7 @@ def join_columnar_tables(
     """The pipeline prologue: join migrated tables, budget-checked per table."""
     for table in extra_tables or ():
         schema, cols, count = join_columnar_table(
-            schema, cols, count, table, space, counters, kernels, as_view=tables_are_views
+            schema, cols, count, table, space, counters, kernels, tables_are_views, work_budget
         )
         check_work_budget(counters, work_budget)
     return schema, cols, count
@@ -883,13 +1085,23 @@ def finish_columnar_pipeline(
         projected = [column[: query.limit] for column in projected]
         count = query.limit
 
-    lists = [kernels.tolist(column) for column in projected]
-    id_to_term = space.decode_map(value for column in lists for value in column)
     bound_names = [name for name, _ in bound]
-    bindings: List[Binding] = [
-        {name: id_to_term[column[i]] for name, column in zip(bound_names, lists)}
-        for i in range(count)
-    ]
+    id_to_term: Dict[int, object] = {}
+    bindings: List[Binding] = []
+    # Materialize in one pass — or, with a deadline active, PROBE_STRIDE rows
+    # at a time with a probe in between; all per-value work (to python ints,
+    # decode of not-yet-seen ids, the row dicts) happens inside the loop.
+    stride = PROBE_STRIDE if deadline is not None else max(count, 1)
+    for start in range(0, count, stride):
+        if deadline is not None:
+            deadline.check(counters)
+        stop = min(start + stride, count)
+        lists = [kernels.tolist(column[start:stop]) for column in projected]
+        id_to_term.update(space.decode_map(set().union(*lists) - id_to_term.keys()))
+        bindings += [
+            {name: id_to_term[column[i]] for name, column in zip(bound_names, lists)}
+            for i in range(stop - start)
+        ]
     counters.results_produced += len(bindings)
     return ExecutionResult(
         bindings=bindings,
@@ -941,8 +1153,14 @@ class ColumnarExecutor:
             if count == 0:
                 break
             names, block_cols, block_count = self._step_block(step, counters)
+            source = (
+                table.partition_columns(step.predicate_id)
+                if step.access_path == "partition_scan" and step.predicate_id is not None
+                else None
+            )
             schema, cols, count = join_block(
-                schema, cols, count, names, block_cols, block_count, counters, kernels
+                schema, cols, count, names, block_cols, block_count, counters, kernels,
+                work_budget, source,
             )
             check_work_budget(counters, work_budget)
 

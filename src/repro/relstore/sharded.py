@@ -86,7 +86,7 @@ from repro.relstore.executor import (
 )
 from repro.relstore.planner import RelationalPlan, kernel_costs_for_engine, plan_query
 from repro.relstore.stats import PredicateStatistics, TableStatistics, predicate_statistics
-from repro.relstore.store import capped_execution, estimate_relational_seconds
+from repro.relstore.store import DEFAULT_ENGINE, capped_execution, estimate_relational_seconds
 from repro.relstore.table import Row, TripleTable
 
 __all__ = ["ShardingConfig", "ShardedRelationalStore", "ShardMetricsBoard", "SUBJECT_SHARDED"]
@@ -196,13 +196,13 @@ class ShardedRelationalStore:
     config:
         Placement tunables (skew threshold for subject-sharding).
     engine:
-        ``"idspace"`` (default) gathers integer id *tuples* from shard
-        probes; ``"columnar"`` backs every shard with a
+        ``"columnar"`` (default) backs every shard with a
         :class:`~repro.relstore.columnar.ColumnarTripleTable` — probes
         return id *columns*, the coordinator concatenates them per column in
-        shard order and joins with the batch kernels.  Either way the
-        central merge decodes exactly once, post-merge, and the logical
-        work counters are identical.
+        shard order and joins with the batch kernels; ``"idspace"`` (its
+        differential oracle) gathers integer id *tuples* from shard probes.
+        Either way the central merge decodes exactly once, post-merge, and
+        the logical work counters are identical.
     """
 
     def __init__(
@@ -211,7 +211,7 @@ class ShardedRelationalStore:
         cost_model: CostModel = DEFAULT_COST_MODEL,
         config: Optional[ShardingConfig] = None,
         dictionary: Optional[TermDictionary] = None,
-        engine: str = "idspace",
+        engine: str = DEFAULT_ENGINE,
     ):
         if shards < 1:
             raise ValueError("a sharded store needs at least one shard")
@@ -601,7 +601,7 @@ class ShardedRelationalStore:
                     unprobed_index_lookups += 1
             step_probe_work.append(step_work)
             schema, cols, count = join_block(
-                schema, cols, count, names, block_cols, total, counters, kernels
+                schema, cols, count, names, block_cols, total, counters, kernels, work_budget
             )
             check_work_budget(counters, work_budget)
 

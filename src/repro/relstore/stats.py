@@ -8,12 +8,13 @@ moving a partition without executing anything (``estimate_only`` mode).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import TYPE_CHECKING, Dict, Iterable
 
 from repro.rdf.terms import IRI, Variable
 from repro.sparql.ast import SelectQuery, TriplePattern
 
-from repro.relstore.table import Row, TripleTable
+if TYPE_CHECKING:  # annotations only: table.py imports this module
+    from repro.relstore.table import Row, TripleTable
 
 __all__ = ["TableStatistics", "collect_statistics", "predicate_statistics"]
 

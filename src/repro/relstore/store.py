@@ -12,7 +12,7 @@ into seconds.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cost.counters import WorkCounters
 from repro.cost.model import CostModel, DEFAULT_COST_MODEL
@@ -31,16 +31,21 @@ from repro.relstore.executor import (
 )
 from repro.relstore.planner import RelationalPlan, kernel_costs_for_engine, plan_query
 from repro.relstore.reference import ReferenceExecutor
-from repro.relstore.stats import TableStatistics, collect_statistics
+from repro.relstore.stats import PredicateStatistics, TableStatistics
 from repro.relstore.table import TripleTable
 from repro.relstore.views import MaterializedView, MaterializedViewManager
 
 __all__ = [
+    "DEFAULT_ENGINE",
     "RelationalStore",
     "relational_work_units",
     "capped_execution",
     "estimate_relational_seconds",
 ]
+
+
+#: The engine a store runs when nobody names one.
+DEFAULT_ENGINE = "columnar"
 
 
 def capped_execution(store, query: SelectQuery, work_budget: float):
@@ -79,13 +84,14 @@ class RelationalStore:
         When given, a :class:`MaterializedViewManager` is attached with that
         row budget (used by the RDB-views baseline).
     engine:
-        ``"idspace"`` (default) runs the late-materialization ID-space
-        engine with its bound-plan memo; ``"columnar"`` runs the vectorized
-        columnar engine (term-id columns, mask selection, batched hash
-        joins — numpy-accelerated when available) with the same memo;
-        ``"reference"`` runs the retained decode-per-row executor (the
-        differential oracle and the benchmark baseline), which re-plans and
-        re-resolves constants per execution like the pre-PR-3 store did.
+        ``"columnar"`` (default) runs the vectorized columnar engine
+        (term-id columns, mask selection, batched hash joins —
+        numpy-accelerated when available) with a bound-plan memo.  The other
+        two are kept as its differential oracles: ``"idspace"`` runs the
+        row-at-a-time late-materialization engine with the same memo;
+        ``"reference"`` runs the retained decode-per-row executor, which
+        re-plans and re-resolves constants per execution like the pre-PR-3
+        store did.
     dictionary:
         An existing term dictionary to encode against (the snapshot-restore
         path rebuilds the dictionary first so persisted integer rows keep
@@ -96,7 +102,7 @@ class RelationalStore:
         self,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         view_row_budget: Optional[int] = None,
-        engine: str = "idspace",
+        engine: str = DEFAULT_ENGINE,
         dictionary=None,
     ):
         if engine not in ("idspace", "reference", "columnar"):
@@ -112,10 +118,13 @@ class RelationalStore:
         else:
             self.table = TripleTable(dictionary)
             self._executor = ReferenceExecutor(self.table)
-        self._statistics: Optional[TableStatistics] = None
         #: query → (plan, compiled plan) memo, invalidated by generation.
         self._bound_plans = BoundPlanCache()
         self._plan_generation = 0
+        #: (plan generation they are current for, statistics, the table write
+        #: stamp each per-predicate entry was computed at) — one value, so
+        #: concurrent readers refreshing at once each swap in a whole state.
+        self._statistics: Tuple[int, Optional[TableStatistics], Dict[IRI, tuple]] = (-1, None, {})
         self.view_manager: Optional[MaterializedViewManager] = (
             MaterializedViewManager(row_budget=view_row_budget) if view_row_budget is not None else None
         )
@@ -133,14 +142,15 @@ class RelationalStore:
         return seconds
 
     def _invalidate_derived_state(self) -> None:
-        """Drop statistics and age out bound plans after any mutation.
+        """Age out statistics and bound plans after any mutation.
 
         New terms may have entered the dictionary and cardinalities may have
         shifted, so both the plan ordering and the pre-resolved constant ids
         of every bound plan are suspect; bumping the generation makes the
-        memo re-bind lazily, one query at a time.
+        memo re-bind lazily, one query at a time.  Statistics keep their
+        per-predicate entries: the next reader recomputes only the
+        predicates whose write stamp moved.
         """
-        self._statistics = None
         self._plan_generation += 1
 
     def insert(self, triples: Iterable[Triple]) -> float:
@@ -173,10 +183,27 @@ class RelationalStore:
         return self.table.cardinalities()
 
     def statistics(self) -> TableStatistics:
-        """Current table statistics (recomputed lazily after mutations)."""
-        if self._statistics is None:
-            self._statistics = collect_statistics(self.table)
-        return self._statistics
+        """Current table statistics, brought up to date lazily after
+        mutations: entries of predicates not written since the last call are
+        kept, the others recomputed — value for value what
+        :func:`~repro.relstore.stats.collect_statistics` would return."""
+        generation, statistics, stamps = self._statistics
+        if generation == self._plan_generation:
+            return statistics
+        generation = self._plan_generation
+        table = self.table
+        per_predicate: Dict[IRI, PredicateStatistics] = {}
+        fresh_stamps: Dict[IRI, tuple] = {}
+        for predicate in table.predicates():
+            predicate_id = table.dictionary.lookup(predicate)
+            stamp = fresh_stamps[predicate] = table.write_stamp(predicate_id)
+            if stamps.get(predicate) == stamp:
+                per_predicate[predicate] = statistics.per_predicate[predicate]
+            else:
+                per_predicate[predicate] = table.predicate_statistics(predicate_id)
+        statistics = TableStatistics(total_rows=len(table), per_predicate=per_predicate)
+        self._statistics = (generation, statistics, fresh_stamps)
+        return statistics
 
     # ------------------------------------------------------------------ #
     # Query execution
@@ -331,7 +358,13 @@ class RelationalStore:
         dictionary.  Row order (and therefore index order, scan order, query
         results, and work counters) matches the snapshotted store exactly."""
         store = cls(cost_model=cost_model, engine=state["engine"], dictionary=dictionary)
-        store.table.load_rows(state["rows"])
-        store._statistics = TableStatistics.from_payload(state["statistics"])
+        table = store.table
+        table.load_rows(state["rows"])
+        statistics = TableStatistics.from_payload(state["statistics"])
+        stamps = {
+            predicate: table.write_stamp(table.dictionary.lookup(predicate))
+            for predicate in statistics.per_predicate
+        }
+        store._statistics = (store._plan_generation, statistics, stamps)
         store.total_insert_seconds = float(state["total_insert_seconds"])
         return store

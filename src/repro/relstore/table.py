@@ -11,7 +11,10 @@ plus secondary indexes:
 * (predicate, object) → row ids.
 
 Rows are identified by dense integer row ids; deletions leave tombstones so
-row ids stay stable (the store compacts on demand).
+row ids stay stable (the store compacts on demand).  Tombstones are also
+counted per predicate, so a partition's live-row count — and the *write
+stamp* that a statistics entry compares to tell whether the partition was
+written since it was computed — is O(1) and costs the insert path nothing.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 from repro.errors import StorageError
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import IRI, Triple
+from repro.relstore.stats import PredicateStatistics, predicate_statistics
 
 __all__ = ["TripleTable", "Row"]
 
@@ -40,6 +44,12 @@ class TripleTable:
         self._by_predicate_subject: Dict[Tuple[int, int], List[int]] = defaultdict(list)
         self._by_predicate_object: Dict[Tuple[int, int], List[int]] = defaultdict(list)
         self._tombstones = 0
+        #: predicate id -> tombstoned entries of its ``_by_predicate`` list.
+        self._dead_rows: Dict[int, int] = defaultdict(int)
+        #: Bumped when index lists are rebuilt or dropped wholesale
+        #: (``compact``/``extract_predicate``), which resets the two counts
+        #: above; part of every write stamp so stamps never repeat.
+        self._index_epoch = 0
 
     # ------------------------------------------------------------------ #
     # Loading and mutation
@@ -71,15 +81,22 @@ class TripleTable:
         object_id = self.dictionary.lookup(triple.object)
         if subject_id is None or predicate_id is None or object_id is None:
             return False
-        row = (subject_id, predicate_id, object_id)
+        return self.delete_row((subject_id, predicate_id, object_id))
+
+    def delete_row(self, row: Row) -> bool:
+        """Delete an already-encoded row; return ``True`` when it was present."""
         if row not in self._row_set:
             return False
         self._row_set.remove(row)
-        # Tombstone the slot; index entries are filtered lazily on read.
-        for row_id in self._by_predicate[predicate_id]:
+        subject_id, predicate_id, _ = row
+        # Tombstone the slot; index entries are filtered lazily on read.  The
+        # (predicate, subject) bucket holds a handful of rows where the
+        # partition holds thousands.
+        for row_id in self._by_predicate_subject[(predicate_id, subject_id)]:
             if self._rows[row_id] == row:
                 self._rows[row_id] = None
                 self._tombstones += 1
+                self._dead_rows[predicate_id] += 1
                 break
         return True
 
@@ -96,8 +113,8 @@ class TripleTable:
     def predicates(self) -> List[IRI]:
         """All predicates present, decoded, sorted by IRI value."""
         out: List[IRI] = []
-        for predicate_id, row_ids in self._by_predicate.items():
-            if any(self._rows[r] is not None for r in row_ids):
+        for predicate_id in self._by_predicate:
+            if self.live_row_count(predicate_id):
                 term = self.dictionary.decode(predicate_id)
                 if isinstance(term, IRI):
                     out.append(term)
@@ -110,11 +127,27 @@ class TripleTable:
         return self.live_row_count(predicate_id)
 
     def live_row_count(self, predicate_id: int) -> int:
-        """Live rows of one predicate, counted from the index (no decoding)."""
-        return sum(1 for r in self._by_predicate.get(predicate_id, ()) if self._rows[r] is not None)
+        """Live rows of one predicate: index entries minus tombstones, O(1)."""
+        return len(self._by_predicate.get(predicate_id, ())) - self._dead_rows.get(predicate_id, 0)
+
+    def write_stamp(self, predicate_id: int) -> Tuple[int, int, int]:
+        """A value that differs after any insert into or delete from the
+        predicate's partition: what a statistics entry records when it is
+        computed and compares before reuse.  (Column blocks do not use it:
+        a delete patches them, and they are dropped together with the row-id
+        list whose entries they count.)"""
+        return (
+            self._index_epoch,
+            len(self._by_predicate.get(predicate_id, ())),
+            self._dead_rows.get(predicate_id, 0),
+        )
 
     def cardinalities(self) -> Dict[IRI, int]:
         return {p: self.predicate_cardinality(p) for p in self.predicates()}
+
+    def predicate_statistics(self, predicate_id: int) -> PredicateStatistics:
+        """One predicate's statistics, from a scan of its partition."""
+        return predicate_statistics(self.scan_predicate(predicate_id))
 
     # ------------------------------------------------------------------ #
     # Access paths (the physical operators call these)
@@ -181,6 +214,8 @@ class TripleTable:
                 self._tombstones += 1
                 removed.append(row)
         self._by_predicate.pop(predicate_id, None)
+        self._dead_rows.pop(predicate_id, None)
+        self._index_epoch += 1
         return removed
 
     def compact(self) -> int:
@@ -195,6 +230,8 @@ class TripleTable:
         self._by_predicate_subject = defaultdict(list)
         self._by_predicate_object = defaultdict(list)
         self._tombstones = 0
+        self._dead_rows = defaultdict(int)
+        self._index_epoch += 1
         for row in live:
             row_id = len(self._rows)
             self._rows.append(row)

@@ -3,11 +3,13 @@
 A :class:`Deadline` is a wall-clock budget carried from the serving layer
 (``timeout`` request parameter / ``ServiceConfig.default_deadline_seconds``)
 into the execution engines.  The engines cannot be preempted — they are plain
-Python loops — so cancellation is *cooperative*: the hot loops call cheap
-periodic probes (:meth:`Deadline.check` / :func:`probed_rows`) and an
-over-budget execution raises :class:`~repro.errors.QueryTimeoutError`, which
-frees the executor thread immediately and maps to a machine-readable ``504``
-at the HTTP layer — never a hung slot.
+Python loops and batch kernels — so cancellation is *cooperative*: the hot
+loops call cheap periodic probes (:meth:`Deadline.check` /
+:func:`probed_rows`), the batch kernels are emitted in bounded chunks with a
+probe between them, and an over-budget execution raises
+:class:`~repro.errors.QueryTimeoutError`, which frees the executor thread
+immediately and maps to a machine-readable ``504`` at the HTTP layer — never
+a hung slot.
 
 **Propagation is ambient**, not threaded through every executor signature:
 :func:`deadline_scope` installs the deadline in a ``threading.local`` for the
@@ -17,10 +19,17 @@ signatures untouched (the differential suites pin them bit-for-bit) and makes
 the probes literally free when no deadline is active — a single ``None``
 check at loop entry.
 
-Scope of coverage: the ID-space relational engine
-(:mod:`repro.relstore.executor`), the graph matcher
+Scope of coverage: the columnar relational engine
+(:mod:`repro.relstore.columnar`: a probe per block match and before each
+join's gather — whose size is known, and checked against the work budget,
+before it is allocated — then, while a deadline is active, between
+:data:`~repro.relstore.columnar.GATHER_CHUNK_ROWS`-row chunks of the gather
+and every :data:`PROBE_STRIDE` rows of the filter and materialize loops; a
+build side's group-index sort and DISTINCT's run unprobed), the ID-space
+relational engine (:mod:`repro.relstore.executor`), the graph matcher
 (:mod:`repro.graphstore.matcher`), and — through them — the sharded
-coordinator's request-thread loops.  Scatter-pool probe threads do not see
+coordinator's request-thread loops.  The decode-per-row reference executor is
+an oracle and is not probed.  Scatter-pool probe threads do not see
 the request thread's ambient deadline (each shard probe is bounded by its
 shard's size); the coordinator re-checks between gathers, which is what
 bounds end-to-end latency.

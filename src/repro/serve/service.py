@@ -610,17 +610,14 @@ class QueryService:
         triples: Iterable[Triple],
         *,
         chunk_size: int = 1024,
-        refresh_statistics: bool = True,
     ) -> IngestReport:
         """Bulk streaming ingest: consume ``triples`` in chunks.
 
         Each chunk is one gated :meth:`insert` — one generation bump, one
         result-cache invalidation, and (in delta-log mode) one log record —
         so a million-triple stream costs thousands of cheap boundaries, not
-        millions.  Statistics refresh is *deferred*: the per-chunk inserts
-        only drop the stale statistics (recomputation is lazy), and one
-        optional warm pass at the end rebuilds them before query traffic
-        pays the rebuild inside a serve.
+        millions.  Statistics are left to the next reader, which recomputes
+        only the predicates the stream wrote.
         """
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
@@ -637,8 +634,6 @@ class QueryService:
             report.modelled_seconds += self.insert(chunk)
             report.triples += len(chunk)
             report.chunks += 1
-        if refresh_statistics and report.chunks:
-            self.dual.relational.statistics()
         return report
 
     def apply_wal_records(self, records: Sequence[WalRecord]) -> int:

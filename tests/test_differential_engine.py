@@ -1,7 +1,7 @@
 """Differential suite: every derived engine vs the decode-per-row reference.
 
-The late-materialization executor (``RelationalStore(engine="idspace")``, the
-default) and the vectorized columnar engine (``engine="columnar"``) must be
+The late-materialization executor (``RelationalStore(engine="idspace")``) and
+the vectorized columnar engine (``engine="columnar"``, the default) must be
 *indistinguishable in output* from the retained reference executor
 (``engine="reference"``): byte-identical result bindings (same solutions,
 same order, same dict contents) and bit-identical logical
@@ -88,7 +88,7 @@ def reference_runs(family_workloads):
 # --------------------------------------------------------------------------- #
 def test_idspace_engine_matches_reference_for_every_family(family_workloads, reference_runs):
     for label, triples, queries in family_workloads:
-        store = RelationalStore()  # idspace is the default engine
+        store = RelationalStore(engine="idspace")
         store.load(triples)
         for index, (query, cold) in enumerate(zip(queries, reference_runs[label])):
             warm = store.execute(query)
@@ -100,7 +100,7 @@ def test_repeated_execution_through_the_bound_plan_memo_stays_identical(family_w
     """The second execution takes the memoized (plan, compiled) path; answers
     and counters must not depend on which path bound the plan."""
     label, triples, queries = family_workloads[3]  # watdiv-complex
-    store = RelationalStore()
+    store = RelationalStore(engine="idspace")
     store.load(triples)
     first = [store.execute(q) for q in queries[:10]]
     for index, query in enumerate(queries[:10]):
@@ -120,7 +120,7 @@ def test_sharded_idspace_matches_reference_for_every_family(
     legally reorder rows; see the LIMIT caveat in relstore/sharded.py) with
     bit-identical logical work."""
     for label, triples, queries in family_workloads:
-        store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE)
+        store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE, engine="idspace")
         store.load(triples)
         for index, (query, cold) in enumerate(zip(queries, reference_runs[label])):
             warm = store.execute(query)
@@ -138,7 +138,7 @@ def test_sharded_idspace_matches_reference_for_every_family(
 def test_capped_execution_parity(watdiv_dataset):
     reference = RelationalStore(engine="reference")
     reference.load(watdiv_dataset.triples)
-    idspace = RelationalStore()
+    idspace = RelationalStore(engine="idspace")
     idspace.load(watdiv_dataset.triples)
     queries = watdiv_workload(watdiv_dataset, family="complex", seed=5).ordered()[:8]
     for query in queries:
@@ -158,7 +158,7 @@ def test_capped_execution_parity(watdiv_dataset):
 def filter_store_pair(mini_kg):
     reference = RelationalStore(engine="reference")
     reference.load(mini_kg)
-    idspace = RelationalStore()
+    idspace = RelationalStore(engine="idspace")
     idspace.load(mini_kg)
     return idspace, reference
 
@@ -203,7 +203,7 @@ def test_nan_literals_defeat_the_equal_id_fast_path():
     ]
     reference = RelationalStore(engine="reference")
     reference.load(triples)
-    idspace = RelationalStore()
+    idspace = RelationalStore(engine="idspace")
     idspace.load(triples)
     for operator in ("=", "!=", "<", "<=", ">", ">="):
         query = parse_query(
@@ -246,7 +246,7 @@ def test_numeric_value_equality_across_datatypes_still_matches():
     query = parse_query("SELECT ?a ?b WHERE { ?a y:hasAge ?x . ?b y:hasAge ?y . FILTER(?x = ?y) }")
     reference = RelationalStore(engine="reference")
     reference.load(store_triples)
-    idspace = RelationalStore()
+    idspace = RelationalStore(engine="idspace")
     idspace.load(store_triples)
     cold = reference.execute(query)
     warm = idspace.execute(query)
@@ -262,7 +262,7 @@ def test_numeric_value_equality_across_datatypes_still_matches():
 def test_extra_table_with_shared_variables_matches_reference(mini_kg):
     reference = RelationalStore(engine="reference")
     reference.load(mini_kg)
-    idspace = RelationalStore()
+    idspace = RelationalStore(engine="idspace")
     idspace.load(mini_kg)
     table = ResultTable(
         name="tmp",
@@ -286,7 +286,7 @@ def test_extra_table_with_shared_variables_matches_reference(mini_kg):
 def test_disjoint_extra_table_still_cartesian(mini_kg):
     reference = RelationalStore(engine="reference")
     reference.load(mini_kg)
-    idspace = RelationalStore()
+    idspace = RelationalStore(engine="idspace")
     idspace.load(mini_kg)
     table = ResultTable(name="tmp", variables=("x",), rows=[(Literal("a"),), (Literal("b"),)])
     query = parse_query("SELECT ?p ?x WHERE { ?p y:isMarriedTo ?q . }")
@@ -306,7 +306,7 @@ def edge_store_pair(mini_kg):
     reference = RelationalStore(engine="reference")
     reference.load(mini_kg)
     reference.insert(extra)
-    idspace = RelationalStore()
+    idspace = RelationalStore(engine="idspace")
     idspace.load(mini_kg)
     idspace.insert(extra)
     return idspace, reference
@@ -370,7 +370,7 @@ def test_dualstore_runs_identically_with_interleaved_mutations(watdiv_dataset):
     cold_dual = DualStore(relational_store=RelationalStore(engine="reference")).load(
         watdiv_dataset.triples
     )
-    warm_dual = DualStore().load(watdiv_dataset.triples)
+    warm_dual = DualStore(engine="idspace").load(watdiv_dataset.triples)
 
     rng = random.Random(7)
     transferable = sorted({p for q in queries for p in q.predicates()}, key=lambda p: p.value)
@@ -413,7 +413,7 @@ def test_sharded_dualstore_with_mutations_matches_reference(watdiv_dataset, fing
     cold_dual = DualStore(relational_store=RelationalStore(engine="reference")).load(
         watdiv_dataset.triples
     )
-    warm_dual = DualStore(shards=4, sharding=AGGRESSIVE).load(watdiv_dataset.triples)
+    warm_dual = DualStore(shards=4, sharding=AGGRESSIVE, engine="idspace").load(watdiv_dataset.triples)
     transferable = sorted({p for q in queries for p in q.predicates()}, key=lambda p: p.value)
 
     for index, query in enumerate(queries):

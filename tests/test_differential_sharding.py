@@ -38,6 +38,12 @@ SHARD_COUNTS = (1, 2, 4, 7)
 AGGRESSIVE = ShardingConfig(skew_threshold=0.2, min_subject_shard_rows=16)
 
 
+@pytest.fixture(scope="module", params=("idspace", "columnar"))
+def engine(request):
+    """Sharding must be invisible on the default engine and on its row oracle."""
+    return request.param
+
+
 # --------------------------------------------------------------------------- #
 # Workloads covering every template family
 # --------------------------------------------------------------------------- #
@@ -62,11 +68,11 @@ def family_workloads(watdiv_dataset):
 
 
 @pytest.fixture(scope="module")
-def baselines(family_workloads):
-    """Unsharded execution of every workload, computed once."""
+def baselines(engine, family_workloads):
+    """Unsharded execution of every workload, computed once per engine."""
     out = {}
     for label, triples, queries in family_workloads:
-        store = RelationalStore()
+        store = RelationalStore(engine=engine)
         store.load(triples)
         out[label] = [store.execute(query) for query in queries]
     return out
@@ -76,9 +82,9 @@ def baselines(family_workloads):
 # Standalone store differential
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_sharded_store_matches_unsharded_for_every_family(shards, family_workloads, baselines, fingerprint):
+def test_sharded_store_matches_unsharded_for_every_family(shards, engine, family_workloads, baselines, fingerprint):
     for label, triples, queries in family_workloads:
-        store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE)
+        store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE, engine=engine)
         store.load(triples)
         for query, cold in zip(queries, baselines[label]):
             warm = store.execute(query)
@@ -90,15 +96,15 @@ def test_sharded_store_matches_unsharded_for_every_family(shards, family_workloa
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_limit_queries_agree_on_count_and_work_not_necessarily_rows(shards, watdiv_dataset, fingerprint):
+def test_limit_queries_agree_on_count_and_work_not_necessarily_rows(shards, engine, watdiv_dataset, fingerprint):
     """LIMIT without ORDER BY is an arbitrary subset under SPARQL semantics;
     the documented contract is count + work parity plus subset validity,
     not identical truncation choices (see relstore/sharded.py docstring)."""
     from dataclasses import replace
 
-    base = RelationalStore()
+    base = RelationalStore(engine=engine)
     base.load(watdiv_dataset.triples)
-    store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE)
+    store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE, engine=engine)
     store.load(watdiv_dataset.triples)
     workload = watdiv_workload(watdiv_dataset, family="linear", seed=9)
     for query in workload.ordered()[:8]:
@@ -114,10 +120,10 @@ def test_limit_queries_agree_on_count_and_work_not_necessarily_rows(shards, watd
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_sharded_metadata_matches_unsharded(shards, watdiv_dataset):
-    base = RelationalStore()
+def test_sharded_metadata_matches_unsharded(shards, engine, watdiv_dataset):
+    base = RelationalStore(engine=engine)
     base.load(watdiv_dataset.triples)
-    store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE)
+    store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE, engine=engine)
     store.load(watdiv_dataset.triples)
     assert len(store) == len(base)
     assert store.predicates() == base.predicates()
@@ -134,10 +140,10 @@ def test_sharded_metadata_matches_unsharded(shards, watdiv_dataset):
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_estimates_match_unsharded(shards, watdiv_dataset, family_workloads):
-    base = RelationalStore()
+def test_estimates_match_unsharded(shards, engine, watdiv_dataset, family_workloads):
+    base = RelationalStore(engine=engine)
     base.load(watdiv_dataset.triples)
-    store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE)
+    store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE, engine=engine)
     store.load(watdiv_dataset.triples)
     _, _, queries = family_workloads[0]
     for query in queries[:10]:
@@ -159,12 +165,12 @@ def _fresh_triples(dataset, count: int, salt: str):
 
 
 @pytest.mark.parametrize("shards", (2, 7))
-def test_dualstore_runs_identically_with_interleaved_mutations(shards, watdiv_dataset, fingerprint):
+def test_dualstore_runs_identically_with_interleaved_mutations(shards, engine, watdiv_dataset, fingerprint):
     workload = watdiv_workload(watdiv_dataset, seed=41)
     queries = workload.randomized(seed=3)[:40]
 
-    base = DualStore().load(watdiv_dataset.triples)
-    sharded = DualStore(shards=shards, sharding=AGGRESSIVE).load(watdiv_dataset.triples)
+    base = DualStore(engine=engine).load(watdiv_dataset.triples)
+    sharded = DualStore(shards=shards, sharding=AGGRESSIVE, engine=engine).load(watdiv_dataset.triples)
 
     rng = random.Random(7)
     transferable = sorted(
@@ -204,10 +210,10 @@ def test_dualstore_runs_identically_with_interleaved_mutations(shards, watdiv_da
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_total_work_through_dualstore_is_shard_invariant(shards, watdiv_dataset):
+def test_total_work_through_dualstore_is_shard_invariant(shards, engine, watdiv_dataset):
     """`relational_work_for` — the tuner's currency — must not depend on N."""
     workload = watdiv_workload(watdiv_dataset, family="complex", seed=5)
-    base = DualStore().load(watdiv_dataset.triples)
-    sharded = DualStore(shards=shards, sharding=AGGRESSIVE).load(watdiv_dataset.triples)
+    base = DualStore(engine=engine).load(watdiv_dataset.triples)
+    sharded = DualStore(shards=shards, sharding=AGGRESSIVE, engine=engine).load(watdiv_dataset.triples)
     for query in workload.ordered()[:10]:
         assert sharded.relational_work_for(query) == base.relational_work_for(query)

@@ -49,7 +49,7 @@ def engines(request):
     for entry in workload.queries:
         by_family.setdefault(entry.family, []).append((entry.template, entry.query))
 
-    store = RelationalStore()
+    store = RelationalStore(engine="idspace")
     store.load(dataset.triples)
     backend = SQLiteBackend()
     backend.insert_triples(dataset.triples)

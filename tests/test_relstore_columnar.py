@@ -3,9 +3,11 @@ engine plumbing validation, and the planner's kernel-cost/skew hook.
 
 The differential suite (``test_differential_engine.py``) proves the columnar
 engine indistinguishable from the reference oracle end to end; this module
-pins down the pieces that make that hold — kernel output *order*, block
-invalidation on mutations, the numpy feature probe, and the skew-aware
-planner regression the batch cost model exists to prevent.
+pins down the pieces that make that hold — kernel output *order*, how blocks
+follow mutations, the numpy feature probe, and the skew-aware
+planner regression the batch cost model exists to prevent.  That a maintained
+block always equals a rebuilt one under arbitrary write sequences is
+``test_relstore_maintained.py``'s job.
 """
 
 from __future__ import annotations
@@ -38,13 +40,21 @@ def ex(name: str) -> IRI:
 # --------------------------------------------------------------------------- #
 # Kernel strategies: both backends must emit the same gather order
 # --------------------------------------------------------------------------- #
+def _gathered(kernels, matches_and_total):
+    """Both phases of a join at once: ``(left, right, output rows)``."""
+    matches, total = matches_and_total
+    left, right = kernels.gather(matches)
+    return left, right, total
+
+
 @needs_numpy
 def test_numpy_and_stdlib_hash_joins_emit_identical_gather_order():
     probe = [5, 3, 5, 9, 1, 3]
     build = [3, 5, 3, 7, 5, 3]
-    left_s, right_s, total_s = _StdlibKernels.hash_join(probe, build)
-    left_n, right_n, total_n = _NumpyKernels.hash_join(
-        _NumpyKernels.from_ints(probe), _NumpyKernels.from_ints(build)
+    left_s, right_s, total_s = _gathered(_StdlibKernels, _StdlibKernels.join_matches(probe, build))
+    left_n, right_n, total_n = _gathered(
+        _NumpyKernels,
+        _NumpyKernels.join_matches(_NumpyKernels.from_ints(probe), _NumpyKernels.from_ints(build)),
     )
     assert total_s == total_n
     assert list(left_n) == list(left_s)
@@ -72,9 +82,10 @@ def test_numpy_distinct_selection_keeps_first_occurrence_order():
 
 @needs_numpy
 def test_numpy_and_stdlib_cartesian_agree():
-    assert list(map(list, _NumpyKernels.cartesian(2, 3)[:2])) == list(
-        map(list, _StdlibKernels.cartesian(2, 3)[:2])
-    )
+    left_n, right_n, total_n = _gathered(_NumpyKernels, _NumpyKernels.cartesian_matches(2, 3))
+    left_s, right_s, total_s = _gathered(_StdlibKernels, _StdlibKernels.cartesian_matches(2, 3))
+    assert total_n == total_s == 6
+    assert (list(left_n), list(right_n)) == (list(left_s), list(right_s))
 
 
 def test_select_kernels_honours_the_stdlib_kill_switch(monkeypatch):
@@ -107,7 +118,17 @@ def _columnar_store() -> RelationalStore:
     )
     return store
 
-def test_insert_invalidates_only_the_touched_predicate_block():
+def _block_lists(table, predicate_id):
+    block = table.partition_columns(predicate_id)
+    return list(block.subjects), list(block.objects), block.count
+
+
+def _rebuilt_lists(table, predicate_id):
+    rows = list(table.scan_predicate(predicate_id))
+    return [row[0] for row in rows], [row[2] for row in rows], len(rows)
+
+
+def test_insert_is_appended_to_the_cached_block_not_rebuilt():
     store = _columnar_store()
     table = store.table
     assert isinstance(table, ColumnarTripleTable)
@@ -116,31 +137,57 @@ def test_insert_invalidates_only_the_touched_predicate_block():
     p_block = table.partition_columns(p_id)
     q_block = table.partition_columns(q_id)
     full = table.full_columns()
-    assert p_block[2] == 2 and q_block[2] == 1 and full[3] == 3
+    assert p_block.count == 2 and q_block.count == 1 and full[3] == 3
 
     store.insert([Triple(ex("d"), ex("p"), ex("w"))])
-    assert table._full_columns is None  # full scan covers every predicate
-    assert q_id in table._partition_columns  # untouched predicate survives
-    assert p_id not in table._partition_columns
-    assert table.partition_columns(p_id)[2] == 3
-    assert table.partition_columns(q_id) is q_block
+    # The write itself touched nothing: the block still covers two of the
+    # predicate's three index entries and catches up on its next access.
+    assert table._partition_columns[p_id] is p_block and p_block.consumed == 2
+    caught_up = table.partition_columns(p_id)
+    assert caught_up.count == 3 and caught_up.consumed == 3
+    assert list(caught_up.subjects)[:2] == list(p_block.subjects)  # appended, scan order kept
+    assert _block_lists(table, p_id) == _rebuilt_lists(table, p_id)
+    assert table.partition_columns(p_id) is caught_up  # nothing left to catch up with
+    assert table.partition_columns(q_id) is q_block  # untouched predicate survives
+    assert table.full_columns()[3] == 4  # full scan covers every predicate: rebuilt
 
 
-def test_delete_and_compact_drop_every_block():
+def test_delete_removes_one_position_and_only_compaction_drops_blocks():
     store = _columnar_store()
     table = store.table
     p_id = table.dictionary.lookup(ex("p"))
     q_id = table.dictionary.lookup(ex("q"))
     table.partition_columns(p_id)
-    table.partition_columns(q_id)
+    q_block = table.partition_columns(q_id)
+    table.full_columns()
     store.delete(Triple(ex("a"), ex("p"), ex("x")))
+    assert table._full_columns is None
+    assert table._partition_columns[q_id] is q_block  # other predicates keep their block
+    assert table._partition_columns[p_id].count == 1  # removed at once, not on next access
+    assert _block_lists(table, p_id) == _rebuilt_lists(table, p_id)
+    # A row inserted and deleted before the block next catches up never shows.
+    store.insert([Triple(ex("e"), ex("p"), ex("v")), Triple(ex("f"), ex("p"), ex("u"))])
+    store.delete(Triple(ex("e"), ex("p"), ex("v")))
+    assert _block_lists(table, p_id) == _rebuilt_lists(table, p_id)
+    assert table.partition_columns(p_id).count == 2
+    # Compaction rebuilds the row-id lists the blocks index into: all dropped.
+    assert table.compact() == 2
     assert table._partition_columns == {} and table._full_columns is None
-    assert table.partition_columns(p_id)[2] == 1
-    # Tombstoned rows were already excluded; compaction must not resurrect.
-    table.partition_columns(q_id)
-    if table.compact():
-        assert table._partition_columns == {}
-    assert table.partition_columns(q_id)[2] == 1
+    assert _block_lists(table, p_id) == _rebuilt_lists(table, p_id)
+    assert table.partition_columns(q_id).count == 1
+
+
+def test_a_write_replaces_the_block_and_with_it_the_group_index_memo():
+    store = _columnar_store()
+    table = store.table
+    p_id = table.dictionary.lookup(ex("p"))
+    block = table.partition_columns(p_id)
+    index = block.group_index(block.objects, table.kernels)
+    assert index is not None and block.group_index(block.objects, table.kernels) is index
+    assert block.group_index(list(block.objects), table.kernels) is None  # not its own column
+    store.insert([Triple(ex("d"), ex("p"), ex("w"))])
+    assert table.partition_columns(p_id).group_indexes == [None, None]
+    assert not hasattr(columnar, "_GROUP_INDEX_CACHE")
 
 
 def test_extract_predicate_drops_that_predicates_block():
@@ -154,6 +201,72 @@ def test_extract_predicate_drops_that_predicates_block():
     assert q_id not in table._partition_columns
     assert table._full_columns is None
     assert table.partition_columns(q_id)[2] == 0
+
+
+# --------------------------------------------------------------------------- #
+# Group-index memo lifetime: on the block, never in a module global
+# --------------------------------------------------------------------------- #
+@needs_numpy
+def test_group_index_memos_are_bounded_by_the_blocks_and_die_with_them(monkeypatch):
+    """Several hundred join executions from four reader threads memoize at
+    most one group index per cached block column — temporaries are never
+    memoized — and the memos are released by a write to their predicate and by
+    dropping the store.  (The module-global, ``id()``-keyed dict this replaces
+    kept an entry per build side ever seen and was swept with ``.items()``
+    while other reader threads inserted.)"""
+    import gc
+    import sys
+    import weakref
+
+    from repro import generate_watdiv, watdiv_workload
+
+    monkeypatch.delenv(columnar.FORCE_STDLIB_ENV, raising=False)
+    dataset = generate_watdiv(target_triples=1500, seed=5)
+    dual = DualStore().load(dataset.triples)
+    table = dual.relational.table
+    queries = [
+        query
+        for family in ("linear", "star", "snowflake", "complex")
+        for query in watdiv_workload(dataset, family=family, seed=3).randomized(seed=4)
+    ]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with QueryService(dual, ServiceConfig(max_workers=4, cache_results=False)) as service:
+            executed = 0
+            while executed < 300:
+                executed += len(service.run_batch(queries).executions)
+    finally:
+        sys.setswitchinterval(switch_interval)
+
+    def memos():
+        return [
+            index
+            for block in table._partition_columns.values()
+            for index in block.group_indexes
+            if index is not None
+        ]
+
+    assert 0 < len(memos()) <= 2 * len(table._partition_columns)
+    assert not hasattr(columnar, "_GROUP_INDEX_CACHE")
+
+    # A write to the predicate replaces its block: the old memo is released.
+    predicate_id, block = next(
+        (pid, block) for pid, block in table._partition_columns.items() if any(block.group_indexes)
+    )
+    released = [weakref.ref(part) for index in block.group_indexes if index for part in index]
+    subject_id, object_id = int(block.subjects[0]), int(block.objects[0])
+    decode = table.dictionary.decode
+    dual.delete([Triple(decode(subject_id), decode(predicate_id), decode(object_id))])
+    del block
+    gc.collect()
+    assert released and all(ref() is None for ref in released)
+
+    # Dropping the store releases every remaining memo.
+    remaining = [weakref.ref(part) for index in memos() for part in index]
+    del dual, table, service
+    gc.collect()
+    assert all(ref() is None for ref in remaining)
 
 
 # --------------------------------------------------------------------------- #
@@ -257,7 +370,7 @@ def test_skew_guard_demotes_the_hot_key_lookup():
     assert old_plan.steps[0].pattern.predicate == ex("hasTag")
 
     # Engine invariance: every bundled cost model picks the same join order.
-    idspace = RelationalStore()
+    idspace = RelationalStore(engine="idspace")
     idspace.load(_skewed_triples())
     assert [s.pattern for s in idspace.plan(query)] == [s.pattern for s in plan]
 

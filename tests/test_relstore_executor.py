@@ -14,9 +14,9 @@ from repro.relstore.executor import (
 from repro.sparql import parse_query
 
 
-@pytest.fixture()
-def store(mini_kg):
-    s = RelationalStore()
+@pytest.fixture(params=("idspace", "columnar"))
+def store(request, mini_kg):
+    s = RelationalStore(engine=request.param)
     s.load(mini_kg)
     return s
 

@@ -42,7 +42,7 @@ from repro.endpoint import (
 from repro.endpoint.client import EndpointResponse, TransportError
 from repro.errors import QueryTimeoutError, SnapshotError
 from repro.persist import SnapshotPolicy, SnapshotWatcher
-from repro.rdf import Literal, Triple, TripleSet, YAGO
+from repro.rdf import IRI, Literal, Triple, TripleSet, YAGO
 from repro.resilience import (
     CLOSED,
     HALF_OPEN,
@@ -61,6 +61,7 @@ from repro.resilience import (
     probed_rows,
 )
 from repro.serve import QueryService, ServiceConfig
+from repro.sparql import parse_query
 
 #: A cheap query with a small, stable answer (byte-identity probes).
 PROBE = "SELECT ?name WHERE { ?p y:hasGivenName ?name . }"
@@ -278,6 +279,96 @@ class TestDeadlineExecution:
         with deadline_scope(deadline):
             with pytest.raises(QueryTimeoutError):
                 GraphMatcher(graph).execute(query)
+
+
+# --------------------------------------------------------------------------- #
+# Deadline and work budget inside the columnar engine's batch kernels
+# --------------------------------------------------------------------------- #
+def _hot_key_triples(fan: int) -> list:
+    """``fan`` rows of ``in`` all pointing at one hub, ``fan`` rows of ``out``
+    all leaving it: ``?s in ?h . ?h out ?t`` is a *hash* join (one shared
+    variable, no cartesian branch) whose single hot key yields fan^2 rows."""
+    ex = "http://example.org/hot/"
+    hub = IRI(ex + "hub")
+    into, out = IRI(ex + "in"), IRI(ex + "out")
+    return [Triple(IRI(f"{ex}s{i}"), into, hub) for i in range(fan)] + [
+        Triple(hub, out, IRI(f"{ex}t{i}")) for i in range(fan)
+    ]
+
+
+HOT_JOIN = (
+    "SELECT ?s ?t WHERE { ?s <http://example.org/hot/in> ?h . "
+    "?h <http://example.org/hot/out> ?t . }"
+)
+
+
+@pytest.fixture(params=[False, True], ids=["probe-selected kernels", "forced stdlib kernels"])
+def kernel_set(request, monkeypatch):
+    """Both kernel sets, whatever the environment selected for the run."""
+    from repro.relstore.columnar import FORCE_STDLIB_ENV
+
+    if request.param:
+        monkeypatch.setenv(FORCE_STDLIB_ENV, "1")
+
+
+class TestColumnarKernelsUnderDeadlineAndBudget:
+    def test_hot_key_hash_join_of_millions_of_rows_times_out_in_budget(self, kernel_set):
+        dual = DualStore().load(_hot_key_triples(2000))  # 4 000 000 joined rows
+        assert dual.relational.engine == "columnar"
+        service = QueryService(dual, ServiceConfig(max_workers=1))
+        try:
+            budget = 0.05
+            with pytest.raises(QueryTimeoutError) as excinfo:
+                service.run_query(HOT_JOIN, deadline_seconds=budget)
+            assert excinfo.value.elapsed_seconds < 2 * budget
+            # The join was charged before its gather was emitted.
+            assert excinfo.value.partial_work["rows_joined"] >= 4_000_000
+        finally:
+            service.close()
+
+    def test_a_join_that_completes_under_a_deadline_equals_the_unchunked_one(
+        self, kernel_set, monkeypatch
+    ):
+        from repro.relstore import columnar
+
+        dual = DualStore().load(_hot_key_triples(300))  # 90 000 rows: in budget
+        plain = dual.relational.execute(parse_query(HOT_JOIN))
+        monkeypatch.setattr(columnar, "GATHER_CHUNK_ROWS", 1000)  # ~90 chunks
+        with deadline_scope(Deadline(60.0)):
+            chunked = dual.relational.execute(parse_query(HOT_JOIN))
+        assert chunked.bindings == plain.bindings
+        assert chunked.counters.as_dict() == plain.counters.as_dict()
+
+    def test_capped_execution_prices_alike_and_never_allocates_the_gather(
+        self, kernel_set, monkeypatch
+    ):
+        from repro.errors import WorkBudgetExceeded
+        from repro.relstore import RelationalStore
+
+        triples = _hot_key_triples(400)  # 160 000 joined rows, far over budget
+        query = parse_query(HOT_JOIN)
+        budget = 5_000.0
+        outcomes = {}
+        for engine in ("idspace", "columnar"):
+            store = RelationalStore(engine=engine)
+            store.load(triples)
+            if engine == "columnar":
+                gathers = []
+                kernels = store.table.kernels
+                real_gather = kernels.gather
+                monkeypatch.setattr(
+                    kernels,
+                    "gather",
+                    staticmethod(lambda *args: gathers.append(args) or real_gather(*args)),
+                )
+            with pytest.raises(WorkBudgetExceeded) as excinfo:
+                store.execute(query, work_budget=budget)
+            outcomes[engine] = (excinfo.value.partial_work, store.execute_capped(query, budget))
+        assert outcomes["columnar"] == outcomes["idspace"]
+        assert outcomes["columnar"][1][0] is None  # capped: no result, only a price
+        assert gathers == []  # the over-budget output was never materialized
+        store.execute(query)
+        assert gathers  # ...and the spy does see the gather of an unbudgeted run
 
 
 # --------------------------------------------------------------------------- #
