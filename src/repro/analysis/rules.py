@@ -1,4 +1,4 @@
-"""The project's invariant rules (``REP001``–``REP006``).
+"""The project's invariant rules (``REP001``–``REP008``).
 
 Each rule encodes one convention the serving system depends on; the rule
 docstrings are the normative statement, ``docs/architecture.md`` §11 the
@@ -24,6 +24,7 @@ __all__ = [
     "MirroredGaugeRule",
     "MutationHookRule",
     "BatchDecodeRule",
+    "ColumnarResultRule",
     "DEFAULT_RULES",
 ]
 
@@ -578,6 +579,59 @@ class BatchDecodeRule(Rule):
                 )
 
 
+# --------------------------------------------------------------------- #
+# REP008 — the serving path reads result columns, never per-row objects
+# --------------------------------------------------------------------- #
+class ColumnarResultRule(Rule):
+    """No read of ``.bindings`` and no ``.to_bindings()``/``.rows()`` call
+    under ``serve/``, ``endpoint/`` or in ``core/processor.py``.
+
+    A result travels from the engine to the socket as one shared columnar
+    value (:class:`~repro.execution.ResultColumns`).  The per-row views
+    materialize a dict or tuple per solution — they exist for experiment
+    code and the oracles; one read on the serving path silently brings the
+    per-row allocation (and the collector stalls that came with it) back
+    for every request that passes through.
+    """
+
+    name = "REP008"
+    description = (
+        "serve/, endpoint/, core/processor.py: no .bindings read and no "
+        ".to_bindings()/.rows() call; the serving path reads result columns"
+    )
+
+    #: Per-row view methods, flagged where called.
+    BANNED_CALLS = frozenset(["to_bindings", "rows"])
+
+    def applies_to(self, module: LintModule) -> bool:
+        return module.subpath.startswith(("serve/", "endpoint/")) or (
+            module.subpath == "core/processor.py"
+        )
+
+    def check(self, module: LintModule) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "bindings"
+                and isinstance(node.ctx, ast.Load)
+            ):
+                view = ".bindings"
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in self.BANNED_CALLS
+            ):
+                view = f".{node.func.attr}()"
+            else:
+                continue
+            yield self.finding(
+                module,
+                node,
+                f"per-row result view {view} on the serving path; read "
+                "result.columns (or share them with result.view())",
+            )
+
+
 DEFAULT_RULES: Tuple[Rule, ...] = (
     ClockDisciplineRule(),
     ThreadDisciplineRule(),
@@ -586,4 +640,5 @@ DEFAULT_RULES: Tuple[Rule, ...] = (
     MirroredGaugeRule(),
     MutationHookRule(),
     BatchDecodeRule(),
+    ColumnarResultRule(),
 )

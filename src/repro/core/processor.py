@@ -155,14 +155,10 @@ class QueryProcessor:
         combined_counters = graph_result.counters.merge(relational_result.counters)
         combined_counters.triples_migrated += len(table)
 
-        final = ExecutionResult(
-            bindings=relational_result.bindings,
-            variables=relational_result.variables,
-            counters=combined_counters,
-            seconds=total_seconds,
-            store="dual",
-            scatter=relational_result.scatter,  # the relational leg's per-shard view
-        )
+        # The relational leg's columns (and its per-shard scatter view) under
+        # the combined accounting.
+        final = relational_result.view(combined_counters)
+        final.seconds, final.store = total_seconds, "dual"
         record = QueryRecord(
             query=query,
             seconds=total_seconds,

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs
 
 from repro.errors import ReproError
-from repro.execution import ExecutionResult
+from repro.execution import ExecutionResult, ResultColumns
 from repro.rdf.terms import BlankNode, IRI, Literal, TermLike, XSD_STRING
 
 __all__ = [
@@ -113,17 +113,68 @@ def term_to_json(term: TermLike) -> Dict[str, str]:
 def results_to_json(result: ExecutionResult) -> Dict[str, object]:
     """The results-JSON document for one execution, as plain dicts.
 
+    The documented dict form of the wire format, and the oracle the tests
+    hold :func:`encode_results` to; the serving path never builds it.
     Binding keys are emitted in the projection order (``result.variables``),
     not dict-insertion order, so the document is deterministic for a given
     solution sequence no matter how the executor assembled its binding dicts.
     """
     variables = list(result.variables)
     bindings: List[Dict[str, Dict[str, str]]] = []
-    for binding in result.bindings:
+    for binding in result.bindings:  # repro: allow[REP008]
         bindings.append(
             {name: term_to_json(binding[name]) for name in variables if name in binding}
         )
     return {"head": {"vars": variables}, "results": {"bindings": bindings}}
+
+
+#: What ``json.dumps`` itself calls for a string under ``ensure_ascii=True``,
+#: so a fragment's escapes equal the dict form's by construction.
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _term_fragment(term: TermLike) -> str:
+    """``json.dumps(term_to_json(term), separators=(",", ":"))``, directly."""
+    if isinstance(term, IRI):
+        return '{"type":"uri","value":' + _quote(term.value) + "}"
+    if isinstance(term, Literal):
+        fragment = '{"type":"literal","value":' + _quote(term.lexical)
+        if term.language is not None:
+            return fragment + ',"xml:lang":' + _quote(term.language) + "}"
+        if term.datatype and term.datatype != XSD_STRING:
+            return fragment + ',"datatype":' + _quote(term.datatype) + "}"
+        return fragment + "}"
+    if isinstance(term, BlankNode):
+        return '{"type":"bnode","value":' + _quote(term.label) + "}"
+    raise ProtocolError(  # pragma: no cover - executor never binds variables
+        500, "unencodable-term", f"cannot serialize term of kind {term.kind!r}"
+    )
+
+
+def _column_fragments(columns: ResultColumns, index: int) -> List[str]:
+    """One result column as JSON fragments, each term serialized at most once.
+
+    Dictionary ids read the fragment table that lives on the dictionary
+    (:meth:`~repro.rdf.dictionary.TermDictionary.fragments`) and outlives the
+    request; term columns (the graph route) and columns of a space that
+    handed out execution-local ids memoize per call.
+    """
+    entries = columns.entries(index)
+    space = columns.space
+    if space is None or space.has_local_ids:
+        distinct = set(entries)
+        terms = zip(distinct, distinct) if space is None else space.decode_map(distinct).items()
+        memo = {entry: _term_fragment(term) for entry, term in terms}
+        return list(map(memo.__getitem__, entries))
+    dictionary = space.dictionary
+    table = dictionary.fragments()
+    fragments = list(map(table.__getitem__, entries))
+    if not all(fragments):  # a None: some id is served for the first time
+        missing = {entry for entry, fragment in zip(entries, fragments) if fragment is None}
+        for term_id, term in zip(missing, dictionary.decode_many(missing)):
+            table[term_id] = _term_fragment(term)
+        fragments = list(map(table.__getitem__, entries))
+    return fragments
 
 
 def encode_results(result: ExecutionResult) -> bytes:
@@ -131,9 +182,28 @@ def encode_results(result: ExecutionResult) -> bytes:
 
     This is the single serialization both the live endpoint and the
     conformance tests use, so "byte-identical to a direct
-    ``QueryService`` answer" is checkable with ``==`` on bytes.
+    ``QueryService`` answer" is checkable with ``==`` on bytes.  The bytes
+    equal ``json.dumps(results_to_json(result), separators=(",", ":"))``,
+    assembled from the result's columns by joining strings: per column a
+    list of term fragments, zipped into rows at C speed, with no per-row
+    object in between.
     """
-    return json.dumps(results_to_json(result), separators=(",", ":")).encode("utf-8")
+    columns = result.columns
+    names = columns.names
+    head = '{"head":{"vars":%s},"results":{"bindings":[' % json.dumps(
+        list(result.variables), separators=(",", ":")
+    )
+    if not (columns.count and names):
+        # No rows, or rows that bind no projected variable.
+        return (head + ",".join(["{}"] * columns.count) + "]}}").encode("utf-8")
+    keys = [_quote(name) + ":" for name in names]
+    rows = _column_fragments(columns, 0)
+    for index in range(1, len(names)):
+        rows = map(("," + keys[index]).join, zip(rows, _column_fragments(columns, index)))
+    opening = "{" + keys[0]
+    # One expression, so that no name keeps a body-sized string alive while
+    # the next copy (the document, then its bytes) is made.
+    return "".join((head, opening, ("}," + opening).join(rows), "}]}}")).encode("utf-8")
 
 
 def encode_error(code: str, message: str, **extra) -> bytes:

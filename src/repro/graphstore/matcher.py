@@ -16,11 +16,12 @@ graph grows (the paper's Table 1).
 Like the relational ID-space executor, the matcher follows the
 **late-materialization** discipline: the pipeline is a flat variable schema
 plus positional tuples (extending a solution is one tuple concatenation, not
-a dict copy), and per-solution dictionaries are materialized exactly once,
-at projection, for the rows that survived filters, DISTINCT, and LIMIT.  The
-graph side has no term dictionary — vertices *are* terms — so its tuples
-hold terms rather than ids, but the decode-late/allocate-late structure is
-the same, keeping DualStore store-vs-store comparisons apples-to-apples.
+a dict copy), and the rows that survived filters, DISTINCT, and LIMIT leave
+as columns (:class:`~repro.execution.ResultColumns`), never as per-solution
+dictionaries.  The graph side has no term dictionary — vertices *are* terms —
+so its tuples and columns hold terms rather than ids, but the
+decode-late/allocate-late structure is the same, keeping DualStore
+store-vs-store comparisons apples-to-apples.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.cost.counters import WorkCounters
 from repro.errors import QueryExecutionError
-from repro.execution import ExecutionResult
+from repro.execution import ExecutionResult, ResultColumns
 from repro.resilience.deadline import current_deadline, probed_rows
 from repro.rdf.terms import IRI, TermLike, Variable
-from repro.sparql.ast import Binding, SelectQuery, TriplePattern
+from repro.sparql.ast import SelectQuery, TriplePattern
 from repro.sparql.algebra import order_patterns_greedily
 
 from repro.graphstore.property_graph import PropertyGraph
@@ -102,16 +103,21 @@ class GraphMatcher:
         if query.limit is not None:
             rows = rows[: query.limit]
 
-        # One materialization pass: solution dicts exist only for survivors.
+        # The survivors leave as term columns; no per-solution object is built.
         bound = [(name, p) for name, p in zip(names, positions) if p >= 0]
-        projected: List[Binding] = [{name: row[p] for name, p in bound} for row in rows]
-        counters.results_produced += len(projected)
+        by_position = list(zip(*rows))
+        counters.results_produced += len(rows)
 
         return ExecutionResult(
-            bindings=projected,
+            bindings=None,
             variables=tuple(names),
             counters=counters,
             store="graph",
+            columns=ResultColumns(
+                tuple(name for name, _ in bound),
+                [by_position[p] if rows else () for _, p in bound],
+                len(rows),
+            ),
         )
 
     # ------------------------------------------------------------------ #

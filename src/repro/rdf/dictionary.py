@@ -8,7 +8,8 @@ graph store uses integer vertex identifiers for its adjacency lists.  The
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Tuple
+import threading
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import SnapshotIntegrityError, StorageError
 from repro.rdf.terms import BlankNode, IRI, Literal, TermLike, Triple
@@ -64,6 +65,8 @@ class TermDictionary:
     def __init__(self) -> None:
         self._term_to_id: Dict[TermLike, int] = {}
         self._id_to_term: List[TermLike] = []
+        self._fragments: List[Optional[str]] = []
+        self._fragments_lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._id_to_term)
@@ -111,6 +114,22 @@ class TermDictionary:
                 raise StorageError(f"identifier {term_id} is outside the dictionary range")
             append(table[term_id])
         return out
+
+    def fragments(self) -> List[Optional[str]]:
+        """The id-indexed memo of serialized terms, grown to cover every id.
+
+        A slot is ``None`` until a serializer (the endpoint's results
+        encoder) fills it.  Identifiers are append-only and never re-bound,
+        so a filled slot is valid for the life of the dictionary: the memo
+        needs no generation and no invalidation, and it dies with the
+        dictionary it indexes.  Concurrent serializers may fill one slot
+        with equal strings; only growing the list takes the lock.
+        """
+        table = self._fragments
+        if len(table) < len(self._id_to_term):
+            with self._fragments_lock:
+                table.extend([None] * (len(self._id_to_term) - len(table)))
+        return table
 
     def lookup(self, term: TermLike) -> int | None:
         """Return the identifier for ``term`` or ``None`` when unknown."""

@@ -24,10 +24,11 @@ pipelines python *int tuples* row by row, this engine stores and pipelines
   kernel is a sort/searchsorted merge producing gather index vectors, the
   stdlib kernel a bucket dict over one key column — either way the pipeline
   state is a list of columns, never row tuples.
-* DISTINCT/LIMIT/FILTER run on id vectors; decode happens exactly once, at
-  projection, via :meth:`~repro.rdf.dictionary.TermDictionary.decode_many`
-  (through :meth:`QueryTermSpace.decode_map`).  Rule REP007 lints this module
-  for stray per-row ``decode``/``lookup`` calls inside loops.
+* DISTINCT/LIMIT/FILTER run on id vectors and the projected id columns leave
+  as the result (:class:`~repro.execution.ResultColumns`); a term is decoded
+  only when a caller asks for one, in batch via
+  :meth:`QueryTermSpace.decode_map`.  Rule REP007 lints this module for stray
+  per-row ``decode``/``lookup`` calls inside loops.
 
 **Work-accounting contract.**  The logical
 :class:`~repro.cost.counters.WorkCounters` are bit-identical to the ID-space
@@ -51,7 +52,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.cost.counters import WorkCounters
 from repro.errors import QueryExecutionError
-from repro.execution import ExecutionResult, ResultTable
+from repro.execution import ExecutionResult, ResultColumns, ResultTable
 from repro.rdf.terms import Literal
 from repro.resilience.deadline import PROBE_STRIDE, current_deadline
 from repro.sparql.ast import Binding, SelectQuery
@@ -1057,11 +1058,12 @@ def finish_columnar_pipeline(
     kernels,
 ) -> ExecutionResult:
     """The columnar epilogue: filters, projection to the bound columns,
-    DISTINCT on id vectors, LIMIT by slicing, then **one batch decode** of
-    the surviving projected ids into bindings.
+    DISTINCT on id vectors, LIMIT by slicing.  The surviving projected id
+    columns *are* the result (:class:`~repro.execution.ResultColumns`);
+    nothing is decoded here.
 
-    Shared by the unsharded and sharded columnar executors so late
-    materialization (and result accounting) cannot drift between them.
+    Shared by the unsharded and sharded columnar executors so result
+    accounting cannot drift between them.
     """
     deadline = current_deadline()
     if deadline is not None:
@@ -1085,29 +1087,15 @@ def finish_columnar_pipeline(
         projected = [column[: query.limit] for column in projected]
         count = query.limit
 
-    bound_names = [name for name, _ in bound]
-    id_to_term: Dict[int, object] = {}
-    bindings: List[Binding] = []
-    # Materialize in one pass — or, with a deadline active, PROBE_STRIDE rows
-    # at a time with a probe in between; all per-value work (to python ints,
-    # decode of not-yet-seen ids, the row dicts) happens inside the loop.
-    stride = PROBE_STRIDE if deadline is not None else max(count, 1)
-    for start in range(0, count, stride):
-        if deadline is not None:
-            deadline.check(counters)
-        stop = min(start + stride, count)
-        lists = [kernels.tolist(column[start:stop]) for column in projected]
-        id_to_term.update(space.decode_map(set().union(*lists) - id_to_term.keys()))
-        bindings += [
-            {name: id_to_term[column[i]] for name, column in zip(bound_names, lists)}
-            for i in range(stop - start)
-        ]
-    counters.results_produced += len(bindings)
+    counters.results_produced += count
     return ExecutionResult(
-        bindings=bindings,
+        bindings=None,
         variables=tuple(names),
         counters=counters,
         store="relational",
+        columns=ResultColumns(
+            tuple(name for name, _ in bound), projected, count, space, kernels.tolist
+        ),
     )
 
 

@@ -125,16 +125,22 @@ class QueryTermSpace:
     operator relies on.
     """
 
-    __slots__ = ("_dictionary", "_local_ids", "_local_terms")
+    __slots__ = ("dictionary", "_local_ids", "_local_terms")
 
     def __init__(self, dictionary: TermDictionary):
-        self._dictionary = dictionary
+        self.dictionary = dictionary
         self._local_ids: Dict[TermLike, int] = {}
         self._local_terms: List[TermLike] = []
 
+    @property
+    def has_local_ids(self) -> bool:
+        """Whether any negative id was handed out (then ids may not be used
+        to index the dictionary's own tables)."""
+        return bool(self._local_terms)
+
     def encode(self, term: TermLike) -> int:
         """The id for ``term``: its dictionary id, or a local negative id."""
-        term_id = self._dictionary.lookup(term)
+        term_id = self.dictionary.lookup(term)
         if term_id is not None:
             return term_id
         local = self._local_ids.get(term)
@@ -146,14 +152,14 @@ class QueryTermSpace:
 
     def decode(self, term_id: int) -> TermLike:
         if term_id >= 0:
-            return self._dictionary.decode(term_id)
+            return self.dictionary.decode(term_id)
         return self._local_terms[-term_id - 1]
 
     def decode_map(self, term_ids: Iterable[int]) -> Dict[int, TermLike]:
         """Batch-decode distinct ids into an id → term map (one pass each)."""
         distinct = set(term_ids)
         stored = [i for i in distinct if i >= 0]
-        mapping: Dict[int, TermLike] = dict(zip(stored, self._dictionary.decode_many(stored)))
+        mapping: Dict[int, TermLike] = dict(zip(stored, self.dictionary.decode_many(stored)))
         for i in distinct:
             if i < 0:
                 mapping[i] = self._local_terms[-i - 1]

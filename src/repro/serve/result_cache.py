@@ -1,6 +1,7 @@
 """Generation-validated LRU result cache.
 
-Each entry stores the full routed execution of one query (bindings + the
+Each entry stores the full routed execution of one query (a view over the
+result's shared immutable columns + the
 :class:`~repro.core.metrics.QueryRecord` accounting) together with the
 :attr:`DualStore.generation <repro.core.dualstore.DualStore.generation>` the
 execution observed.  Correctness rests on two independent mechanisms:

@@ -55,7 +55,6 @@ from repro.cost.model import CostModel, DEFAULT_COST_MODEL
 from repro.cost.resources import ResourceThrottle
 from repro.errors import QueryTimeoutError, SnapshotError
 from repro.resilience.deadline import Deadline, deadline_scope
-from repro.execution import ExecutionResult
 from repro.persist.snapshot import (
     CapturedSnapshot,
     SnapshotManifest,
@@ -86,27 +85,6 @@ __all__ = ["ServiceConfig", "ServedBatch", "IngestReport", "QueryService"]
 
 #: A query may be submitted as raw SPARQL text or as an already-parsed AST.
 QueryLike = Union[str, SelectQuery]
-
-
-def _result_view(result: ExecutionResult) -> ExecutionResult:
-    """A fresh :class:`ExecutionResult` shell over shared solution data.
-
-    Served results cross the cache boundary in both directions (stored on a
-    miss, returned on a hit), so handing out the cached object itself would
-    let one consumer's in-place edit (sorting bindings, merging counters)
-    corrupt every other consumer.  The shell gets its own bindings list and
-    counters object; the binding dicts themselves are shared and treated as
-    immutable, as everywhere else in the codebase.
-    """
-    return ExecutionResult(
-        bindings=list(result.bindings),
-        variables=result.variables,
-        counters=result.counters.copy(),
-        seconds=result.seconds,
-        store=result.store,
-        truncated=result.truncated,
-        scatter=result.scatter,  # frozen, safe to share across views
-    )
 
 
 @dataclass(frozen=True)
@@ -474,9 +452,8 @@ class QueryService:
             if self._gate is not None:
                 self._gate.release_read()
 
-        # Assemble per-submission entries outside the metrics lock: the
-        # result/record copies are O(total bindings) and must not serialize
-        # concurrent serves.
+        # Assemble per-submission entries outside the metrics lock, so the
+        # result/record copies cannot serialize concurrent serves.
         entries: List[ProcessedQuery] = []
         primary_emitted: Set[str] = set()
         hit_count = 0
@@ -486,13 +463,13 @@ class QueryService:
             if plan.key in hits:
                 hit = hits[plan.key]
                 record = hit.record.replicate(from_cache=True)
-                entries.append(ProcessedQuery(result=_result_view(hit.result), record=record))
+                entries.append(ProcessedQuery(result=hit.result.view(), record=record))
                 hit_count += 1
             else:
                 processed = executed[plan.key]
                 if plan.key in primary_emitted:
                     record = processed.record.replicate(from_cache=True)
-                    entries.append(ProcessedQuery(result=_result_view(processed.result), record=record))
+                    entries.append(ProcessedQuery(result=processed.result.view(), record=record))
                     coalesced_count += 1
                 else:
                     primary_emitted.add(plan.key)
@@ -568,13 +545,15 @@ class QueryService:
                 self.metrics.wall_latency.observe(wall)
                 self.metrics.counters.executions += 1
         if self.config.cache_results:
-            # Cache snapshots, not the objects handed to the caller: the
-            # primary submission's consumer may edit its result in place and
-            # must not be able to corrupt later hits.
+            # Cache a view, not the object handed to the caller: served
+            # results cross the cache boundary in both directions (stored on
+            # a miss, returned on a hit), and one consumer's in-place edit
+            # (sorting bindings, merging counters) must not reach another's.
+            # Views share the immutable columns, so a put or a hit is O(1).
             self.result_cache.put(
                 CachedExecution(
                     key=plan.key,
-                    result=_result_view(processed.result),
+                    result=processed.result.view(),
                     record=processed.record.replicate(from_cache=False),
                     generation=generation,
                 )

@@ -198,6 +198,38 @@ def live_endpoint(endpoint_factory):
 
 
 # --------------------------------------------------------------------------- #
+# The columnar result value (repro.execution)
+# --------------------------------------------------------------------------- #
+@pytest.fixture(params=["stdlib", "numpy"])
+def kernel_set(request, monkeypatch):
+    """Run the test once per columnar kernel set: stores built inside it get
+    the stdlib kernels (``array('q')`` columns) or the numpy ones."""
+    from repro.relstore.columnar import FORCE_STDLIB_ENV, numpy_available
+
+    if request.param == "stdlib":
+        monkeypatch.setenv(FORCE_STDLIB_ENV, "1")
+    elif not numpy_available():
+        pytest.skip("numpy not importable")
+    else:
+        monkeypatch.delenv(FORCE_STDLIB_ENV, raising=False)
+    return request.param
+
+
+@pytest.fixture
+def no_row_views(monkeypatch):
+    """Fail the test if anything asks a result's columns for per-row dicts or
+    tuples — the serving path must not (rule REP008 is the static half)."""
+    from repro.execution import ResultColumns
+
+    def refuse(self):
+        raise AssertionError("a per-row result view was materialized on the serving path")
+
+    monkeypatch.setattr(ResultColumns, "to_bindings", refuse)
+    monkeypatch.setattr(ResultColumns, "rows", refuse)
+    return monkeypatch
+
+
+# --------------------------------------------------------------------------- #
 # Lock-order race detection (repro.analysis.lockgraph)
 # --------------------------------------------------------------------------- #
 @pytest.fixture

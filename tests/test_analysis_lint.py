@@ -435,6 +435,49 @@ def test_rep007_is_scoped_to_columnar_modules():
 
 
 # --------------------------------------------------------------------------- #
+# REP008 — the serving path reads result columns, never per-row objects
+# --------------------------------------------------------------------------- #
+REP008_BAD = """
+    def cached_copy(result, table):
+        rows = list(result.bindings)
+        return rows, result.rows(), table.to_bindings()
+"""
+
+REP008_GOOD = """
+    def cached_copy(result, table):
+        shared = result.view()
+        return shared, len(result), result.columns.count, table.rows
+"""
+
+
+def test_rep008_flags_per_row_views_on_the_serving_path():
+    findings = lint(REP008_BAD, "src/repro/serve/service.py")
+    assert [finding.rule for finding in findings] == ["REP008"] * 3
+    assert {".bindings", ".rows()", ".to_bindings()"} == {
+        view for finding in findings for view in finding.message.split() if view.startswith(".")
+    }
+    assert rules_hit(REP008_BAD, "src/repro/endpoint/protocol.py") == ["REP008"]
+    assert rules_hit(REP008_BAD, "src/repro/core/processor.py") == ["REP008"]
+
+
+def test_rep008_accepts_columns_views_and_plain_row_attributes():
+    assert rules_hit(REP008_GOOD, "src/repro/serve/service.py") == []
+    # Building a result from dicts is a keyword argument, not a read.
+    construct = """
+        def empty(names):
+            return ExecutionResult(bindings=[], variables=names)
+    """
+    assert rules_hit(construct, "src/repro/endpoint/server.py") == []
+
+
+def test_rep008_is_scoped_to_the_serving_path():
+    # Experiment code and the engines' oracles live on the per-row views.
+    assert rules_hit(REP008_BAD, "src/repro/experiments/table1.py") == []
+    assert rules_hit(REP008_BAD, "src/repro/core/variants.py") == []
+    assert rules_hit(REP008_BAD, "src/repro/execution.py") == []
+
+
+# --------------------------------------------------------------------------- #
 # Suppressions
 # --------------------------------------------------------------------------- #
 def test_inline_suppression_on_the_flagged_line():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import DualStore, QueryService, ServiceConfig, generate_yago, parse_query, yago_workload
+from repro.endpoint import encode_results
 from repro.serve.lru import LRUCache
 from repro.serve.metrics import LatencyDigest, ServiceCounters
 from repro.serve.plan_cache import PlanCache, QueryPlan
@@ -196,6 +197,22 @@ class TestResultCacheInvalidation:
         warm.result.bindings.clear()  # mutating a hit must not corrupt either
         again = service.run_query(ADVISOR_QUERY)
         assert fingerprint(again.result) == pristine
+
+    def test_cache_put_and_hit_share_columns_and_build_no_row_objects(self, service, no_row_views):
+        """The cache stores and serves the columnar value: a put, a hit and a
+        within-batch duplicate are O(1) views over one set of columns."""
+        cold = service.run_query(ADVISOR_QUERY)
+        warm = service.run_query(ADVISOR_QUERY)
+        first, duplicate = service.run_batch([ADVISOR_QUERY, ADVISOR_QUERY]).executions
+        assert warm.record.from_cache and first.record.from_cache and duplicate.record.from_cache
+        columns = cold.result.columns
+        assert all(e.result.columns is columns for e in (warm, first, duplicate))
+        assert len(warm.result) == len(cold.result) == columns.count > 0
+        assert encode_results(warm.result) == encode_results(cold.result)
+        no_row_views.undo()
+        assert warm.result.bindings == cold.result.bindings
+        assert warm.result.bindings is not cold.result.bindings
+        assert warm.result.counters is not cold.result.counters
 
     def test_cache_results_disabled(self, dual):
         with QueryService(dual, ServiceConfig(cache_results=False)) as service:
