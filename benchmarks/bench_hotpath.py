@@ -1,38 +1,37 @@
-"""Benchmark H1 — real wall-clock: reference vs ID-space vs columnar.
+"""Benchmark H1 — real wall-clock: reference vs columnar (numpy, stdlib).
 
 Unlike every other benchmark in this directory, the headline number here is
-**measured wall-clock**, not the modelled cost: all three engines charge
-bit-identical logical work by construction (the differential suite pins
-that), so the only honest way to show the late-materialization and
-vectorization speedups is to time them on the same join-heavy workload.
+**measured wall-clock**, not the modelled cost: the production engine and its
+oracle charge bit-identical logical work by construction (the differential
+suite pins that), so the only honest way to show what late materialization
+and vectorization buy is to time them on the same join-heavy workload.  It is
+a **kernel-only** number — store to result columns, in process; what a client
+sees end to end is ``benchmarks/spine`` (docs/benchmarking.md).
 
 Protocol
 --------
 For each dataset scale, the join-heavy WatDiv stand-in templates (snowflake +
 complex families, ≥ 3 patterns each) run through
 
-* ``RelationalStore(engine="reference")`` — decode-per-row baseline,
-* ``RelationalStore(engine="idspace")`` — the ID-space row engine (plan memo
-  warm after the first pass, the serving-layer reality),
-* ``RelationalStore(engine="columnar")`` — the default engine: batch kernels
-  over term-id columns (numpy when importable), and
-* the same columnar engine with ``REPRO_COLUMNAR_FORCE_STDLIB=1`` — the
-  pure-stdlib ``array('q')`` kernel path, measured so the optional numpy
-  dependency never becomes load-bearing.
+* ``RelationalStore(engine="reference")`` — the decode-per-row oracle, the
+  baseline,
+* ``RelationalStore(engine="columnar")`` — the production engine: batch
+  kernels over term-id columns (numpy when importable; plan memo warm after
+  the first pass, the serving-layer reality), and
+* the same engine with ``REPRO_COLUMNAR_FORCE_STDLIB=1`` — the pure-stdlib
+  ``array('q')`` kernel path, measured so the optional numpy dependency never
+  becomes load-bearing.
 
-Each engine gets ``BENCH_HOTPATH_REPEATS`` timed passes; the best pass
-counts.  Before timing, all engines' results are checked byte-identical
-(bindings, order, counters, modelled seconds).
+Each gets ``BENCH_HOTPATH_REPEATS`` timed passes; the best pass counts.
+Before timing counts, all results are checked byte-identical (bindings,
+order, counters, modelled seconds).
 
 The results land in ``BENCH_hotpath.json`` so future PRs have a wall-clock
-trajectory to ratchet against.  At the *largest* scale the ID-space engine
-must beat the reference by ``BENCH_HOTPATH_MIN_SPEEDUP`` (default 3×), the
-columnar engine must beat the *ID-space* engine by
-``BENCH_HOTPATH_MIN_COLUMNAR_SPEEDUP`` (default 3×; CI's perf-smoke job runs
-small scales with conservative floors since shared runners are noisy), and
-the stdlib columnar path must stay at least
-``BENCH_HOTPATH_MIN_STDLIB_SPEEDUP`` (default: strictly faster than
-ID-space).
+trajectory to ratchet against.  At the *largest* scale the columnar engine
+must beat the reference by ``BENCH_HOTPATH_MIN_COLUMNAR_SPEEDUP`` and its
+stdlib kernels by ``BENCH_HOTPATH_MIN_STDLIB_SPEEDUP`` (defaults below; CI's
+perf-smoke job runs small scales with conservative floors since shared
+runners are noisy and the columnar advantage grows with scale).
 
 Run with::
 
@@ -41,8 +40,8 @@ Run with::
     PYTHONPATH=src python benchmarks/bench_hotpath.py
 
 Environment knobs: ``BENCH_HOTPATH_SCALES`` (comma-separated triple counts),
-``BENCH_HOTPATH_MIN_SPEEDUP``, ``BENCH_HOTPATH_MIN_COLUMNAR_SPEEDUP``,
-``BENCH_HOTPATH_MIN_STDLIB_SPEEDUP``, ``BENCH_HOTPATH_REPEATS``.
+``BENCH_HOTPATH_MIN_COLUMNAR_SPEEDUP``, ``BENCH_HOTPATH_MIN_STDLIB_SPEEDUP``,
+``BENCH_HOTPATH_REPEATS``.
 """
 
 import json
@@ -62,9 +61,12 @@ from repro.relstore.executor import relational_work_units  # noqa: E402
 SCALES = tuple(
     int(s) for s in os.environ.get("BENCH_HOTPATH_SCALES", "2000,8000,30000").split(",")
 )
-MIN_SPEEDUP = float(os.environ.get("BENCH_HOTPATH_MIN_SPEEDUP", "3.0"))
-MIN_COLUMNAR_SPEEDUP = float(os.environ.get("BENCH_HOTPATH_MIN_COLUMNAR_SPEEDUP", "3.0"))
-MIN_STDLIB_SPEEDUP = float(os.environ.get("BENCH_HOTPATH_MIN_STDLIB_SPEEDUP", "1.0"))
+#: Floors over the reference at the largest default scale, set from the
+#: measured ~25x (numpy) and ~23x (stdlib) of ``BENCH_hotpath.json`` with the
+#: headroom the floors this replaces had (1.3x and 2.7x under their measured
+#: values): the numpy floor is the ratchet, the stdlib one a fallback guard.
+MIN_COLUMNAR_SPEEDUP = float(os.environ.get("BENCH_HOTPATH_MIN_COLUMNAR_SPEEDUP", "20.0"))
+MIN_STDLIB_SPEEDUP = float(os.environ.get("BENCH_HOTPATH_MIN_STDLIB_SPEEDUP", "8.0"))
 REPEATS = int(os.environ.get("BENCH_HOTPATH_REPEATS", "3"))
 SEED = 7
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
@@ -121,7 +123,6 @@ def test_engines_beat_their_baselines_on_join_heavy_templates():
         "workload": "watdiv snowflake+complex, >=3 patterns",
         "repeats": REPEATS,
         "numpy_available": numpy_available(),
-        "min_speedup_required_at_largest_scale": MIN_SPEEDUP,
         "min_columnar_speedup_required_at_largest_scale": MIN_COLUMNAR_SPEEDUP,
         "min_stdlib_columnar_speedup_required_at_largest_scale": MIN_STDLIB_SPEEDUP,
         "scales": [],
@@ -132,35 +133,29 @@ def test_engines_beat_their_baselines_on_join_heavy_templates():
         queries = _join_heavy_queries(dataset)
 
         reference = RelationalStore(engine="reference")
-        idspace = RelationalStore(engine="idspace")
         columnar = RelationalStore(engine="columnar")
         stdlib_columnar = _stdlib_columnar_store()
-        for store in (reference, idspace, columnar, stdlib_columnar):
+        for store in (reference, columnar, stdlib_columnar):
             store.load(dataset.triples)
 
         reference_wall, reference_results = _bench_engine(reference, queries)
-        idspace_wall, idspace_results = _bench_engine(idspace, queries)
         columnar_wall, columnar_results = _bench_engine(columnar, queries)
         stdlib_wall, stdlib_results = _bench_engine(stdlib_columnar, queries)
-        _assert_identical(idspace_results, reference_results, scale, "idspace")
         _assert_identical(columnar_results, reference_results, scale, "columnar")
         _assert_identical(stdlib_results, reference_results, scale, "columnar-stdlib")
 
-        speedup = reference_wall / idspace_wall if idspace_wall > 0 else float("inf")
-        columnar_speedup = idspace_wall / columnar_wall if columnar_wall > 0 else float("inf")
-        stdlib_speedup = idspace_wall / stdlib_wall if stdlib_wall > 0 else float("inf")
-        work = sum(relational_work_units(r.counters) for r in idspace_results)
+        columnar_speedup = reference_wall / columnar_wall if columnar_wall > 0 else float("inf")
+        stdlib_speedup = reference_wall / stdlib_wall if stdlib_wall > 0 else float("inf")
+        work = sum(relational_work_units(r.counters) for r in reference_results)
         report["scales"].append(
             {
                 "triples": len(dataset.triples),
                 "queries": len(queries),
                 "reference_wall_seconds": reference_wall,
-                "idspace_wall_seconds": idspace_wall,
                 "columnar_wall_seconds": columnar_wall,
                 "columnar_stdlib_wall_seconds": stdlib_wall,
-                "speedup": speedup,
-                "columnar_speedup_over_idspace": columnar_speedup,
-                "columnar_stdlib_speedup_over_idspace": stdlib_speedup,
+                "columnar_speedup_over_reference": columnar_speedup,
+                "columnar_stdlib_speedup_over_reference": stdlib_speedup,
                 "columnar_kernels": columnar.table.kernels.name,
                 "work_units": work,
                 "identical_bindings_and_counters": True,
@@ -168,34 +163,29 @@ def test_engines_beat_their_baselines_on_join_heavy_templates():
         )
         print(
             f"BENCH_HOTPATH triples={len(dataset.triples)} queries={len(queries)} "
-            f"reference={reference_wall * 1000:.1f}ms idspace={idspace_wall * 1000:.1f}ms "
+            f"reference={reference_wall * 1000:.1f}ms "
             f"columnar={columnar_wall * 1000:.1f}ms ({columnar.table.kernels.name}) "
             f"columnar-stdlib={stdlib_wall * 1000:.1f}ms "
-            f"speedup={speedup:.2f}x columnar={columnar_speedup:.2f}x "
-            f"stdlib={stdlib_speedup:.2f}x work_units={work:.0f}"
+            f"columnar={columnar_speedup:.2f}x stdlib={stdlib_speedup:.2f}x "
+            f"work_units={work:.0f}"
         )
 
     largest = report["scales"][-1]
-    report["largest_scale_speedup"] = largest["speedup"]
-    report["largest_scale_columnar_speedup"] = largest["columnar_speedup_over_idspace"]
+    report["largest_scale_columnar_speedup"] = largest["columnar_speedup_over_reference"]
     report["largest_scale_columnar_stdlib_speedup"] = largest[
-        "columnar_stdlib_speedup_over_idspace"
+        "columnar_stdlib_speedup_over_reference"
     ]
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
     print(f"BENCH_HOTPATH wrote {OUTPUT}")
 
-    assert largest["speedup"] >= MIN_SPEEDUP, (
-        f"ID-space engine is only {largest['speedup']:.2f}x faster than the reference "
-        f"executor at {largest['triples']} triples (required: {MIN_SPEEDUP}x)"
-    )
-    assert largest["columnar_speedup_over_idspace"] >= MIN_COLUMNAR_SPEEDUP, (
-        f"columnar engine is only {largest['columnar_speedup_over_idspace']:.2f}x faster "
-        f"than the ID-space engine at {largest['triples']} triples "
+    assert largest["columnar_speedup_over_reference"] >= MIN_COLUMNAR_SPEEDUP, (
+        f"columnar engine is only {largest['columnar_speedup_over_reference']:.2f}x faster "
+        f"than the reference executor at {largest['triples']} triples "
         f"(required: {MIN_COLUMNAR_SPEEDUP}x)"
     )
-    assert largest["columnar_stdlib_speedup_over_idspace"] >= MIN_STDLIB_SPEEDUP, (
-        f"stdlib columnar path is {largest['columnar_stdlib_speedup_over_idspace']:.2f}x "
-        f"vs the ID-space engine at {largest['triples']} triples "
+    assert largest["columnar_stdlib_speedup_over_reference"] >= MIN_STDLIB_SPEEDUP, (
+        f"stdlib columnar path is {largest['columnar_stdlib_speedup_over_reference']:.2f}x "
+        f"vs the reference executor at {largest['triples']} triples "
         f"(required: {MIN_STDLIB_SPEEDUP}x)"
     )
 

@@ -30,7 +30,7 @@ from repro.rdf.terms import IRI, Triple
 from repro.relstore.backend import RelationalBackend
 from repro.relstore.executor import relational_work_units
 from repro.relstore.sharded import ShardedRelationalStore, ShardingConfig
-from repro.relstore.store import DEFAULT_ENGINE, RelationalStore
+from repro.relstore.store import RelationalStore
 from repro.graphstore.store import GraphStore
 from repro.sparql.ast import SelectQuery
 
@@ -103,12 +103,6 @@ class DualStore:
         An already-built :class:`~repro.relstore.backend.RelationalBackend`
         to use instead of constructing one (overrides ``shards``/``sharding``;
         the caller is responsible for matching cost models).
-    engine:
-        Relational execution engine for the constructed store (``"columnar"``
-        default, or ``"idspace"``; the unsharded store also accepts
-        ``"reference"``).  With an explicit ``relational_store`` the engines
-        must agree — a mismatch raises instead of silently running a
-        different engine than the one configured.
     """
 
     def __init__(
@@ -120,29 +114,19 @@ class DualStore:
         shards: Optional[int] = None,
         sharding: Optional[ShardingConfig] = None,
         relational_store: Optional[RelationalBackend] = None,
-        engine: Optional[str] = None,
     ):
         self.config = config
         self.cost_model = cost_model
         if relational_store is not None:
-            store_engine = getattr(relational_store, "engine", None)
-            if engine is not None and engine != store_engine:
-                raise ValueError(
-                    f"engine {engine!r} conflicts with the provided relational "
-                    f"store's engine {store_engine!r}"
-                )
             self.relational: RelationalBackend = relational_store
         elif shards is not None:
             self.relational = ShardedRelationalStore(
-                shards=shards, cost_model=cost_model, config=sharding,
-                engine=engine or DEFAULT_ENGINE,
+                shards=shards, cost_model=cost_model, config=sharding
             )
         elif sharding is not None:
-            self.relational = ShardedRelationalStore(
-                cost_model=cost_model, config=sharding, engine=engine or DEFAULT_ENGINE
-            )
+            self.relational = ShardedRelationalStore(cost_model=cost_model, config=sharding)
         else:
-            self.relational = RelationalStore(cost_model=cost_model, engine=engine or DEFAULT_ENGINE)
+            self.relational = RelationalStore(cost_model=cost_model)
         self.graph = GraphStore(storage_budget=storage_budget, cost_model=cost_model, throttle=throttle)
         self.identifier = ComplexSubqueryIdentifier()
         self.processor = QueryProcessor(self.relational, self.graph, cost_model=cost_model)

@@ -239,7 +239,7 @@ class ResultTable:
         return [dict(zip(self.variables, row)) for row in self.rows]
 
     def encoded_rows(self, encode: Callable[[TermLike], int]) -> List[Tuple[int, ...]]:
-        """The rows as integer-id tuples, for the ID-space join pipeline.
+        """The rows as integer-id tuples, for the columnar join pipeline.
 
         ``encode`` is typically ``QueryTermSpace.encode``: terms known to the
         store's dictionary keep their dictionary ids, terms that exist only

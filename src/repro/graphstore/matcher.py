@@ -13,7 +13,7 @@ is proportional to the traversed neighbourhood rather than the total graph
 size, which is what keeps the graph store's latency flat as the knowledge
 graph grows (the paper's Table 1).
 
-Like the relational ID-space executor, the matcher follows the
+Like the relational columnar engine, the matcher follows the
 **late-materialization** discipline: the pipeline is a flat variable schema
 plus positional tuples (extending a solution is one tuple concatenation, not
 a dict copy), and the rows that survived filters, DISTINCT, and LIMIT leave

@@ -100,9 +100,9 @@ class TermDictionary:
     def decode_many(self, term_ids: Iterable[int]) -> List[TermLike]:
         """Batch-decode identifiers in one pass.
 
-        This is the late-materialization hook of the ID-space executor: the
-        join pipeline runs entirely on integer identifiers and calls this
-        once, at projection time, for the identifiers that survived.  Bounds
+        This is the late-materialization hook of the relational engine: the
+        join pipeline runs entirely on integer identifiers and decodes, in
+        batch, only the identifiers of rows a caller reads.  Bounds
         are checked exactly like :meth:`decode`.
         """
         table = self._id_to_term

@@ -10,20 +10,11 @@ from repro.relstore.columnar import (
 from repro.relstore.executor import (
     BoundPlanCache,
     CompiledPlan,
-    RelationalExecutor,
     compile_pattern,
     compile_plan,
     relational_work_units,
 )
-from repro.relstore.planner import (
-    BATCH_KERNEL_COSTS,
-    KernelCostModel,
-    PatternAccess,
-    RelationalPlan,
-    ROW_KERNEL_COSTS,
-    kernel_costs_for_engine,
-    plan_query,
-)
+from repro.relstore.planner import PatternAccess, RelationalPlan, plan_query
 from repro.relstore.reference import ReferenceExecutor
 from repro.relstore.sharded import ShardedRelationalStore, ShardingConfig, ShardMetricsBoard
 from repro.relstore.sql_compiler import CompiledSQL, compile_select
@@ -44,12 +35,7 @@ __all__ = [
     "ColumnarExecutor",
     "numpy_available",
     "numpy_enabled",
-    "RelationalExecutor",
     "ReferenceExecutor",
-    "KernelCostModel",
-    "ROW_KERNEL_COSTS",
-    "BATCH_KERNEL_COSTS",
-    "kernel_costs_for_engine",
     "BoundPlanCache",
     "CompiledPlan",
     "compile_pattern",

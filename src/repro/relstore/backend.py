@@ -39,11 +39,6 @@ class RelationalBackend(Protocol):
 
     cost_model: CostModel
     total_insert_seconds: float
-    #: Execution-engine name (``"idspace"``, ``"columnar"``, ``"reference"``,
-    #: ``"sqlite"``, …).  Engine selection rides the protocol so the serving
-    #: layer can validate its configuration against what is actually
-    #: underneath without knowing the concrete store class.
-    engine: str
 
     # Loading and updates ---------------------------------------------- #
     def load(self, triples: Iterable[Triple] | TripleSet) -> float: ...

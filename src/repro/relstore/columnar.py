@@ -1,10 +1,10 @@
-"""Vectorized columnar execution engine — the default (``RelationalStore()``).
+"""The production execution engine: vectorized, columnar, one execute loop.
 
-The engine a store runs behind the
-:class:`~repro.relstore.backend.RelationalBackend` seam unless another is
-named.  Where the ID-space engine (PR 3, kept as its row-at-a-time oracle)
-pipelines python *int tuples* row by row, this engine stores and pipelines
-**term-id columns**:
+Every relational store — :class:`~repro.relstore.store.RelationalStore` and
+each shard of :class:`~repro.relstore.sharded.ShardedRelationalStore` — keeps
+its rows in a :class:`ColumnarTripleTable` and answers queries through
+:func:`execute_compiled`.  The engine stores and pipelines **term-id
+columns**:
 
 * :class:`ColumnarTripleTable` keeps the row-oriented base table (mutations,
   tombstones, snapshots, and the secondary indexes are inherited unchanged,
@@ -17,7 +17,7 @@ pipelines python *int tuples* row by row, this engine stores and pipelines
   as ``int64`` vectors.
 * Pattern access is mask selection over those blocks: constants arrive
   pre-resolved on the :class:`~repro.relstore.executor.CompiledStep` (bound
-  once per store generation through the existing
+  once per store generation through the
   :class:`~repro.relstore.executor.BoundPlanCache`), so a partition scan with
   no residual checks is a zero-copy handover of the cached columns.
 * Hash joins build per-column batch probes on the join column: the numpy
@@ -31,16 +31,17 @@ pipelines python *int tuples* row by row, this engine stores and pipelines
   per-row ``decode``/``lookup`` calls inside loops.
 
 **Work-accounting contract.**  The logical
-:class:`~repro.cost.counters.WorkCounters` are bit-identical to the ID-space
-engine by construction: ``rows_scanned`` is charged per row a block covers
-(the block length — matching or not, exactly what the row loop charges),
-``rows_joined`` per produced join tuple (the gather length), ``index_lookups``
-at the same two points, and ``results_produced`` after LIMIT.  Output order is
-also identical: selections preserve block order (stable masks), join gathers
-emit probe rows in pipeline order with build rows in block order (the numpy
-merge uses a stable argsort), and DISTINCT keeps first occurrences.  The
-differential suite (``tests/test_differential_engine.py``) asserts byte-equal
-bindings and counter equality against both retained engines.
+:class:`~repro.cost.counters.WorkCounters` are bit-identical to the
+decode-per-row oracle (:mod:`repro.relstore.reference`): ``rows_scanned`` is
+charged per row a block covers (the block length — matching or not, exactly
+what a row loop over the access path visits), ``rows_joined`` per produced
+join tuple (the gather length), ``index_lookups`` once per index step, and
+``results_produced`` after LIMIT.  Output order is also identical: selections
+preserve block order (stable masks), join gathers emit probe rows in pipeline
+order with build rows in block order (the numpy merge uses a stable argsort),
+and DISTINCT keeps first occurrences.  The differential suite
+(``tests/test_differential_engine.py``) asserts byte-equal bindings and
+counter equality against the oracle on both kernel sets.
 """
 
 from __future__ import annotations
@@ -75,13 +76,11 @@ from repro.relstore.table import Row, TripleTable
 __all__ = [
     "ColumnarTripleTable",
     "ColumnarExecutor",
+    "execute_compiled",
     "numpy_available",
     "numpy_enabled",
     "FORCE_STDLIB_ENV",
     "ColumnBlock",
-    "join_block",
-    "join_columnar_tables",
-    "finish_columnar_pipeline",
 ]
 
 try:  # pragma: no cover - feature probe, exercised indirectly everywhere
@@ -174,9 +173,9 @@ class _StdlibKernels:
     # deadline-probed — before any output-sized array exists:
     # ``join_matches``/``cartesian_matches`` pair probe rows with build rows
     # (sized by the inputs), ``gather`` expands a run of those pairs into the
-    # two gather index vectors (sized by the output).  Output order matches
-    # the row engine's hash join exactly: probe rows in pipeline order, and
-    # within one key the build rows in block order.
+    # two gather index vectors (sized by the output).  Output order is that
+    # of the oracle's hash join: probe rows in pipeline order, and within one
+    # key the build rows in block order.
     @staticmethod
     def group_index(build_keys) -> Dict[object, List[int]]:
         """The build side's positions per key, ascending (block order)."""
@@ -250,7 +249,7 @@ class _StdlibKernels:
         """First-occurrence indices of each distinct key, ascending.
 
         With no key columns every row carries the same (empty) key — only
-        the first survives, mirroring the row engine's all-``None`` key.
+        the first survives, like the oracle's all-``None`` DISTINCT key.
         """
         if count == 0:
             return []
@@ -305,7 +304,7 @@ class _NumpyKernels:
     The hash join is a sort/searchsorted merge: a *stable* argsort of the
     build keys groups equal keys while preserving block order inside each
     group, so the emitted gather order is identical to the dict-bucket join
-    (and therefore to the row engine).
+    (and therefore to the oracle's).
     """
 
     name = "numpy"
@@ -661,48 +660,54 @@ class ColumnarTripleTable(TripleTable):
             self._full_rows = len(self._rows)
         return self._full_columns
 
-    # -- block matching (the scan access paths) ------------------------- #
-    def match_partition(self, matcher: CompiledPattern, predicate_id: int, counters: WorkCounters):
-        block = self.partition_columns(predicate_id)
-        return match_block(
-            matcher,
-            {0: block.subjects, 2: block.objects},
-            {1: predicate_id},
-            block.count,
-            counters,
-            self.kernels,
-        )
+    # -- the access paths ----------------------------------------------- #
+    def step_block(self, step: CompiledStep, counters: WorkCounters):
+        """One plan step's pattern block and the cached block behind it:
+        ``((names, columns, count), source)``.
 
-    def match_full(self, matcher: CompiledPattern, counters: WorkCounters):
-        subjects, predicates, objects, count = self.full_columns()
-        return match_block(
-            matcher, {0: subjects, 1: predicates, 2: objects}, {}, count, counters, self.kernels
-        )
+        Charges the step's access path like the oracle's row loop: scans
+        cover the cached column blocks, a point lookup charges its one index
+        lookup and masks the partition block down to the key.  ``source`` is
+        the :class:`ColumnBlock` a partition scan read (the join reuses its
+        memoized group index when the columns were handed over uncopied),
+        ``None`` for every other path.
+        """
+        kernels = self.kernels
+        matcher = step.matcher
+        if step.access_path == "table_scan":
+            subjects, predicates, objects, count = self.full_columns()
+            columns_at = {0: subjects, 1: predicates, 2: objects}
+            return match_block(matcher, columns_at, {}, count, counters, kernels), None
 
-    def match_index(
-        self,
-        matcher: CompiledPattern,
-        predicate_id: int,
-        position: int,
-        bound_id: int,
-        counters: WorkCounters,
-    ):
+        predicate_id = step.predicate_id
+        if predicate_id is None:
+            return _empty_block(matcher.var_names, kernels), None
+
+        if step.access_path == "partition_scan":
+            block = self.partition_columns(predicate_id)
+            columns_at = {0: block.subjects, 2: block.objects}
+            fixed = {1: predicate_id}
+            return match_block(matcher, columns_at, fixed, block.count, counters, kernels), block
+
+        if step.access_path == "index_subject":
+            position, bound_id = 0, step.subject_id
+        elif step.access_path == "index_object":
+            position, bound_id = 2, step.object_id
+        else:  # pragma: no cover - defensive
+            raise QueryExecutionError(f"unknown access path {step.access_path!r}")
+        counters.index_lookups += 1
+        if bound_id is None:
+            return _empty_block(matcher.var_names, kernels), None
         block = self.partition_columns(predicate_id)
-        return match_index_block(
-            matcher,
-            block.subjects,
-            block.objects,
-            predicate_id,
-            position,
-            bound_id,
-            block.count,
-            counters,
-            self.kernels,
+        matched = match_index_block(
+            matcher, block.subjects, block.objects, predicate_id, position, bound_id,
+            block.count, counters, kernels,
         )
+        return matched, None
 
 
 # ---------------------------------------------------------------------- #
-# Columnar evaluation primitives (shared with the sharded executor)
+# Columnar evaluation primitives
 # ---------------------------------------------------------------------- #
 def _empty_block(names: Tuple[str, ...], kernels):
     return names, [kernels.empty() for _ in names], 0
@@ -719,11 +724,10 @@ def match_block(
     """Mask-select a column block against a compiled pattern.
 
     Charges ``rows_scanned`` for every row the block covers — matching or
-    not — exactly like the per-row loop in
-    :func:`~repro.relstore.executor.match_id_rows`.  ``columns_at`` maps row
-    positions to columns; ``fixed`` carries positions the block holds as a
-    constant (a partition block's predicate), which const checks compare
-    against directly.
+    not — exactly like the oracle's per-row loop over the same access path.
+    ``columns_at`` maps row positions to columns; ``fixed`` carries positions
+    the block holds as a constant (a partition block's predicate), which
+    const checks compare against directly.
     """
     deadline = current_deadline()
     if deadline is not None:
@@ -767,12 +771,11 @@ def match_index_block(
     """A point lookup served as a mask over the cached partition block.
 
     Emits the same rows — in the same order — and charges the same
-    ``rows_scanned`` as iterating the ``(predicate, key)`` secondary index
-    through :func:`~repro.relstore.executor.match_id_rows`: both that index's
-    bucket and the partition block list rows in insertion order, so masking
-    the scan-order block down to the key is order-identical to the bucket
-    walk, while the equality test runs at kernel speed instead of one Python
-    iteration per indexed row.
+    ``rows_scanned`` as the oracle's walk of the ``(predicate, key)``
+    secondary index: both that index's bucket and the partition block list
+    rows in insertion order, so masking the scan-order block down to the key
+    is order-identical to the bucket walk, while the equality test runs at
+    kernel speed instead of one Python iteration per indexed row.
     """
     deadline = current_deadline()
     if deadline is not None:
@@ -780,7 +783,7 @@ def match_index_block(
     columns_at = {0: subjects, 2: objects}
     base = kernels.equal_selection([(columns_at[position], bound_id)], [], count)
     matched = len(base)
-    # The row engine charges every row the index bucket yields, matching or
+    # The oracle charges every row the index bucket yields, matching or
     # not (residual const checks come after the charge); `matched` is that
     # bucket's length.
     counters.rows_scanned += matched
@@ -828,16 +831,17 @@ def join_block(
 ) -> Tuple[Tuple[str, ...], List[object], int]:
     """Hash-join a pattern block into the columnar pipeline.
 
-    Mirrors :func:`~repro.relstore.executor.join_id_pattern_rows` decision
-    for decision — the empty guard, the pipeline-seed handover, shared-key
-    probing versus the cartesian fallback — and charges ``rows_joined`` per
-    produced tuple, so counters and output order are bit-identical.
+    Mirrors the oracle's :func:`~repro.relstore.executor.join_pattern_rows`
+    decision for decision — the empty guard, the pipeline-seed handover,
+    shared-key probing versus the cartesian fallback — and charges
+    ``rows_joined`` per produced tuple, so counters and output order are
+    bit-identical.
 
     The output size is known once probe rows are paired with build rows, and
     nothing output-sized exists yet at that point: the join is charged, the
-    work budget (the same step-level check the executors run after this call)
-    and the deadline are consulted, and only then is the gather emitted — in
-    one kernel, or while a deadline is active in bounded chunks with a probe
+    work budget (the same step-level check the execute loop runs after this
+    call) and the deadline are consulted, and only then is the gather emitted —
+    in one kernel, or while a deadline is active in bounded chunks with a probe
     between them.  ``source`` is the cached block ``block_cols`` was handed
     over from, if any; its memoized group index spares the build-side sort.
     """
@@ -915,11 +919,13 @@ def join_columnar_table(
 ) -> Tuple[Tuple[str, ...], List[object], int]:
     """Join a migrated intermediate-result table into the columnar pipeline.
 
-    Charging mirrors :func:`~repro.relstore.executor.join_id_result_table`:
-    the table's rows are charged (as view rows when ``as_view``) only when
-    the pipeline is non-empty, then the join itself runs through
-    :func:`join_block` (whose seed/cartesian branches reproduce the row
-    path's output order and ``rows_joined`` exactly).
+    Charging mirrors the oracle's
+    :func:`~repro.relstore.executor.join_result_table`: the table's rows are
+    charged (as view rows when ``as_view``) only when the pipeline is
+    non-empty, then the join itself runs through :func:`join_block` (whose
+    seed/cartesian branches reproduce the oracle's output order and
+    ``rows_joined`` exactly).  The table's terms are encoded once; terms the
+    dictionary has never seen get execution-local ids.
     """
     table_vars = tuple(table.variables)
     new_names = tuple(name for name in table_vars if name not in schema)
@@ -937,26 +943,6 @@ def join_columnar_table(
     )
 
 
-def join_columnar_tables(
-    schema: Tuple[str, ...],
-    cols: List[object],
-    count: int,
-    extra_tables: Optional[Iterable[ResultTable]],
-    space: QueryTermSpace,
-    counters: WorkCounters,
-    tables_are_views: bool,
-    work_budget: Optional[float],
-    kernels,
-) -> Tuple[Tuple[str, ...], List[object], int]:
-    """The pipeline prologue: join migrated tables, budget-checked per table."""
-    for table in extra_tables or ():
-        schema, cols, count = join_columnar_table(
-            schema, cols, count, table, space, counters, kernels, tables_are_views, work_budget
-        )
-        check_work_budget(counters, work_budget)
-    return schema, cols, count
-
-
 def _filter_selection(
     schema: Tuple[str, ...],
     cols: List[object],
@@ -967,13 +953,18 @@ def _filter_selection(
 ):
     """Surviving row indices under the query's filters, or ``None`` for all.
 
-    Semantics are byte-for-byte those of
-    :func:`~repro.relstore.executor._apply_id_filters` — the id fast path for
-    equal ids, the unsafe-datatype carve-out, the decode fallback — but every
-    operand id is decoded **once, in batch, before the loop** via
-    :meth:`QueryTermSpace.decode_map` (decoding is side-effect-free, so
-    pre-decoding ids the row engine would skip cannot diverge), which is the
-    REP007 discipline: no per-row decode calls inside the loop.
+    Semantics are byte-for-byte those of the oracle's per-row
+    :meth:`Filter.evaluate`.  Equal ids mean equal terms, which settles every
+    operator without evaluating a comparison — except for the numeric
+    datatypes of ``_UNSAFE_EQUAL_DATATYPES``, which take the fallback.
+    *Different* ids settle nothing for value comparisons (distinct terms may
+    be equal by value, e.g. across numeric datatypes), so those pairs fall
+    back to decoding just the filter's operands and delegating to
+    :meth:`Filter.evaluate`.  Every operand id is decoded **once, in batch,
+    before the loop** via :meth:`QueryTermSpace.decode_map` (decoding is
+    side-effect-free, so pre-decoding ids a per-row loop would skip cannot
+    diverge), which is the REP007 discipline: no per-row decode calls inside
+    the loop.
     """
     compiled = []
     for flt in filters:
@@ -1061,9 +1052,6 @@ def finish_columnar_pipeline(
     DISTINCT on id vectors, LIMIT by slicing.  The surviving projected id
     columns *are* the result (:class:`~repro.execution.ResultColumns`);
     nothing is decoded here.
-
-    Shared by the unsharded and sharded columnar executors so result
-    accounting cannot drift between them.
     """
     deadline = current_deadline()
     if deadline is not None:
@@ -1100,12 +1088,63 @@ def finish_columnar_pipeline(
 
 
 # ---------------------------------------------------------------------- #
-# The executor
+# The execute loop
 # ---------------------------------------------------------------------- #
+def execute_compiled(
+    query: SelectQuery,
+    compiled: CompiledPlan,
+    dictionary,
+    kernels,
+    step_block,
+    work_budget: Optional[float] = None,
+    extra_tables: Optional[Iterable[ResultTable]] = None,
+    tables_are_views: bool = False,
+) -> ExecutionResult:
+    """Run a compiled plan: the one execute loop of the production engine.
+
+    ``step_block(step, counters)`` is where a step's block comes from — the
+    only thing the loop's owners differ in.  It returns ``((names, columns,
+    count), source)`` and charges the access to ``counters``:
+    :meth:`ColumnarTripleTable.step_block` reads the one table; the sharded
+    store scatters the step over its shards' tables and concatenates.
+
+    ``extra_tables`` are temporary tables (migrated intermediate results)
+    joined into the pipeline before the base-table patterns; when
+    ``tables_are_views`` their rows are charged as ``view_rows_scanned``.
+    Raises :class:`~repro.errors.WorkBudgetExceeded` once the accumulated
+    work exceeds ``work_budget``.
+    """
+    counters = WorkCounters(queries_issued=1)
+    space = QueryTermSpace(dictionary)
+    schema: Tuple[str, ...] = ()
+    cols: List[object] = []
+    count = 1  # the pipeline seed: one zero-width row, exactly [()]
+    for table in extra_tables or ():
+        schema, cols, count = join_columnar_table(
+            schema, cols, count, table, space, counters, kernels, tables_are_views, work_budget
+        )
+        check_work_budget(counters, work_budget)
+
+    for step in compiled.steps:
+        # Guard before scanning: once the pipeline is empty (e.g. a migrated
+        # table had no rows), later steps must charge zero work, exactly like
+        # the oracle.
+        if count == 0:
+            break
+        (names, block_cols, block_count), source = step_block(step, counters)
+        schema, cols, count = join_block(
+            schema, cols, count, names, block_cols, block_count, counters, kernels,
+            work_budget, source,
+        )
+        check_work_budget(counters, work_budget)
+
+    return finish_columnar_pipeline(schema, cols, count, query, counters, space, kernels)
+
+
 class ColumnarExecutor:
-    """Evaluates plans against a :class:`ColumnarTripleTable` with batch
-    kernels; signature-compatible with
-    :class:`~repro.relstore.executor.RelationalExecutor`."""
+    """Evaluates plans against one :class:`ColumnarTripleTable`;
+    signature-compatible with
+    :class:`~repro.relstore.reference.ReferenceExecutor`."""
 
     def __init__(self, table: ColumnarTripleTable):
         if not isinstance(table, ColumnarTripleTable):
@@ -1121,68 +1160,12 @@ class ColumnarExecutor:
         tables_are_views: bool = False,
         compiled: Optional[CompiledPlan] = None,
     ) -> ExecutionResult:
+        """Run ``plan``; ``compiled`` is the plan with constants pre-resolved
+        (the store's bound-plan memo provides it), compiled here if absent."""
         table = self._table
-        kernels = table.kernels
-        dictionary = table.dictionary
         if compiled is None:
-            compiled = compile_plan(plan, dictionary)
-        counters = WorkCounters(queries_issued=1)
-        space = QueryTermSpace(dictionary)
-        schema: Tuple[str, ...] = ()
-        cols: List[object] = []
-        count = 1  # the pipeline seed: one zero-width row, exactly [()]
-        schema, cols, count = join_columnar_tables(
-            schema, cols, count, extra_tables, space, counters, tables_are_views, work_budget, kernels
-        )
-
-        for step in compiled.steps:
-            # Guard before scanning: once the pipeline is empty, later steps
-            # must charge zero work, exactly like the row engines.
-            if count == 0:
-                break
-            names, block_cols, block_count = self._step_block(step, counters)
-            source = (
-                table.partition_columns(step.predicate_id)
-                if step.access_path == "partition_scan" and step.predicate_id is not None
-                else None
-            )
-            schema, cols, count = join_block(
-                schema, cols, count, names, block_cols, block_count, counters, kernels,
-                work_budget, source,
-            )
-            check_work_budget(counters, work_budget)
-
-        return finish_columnar_pipeline(schema, cols, count, query, counters, space, kernels)
-
-    # ------------------------------------------------------------------ #
-    # Access paths
-    # ------------------------------------------------------------------ #
-    def _step_block(self, step: CompiledStep, counters: WorkCounters):
-        """One plan step's pattern block, charging work like
-        :meth:`RelationalExecutor._step_rows`: scans flow through the cached
-        column blocks, point lookups ride the (few-row) secondary indexes and
-        are transposed into columns."""
-        table = self._table
-        kernels = table.kernels
-        matcher = step.matcher
-        if step.access_path == "table_scan":
-            return table.match_full(matcher, counters)
-
-        if step.predicate_id is None:
-            return _empty_block(matcher.var_names, kernels)
-
-        if step.access_path == "index_subject":
-            counters.index_lookups += 1
-            if step.subject_id is None:
-                return _empty_block(matcher.var_names, kernels)
-            return table.match_index(matcher, step.predicate_id, 0, step.subject_id, counters)
-        if step.access_path == "index_object":
-            counters.index_lookups += 1
-            if step.object_id is None:
-                return _empty_block(matcher.var_names, kernels)
-            return table.match_index(matcher, step.predicate_id, 2, step.object_id, counters)
-        if step.access_path == "partition_scan":
-            return table.match_partition(matcher, step.predicate_id, counters)
-        raise QueryExecutionError(  # pragma: no cover - mirrors RelationalExecutor
-            f"unknown access path {step.access_path!r}"
+            compiled = compile_plan(plan, table.dictionary)
+        return execute_compiled(
+            query, compiled, table.dictionary, table.kernels, table.step_block,
+            work_budget, extra_tables, tables_are_views,
         )

@@ -1,45 +1,33 @@
-"""Physical execution of relational plans with work accounting.
+"""What every relational executor shares: plan compilation, the execution
+term space, the bound-plan memo, work budgets — and the term-space pipeline
+of the reference oracle.
 
-The executor evaluates a :class:`~repro.relstore.planner.RelationalPlan` with
-a pipeline of hash joins over the triple table.  Since PR 3 the pipeline is
-an **ID-space engine** (late materialization, the standard column-store
-discipline):
-
-* pattern access matches stored rows by comparing *integer term ids* — the
-  constants of every plan step are looked up in the dictionary once, when the
-  plan is compiled, never per row;
-* the pipeline state is a flat schema (a tuple of variable names) plus a list
-  of **integer tuples**; hash joins, DISTINCT, and ORDER-BY-free LIMIT all
-  operate on those int tuples (int hashing is several times cheaper than
-  hashing frozen term dataclasses);
-* filters get an ID-space fast path — equal ids prove term equality, so
-  ``=``/``<=``/``>=`` succeed and ``!=``/``<``/``>`` fail without decoding —
-  and fall back to decoded value comparison only when the ids differ (two
+* **Plan compilation.**  :func:`compile_plan` resolves the constants of every
+  plan step to integer term ids once per store generation
+  (:class:`BoundPlanCache`), never per row; the production engine
+  (:mod:`repro.relstore.columnar`) matches stored id columns against the
+  resulting :class:`CompiledStep` s.
+* **Term space.**  :class:`QueryTermSpace` is the dictionary plus
+  execution-local negative ids for terms only a migrated intermediate-result
+  table carries, so a whole pipeline runs on integers and a result's id
+  columns can be decoded late, in batch.
+* **Filter operands.**  Equal ids prove term equality, so ``=``/``<=``/``>=``
+  hold and ``!=``/``<``/``>`` fail without decoding — except for the numeric
+  datatypes in ``_UNSAFE_EQUAL_DATATYPES``; different ids settle nothing (two
   distinct terms, e.g. ``"5"^^xsd:integer`` vs ``"5.0"^^xsd:double``, may
-  still compare equal by value);
-* projection performs **one batch decode**
-  (:meth:`~repro.rdf.dictionary.TermDictionary.decode_many`) of only the rows
-  that survived joins, filters, DISTINCT, and LIMIT.
-
-Work accounting is unchanged *by construction*: ``rows_scanned`` is charged
-per row yielded by an access path, ``rows_joined`` per tuple a join produces,
-``index_lookups`` at the same two points as before, and ``results_produced``
-after LIMIT — so the logical :class:`~repro.cost.counters.WorkCounters` (and
-therefore every modelled TTI/work number) are bit-identical to the retained
-decode-per-row reference executor (:mod:`repro.relstore.reference`), which
-the differential suite in ``tests/test_differential_engine.py`` asserts.
-
-A *work budget* may be supplied; when the accumulated work exceeds it the
-executor aborts with :class:`~repro.errors.WorkBudgetExceeded`, which is how
-the tuner's counterfactual scenario caps the relational run at ``λ·c₁``.
-
-The join, filter, projection, and budget helpers live at module level so that
-the sharded scatter-gather executor (:mod:`repro.relstore.sharded`) evaluates
-queries with the *same* code and therefore charges identical logical work —
-the property the differential sharding suite asserts.  The historical
-term-space helpers (``bind_pattern_row``, ``join_pattern_rows``, ...) keep
-their signatures; they now serve the reference executor and any external
-callers, while the ``*_id_*`` family is the hot path.
+  still compare equal by value).
+* **Work budgets.**  :func:`check_work_budget` aborts an execution with
+  :class:`~repro.errors.WorkBudgetExceeded` once the accumulated work exceeds
+  the cap, which is how the tuner's counterfactual scenario stops the
+  relational run at ``λ·c₁``.
+* **The reference pipeline.**  ``bind_pattern_row``, ``join_pattern_rows``,
+  ``join_result_table``, ``finish_pipeline``, ... decode every scanned row
+  into term objects and join dictionaries of those terms.  Only
+  :mod:`repro.relstore.reference` calls them; they define the charging points
+  (``rows_scanned`` per row an access path yields, ``rows_joined`` per tuple a
+  join produces, ``index_lookups`` per index step, ``results_produced`` after
+  LIMIT) the production engine is held to, bit for bit, by
+  ``tests/test_differential_engine.py``.
 """
 
 from __future__ import annotations
@@ -50,22 +38,18 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cost.counters import WorkCounters
-from repro.errors import QueryExecutionError, WorkBudgetExceeded
-from repro.resilience.deadline import current_deadline, probed_rows
+from repro.errors import WorkBudgetExceeded
 from repro.execution import ExecutionResult, ResultTable
 from repro.rdf.dictionary import TermDictionary
-from repro.rdf.terms import XSD_DOUBLE, XSD_INTEGER, Literal, TermLike, Variable
+from repro.rdf.terms import XSD_DOUBLE, XSD_INTEGER, TermLike, Variable
 from repro.sparql.ast import Binding, Filter, SelectQuery, TriplePattern
 from repro.sparql.algebra import merge_bindings
 
 from repro.relstore.planner import RelationalPlan
-from repro.relstore.table import Row, TripleTable
+from repro.relstore.table import Row
 
 __all__ = [
-    "RelationalExecutor",
     "relational_work_units",
-    # ID-space engine
-    "IdRow",
     "QueryTermSpace",
     "CompiledPattern",
     "CompiledStep",
@@ -73,12 +57,7 @@ __all__ = [
     "compile_pattern",
     "compile_plan",
     "BoundPlanCache",
-    "match_id_rows",
-    "join_id_pattern_rows",
-    "join_id_result_table",
-    "join_id_extra_tables",
-    "finish_id_pipeline",
-    # Term-space helpers (retained for the reference executor)
+    # Term-space helpers (the reference executor's pipeline)
     "bind_pattern_row",
     "join_pattern_rows",
     "join_result_table",
@@ -89,10 +68,6 @@ __all__ = [
     "distinct_bindings",
     "check_work_budget",
 ]
-
-#: One pipeline row: the bound term ids, positionally aligned with the
-#: pipeline's variable schema.
-IdRow = Tuple[int, ...]
 
 
 def relational_work_units(counters: WorkCounters) -> float:
@@ -329,275 +304,7 @@ class BoundPlanCache:
             return len(self._entries)
 
 
-# ---------------------------------------------------------------------- #
-# ID-space evaluation primitives (shared with the sharded executor)
-# ---------------------------------------------------------------------- #
-def match_id_rows(
-    matcher: CompiledPattern, rows: Iterable[Row], counters: WorkCounters
-) -> List[IdRow]:
-    """Match stored rows against a compiled pattern, entirely on ids.
-
-    Charges one ``rows_scanned`` per row inspected (matching or not), exactly
-    like the decode-per-row reference path; the output rows carry only the
-    pattern's variable columns, in ``matcher.var_names`` order.
-
-    Cancellation: with an ambient deadline active the scan probes it every
-    :data:`~repro.resilience.deadline.PROBE_STRIDE` rows (the probe never
-    touches the counters, so surviving runs stay bit-identical).
-    """
-    deadline = current_deadline()
-    if deadline is not None:
-        deadline.check(counters)
-        rows = probed_rows(rows, deadline, counters)
-    out: List[IdRow] = []
-    append = out.append
-    scanned = 0
-    if not matcher.matchable:
-        # An unresolved constant matches no stored row, but a scan-based
-        # access path still reads (and charges) every row it visits.
-        for _ in rows:
-            scanned += 1
-        counters.rows_scanned += scanned
-        return out
-
-    const_checks = matcher.const_checks
-    dup_checks = matcher.dup_checks
-    positions = matcher.var_positions
-    arity = len(positions)
-    if not dup_checks:
-        if len(const_checks) == 1 and arity == 2:
-            # The workhorse shape: partition scan of `?s <p> ?o`.
-            (c0, k0) = const_checks[0]
-            p0, p1 = positions
-            for row in rows:
-                scanned += 1
-                if row[c0] == k0:
-                    append((row[p0], row[p1]))
-            counters.rows_scanned += scanned
-            return out
-        if len(const_checks) == 2 and arity == 1:
-            # Index point lookup: `?s <p> <o>` / `<s> <p> ?o`.
-            (c0, k0), (c1, k1) = const_checks
-            p0 = positions[0]
-            for row in rows:
-                scanned += 1
-                if row[c0] == k0 and row[c1] == k1:
-                    append((row[p0],))
-            counters.rows_scanned += scanned
-            return out
-        if not const_checks and arity == 3:
-            # Full table scan with three fresh variables: positions are
-            # (0, 1, 2), so the stored row *is* the output row.
-            for row in rows:
-                scanned += 1
-                append(row)
-            counters.rows_scanned += scanned
-            return out
-
-    for row in rows:
-        scanned += 1
-        matched = True
-        for position, required in const_checks:
-            if row[position] != required:
-                matched = False
-                break
-        if matched:
-            for position, first in dup_checks:
-                if row[position] != row[first]:
-                    matched = False
-                    break
-            if matched:
-                append(tuple(row[p] for p in positions))
-    counters.rows_scanned += scanned
-    return out
-
-
-def join_id_pattern_rows(
-    schema: Tuple[str, ...],
-    rows: List[IdRow],
-    matcher: CompiledPattern,
-    pattern_rows: List[IdRow],
-    counters: WorkCounters,
-) -> Tuple[Tuple[str, ...], List[IdRow]]:
-    """Hash-join matched pattern rows into the pipeline, on integer keys.
-
-    Returns the extended ``(schema, rows)``.  Charges ``rows_joined`` per
-    produced tuple, at the same point as the reference join.
-
-    Cancellation: with an ambient deadline active the probe loops check it
-    periodically — and the cartesian branch (the output-explosion path, where
-    a single step can produce |rows| x |pattern_rows| tuples) checks once per
-    outer row, so even a fan-out of millions stays responsive.
-    """
-    deadline = current_deadline()
-    var_names = matcher.var_names
-    new_names = tuple(n for n in var_names if n not in schema)
-    if not rows or not pattern_rows:
-        return schema + new_names, []
-
-    if not schema and len(rows) == 1:
-        # The pipeline seed [()]: the pattern rows become the pipeline.
-        counters.rows_joined += len(pattern_rows)
-        return tuple(var_names), pattern_rows
-
-    if deadline is not None:
-        deadline.check(counters)
-    out: List[IdRow] = []
-    append = out.append
-    shared = [n for n in var_names if n in schema]
-    if shared:
-        pattern_index = {name: i for i, name in enumerate(var_names)}
-        new_positions = tuple(pattern_index[n] for n in new_names)
-        key_positions = tuple(pattern_index[n] for n in shared)
-        probe_positions = tuple(schema.index(n) for n in shared)
-        index: Dict[object, List[IdRow]] = {}
-        if len(shared) == 1:
-            # Scalar int keys: the dominant case, cheapest possible hashing.
-            # The new-column tuples are unrolled by arity (a pattern adds at
-            # most two fresh variables), which keeps the per-row cost to
-            # plain indexing instead of a generator-driven tuple build.
-            kp = key_positions[0]
-            pp = probe_positions[0]
-            if len(new_positions) == 1:
-                n0 = new_positions[0]
-                for prow in pattern_rows:
-                    key = prow[kp]
-                    bucket = index.get(key)
-                    if bucket is None:
-                        index[key] = bucket = []
-                    bucket.append((prow[n0],))
-            elif len(new_positions) == 2:
-                n0, n1 = new_positions
-                for prow in pattern_rows:
-                    key = prow[kp]
-                    bucket = index.get(key)
-                    if bucket is None:
-                        index[key] = bucket = []
-                    bucket.append((prow[n0], prow[n1]))
-            else:
-                for prow in pattern_rows:
-                    key = prow[kp]
-                    bucket = index.get(key)
-                    if bucket is None:
-                        index[key] = bucket = []
-                    bucket.append(tuple(prow[i] for i in new_positions))
-            get = index.get
-            probe_rows = rows if deadline is None else probed_rows(rows, deadline, counters)
-            for row in probe_rows:
-                bucket = get(row[pp])
-                if bucket is not None:
-                    for extra in bucket:
-                        append(row + extra)
-        else:
-            for prow in pattern_rows:
-                key = tuple(prow[i] for i in key_positions)
-                bucket = index.get(key)
-                if bucket is None:
-                    index[key] = bucket = []
-                bucket.append(tuple(prow[i] for i in new_positions))
-            get = index.get
-            probe_rows = rows if deadline is None else probed_rows(rows, deadline, counters)
-            for row in probe_rows:
-                bucket = get(tuple(row[i] for i in probe_positions))
-                if bucket is not None:
-                    for extra in bucket:
-                        append(row + extra)
-    elif deadline is None:
-        for row in rows:
-            for prow in pattern_rows:
-                append(row + prow)
-    else:
-        for row in rows:
-            deadline.check(counters)
-            for prow in pattern_rows:
-                append(row + prow)
-    counters.rows_joined += len(out)
-    return schema + new_names, out
-
-
-def join_id_result_table(
-    schema: Tuple[str, ...],
-    rows: List[IdRow],
-    table: ResultTable,
-    space: QueryTermSpace,
-    counters: WorkCounters,
-    as_view: bool = False,
-) -> Tuple[Tuple[str, ...], List[IdRow]]:
-    """Join a migrated intermediate-result table into the ID pipeline.
-
-    The table's terms are encoded once (unknown terms get execution-local
-    ids) and the join runs on a hash index over the shared variables — the
-    nested-loop cartesian merge the term-space path historically used only
-    remains for genuinely disjoint tables.
-    """
-    deadline = current_deadline()
-    if deadline is not None:
-        deadline.check(counters)
-    table_vars = table.variables
-    new_names = tuple(n for n in table_vars if n not in schema)
-    if not rows:
-        return schema + new_names, []
-    if as_view:
-        counters.view_rows_scanned += len(table)
-    else:
-        counters.rows_scanned += len(table)
-
-    id_rows: List[IdRow] = table.encoded_rows(space.encode)
-
-    out: List[IdRow] = []
-    append = out.append
-    shared = [n for n in table_vars if n in schema]
-    if shared:
-        table_index = {name: i for i, name in enumerate(table_vars)}
-        new_positions = tuple(table_index[n] for n in new_names)
-        key_positions = tuple(table_index[n] for n in shared)
-        probe_positions = tuple(schema.index(n) for n in shared)
-        index: Dict[Tuple[int, ...], List[IdRow]] = {}
-        for trow in id_rows:
-            key = tuple(trow[i] for i in key_positions)
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = bucket = []
-            bucket.append(tuple(trow[i] for i in new_positions))
-        get = index.get
-        probe_rows = rows if deadline is None else probed_rows(rows, deadline, counters)
-        for row in probe_rows:
-            bucket = get(tuple(row[i] for i in probe_positions))
-            if bucket is not None:
-                for extra in bucket:
-                    append(row + extra)
-    elif deadline is None:
-        for row in rows:
-            for trow in id_rows:
-                append(row + trow)
-    else:
-        for row in rows:
-            deadline.check(counters)
-            for trow in id_rows:
-                append(row + trow)
-    counters.rows_joined += len(out)
-    return schema + new_names, out
-
-
-def join_id_extra_tables(
-    schema: Tuple[str, ...],
-    rows: List[IdRow],
-    extra_tables: Optional[Iterable[ResultTable]],
-    space: QueryTermSpace,
-    counters: WorkCounters,
-    tables_are_views: bool,
-    work_budget: Optional[float],
-) -> Tuple[Tuple[str, ...], List[IdRow]]:
-    """The pipeline prologue: join migrated tables, budget-checked per table."""
-    for table in extra_tables or ():
-        schema, rows = join_id_result_table(
-            schema, rows, table, space, counters, as_view=tables_are_views
-        )
-        check_work_budget(counters, work_budget)
-    return schema, rows
-
-
-# -- ID-space filters --------------------------------------------------- #
+# -- Filter operands (shared with the columnar filter kernel) ----------- #
 #: Filter operand lowered to ID space: ('var', schema position, name),
 #: ('const', id, term), or ('unbound', 0, None).
 _FilterSide = Tuple[str, int, Optional[TermLike]]
@@ -622,119 +329,6 @@ def _compile_filter_side(
     return ("const", space.encode(term), term)
 
 
-def _apply_id_filters(
-    schema: Tuple[str, ...],
-    rows: List[IdRow],
-    filters: Tuple[Filter, ...],
-    space: QueryTermSpace,
-) -> List[IdRow]:
-    """Filter rows with an id fast path and a decode fallback.
-
-    Equal ids mean equal terms, which settles every operator without
-    evaluating a comparison — except for ``xsd:double`` literals, where the
-    value may be NaN and even ``?x = ?x`` is false; those take the fallback.
-    *Different* ids settle nothing for value comparisons (distinct terms may
-    be equal by value, e.g. across numeric datatypes), so those rows fall
-    back to decoding just the filter's operands and delegating to
-    :meth:`Filter.evaluate` — semantics stay byte-for-byte those of the
-    reference executor.
-    """
-    compiled = []
-    for flt in filters:
-        left = _compile_filter_side(flt.left, schema, space)
-        right = _compile_filter_side(flt.right, schema, space)
-        if left[0] == "unbound" or right[0] == "unbound":
-            # An unbound operand fails the filter for every row.
-            return []
-        compiled.append((flt, left, right))
-
-    decode = space.decode
-    deadline = current_deadline()
-    row_iter: Iterable[IdRow] = rows
-    if deadline is not None:
-        row_iter = probed_rows(rows, deadline)
-    out: List[IdRow] = []
-    append = out.append
-    for row in row_iter:
-        keep = True
-        for flt, (left_kind, left_value, _), (right_kind, right_value, _) in compiled:
-            left_id = row[left_value] if left_kind == "var" else left_value
-            right_id = row[right_value] if right_kind == "var" else right_value
-            if left_id == right_id:
-                term = decode(left_id)
-                if not (isinstance(term, Literal) and term.datatype in _UNSAFE_EQUAL_DATATYPES):
-                    if flt.operator in _TRUE_ON_EQUAL:
-                        continue
-                    keep = False
-                    break
-                # Numeric literals fall through to Filter.evaluate: a double
-                # may be NaN (no comparison holds, even reflexively) and a
-                # malformed integer lexical must raise like the reference.
-            fallback: Binding = {}
-            if left_kind == "var":
-                fallback[flt.left.name] = decode(left_id)  # type: ignore[union-attr]
-            if right_kind == "var":
-                fallback[flt.right.name] = decode(right_id)  # type: ignore[union-attr]
-            if not flt.evaluate(fallback):
-                keep = False
-                break
-        if keep:
-            append(row)
-    return out
-
-
-def finish_id_pipeline(
-    schema: Tuple[str, ...],
-    rows: List[IdRow],
-    query: SelectQuery,
-    counters: WorkCounters,
-    space: QueryTermSpace,
-) -> ExecutionResult:
-    """The ID pipeline epilogue: filters, DISTINCT (on projected id tuples),
-    LIMIT, then **one batch decode** of the surviving rows into bindings.
-
-    Shared by the unsharded and sharded executors so late materialization
-    (and result accounting) cannot drift between them.
-    """
-    deadline = current_deadline()
-    if deadline is not None:
-        deadline.check(counters)
-    if query.filters and rows:
-        rows = _apply_id_filters(schema, rows, query.filters, space)
-
-    names = query.projected_names()
-    positions = tuple(schema.index(n) if n in schema else -1 for n in names)
-
-    if query.distinct:
-        if deadline is not None:
-            rows = probed_rows(rows, deadline, counters)
-        seen: set = set()
-        unique: List[IdRow] = []
-        append_unique = unique.append
-        add = seen.add
-        for row in rows:
-            key = tuple(row[p] if p >= 0 else None for p in positions)
-            if key not in seen:
-                add(key)
-                append_unique(row)
-        rows = unique
-    if query.limit is not None:
-        rows = rows[: query.limit]
-
-    bound = [(name, p) for name, p in zip(names, positions) if p >= 0]
-    id_to_term = space.decode_map(row[p] for row in rows for _, p in bound)
-    bindings: List[Binding] = [
-        {name: id_to_term[row[p]] for name, p in bound} for row in rows
-    ]
-    counters.results_produced += len(bindings)
-    return ExecutionResult(
-        bindings=bindings,
-        variables=tuple(names),
-        counters=counters,
-        store="relational",
-    )
-
-
 # ---------------------------------------------------------------------- #
 # Term-space evaluation primitives (the retained reference path)
 # ---------------------------------------------------------------------- #
@@ -744,7 +338,7 @@ def bind_pattern_row(
     """Match one stored row against a pattern, producing a decoded binding.
 
     This is the decode-per-row reference path (three decodes per row); the
-    hot path uses :func:`match_id_rows` instead and decodes at projection.
+    production engine matches id columns and decodes only what a caller reads.
     """
     binding: Binding = {}
     for term, term_id in zip((pattern.subject, pattern.predicate, pattern.object), row):
@@ -769,8 +363,7 @@ def join_pattern_rows(
 ) -> List[Binding]:
     """Hash-join already-materialized pattern bindings into the pipeline.
 
-    Charges ``rows_joined`` per produced tuple, exactly like the ID-space
-    join (:func:`join_id_pattern_rows`).
+    Charges ``rows_joined`` per produced tuple.
     """
     if not bindings or not pattern_rows:
         return []
@@ -902,8 +495,7 @@ def finish_pipeline(
     bindings: List[Binding], query: SelectQuery, counters: WorkCounters
 ) -> ExecutionResult:
     """The term-space pipeline epilogue: filters, projection, DISTINCT,
-    LIMIT, result accounting — the reference executor's counterpart of
-    :func:`finish_id_pipeline`."""
+    LIMIT, result accounting."""
     bindings = apply_filters(bindings, query.filters)
     bindings = project_bindings(bindings, query)
     if query.distinct:
@@ -917,86 +509,6 @@ def finish_pipeline(
         counters=counters,
         store="relational",
     )
-
-
-class RelationalExecutor:
-    """Evaluates plans against a :class:`TripleTable`, entirely in ID space."""
-
-    def __init__(self, table: TripleTable):
-        self._table = table
-
-    # ------------------------------------------------------------------ #
-    # Public entry point
-    # ------------------------------------------------------------------ #
-    def execute(
-        self,
-        query: SelectQuery,
-        plan: RelationalPlan,
-        work_budget: Optional[float] = None,
-        extra_tables: Optional[Iterable[ResultTable]] = None,
-        tables_are_views: bool = False,
-        compiled: Optional[CompiledPlan] = None,
-    ) -> ExecutionResult:
-        """Run ``plan`` and return projected solutions plus work counters.
-
-        ``extra_tables`` are temporary tables (migrated intermediate results)
-        joined into the pipeline before the base-table patterns; the query
-        processor uses this for Case 2 plans.  When ``tables_are_views`` is
-        true their rows are charged as ``view_rows_scanned`` instead of
-        ``rows_scanned`` (the RDB-views baseline).  ``compiled`` is the plan
-        with constants pre-resolved (the store's bound-plan memo provides
-        it); when absent the plan is compiled here.
-        """
-        dictionary = self._table.dictionary
-        if compiled is None:
-            compiled = compile_plan(plan, dictionary)
-        counters = WorkCounters(queries_issued=1)
-        space = QueryTermSpace(dictionary)
-        schema: Tuple[str, ...] = ()
-        rows: List[IdRow] = [()]
-        schema, rows = join_id_extra_tables(
-            schema, rows, extra_tables, space, counters, tables_are_views, work_budget
-        )
-
-        for step in compiled.steps:
-            # Guard before scanning: once the pipeline is empty (e.g. a Case 2
-            # plan whose migrated table had no rows), later steps must charge
-            # zero work, exactly like the reference executor.
-            if not rows:
-                break
-            pattern_rows = self._step_rows(step, counters)
-            schema, rows = join_id_pattern_rows(schema, rows, step.matcher, pattern_rows, counters)
-            check_work_budget(counters, work_budget)
-
-        return finish_id_pipeline(schema, rows, query, counters, space)
-
-    # ------------------------------------------------------------------ #
-    # Access paths
-    # ------------------------------------------------------------------ #
-    def _step_rows(self, step: CompiledStep, counters: WorkCounters) -> List[IdRow]:
-        table = self._table
-        if step.access_path == "table_scan":
-            return match_id_rows(step.matcher, table.scan(), counters)
-
-        if step.predicate_id is None:
-            return []
-
-        if step.access_path == "index_subject":
-            counters.index_lookups += 1
-            if step.subject_id is None:
-                return []
-            rows: Iterable[Row] = table.lookup_subject(step.predicate_id, step.subject_id)
-        elif step.access_path == "index_object":
-            counters.index_lookups += 1
-            if step.object_id is None:
-                return []
-            rows = table.lookup_object(step.predicate_id, step.object_id)
-        elif step.access_path == "partition_scan":
-            rows = table.scan_predicate(step.predicate_id)
-        else:  # pragma: no cover - defensive
-            raise QueryExecutionError(f"unknown access path {step.access_path!r}")
-
-        return match_id_rows(step.matcher, rows, counters)
 
 
 def _shared_variable_names(binding: Binding, pattern: TriplePattern) -> List[str]:

@@ -29,16 +29,7 @@ from repro.sparql.algebra import order_patterns_greedily
 
 from repro.relstore.stats import TableStatistics
 
-__all__ = [
-    "AccessPath",
-    "KernelCostModel",
-    "PatternAccess",
-    "RelationalPlan",
-    "ROW_KERNEL_COSTS",
-    "BATCH_KERNEL_COSTS",
-    "kernel_costs_for_engine",
-    "plan_query",
-]
+__all__ = ["AccessPath", "PatternAccess", "RelationalPlan", "plan_query"]
 
 AccessPath = Literal["index_subject", "index_object", "partition_scan", "table_scan"]
 
@@ -73,69 +64,26 @@ class RelationalPlan:
         return iter(self.steps)
 
 
-@dataclass(frozen=True)
-class KernelCostModel:
-    """How one engine's kernels price a plan step.
-
-    ``batch_setup`` is the per-step fixed cost (mask allocation, probe-table
-    build) a batched kernel pays before touching a single row; row-at-a-time
-    engines pay none.  It is deliberately a *uniform additive constant*:
-    under :func:`~repro.sparql.algebra.order_patterns_greedily`'s estimate
-    comparison a constant shared by every step preserves the relative order,
-    so the bundled engines plan identically by construction — which the
-    differential suite's byte-identical-bindings contract depends on.
-
-    ``skew_guard``/``skew_blend`` control the point-lookup skew penalty.
-    The average lookup size (``cardinality / distinct_keys``) underprices
-    skewed predicates, where the hottest key holds most of the partition:
-    greedy ordering then front-loads a step that is "selective" on average
-    but explodes on exactly the keys a join actually probes (optimal
-    row-wise, pessimal batch-wise — a batched kernel materializes the whole
-    blowup at once).  When the worst-case lookup exceeds ``skew_guard``
-    times the average, ``skew_blend`` of the gap is added to the estimate.
-    The skew parameters are shared by every bundled model (only
-    ``batch_setup`` differs), keeping the expected row counts — and hence
-    the chosen join order — engine-invariant.
-    """
-
-    name: str
-    batch_setup: float = 0.0
-    skew_guard: float = 4.0
-    skew_blend: float = 0.5
-
-    def skew_penalty(
-        self, statistics: TableStatistics, pattern: TriplePattern, access_path: AccessPath
-    ) -> int:
-        """Extra expected rows charged to a skew-prone point lookup."""
-        average = statistics.estimate_index_rows(pattern, access_path)
-        worst = statistics.estimate_index_rows_worst(pattern, access_path)
-        if worst > self.skew_guard * max(1, average):
-            return int(round(self.skew_blend * (worst - average)))
-        return 0
-
-    def step_cost(self, estimated_rows: int) -> float:
-        """Ordering cost of one plan step under this engine's kernels."""
-        return self.batch_setup + estimated_rows
+#: The point-lookup skew guard.  The average lookup size
+#: (``cardinality / distinct_keys``) underprices skewed predicates, where the
+#: hottest key holds most of the partition: greedy ordering then front-loads a
+#: step that is "selective" on average but explodes on exactly the keys a join
+#: actually probes (a batched kernel materializes the whole blowup at once).
+#: When the worst-case lookup exceeds ``SKEW_GUARD`` times the average,
+#: ``SKEW_BLEND`` of the gap is added to the step's estimate.
+SKEW_GUARD = 4.0
+SKEW_BLEND = 0.5
 
 
-#: Row-at-a-time engines (reference, idspace, the SQL baseline): no per-step
-#: batch setup.
-ROW_KERNEL_COSTS = KernelCostModel(name="row")
-
-#: Batched engines (columnar): a fixed per-step kernel-dispatch cost.
-BATCH_KERNEL_COSTS = KernelCostModel(name="batch", batch_setup=8.0)
-
-_ENGINE_KERNEL_COSTS = {
-    "reference": ROW_KERNEL_COSTS,
-    "idspace": ROW_KERNEL_COSTS,
-    "columnar": BATCH_KERNEL_COSTS,
-    "sqlite": ROW_KERNEL_COSTS,
-}
-
-
-def kernel_costs_for_engine(engine: str) -> KernelCostModel:
-    """The kernel cost model for an engine name (row costs for unknown ones)."""
-    return _ENGINE_KERNEL_COSTS.get(engine, ROW_KERNEL_COSTS)
+def _skew_penalty(
+    statistics: TableStatistics, pattern: TriplePattern, access_path: AccessPath
+) -> int:
+    """Extra expected rows charged to a skew-prone point lookup."""
+    average = statistics.estimate_index_rows(pattern, access_path)
+    worst = statistics.estimate_index_rows_worst(pattern, access_path)
+    if worst > SKEW_GUARD * max(1, average):
+        return int(round(SKEW_BLEND * (worst - average)))
+    return 0
 
 
 def _choose_access_path(pattern: TriplePattern) -> AccessPath:
@@ -152,16 +100,12 @@ def plan_query(
     query: SelectQuery,
     statistics: TableStatistics,
     pattern_order: Sequence[TriplePattern] | None = None,
-    kernel_costs: KernelCostModel | None = None,
 ) -> RelationalPlan:
     """Build a left-deep plan for ``query`` using ``statistics``.
 
     ``pattern_order`` overrides the greedy ordering (used by the naive-order
-    ablation benchmark).  ``kernel_costs`` prices steps for one engine's
-    kernels (default: row-at-a-time); its skew parameters are shared across
-    the bundled models, so the chosen order never depends on the engine.
+    ablation benchmark).
     """
-    costs = kernel_costs or ROW_KERNEL_COSTS
 
     def expected_rows(pattern: TriplePattern) -> int:
         """Per-pattern row estimate, priced the way the executors actually
@@ -172,15 +116,12 @@ def plan_query(
         estimated = statistics.estimate_pattern_rows(pattern)
         if access_path in ("index_subject", "index_object"):
             estimated = min(estimated, statistics.estimate_index_rows(pattern, access_path))
-            estimated += costs.skew_penalty(statistics, pattern, access_path)
+            estimated += _skew_penalty(statistics, pattern, access_path)
         return estimated
-
-    def estimate(pattern: TriplePattern) -> float:
-        return costs.step_cost(expected_rows(pattern))
 
     if pattern_order is None:
         ordered = order_patterns_greedily(
-            query.patterns, cardinality=statistics.cardinalities(), estimate=estimate
+            query.patterns, cardinality=statistics.cardinalities(), estimate=expected_rows
         )
     else:
         ordered = list(pattern_order)

@@ -1,23 +1,23 @@
-"""The retained decode-per-row reference executor.
+"""The decode-per-row reference executor: the production engine's oracle.
 
-Before the ID-space engine (PR 3), the relational executor decoded every
-column of every scanned row into term objects and joined dictionaries of
-those terms.  That pipeline is preserved here, verbatim in behaviour, for two
-reasons:
+This executor decodes every column of every scanned row into term objects
+and joins dictionaries of those terms — the plainest possible reading of the
+plan, sharing no kernel, no id arithmetic and no cached state with
+:mod:`repro.relstore.columnar`.  It is kept for two reasons:
 
 * it is the **differential oracle**: ``tests/test_differential_engine.py``
-  pits the ID-space engine against it and asserts byte-identical result
-  bindings and bit-identical logical :class:`~repro.cost.counters.WorkCounters`
-  across every template family, unsharded and sharded;
+  pits the columnar engine (both kernel sets, unsharded and sharded) against
+  it and asserts byte-identical result bindings and bit-identical logical
+  :class:`~repro.cost.counters.WorkCounters` across every template family;
 * it is the **benchmark baseline**: ``benchmarks/bench_hotpath.py`` measures
-  the real wall-clock speedup of late materialization against it and ratchets
-  the result in ``BENCH_hotpath.json``.
+  the kernel-level wall-clock speedup of the columnar engine against it and
+  records the result in ``BENCH_hotpath.json``.
 
-Construct it via ``RelationalStore(engine="reference")``; it reuses the
-term-space helpers still exported by :mod:`repro.relstore.executor`
-(``bind_pattern_row``, ``join_pattern_rows``, ``finish_pipeline``, ...), so
-the two engines share the filter/projection/DISTINCT/LIMIT semantics and the
-work-charging points by construction.
+Construct it via ``RelationalStore(engine="reference")``; its pipeline is
+the term-space helpers of :mod:`repro.relstore.executor`
+(``bind_pattern_row``, ``join_pattern_rows``, ``finish_pipeline``, ...),
+which define the filter/projection/DISTINCT/LIMIT semantics and the
+work-charging points the production engine is held to.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class ReferenceExecutor:
         self._table = table
 
     # ------------------------------------------------------------------ #
-    # Public entry point (signature-compatible with RelationalExecutor)
+    # Public entry point (signature-compatible with ColumnarExecutor)
     # ------------------------------------------------------------------ #
     def execute(
         self,
@@ -70,7 +70,7 @@ class ReferenceExecutor:
 
         for step in plan:
             # Guard before scanning: once the pipeline is empty, later steps
-            # must charge zero work, exactly like the ID-space executor.
+            # must charge zero work.
             if not bindings:
                 break
             pattern_rows = list(self._pattern_bindings(step, counters))

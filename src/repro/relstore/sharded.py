@@ -15,12 +15,16 @@ re-placed by the subject term's stable hash so the partition's scans split
 evenly across every shard.  Promotion is sticky — partitions never demote,
 so placement stays stable for concurrent readers.
 
-**Work accounting.** The scatter-gather executor reuses the single-table
-executor's ID-space join/filter/projection helpers — shard probes match and
-return *integer id tuples*, the coordinator joins them centrally in ID space,
-and the surviving rows are decoded exactly once, post-merge (never per
-shard) — and charges the *logical* work counters exactly as
-:class:`~repro.relstore.store.RelationalStore` would:
+**Work accounting.** Queries run through the production engine's one execute
+loop (:func:`~repro.relstore.columnar.execute_compiled`); this store only
+supplies where a plan step's block comes from: it scatters the step over the
+shards holding the predicate (each a
+:class:`~repro.relstore.columnar.ColumnarTripleTable` answering with id
+*columns*), concatenates the fragments per column in shard order, and keeps
+the per-shard probe work for pricing.  Joins, filters, DISTINCT and LIMIT run
+centrally on the gathered columns and nothing is decoded per shard, so the
+*logical* work counters are exactly those of
+:class:`~repro.relstore.store.RelationalStore`:
 shard sub-scans sum to the same ``rows_scanned``, the central hash join
 produces the same ``rows_joined``, and one logical pattern access charges one
 ``index_lookups`` no matter how many shards were probed.  The differential
@@ -54,45 +58,29 @@ from __future__ import annotations
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cost.counters import WorkCounters
 from repro.cost.model import CostModel, DEFAULT_COST_MODEL
-from repro.errors import QueryExecutionError
 from repro.execution import ExecutionResult, ResultTable, ScatterGatherInfo
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import TripleSet
 from repro.rdf.terms import IRI, Triple
 from repro.sparql.ast import SelectQuery, TriplePattern
 
-from repro.relstore.columnar import (
-    ColumnarTripleTable,
-    finish_columnar_pipeline,
-    join_block,
-    join_columnar_tables,
-)
-from repro.relstore.executor import (
-    BoundPlanCache,
-    CompiledPlan,
-    CompiledStep,
-    IdRow,
-    QueryTermSpace,
-    check_work_budget,
-    compile_plan,
-    finish_id_pipeline,
-    join_id_extra_tables,
-    join_id_pattern_rows,
-    match_id_rows,
-)
-from repro.relstore.planner import RelationalPlan, kernel_costs_for_engine, plan_query
-from repro.relstore.stats import PredicateStatistics, TableStatistics, predicate_statistics
-from repro.relstore.store import DEFAULT_ENGINE, capped_execution, estimate_relational_seconds
-from repro.relstore.table import Row, TripleTable
+from repro.relstore.columnar import ColumnarTripleTable, ColumnBlock, execute_compiled
+from repro.relstore.executor import BoundPlanCache, CompiledPlan, CompiledStep, compile_plan
+from repro.relstore.planner import RelationalPlan, plan_query
+from repro.relstore.stats import MaintainedStatistics, TableStatistics
+from repro.relstore.store import capped_execution, estimate_relational_seconds
+from repro.relstore.table import Row
 
 __all__ = ["ShardingConfig", "ShardedRelationalStore", "ShardMetricsBoard", "SUBJECT_SHARDED"]
 
 #: Placement sentinel: the predicate's rows are spread by subject hash.
 SUBJECT_SHARDED = -1
+
+_INDEX_PATHS = ("index_subject", "index_object")
 
 
 @dataclass(frozen=True)
@@ -115,13 +103,18 @@ class ShardingConfig:
     min_subject_shard_rows: int = 128
 
 
-#: One probe = one shard's share of one plan step: (shard index, rows
-#: scanned, physical index lookups, priced seconds, matched id rows).
-#: The probe itself is the single pricing point — the metrics board and the
-#: parallel-time model both consume the same priced seconds.  Fragments are
-#: integer tuples (the pattern's variable columns): shards never decode —
-#: the coordinator joins in ID space and decodes once, post-merge.
-_Probe = Tuple[int, int, int, float, List[IdRow]]
+class _Probe(NamedTuple):
+    """One shard's share of one plan step.  The probe itself is the single
+    pricing point — the metrics board and the parallel-time model both
+    consume the same priced ``seconds``.  ``fragment`` is the shard table's
+    ``(names, columns, count)`` block of id columns (shards never decode),
+    ``source`` the cached block behind a partition scan's columns."""
+
+    shard: int
+    rows_scanned: int
+    seconds: float
+    fragment: tuple
+    source: Optional[ColumnBlock]
 
 
 class ShardMetricsBoard:
@@ -188,21 +181,14 @@ class ShardedRelationalStore:
     Parameters
     ----------
     shards:
-        Number of in-process shards (each its own :class:`TripleTable`; the
-        term dictionary is shared so identifiers stay globally consistent).
+        Number of in-process shards (each its own
+        :class:`~repro.relstore.columnar.ColumnarTripleTable`; the term
+        dictionary is shared so identifiers stay globally consistent).
     cost_model:
         Prices both the total-work and the parallel wall-clock view of every
         execution.
     config:
         Placement tunables (skew threshold for subject-sharding).
-    engine:
-        ``"columnar"`` (default) backs every shard with a
-        :class:`~repro.relstore.columnar.ColumnarTripleTable` — probes
-        return id *columns*, the coordinator concatenates them per column in
-        shard order and joins with the batch kernels; ``"idspace"`` (its
-        differential oracle) gathers integer id *tuples* from shard probes.
-        Either way the central merge decodes exactly once, post-merge, and
-        the logical work counters are identical.
     """
 
     def __init__(
@@ -211,25 +197,22 @@ class ShardedRelationalStore:
         cost_model: CostModel = DEFAULT_COST_MODEL,
         config: Optional[ShardingConfig] = None,
         dictionary: Optional[TermDictionary] = None,
-        engine: str = DEFAULT_ENGINE,
     ):
         if shards < 1:
             raise ValueError("a sharded store needs at least one shard")
-        if engine not in ("idspace", "columnar"):
-            raise ValueError(f"unknown sharded relational engine {engine!r}")
         self.shard_count = shards
         self.cost_model = cost_model
         self.config = config or ShardingConfig()
-        self.engine = engine
         self.dictionary = dictionary if dictionary is not None else TermDictionary()
-        table_cls = ColumnarTripleTable if engine == "columnar" else TripleTable
-        self._tables = [table_cls(self.dictionary) for _ in range(shards)]
+        self._tables = [ColumnarTripleTable(self.dictionary) for _ in range(shards)]
         #: predicate_id -> owner shard index, or SUBJECT_SHARDED.
         self._placement: Dict[int, int] = {}
         #: term_id -> stable hash shard (memoized CRC32 of the term's N3
         #: form, so placement is identical no matter the insertion order).
         self._term_shard: Dict[int, int] = {}
-        self._statistics: Optional[TableStatistics] = None
+        self._statistics = MaintainedStatistics(
+            self._tables_for_predicate, self.predicates, self.__len__, self.dictionary.lookup
+        )
         #: query → (plan, compiled plan) memo, invalidated by generation.
         self._bound_plans = BoundPlanCache()
         self._plan_generation = 0
@@ -363,7 +346,6 @@ class ShardedRelationalStore:
             if self._tables[shard].insert_row(row):
                 inserted += 1
                 touched.add(row[1])
-        self._statistics = None
         self._plan_generation += 1
         for predicate_id in touched:
             self._maybe_promote(predicate_id)
@@ -382,7 +364,6 @@ class ShardedRelationalStore:
         shard = self._shard_of_term(subject_id) if placement == SUBJECT_SHARDED else placement
         removed = self._tables[shard].delete(triple)
         if removed:
-            self._statistics = None
             self._plan_generation += 1
         return removed
 
@@ -398,7 +379,7 @@ class ShardedRelationalStore:
             merged.update(table.predicates())
         return sorted(merged, key=lambda p: p.value)
 
-    def _tables_for_predicate(self, predicate_id: int) -> Sequence[TripleTable]:
+    def _tables_for_predicate(self, predicate_id: int) -> Sequence[ColumnarTripleTable]:
         placement = self._placement.get(predicate_id)
         if placement is None:
             return ()
@@ -436,20 +417,10 @@ class ShardedRelationalStore:
         Content-identical to the unsharded store's statistics over the same
         data, so planning (join order, access paths) is identical too —
         sharding changes *where* rows live, never *how* queries are planned.
+        Brought up to date lazily after mutations, like the unsharded store's
+        (:class:`~repro.relstore.stats.MaintainedStatistics`).
         """
-        if self._statistics is None:
-            per_predicate: Dict[IRI, PredicateStatistics] = {}
-            for predicate in self.predicates():
-                predicate_id = self.dictionary.lookup(predicate)
-                if predicate_id is None:  # pragma: no cover - defensive
-                    continue
-                per_predicate[predicate] = predicate_statistics(
-                    row
-                    for table in self._tables_for_predicate(predicate_id)
-                    for row in table.scan_predicate(predicate_id)
-                )
-            self._statistics = TableStatistics(total_rows=len(self), per_predicate=per_predicate)
-        return self._statistics
+        return self._statistics.current(self._plan_generation)
 
     # ------------------------------------------------------------------ #
     # Query execution (scatter-gather)
@@ -457,12 +428,7 @@ class ShardedRelationalStore:
     def plan(
         self, query: SelectQuery, pattern_order: Sequence[TriplePattern] | None = None
     ) -> RelationalPlan:
-        return plan_query(
-            query,
-            self.statistics(),
-            pattern_order=pattern_order,
-            kernel_costs=kernel_costs_for_engine(self.engine),
-        )
+        return plan_query(query, self.statistics(), pattern_order=pattern_order)
 
     def _bound_plan(self, query: SelectQuery) -> Tuple[RelationalPlan, CompiledPlan]:
         """The plan with every step's constants resolved once per store
@@ -481,131 +447,62 @@ class ShardedRelationalStore:
     ) -> ExecutionResult:
         """Scatter-gather execution with unsharded-identical logical work.
 
-        The coordinator gathers *id tuples* from the shard probes, joins
-        them centrally in ID space, and decodes exactly once post-merge
-        (in :func:`finish_id_pipeline`) — never per shard.
+        The engine's execute loop asks this store for each plan step's block;
+        the answer is the shard probes' id columns concatenated per column in
+        shard order.  A step that one shard answers alone (a predicate placed
+        on one shard) hands that shard's cached columns over uncopied,
+        together with the block they came from, so the join reuses the
+        block's memoized group index exactly as the unsharded store does.
 
         Raises :class:`~repro.errors.WorkBudgetExceeded` at the same step
         boundaries, with the same partial work, as the unsharded store.
         """
-        if self.engine == "columnar":
-            return self._execute_columnar(
-                query, work_budget, extra_tables, tables_are_views, pattern_order
-            )
         if pattern_order is None:
-            plan, compiled = self._bound_plan(query)
+            _plan, compiled = self._bound_plan(query)
         else:
-            plan = self.plan(query, pattern_order=pattern_order)
-            compiled = compile_plan(plan, self.dictionary)
-        counters = WorkCounters(queries_issued=1)
+            compiled = compile_plan(self.plan(query, pattern_order=pattern_order), self.dictionary)
+        kernels = self._tables[0].kernels
         step_probe_work: List[List[Tuple[int, float]]] = []
         shard_rows_scanned = 0
-        space = QueryTermSpace(self.dictionary)
-        schema: Tuple[str, ...] = ()
-        rows: List[IdRow] = [()]
-        schema, rows = join_id_extra_tables(
-            schema, rows, extra_tables, space, counters, tables_are_views, work_budget
-        )
-
         unprobed_index_lookups = 0
-        for step in compiled.steps:
-            # Guard before scattering: an empty pipeline charges zero work on
-            # later steps, exactly like the unsharded executor.
-            if not rows:
-                break
-            probes = self._scatter(step)
-            pattern_rows: List[IdRow] = []
+
+        def step_block(step: CompiledStep, counters: WorkCounters):
+            nonlocal shard_rows_scanned, unprobed_index_lookups
+            probes = self._run_probes(self._shards_for_step(step), self._make_probe(step))
+            names = step.matcher.var_names
+            parts: List[List[object]] = [[] for _ in names]
+            total = 0
             step_work: List[Tuple[int, float]] = []
-            for shard, scanned, _lookups, probe_seconds, fragment in probes:
-                counters.rows_scanned += scanned
-                shard_rows_scanned += scanned
-                step_work.append((shard, probe_seconds))
-                pattern_rows.extend(fragment)
+            for probe in probes:
+                counters.rows_scanned += probe.rows_scanned
+                shard_rows_scanned += probe.rows_scanned
+                step_work.append((probe.shard, probe.seconds))
+                _names, fragment_cols, fragment_count = probe.fragment
+                if fragment_count:
+                    for bucket, column in zip(parts, fragment_cols):
+                        bucket.append(column)
+                    total += fragment_count
+            step_probe_work.append(step_work)
             # One *logical* index lookup per index step, exactly like the
-            # unsharded executor: charged once the predicate term is known,
-            # no matter how many shards were physically probed (or whether
-            # the bound term turned out to be absent).
-            if self._is_index_step(step) and step.predicate_id is not None:
+            # unsharded store: charged once the predicate term is known, no
+            # matter how many shards were physically probed (or whether the
+            # bound term turned out to be absent).
+            if step.predicate_id is not None and step.access_path in _INDEX_PATHS:
                 counters.index_lookups += 1
                 if not probes:
                     # No shard was touched (bound term absent), so the lookup
                     # cost must be priced centrally or the parallel price
                     # would drop work the serial price includes.
                     unprobed_index_lookups += 1
-            step_probe_work.append(step_work)
-            schema, rows = join_id_pattern_rows(schema, rows, step.matcher, pattern_rows, counters)
-            check_work_budget(counters, work_budget)
+            # A single fragment passes through `concat` as the very same
+            # arrays, which is what lets its source block's memo apply.
+            block_cols = [kernels.concat(bucket) if bucket else kernels.empty() for bucket in parts]
+            return (names, block_cols, total), probes[0].source if len(probes) == 1 else None
 
-        result = finish_id_pipeline(schema, rows, query, counters, space)
-        self._price(result, step_probe_work, shard_rows_scanned, unprobed_index_lookups)
-        return result
-
-    def _execute_columnar(
-        self,
-        query: SelectQuery,
-        work_budget: Optional[float],
-        extra_tables: Optional[Iterable[ResultTable]],
-        tables_are_views: bool,
-        pattern_order: Sequence[TriplePattern] | None,
-    ) -> ExecutionResult:
-        """The columnar twin of :meth:`execute`: shard probes return id
-        *columns*, the coordinator concatenates them per column in shard
-        order (the exact order the id-tuple gather produces) and joins with
-        the batch kernels; decode still happens exactly once, post-merge, in
-        :func:`~repro.relstore.columnar.finish_columnar_pipeline`."""
-        if pattern_order is None:
-            plan, compiled = self._bound_plan(query)
-        else:
-            plan = self.plan(query, pattern_order=pattern_order)
-            compiled = compile_plan(plan, self.dictionary)
-        kernels = self._tables[0].kernels
-        counters = WorkCounters(queries_issued=1)
-        step_probe_work: List[List[Tuple[int, float]]] = []
-        shard_rows_scanned = 0
-        space = QueryTermSpace(self.dictionary)
-        schema: Tuple[str, ...] = ()
-        cols: List[object] = []
-        count = 1  # the pipeline seed: one zero-width row
-        schema, cols, count = join_columnar_tables(
-            schema, cols, count, extra_tables, space, counters, tables_are_views, work_budget, kernels
+        result = execute_compiled(
+            query, compiled, self.dictionary, kernels, step_block,
+            work_budget, extra_tables, tables_are_views,
         )
-
-        unprobed_index_lookups = 0
-        for step in compiled.steps:
-            # Guard before scattering: an empty pipeline charges zero work on
-            # later steps, exactly like the unsharded executors.
-            if count == 0:
-                break
-            probes = self._run_probes(self._scatter_targets(step), self._make_column_probe(step))
-            names = step.matcher.var_names
-            parts: List[List[object]] = [[] for _ in names]
-            total = 0
-            step_work: List[Tuple[int, float]] = []
-            for shard, scanned, _lookups, probe_seconds, fragment in probes:
-                counters.rows_scanned += scanned
-                shard_rows_scanned += scanned
-                step_work.append((shard, probe_seconds))
-                fragment_cols, fragment_count = fragment
-                if fragment_count:
-                    for bucket, column in zip(parts, fragment_cols):
-                        bucket.append(column)
-                    total += fragment_count
-            block_cols = [
-                kernels.concat(bucket) if bucket else kernels.empty() for bucket in parts
-            ]
-            # One *logical* index lookup per index step, exactly like the
-            # unsharded executors (see :meth:`execute`).
-            if self._is_index_step(step) and step.predicate_id is not None:
-                counters.index_lookups += 1
-                if not probes:
-                    unprobed_index_lookups += 1
-            step_probe_work.append(step_work)
-            schema, cols, count = join_block(
-                schema, cols, count, names, block_cols, total, counters, kernels, work_budget
-            )
-            check_work_budget(counters, work_budget)
-
-        result = finish_columnar_pipeline(schema, cols, count, query, counters, space, kernels)
         self._price(result, step_probe_work, shard_rows_scanned, unprobed_index_lookups)
         return result
 
@@ -638,7 +535,9 @@ class ShardedRelationalStore:
         could not be re-derived from the rows alone."""
         return {
             "kind": "sharded",
-            "engine": self.engine,
+            # Not read on restore; written so that manifests stay readable by
+            # builds that had more than one engine.
+            "engine": "columnar",
             "shards": self.shard_count,
             "config": {
                 "skew_threshold": self.config.skew_threshold,
@@ -662,7 +561,10 @@ class ShardedRelationalStore:
         Placement is installed *before* the rows, and rows go straight to
         their recorded shard (no re-routing, no promotion checks): the
         restored store answers queries with bit-identical logical work and
-        the same per-shard physical breakdown as the snapshotted one.
+        the same per-shard physical breakdown as the snapshotted one.  The
+        payload's ``"engine"`` tag is not read: tagged ``"columnar"``, the
+        legacy ``"idspace"``, or (older still) not at all, the rows restore
+        onto the production engine.
         """
         store = cls(
             shards=int(state["shards"]),
@@ -672,84 +574,43 @@ class ShardedRelationalStore:
                 min_subject_shard_rows=int(state["config"]["min_subject_shard_rows"]),
             ),
             dictionary=dictionary,
-            # Pre-columnar snapshots carry no engine field.
-            engine=state.get("engine", "idspace"),
         )
         store._placement = {int(pid): int(shard) for pid, shard in state["placement"].items()}
         for table, flat in zip(store._tables, state["shard_rows"]):
             table.load_rows(flat)
-        store._statistics = TableStatistics.from_payload(state["statistics"])
+        store._statistics.install(
+            store._plan_generation, TableStatistics.from_payload(state["statistics"])
+        )
         store.total_insert_seconds = float(state["total_insert_seconds"])
         return store
 
     # ------------------------------------------------------------------ #
     # Scatter internals
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _is_index_step(step: CompiledStep) -> bool:
-        return step.access_path in ("index_subject", "index_object")
-
-    def _scatter(self, step: CompiledStep) -> List[_Probe]:
-        """Probe every shard the step's access path touches.
-
-        The step's constants arrive pre-resolved on the :class:`CompiledStep`
-        (one dictionary lookup per plan binding, not per execution).  The
-        returned probes are ordered by shard index, so the gathered pattern
-        rows are deterministic regardless of pool scheduling.  The *logical*
-        index-lookup charge happens at the coordinator (one per step, like
-        the unsharded executor); per-shard physical lookups are recorded in
-        the probe tuples and the metrics board only.
-        """
-        return self._run_probes(self._scatter_targets(step), self._make_probe(step))
-
-    def _scatter_targets(
-        self, step: CompiledStep
-    ) -> List[Tuple[int, str, Optional[tuple]]]:
-        """The ``(shard, access, args)`` probe targets of one plan step —
-        placement-derived and shared by the id-tuple and columnar gathers.
-        Empty when the step cannot match (unknown predicate or bound term)."""
+    def _shards_for_step(self, step: CompiledStep) -> Sequence[int]:
+        """The shards one plan step probes, ascending — so the gathered
+        fragments are deterministic regardless of pool scheduling.  Empty
+        when the step cannot match (unknown predicate or bound term).  The
+        step's constants arrive pre-resolved on the :class:`CompiledStep`."""
         if step.access_path == "table_scan":
-            return [(shard, "table_scan", None) for shard in range(self.shard_count)]
-
-        predicate_id = step.predicate_id
-        if predicate_id is None:
-            return []
-        placement = self._placement.get(predicate_id)
-
+            return range(self.shard_count)
+        placement = self._placement.get(step.predicate_id)
+        if placement is None:
+            return ()
         if step.access_path == "index_subject":
-            subject_id = step.subject_id
-            if subject_id is None or placement is None:
-                return []
+            if step.subject_id is None:
+                return ()
             if placement == SUBJECT_SHARDED:
-                shards: Sequence[int] = (self._shard_of_term(subject_id),)
-            else:
-                shards = (placement,)
-            return [(shard, "lookup_subject", (predicate_id, subject_id)) for shard in shards]
-        if step.access_path == "index_object":
-            object_id = step.object_id
-            if object_id is None or placement is None:
-                return []
-            if placement == SUBJECT_SHARDED:
-                shards = range(self.shard_count)
-            else:
-                shards = (placement,)
-            return [(shard, "lookup_object", (predicate_id, object_id)) for shard in shards]
-        if step.access_path == "partition_scan":
-            if placement is None:
-                return []
-            if placement == SUBJECT_SHARDED:
-                shards = range(self.shard_count)
-            else:
-                shards = (placement,)
-            return [(shard, "scan_predicate", (predicate_id,)) for shard in shards]
-        # pragma: no cover - defensive, mirrors RelationalExecutor
-        raise QueryExecutionError(f"unknown access path {step.access_path!r}")
+                return (self._shard_of_term(step.subject_id),)
+        elif step.access_path == "index_object" and step.object_id is None:
+            return ()
+        return range(self.shard_count) if placement == SUBJECT_SHARDED else (placement,)
 
-    def _run_probes(self, targets: List[Tuple[int, str, Optional[tuple]]], probe) -> list:
+    def _run_probes(self, shards: Sequence[int], probe) -> List[_Probe]:
         pool = self._scatter_pool
-        if pool is not None and len(targets) > 1:
+        if pool is not None and len(shards) > 1:
             try:
-                return list(pool.map(probe, targets))
+                return list(pool.map(probe, shards))
             except RuntimeError as exc:
                 # Only the submission-time "cannot schedule new futures after
                 # shutdown" case falls back: the pool's owner closed it under
@@ -759,87 +620,28 @@ class ShardedRelationalStore:
                 # failure and must surface.
                 if "shutdown" not in str(exc):
                     raise
-        return [probe(target) for target in targets]
+        return [probe(shard) for shard in shards]
 
-    def _make_probe(
-        self, step: CompiledStep
-    ) -> Callable[[Tuple[int, str, Optional[tuple]]], _Probe]:
-        matcher = step.matcher
+    def _make_probe(self, step: CompiledStep):
+        """One shard's share of ``step``: the shard table's own access path
+        (:meth:`ColumnarTripleTable.step_block`), charged to a probe-local
+        counter, priced, and posted to the metrics board.  The *logical*
+        index-lookup charge happens at the coordinator (one per step); the
+        per-shard physical lookups go to the metrics board only."""
         tables = self._tables
         board = self.shard_metrics
         cost_model = self.cost_model
 
-        def probe(target: Tuple[int, str, Optional[tuple]]) -> _Probe:
-            shard, access, args = target
-            table = tables[shard]
+        def probe(shard: int) -> _Probe:
             board.begin(shard)
-            scanned = 0
-            fragment: List[IdRow] = []
+            local = WorkCounters()
             try:
-                if access == "table_scan":
-                    rows: Iterable[Row] = table.scan()
-                    lookups = 0
-                elif access == "scan_predicate":
-                    rows = table.scan_predicate(*args)
-                    lookups = 0
-                elif access == "lookup_subject":
-                    rows = table.lookup_subject(*args)
-                    lookups = 1
-                else:  # lookup_object
-                    rows = table.lookup_object(*args)
-                    lookups = 1
-                # Pure ID-space matching: the probe never touches the term
-                # dictionary, only compares ints (late materialization — the
-                # coordinator decodes once, after the central merge).
-                local = WorkCounters()
-                fragment = match_id_rows(matcher, rows, local)
-                scanned = local.rows_scanned
+                fragment, source = tables[shard].step_block(step, local)
             finally:
+                scanned, lookups = local.rows_scanned, local.index_lookups
                 seconds = cost_model.relational_scan_seconds(scanned, lookups)
                 board.finish(shard, scanned, lookups, seconds)
-            return (shard, scanned, lookups, seconds, fragment)
-
-        return probe
-
-    def _make_column_probe(self, step: CompiledStep):
-        """The columnar probe: scans match against the shard's cached column
-        blocks; point lookups mask the same blocks down to the index key
-        (order-identical to the secondary-index bucket walk, see
-        :func:`~repro.relstore.columnar.match_index_block`).  Work charging,
-        pricing, and the metrics board are identical to :meth:`_make_probe`
-        — only the fragment payload changes, to ``(columns, count)``."""
-        matcher = step.matcher
-        tables = self._tables
-        board = self.shard_metrics
-        cost_model = self.cost_model
-
-        def probe(target: Tuple[int, str, Optional[tuple]]):
-            shard, access, args = target
-            table = tables[shard]
-            board.begin(shard)
-            scanned = 0
-            lookups = 0
-            fragment: Tuple[List[object], int] = ([], 0)
-            try:
-                local = WorkCounters()
-                if access == "table_scan":
-                    _, fragment_cols, fragment_count = table.match_full(matcher, local)
-                elif access == "scan_predicate":
-                    _, fragment_cols, fragment_count = table.match_partition(
-                        matcher, args[0], local
-                    )
-                else:
-                    position = 0 if access == "lookup_subject" else 2
-                    lookups = 1
-                    _, fragment_cols, fragment_count = table.match_index(
-                        matcher, args[0], position, args[1], local
-                    )
-                scanned = local.rows_scanned
-                fragment = (list(fragment_cols), fragment_count)
-            finally:
-                seconds = cost_model.relational_scan_seconds(scanned, lookups)
-                board.finish(shard, scanned, lookups, seconds)
-            return (shard, scanned, lookups, seconds, fragment)
+            return _Probe(shard, scanned, seconds, fragment, source)
 
         return probe
 

@@ -67,9 +67,6 @@ def _sql_filter(operator: str, left: str, right: str) -> int:
 class SQLiteBackend:
     """A thin SQLite wrapper exposing bulk load, insert, and SELECT execution."""
 
-    #: Engine name on the RelationalBackend protocol surface.
-    engine = "sqlite"
-
     def __init__(self, path: Union[str, Path] = ":memory:"):
         self._path = str(path)
         try:

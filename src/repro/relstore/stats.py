@@ -8,7 +8,7 @@ moving a partition without executing anything (``estimate_only`` mode).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.rdf.terms import IRI, Variable
 from repro.sparql.ast import SelectQuery, TriplePattern
@@ -16,7 +16,7 @@ from repro.sparql.ast import SelectQuery, TriplePattern
 if TYPE_CHECKING:  # annotations only: table.py imports this module
     from repro.relstore.table import Row, TripleTable
 
-__all__ = ["TableStatistics", "collect_statistics", "predicate_statistics"]
+__all__ = ["TableStatistics", "MaintainedStatistics", "collect_statistics", "predicate_statistics"]
 
 
 @dataclass(frozen=True)
@@ -246,3 +246,69 @@ def collect_statistics(table: TripleTable) -> TableStatistics:
             continue
         per_predicate[predicate] = predicate_statistics(table.scan_predicate(predicate_id))
     return TableStatistics(total_rows=len(table), per_predicate=per_predicate)
+
+
+class MaintainedStatistics:
+    """A store's statistics, brought up to date lazily after mutations.
+
+    Each per-predicate entry records the write stamp
+    (:meth:`~repro.relstore.table.TripleTable.write_stamp`) of every table
+    holding rows of the predicate — one table in the unsharded store and for
+    a predicate placed on one shard, all of them for a subject-sharded one —
+    and is kept for as long as those stamps stand; only the predicates
+    written since the last call are recomputed.  Values equal
+    :func:`collect_statistics` over the same rows.
+
+    The owning store says what it holds: ``tables_for(predicate_id)`` names
+    the tables with a predicate's rows, in scan order; ``predicates()`` and
+    ``total_rows()`` are the store's own; ``lookup`` maps a predicate to its
+    id.  ``generation`` is the store's plan generation, so a call between
+    mutations is one comparison.
+    """
+
+    def __init__(
+        self,
+        tables_for: "Callable[[int], Sequence[TripleTable]]",
+        predicates: "Callable[[], Iterable[IRI]]",
+        total_rows: "Callable[[], int]",
+        lookup: "Callable[[IRI], Optional[int]]",
+    ):
+        self._tables_for = tables_for
+        self._predicates = predicates
+        self._total_rows = total_rows
+        self._lookup = lookup
+        #: (generation it is current for, statistics, stamps per entry) — one
+        #: value, so concurrent readers refreshing at once each swap in a
+        #: whole state.
+        self._state: Tuple[int, Optional[TableStatistics], Dict[IRI, tuple]] = (-1, None, {})
+
+    def _stamp(self, predicate: IRI) -> Tuple[int, "Sequence[TripleTable]", tuple]:
+        predicate_id = self._lookup(predicate)
+        tables = self._tables_for(predicate_id)
+        return predicate_id, tables, tuple(table.write_stamp(predicate_id) for table in tables)
+
+    def current(self, generation: int) -> TableStatistics:
+        state_generation, statistics, stamps = self._state
+        if state_generation == generation:
+            return statistics
+        per_predicate: Dict[IRI, PredicateStatistics] = {}
+        fresh_stamps: Dict[IRI, tuple] = {}
+        for predicate in self._predicates():
+            predicate_id, tables, stamp = self._stamp(predicate)
+            fresh_stamps[predicate] = stamp
+            if stamps.get(predicate) == stamp:
+                per_predicate[predicate] = statistics.per_predicate[predicate]
+            elif len(tables) == 1:
+                per_predicate[predicate] = tables[0].predicate_statistics(predicate_id)
+            else:
+                per_predicate[predicate] = predicate_statistics(
+                    row for table in tables for row in table.scan_predicate(predicate_id)
+                )
+        statistics = TableStatistics(total_rows=self._total_rows(), per_predicate=per_predicate)
+        self._state = (generation, statistics, fresh_stamps)
+        return statistics
+
+    def install(self, generation: int, statistics: TableStatistics) -> None:
+        """Adopt restored statistics as current for the rows just loaded."""
+        stamps = {predicate: self._stamp(predicate)[2] for predicate in statistics.per_predicate}
+        self._state = (generation, statistics, stamps)

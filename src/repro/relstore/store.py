@@ -12,7 +12,7 @@ into seconds.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.cost.counters import WorkCounters
 from repro.cost.model import CostModel, DEFAULT_COST_MODEL
@@ -23,29 +23,19 @@ from repro.rdf.terms import IRI, Triple
 from repro.sparql.ast import SelectQuery, TriplePattern
 
 from repro.relstore.columnar import ColumnarExecutor, ColumnarTripleTable
-from repro.relstore.executor import (
-    BoundPlanCache,
-    CompiledPlan,
-    RelationalExecutor,
-    relational_work_units,
-)
-from repro.relstore.planner import RelationalPlan, kernel_costs_for_engine, plan_query
+from repro.relstore.executor import BoundPlanCache, CompiledPlan, relational_work_units
+from repro.relstore.planner import RelationalPlan, plan_query
 from repro.relstore.reference import ReferenceExecutor
-from repro.relstore.stats import PredicateStatistics, TableStatistics
+from repro.relstore.stats import MaintainedStatistics, TableStatistics
 from repro.relstore.table import TripleTable
 from repro.relstore.views import MaterializedView, MaterializedViewManager
 
 __all__ = [
-    "DEFAULT_ENGINE",
     "RelationalStore",
     "relational_work_units",
     "capped_execution",
     "estimate_relational_seconds",
 ]
-
-
-#: The engine a store runs when nobody names one.
-DEFAULT_ENGINE = "columnar"
 
 
 def capped_execution(store, query: SelectQuery, work_budget: float):
@@ -84,14 +74,11 @@ class RelationalStore:
         When given, a :class:`MaterializedViewManager` is attached with that
         row budget (used by the RDB-views baseline).
     engine:
-        ``"columnar"`` (default) runs the vectorized columnar engine
-        (term-id columns, mask selection, batched hash joins —
-        numpy-accelerated when available) with a bound-plan memo.  The other
-        two are kept as its differential oracles: ``"idspace"`` runs the
-        row-at-a-time late-materialization engine with the same memo;
-        ``"reference"`` runs the retained decode-per-row executor, which
-        re-plans and re-resolves constants per execution like the pre-PR-3
-        store did.
+        ``"columnar"`` (default) runs the production engine: term-id
+        columns, mask selection, batched hash joins — numpy-accelerated when
+        available — with a bound-plan memo.  ``"reference"`` runs its
+        differential oracle, the decode-per-row executor, which re-plans and
+        re-resolves constants on every execution.
     dictionary:
         An existing term dictionary to encode against (the snapshot-restore
         path rebuilds the dictionary first so persisted integer rows keep
@@ -102,29 +89,26 @@ class RelationalStore:
         self,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         view_row_budget: Optional[int] = None,
-        engine: str = DEFAULT_ENGINE,
+        engine: str = "columnar",
         dictionary=None,
     ):
-        if engine not in ("idspace", "reference", "columnar"):
+        if engine not in ("reference", "columnar"):
             raise ValueError(f"unknown relational engine {engine!r}")
         self.cost_model = cost_model
         self.engine = engine
         if engine == "columnar":
             self.table: TripleTable = ColumnarTripleTable(dictionary)
             self._executor = ColumnarExecutor(self.table)
-        elif engine == "idspace":
-            self.table = TripleTable(dictionary)
-            self._executor = RelationalExecutor(self.table)
         else:
             self.table = TripleTable(dictionary)
             self._executor = ReferenceExecutor(self.table)
         #: query → (plan, compiled plan) memo, invalidated by generation.
         self._bound_plans = BoundPlanCache()
         self._plan_generation = 0
-        #: (plan generation they are current for, statistics, the table write
-        #: stamp each per-predicate entry was computed at) — one value, so
-        #: concurrent readers refreshing at once each swap in a whole state.
-        self._statistics: Tuple[int, Optional[TableStatistics], Dict[IRI, tuple]] = (-1, None, {})
+        table = self.table
+        self._statistics = MaintainedStatistics(
+            lambda predicate_id: (table,), table.predicates, table.__len__, table.dictionary.lookup
+        )
         self.view_manager: Optional[MaterializedViewManager] = (
             MaterializedViewManager(row_budget=view_row_budget) if view_row_budget is not None else None
         )
@@ -184,37 +168,14 @@ class RelationalStore:
 
     def statistics(self) -> TableStatistics:
         """Current table statistics, brought up to date lazily after
-        mutations: entries of predicates not written since the last call are
-        kept, the others recomputed — value for value what
-        :func:`~repro.relstore.stats.collect_statistics` would return."""
-        generation, statistics, stamps = self._statistics
-        if generation == self._plan_generation:
-            return statistics
-        generation = self._plan_generation
-        table = self.table
-        per_predicate: Dict[IRI, PredicateStatistics] = {}
-        fresh_stamps: Dict[IRI, tuple] = {}
-        for predicate in table.predicates():
-            predicate_id = table.dictionary.lookup(predicate)
-            stamp = fresh_stamps[predicate] = table.write_stamp(predicate_id)
-            if stamps.get(predicate) == stamp:
-                per_predicate[predicate] = statistics.per_predicate[predicate]
-            else:
-                per_predicate[predicate] = table.predicate_statistics(predicate_id)
-        statistics = TableStatistics(total_rows=len(table), per_predicate=per_predicate)
-        self._statistics = (generation, statistics, fresh_stamps)
-        return statistics
+        mutations (:class:`~repro.relstore.stats.MaintainedStatistics`)."""
+        return self._statistics.current(self._plan_generation)
 
     # ------------------------------------------------------------------ #
     # Query execution
     # ------------------------------------------------------------------ #
     def plan(self, query: SelectQuery, pattern_order: Sequence[TriplePattern] | None = None) -> RelationalPlan:
-        return plan_query(
-            query,
-            self.statistics(),
-            pattern_order=pattern_order,
-            kernel_costs=kernel_costs_for_engine(self.engine),
-        )
+        return plan_query(query, self.statistics(), pattern_order=pattern_order)
 
     def _bound_plan(self, query: SelectQuery) -> tuple[RelationalPlan, CompiledPlan]:
         """The query's plan with constants pre-resolved, memoized per store
@@ -241,7 +202,7 @@ class RelationalStore:
             exception carries the partial work so the caller can price it.
         """
         compiled: Optional[CompiledPlan] = None
-        if self.engine in ("idspace", "columnar") and pattern_order is None:
+        if self.engine == "columnar" and pattern_order is None:
             plan, compiled = self._bound_plan(query)
         else:
             plan = self.plan(query, pattern_order=pattern_order)
@@ -356,15 +317,15 @@ class RelationalStore:
     ) -> "RelationalStore":
         """Rebuild a store from :meth:`snapshot_state` against a restored
         dictionary.  Row order (and therefore index order, scan order, query
-        results, and work counters) matches the snapshotted store exactly."""
-        store = cls(cost_model=cost_model, engine=state["engine"], dictionary=dictionary)
-        table = store.table
-        table.load_rows(state["rows"])
-        statistics = TableStatistics.from_payload(state["statistics"])
-        stamps = {
-            predicate: table.write_stamp(table.dictionary.lookup(predicate))
-            for predicate in statistics.per_predicate
-        }
-        store._statistics = (store._plan_generation, statistics, stamps)
+        results, and work counters) matches the snapshotted store exactly.
+
+        The payload's ``"engine"`` tag is not read: whatever engine wrote the
+        snapshot (including the legacy ``"idspace"`` tag), the rows restore
+        onto the production engine."""
+        store = cls(cost_model=cost_model, dictionary=dictionary)
+        store.table.load_rows(state["rows"])
+        store._statistics.install(
+            store._plan_generation, TableStatistics.from_payload(state["statistics"])
+        )
         store.total_insert_seconds = float(state["total_insert_seconds"])
         return store

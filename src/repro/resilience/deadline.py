@@ -25,14 +25,13 @@ join's gather — whose size is known, and checked against the work budget,
 before it is allocated — then, while a deadline is active, between
 :data:`~repro.relstore.columnar.GATHER_CHUNK_ROWS`-row chunks of the gather
 and every :data:`PROBE_STRIDE` rows of the filter and materialize loops; a
-build side's group-index sort and DISTINCT's run unprobed), the ID-space
-relational engine (:mod:`repro.relstore.executor`), the graph matcher
-(:mod:`repro.graphstore.matcher`), and — through them — the sharded
-coordinator's request-thread loops.  The decode-per-row reference executor is
-an oracle and is not probed.  Scatter-pool probe threads do not see
+build side's group-index sort and DISTINCT's run unprobed), the graph matcher
+(:mod:`repro.graphstore.matcher`), and — running the same execute loop — the
+sharded coordinator's request thread.  The decode-per-row reference executor
+is an oracle and is not probed.  Scatter-pool probe threads do not see
 the request thread's ambient deadline (each shard probe is bounded by its
-shard's size); the coordinator re-checks between gathers, which is what
-bounds end-to-end latency.
+shard's size); the coordinator's loop re-checks before and inside each join,
+which is what bounds end-to-end latency.
 """
 
 from __future__ import annotations

@@ -137,13 +137,6 @@ class ServiceConfig:
         An over-budget execution raises
         :class:`~repro.errors.QueryTimeoutError` and frees its thread;
         ``None`` (the default) serves unbudgeted, exactly as before.
-    engine:
-        Expected relational execution engine of the fronted dual store
-        (``"idspace"``, ``"columnar"``, …).  The service validates it against
-        ``dual.relational.engine`` at construction and fails fast on a
-        mismatch — deployment config naming one engine while the store runs
-        another is a misconfiguration, not something to paper over.  ``None``
-        (the default) accepts whatever the store runs.
     """
 
     plan_cache_size: int = 1024
@@ -154,7 +147,6 @@ class ServiceConfig:
     snapshot: Optional[SnapshotPolicy] = None
     gated: bool = False
     default_deadline_seconds: Optional[float] = None
-    engine: Optional[str] = None
 
 
 @dataclass
@@ -217,13 +209,6 @@ class QueryService:
     def __init__(self, dual: DualStore, config: Optional[ServiceConfig] = None):
         self.dual = dual
         self.config = config or ServiceConfig()
-        if self.config.engine is not None:
-            store_engine = getattr(dual.relational, "engine", None)
-            if store_engine != self.config.engine:
-                raise ValueError(
-                    f"ServiceConfig.engine={self.config.engine!r} but the dual store's "
-                    f"relational backend runs engine {store_engine!r}"
-                )
         self.plan_cache = PlanCache(self.config.plan_cache_size)
         self.result_cache = ResultCache(self.config.result_cache_size)
         # Memo for parsed-query canonical keys: to_sparql() + re-tokenization

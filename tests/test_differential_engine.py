@@ -1,15 +1,19 @@
-"""Differential suite: every derived engine vs the decode-per-row reference.
+"""Differential suite: the production engine vs the decode-per-row reference.
 
-The late-materialization executor (``RelationalStore(engine="idspace")``) and
-the vectorized columnar engine (``engine="columnar"``, the default) must be
-*indistinguishable in output* from the retained reference executor
-(``engine="reference"``): byte-identical result bindings (same solutions,
-same order, same dict contents) and bit-identical logical
-:class:`~repro.cost.counters.WorkCounters` — therefore identical modelled
-seconds — across every template family, unsharded and sharded, standalone
-and through ``DualStore.run_query`` with physical-design mutations
+The vectorized columnar engine (``RelationalStore()``) must be
+*indistinguishable in output* from the reference executor
+(``engine="reference"``), on both of its kernel sets: byte-identical result
+bindings (same solutions, same order, same dict contents) and bit-identical
+logical :class:`~repro.cost.counters.WorkCounters` — therefore identical
+modelled seconds — across every template family, unsharded and sharded,
+standalone and through ``DualStore.run_query`` with physical-design mutations
 interleaved, and across a persist round-trip.  Only wall-clock may differ;
 that is the whole point.
+
+The first half of the module holds the engine to the oracle on its
+**stdlib** kernels (stores built through :func:`on_stdlib_kernels`), the
+second half on whatever kernels the environment selects — numpy, unless
+``REPRO_COLUMNAR_FORCE_STDLIB`` is set.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from repro import (
 )
 from repro.execution import ResultTable
 from repro.rdf import IRI, Literal, Triple, YAGO
+from repro.relstore.columnar import FORCE_STDLIB_ENV, ColumnarTripleTable
 from repro.relstore.executor import relational_work_units
 from repro.sparql import parse_query
 
@@ -39,6 +44,14 @@ SHARD_COUNTS = (1, 4)
 
 #: Aggressive skew settings so subject-sharded scatter paths are exercised.
 AGGRESSIVE = ShardingConfig(skew_threshold=0.2, min_subject_shard_rows=16)
+
+
+def on_stdlib_kernels(build):
+    """``build()`` with the production engine pinned to its stdlib kernels
+    (a table picks its kernel set when it is constructed)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(FORCE_STDLIB_ENV, "1")
+        return build()
 
 
 def assert_identical(warm, cold, context: str) -> None:
@@ -86,21 +99,11 @@ def reference_runs(family_workloads):
 # --------------------------------------------------------------------------- #
 # Unsharded differential: byte-identical down to binding order
 # --------------------------------------------------------------------------- #
-def test_idspace_engine_matches_reference_for_every_family(family_workloads, reference_runs):
-    for label, triples, queries in family_workloads:
-        store = RelationalStore(engine="idspace")
-        store.load(triples)
-        for index, (query, cold) in enumerate(zip(queries, reference_runs[label])):
-            warm = store.execute(query)
-            assert_identical(warm, cold, f"{label}[{index}]")
-            assert warm.seconds == pytest.approx(cold.seconds, rel=0, abs=0)
-
-
 def test_repeated_execution_through_the_bound_plan_memo_stays_identical(family_workloads, reference_runs):
     """The second execution takes the memoized (plan, compiled) path; answers
     and counters must not depend on which path bound the plan."""
     label, triples, queries = family_workloads[3]  # watdiv-complex
-    store = RelationalStore(engine="idspace")
+    store = on_stdlib_kernels(RelationalStore)
     store.load(triples)
     first = [store.execute(q) for q in queries[:10]]
     for index, query in enumerate(queries[:10]):
@@ -110,41 +113,18 @@ def test_repeated_execution_through_the_bound_plan_memo_stays_identical(family_w
 
 
 # --------------------------------------------------------------------------- #
-# Sharded differential (the scatter path gathers id tuples, decodes post-merge)
-# --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_sharded_idspace_matches_reference_for_every_family(
-    shards, family_workloads, reference_runs, fingerprint
-):
-    """Sharded answers are binding-identical as a multiset (gather order may
-    legally reorder rows; see the LIMIT caveat in relstore/sharded.py) with
-    bit-identical logical work."""
-    for label, triples, queries in family_workloads:
-        store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE, engine="idspace")
-        store.load(triples)
-        for index, (query, cold) in enumerate(zip(queries, reference_runs[label])):
-            warm = store.execute(query)
-            assert fingerprint(warm) == fingerprint(cold), (
-                f"{label}[{index}]: bindings diverged at N={shards}"
-            )
-            assert warm.counters.as_dict() == cold.counters.as_dict(), (
-                f"{label}[{index}]: work diverged at N={shards}"
-            )
-
-
-# --------------------------------------------------------------------------- #
-# Work budgets: the two engines must abort at the same step boundaries
+# Work budgets: engine and oracle must abort at the same step boundaries
 # --------------------------------------------------------------------------- #
 def test_capped_execution_parity(watdiv_dataset):
     reference = RelationalStore(engine="reference")
     reference.load(watdiv_dataset.triples)
-    idspace = RelationalStore(engine="idspace")
-    idspace.load(watdiv_dataset.triples)
+    stdlib = on_stdlib_kernels(RelationalStore)
+    stdlib.load(watdiv_dataset.triples)
     queries = watdiv_workload(watdiv_dataset, family="complex", seed=5).ordered()[:8]
     for query in queries:
         for budget in (1.0, 50.0, 1e9):
             cold_result, cold_seconds = reference.execute_capped(query, work_budget=budget)
-            warm_result, warm_seconds = idspace.execute_capped(query, work_budget=budget)
+            warm_result, warm_seconds = stdlib.execute_capped(query, work_budget=budget)
             assert (warm_result is None) == (cold_result is None)
             assert warm_seconds == pytest.approx(cold_seconds, rel=0, abs=0)
             if warm_result is not None:
@@ -152,15 +132,15 @@ def test_capped_execution_parity(watdiv_dataset):
 
 
 # --------------------------------------------------------------------------- #
-# Filters: the ID fast path must not change value-comparison semantics
+# Filters: the equal-id fast path must not change value-comparison semantics
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def filter_store_pair(mini_kg):
     reference = RelationalStore(engine="reference")
     reference.load(mini_kg)
-    idspace = RelationalStore(engine="idspace")
-    idspace.load(mini_kg)
-    return idspace, reference
+    stdlib = on_stdlib_kernels(RelationalStore)
+    stdlib.load(mini_kg)
+    return stdlib, reference
 
 
 FILTER_QUERIES = [
@@ -186,9 +166,9 @@ FILTER_QUERIES = [
 
 @pytest.mark.parametrize("text", FILTER_QUERIES)
 def test_filter_semantics_match_reference(filter_store_pair, text):
-    idspace, reference = filter_store_pair
+    stdlib, reference = filter_store_pair
     query = parse_query(text)
-    assert_identical(idspace.execute(query), reference.execute(query), text)
+    assert_identical(stdlib.execute(query), reference.execute(query), text)
 
 
 def test_nan_literals_defeat_the_equal_id_fast_path():
@@ -203,14 +183,14 @@ def test_nan_literals_defeat_the_equal_id_fast_path():
     ]
     reference = RelationalStore(engine="reference")
     reference.load(triples)
-    idspace = RelationalStore(engine="idspace")
-    idspace.load(triples)
+    stdlib = on_stdlib_kernels(RelationalStore)
+    stdlib.load(triples)
     for operator in ("=", "!=", "<", "<=", ">", ">="):
         query = parse_query(
             "SELECT ?p WHERE { ?p y:hasAge ?x . FILTER(?x %s ?x) }" % operator
         )
         cold = reference.execute(query)
-        warm = idspace.execute(query)
+        warm = stdlib.execute(query)
         assert_identical(warm, cold, f"NaN reflexive {operator}")
         people = {b["p"] for b in warm.bindings}
         # NaN fails every reflexive comparison except `!=` (NaN != NaN is
@@ -226,8 +206,7 @@ def test_malformed_integer_literal_raises_in_both_engines():
     broken = Literal("abc", "http://www.w3.org/2001/XMLSchema#integer")
     triples = [Triple(YAGO.term("Ann"), age, broken)]
     query = parse_query("SELECT ?p WHERE { ?p y:hasAge ?x . FILTER(?x = ?x) }")
-    for engine in ("reference", "idspace"):
-        store = RelationalStore(engine=engine)
+    for store in (RelationalStore(engine="reference"), on_stdlib_kernels(RelationalStore)):
         store.load(triples)
         with pytest.raises(ValueError):
             store.execute(query)
@@ -246,10 +225,10 @@ def test_numeric_value_equality_across_datatypes_still_matches():
     query = parse_query("SELECT ?a ?b WHERE { ?a y:hasAge ?x . ?b y:hasAge ?y . FILTER(?x = ?y) }")
     reference = RelationalStore(engine="reference")
     reference.load(store_triples)
-    idspace = RelationalStore(engine="idspace")
-    idspace.load(store_triples)
+    stdlib = on_stdlib_kernels(RelationalStore)
+    stdlib.load(store_triples)
     cold = reference.execute(query)
-    warm = idspace.execute(query)
+    warm = stdlib.execute(query)
     assert_identical(warm, cold, "cross-datatype equality")
     pairs = {(b["a"], b["b"]) for b in warm.bindings}
     # Ann's integer 30 and Ben's double 30.0 must match each other by value.
@@ -262,8 +241,8 @@ def test_numeric_value_equality_across_datatypes_still_matches():
 def test_extra_table_with_shared_variables_matches_reference(mini_kg):
     reference = RelationalStore(engine="reference")
     reference.load(mini_kg)
-    idspace = RelationalStore(engine="idspace")
-    idspace.load(mini_kg)
+    stdlib = on_stdlib_kernels(RelationalStore)
+    stdlib.load(mini_kg)
     table = ResultTable(
         name="tmp",
         variables=("p", "tag"),
@@ -278,7 +257,7 @@ def test_extra_table_with_shared_variables_matches_reference(mini_kg):
     query = parse_query("SELECT ?p ?n ?tag WHERE { ?p y:hasGivenName ?n . }")
     for tables_are_views in (False, True):
         cold = reference.execute(query, extra_tables=[table], tables_are_views=tables_are_views)
-        warm = idspace.execute(query, extra_tables=[table], tables_are_views=tables_are_views)
+        warm = stdlib.execute(query, extra_tables=[table], tables_are_views=tables_are_views)
         assert_identical(warm, cold, f"extra table (views={tables_are_views})")
         assert len(warm) == 2
 
@@ -286,18 +265,18 @@ def test_extra_table_with_shared_variables_matches_reference(mini_kg):
 def test_disjoint_extra_table_still_cartesian(mini_kg):
     reference = RelationalStore(engine="reference")
     reference.load(mini_kg)
-    idspace = RelationalStore(engine="idspace")
-    idspace.load(mini_kg)
+    stdlib = on_stdlib_kernels(RelationalStore)
+    stdlib.load(mini_kg)
     table = ResultTable(name="tmp", variables=("x",), rows=[(Literal("a"),), (Literal("b"),)])
     query = parse_query("SELECT ?p ?x WHERE { ?p y:isMarriedTo ?q . }")
     cold = reference.execute(query, extra_tables=[table])
-    warm = idspace.execute(query, extra_tables=[table])
+    warm = stdlib.execute(query, extra_tables=[table])
     assert_identical(warm, cold, "disjoint extra table")
     assert len(warm) == 2 * 2  # two marriages x two tags
 
 
 # --------------------------------------------------------------------------- #
-# Edge pattern shapes (generic matcher loop, table scans, unmatchable consts)
+# Edge pattern shapes (dup-slot masks, table scans, unmatchable consts)
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def edge_store_pair(mini_kg):
@@ -306,10 +285,10 @@ def edge_store_pair(mini_kg):
     reference = RelationalStore(engine="reference")
     reference.load(mini_kg)
     reference.insert(extra)
-    idspace = RelationalStore(engine="idspace")
-    idspace.load(mini_kg)
-    idspace.insert(extra)
-    return idspace, reference
+    stdlib = on_stdlib_kernels(RelationalStore)
+    stdlib.load(mini_kg)
+    stdlib.insert(extra)
+    return stdlib, reference
 
 
 EDGE_QUERIES = [
@@ -327,27 +306,27 @@ EDGE_QUERIES = [
     # a three-variable pattern joining on one shared variable (two fresh
     # columns enter the pipeline at once)
     "SELECT ?p ?r ?o WHERE { ?p y:hasAcademicAdvisor ?a . ?p ?r ?o . }",
-    # DISTINCT + LIMIT on id tuples
+    # DISTINCT + LIMIT on id columns
     "SELECT DISTINCT ?city WHERE { ?p y:wasBornIn ?city . } LIMIT 2",
 ]
 
 
 @pytest.mark.parametrize("text", EDGE_QUERIES)
 def test_edge_pattern_shapes_match_reference(edge_store_pair, text):
-    idspace, reference = edge_store_pair
+    stdlib, reference = edge_store_pair
     query = parse_query(text)
-    assert_identical(idspace.execute(query), reference.execute(query), text)
+    assert_identical(stdlib.execute(query), reference.execute(query), text)
 
 
 def test_empty_extra_table_short_circuits_identically(edge_store_pair):
     """Once an extra table empties the pipeline, later tables must charge
     nothing — in both engines."""
-    idspace, reference = edge_store_pair
+    stdlib, reference = edge_store_pair
     empty = ResultTable(name="empty", variables=("p",), rows=[])
     follow = ResultTable(name="follow", variables=("q",), rows=[(YAGO.term("Alice"),)])
     query = parse_query("SELECT ?p WHERE { ?p y:wasBornIn ?c . }")
     cold = reference.execute(query, extra_tables=[empty, follow])
-    warm = idspace.execute(query, extra_tables=[empty, follow])
+    warm = stdlib.execute(query, extra_tables=[empty, follow])
     assert_identical(warm, cold, "empty extra table")
     assert warm.counters.rows_scanned == len(empty)  # the second table never charged
 
@@ -370,7 +349,7 @@ def test_dualstore_runs_identically_with_interleaved_mutations(watdiv_dataset):
     cold_dual = DualStore(relational_store=RelationalStore(engine="reference")).load(
         watdiv_dataset.triples
     )
-    warm_dual = DualStore(engine="idspace").load(watdiv_dataset.triples)
+    warm_dual = on_stdlib_kernels(DualStore).load(watdiv_dataset.triples)
 
     rng = random.Random(7)
     transferable = sorted({p for q in queries for p in q.predicates()}, key=lambda p: p.value)
@@ -383,7 +362,7 @@ def test_dualstore_runs_identically_with_interleaved_mutations(watdiv_dataset):
         assert_identical(warm.result, cold.result, f"query {index} on route {cold.record.route}")
 
         # Interleave physical-design changes and inserts between queries; the
-        # inserts also age out the idspace store's bound-plan memo, so stale
+        # inserts also age out the store's bound-plan memo, so stale
         # compiled constants would be caught here.
         action = index % 5
         if action == 1 and transferable:
@@ -406,14 +385,16 @@ def test_dualstore_runs_identically_with_interleaved_mutations(watdiv_dataset):
 
 
 def test_sharded_dualstore_with_mutations_matches_reference(watdiv_dataset, fingerprint):
-    """The full stack: reference unsharded vs idspace sharded (N=4), with
+    """The full stack: reference unsharded vs the engine sharded (N=4), with
     transfers and inserts between queries."""
     workload = watdiv_workload(watdiv_dataset, seed=17)
     queries = workload.randomized(seed=29)[:25]
     cold_dual = DualStore(relational_store=RelationalStore(engine="reference")).load(
         watdiv_dataset.triples
     )
-    warm_dual = DualStore(shards=4, sharding=AGGRESSIVE, engine="idspace").load(watdiv_dataset.triples)
+    warm_dual = on_stdlib_kernels(lambda: DualStore(shards=4, sharding=AGGRESSIVE)).load(
+        watdiv_dataset.triples
+    )
     transferable = sorted({p for q in queries for p in q.predicates()}, key=lambda p: p.value)
 
     for index, query in enumerate(queries):
@@ -452,14 +433,17 @@ def test_columnar_engine_matches_reference_for_every_family(family_workloads, re
 
 def test_columnar_stdlib_kernels_match_reference(monkeypatch, family_workloads, reference_runs):
     """The numpy fast path is optional: with the kill-switch set the stdlib
-    ``array('q')`` kernels must produce the very same answers and work."""
-    monkeypatch.setenv("REPRO_COLUMNAR_FORCE_STDLIB", "1")
-    label, triples, queries = family_workloads[3]  # watdiv-complex
-    store = RelationalStore(engine="columnar")
-    store.load(triples)
-    assert store.table.kernels.name == "stdlib"
-    for index, (query, cold) in enumerate(zip(queries[:15], reference_runs[label])):
-        assert_identical(store.execute(query), cold, f"stdlib columnar [{index}]")
+    ``array('q')`` kernels must produce the very same answers and work — on
+    the full family matrix, like the numpy kernels above."""
+    monkeypatch.setenv(FORCE_STDLIB_ENV, "1")
+    for label, triples, queries in family_workloads:
+        store = RelationalStore(engine="columnar")
+        store.load(triples)
+        assert store.table.kernels.name == "stdlib"
+        for index, (query, cold) in enumerate(zip(queries, reference_runs[label])):
+            warm = store.execute(query)
+            assert_identical(warm, cold, f"stdlib columnar {label}[{index}]")
+            assert warm.seconds == pytest.approx(cold.seconds, rel=0, abs=0)
 
 
 def test_columnar_bound_plan_memo_stays_identical(family_workloads, reference_runs):
@@ -480,7 +464,7 @@ def test_sharded_columnar_matches_reference_for_every_family(
     """Sharded columnar: per-shard column fragments concatenated in shard
     order must carry the same multiset of bindings and identical work."""
     for label, triples, queries in family_workloads:
-        store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE, engine="columnar")
+        store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE)
         store.load(triples)
         for index, (query, cold) in enumerate(zip(queries, reference_runs[label])):
             warm = store.execute(query)
@@ -602,7 +586,7 @@ def test_columnar_extra_tables_match_reference(mini_kg):
 
 
 def test_columnar_dualstore_runs_identically_with_interleaved_mutations(watdiv_dataset):
-    """DualStore(engine="columnar") through the mutation gauntlet: partition
+    """``DualStore()`` through the mutation gauntlet: partition
     transfers, evictions, and inserts (which invalidate the cached column
     blocks and age the bound-plan memo) between queries."""
     workload = watdiv_workload(watdiv_dataset, seed=41)
@@ -611,7 +595,7 @@ def test_columnar_dualstore_runs_identically_with_interleaved_mutations(watdiv_d
     cold_dual = DualStore(relational_store=RelationalStore(engine="reference")).load(
         watdiv_dataset.triples
     )
-    warm_dual = DualStore(engine="columnar").load(watdiv_dataset.triples)
+    warm_dual = DualStore().load(watdiv_dataset.triples)
 
     rng = random.Random(7)
     transferable = sorted({p for q in queries for p in q.predicates()}, key=lambda p: p.value)
@@ -649,9 +633,7 @@ def test_columnar_sharded_dualstore_with_mutations_matches_reference(watdiv_data
     cold_dual = DualStore(relational_store=RelationalStore(engine="reference")).load(
         watdiv_dataset.triples
     )
-    warm_dual = DualStore(shards=4, sharding=AGGRESSIVE, engine="columnar").load(
-        watdiv_dataset.triples
-    )
+    warm_dual = DualStore(shards=4, sharding=AGGRESSIVE).load(watdiv_dataset.triples)
     transferable = sorted({p for q in queries for p in q.predicates()}, key=lambda p: p.value)
 
     for index, query in enumerate(queries):
@@ -675,20 +657,20 @@ def test_columnar_sharded_dualstore_with_mutations_matches_reference(watdiv_data
 
 @pytest.mark.parametrize("shards", (None, 4))
 def test_columnar_engine_survives_a_persist_round_trip(tmp_path, shards, watdiv_dataset, fingerprint):
-    """Snapshot/restore keeps engine="columnar" and the restored store's
+    """Snapshot/restore lands on columnar tables and the restored store's
     answers and logical work stay identical to the pre-snapshot store."""
     from repro.persist import load_snapshot, write_snapshot
 
-    kwargs = {"engine": "columnar"} if shards is None else {
-        "engine": "columnar", "shards": shards, "sharding": AGGRESSIVE
-    }
+    kwargs = {} if shards is None else {"shards": shards, "sharding": AGGRESSIVE}
     dual = DualStore(**kwargs).load(watdiv_dataset.triples)
     queries = watdiv_workload(watdiv_dataset, seed=61).randomized(seed=67)[:10]
     before = [dual.run_query(q).result for q in queries]
 
     write_snapshot(dual, tmp_path / "snap")
     restored = load_snapshot(tmp_path / "snap").dual
-    assert restored.relational.engine == "columnar"
+    relational = restored.relational
+    tables = [relational.table] if shards is None else relational._tables
+    assert all(type(table) is ColumnarTripleTable for table in tables)
 
     for index, query in enumerate(queries):
         after = restored.run_query(query).result

@@ -1,10 +1,11 @@
 """Differential suite: the sharded store must be indistinguishable from the
-unsharded store in *answers* and *total work*, for every shard count.
+unsharded oracle in *answers* and *total work*, for every shard count.
 
 For randomized workloads drawn from every template family (WatDiv L/S/F/C,
-YAGO, Bio2RDF) and N ∈ {1, 2, 4, 7}, ``ShardedRelationalStore(N)`` must
-return binding-identical results and identical work counters to the single
-table ``RelationalStore`` — both standalone and through
+YAGO, Bio2RDF) and N ∈ {1, 2, 4, 7}, ``ShardedRelationalStore(N)`` — on both
+kernel sets of the engine — must return binding-identical results and
+identical work counters to the single-table reference oracle
+(``RelationalStore(engine="reference")``) — both standalone and through
 ``DualStore.run_query`` with transfers, evictions, and inserts interleaved.
 Only the *parallel wall-clock* pricing may differ; that is the whole point
 of sharding.
@@ -38,10 +39,12 @@ SHARD_COUNTS = (1, 2, 4, 7)
 AGGRESSIVE = ShardingConfig(skew_threshold=0.2, min_subject_shard_rows=16)
 
 
-@pytest.fixture(scope="module", params=("idspace", "columnar"))
-def engine(request):
-    """Sharding must be invisible on the default engine and on its row oracle."""
-    return request.param
+# Sharding must be invisible on both kernel sets: every test takes the shared
+# ``kernel_set`` fixture, so the sharded stores it builds run the named one.
+
+
+def oracle_dual(triples) -> DualStore:
+    return DualStore(relational_store=RelationalStore(engine="reference")).load(triples)
 
 
 # --------------------------------------------------------------------------- #
@@ -68,11 +71,11 @@ def family_workloads(watdiv_dataset):
 
 
 @pytest.fixture(scope="module")
-def baselines(engine, family_workloads):
-    """Unsharded execution of every workload, computed once per engine."""
+def baselines(family_workloads):
+    """The unsharded oracle's execution of every workload, computed once."""
     out = {}
     for label, triples, queries in family_workloads:
-        store = RelationalStore(engine=engine)
+        store = RelationalStore(engine="reference")
         store.load(triples)
         out[label] = [store.execute(query) for query in queries]
     return out
@@ -82,9 +85,9 @@ def baselines(engine, family_workloads):
 # Standalone store differential
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_sharded_store_matches_unsharded_for_every_family(shards, engine, family_workloads, baselines, fingerprint):
+def test_sharded_store_matches_unsharded_for_every_family(shards, kernel_set, family_workloads, baselines, fingerprint):
     for label, triples, queries in family_workloads:
-        store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE, engine=engine)
+        store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE)
         store.load(triples)
         for query, cold in zip(queries, baselines[label]):
             warm = store.execute(query)
@@ -96,15 +99,15 @@ def test_sharded_store_matches_unsharded_for_every_family(shards, engine, family
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_limit_queries_agree_on_count_and_work_not_necessarily_rows(shards, engine, watdiv_dataset, fingerprint):
+def test_limit_queries_agree_on_count_and_work_not_necessarily_rows(shards, kernel_set, watdiv_dataset, fingerprint):
     """LIMIT without ORDER BY is an arbitrary subset under SPARQL semantics;
     the documented contract is count + work parity plus subset validity,
     not identical truncation choices (see relstore/sharded.py docstring)."""
     from dataclasses import replace
 
-    base = RelationalStore(engine=engine)
+    base = RelationalStore(engine="reference")
     base.load(watdiv_dataset.triples)
-    store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE, engine=engine)
+    store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE)
     store.load(watdiv_dataset.triples)
     workload = watdiv_workload(watdiv_dataset, family="linear", seed=9)
     for query in workload.ordered()[:8]:
@@ -120,10 +123,10 @@ def test_limit_queries_agree_on_count_and_work_not_necessarily_rows(shards, engi
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_sharded_metadata_matches_unsharded(shards, engine, watdiv_dataset):
-    base = RelationalStore(engine=engine)
+def test_sharded_metadata_matches_unsharded(shards, kernel_set, watdiv_dataset):
+    base = RelationalStore(engine="reference")
     base.load(watdiv_dataset.triples)
-    store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE, engine=engine)
+    store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE)
     store.load(watdiv_dataset.triples)
     assert len(store) == len(base)
     assert store.predicates() == base.predicates()
@@ -140,10 +143,10 @@ def test_sharded_metadata_matches_unsharded(shards, engine, watdiv_dataset):
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_estimates_match_unsharded(shards, engine, watdiv_dataset, family_workloads):
-    base = RelationalStore(engine=engine)
+def test_estimates_match_unsharded(shards, kernel_set, watdiv_dataset, family_workloads):
+    base = RelationalStore(engine="reference")
     base.load(watdiv_dataset.triples)
-    store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE, engine=engine)
+    store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE)
     store.load(watdiv_dataset.triples)
     _, _, queries = family_workloads[0]
     for query in queries[:10]:
@@ -165,12 +168,12 @@ def _fresh_triples(dataset, count: int, salt: str):
 
 
 @pytest.mark.parametrize("shards", (2, 7))
-def test_dualstore_runs_identically_with_interleaved_mutations(shards, engine, watdiv_dataset, fingerprint):
+def test_dualstore_runs_identically_with_interleaved_mutations(shards, kernel_set, watdiv_dataset, fingerprint):
     workload = watdiv_workload(watdiv_dataset, seed=41)
     queries = workload.randomized(seed=3)[:40]
 
-    base = DualStore(engine=engine).load(watdiv_dataset.triples)
-    sharded = DualStore(shards=shards, sharding=AGGRESSIVE, engine=engine).load(watdiv_dataset.triples)
+    base = oracle_dual(watdiv_dataset.triples)
+    sharded = DualStore(shards=shards, sharding=AGGRESSIVE).load(watdiv_dataset.triples)
 
     rng = random.Random(7)
     transferable = sorted(
@@ -210,10 +213,10 @@ def test_dualstore_runs_identically_with_interleaved_mutations(shards, engine, w
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_total_work_through_dualstore_is_shard_invariant(shards, engine, watdiv_dataset):
+def test_total_work_through_dualstore_is_shard_invariant(shards, kernel_set, watdiv_dataset):
     """`relational_work_for` — the tuner's currency — must not depend on N."""
     workload = watdiv_workload(watdiv_dataset, family="complex", seed=5)
-    base = DualStore(engine=engine).load(watdiv_dataset.triples)
-    sharded = DualStore(shards=shards, sharding=AGGRESSIVE, engine=engine).load(watdiv_dataset.triples)
+    base = oracle_dual(watdiv_dataset.triples)
+    sharded = DualStore(shards=shards, sharding=AGGRESSIVE).load(watdiv_dataset.triples)
     for query in workload.ordered()[:10]:
         assert sharded.relational_work_for(query) == base.relational_work_for(query)

@@ -1,13 +1,13 @@
-"""Differential suite: the SQLite path vs the ID-space execution engine.
+"""Differential suite: the SQLite path vs the reference executor.
 
 The SQL compiler + SQLiteBackend answer the same SPARQL subset as the
-work-accounted Python engines, but nothing guarded that parity since the
-PR 3 executor rewrite — and it matters: the stored surface forms are TEXT, so
+work-accounted Python engines, and that parity needs a guard: the stored surface forms are TEXT, so
 a carelessly compiled filter would compare ``"5"`` and ``"250"``
 lexicographically while the executors compare them numerically.  This suite
 pins answer-parity across *every* template family of all three synthetic
 datasets (YAGO, WatDiv, Bio2RDF), so any future divergence between the SQL
-path and the primary engine names the family that broke.
+path and the reference oracle (which the production engine is held to,
+byte for byte, by ``test_differential_engine.py``) names the family that broke.
 
 (Only answers are compared: the SQLite path has no work counters, so there is
 nothing to differentiate on the accounting side.)
@@ -49,7 +49,7 @@ def engines(request):
     for entry in workload.queries:
         by_family.setdefault(entry.family, []).append((entry.template, entry.query))
 
-    store = RelationalStore(engine="idspace")
+    store = RelationalStore(engine="reference")
     store.load(dataset.triples)
     backend = SQLiteBackend()
     backend.insert_triples(dataset.triples)
@@ -57,7 +57,7 @@ def engines(request):
     backend.close()
 
 
-def test_sql_answers_match_the_idspace_engine_for_every_family(engines):
+def test_sql_answers_match_the_reference_engine_for_every_family(engines):
     name, by_family, store, backend = engines
     assert by_family, f"{name}: workload has no queries"
     for family, entries in sorted(by_family.items()):
@@ -68,7 +68,7 @@ def test_sql_answers_match_the_idspace_engine_for_every_family(engines):
                 f"{name}/{family}/{template}: projected columns diverged"
             )
             assert _row_fingerprint(sql_rows) == _row_fingerprint(result.rows()), (
-                f"{name}/{family}/{template}: SQL answers diverged from the ID-space engine"
+                f"{name}/{family}/{template}: SQL answers diverged from the reference engine"
             )
 
 

@@ -50,7 +50,7 @@ def stores(kernel_set, triples):
     """A columnar store on one kernel set and its dict-building oracle."""
     columnar = RelationalStore()
     columnar.load(triples)
-    oracle = RelationalStore(engine="idspace")
+    oracle = RelationalStore(engine="reference")
     oracle.load(triples)
     assert columnar.table.kernels.name == kernel_set
     return columnar, oracle

@@ -1,11 +1,12 @@
 """Columnar engine internals: kernel strategies, cached column blocks,
-engine plumbing validation, and the planner's kernel-cost/skew hook.
+engine names and legacy snapshot tags, the sharded store's use of the one
+execute loop, and the planner's skew guard.
 
 The differential suite (``test_differential_engine.py``) proves the columnar
 engine indistinguishable from the reference oracle end to end; this module
 pins down the pieces that make that hold — kernel output *order*, how blocks
 follow mutations, the numpy feature probe, and the skew-aware
-planner regression the batch cost model exists to prevent.  That a maintained
+planner regression the skew guard exists to prevent.  That a maintained
 block always equals a rebuilt one under arbitrary write sequences is
 ``test_relstore_maintained.py``'s job.
 """
@@ -26,7 +27,8 @@ from repro.relstore.columnar import (
     select_kernels,
 )
 from repro.relstore.executor import relational_work_units
-from repro.relstore.planner import KernelCostModel, kernel_costs_for_engine, plan_query
+from repro.relstore import planner
+from repro.relstore.planner import plan_query
 from repro.serve import QueryService, ServiceConfig
 from repro.sparql import parse_query
 
@@ -270,55 +272,97 @@ def test_group_index_memos_are_bounded_by_the_blocks_and_die_with_them(monkeypat
 
 
 # --------------------------------------------------------------------------- #
-# Engine plumbing fails fast on misconfiguration
+# One production engine: names, and what snapshots of the others restore to
 # --------------------------------------------------------------------------- #
 def test_unknown_engine_names_are_rejected_everywhere():
     with pytest.raises(ValueError):
         RelationalStore(engine="columnarr")
     with pytest.raises(ValueError):
-        ShardedRelationalStore(shards=2, engine="reference")
+        RelationalStore(engine="idspace")  # the deleted row engine is not a name any more
+    assert isinstance(RelationalStore(engine="columnar").table, ColumnarTripleTable)
+    assert not isinstance(RelationalStore(engine="reference").table, ColumnarTripleTable)
+    assert isinstance(DualStore().relational.table, ColumnarTripleTable)
 
 
-def test_dualstore_rejects_an_engine_conflicting_with_an_explicit_store():
-    with pytest.raises(ValueError):
-        DualStore(relational_store=RelationalStore(engine="reference"), engine="columnar")
-    dual = DualStore(engine="columnar")
-    assert dual.relational.engine == "columnar"
-    assert isinstance(dual.relational.table, ColumnarTripleTable)
+@pytest.mark.parametrize("tag", ["idspace", "reference", "columnar", None])
+@pytest.mark.parametrize("shards", [None, 4])
+def test_legacy_engine_tags_restore_onto_the_production_engine(tag, shards, kernel_set):
+    """A snapshot written by any engine this repo ever had — tagged
+    ``idspace``, ``reference``, ``columnar``, or (pre-columnar sharded
+    stores) carrying no tag at all — restores onto columnar tables that
+    answer exactly like the live store, and the key is still written."""
+    from repro import ShardingConfig, generate_watdiv, watdiv_workload
+    from repro.rdf.dictionary import TermDictionary
 
+    dataset = generate_watdiv(target_triples=1200, seed=5)
+    if shards is None:
+        live = RelationalStore()
+        live_dictionary = live.table.dictionary
+    else:
+        aggressive = ShardingConfig(skew_threshold=0.2, min_subject_shard_rows=16)
+        live = ShardedRelationalStore(shards=shards, config=aggressive)
+        live_dictionary = live.dictionary
+    live.load(dataset.triples)
+    payload = live.snapshot_state()
+    assert payload["engine"] == "columnar"
+    if tag is None:
+        del payload["engine"]
+    else:
+        payload["engine"] = tag
 
-def test_service_config_engine_mismatch_fails_at_construction():
-    dual = DualStore(engine="columnar").load([Triple(ex("a"), ex("p"), ex("x"))])
-    with pytest.raises(ValueError):
-        QueryService(dual, ServiceConfig(engine="idspace"))
-    service = QueryService(dual, ServiceConfig(engine="columnar"))
-    result = service.run_query(parse_query("SELECT ?s WHERE { ?s <http://example.org/p> ?o . }"))
-    assert len(result.result) == 1
-
-
-def test_sharded_snapshot_round_trips_the_engine():
-    store = ShardedRelationalStore(shards=2, engine="columnar")
-    store.load([Triple(ex("a"), ex("p"), ex("x")), Triple(ex("b"), ex("p"), ex("y"))])
-    restored = ShardedRelationalStore.restore_state(store.snapshot_state(), store.dictionary)
-    assert restored.engine == "columnar"
-    assert all(isinstance(table, ColumnarTripleTable) for table in restored._tables)
-    legacy = store.snapshot_state()
-    legacy.pop("engine")  # pre-columnar snapshots carry no engine entry
-    assert ShardedRelationalStore.restore_state(legacy, store.dictionary).engine == "idspace"
+    dictionary = TermDictionary.from_payload(live_dictionary.to_payload())
+    restored = type(live).restore_state(payload, dictionary)
+    tables = [restored.table] if shards is None else restored._tables
+    assert all(type(table) is ColumnarTripleTable for table in tables)
+    assert restored.snapshot_state() == live.snapshot_state()
+    for family in ("star", "snowflake"):
+        for query in watdiv_workload(dataset, family=family, seed=3).randomized(seed=4):
+            ours, theirs = restored.execute(query), live.execute(query)
+            assert ours.bindings == theirs.bindings
+            assert ours.counters == theirs.counters
+            assert ours.seconds == theirs.seconds
 
 
 # --------------------------------------------------------------------------- #
-# The planner's kernel-cost hook and the skew guard
+# The sharded store runs the engine's one execute loop
 # --------------------------------------------------------------------------- #
-def test_kernel_costs_for_engine_maps_every_bundled_engine():
-    assert kernel_costs_for_engine("columnar").batch_setup > 0
-    for engine in ("reference", "idspace", "sqlite", "made-up"):
-        assert kernel_costs_for_engine(engine).batch_setup == 0
-    # The skew parameters are shared: plans cannot depend on the engine.
-    row, batch = kernel_costs_for_engine("idspace"), kernel_costs_for_engine("columnar")
-    assert (row.skew_guard, row.skew_blend) == (batch.skew_guard, batch.skew_blend)
+def test_sharded_join_over_a_placed_partition_memoizes_on_the_shard_block(kernel_set):
+    """A predicate placed on one shard is answered from that shard's cached
+    block, uncopied, and the block rides along into the join — so the join's
+    group index is memoized on the shard's block exactly as the unsharded
+    store memoizes it on its table's.  (Before the loop was shared the
+    coordinator passed no block and sorted the build side on every join.)"""
+    triples = [Triple(ex(f"s{i}"), ex("p"), ex(f"m{i % 7}")) for i in range(40)]
+    triples += [Triple(ex(f"m{i}"), ex("q"), ex(f"t{i}")) for i in range(7)]
+    query = parse_query(
+        "SELECT ?s ?t WHERE { ?s <http://example.org/p> ?m . ?m <http://example.org/q> ?t . }"
+    )
+    sharded = ShardedRelationalStore(shards=3)
+    sharded.load(triples)
+    assert not sharded.subject_sharded_predicates()
+    plain = RelationalStore()
+    plain.load(triples)
+
+    def memoized(tables):
+        """Per predicate id: which of (subjects, objects) carry a memo."""
+        return {
+            predicate_id: [index is not None for index in block.group_indexes]
+            for table in tables
+            for predicate_id, block in table._partition_columns.items()
+        }
+
+    sharded_run, plain_run = sharded.execute(query), plain.execute(query)
+    assert len(sharded_run) == 40
+    assert sharded_run.bindings == plain_run.bindings
+    assert sharded_run.counters == plain_run.counters
+    # Same triples in the same order: both dictionaries assign the same ids.
+    assert any(any(flags) for flags in memoized([plain.table]).values())
+    assert memoized(sharded._tables) == memoized([plain.table])
 
 
+# --------------------------------------------------------------------------- #
+# The planner's skew guard
+# --------------------------------------------------------------------------- #
 def _skewed_triples():
     """A hot-key predicate the average-based estimate wildly underprices.
 
@@ -353,7 +397,7 @@ SELECT ?x ?y WHERE {
 """
 
 
-def test_skew_guard_demotes_the_hot_key_lookup():
+def test_skew_guard_demotes_the_hot_key_lookup(monkeypatch):
     """With skew statistics the plan leads with the honest 12-row lookup;
     pricing lookups at the average (skew guard disabled) front-loads the
     hot-key lookup instead — the regression the guard exists to prevent."""
@@ -365,14 +409,15 @@ def test_skew_guard_demotes_the_hot_key_lookup():
     assert plan.steps[0].pattern.predicate == ex("hasRole")
     assert plan.steps[2].pattern.predicate == ex("hasTag")
 
-    blind = KernelCostModel(name="no-skew-guard", skew_guard=1e18)
-    old_plan = plan_query(query, store.statistics(), kernel_costs=blind)
+    monkeypatch.setattr(planner, "SKEW_GUARD", 1e18)
+    old_plan = plan_query(query, store.statistics())
+    monkeypatch.undo()
     assert old_plan.steps[0].pattern.predicate == ex("hasTag")
 
-    # Engine invariance: every bundled cost model picks the same join order.
-    idspace = RelationalStore(engine="idspace")
-    idspace.load(_skewed_triples())
-    assert [s.pattern for s in idspace.plan(query)] == [s.pattern for s in plan]
+    # Engine invariance: the oracle plans the same join order.
+    oracle = RelationalStore(engine="reference")
+    oracle.load(_skewed_triples())
+    assert [s.pattern for s in oracle.plan(query)] == [s.pattern for s in plan]
 
     # The reordering is not cosmetic: executing the old ordering joins
     # through the 60-row hot-key pipeline and does strictly more work.
@@ -385,7 +430,7 @@ def test_skew_guard_demotes_the_hot_key_lookup():
     assert relational_work_units(new_run.counters) < relational_work_units(old_run.counters)
 
     # And both engines execute the skew-aware plan identically.
-    cold = idspace.execute(query)
+    cold = oracle.execute(query)
     assert cold.bindings == new_run.bindings
     assert cold.counters.as_dict() == new_run.counters.as_dict()
 

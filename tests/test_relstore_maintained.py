@@ -12,8 +12,14 @@ predicate, with blocks warm or cold, on either kernel set,
 * ``statistics()`` equals ``collect_statistics(table)``, down to the bytes of
   ``to_payload()`` (key order included — snapshots persist it),
 * ``partition_sizes()`` equals a recount, and
-* query answers (content *and* order) and work counters equal those of an
-  ``idspace`` store fed the same operations.
+* query answers (content *and* order) and work counters equal those of a
+  ``reference`` store fed the same operations.
+
+A sharded store fed the same operations is held to the same statistics,
+partition sizes, answers (as multisets) and work counters: its statistics
+follow writes through the same code, stamped per shard table, and its
+placement is aggressive enough that predicates of this small domain are
+promoted to subject-sharding mid-sequence.
 
 A hypothesis state machine draws the sequences; the shrunk counterexamples it
 (or the reasoning behind the design) produced are replayed by name below, so
@@ -29,7 +35,12 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.rdf import IRI, Triple
-from repro.relstore import RelationalStore, collect_statistics
+from repro.relstore import (
+    RelationalStore,
+    ShardedRelationalStore,
+    ShardingConfig,
+    collect_statistics,
+)
 from repro.relstore.columnar import numpy_available, select_kernels
 from repro.sparql import parse_query
 
@@ -68,22 +79,36 @@ writes = st.one_of(
 )
 
 
+#: The usual aggressive skew threshold with the row floor lowered to the scale
+#: of this domain (at most 25 rows per predicate), so that promotions to
+#: subject-sharding happen between reads.
+AGGRESSIVE = ShardingConfig(skew_threshold=0.2, min_subject_shard_rows=2)
+
+
+def _tables(store):
+    return store._tables if isinstance(store, ShardedRelationalStore) else [store.table]
+
+
 class Pair:
-    """A columnar store on a chosen kernel set and its ``idspace`` oracle."""
+    """A columnar store on a chosen kernel set, a sharded one, and their
+    ``reference`` oracle."""
 
     def __init__(self, use_numpy: bool):
         self.columnar = RelationalStore(engine="columnar")
-        self.columnar.table.kernels = select_kernels(use_numpy)  # no block exists yet
-        self.oracle = RelationalStore(engine="idspace")
+        self.sharded = ShardedRelationalStore(shards=3, config=AGGRESSIVE)
+        for table in _tables(self.columnar) + _tables(self.sharded):
+            table.kernels = select_kernels(use_numpy)  # no block exists yet
+        self.oracle = RelationalStore(engine="reference")
 
     def apply(self, kind: str, arg) -> None:
-        for store in (self.columnar, self.oracle):
+        for store in (self.columnar, self.sharded, self.oracle):
             if kind == "insert":
                 store.insert(arg)
             elif kind == "delete":
                 store.delete(arg)
             elif kind == "compact":
-                store.table.compact()
+                for table in _tables(store):
+                    table.compact()
             else:
                 # ``extract_predicate`` is a table operation (the sharded store
                 # moves a promoted predicate's rows with it) that a store is
@@ -92,9 +117,10 @@ class Pair:
                 predicate = PREDICATES[arg]
                 for triple in list(store.partition(predicate)):
                     store.delete(triple)
-                predicate_id = store.table.dictionary.lookup(predicate)
-                if predicate_id is not None:
-                    assert store.table.extract_predicate(predicate_id) == []
+                for table in _tables(store):
+                    predicate_id = table.dictionary.lookup(predicate)
+                    if predicate_id is not None:
+                        assert table.extract_predicate(predicate_id) == []
 
     def warm(self, predicate: IRI) -> None:
         table = self.columnar.table
@@ -121,10 +147,24 @@ class Pair:
                 recount[predicate] = live
         assert store.partition_sizes() == recount
         assert list(store.partition_sizes()) == list(self.oracle.partition_sizes())
+        sharded = self.sharded
+        assert sharded.statistics() == rebuilt
+        assert json.dumps(sharded.statistics().to_payload()) == json.dumps(rebuilt.to_payload())
+        assert sharded.partition_sizes() == recount
         for query in QUERIES:
             mine, theirs = store.execute(query), self.oracle.execute(query)
             assert mine.bindings == theirs.bindings
             assert mine.counters.as_dict() == theirs.counters.as_dict()
+            scattered = sharded.execute(query)
+            assert scattered.counters.as_dict() == theirs.counters.as_dict()
+            if query.limit is None:  # LIMIT keeps an arbitrary subset per gather order
+                assert _multiset(scattered) == _multiset(theirs)
+            else:
+                assert len(scattered) == len(theirs)
+
+
+def _multiset(result):
+    return sorted(sorted((name, term.n3()) for name, term in row.items()) for row in result.bindings)
 
 
 class MaintainedEqualsRebuilt(RuleBasedStateMachine):
@@ -214,6 +254,14 @@ COUNTEREXAMPLES = {
         ("extract", 0),
         ("insert", [_t(2, 0, 3), _t(3, 0, 4)]), None,
     ],
+    # A predicate outgrows its shard between two reads and is promoted to
+    # subject-sharding: its rows leave the owner table (extract + compact) for
+    # all of them, and its statistics entry is now stamped by every table.
+    "promotion_between_reads": [
+        ("insert", [_t(0, 0, 1), _t(1, 0, 2), _t(0, 1, 1)]), None,
+        ("insert", [_t(2, 0, 3), _t(3, 0, 4), _t(4, 0, 0), _t(1, 0, 3)]), None,
+        ("delete", _t(2, 0, 3)), None,
+    ],
     # Equal (subject, object) pairs under two predicates: the delete must find
     # the position in the right predicate's block only.
     "same_pair_in_two_predicates": [
@@ -236,3 +284,29 @@ def test_checked_in_counterexample(name, use_numpy):
         else:
             pair.apply(*step)
     pair.check()
+
+
+def test_sharded_statistics_recompute_only_the_written_predicates():
+    """The sharded store's statistics follow writes like the unsharded
+    store's: an entry is kept — the very object — until its predicate is
+    written or promoted, wherever its rows live."""
+    from repro.relstore.sharded import SUBJECT_SHARDED
+
+    store = ShardedRelationalStore(shards=3, config=AGGRESSIVE)
+    store.insert([_t(0, 0, 1), _t(1, 0, 2), _t(0, 1, 1), _t(0, 2, 2)])
+    before = store.statistics()
+    assert store.statistics() is before  # no mutation: one comparison
+
+    store.insert([_t(2, 1, 3)])
+    after = store.statistics()
+    assert after.per_predicate[PREDICATES[0]] is before.per_predicate[PREDICATES[0]]
+    assert after.per_predicate[PREDICATES[2]] is before.per_predicate[PREDICATES[2]]
+    assert after.per_predicate[PREDICATES[1]].cardinality == 2
+
+    store.insert([_t(2, 0, 3), _t(3, 0, 4), _t(4, 0, 0), _t(1, 0, 3)])
+    assert store.placement(PREDICATES[0]) == SUBJECT_SHARDED
+    promoted = store.statistics()
+    assert promoted.per_predicate[PREDICATES[0]].cardinality == 6
+    store.delete(_t(0, 2, 2))
+    assert store.statistics().per_predicate[PREDICATES[0]] is promoted.per_predicate[PREDICATES[0]]
+    assert PREDICATES[2] not in store.statistics().per_predicate

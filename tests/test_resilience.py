@@ -314,7 +314,6 @@ def kernel_set(request, monkeypatch):
 class TestColumnarKernelsUnderDeadlineAndBudget:
     def test_hot_key_hash_join_of_millions_of_rows_times_out_in_budget(self, kernel_set):
         dual = DualStore().load(_hot_key_triples(2000))  # 4 000 000 joined rows
-        assert dual.relational.engine == "columnar"
         service = QueryService(dual, ServiceConfig(max_workers=1))
         try:
             budget = 0.05
@@ -339,36 +338,75 @@ class TestColumnarKernelsUnderDeadlineAndBudget:
         assert chunked.bindings == plain.bindings
         assert chunked.counters.as_dict() == plain.counters.as_dict()
 
+    @staticmethod
+    def _capped_outcome(store, query, budget, monkeypatch, kernels=None):
+        """``(partial work, execute_capped's answer, gather calls seen)`` of an
+        over-budget run; ``kernels`` is the kernel set to spy on."""
+        from repro.errors import WorkBudgetExceeded
+
+        gathers = []
+        if kernels is not None:
+            real_gather = kernels.gather
+            monkeypatch.setattr(
+                kernels,
+                "gather",
+                staticmethod(lambda *args: gathers.append(args) or real_gather(*args)),
+            )
+        with pytest.raises(WorkBudgetExceeded) as excinfo:
+            store.execute(query, work_budget=budget)
+        return excinfo.value.partial_work, store.execute_capped(query, budget), gathers
+
     def test_capped_execution_prices_alike_and_never_allocates_the_gather(
         self, kernel_set, monkeypatch
     ):
-        from repro.errors import WorkBudgetExceeded
         from repro.relstore import RelationalStore
 
         triples = _hot_key_triples(400)  # 160 000 joined rows, far over budget
         query = parse_query(HOT_JOIN)
         budget = 5_000.0
-        outcomes = {}
-        for engine in ("idspace", "columnar"):
-            store = RelationalStore(engine=engine)
-            store.load(triples)
-            if engine == "columnar":
-                gathers = []
-                kernels = store.table.kernels
-                real_gather = kernels.gather
-                monkeypatch.setattr(
-                    kernels,
-                    "gather",
-                    staticmethod(lambda *args: gathers.append(args) or real_gather(*args)),
-                )
-            with pytest.raises(WorkBudgetExceeded) as excinfo:
-                store.execute(query, work_budget=budget)
-            outcomes[engine] = (excinfo.value.partial_work, store.execute_capped(query, budget))
-        assert outcomes["columnar"] == outcomes["idspace"]
-        assert outcomes["columnar"][1][0] is None  # capped: no result, only a price
+        oracle = RelationalStore(engine="reference")
+        oracle.load(triples)
+        store = RelationalStore()
+        store.load(triples)
+        expected = self._capped_outcome(oracle, query, budget, monkeypatch)
+        partial, capped, gathers = self._capped_outcome(
+            store, query, budget, monkeypatch, store.table.kernels
+        )
+        assert (partial, capped) == expected[:2]
+        assert capped[0] is None  # capped: no result, only a price
         assert gathers == []  # the over-budget output was never materialized
         store.execute(query)
         assert gathers  # ...and the spy does see the gather of an unbudgeted run
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_sharded_capped_execution_matches_the_unsharded_store_and_never_gathers(
+        self, kernel_set, monkeypatch, shards
+    ):
+        """The sharded store runs the same loop, so its budget abort lands on
+        the same step with the same partial work and the same capped price —
+        before anything output-sized exists — whether the hot predicates sit
+        on one shard or are spread by subject."""
+        from repro.relstore import RelationalStore, ShardedRelationalStore, ShardingConfig
+
+        triples = _hot_key_triples(400)
+        query = parse_query(HOT_JOIN)
+        budget = 5_000.0
+        plain = RelationalStore()
+        plain.load(triples)
+        sharded = ShardedRelationalStore(
+            shards=shards, config=ShardingConfig(skew_threshold=0.2, min_subject_shard_rows=16)
+        )
+        sharded.load(triples)
+        assert bool(sharded.subject_sharded_predicates()) == (shards > 1)
+        expected = self._capped_outcome(plain, query, budget, monkeypatch)
+        partial, capped, gathers = self._capped_outcome(
+            sharded, query, budget, monkeypatch, sharded._tables[0].kernels
+        )
+        assert (partial, capped) == expected[:2]
+        assert capped[0] is None
+        assert gathers == []
+        assert sharded.execute(query).counters == plain.execute(query).counters
+        assert gathers
 
 
 # --------------------------------------------------------------------------- #
