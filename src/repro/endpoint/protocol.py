@@ -38,6 +38,8 @@ from urllib.parse import parse_qs
 from repro.errors import ReproError
 from repro.execution import ExecutionResult, ResultColumns
 from repro.rdf.terms import BlankNode, IRI, Literal, TermLike, XSD_STRING
+from repro.relstore import columnar
+from repro.resilience.deadline import current_deadline
 
 __all__ = [
     "RESULTS_JSON",
@@ -151,15 +153,16 @@ def _term_fragment(term: TermLike) -> str:
     )
 
 
-def _column_fragments(columns: ResultColumns, index: int) -> List[str]:
-    """One result column as JSON fragments, each term serialized at most once.
+def _column_fragments(columns: ResultColumns, index: int, start: int, stop: int) -> List[str]:
+    """Rows ``start:stop`` of one result column as JSON fragments, each term
+    serialized at most once.
 
     Dictionary ids read the fragment table that lives on the dictionary
     (:meth:`~repro.rdf.dictionary.TermDictionary.fragments`) and outlives the
     request; term columns (the graph route) and columns of a space that
     handed out execution-local ids memoize per call.
     """
-    entries = columns.entries(index)
+    entries = columns.entries(index, start, stop)
     space = columns.space
     if space is None or space.has_local_ids:
         distinct = set(entries)
@@ -187,6 +190,13 @@ def encode_results(result: ExecutionResult) -> bytes:
     assembled from the result's columns by joining strings: per column a
     list of term fragments, zipped into rows at C speed, with no per-row
     object in between.
+
+    Rows are assembled :data:`~repro.relstore.columnar.GATHER_CHUNK_ROWS` at
+    a time, and the ambient deadline (:mod:`repro.resilience.deadline`), if
+    any, is probed before each chunk: encoding a large result is part of the
+    request's budget, and a timeout raises
+    :class:`~repro.errors.QueryTimeoutError` with the execution's counters as
+    the partial work.
     """
     columns = result.columns
     names = columns.names
@@ -197,13 +207,25 @@ def encode_results(result: ExecutionResult) -> bytes:
         # No rows, or rows that bind no projected variable.
         return (head + ",".join(["{}"] * columns.count) + "]}}").encode("utf-8")
     keys = [_quote(name) + ":" for name in names]
-    rows = _column_fragments(columns, 0)
-    for index in range(1, len(names)):
-        rows = map(("," + keys[index]).join, zip(rows, _column_fragments(columns, index)))
     opening = "{" + keys[0]
-    # One expression, so that no name keeps a body-sized string alive while
-    # the next copy (the document, then its bytes) is made.
-    return "".join((head, opening, ("}," + opening).join(rows), "}]}}")).encode("utf-8")
+    separator = "}," + opening
+    deadline = current_deadline()
+    chunk_rows = columnar.GATHER_CHUNK_ROWS
+    # Each chunk leaves as bytes at once, so no body-sized string outlives
+    # the chunk that made it.
+    parts = [(head + opening).encode("utf-8")]
+    for start in range(0, columns.count, chunk_rows):
+        if deadline is not None:
+            deadline.check(result.counters)
+        stop = min(start + chunk_rows, columns.count)
+        rows = _column_fragments(columns, 0, start, stop)
+        for index in range(1, len(names)):
+            rows = map(
+                ("," + keys[index]).join, zip(rows, _column_fragments(columns, index, start, stop))
+            )
+        parts.append(((separator if start else "") + separator.join(rows)).encode("utf-8"))
+    parts.append(b"}]}}")
+    return b"".join(parts)
 
 
 def encode_error(code: str, message: str, **extra) -> bytes:

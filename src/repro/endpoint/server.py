@@ -61,6 +61,7 @@ from repro.endpoint.protocol import (
     request_from_post,
 )
 from repro.errors import ParseError, QueryTimeoutError, ReproError
+from repro.resilience.deadline import deadline_scope
 from repro.serve.service import QueryService
 
 __all__ = ["EndpointConfig", "AdmissionGate", "SparqlEndpoint", "GENERATION_HEADER"]
@@ -325,13 +326,19 @@ class _Handler(BaseHTTPRequestHandler):
             # happened-before our read, so generation stamps taken from this
             # ref are exactly the store that executes the query.
             service = endpoint.service
+            # One deadline per request, opened at admission: execution and
+            # encoding spend the same budget.
+            deadline = service.request_deadline(request.timeout_seconds)
             if endpoint.before_execute is not None:
                 endpoint.before_execute(query_text)
             generation = service.dual.generation
-            processed = service.run_query(
-                query_text, deadline_seconds=request.timeout_seconds
-            )
-            body = encode_results(processed.result)
+            with deadline_scope(deadline):
+                processed = service.run_query(query_text)
+                try:
+                    body = encode_results(processed.result)
+                except QueryTimeoutError:
+                    service.record_query_timeout()
+                    raise
         except ParseError as exc:  # pragma: no cover - caught pre-admission
             self._respond_error(400, "parse-error", exc.message, line=exc.line, column=exc.column)
             return

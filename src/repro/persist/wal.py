@@ -27,8 +27,9 @@ The delta log provides exactly the classic snapshot+log discipline:
   restore``: :func:`restore_with_log` loads the committed snapshot and
   replays every complete record after its generation, producing a store
   whose answers, work counters, placement, and generation match the live
-  one exactly (dictionary ids are assigned in first-seen order, tombstoned
-  tables scan like their compacted restores, and statistics are recomputed
+  one exactly (dictionary ids are assigned in first-seen order, a table
+  keeps each predicate's rows in insertion order whether they arrive one
+  write at a time or in one snapshot load, and statistics are recomputed
   lazily from content — so replaying the op sequence reproduces the bytes).
 
 Followers tail the log with a :class:`WalTailer`: a byte-offset cursor per

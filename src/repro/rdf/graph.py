@@ -8,6 +8,9 @@ triple partitions are shipped between them.
 
 It maintains SPO/POS/OSP-style dictionary indexes so that membership tests
 and per-predicate partition extraction are O(1)/O(partition) respectively.
+Iteration follows insertion order (the triples are dict keys, not set
+members), so a store loaded from a :class:`TripleSet` gets a row order that
+is a function of its input — never of per-process hash values.
 """
 
 from __future__ import annotations
@@ -25,12 +28,13 @@ class TripleSet:
     """A mutable, indexed collection of concrete RDF triples."""
 
     def __init__(self, triples: Iterable[Triple] | None = None):
-        self._triples: Set[Triple] = set()
+        # Insertion-ordered triples (dict keys; the values are unused).
+        self._triples: Dict[Triple, None] = {}
         # predicate -> list of (subject, object); the primary partition index
         self._by_predicate: Dict[IRI, List[Tuple[TermLike, TermLike]]] = defaultdict(list)
         # subject -> triples and object -> triples for pattern matching
-        self._by_subject: Dict[TermLike, Set[Triple]] = defaultdict(set)
-        self._by_object: Dict[TermLike, Set[Triple]] = defaultdict(set)
+        self._by_subject: Dict[TermLike, Dict[Triple, None]] = defaultdict(dict)
+        self._by_object: Dict[TermLike, Dict[Triple, None]] = defaultdict(dict)
         if triples is not None:
             self.add_all(triples)
 
@@ -43,10 +47,10 @@ class TripleSet:
             raise TermError(f"expected a Triple, got {type(triple).__name__}")
         if triple in self._triples:
             return False
-        self._triples.add(triple)
+        self._triples[triple] = None
         self._by_predicate[triple.predicate].append((triple.subject, triple.object))
-        self._by_subject[triple.subject].add(triple)
-        self._by_object[triple.object].add(triple)
+        self._by_subject[triple.subject][triple] = None
+        self._by_object[triple.object][triple] = None
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
@@ -61,15 +65,15 @@ class TripleSet:
         """Remove a triple if present; return ``True`` when removed."""
         if triple not in self._triples:
             return False
-        self._triples.remove(triple)
+        del self._triples[triple]
         pairs = self._by_predicate[triple.predicate]
         pairs.remove((triple.subject, triple.object))
         if not pairs:
             del self._by_predicate[triple.predicate]
-        self._by_subject[triple.subject].discard(triple)
+        del self._by_subject[triple.subject][triple]
         if not self._by_subject[triple.subject]:
             del self._by_subject[triple.subject]
-        self._by_object[triple.object].discard(triple)
+        del self._by_object[triple.object][triple]
         if not self._by_object[triple.object]:
             del self._by_object[triple.object]
         return True
@@ -177,7 +181,7 @@ class TripleSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TripleSet):
             return NotImplemented
-        return self._triples == other._triples
+        return self._triples.keys() == other._triples.keys()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"TripleSet({len(self._triples)} triples, {len(self._by_predicate)} predicates)"

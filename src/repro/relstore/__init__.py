@@ -21,7 +21,6 @@ from repro.relstore.sql_compiler import CompiledSQL, compile_select
 from repro.relstore.sqlite_backend import SQLiteBackend
 from repro.relstore.stats import TableStatistics, collect_statistics
 from repro.relstore.store import RelationalStore
-from repro.relstore.table import TripleTable
 from repro.relstore.views import MaterializedView, MaterializedViewManager, canonical_pattern_key
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "ShardedRelationalStore",
     "ShardingConfig",
     "ShardMetricsBoard",
-    "TripleTable",
     "ColumnarTripleTable",
     "ColumnarExecutor",
     "numpy_available",

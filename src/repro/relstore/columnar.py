@@ -1,4 +1,5 @@
-"""The production execution engine: vectorized, columnar, one execute loop.
+"""The relational store's storage and its production engine: id columns
+end to end, one execute loop.
 
 Every relational store — :class:`~repro.relstore.store.RelationalStore` and
 each shard of :class:`~repro.relstore.sharded.ShardedRelationalStore` — keeps
@@ -6,20 +7,18 @@ its rows in a :class:`ColumnarTripleTable` and answers queries through
 :func:`execute_compiled`.  The engine stores and pipelines **term-id
 columns**:
 
-* :class:`ColumnarTripleTable` keeps the row-oriented base table (mutations,
-  tombstones, snapshots, and the secondary indexes are inherited unchanged,
-  so WAL/snapshot payloads stay byte-identical) and materializes per-predicate
-  **column blocks** — stdlib ``array('q')`` id buffers in partition-scan
-  order — lazily; a cached block then *follows* writes (inserted rows are
-  appended, a deleted row's one position is removed) instead of being
-  dropped and rebuilt.  With numpy present (a *feature probe*; the stdlib
-  kernels are the import-failure fallback) the buffers are wrapped zero-copy
-  as ``int64`` vectors.
+* :class:`ColumnarTripleTable` stores each predicate's rows as one
+  :class:`ColumnBlock` — subject and object id columns in insertion order —
+  and nothing else holds a triple.  Writes maintain the blocks when they
+  happen: an insert batch extends each touched block once, a delete removes
+  the row's one position.  With numpy present (a *feature probe*; the stdlib
+  ``array('q')`` kernels are the import-failure fallback) the columns are
+  ``int64`` vectors.
 * Pattern access is mask selection over those blocks: constants arrive
   pre-resolved on the :class:`~repro.relstore.executor.CompiledStep` (bound
   once per store generation through the
   :class:`~repro.relstore.executor.BoundPlanCache`), so a partition scan with
-  no residual checks is a zero-copy handover of the cached columns.
+  no residual checks is a zero-copy handover of the stored columns.
 * Hash joins build per-column batch probes on the join column: the numpy
   kernel is a sort/searchsorted merge producing gather index vectors, the
   stdlib kernel a bucket dict over one key column — either way the pipeline
@@ -49,12 +48,13 @@ from __future__ import annotations
 import os
 from array import array
 from itertools import repeat
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.cost.counters import WorkCounters
-from repro.errors import QueryExecutionError
+from repro.errors import QueryExecutionError, StorageError
 from repro.execution import ExecutionResult, ResultColumns, ResultTable
-from repro.rdf.terms import Literal
+from repro.rdf.dictionary import EncodedTriple as Row, TermDictionary
+from repro.rdf.terms import IRI, Literal, Triple
 from repro.resilience.deadline import PROBE_STRIDE, current_deadline
 from repro.sparql.ast import Binding, SelectQuery
 
@@ -71,7 +71,6 @@ from repro.relstore.executor import (
 )
 from repro.relstore.planner import RelationalPlan
 from repro.relstore.stats import PredicateStatistics, predicate_statistics
-from repro.relstore.table import Row, TripleTable
 
 __all__ = [
     "ColumnarTripleTable",
@@ -154,7 +153,7 @@ class _StdlibKernels:
         """Indices passing every ``col == id`` / ``col == col`` check.
 
         ``None`` means "every row" (no checks at all) so the caller can hand
-        cached columns over without copying.
+        stored columns over without copying.
         """
         if not const_pairs and not dup_pairs:
             return None
@@ -365,7 +364,7 @@ class _NumpyKernels:
     def group_index(build_col):
         """``(order, unique_keys, group_starts, group_counts)`` of a join's
         build side — the O(n log n) part of the merge, which
-        :meth:`ColumnBlock.group_index` memoizes for cached columns."""
+        :meth:`ColumnBlock.group_index` memoizes for stored columns."""
         np = _numpy
         build = np.asarray(build_col, dtype=np.int64)
         order = np.argsort(build, kind="stable")
@@ -497,27 +496,24 @@ def select_kernels(use_numpy: Optional[bool] = None):
 
 
 # ---------------------------------------------------------------------- #
-# Columnar storage: the row table plus cached id-column blocks
+# Columnar storage: one id-column block per predicate
 # ---------------------------------------------------------------------- #
 class ColumnBlock(NamedTuple):
-    """One predicate's cached ``(subjects, objects)`` id columns, scan order.
+    """One predicate's ``(subjects, objects)`` id columns, insertion order.
 
-    ``consumed`` is how many entries of the table's per-predicate row-id list
-    the block covers (live or tombstoned); entries past it were inserted
-    since and are appended on the next access.  ``group_indexes`` memoizes
-    the join group index of each column.  A write replaces the block, so the
-    memo lives and dies with the arrays it describes.
+    ``group_indexes`` memoizes the join group index of each column.  A write
+    replaces the block, so the memo lives and dies with the arrays it
+    describes.
     """
 
     subjects: object
     objects: object
     count: int
-    consumed: int
     group_indexes: List[object]  # [of subjects, of objects], None until needed
 
     @classmethod
-    def of(cls, subjects, objects, count: int, consumed: int) -> "ColumnBlock":
-        return cls(subjects, objects, count, consumed, [None, None])
+    def of(cls, subjects, objects, count: int) -> "ColumnBlock":
+        return cls(subjects, objects, count, [None, None])
 
     def group_index(self, column, kernels):
         """The memoized group index of one of this block's own columns, or
@@ -534,139 +530,246 @@ class ColumnBlock(NamedTuple):
         return index
 
 
-class ColumnarTripleTable(TripleTable):
-    """A :class:`TripleTable` that serves scans as cached id-column blocks.
+class ColumnarTripleTable:
+    """The relational store's triple table: one :class:`ColumnBlock` per
+    predicate, and nothing else that holds a triple.
 
-    The row-oriented base (mutations, tombstones, ``dump_rows``/``load_rows``
-    and the secondary indexes) is inherited unchanged — snapshots and the WAL
-    see the exact same logical rows, so persistence needs no new format.  On
-    top, per-predicate :class:`ColumnBlock` s (and one full ``(s, p, o)``
-    triple of columns for table scans) are built lazily in scan order.
+    Beside the blocks the table keeps a set of encoded rows (duplicate
+    detection) and a per-predicate *write stamp* drawn from a per-table
+    counter that only goes up: a statistics entry records the stamp when it
+    is computed and is reused while the stamp stands.
 
-    A cached block follows writes.  Inserts cost the write path nothing:
-    the block knows how much of the predicate's append-only row-id list it
-    covers and appends the rest on its next access, so bulk loads and log
-    replay never pay a per-row hook.  A delete removes the row's one
-    position at once.  Only ``extract_predicate``/``compact``, which rebuild
-    the row-id lists, drop blocks; the full-table columns (read only by
-    unbound-predicate scans) are dropped by every write.
+    Blocks follow writes when the write happens.  Every insert path groups
+    its new rows by predicate and extends each touched block with one
+    ``appended``; a delete removes the row's one position.  A write replaces
+    the touched predicates' blocks and leaves every other block — and its
+    group-index memo — as it was.  Readers change nothing but the two lazy
+    memos: a block's group indexes and the full-table columns of
+    unbound-predicate scans.
+
+    **Scan order.**  A predicate's rows are in insertion order (a deleted and
+    re-inserted row moves to the end).  A table scan — and :meth:`dump_rows`
+    — visits the predicates in ascending predicate id, each in insertion
+    order, so re-inserting a dump rebuilds the same blocks.
     """
 
-    def __init__(self, dictionary=None, use_numpy: Optional[bool] = None):
-        super().__init__(dictionary)
+    def __init__(self, dictionary: Optional[TermDictionary] = None, use_numpy: Optional[bool] = None):
+        self.dictionary = dictionary if dictionary is not None else TermDictionary()
         self.kernels = select_kernels(use_numpy)
+        self._row_set: Set[Row] = set()
         self._partition_columns: Dict[int, ColumnBlock] = {}
+        self._stamps: Dict[int, int] = {}
+        self._clock = 0
         self._full_columns: Optional[Tuple[object, object, object, int]] = None
-        self._full_rows = 0  # len(self._rows) when _full_columns was built
 
-    # -- mutation hooks: keep blocks coherent with the row table -------- #
-    def delete_row(self, row: Row) -> bool:
-        removed = super().delete_row(row)
-        if removed:
-            self._full_columns = None
-            block = self._partition_columns.get(row[1])
-            if block is not None:
-                kernels = self.kernels
-                position = kernels.find_pair(block.subjects, block.objects, row[0], row[2])
-                # Not found: inserted after the block last caught up — the
-                # catch-up skips its tombstone.
-                if position is not None:
-                    self._partition_columns[row[1]] = ColumnBlock.of(
-                        kernels.removed(block.subjects, position),
-                        kernels.removed(block.objects, position),
-                        block.count - 1,
-                        block.consumed,
-                    )
-        return removed
-
-    def extract_predicate(self, predicate_id: int):
-        # Even with no live row left to remove, the row-id list is gone and
-        # the block that counted its entries with it.
-        self._partition_columns.pop(predicate_id, None)
+    # -- writes --------------------------------------------------------- #
+    def _replace_block(self, predicate_id: int, subjects, objects) -> None:
+        self._partition_columns[predicate_id] = ColumnBlock.of(subjects, objects, len(subjects))
+        self._clock += 1
+        self._stamps[predicate_id] = self._clock
         self._full_columns = None
-        return super().extract_predicate(predicate_id)
 
-    def compact(self) -> int:
-        reclaimed = super().compact()
-        if reclaimed:
-            self._partition_columns.clear()
-            self._full_columns = None
-        return reclaimed
+    def insert(self, triple: Triple) -> bool:
+        """Insert a triple; return ``True`` when it was new."""
+        return self.insert_all((triple,)) == 1
 
-    # -- block access --------------------------------------------------- #
-    def partition_columns(self, predicate_id: int) -> ColumnBlock:
-        """The block of one predicate, cached and caught up with inserts.
+    def insert_all(self, triples: Iterable[Triple]) -> int:
+        """Insert triples; returns how many were new."""
+        return sum(self.insert_rows(self.dictionary.encode_triples(triples)).values())
 
-        Rows are taken from the predicate's row-id list exactly as
-        :meth:`scan_predicate` walks it, so block order *is* scan order —
-        the property every ordering guarantee downstream rests on.
+    def insert_rows(self, rows: Iterable[Row]) -> Dict[int, int]:
+        """Insert encoded rows; returns ``{predicate id: rows added}``.
+
+        New rows are grouped by predicate, and each touched block is extended
+        once, however many rows it gains.
         """
-        row_ids = self._by_predicate.get(predicate_id, ())
-        covered = len(row_ids)
-        block = self._partition_columns.get(predicate_id)
-        if block is not None and block.consumed == covered:
-            return block
-        subjects = array("q")
-        objects = array("q")
-        append_subject = subjects.append
-        append_object = objects.append
-        rows = self._rows
-        for row_id in row_ids[block.consumed if block is not None else 0 : covered]:
-            row = rows[row_id]
-            if row is not None:
-                append_subject(row[0])
-                append_object(row[2])
+        row_set = self._row_set
+        tails: Dict[int, Tuple[array, array]] = {}
+        for row in rows:
+            if row in row_set:
+                continue
+            row_set.add(row)
+            tail = tails.get(row[1])
+            if tail is None:
+                tail = tails[row[1]] = (array("q"), array("q"))
+            tail[0].append(row[0])
+            tail[1].append(row[2])
+        appended = self.kernels.appended
+        for predicate_id, (subjects, objects) in tails.items():
+            block = self.partition_columns(predicate_id)
+            self._replace_block(
+                predicate_id, appended(block.subjects, subjects), appended(block.objects, objects)
+            )
+        return {predicate_id: len(subjects) for predicate_id, (subjects, _) in tails.items()}
+
+    def delete(self, triple: Triple) -> bool:
+        """Delete a triple; return ``True`` when it was present."""
+        row = tuple(self.dictionary.lookup_many((triple.subject, triple.predicate, triple.object)))
+        if row not in self._row_set:
+            return False
+        self._row_set.remove(row)
+        subject_id, predicate_id, object_id = row
+        block = self._partition_columns[predicate_id]
         kernels = self.kernels
-        if block is None:
-            block = ColumnBlock.of(
-                kernels.column(subjects), kernels.column(objects), len(subjects), covered
-            )
-        else:
-            block = ColumnBlock.of(
-                kernels.appended(block.subjects, subjects),
-                kernels.appended(block.objects, objects),
-                block.count + len(subjects),
-                covered,
-            )
-        self._partition_columns[predicate_id] = block
-        return block
+        position = kernels.find_pair(block.subjects, block.objects, subject_id, object_id)
+        self._replace_block(
+            predicate_id, kernels.removed(block.subjects, position), kernels.removed(block.objects, position)
+        )
+        return True
+
+    def extract_predicate(self, predicate_id: int) -> List[Row]:
+        """Remove and return every row of one predicate, in insertion order.
+
+        The sharded store moves a promoted mega-predicate's rows to other
+        shards with it.
+        """
+        block = self.partition_columns(predicate_id)
+        rows = list(self._block_rows(predicate_id, block.subjects, block.objects))
+        self._row_set.difference_update(rows)
+        empty = self.kernels.column(array("q"))
+        self._replace_block(predicate_id, empty, empty)
+        return rows
+
+    # -- size and statistics -------------------------------------------- #
+    def __len__(self) -> int:
+        return len(self._row_set)
+
+    def predicates(self) -> List[IRI]:
+        """All predicates present, decoded, sorted by IRI value."""
+        live = [pid for pid, block in self._partition_columns.items() if block.count]
+        terms = self.dictionary.decode_many(live)
+        return sorted((term for term in terms if isinstance(term, IRI)), key=lambda p: p.value)
+
+    def predicate_cardinality(self, predicate: IRI) -> int:
+        predicate_id = self.dictionary.lookup(predicate)
+        if predicate_id is None:
+            return 0
+        return self.live_row_count(predicate_id)
+
+    def live_row_count(self, predicate_id: int) -> int:
+        block = self._partition_columns.get(predicate_id)
+        return block.count if block is not None else 0
+
+    def cardinalities(self) -> Dict[IRI, int]:
+        return {p: self.predicate_cardinality(p) for p in self.predicates()}
+
+    def write_stamp(self, predicate_id: int) -> int:
+        """A value that differs after any write to the predicate's rows and
+        never repeats: what a statistics entry records when it is computed
+        and compares before reuse.  ``0`` means never written."""
+        return self._stamps.get(predicate_id, 0)
 
     def predicate_statistics(self, predicate_id: int) -> PredicateStatistics:
-        """One predicate's statistics from its block, equal to the base
-        table's scan of the partition value for value."""
+        """One predicate's statistics, from its block."""
         block = self.partition_columns(predicate_id)
         return self.kernels.statistics(block.subjects, block.objects)
 
+    # -- blocks and the row views over them ----------------------------- #
+    def partition_columns(self, predicate_id: int) -> ColumnBlock:
+        """The block of one predicate (an empty one when it has no rows)."""
+        block = self._partition_columns.get(predicate_id)
+        if block is None:
+            empty = self.kernels.column(array("q"))
+            block = ColumnBlock.of(empty, empty, 0)
+        return block
+
     def full_columns(self) -> Tuple[object, object, object, int]:
-        """The whole table as ``(s, p, o, count)`` columns in scan order."""
-        if self._full_columns is None or self._full_rows != len(self._rows):
-            subjects = array("q")
-            predicates = array("q")
-            objects = array("q")
-            append_subject = subjects.append
-            append_predicate = predicates.append
-            append_object = objects.append
-            for row in self.scan():
-                append_subject(row[0])
-                append_predicate(row[1])
-                append_object(row[2])
+        """The whole table as ``(s, p, o, count)`` columns in scan order:
+        predicates ascending by id, each in insertion order."""
+        if self._full_columns is None:
             kernels = self.kernels
+            blocks = sorted(self._partition_columns.items())
+            predicates = array("q")
+            for predicate_id, block in blocks:
+                predicates.extend(repeat(predicate_id, block.count))
+            empty = kernels.column(array("q"))
             self._full_columns = (
-                kernels.column(subjects),
+                kernels.concat([empty] + [block.subjects for _, block in blocks]),
                 kernels.column(predicates),
-                kernels.column(objects),
-                len(subjects),
+                kernels.concat([empty] + [block.objects for _, block in blocks]),
+                len(predicates),
             )
-            self._full_rows = len(self._rows)
         return self._full_columns
+
+    def _block_rows(self, predicate_id: int, subjects, objects) -> Iterator[Row]:
+        tolist = self.kernels.tolist
+        return zip(tolist(subjects), repeat(predicate_id), tolist(objects))
+
+    def scan(self) -> Iterator[Row]:
+        """Every row, in table-scan order."""
+        for predicate_id in sorted(self._partition_columns):
+            yield from self.scan_predicate(predicate_id)
+
+    def scan_predicate(self, predicate_id: int) -> Iterator[Row]:
+        """One predicate's rows in insertion order."""
+        block = self.partition_columns(predicate_id)
+        return self._block_rows(predicate_id, block.subjects, block.objects)
+
+    def lookup_subject(self, predicate_id: int, subject_id: int) -> Iterator[Row]:
+        """The rows of one ``(predicate, subject)`` key, in insertion order."""
+        return self._lookup(predicate_id, 0, subject_id)
+
+    def lookup_object(self, predicate_id: int, object_id: int) -> Iterator[Row]:
+        """The rows of one ``(predicate, object)`` key, in insertion order."""
+        return self._lookup(predicate_id, 1, object_id)
+
+    def _lookup(self, predicate_id: int, column: int, key: int) -> Iterator[Row]:
+        block = self.partition_columns(predicate_id)
+        kernels = self.kernels
+        selection = kernels.equal_selection([(block[column], key)], [], block.count)
+        return self._block_rows(
+            predicate_id, kernels.take(block.subjects, selection), kernels.take(block.objects, selection)
+        )
+
+    def contains(self, triple: Triple) -> bool:
+        row = tuple(self.dictionary.lookup_many((triple.subject, triple.predicate, triple.object)))
+        return row in self._row_set
+
+    def partition(self, predicate: IRI) -> List[Triple]:
+        """Decode every triple of one predicate, in insertion order."""
+        predicate_id = self.dictionary.lookup(predicate)
+        if predicate_id is None:
+            return []
+        block = self.partition_columns(predicate_id)
+        tolist, decode_many = self.kernels.tolist, self.dictionary.decode_many
+        term = self.dictionary.decode(predicate_id)
+        return [
+            Triple(subject, term, obj)  # type: ignore[arg-type]
+            for subject, obj in zip(
+                decode_many(tolist(block.subjects)), decode_many(tolist(block.objects))
+            )
+        ]
+
+    # -- durable snapshots (repro.persist) ------------------------------ #
+    def dump_rows(self) -> List[int]:
+        """Every row flattened to ``[s0, p0, o0, s1, p1, o1, ...]`` (Python
+        ints), in table-scan order; :meth:`load_rows` of it rebuilds the same
+        blocks."""
+        flat: List[int] = []
+        tolist = self.kernels.tolist
+        for predicate_id, block in sorted(self._partition_columns.items()):
+            count = block.count
+            rows = [predicate_id] * (3 * count)
+            rows[0::3] = tolist(block.subjects)
+            rows[2::3] = tolist(block.objects)
+            flat += rows
+        return flat
+
+    def load_rows(self, flat: List[int]) -> int:
+        """Insert rows flattened like :meth:`dump_rows` (any row order: each
+        predicate keeps the order its rows appear in); returns the number
+        inserted.  The dictionary must already contain every id."""
+        if len(flat) % 3:
+            raise StorageError(f"flat row payload length {len(flat)} is not a multiple of 3")
+        return sum(self.insert_rows(zip(flat[0::3], flat[1::3], flat[2::3])).values())
 
     # -- the access paths ----------------------------------------------- #
     def step_block(self, step: CompiledStep, counters: WorkCounters):
-        """One plan step's pattern block and the cached block behind it:
+        """One plan step's pattern block and the stored block behind it:
         ``((names, columns, count), source)``.
 
         Charges the step's access path like the oracle's row loop: scans
-        cover the cached column blocks, a point lookup charges its one index
+        cover the column blocks, a point lookup charges its one index
         lookup and masks the partition block down to the key.  ``source`` is
         the :class:`ColumnBlock` a partition scan read (the join reuses its
         memoized group index when the columns were handed over uncopied),
@@ -768,14 +871,13 @@ def match_index_block(
     counters: WorkCounters,
     kernels,
 ):
-    """A point lookup served as a mask over the cached partition block.
+    """A point lookup served as a mask over the partition block.
 
     Emits the same rows — in the same order — and charges the same
-    ``rows_scanned`` as the oracle's walk of the ``(predicate, key)``
-    secondary index: both that index's bucket and the partition block list
-    rows in insertion order, so masking the scan-order block down to the key
-    is order-identical to the bucket walk, while the equality test runs at
-    kernel speed instead of one Python iteration per indexed row.
+    ``rows_scanned`` as the oracle's walk of the table's
+    ``lookup_subject``/``lookup_object`` view: the rows of the ``(predicate,
+    key)`` bucket in insertion order, so ``rows_scanned`` is the bucket
+    length.
     """
     deadline = current_deadline()
     if deadline is not None:
@@ -783,8 +885,8 @@ def match_index_block(
     columns_at = {0: subjects, 2: objects}
     base = kernels.equal_selection([(columns_at[position], bound_id)], [], count)
     matched = len(base)
-    # The oracle charges every row the index bucket yields, matching or
-    # not (residual const checks come after the charge); `matched` is that
+    # The oracle charges every row the lookup yields, matching or not
+    # (residual const checks come after the charge); `matched` is that
     # bucket's length.
     counters.rows_scanned += matched
     names = matcher.var_names
@@ -842,7 +944,7 @@ def join_block(
     work budget (the same step-level check the execute loop runs after this
     call) and the deadline are consulted, and only then is the gather emitted —
     in one kernel, or while a deadline is active in bounded chunks with a probe
-    between them.  ``source`` is the cached block ``block_cols`` was handed
+    between them.  ``source`` is the stored block ``block_cols`` was handed
     over from, if any; its memoized group index spares the build-side sort.
     """
     new_names = tuple(name for name in names if name not in schema)
@@ -1147,8 +1249,6 @@ class ColumnarExecutor:
     :class:`~repro.relstore.reference.ReferenceExecutor`."""
 
     def __init__(self, table: ColumnarTripleTable):
-        if not isinstance(table, ColumnarTripleTable):
-            raise QueryExecutionError("the columnar executor needs a ColumnarTripleTable")
         self._table = table
 
     def execute(

@@ -40,13 +40,12 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.cost.counters import WorkCounters
 from repro.errors import WorkBudgetExceeded
 from repro.execution import ExecutionResult, ResultTable
-from repro.rdf.dictionary import TermDictionary
+from repro.rdf.dictionary import EncodedTriple, TermDictionary
 from repro.rdf.terms import XSD_DOUBLE, XSD_INTEGER, TermLike, Variable
 from repro.sparql.ast import Binding, Filter, SelectQuery, TriplePattern
 from repro.sparql.algebra import merge_bindings
 
 from repro.relstore.planner import RelationalPlan
-from repro.relstore.table import Row
 
 __all__ = [
     "relational_work_units",
@@ -333,7 +332,7 @@ def _compile_filter_side(
 # Term-space evaluation primitives (the retained reference path)
 # ---------------------------------------------------------------------- #
 def bind_pattern_row(
-    dictionary: TermDictionary, pattern: TriplePattern, row: Row
+    dictionary: TermDictionary, pattern: TriplePattern, row: EncodedTriple
 ) -> Optional[Binding]:
     """Match one stored row against a pattern, producing a decoded binding.
 
@@ -368,32 +367,10 @@ def join_pattern_rows(
     if not bindings or not pattern_rows:
         return []
 
-    # Hash join on the shared variables (if any); cartesian product otherwise.
     if bindings == [{}]:
         counters.rows_joined += len(pattern_rows)
         return pattern_rows
-
-    shared = _shared_variable_names(bindings[0], pattern)
-    output: List[Binding] = []
-    if shared:
-        index: Dict[tuple, List[Binding]] = {}
-        for row_binding in pattern_rows:
-            key = tuple(row_binding[name] for name in shared)
-            index.setdefault(key, []).append(row_binding)
-        for binding in bindings:
-            key = tuple(binding[name] for name in shared)
-            for row_binding in index.get(key, ()):
-                merged = merge_bindings(binding, row_binding)
-                if merged is not None:
-                    output.append(merged)
-    else:
-        for binding in bindings:
-            for row_binding in pattern_rows:
-                merged = merge_bindings(binding, row_binding)
-                if merged is not None:
-                    output.append(merged)
-    counters.rows_joined += len(output)
-    return output
+    return _merge_join(bindings, pattern_rows, _shared_variable_names(bindings[0], pattern), counters)
 
 
 def join_result_table(
@@ -418,23 +395,30 @@ def join_result_table(
     if bindings == [{}]:
         counters.rows_joined += len(table_bindings)
         return table_bindings
-    output: List[Binding] = []
     shared = sorted(set(bindings[0]) & set(table.variables))
+    return _merge_join(bindings, table_bindings, shared, counters)
+
+
+def _merge_join(
+    bindings: List[Binding], rows: List[Binding], shared: List[str], counters: WorkCounters
+) -> List[Binding]:
+    """Hash-join ``rows`` into ``bindings`` on the ``shared`` variables — a
+    cartesian merge when there are none — charging ``rows_joined`` per
+    produced tuple."""
+    output: List[Binding] = []
     if shared:
         index: Dict[tuple, List[Binding]] = {}
-        for table_binding in table_bindings:
-            key = tuple(table_binding[name] for name in shared)
-            index.setdefault(key, []).append(table_binding)
+        for row in rows:
+            index.setdefault(tuple(row[name] for name in shared), []).append(row)
         for binding in bindings:
-            key = tuple(binding[name] for name in shared)
-            for table_binding in index.get(key, ()):
-                merged = merge_bindings(binding, table_binding)
+            for row in index.get(tuple(binding[name] for name in shared), ()):
+                merged = merge_bindings(binding, row)
                 if merged is not None:
                     output.append(merged)
     else:
         for binding in bindings:
-            for table_binding in table_bindings:
-                merged = merge_bindings(binding, table_binding)
+            for row in rows:
+                merged = merge_bindings(binding, row)
                 if merged is not None:
                     output.append(merged)
     counters.rows_joined += len(output)

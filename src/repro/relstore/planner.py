@@ -42,10 +42,6 @@ class PatternAccess:
     access_path: AccessPath
     estimated_rows: int
 
-    @property
-    def uses_index(self) -> bool:
-        return self.access_path in ("index_subject", "index_object")
-
 
 @dataclass(frozen=True)
 class RelationalPlan:

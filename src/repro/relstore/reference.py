@@ -2,8 +2,13 @@
 
 This executor decodes every column of every scanned row into term objects
 and joins dictionaries of those terms — the plainest possible reading of the
-plan, sharing no kernel, no id arithmetic and no cached state with
-:mod:`repro.relstore.columnar`.  It is kept for two reasons:
+plan, sharing no join kernel, no id arithmetic and no cached plan state with
+:mod:`repro.relstore.columnar`.  It reads the one table class,
+:class:`~repro.relstore.columnar.ColumnarTripleTable`, through its row
+views (``scan``, ``scan_predicate``, ``lookup_subject``, ``lookup_object``:
+``(s, p, o)`` tuples of Python ints over the blocks), so the storage is
+shared; the SQLite backend (``tests/test_differential_sql.py``) is the
+storage-independent oracle.  It is kept for two reasons:
 
 * it is the **differential oracle**: ``tests/test_differential_engine.py``
   pits the columnar engine (both kernel sets, unsharded and sharded) against
@@ -38,7 +43,7 @@ from repro.relstore.executor import (
     join_pattern_rows,
 )
 from repro.relstore.planner import PatternAccess, RelationalPlan
-from repro.relstore.table import Row, TripleTable
+from repro.relstore.columnar import ColumnarTripleTable, Row
 
 __all__ = ["ReferenceExecutor"]
 
@@ -46,7 +51,7 @@ __all__ = ["ReferenceExecutor"]
 class ReferenceExecutor:
     """Evaluates plans by decoding every scanned row into term bindings."""
 
-    def __init__(self, table: TripleTable):
+    def __init__(self, table: ColumnarTripleTable):
         self._table = table
 
     # ------------------------------------------------------------------ #

@@ -68,12 +68,10 @@ from repro.rdf.graph import TripleSet
 from repro.rdf.terms import IRI, Triple
 from repro.sparql.ast import SelectQuery, TriplePattern
 
-from repro.relstore.columnar import ColumnarTripleTable, ColumnBlock, execute_compiled
-from repro.relstore.executor import BoundPlanCache, CompiledPlan, CompiledStep, compile_plan
-from repro.relstore.planner import RelationalPlan, plan_query
-from repro.relstore.stats import MaintainedStatistics, TableStatistics
-from repro.relstore.store import capped_execution, estimate_relational_seconds
-from repro.relstore.table import Row
+from repro.relstore.columnar import ColumnarTripleTable, ColumnBlock, Row, execute_compiled
+from repro.relstore.executor import CompiledStep, compile_plan
+from repro.relstore.stats import TableStatistics
+from repro.relstore.store import PlannedStore
 
 __all__ = ["ShardingConfig", "ShardedRelationalStore", "ShardMetricsBoard", "SUBJECT_SHARDED"]
 
@@ -108,7 +106,7 @@ class _Probe(NamedTuple):
     pricing point — the metrics board and the parallel-time model both
     consume the same priced ``seconds``.  ``fragment`` is the shard table's
     ``(names, columns, count)`` block of id columns (shards never decode),
-    ``source`` the cached block behind a partition scan's columns."""
+    ``source`` the stored block behind a partition scan's columns."""
 
     shard: int
     rows_scanned: int
@@ -175,7 +173,7 @@ class ShardMetricsBoard:
             return out
 
 
-class ShardedRelationalStore:
+class ShardedRelationalStore(PlannedStore):
     """A work-accounted relational store over N hash-partitioned shards.
 
     Parameters
@@ -201,7 +199,6 @@ class ShardedRelationalStore:
         if shards < 1:
             raise ValueError("a sharded store needs at least one shard")
         self.shard_count = shards
-        self.cost_model = cost_model
         self.config = config or ShardingConfig()
         self.dictionary = dictionary if dictionary is not None else TermDictionary()
         self._tables = [ColumnarTripleTable(self.dictionary) for _ in range(shards)]
@@ -210,14 +207,8 @@ class ShardedRelationalStore:
         #: term_id -> stable hash shard (memoized CRC32 of the term's N3
         #: form, so placement is identical no matter the insertion order).
         self._term_shard: Dict[int, int] = {}
-        self._statistics = MaintainedStatistics(
-            self._tables_for_predicate, self.predicates, self.__len__, self.dictionary.lookup
-        )
-        #: query → (plan, compiled plan) memo, invalidated by generation.
-        self._bound_plans = BoundPlanCache()
-        self._plan_generation = 0
+        super().__init__(cost_model, self.dictionary, self._tables_for_predicate)
         self.shard_metrics = ShardMetricsBoard(shards)
-        self.total_insert_seconds = 0.0
         self._scatter_pool = None  # duck-typed: anything with .map(fn, iterable)
         self._scatter_pool_lock = threading.Lock()
 
@@ -322,12 +313,7 @@ class ShardedRelationalStore:
         if table.live_row_count(predicate_id) <= self._skew_limit():
             return
         self._placement[predicate_id] = SUBJECT_SHARDED
-        for row in table.extract_predicate(predicate_id):
-            self._tables[self._shard_of_term(row[0])].insert_row(row)
-        # Reclaim the mass-deleted slots at once: promotion runs under the
-        # exclusive-mutation contract, and leaving the tombstones in place
-        # would tax every later index lookup on the old owner shard.
-        table.compact()
+        self._insert_routed(table.extract_predicate(predicate_id))
 
     # ------------------------------------------------------------------ #
     # Loading and updates
@@ -338,20 +324,25 @@ class ShardedRelationalStore:
 
     def insert(self, triples: Iterable[Triple]) -> float:
         """Insert new knowledge, routing each row to its shard."""
-        inserted = 0
-        touched: set[int] = set()
-        for triple in triples:
-            row = self.dictionary.encode_triple(triple)
-            shard = self._shard_for_row(row)
-            if self._tables[shard].insert_row(row):
-                inserted += 1
-                touched.add(row[1])
+        added = self._insert_routed(self.dictionary.encode_triples(triples))
         self._plan_generation += 1
-        for predicate_id in touched:
+        for predicate_id in added:
             self._maybe_promote(predicate_id)
-        seconds = self.cost_model.relational_insert_seconds(inserted)
+        seconds = self.cost_model.relational_insert_seconds(sum(added.values()))
         self.total_insert_seconds += seconds
         return seconds
+
+    def _insert_routed(self, rows: Iterable[Row]) -> Dict[int, int]:
+        """Route encoded rows to their shards, then insert each shard's share
+        in one batch; returns ``{predicate id: rows added}``."""
+        per_shard: List[List[Row]] = [[] for _ in self._tables]
+        for row in rows:
+            per_shard[self._shard_for_row(row)].append(row)
+        added: Dict[int, int] = {}
+        for table, shard_rows in zip(self._tables, per_shard):
+            for predicate_id, count in table.insert_rows(shard_rows).items():
+                added[predicate_id] = added.get(predicate_id, 0) + count
+        return added
 
     def delete(self, triple: Triple) -> bool:
         predicate_id = self.dictionary.lookup(triple.predicate)
@@ -394,9 +385,7 @@ class ShardedRelationalStore:
             return []
         out: List[Triple] = []
         for table in self._tables_for_predicate(predicate_id):
-            out.extend(
-                self.dictionary.decode_triple(row) for row in table.scan_predicate(predicate_id)
-            )
+            out += table.partition(predicate)
         return out
 
     def partition_size(self, predicate: IRI) -> int:
@@ -411,32 +400,9 @@ class ShardedRelationalStore:
     def partition_sizes(self) -> Dict[IRI, int]:
         return {p: self.partition_size(p) for p in self.predicates()}
 
-    def statistics(self) -> TableStatistics:
-        """Global statistics across every shard.
-
-        Content-identical to the unsharded store's statistics over the same
-        data, so planning (join order, access paths) is identical too —
-        sharding changes *where* rows live, never *how* queries are planned.
-        Brought up to date lazily after mutations, like the unsharded store's
-        (:class:`~repro.relstore.stats.MaintainedStatistics`).
-        """
-        return self._statistics.current(self._plan_generation)
-
     # ------------------------------------------------------------------ #
     # Query execution (scatter-gather)
     # ------------------------------------------------------------------ #
-    def plan(
-        self, query: SelectQuery, pattern_order: Sequence[TriplePattern] | None = None
-    ) -> RelationalPlan:
-        return plan_query(query, self.statistics(), pattern_order=pattern_order)
-
-    def _bound_plan(self, query: SelectQuery) -> Tuple[RelationalPlan, CompiledPlan]:
-        """The plan with every step's constants resolved once per store
-        generation — each shard probe then matches by ``int ==`` only."""
-        return self._bound_plans.get_or_bind(
-            query, self._plan_generation, lambda: self.plan(query), self.dictionary
-        )
-
     def execute(
         self,
         query: SelectQuery,
@@ -450,7 +416,7 @@ class ShardedRelationalStore:
         The engine's execute loop asks this store for each plan step's block;
         the answer is the shard probes' id columns concatenated per column in
         shard order.  A step that one shard answers alone (a predicate placed
-        on one shard) hands that shard's cached columns over uncopied,
+        on one shard) hands that shard's stored columns over uncopied,
         together with the block they came from, so the join reuses the
         block's memoized group index exactly as the unsharded store does.
 
@@ -506,28 +472,9 @@ class ShardedRelationalStore:
         self._price(result, step_probe_work, shard_rows_scanned, unprobed_index_lookups)
         return result
 
-    def execute_capped(
-        self, query: SelectQuery, work_budget: float
-    ) -> Tuple[Optional[ExecutionResult], float]:
-        """Run with a cap; return ``(result_or_None, seconds)`` like the
-        unsharded store (the counterfactual thread stopped at ``λ·c₁``)."""
-        return capped_execution(self, query, work_budget)
-
-    # ------------------------------------------------------------------ #
-    # Estimation (no execution)
-    # ------------------------------------------------------------------ #
-    def estimate_query_seconds(self, query: SelectQuery) -> float:
-        """Price a query from statistics only (used by the ideal/one-off tuners)."""
-        return estimate_relational_seconds(self.statistics(), self.cost_model, query)
-
     # ------------------------------------------------------------------ #
     # Durable snapshots (repro.persist)
     # ------------------------------------------------------------------ #
-    def content_token(self) -> int:
-        """A token that changes whenever the stored triples change (data
-        mutations only — see :meth:`RelationalStore.content_token`)."""
-        return self._plan_generation
-
     def snapshot_state(self) -> dict:
         """JSON-serializable store state: per-shard rows **and** the placement
         map, so a restore reproduces the exact physical layout — including

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sqlite3
 from pathlib import Path
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
 from repro.errors import StorageError
 from repro.rdf.ntriples import _parse_term  # reuse the strict term grammar
@@ -125,6 +125,3 @@ class SQLiteBackend:
         rows = [tuple(_load_value(value) for value in row) for row in cursor.fetchall()]
         return compiled.columns, rows
 
-    def execute_sql(self, sql: str, parameters: Sequence[str] = ()) -> List[tuple]:
-        """Escape hatch for tests and tooling."""
-        return list(self._connection.execute(sql, tuple(parameters)).fetchall())

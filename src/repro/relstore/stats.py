@@ -3,6 +3,8 @@
 The planner uses these statistics to order joins and to decide between index
 lookups and partition scans; the tuner uses them to estimate the benefit of
 moving a partition without executing anything (``estimate_only`` mode).
+The stores keep them current with :class:`MaintainedStatistics`, which
+recomputes only the predicates whose write stamp moved since the last read.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Sequence, 
 from repro.rdf.terms import IRI, Variable
 from repro.sparql.ast import SelectQuery, TriplePattern
 
-if TYPE_CHECKING:  # annotations only: table.py imports this module
-    from repro.relstore.table import Row, TripleTable
+if TYPE_CHECKING:  # annotations only: columnar.py imports this module
+    from repro.rdf.dictionary import EncodedTriple as Row
+    from repro.relstore.columnar import ColumnarTripleTable
 
 __all__ = ["TableStatistics", "MaintainedStatistics", "collect_statistics", "predicate_statistics"]
 
@@ -88,7 +91,7 @@ class PredicateStatistics:
 
 @dataclass
 class TableStatistics:
-    """Statistics snapshot for a :class:`~repro.relstore.table.TripleTable`."""
+    """Statistics snapshot for a :class:`~repro.relstore.columnar.ColumnarTripleTable`."""
 
     total_rows: int
     per_predicate: Dict[IRI, PredicateStatistics]
@@ -237,8 +240,8 @@ def predicate_statistics(rows: Iterable[Row]) -> PredicateStatistics:
     )
 
 
-def collect_statistics(table: TripleTable) -> TableStatistics:
-    """Compute fresh statistics by scanning the table's partition index."""
+def collect_statistics(table: "ColumnarTripleTable") -> TableStatistics:
+    """Compute fresh statistics by scanning each predicate's rows."""
     per_predicate: Dict[IRI, PredicateStatistics] = {}
     for predicate in table.predicates():
         predicate_id = table.dictionary.lookup(predicate)
@@ -252,12 +255,14 @@ class MaintainedStatistics:
     """A store's statistics, brought up to date lazily after mutations.
 
     Each per-predicate entry records the write stamp
-    (:meth:`~repro.relstore.table.TripleTable.write_stamp`) of every table
-    holding rows of the predicate — one table in the unsharded store and for
-    a predicate placed on one shard, all of them for a subject-sharded one —
-    and is kept for as long as those stamps stand; only the predicates
-    written since the last call are recomputed.  Values equal
-    :func:`collect_statistics` over the same rows.
+    (:meth:`~repro.relstore.columnar.ColumnarTripleTable.write_stamp`: a
+    per-table counter value that moves with every write to the predicate and
+    never repeats) of every table holding rows of the predicate — one table
+    in the unsharded store and for a predicate placed on one shard, all of
+    them for a subject-sharded one — and is kept for as long as those stamps
+    stand; only the predicates written since the last call are recomputed,
+    from their blocks.  Values equal :func:`collect_statistics` over the
+    same rows.
 
     The owning store says what it holds: ``tables_for(predicate_id)`` names
     the tables with a predicate's rows, in scan order; ``predicates()`` and
@@ -268,7 +273,7 @@ class MaintainedStatistics:
 
     def __init__(
         self,
-        tables_for: "Callable[[int], Sequence[TripleTable]]",
+        tables_for: "Callable[[int], Sequence[ColumnarTripleTable]]",
         predicates: "Callable[[], Iterable[IRI]]",
         total_rows: "Callable[[], int]",
         lookup: "Callable[[IRI], Optional[int]]",
@@ -282,7 +287,7 @@ class MaintainedStatistics:
         #: whole state.
         self._state: Tuple[int, Optional[TableStatistics], Dict[IRI, tuple]] = (-1, None, {})
 
-    def _stamp(self, predicate: IRI) -> Tuple[int, "Sequence[TripleTable]", tuple]:
+    def _stamp(self, predicate: IRI) -> Tuple[int, "Sequence[ColumnarTripleTable]", tuple]:
         predicate_id = self._lookup(predicate)
         tables = self._tables_for(predicate_id)
         return predicate_id, tables, tuple(table.write_stamp(predicate_id) for table in tables)

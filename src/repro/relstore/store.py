@@ -12,7 +12,7 @@ into seconds.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cost.counters import WorkCounters
 from repro.cost.model import CostModel, DEFAULT_COST_MODEL
@@ -23,47 +23,99 @@ from repro.rdf.terms import IRI, Triple
 from repro.sparql.ast import SelectQuery, TriplePattern
 
 from repro.relstore.columnar import ColumnarExecutor, ColumnarTripleTable
-from repro.relstore.executor import BoundPlanCache, CompiledPlan, relational_work_units
+from repro.relstore.executor import (
+    BoundPlanCache,
+    CompiledPlan,
+    distinct_bindings,
+    project_bindings,
+    relational_work_units,
+)
 from repro.relstore.planner import RelationalPlan, plan_query
 from repro.relstore.reference import ReferenceExecutor
 from repro.relstore.stats import MaintainedStatistics, TableStatistics
-from repro.relstore.table import TripleTable
 from repro.relstore.views import MaterializedView, MaterializedViewManager
 
-__all__ = [
-    "RelationalStore",
-    "relational_work_units",
-    "capped_execution",
-    "estimate_relational_seconds",
-]
+__all__ = ["RelationalStore", "relational_work_units"]
 
 
-def capped_execution(store, query: SelectQuery, work_budget: float):
-    """Run ``store.execute`` under a work cap; ``(result_or_None, seconds)``.
+class PlannedStore:
+    """What both relational stores — :class:`RelationalStore` and
+    :class:`~repro.relstore.sharded.ShardedRelationalStore` — share:
+    statistics maintained across writes, planning against them, the
+    bound-plan memo, capped execution and estimation.  Sharing them means
+    the two stores plan identically and price the counterfactual thread by
+    one convention that can never drift between them.
 
-    The paper's counterfactual thread stopped at ``λ·c₁``: on budget
-    exhaustion the partial work is priced as plain row scans.  Shared by the
-    unsharded and sharded stores so the counterfactual pricing convention
-    can never drift between them.
+    ``tables_for(predicate_id)`` names the tables holding a predicate's rows
+    (:class:`~repro.relstore.stats.MaintainedStatistics`); every mutation
+    bumps ``_plan_generation``.
     """
-    try:
-        result = store.execute(query, work_budget=work_budget)
-        return result, result.seconds
-    except WorkBudgetExceeded as exc:
-        partial = WorkCounters(rows_scanned=int(exc.partial_work), queries_issued=1)
-        return None, store.cost_model.relational_query_seconds(partial)
+
+    def __init__(self, cost_model: CostModel, dictionary, tables_for):
+        self.cost_model = cost_model
+        self._dictionary = dictionary
+        self._statistics = MaintainedStatistics(
+            tables_for, self.predicates, self.__len__, dictionary.lookup
+        )
+        #: query → (plan, compiled plan) memo, invalidated by generation.
+        self._bound_plans = BoundPlanCache()
+        self._plan_generation = 0
+        self.total_insert_seconds = 0.0
+
+    def statistics(self) -> TableStatistics:
+        """Current statistics, brought up to date lazily after mutations:
+        only the predicates whose write stamp moved are recomputed.  Equal
+        for the same rows however they are sharded, so planning (join order,
+        access paths) is too — sharding changes *where* rows live, never
+        *how* queries are planned."""
+        return self._statistics.current(self._plan_generation)
+
+    def plan(
+        self, query: SelectQuery, pattern_order: Sequence[TriplePattern] | None = None
+    ) -> RelationalPlan:
+        return plan_query(query, self.statistics(), pattern_order=pattern_order)
+
+    def _bound_plan(self, query: SelectQuery) -> Tuple[RelationalPlan, CompiledPlan]:
+        """The query's plan with constants pre-resolved, memoized per store
+        generation (the serving layer replays identical parsed queries, so a
+        hit skips planning *and* every per-pattern constant lookup)."""
+        return self._bound_plans.get_or_bind(
+            query, self._plan_generation, lambda: self.plan(query), self._dictionary
+        )
+
+    def execute_capped(
+        self, query: SelectQuery, work_budget: float
+    ) -> Tuple[Optional[ExecutionResult], float]:
+        """Run with a cap; return ``(result_or_None, seconds)``.
+
+        The paper's counterfactual thread, stopped once it has run for
+        ``λ·c₁``: on budget exhaustion the result is ``None`` and the partial
+        work is priced as plain row scans.
+        """
+        try:
+            result = self.execute(query, work_budget=work_budget)
+            return result, result.seconds
+        except WorkBudgetExceeded as exc:
+            partial = WorkCounters(rows_scanned=int(exc.partial_work), queries_issued=1)
+            return None, self.cost_model.relational_query_seconds(partial)
+
+    def estimate_query_seconds(self, query: SelectQuery) -> float:
+        """Price a query from statistics only (the ideal/one-off tuners' path)."""
+        work = self.statistics().estimate_query_work(query)
+        counters = WorkCounters(rows_scanned=int(work), queries_issued=1)
+        return self.cost_model.relational_query_seconds(counters)
+
+    def content_token(self) -> int:
+        """A token that changes whenever the stored triples change.
+
+        Data mutations (``load``/``insert``/``delete``) bump it; physical
+        moves elsewhere in the dual store do not.  :mod:`repro.persist` keys
+        its dataset-fingerprint cache on this, so placement-only checkpoints
+        skip the full fingerprint pass."""
+        return self._plan_generation
 
 
-def estimate_relational_seconds(
-    statistics: TableStatistics, cost_model: CostModel, query: SelectQuery
-) -> float:
-    """Price a query from statistics only (the ideal/one-off tuners' path)."""
-    work = statistics.estimate_query_work(query)
-    counters = WorkCounters(rows_scanned=int(work), queries_issued=1)
-    return cost_model.relational_query_seconds(counters)
-
-
-class RelationalStore:
+class RelationalStore(PlannedStore):
     """A work-accounted relational triple store.
 
     Parameters
@@ -78,7 +130,8 @@ class RelationalStore:
         columns, mask selection, batched hash joins — numpy-accelerated when
         available — with a bound-plan memo.  ``"reference"`` runs its
         differential oracle, the decode-per-row executor, which re-plans and
-        re-resolves constants on every execution.
+        re-resolves constants on every execution.  Both read the same
+        :class:`~repro.relstore.columnar.ColumnarTripleTable`.
     dictionary:
         An existing term dictionary to encode against (the snapshot-restore
         path rebuilds the dictionary first so persisted integer rows keep
@@ -94,25 +147,15 @@ class RelationalStore:
     ):
         if engine not in ("reference", "columnar"):
             raise ValueError(f"unknown relational engine {engine!r}")
-        self.cost_model = cost_model
         self.engine = engine
-        if engine == "columnar":
-            self.table: TripleTable = ColumnarTripleTable(dictionary)
-            self._executor = ColumnarExecutor(self.table)
-        else:
-            self.table = TripleTable(dictionary)
-            self._executor = ReferenceExecutor(self.table)
-        #: query → (plan, compiled plan) memo, invalidated by generation.
-        self._bound_plans = BoundPlanCache()
-        self._plan_generation = 0
-        table = self.table
-        self._statistics = MaintainedStatistics(
-            lambda predicate_id: (table,), table.predicates, table.__len__, table.dictionary.lookup
+        table = self.table = ColumnarTripleTable(dictionary)
+        self._executor = (
+            ColumnarExecutor(table) if engine == "columnar" else ReferenceExecutor(table)
         )
+        super().__init__(cost_model, table.dictionary, lambda predicate_id: (table,))
         self.view_manager: Optional[MaterializedViewManager] = (
             MaterializedViewManager(row_budget=view_row_budget) if view_row_budget is not None else None
         )
-        self.total_insert_seconds = 0.0
 
     # ------------------------------------------------------------------ #
     # Loading and updates
@@ -166,25 +209,9 @@ class RelationalStore:
     def partition_sizes(self) -> Dict[IRI, int]:
         return self.table.cardinalities()
 
-    def statistics(self) -> TableStatistics:
-        """Current table statistics, brought up to date lazily after
-        mutations (:class:`~repro.relstore.stats.MaintainedStatistics`)."""
-        return self._statistics.current(self._plan_generation)
-
     # ------------------------------------------------------------------ #
     # Query execution
     # ------------------------------------------------------------------ #
-    def plan(self, query: SelectQuery, pattern_order: Sequence[TriplePattern] | None = None) -> RelationalPlan:
-        return plan_query(query, self.statistics(), pattern_order=pattern_order)
-
-    def _bound_plan(self, query: SelectQuery) -> tuple[RelationalPlan, CompiledPlan]:
-        """The query's plan with constants pre-resolved, memoized per store
-        generation (the serving layer replays identical parsed queries, so a
-        hit skips planning *and* every per-pattern constant lookup)."""
-        return self._bound_plans.get_or_bind(
-            query, self._plan_generation, lambda: self.plan(query), self.table.dictionary
-        )
-
     def execute(
         self,
         query: SelectQuery,
@@ -218,19 +245,6 @@ class RelationalStore:
         result.store = "relational"
         return result
 
-    def execute_capped(
-        self,
-        query: SelectQuery,
-        work_budget: float,
-    ) -> tuple[Optional[ExecutionResult], float]:
-        """Run with a cap; return ``(result_or_None, seconds)``.
-
-        On budget exhaustion the result is ``None`` and the returned seconds
-        are the price of the work done so far — this is the counterfactual
-        thread that the paper stops once it has run for ``λ·c₁``.
-        """
-        return capped_execution(self, query, work_budget)
-
     def execute_with_view(self, query: SelectQuery, view: MaterializedView) -> ExecutionResult:
         """Answer ``query`` using a materialized view for part of its pattern.
 
@@ -248,22 +262,13 @@ class RelationalStore:
             residual = None
 
         if residual is None:
-            counters = WorkCounters(view_rows_scanned=len(view.table), queries_issued=1)
             names = query.projected_names()
-            bindings = [
-                {name: binding[name] for name in names if name in binding}
-                for binding in view.table.to_bindings()
-            ]
+            bindings = project_bindings(view.table.to_bindings(), query)
             if query.distinct:
-                seen = set()
-                unique = []
-                for binding in bindings:
-                    key = tuple(binding.get(name) for name in names)
-                    if key not in seen:
-                        seen.add(key)
-                        unique.append(binding)
-                bindings = unique
-            counters.results_produced = len(bindings)
+                bindings = distinct_bindings(bindings, names)
+            counters = WorkCounters(
+                view_rows_scanned=len(view.table), queries_issued=1, results_produced=len(bindings)
+            )
             result = ExecutionResult(bindings=bindings, variables=tuple(names), counters=counters)
         else:
             result = self._executor.execute(
@@ -277,24 +282,8 @@ class RelationalStore:
         return result
 
     # ------------------------------------------------------------------ #
-    # Estimation (no execution)
-    # ------------------------------------------------------------------ #
-    def estimate_query_seconds(self, query: SelectQuery) -> float:
-        """Price a query from statistics only (used by the ideal/one-off tuners)."""
-        return estimate_relational_seconds(self.statistics(), self.cost_model, query)
-
-    # ------------------------------------------------------------------ #
     # Durable snapshots (repro.persist)
     # ------------------------------------------------------------------ #
-    def content_token(self) -> int:
-        """A token that changes whenever the stored triples change.
-
-        Data mutations (``load``/``insert``/``delete``) bump it; physical
-        moves elsewhere in the dual store do not.  :mod:`repro.persist` keys
-        its dataset-fingerprint cache on this, so placement-only checkpoints
-        skip the full fingerprint pass."""
-        return self._plan_generation
-
     def snapshot_state(self) -> dict:
         """JSON-serializable store state (rows + statistics; the dictionary
         is persisted separately since the graph/dual layers share it)."""
@@ -316,8 +305,10 @@ class RelationalStore:
         cls, state: dict, dictionary, cost_model: CostModel = DEFAULT_COST_MODEL
     ) -> "RelationalStore":
         """Rebuild a store from :meth:`snapshot_state` against a restored
-        dictionary.  Row order (and therefore index order, scan order, query
-        results, and work counters) matches the snapshotted store exactly.
+        dictionary.  Each predicate's row order (and therefore scan order,
+        query results, and work counters) matches the snapshotted store
+        exactly — also for payloads written in global row order, which
+        older builds wrote.
 
         The payload's ``"engine"`` tag is not read: whatever engine wrote the
         snapshot (including the legacy ``"idspace"`` tag), the rows restore

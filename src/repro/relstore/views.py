@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.execution import ResultTable
 from repro.rdf.terms import IRI, Literal, TermLike, Variable
-from repro.sparql.ast import SelectQuery, TriplePattern
+from repro.sparql.ast import TriplePattern
 
 __all__ = ["canonical_pattern_key", "MaterializedView", "MaterializedViewManager"]
 
@@ -100,10 +100,6 @@ class MaterializedViewManager:
         """Record one occurrence of a (complex) subquery shape."""
         if patterns:
             self._frequency[canonical_pattern_key(patterns)] += 1
-
-    def observe_query(self, query: SelectQuery, complex_patterns: Sequence[TriplePattern]) -> None:
-        """Convenience wrapper used by the RDB-views variant."""
-        self.observe(tuple(complex_patterns) if complex_patterns else query.patterns)
 
     def frequent_keys(self) -> List[Tuple]:
         """Canonical keys ordered by descending observation frequency."""

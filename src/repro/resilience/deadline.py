@@ -26,8 +26,10 @@ before it is allocated — then, while a deadline is active, between
 :data:`~repro.relstore.columnar.GATHER_CHUNK_ROWS`-row chunks of the gather
 and every :data:`PROBE_STRIDE` rows of the filter and materialize loops; a
 build side's group-index sort and DISTINCT's run unprobed), the graph matcher
-(:mod:`repro.graphstore.matcher`), and — running the same execute loop — the
-sharded coordinator's request thread.  The decode-per-row reference executor
+(:mod:`repro.graphstore.matcher`), the sharded coordinator's request thread
+(running the same execute loop), and the endpoint's result encoder (a
+probe per chunk of rows, under the deadline the endpoint opens at request
+admission).  The decode-per-row reference executor
 is an oracle and is not probed.  Scatter-pool probe threads do not see
 the request thread's ambient deadline (each shard probe is bounded by its
 shard's size); the coordinator's loop re-checks before and inside each join,

@@ -86,8 +86,9 @@ class ServiceCounters:
         ``endpoint_requests`` — the fault suite asserts this total matches
         the client-observed 503s exactly.
     query_timeouts:
-        Executions cancelled cooperatively because they exceeded their
-        deadline (:mod:`repro.resilience.deadline`); each one surfaced as a
+        Requests cancelled cooperatively because they exceeded their
+        deadline (:mod:`repro.resilience.deadline`) — while executing, or at
+        the endpoint while encoding the results; each one surfaced as a
         :class:`~repro.errors.QueryTimeoutError` (a 504 at the endpoint).
         Incremented by the service itself, so it sums across merges.
     worker_restarts:

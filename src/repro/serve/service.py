@@ -54,7 +54,7 @@ from repro.core.processor import ProcessedQuery
 from repro.cost.model import CostModel, DEFAULT_COST_MODEL
 from repro.cost.resources import ResourceThrottle
 from repro.errors import QueryTimeoutError, SnapshotError
-from repro.resilience.deadline import Deadline, deadline_scope
+from repro.resilience.deadline import Deadline, current_deadline, deadline_scope
 from repro.persist.snapshot import (
     CapturedSnapshot,
     SnapshotManifest,
@@ -361,7 +361,10 @@ class QueryService:
         (overriding ``ServiceConfig.default_deadline_seconds``); an
         over-budget execution raises
         :class:`~repro.errors.QueryTimeoutError` — cooperatively, so the
-        executor thread is freed, never left hung.
+        executor thread is freed, never left hung.  Without it, a caller
+        already running under an ambient deadline (the endpoint opens one
+        per request, shared by execution and result encoding) executes
+        under that one.
         """
         return self._serve(
             [query], count_batch=False, deadline_seconds=deadline_seconds
@@ -397,13 +400,11 @@ class QueryService:
 
         # One wall-clock budget per submission (shared across a batch): the
         # clock starts here, after resolution, so the budget measures store
-        # execution — what the cooperative probes can actually cancel.
-        budget = (
-            deadline_seconds
-            if deadline_seconds is not None
-            else self.config.default_deadline_seconds
-        )
-        deadline = Deadline(budget) if budget is not None else None
+        # execution — what the cooperative probes can actually cancel —
+        # unless the caller's ambient deadline already runs.
+        deadline = current_deadline() if deadline_seconds is None else None
+        if deadline is None:
+            deadline = self.request_deadline(deadline_seconds)
 
         # With adaptive tuning on, serves hold the gate shared so a tuning
         # epoch (exclusive) can never mutate the store between the generation
@@ -635,6 +636,22 @@ class QueryService:
             return
         with self._gate.write_locked():
             yield
+
+    def request_deadline(self, deadline_seconds: Optional[float] = None) -> Optional[Deadline]:
+        """A started deadline for one submission: ``deadline_seconds``, else
+        ``ServiceConfig.default_deadline_seconds``; ``None`` when neither
+        sets a budget."""
+        budget = (
+            deadline_seconds if deadline_seconds is not None else self.config.default_deadline_seconds
+        )
+        return Deadline(budget) if budget is not None else None
+
+    def record_query_timeout(self) -> None:
+        """Count a request that ran out of its deadline after execution —
+        while the endpoint encoded its results — like an execution that
+        did (``query_timeouts``)."""
+        with self._metrics_lock:
+            self.metrics.counters.query_timeouts += 1
 
     def record_endpoint(self, *, requests: int, shed: int) -> None:
         """Mirror the HTTP endpoint's cumulative admission accounting.

@@ -1,16 +1,19 @@
-"""Differential suite: the SQLite path vs the reference executor.
+"""Differential suite: the SQLite path vs the relational store's engines.
 
 The SQL compiler + SQLiteBackend answer the same SPARQL subset as the
 work-accounted Python engines, and that parity needs a guard: the stored surface forms are TEXT, so
 a carelessly compiled filter would compare ``"5"`` and ``"250"``
 lexicographically while the executors compare them numerically.  This suite
 pins answer-parity across *every* template family of all three synthetic
-datasets (YAGO, WatDiv, Bio2RDF), so any future divergence between the SQL
-path and the reference oracle (which the production engine is held to,
-byte for byte, by ``test_differential_engine.py``) names the family that broke.
+datasets (YAGO, WatDiv, Bio2RDF), on both columnar kernel sets, so any future
+divergence between the SQL path and the engines names the family that broke.
 
-(Only answers are compared: the SQLite path has no work counters, so there is
-nothing to differentiate on the accounting side.)
+SQLite keeps its own storage, so it is the *storage-independent* oracle:
+the production engine and its decode-per-row reference both read the
+columnar table, and only this suite would notice that table storing or
+handing back the wrong rows.  (Only answers are compared, as multisets: the
+SQLite path has no work counters, so there is nothing to differentiate on
+the accounting side.)
 """
 
 from __future__ import annotations
@@ -42,37 +45,40 @@ def _row_fingerprint(rows):
 
 @pytest.fixture(scope="module", params=sorted(_DATASETS))
 def engines(request):
-    """(dataset name, per-family queries, loaded python store, loaded SQLite)."""
+    """(dataset name, its triples, per-family queries, loaded SQLite)."""
     dataset, build_workload = _DATASETS[request.param]()
     workload = build_workload(dataset)
     by_family = {}
     for entry in workload.queries:
         by_family.setdefault(entry.family, []).append((entry.template, entry.query))
 
-    store = RelationalStore(engine="reference")
-    store.load(dataset.triples)
     backend = SQLiteBackend()
     backend.insert_triples(dataset.triples)
-    yield request.param, by_family, store, backend
+    yield request.param, dataset.triples, by_family, backend
     backend.close()
 
 
-def test_sql_answers_match_the_reference_engine_for_every_family(engines):
-    name, by_family, store, backend = engines
+def test_sql_answers_match_both_engines_for_every_family(engines, kernel_set):
+    name, triples, by_family, backend = engines
     assert by_family, f"{name}: workload has no queries"
+    stores = {engine: RelationalStore(engine=engine) for engine in ("columnar", "reference")}
+    for store in stores.values():
+        store.load(triples)
     for family, entries in sorted(by_family.items()):
         for template, query in entries:
             columns, sql_rows = backend.execute_select(query)
-            result = store.execute(query)
-            assert columns == tuple(result.variables), (
-                f"{name}/{family}/{template}: projected columns diverged"
-            )
-            assert _row_fingerprint(sql_rows) == _row_fingerprint(result.rows()), (
-                f"{name}/{family}/{template}: SQL answers diverged from the reference engine"
-            )
+            for engine, store in stores.items():
+                result = store.execute(query)
+                assert columns == tuple(result.variables), (
+                    f"{name}/{family}/{template}: projected columns diverged ({engine})"
+                )
+                assert _row_fingerprint(sql_rows) == _row_fingerprint(result.rows()), (
+                    f"{name}/{family}/{template}: SQL answers diverged from {engine} "
+                    f"on the {kernel_set} kernels"
+                )
 
 
-def test_sql_filter_comparison_is_typed_not_lexicographic():
+def test_sql_filter_comparison_is_typed_not_lexicographic(kernel_set):
     """The regression the suite exists for: multi-digit numeric filters.
 
     Stored as TEXT, ``"5" <= "250"`` is lexicographically *false*; the typed

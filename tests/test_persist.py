@@ -40,7 +40,9 @@ from repro import (
 from repro.errors import SnapshotError, SnapshotIntegrityError
 from repro.persist import FORMAT_VERSION, dataset_fingerprint, list_snapshots
 from repro.persist import snapshot as snapshot_module
+from repro.rdf.dictionary import TermDictionary
 from repro.relstore.sharded import ShardingConfig
+from repro.sparql import parse_query
 
 TUNER_CONFIG = DotilConfig(r_bg=0.2, prob=1.0, gamma=0.7, lam=4.5)
 
@@ -141,6 +143,62 @@ def test_restored_sharded_dualstore_preserves_placement_and_answers(
             warm = restored.run_query(query)
             assert warm.record.route == live[index].record.route, f"{label}[{index}] N={shards}"
             assert_identical(live[index].result, warm.result, f"{label}[{index}] N={shards}")
+
+
+VARIABLE_PREDICATE = "SELECT ?s ?p ?o WHERE { ?s ?p ?o . }"
+
+
+def _global_order_rows(tables, order):
+    """Snapshot rows as older builds wrote them: every table's rows in global
+    insertion order (``order``), predicates interleaved."""
+    rows = [tables[0].dictionary.encode_triple(triple) for triple in order]
+    return [
+        [value for row in rows if row in table._row_set for value in row] for table in tables
+    ]
+
+
+@pytest.mark.parametrize("shards", (None, 4))
+def test_restore_equals_live_for_table_scans_and_reinserted_rows(shards, kernel_set, tmp_path):
+    """Restore == live — bindings, order, counters — for a variable-predicate
+    query (a table scan: predicates by ascending id) and around a triple that
+    was deleted and re-inserted (now last in its predicate); and a snapshot
+    whose rows are in global insertion order, as older builds wrote them,
+    restores to the same store."""
+    dataset = generate_watdiv(target_triples=800, seed=23)
+    order = list(dataset.triples)
+    sharding = {} if shards is None else {"shards": shards, "sharding": AGGRESSIVE}
+    dual = DualStore(TUNER_CONFIG, **sharding).load(dataset.triples)
+    moved = order[0]
+    assert dual.delete([moved]) == 1
+    dual.insert([moved])
+    order = order[1:] + [moved]
+    queries = [
+        parse_query(VARIABLE_PREDICATE),
+        parse_query(f"SELECT ?p ?o WHERE {{ {moved.subject.n3()} ?p ?o . }}"),
+        parse_query(f"SELECT ?s ?o WHERE {{ ?s {moved.predicate.n3()} ?o . }}"),
+    ]
+    live = [dual.relational.execute(query) for query in queries]
+    partition = dual.relational.partition(moved.predicate)
+    assert moved in partition and (shards or partition[-1] == moved)
+
+    dual.snapshot(tmp_path)
+    restored = DualStore.restore(tmp_path)
+    for index, (query, answer) in enumerate(zip(queries, live)):
+        assert_identical(answer, restored.relational.execute(query), f"restored[{index}]")
+
+    backend = dual.relational
+    tables = backend._tables if shards else [backend.table]
+    state = json.loads(json.dumps(backend.snapshot_state()))  # Python ints only
+    legacy = _global_order_rows(tables, order)
+    if shards is None:
+        state["rows"] = legacy[0]
+    else:
+        state["shard_rows"] = legacy
+    dictionary = TermDictionary.from_payload(tables[0].dictionary.to_payload())
+    from_legacy = type(backend).restore_state(state, dictionary)
+    assert from_legacy.snapshot_state() == backend.snapshot_state()
+    for index, (query, answer) in enumerate(zip(queries, live)):
+        assert_identical(answer, from_legacy.execute(query), f"legacy[{index}]")
 
 
 def test_dataset_fingerprint_is_layout_invariant(family_workloads, tmp_path):

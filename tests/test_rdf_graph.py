@@ -1,5 +1,10 @@
 """Unit tests for the in-memory TripleSet."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import TermError
@@ -114,3 +119,40 @@ class TestSetOperations:
     def test_equality(self, small_set):
         assert small_set == small_set.copy()
         assert small_set != TripleSet()
+
+
+class TestIterationOrder:
+    def test_iterates_in_insertion_order(self, small_set):
+        assert list(small_set) == [
+            Triple(ALICE, BORN, BERLIN),
+            Triple(BOB, BORN, PARIS),
+            Triple(ALICE, NAME, Literal("Alice")),
+        ]
+        small_set.discard(Triple(ALICE, BORN, BERLIN))
+        small_set.add(Triple(ALICE, BORN, BERLIN))
+        assert list(small_set)[-1] == Triple(ALICE, BORN, BERLIN)
+        assert list(small_set.copy()) == list(small_set)
+        assert small_set == TripleSet(reversed(list(small_set)))  # equality ignores order
+
+    def test_a_loaded_store_has_the_same_rows_in_every_process(self):
+        """The table's row order is a function of the input alone: two
+        interpreters with different hash seeds load one generated dataset
+        through ``DualStore.load(TripleSet(...))`` into equal ``dump_rows()``."""
+        script = (
+            "import json\n"
+            "from repro import DualStore, generate_watdiv\n"
+            "from repro.rdf import TripleSet\n"
+            "dataset = generate_watdiv(target_triples=1500, seed=5)\n"
+            "dual = DualStore().load(TripleSet(dataset.triples))\n"
+            "print(json.dumps(dual.relational.table.dump_rows()))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            completed = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                timeout=120, check=True,
+            )
+            outputs.append(completed.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]

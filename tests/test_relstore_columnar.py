@@ -5,7 +5,7 @@ execute loop, and the planner's skew guard.
 The differential suite (``test_differential_engine.py``) proves the columnar
 engine indistinguishable from the reference oracle end to end; this module
 pins down the pieces that make that hold — kernel output *order*, how blocks
-follow mutations, the numpy feature probe, and the skew-aware
+follow writes, the numpy feature probe, and the skew-aware
 planner regression the skew guard exists to prevent.  That a maintained
 block always equals a rebuilt one under arbitrary write sequences is
 ``test_relstore_maintained.py``'s job.
@@ -107,7 +107,7 @@ def test_select_kernels_fails_loudly_when_numpy_is_forced_but_absent(monkeypatch
 
 
 # --------------------------------------------------------------------------- #
-# Cached column blocks follow the row table through mutations
+# Column blocks are the table: writes maintain them
 # --------------------------------------------------------------------------- #
 def _columnar_store() -> RelationalStore:
     store = RelationalStore(engine="columnar")
@@ -130,53 +130,41 @@ def _rebuilt_lists(table, predicate_id):
     return [row[0] for row in rows], [row[2] for row in rows], len(rows)
 
 
-def test_insert_is_appended_to_the_cached_block_not_rebuilt():
+def test_a_write_replaces_exactly_the_touched_predicates_blocks():
+    """An insert batch extends each touched block once and a delete removes
+    the row's one position, at write time; every other block — and its
+    group-index memo — is the very same object afterwards, and a reader
+    changes nothing."""
     store = _columnar_store()
     table = store.table
     assert isinstance(table, ColumnarTripleTable)
     p_id = table.dictionary.lookup(ex("p"))
     q_id = table.dictionary.lookup(ex("q"))
-    p_block = table.partition_columns(p_id)
     q_block = table.partition_columns(q_id)
-    full = table.full_columns()
-    assert p_block.count == 2 and q_block.count == 1 and full[3] == 3
+    q_memo = q_block.group_index(q_block.objects, table.kernels)
+    assert table.full_columns()[3] == 3
 
-    store.insert([Triple(ex("d"), ex("p"), ex("w"))])
-    # The write itself touched nothing: the block still covers two of the
-    # predicate's three index entries and catches up on its next access.
-    assert table._partition_columns[p_id] is p_block and p_block.consumed == 2
-    caught_up = table.partition_columns(p_id)
-    assert caught_up.count == 3 and caught_up.consumed == 3
-    assert list(caught_up.subjects)[:2] == list(p_block.subjects)  # appended, scan order kept
+    store.insert([Triple(ex("d"), ex("p"), ex("w")), Triple(ex("e"), ex("p"), ex("v"))])
+    p_block = table._partition_columns[p_id]
+    assert p_block.count == 4 and table._full_columns is None
     assert _block_lists(table, p_id) == _rebuilt_lists(table, p_id)
-    assert table.partition_columns(p_id) is caught_up  # nothing left to catch up with
-    assert table.partition_columns(q_id) is q_block  # untouched predicate survives
-    assert table.full_columns()[3] == 4  # full scan covers every predicate: rebuilt
+    assert list(p_block.subjects) == [
+        table.dictionary.lookup(ex(name)) for name in ("a", "b", "d", "e")
+    ]
+    assert table.partition_columns(q_id) is q_block
+    assert q_block.group_index(q_block.objects, table.kernels) is q_memo
 
+    store.delete(Triple(ex("b"), ex("p"), ex("y")))
+    assert table._partition_columns[p_id].count == 3
+    assert _block_lists(table, p_id) == _rebuilt_lists(table, p_id)
+    assert table.partition_columns(q_id) is q_block
 
-def test_delete_removes_one_position_and_only_compaction_drops_blocks():
-    store = _columnar_store()
-    table = store.table
-    p_id = table.dictionary.lookup(ex("p"))
-    q_id = table.dictionary.lookup(ex("q"))
-    table.partition_columns(p_id)
-    q_block = table.partition_columns(q_id)
-    table.full_columns()
-    store.delete(Triple(ex("a"), ex("p"), ex("x")))
-    assert table._full_columns is None
-    assert table._partition_columns[q_id] is q_block  # other predicates keep their block
-    assert table._partition_columns[p_id].count == 1  # removed at once, not on next access
-    assert _block_lists(table, p_id) == _rebuilt_lists(table, p_id)
-    # A row inserted and deleted before the block next catches up never shows.
-    store.insert([Triple(ex("e"), ex("p"), ex("v")), Triple(ex("f"), ex("p"), ex("u"))])
-    store.delete(Triple(ex("e"), ex("p"), ex("v")))
-    assert _block_lists(table, p_id) == _rebuilt_lists(table, p_id)
-    assert table.partition_columns(p_id).count == 2
-    # Compaction rebuilds the row-id lists the blocks index into: all dropped.
-    assert table.compact() == 2
-    assert table._partition_columns == {} and table._full_columns is None
-    assert _block_lists(table, p_id) == _rebuilt_lists(table, p_id)
-    assert table.partition_columns(q_id).count == 1
+    # Readers build nothing but the lazy full-table columns.
+    blocks = dict(table._partition_columns)
+    list(table.scan()), table.predicate_statistics(p_id), table.partition(ex("p"))
+    assert table._partition_columns.keys() == blocks.keys()
+    assert all(table._partition_columns[pid] is block for pid, block in blocks.items())
+    assert table.full_columns()[3] == 4
 
 
 def test_a_write_replaces_the_block_and_with_it_the_group_index_memo():
@@ -190,19 +178,6 @@ def test_a_write_replaces_the_block_and_with_it_the_group_index_memo():
     store.insert([Triple(ex("d"), ex("p"), ex("w"))])
     assert table.partition_columns(p_id).group_indexes == [None, None]
     assert not hasattr(columnar, "_GROUP_INDEX_CACHE")
-
-
-def test_extract_predicate_drops_that_predicates_block():
-    store = _columnar_store()
-    table = store.table
-    p_id = table.dictionary.lookup(ex("p"))
-    q_id = table.dictionary.lookup(ex("q"))
-    table.partition_columns(p_id)
-    table.partition_columns(q_id)
-    table.extract_predicate(q_id)
-    assert q_id not in table._partition_columns
-    assert table._full_columns is None
-    assert table.partition_columns(q_id)[2] == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -279,9 +254,9 @@ def test_unknown_engine_names_are_rejected_everywhere():
         RelationalStore(engine="columnarr")
     with pytest.raises(ValueError):
         RelationalStore(engine="idspace")  # the deleted row engine is not a name any more
-    assert isinstance(RelationalStore(engine="columnar").table, ColumnarTripleTable)
-    assert not isinstance(RelationalStore(engine="reference").table, ColumnarTripleTable)
-    assert isinstance(DualStore().relational.table, ColumnarTripleTable)
+    assert type(RelationalStore(engine="columnar").table) is ColumnarTripleTable
+    assert type(RelationalStore(engine="reference").table) is ColumnarTripleTable  # one table class
+    assert type(DualStore().relational.table) is ColumnarTripleTable
 
 
 @pytest.mark.parametrize("tag", ["idspace", "reference", "columnar", None])

@@ -1,17 +1,18 @@
-"""Derived state that follows writes must equal derived state rebuilt after them.
+"""The table's storage and the state derived from it, against plain models.
 
-The columnar store keeps three things derived from its rows — per-predicate
-column blocks, per-predicate statistics, and per-predicate live-row counts —
-and since the default-engine flip it *maintains* them across writes instead of
-dropping and rebuilding them.  The contract is that nobody can tell: after any
-sequence of inserts, deletes, re-inserts, deletes of absent rows, removal of a
-predicate's last row, new predicates, compactions, and extractions of a whole
-predicate, with blocks warm or cold, on either kernel set,
+The columnar table stores each predicate's rows as one id-column block and
+maintains the blocks, the per-predicate write stamps and (through the store)
+the statistics at write time.  After any sequence of inserts, deletes,
+re-inserts, deletes of absent rows, removal of a predicate's last row and new
+predicates, on either kernel set,
 
-* every cached block equals one rebuilt from ``scan_predicate``,
+* the row views (``scan_predicate``, ``lookup_subject``, ``lookup_object``),
+  ``partition_sizes()`` and the order of ``dump_rows()`` equal a plain-Python
+  model — the list of live rows in insertion order,
+* a predicate's write stamp moved exactly when one of its rows was written,
+  and it only ever goes up,
 * ``statistics()`` equals ``collect_statistics(table)``, down to the bytes of
-  ``to_payload()`` (key order included — snapshots persist it),
-* ``partition_sizes()`` equals a recount, and
+  ``to_payload()`` (key order included — snapshots persist it), and
 * query answers (content *and* order) and work counters equal those of a
   ``reference`` store fed the same operations.
 
@@ -29,6 +30,8 @@ they keep running whatever the random draw does.
 from __future__ import annotations
 
 import json
+from collections import Counter
+from typing import Dict, List, Set
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -69,13 +72,10 @@ QUERIES = [
 triples = st.builds(
     Triple, st.sampled_from(ENTITIES), st.sampled_from(PREDICATES), st.sampled_from(ENTITIES)
 )
-#: One write: ("insert", [triples]) / ("delete", triple) / ("compact", None) /
-#: ("extract", predicate index: every row deleted, then the index extracted).
+#: One write: ("insert", [triples]) / ("delete", triple).
 writes = st.one_of(
     st.tuples(st.just("insert"), st.lists(triples, min_size=1, max_size=4)),
     st.tuples(st.just("delete"), triples),
-    st.tuples(st.just("compact"), st.none()),
-    st.tuples(st.just("extract"), st.sampled_from(range(len(PREDICATES)))),
 )
 
 
@@ -90,8 +90,9 @@ def _tables(store):
 
 
 class Pair:
-    """A columnar store on a chosen kernel set, a sharded one, and their
-    ``reference`` oracle."""
+    """A columnar store on a chosen kernel set, a sharded one, their
+    ``reference`` oracle, and the storage model: the live rows in insertion
+    order."""
 
     def __init__(self, use_numpy: bool):
         self.columnar = RelationalStore(engine="columnar")
@@ -99,58 +100,73 @@ class Pair:
         for table in _tables(self.columnar) + _tables(self.sharded):
             table.kernels = select_kernels(use_numpy)  # no block exists yet
         self.oracle = RelationalStore(engine="reference")
+        self.model: List[Triple] = []
+        self.written: Set[IRI] = set()  # predicates written since the last check
+        self.stamps: Dict[IRI, int] = {}
 
     def apply(self, kind: str, arg) -> None:
         for store in (self.columnar, self.sharded, self.oracle):
             if kind == "insert":
                 store.insert(arg)
-            elif kind == "delete":
-                store.delete(arg)
-            elif kind == "compact":
-                for table in _tables(store):
-                    table.compact()
             else:
-                # ``extract_predicate`` is a table operation (the sharded store
-                # moves a promoted predicate's rows with it) that a store is
-                # not told about, so empty the partition through the store
-                # first: what is left to extract is its tombstoned index.
-                predicate = PREDICATES[arg]
-                for triple in list(store.partition(predicate)):
-                    store.delete(triple)
-                for table in _tables(store):
-                    predicate_id = table.dictionary.lookup(predicate)
-                    if predicate_id is not None:
-                        assert table.extract_predicate(predicate_id) == []
+                store.delete(arg)
+        for triple in arg if kind == "insert" else [arg]:
+            present = triple in self.model
+            if kind == "insert" and not present:
+                self.model.append(triple)
+            elif kind == "delete" and present:
+                self.model.remove(triple)
+            else:
+                continue
+            self.written.add(triple.predicate)
 
-    def warm(self, predicate: IRI) -> None:
-        table = self.columnar.table
-        predicate_id = table.dictionary.lookup(predicate)
-        if predicate_id is not None:
-            table.partition_columns(predicate_id)
+    def check_storage(self) -> None:
+        store, table = self.columnar, self.columnar.table
+        encode = table.dictionary.lookup
+        rows = [(encode(t.subject), encode(t.predicate), encode(t.object)) for t in self.model]
+        blocks = dict(table._partition_columns)
+        for predicate in PREDICATES:
+            predicate_id = encode(predicate)
+            stamp = table.write_stamp(predicate_id) if predicate_id is not None else 0
+            moved = stamp != self.stamps.get(predicate, 0)
+            assert moved == (predicate in self.written), predicate
+            assert stamp >= self.stamps.get(predicate, 0)
+            self.stamps[predicate] = stamp
+            if predicate_id is None:
+                continue
+            partition = [row for row in rows if row[1] == predicate_id]
+            assert list(table.scan_predicate(predicate_id)) == partition
+            for entity in ENTITIES:
+                key = encode(entity)
+                if key is None:
+                    continue
+                assert list(table.lookup_subject(predicate_id, key)) == [
+                    row for row in partition if row[0] == key
+                ]
+                assert list(table.lookup_object(predicate_id, key)) == [
+                    row for row in partition if row[2] == key
+                ]
+        self.written.clear()
+        sizes = Counter(t.predicate for t in self.model)
+        assert store.partition_sizes() == dict(sorted(sizes.items(), key=lambda kv: kv[0].value))
+        assert list(store.partition_sizes()) == sorted(sizes, key=lambda p: p.value)
+        by_predicate = sorted(rows, key=lambda row: row[1])  # stable: insertion order within
+        assert table.dump_rows() == [value for row in by_predicate for value in row]
+        assert list(table.scan()) == by_predicate
+        # Readers replaced no block.
+        assert table._partition_columns.keys() == blocks.keys()
+        assert all(table._partition_columns[pid] is block for pid, block in blocks.items())
 
     def check(self) -> None:
+        self.check_storage()
         store, table = self.columnar, self.columnar.table
-        for predicate_id in list(table._partition_columns):
-            block = table.partition_columns(predicate_id)
-            rows = list(table.scan_predicate(predicate_id))
-            assert list(block.subjects) == [row[0] for row in rows]
-            assert list(block.objects) == [row[2] for row in rows]
-            assert block.count == len(rows)
         rebuilt = collect_statistics(table)
         assert store.statistics() == rebuilt
         assert json.dumps(store.statistics().to_payload()) == json.dumps(rebuilt.to_payload())
-        recount = {}
-        for predicate in PREDICATES:
-            predicate_id = table.dictionary.lookup(predicate)
-            live = sum(1 for _ in table.scan_predicate(predicate_id)) if predicate_id is not None else 0
-            if live:
-                recount[predicate] = live
-        assert store.partition_sizes() == recount
-        assert list(store.partition_sizes()) == list(self.oracle.partition_sizes())
         sharded = self.sharded
         assert sharded.statistics() == rebuilt
         assert json.dumps(sharded.statistics().to_payload()) == json.dumps(rebuilt.to_payload())
-        assert sharded.partition_sizes() == recount
+        assert sharded.partition_sizes() == store.partition_sizes()
         for query in QUERIES:
             mine, theirs = store.execute(query), self.oracle.execute(query)
             assert mine.bindings == theirs.bindings
@@ -181,10 +197,6 @@ class MaintainedEqualsRebuilt(RuleBasedStateMachine):
         for kind, arg in batch:
             self.pair.apply(kind, arg)
 
-    @rule(predicate=st.sampled_from(PREDICATES))
-    def warm_block(self, predicate):
-        self.pair.warm(predicate)
-
     @invariant()
     def maintained_equals_rebuilt(self):
         self.pair.check()
@@ -211,52 +223,29 @@ def _t(s: int, p: int, o: int) -> Triple:
     return Triple(ENTITIES[s], PREDICATES[p], ENTITIES[o])
 
 
-#: ``None`` = read everything (the invariant); ``("warm", p)`` = build p's block.
+#: ``None`` = read everything (the invariant).
 COUNTEREXAMPLES = {
-    # Insert + delete of a *different* row + compact between two reads brings
-    # (index entries, tombstones) back to what the first read saw, with other
-    # content: a write stamp without the index epoch calls the entry current.
-    "stamp_repeats_across_compaction": [
-        ("insert", [_t(0, 0, 1), _t(1, 0, 1)]), None,
-        ("insert", [_t(2, 0, 3)]), ("delete", _t(0, 0, 1)), ("compact", None), None,
-    ],
-    # A row inserted after the block last caught up and deleted before its
-    # next access is in no block position: the delete must not touch the
-    # block, the catch-up must skip the tombstone.
-    "delete_before_catch_up": [
-        ("insert", [_t(0, 0, 1)]), ("warm", 0), None,
-        ("insert", [_t(1, 0, 2)]), ("delete", _t(1, 0, 2)), None,
-    ],
     # Delete then re-insert between two reads: the row moves to the end of
     # scan order; a block patched "in place" would keep it where it was.
     "reinsert_moves_the_row_to_the_end": [
-        ("insert", [_t(0, 0, 1), _t(1, 0, 2), _t(2, 0, 3)]), ("warm", 0), None,
+        ("insert", [_t(0, 0, 1), _t(1, 0, 2), _t(2, 0, 3)]), None,
         ("delete", _t(0, 0, 1)), ("insert", [_t(0, 0, 1)]), None,
     ],
     # The last row of a predicate goes: it leaves statistics, partition sizes
     # and predicates(); its (empty) block stays valid and refills on re-insert.
     "last_row_of_a_predicate": [
-        ("insert", [_t(0, 0, 1), _t(0, 1, 1)]), ("warm", 1), None,
+        ("insert", [_t(0, 0, 1), _t(0, 1, 1)]), None,
         ("delete", _t(0, 1, 1)), None,
         ("insert", [_t(3, 1, 4)]), None,
     ],
     # Deleting a row that is absent (never stored / already deleted) is a
     # no-op for every piece of derived state.
     "delete_of_an_absent_row": [
-        ("insert", [_t(0, 0, 1)]), ("warm", 0), None,
+        ("insert", [_t(0, 0, 1)]), None,
         ("delete", _t(4, 0, 4)), ("delete", _t(0, 0, 1)), ("delete", _t(0, 0, 1)), None,
     ],
-    # A partition whose rows were all deleted keeps an empty block that counts
-    # the tombstoned index entries; extracting the predicate starts a new
-    # row-id list, and the old block must not be taken to cover it.
-    "extract_after_every_row_deleted": [
-        ("insert", [_t(0, 0, 1), _t(1, 0, 2)]), ("warm", 0), None,
-        ("extract", 0),
-        ("insert", [_t(2, 0, 3), _t(3, 0, 4)]), None,
-    ],
     # A predicate outgrows its shard between two reads and is promoted to
-    # subject-sharding: its rows leave the owner table (extract + compact) for
-    # all of them, and its statistics entry is now stamped by every table.
+    # subject-sharding: its rows leave the owner table for all of them, and its statistics entry is now stamped by every table.
     "promotion_between_reads": [
         ("insert", [_t(0, 0, 1), _t(1, 0, 2), _t(0, 1, 1)]), None,
         ("insert", [_t(2, 0, 3), _t(3, 0, 4), _t(4, 0, 0), _t(1, 0, 3)]), None,
@@ -265,7 +254,7 @@ COUNTEREXAMPLES = {
     # Equal (subject, object) pairs under two predicates: the delete must find
     # the position in the right predicate's block only.
     "same_pair_in_two_predicates": [
-        ("insert", [_t(0, 0, 1), _t(0, 1, 1), _t(2, 0, 1)]), ("warm", 0), ("warm", 1), None,
+        ("insert", [_t(0, 0, 1), _t(0, 1, 1), _t(2, 0, 1)]), None,
         ("delete", _t(0, 1, 1)), None,
     ],
 }
@@ -279,8 +268,6 @@ def test_checked_in_counterexample(name, use_numpy):
     for step in COUNTEREXAMPLES[name]:
         if step is None:
             pair.check()
-        elif step[0] == "warm":
-            pair.warm(PREDICATES[step[1]])
         else:
             pair.apply(*step)
     pair.check()

@@ -12,7 +12,7 @@ from repro.errors import WorkBudgetExceeded
 from repro.rdf.terms import IRI, Triple
 from repro.relstore.backend import RelationalBackend
 from repro.relstore.sharded import SUBJECT_SHARDED
-from repro.relstore.table import TripleTable
+from repro.relstore.columnar import ColumnarTripleTable
 from repro.sparql.parser import parse_query
 
 
@@ -115,18 +115,20 @@ class TestSkewPromotion:
 
 class TestExtractPredicate:
     def test_extract_removes_rows_and_leaves_others(self):
-        table = TripleTable()
+        table = ColumnarTripleTable()
         keep = triples_for("keep", 5)
         extract = triples_for("gone", 7)
         table.insert_all(keep + extract)
         predicate_id = table.dictionary.lookup(iri("gone"))
+        stamp = table.write_stamp(predicate_id)
         removed = table.extract_predicate(predicate_id)
-        assert len(removed) == 7
+        assert removed == [table.dictionary.encode_triple(triple) for triple in extract]
         assert len(table) == 5
         assert table.predicate_cardinality(iri("gone")) == 0
         assert table.predicate_cardinality(iri("keep")) == 5
-        assert table.tombstone_count == 7
-        assert table.compact() == 7
+        assert table.write_stamp(predicate_id) > stamp
+        assert table.predicates() == [iri("keep")]
+        assert table.extract_predicate(predicate_id) == []
 
 
 class TestScatterGatherExecution:

@@ -1,10 +1,13 @@
 """Unit tests for the relational triple table and its statistics."""
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import StorageError
 from repro.rdf import Literal, Triple, YAGO
-from repro.relstore import TripleTable, collect_statistics
+from repro.rdf.dictionary import TermDictionary
+from repro.relstore import ColumnarTripleTable, collect_statistics
 from repro.sparql import parse_query
 
 BORN = YAGO.term("wasBornIn")
@@ -14,7 +17,7 @@ ALICE, BOB, BERLIN, PARIS = YAGO.Alice, YAGO.Bob, YAGO.Berlin, YAGO.Paris
 
 @pytest.fixture()
 def table():
-    t = TripleTable()
+    t = ColumnarTripleTable()
     t.insert_all(
         [
             Triple(ALICE, BORN, BERLIN),
@@ -57,28 +60,53 @@ class TestTripleTable:
         assert len(list(table.lookup_subject(predicate_id, subject_id))) == 1
         assert len(list(table.lookup_object(predicate_id, object_id))) == 1
 
-    def test_delete_leaves_tombstone_then_compact_reclaims(self, table):
-        assert table.delete(Triple(ALICE, BORN, BERLIN))
-        assert not table.delete(Triple(ALICE, BORN, BERLIN))
-        assert len(table) == 2
-        assert table.tombstone_count == 1
-        assert not table.contains(Triple(ALICE, BORN, BERLIN))
-        assert table.predicate_cardinality(BORN) == 1
-        reclaimed = table.compact()
-        assert reclaimed == 1
-        assert table.tombstone_count == 0
-        assert len(table) == 2
-
     def test_delete_unknown_triple_returns_false(self, table):
         assert not table.delete(Triple(YAGO.Zoe, BORN, BERLIN))
 
-    def test_scan_skips_tombstones(self, table):
-        table.delete(Triple(ALICE, BORN, BERLIN))
-        assert len(list(table.scan())) == 2
+    def test_scan_after_a_delete_and_a_reinsert(self, table):
+        """A table scan visits predicates by ascending id, each in insertion
+        order; a deleted row is gone at once and a re-inserted one moves to
+        the end of its predicate."""
+        assert table.delete(Triple(ALICE, BORN, BERLIN))
+        assert not table.delete(Triple(ALICE, BORN, BERLIN))
+        assert len(table) == 2 and not table.contains(Triple(ALICE, BORN, BERLIN))
+        assert table.predicate_cardinality(BORN) == 1
+        table.insert(Triple(ALICE, BORN, BERLIN))
+        decoded = [table.dictionary.decode_triple(row) for row in table.scan()]
+        assert decoded == [
+            Triple(BOB, BORN, PARIS),
+            Triple(ALICE, BORN, BERLIN),
+            Triple(ALICE, NAME, Literal("Alice")),
+        ]
+        flat = table.dump_rows()
+        assert all(type(value) is int for value in flat)  # json.dumps-safe
+        assert [tuple(flat[i : i + 3]) for i in range(0, len(flat), 3)] == list(table.scan())
 
-    def test_require_term_id_raises_for_unknown_term(self, table):
+    def test_row_views_yield_python_ints(self, table):
+        predicate_id = table.dictionary.lookup(BORN)
+        subject_id = table.dictionary.lookup(ALICE)
+        views = [
+            table.scan(),
+            table.scan_predicate(predicate_id),
+            table.lookup_subject(predicate_id, subject_id),
+            table.lookup_object(predicate_id, table.dictionary.lookup(BERLIN)),
+        ]
+        for rows in views:
+            rows = list(rows)
+            assert rows and all(type(value) is int for row in rows for value in row)
+
+    def test_loading_a_global_row_order_payload_keeps_each_predicates_order(self, table):
+        """Snapshots written before predicates were stored apart list rows in
+        global insertion order; loading one rebuilds the same blocks."""
+        rows = list(table.scan())
+        interleaved = [rows[0], rows[2], rows[1]]
+        restored = ColumnarTripleTable(table.dictionary)
+        assert restored.load_rows([value for row in interleaved for value in row]) == 3
+        assert restored.dump_rows() == table.dump_rows()
+
+    def test_load_rows_rejects_a_torn_payload(self, table):
         with pytest.raises(StorageError):
-            table.require_term_id(YAGO.term("never_seen"))
+            ColumnarTripleTable(table.dictionary).load_rows(table.dump_rows()[:-1])
 
 
 class TestStatistics:
@@ -111,3 +139,27 @@ class TestStatistics:
         one = parse_query("SELECT ?p WHERE { ?p y:wasBornIn ?c . }")
         two = parse_query("SELECT ?p WHERE { ?p y:wasBornIn ?c . ?p y:hasGivenName ?n . }")
         assert stats.estimate_query_work(two) > stats.estimate_query_work(one)
+
+
+def test_a_loaded_table_costs_at_most_200_bytes_per_triple():
+    """The table is its id columns plus one set of encoded rows: measured
+    over a pre-built dictionary, so only what the table itself holds
+    counts (the row tuples, their set, and 16 B of columns per triple)."""
+    from repro import generate_watdiv
+
+    triples = list(generate_watdiv(target_triples=20000, seed=5).triples)
+    dictionary = TermDictionary()
+    for triple in triples:
+        dictionary.encode_triple(triple)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = ColumnarTripleTable(dictionary)
+        table.insert_all(triples)
+        for predicate in table.predicates():
+            table.partition_columns(dictionary.lookup(predicate))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(table) == len(triples)
+    assert held / len(table) <= 200, f"{held / len(table):.0f} B/triple"

@@ -469,6 +469,57 @@ class TestEndpointDeadline:
         )
         assert direct.status == 504
 
+    @staticmethod
+    def _slow_encoding(monkeypatch, clock: FakeClock) -> None:
+        """Request deadlines read ``clock``, which only the encoder moves —
+        one second per column chunk — and results encode 16 rows a chunk.
+        However fast or slow the host, execution stays in budget and
+        encoding does not."""
+        from repro.endpoint import protocol
+        from repro.relstore import columnar
+        from repro.serve import service
+
+        monkeypatch.setattr(service, "Deadline", lambda budget: Deadline(budget, clock=clock))
+        monkeypatch.setattr(columnar, "GATHER_CHUNK_ROWS", 16)
+        real_fragments = protocol._column_fragments
+
+        def slow_fragments(*args):
+            clock.advance(1.0)
+            return real_fragments(*args)
+
+        monkeypatch.setattr(protocol, "_column_fragments", slow_fragments)
+
+    @staticmethod
+    def _assert_encode_timeout(response, service, budget: float) -> None:
+        assert response.status == 504
+        error = response.json()["error"]
+        assert error["code"] == "query-timeout"
+        assert error["budget_seconds"] == budget
+        assert error["partial_work"]["results_produced"] > 16  # the executed result's work
+        assert service.metrics.counters.query_timeouts == 1
+
+    def test_execute_fast_encode_slow_is_a_504(self, endpoint_factory, monkeypatch):
+        endpoint, service = endpoint_factory(service_config=ServiceConfig(max_workers=1, cache_results=False))
+        self._slow_encoding(monkeypatch, FakeClock())
+        budget = 0.05
+        response = sparql_request(endpoint.url, PROBE, deadline_seconds=budget)
+        self._assert_encode_timeout(response, service, budget)
+        assert service.metrics.counters.executions == 1  # execution itself completed
+        served = sparql_request(endpoint.url, PROBE)  # no deadline: the slot was freed
+        assert served.status == 200
+        assert served.body == encode_results(service.run_query(PROBE).result)
+
+    def test_a_cached_large_result_under_a_short_deadline_is_a_504(
+        self, endpoint_factory, monkeypatch
+    ):
+        endpoint, service = endpoint_factory()
+        assert sparql_request(endpoint.url, PROBE).status == 200  # fills the result cache
+        self._slow_encoding(monkeypatch, FakeClock())
+        budget = 0.05
+        response = sparql_request(endpoint.url, PROBE, deadline_seconds=budget)
+        assert service.metrics.counters.result_cache_hits == 1  # nothing executed
+        self._assert_encode_timeout(response, service, budget)
+
     def test_invalid_timeout_parameter_is_a_400(self, endpoint_factory):
         endpoint, _service = endpoint_factory(triples=_mini_triples())
         for bad in ("0", "-1", "nan", "inf", "soon"):
