@@ -1,4 +1,4 @@
-"""Benchmark H1 — real wall-clock: reference vs columnar (numpy, stdlib).
+"""Benchmark H1 — real wall-clock: reference vs columnar.
 
 Unlike every other benchmark in this directory, the headline number here is
 **measured wall-clock**, not the modelled cost: the production engine and its
@@ -14,13 +14,10 @@ For each dataset scale, the join-heavy WatDiv stand-in templates (snowflake +
 complex families, ≥ 3 patterns each) run through
 
 * ``RelationalStore(engine="reference")`` — the decode-per-row oracle, the
-  baseline,
-* ``RelationalStore(engine="columnar")`` — the production engine: batch
-  kernels over term-id columns (numpy when importable; plan memo warm after
-  the first pass, the serving-layer reality), and
-* the same engine with ``REPRO_COLUMNAR_FORCE_STDLIB=1`` — the pure-stdlib
-  ``array('q')`` kernel path, measured so the optional numpy dependency never
-  becomes load-bearing.
+  baseline, and
+* ``RelationalStore(engine="columnar")`` — the production engine: numpy batch
+  kernels over term-id columns (plan memo warm after the first pass, the
+  serving-layer reality).
 
 Each gets ``BENCH_HOTPATH_REPEATS`` timed passes; the best pass counts.
 Before timing counts, all results are checked byte-identical (bindings,
@@ -28,10 +25,9 @@ order, counters, modelled seconds).
 
 The results land in ``BENCH_hotpath.json`` so future PRs have a wall-clock
 trajectory to ratchet against.  At the *largest* scale the columnar engine
-must beat the reference by ``BENCH_HOTPATH_MIN_COLUMNAR_SPEEDUP`` and its
-stdlib kernels by ``BENCH_HOTPATH_MIN_STDLIB_SPEEDUP`` (defaults below; CI's
-perf-smoke job runs small scales with conservative floors since shared
-runners are noisy and the columnar advantage grows with scale).
+must beat the reference by ``BENCH_HOTPATH_MIN_COLUMNAR_SPEEDUP`` (default
+below; CI's perf-smoke job runs small scales with a conservative floor since
+shared runners are noisy and the columnar advantage grows with scale).
 
 Run with::
 
@@ -40,8 +36,7 @@ Run with::
     PYTHONPATH=src python benchmarks/bench_hotpath.py
 
 Environment knobs: ``BENCH_HOTPATH_SCALES`` (comma-separated triple counts),
-``BENCH_HOTPATH_MIN_COLUMNAR_SPEEDUP``, ``BENCH_HOTPATH_MIN_STDLIB_SPEEDUP``,
-``BENCH_HOTPATH_REPEATS``.
+``BENCH_HOTPATH_MIN_COLUMNAR_SPEEDUP``, ``BENCH_HOTPATH_REPEATS``.
 """
 
 import json
@@ -55,18 +50,15 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro import RelationalStore, generate_watdiv, watdiv_workload  # noqa: E402
-from repro.relstore.columnar import FORCE_STDLIB_ENV, numpy_available  # noqa: E402
 from repro.relstore.executor import relational_work_units  # noqa: E402
 
 SCALES = tuple(
     int(s) for s in os.environ.get("BENCH_HOTPATH_SCALES", "2000,8000,30000").split(",")
 )
-#: Floors over the reference at the largest default scale, set from the
-#: measured ~25x (numpy) and ~23x (stdlib) of ``BENCH_hotpath.json`` with the
-#: headroom the floors this replaces had (1.3x and 2.7x under their measured
-#: values): the numpy floor is the ratchet, the stdlib one a fallback guard.
+#: Floor over the reference at the largest default scale, set from the
+#: measured ~25x of ``BENCH_hotpath.json`` with the headroom the floor it
+#: replaced had (1.3x under its measured value).
 MIN_COLUMNAR_SPEEDUP = float(os.environ.get("BENCH_HOTPATH_MIN_COLUMNAR_SPEEDUP", "20.0"))
-MIN_STDLIB_SPEEDUP = float(os.environ.get("BENCH_HOTPATH_MIN_STDLIB_SPEEDUP", "8.0"))
 REPEATS = int(os.environ.get("BENCH_HOTPATH_REPEATS", "3"))
 SEED = 7
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
@@ -79,15 +71,6 @@ def _join_heavy_queries(dataset):
         workload = watdiv_workload(dataset, family=family, seed=SEED)
         queries.extend(q for q in workload.ordered() if len(q.patterns) >= 3)
     return queries
-
-
-def _stdlib_columnar_store():
-    """A columnar store pinned to the stdlib kernels via the kill switch."""
-    os.environ[FORCE_STDLIB_ENV] = "1"
-    try:
-        return RelationalStore(engine="columnar")
-    finally:
-        os.environ.pop(FORCE_STDLIB_ENV, None)
 
 
 def _timed_pass(store, queries):
@@ -122,9 +105,7 @@ def test_engines_beat_their_baselines_on_join_heavy_templates():
         "benchmark": "hotpath",
         "workload": "watdiv snowflake+complex, >=3 patterns",
         "repeats": REPEATS,
-        "numpy_available": numpy_available(),
         "min_columnar_speedup_required_at_largest_scale": MIN_COLUMNAR_SPEEDUP,
-        "min_stdlib_columnar_speedup_required_at_largest_scale": MIN_STDLIB_SPEEDUP,
         "scales": [],
     }
     print()
@@ -134,18 +115,14 @@ def test_engines_beat_their_baselines_on_join_heavy_templates():
 
         reference = RelationalStore(engine="reference")
         columnar = RelationalStore(engine="columnar")
-        stdlib_columnar = _stdlib_columnar_store()
-        for store in (reference, columnar, stdlib_columnar):
+        for store in (reference, columnar):
             store.load(dataset.triples)
 
         reference_wall, reference_results = _bench_engine(reference, queries)
         columnar_wall, columnar_results = _bench_engine(columnar, queries)
-        stdlib_wall, stdlib_results = _bench_engine(stdlib_columnar, queries)
         _assert_identical(columnar_results, reference_results, scale, "columnar")
-        _assert_identical(stdlib_results, reference_results, scale, "columnar-stdlib")
 
         columnar_speedup = reference_wall / columnar_wall if columnar_wall > 0 else float("inf")
-        stdlib_speedup = reference_wall / stdlib_wall if stdlib_wall > 0 else float("inf")
         work = sum(relational_work_units(r.counters) for r in reference_results)
         report["scales"].append(
             {
@@ -153,10 +130,7 @@ def test_engines_beat_their_baselines_on_join_heavy_templates():
                 "queries": len(queries),
                 "reference_wall_seconds": reference_wall,
                 "columnar_wall_seconds": columnar_wall,
-                "columnar_stdlib_wall_seconds": stdlib_wall,
                 "columnar_speedup_over_reference": columnar_speedup,
-                "columnar_stdlib_speedup_over_reference": stdlib_speedup,
-                "columnar_kernels": columnar.table.kernels.name,
                 "work_units": work,
                 "identical_bindings_and_counters": True,
             }
@@ -164,17 +138,12 @@ def test_engines_beat_their_baselines_on_join_heavy_templates():
         print(
             f"BENCH_HOTPATH triples={len(dataset.triples)} queries={len(queries)} "
             f"reference={reference_wall * 1000:.1f}ms "
-            f"columnar={columnar_wall * 1000:.1f}ms ({columnar.table.kernels.name}) "
-            f"columnar-stdlib={stdlib_wall * 1000:.1f}ms "
-            f"columnar={columnar_speedup:.2f}x stdlib={stdlib_speedup:.2f}x "
+            f"columnar={columnar_wall * 1000:.1f}ms speedup={columnar_speedup:.2f}x "
             f"work_units={work:.0f}"
         )
 
     largest = report["scales"][-1]
     report["largest_scale_columnar_speedup"] = largest["columnar_speedup_over_reference"]
-    report["largest_scale_columnar_stdlib_speedup"] = largest[
-        "columnar_stdlib_speedup_over_reference"
-    ]
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
     print(f"BENCH_HOTPATH wrote {OUTPUT}")
 
@@ -182,11 +151,6 @@ def test_engines_beat_their_baselines_on_join_heavy_templates():
         f"columnar engine is only {largest['columnar_speedup_over_reference']:.2f}x faster "
         f"than the reference executor at {largest['triples']} triples "
         f"(required: {MIN_COLUMNAR_SPEEDUP}x)"
-    )
-    assert largest["columnar_stdlib_speedup_over_reference"] >= MIN_STDLIB_SPEEDUP, (
-        f"stdlib columnar path is {largest['columnar_stdlib_speedup_over_reference']:.2f}x "
-        f"vs the reference executor at {largest['triples']} triples "
-        f"(required: {MIN_STDLIB_SPEEDUP}x)"
     )
 
 

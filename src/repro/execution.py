@@ -60,10 +60,11 @@ class ResultColumns:
     name and ``count`` the number of rows, which zero-width results need.
     With a ``space`` (the execution's
     :class:`~repro.relstore.executor.QueryTermSpace`) the entries are term
-    ids and ``tolist`` is the producing kernel set's conversion to a
-    ``list``; without one the columns hold the terms themselves (the graph
-    route).  Nothing is written after construction, so the engine, the result
-    cache, every served view and the encoder share one instance.
+    ids and ``tolist`` converts a column slice to a ``list`` (numpy's
+    ``tolist`` for engine columns); without one the columns hold the terms
+    themselves (the graph route).  Nothing is written after construction, so
+    the engine, the result cache, every served view and the encoder share one
+    instance.
     """
 
     names: Tuple[str, ...]

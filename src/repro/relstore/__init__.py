@@ -1,12 +1,7 @@
 """Relational store (MySQL stand-in): triple table, planner, executor, views, SQLite, shards."""
 
 from repro.relstore.backend import RelationalBackend
-from repro.relstore.columnar import (
-    ColumnarExecutor,
-    ColumnarTripleTable,
-    numpy_available,
-    numpy_enabled,
-)
+from repro.relstore.columnar import ColumnarExecutor, ColumnarTripleTable
 from repro.relstore.executor import (
     BoundPlanCache,
     CompiledPlan,
@@ -31,8 +26,6 @@ __all__ = [
     "ShardMetricsBoard",
     "ColumnarTripleTable",
     "ColumnarExecutor",
-    "numpy_available",
-    "numpy_enabled",
     "ReferenceExecutor",
     "BoundPlanCache",
     "CompiledPlan",

@@ -5,24 +5,21 @@ Every relational store — :class:`~repro.relstore.store.RelationalStore` and
 each shard of :class:`~repro.relstore.sharded.ShardedRelationalStore` — keeps
 its rows in a :class:`ColumnarTripleTable` and answers queries through
 :func:`execute_compiled`.  The engine stores and pipelines **term-id
-columns**:
+columns**, ``int64`` numpy vectors:
 
 * :class:`ColumnarTripleTable` stores each predicate's rows as one
   :class:`ColumnBlock` — subject and object id columns in insertion order —
   and nothing else holds a triple.  Writes maintain the blocks when they
   happen: an insert batch extends each touched block once, a delete removes
-  the row's one position.  With numpy present (a *feature probe*; the stdlib
-  ``array('q')`` kernels are the import-failure fallback) the columns are
-  ``int64`` vectors.
+  the row's one position.
 * Pattern access is mask selection over those blocks: constants arrive
   pre-resolved on the :class:`~repro.relstore.executor.CompiledStep` (bound
   once per store generation through the
   :class:`~repro.relstore.executor.BoundPlanCache`), so a partition scan with
   no residual checks is a zero-copy handover of the stored columns.
-* Hash joins build per-column batch probes on the join column: the numpy
-  kernel is a sort/searchsorted merge producing gather index vectors, the
-  stdlib kernel a bucket dict over one key column — either way the pipeline
-  state is a list of columns, never row tuples.
+* Hash joins are a sort/searchsorted merge on the join column producing
+  gather index vectors, so the pipeline state is a list of columns, never
+  row tuples.
 * DISTINCT/LIMIT/FILTER run on id vectors and the projected id columns leave
   as the result (:class:`~repro.execution.ResultColumns`); a term is decoded
   only when a caller asks for one, in batch via
@@ -37,18 +34,19 @@ what a row loop over the access path visits), ``rows_joined`` per produced
 join tuple (the gather length), ``index_lookups`` once per index step, and
 ``results_produced`` after LIMIT.  Output order is also identical: selections
 preserve block order (stable masks), join gathers emit probe rows in pipeline
-order with build rows in block order (the numpy merge uses a stable argsort),
-and DISTINCT keeps first occurrences.  The differential suite
+order with build rows in block order (the merge uses a stable argsort), and
+DISTINCT keeps first occurrences.  The differential suite
 (``tests/test_differential_engine.py``) asserts byte-equal bindings and
-counter equality against the oracle on both kernel sets.
+counter equality against the oracle.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.cost.counters import WorkCounters
 from repro.errors import QueryExecutionError, StorageError
@@ -70,429 +68,169 @@ from repro.relstore.executor import (
     compile_plan,
 )
 from repro.relstore.planner import RelationalPlan
-from repro.relstore.stats import PredicateStatistics, predicate_statistics
+from repro.relstore.stats import PredicateStatistics
 
 __all__ = [
     "ColumnarTripleTable",
     "ColumnarExecutor",
     "execute_compiled",
-    "numpy_available",
-    "numpy_enabled",
-    "FORCE_STDLIB_ENV",
     "ColumnBlock",
 ]
 
-try:  # pragma: no cover - feature probe, exercised indirectly everywhere
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - numpy-free environments
-    _numpy = None
-
-#: Environment kill-switch: set to force the stdlib-``array`` kernels even
-#: when numpy is importable (the benchmark measures both paths with it).
-FORCE_STDLIB_ENV = "REPRO_COLUMNAR_FORCE_STDLIB"
-
-
-def numpy_available() -> bool:
-    """Whether the numpy fast path *could* run in this interpreter."""
-    return _numpy is not None
-
-
-def numpy_enabled() -> bool:
-    """The feature probe: numpy importable and not disabled via env."""
-    return _numpy is not None and not os.environ.get(FORCE_STDLIB_ENV)
-
 
 # ---------------------------------------------------------------------- #
-# Batch kernels: one strategy object per backing representation
+# Batch kernels over int64 id vectors
 # ---------------------------------------------------------------------- #
-class _StdlibKernels:
-    """Id-vector kernels over stdlib ``array('q')`` buffers and lists.
+def _empty():
+    return np.empty(0, dtype=np.int64)
 
-    Selections are index lists; gathers are list comprehensions (C-speed
-    loops); the join builds a position-bucket dict over the key column only,
-    so no row tuples are ever materialized.
+
+def _view(buffer: array):
+    """An ``int64`` column over an ``array('q')`` write buffer."""
+    if len(buffer) == 0:
+        return _empty()
+    return np.frombuffer(buffer, dtype=np.int64)
+
+
+def _ids(values):
+    return np.asarray(values, dtype=np.int64)
+
+
+def concat(parts, between=None):
+    """One column from its parts; ``between`` (a deadline probe) is called
+    before each part is copied."""
+    if len(parts) == 1:
+        return parts[0]
+    if between is None:
+        return np.concatenate(parts)
+    # Part by part, so the page faults of a large output are taken
+    # between probes instead of inside one uninterruptible copy.
+    out = np.empty(sum(map(len, parts)), dtype=np.int64)
+    offset = 0
+    for part in parts:
+        between()
+        out[offset : offset + len(part)] = part
+        offset += len(part)
+    return out
+
+
+def equal_selection(const_pairs, dup_pairs):
+    """Indices passing every ``col == id`` / ``col == col`` check.
+
+    ``None`` means "every row" (no checks at all) so the caller can hand
+    stored columns over without copying.
     """
-
-    name = "stdlib"
-
-    @staticmethod
-    def column(buffer: array):
-        return buffer
-
-    @staticmethod
-    def empty():
-        return ()
-
-    @staticmethod
-    def from_ints(values) -> List[int]:
-        return list(values)
-
-    @staticmethod
-    def tolist(col) -> List[int]:
-        return list(col)
-
-    @staticmethod
-    def take(col, sel):
-        return [col[i] for i in sel]
-
-    @staticmethod
-    def concat(parts, between=None):
-        """One column from its parts; ``between`` (a deadline probe) is
-        called before each part is copied."""
-        if len(parts) == 1:
-            return parts[0]
-        out: List[int] = []
-        for part in parts:
-            if between is not None:
-                between()
-            out.extend(part)
-        return out
-
-    @staticmethod
-    def equal_selection(const_pairs, dup_pairs, count: int):
-        """Indices passing every ``col == id`` / ``col == col`` check.
-
-        ``None`` means "every row" (no checks at all) so the caller can hand
-        stored columns over without copying.
-        """
-        if not const_pairs and not dup_pairs:
-            return None
-        if len(const_pairs) == 1 and not dup_pairs:
-            col, required = const_pairs[0]
-            return [i for i, value in enumerate(col) if value == required]
-        sel = range(count)
-        for col, required in const_pairs:
-            sel = [i for i in sel if col[i] == required]
-        for left_col, right_col in dup_pairs:
-            sel = [i for i in sel if left_col[i] == right_col[i]]
-        return list(sel)
-
-    # -- the two-phase join --------------------------------------------- #
-    # A join's output size is known — and can be charged, budget-checked and
-    # deadline-probed — before any output-sized array exists:
-    # ``join_matches``/``cartesian_matches`` pair probe rows with build rows
-    # (sized by the inputs), ``gather`` expands a run of those pairs into the
-    # two gather index vectors (sized by the output).  Output order is that
-    # of the oracle's hash join: probe rows in pipeline order, and within one
-    # key the build rows in block order.
-    @staticmethod
-    def group_index(build_keys) -> Dict[object, List[int]]:
-        """The build side's positions per key, ascending (block order)."""
-        buckets: Dict[object, List[int]] = {}
-        get_bucket = buckets.get
-        for position, key in enumerate(build_keys):
-            bucket = get_bucket(key)
-            if bucket is None:
-                buckets[key] = [position]
-            else:
-                bucket.append(position)
-        return buckets
-
-    @staticmethod
-    def composite_keys(probe_cols, build_cols):
-        """Several shared variables: join on the tuple of their ids."""
-        return zip(*probe_cols), zip(*build_cols)
-
-    @classmethod
-    def join_matches(cls, probe_keys, build_keys, group_index=None):
-        """``((probe positions, their build buckets), output rows)``."""
-        if group_index is None:
-            group_index = cls.group_index(build_keys)
-        get_bucket = group_index.get
-        positions: List[int] = []
-        buckets: List[List[int]] = []
-        total = 0
-        for position, key in enumerate(probe_keys):
-            bucket = get_bucket(key)
-            if bucket is not None:
-                positions.append(position)
-                buckets.append(bucket)
-                total += len(bucket)
-        return (positions, buckets), total
-
-    @staticmethod
-    def cartesian_matches(left_count: int, right_count: int):
-        every = list(range(right_count))
-        return (range(left_count), [every] * left_count), left_count * right_count
-
-    @staticmethod
-    def gather(matches, start: int = 0, stop: Optional[int] = None):
-        positions, buckets = matches
-        left: List[int] = []
-        right: List[int] = []
-        left_extend = left.extend
-        right_extend = right.extend
-        for position, bucket in zip(positions[start:stop], buckets[start:stop]):
-            left_extend([position] * len(bucket))
-            right_extend(bucket)
-        return left, right
-
-    @staticmethod
-    def chunk_bounds(matches, rows: int) -> List[int]:
-        """Cut points over the matched probe rows, about ``rows`` output rows
-        (at most ``rows`` plus one bucket) between neighbours."""
-        buckets = matches[1]
-        bounds = [0]
-        pending = 0
-        for cut, bucket in enumerate(buckets, 1):
-            pending += len(bucket)
-            if pending >= rows:
-                bounds.append(cut)
-                pending = 0
-        if bounds[-1] != len(buckets):
-            bounds.append(len(buckets))
-        return bounds
-
-    @staticmethod
-    def distinct_selection(key_cols, count: int):
-        """First-occurrence indices of each distinct key, ascending.
-
-        With no key columns every row carries the same (empty) key — only
-        the first survives, like the oracle's all-``None`` DISTINCT key.
-        """
-        if count == 0:
-            return []
-        if not key_cols:
-            return [0]
-        out: List[int] = []
-        append = out.append
-        seen = set()
-        add = seen.add
-        if len(key_cols) == 1:
-            for i, key in enumerate(key_cols[0]):
-                if key not in seen:
-                    add(key)
-                    append(i)
-            return out
-        for i, key in enumerate(zip(*key_cols)):
-            if key not in seen:
-                add(key)
-                append(i)
-        return out
-
-    # -- block maintenance and statistics ------------------------------- #
-    @staticmethod
-    def appended(col: array, tail: array) -> array:
-        return col + tail
-
-    @staticmethod
-    def removed(col: array, position: int) -> array:
-        return col[:position] + col[position + 1 :]
-
-    @staticmethod
-    def find_pair(first_col, second_col, first: int, second: int) -> Optional[int]:
-        """The position where both columns hold the given pair, or ``None``."""
-        position = -1
-        try:
-            while True:
-                position = first_col.index(first, position + 1)
-                if second_col[position] == second:
-                    return position
-        except ValueError:
-            return None
-
-    @staticmethod
-    def statistics(subjects, objects) -> PredicateStatistics:
-        """One predicate's statistics from its block columns."""
-        return predicate_statistics(zip(subjects, repeat(0), objects))
+    mask = None
+    for col, required in const_pairs:
+        check = col == required
+        mask = check if mask is None else (mask & check)
+    for left_col, right_col in dup_pairs:
+        check = left_col == right_col
+        mask = check if mask is None else (mask & check)
+    if mask is None:
+        return None
+    return np.nonzero(mask)[0]
 
 
-class _NumpyKernels:
-    """Vectorized id-vector kernels over ``int64`` numpy arrays.
+# -- the two-phase join ------------------------------------------------- #
+# A join's output size is known — and can be charged, budget-checked and
+# deadline-probed — before any output-sized array exists: ``join_matches`` /
+# ``cartesian_matches`` pair probe rows with build rows (every array sized by
+# an input), ``gather`` expands a run of those pairs into the two gather
+# index vectors (sized by the output).  Output order is that of the oracle's
+# hash join: probe rows in pipeline order, and within one key the build rows
+# in block order — a *stable* argsort of the build keys groups equal keys
+# while preserving block order inside each group.
+def group_index(build_col):
+    """``(order, unique_keys, group_starts, group_counts)`` of a join's build
+    side — the O(n log n) part of the merge, which
+    :meth:`ColumnBlock.group_index` memoizes for stored columns."""
+    build = np.asarray(build_col, dtype=np.int64)
+    order = np.argsort(build, kind="stable")
+    sorted_keys = build[order]
+    unique_keys, group_starts = np.unique(sorted_keys, return_index=True)
+    group_counts = np.diff(np.append(group_starts, len(sorted_keys)))
+    return order, unique_keys, group_starts, group_counts
 
-    The hash join is a sort/searchsorted merge: a *stable* argsort of the
-    build keys groups equal keys while preserving block order inside each
-    group, so the emitted gather order is identical to the dict-bucket join
-    (and therefore to the oracle's).
+
+def composite_keys(probe_cols, build_cols):
+    """Several shared variables: dense-rank the composite keys.
+
+    Both sides' key rows are ranked together by one ``np.unique(axis=0)``
+    pass, so equal tuples — and only equal tuples — share a dense id, and the
+    single-key merge produces the same gather as a join on the key tuples.
     """
-
-    name = "numpy"
-
-    @staticmethod
-    def column(buffer: array):
-        if len(buffer) == 0:
-            return _numpy.empty(0, dtype=_numpy.int64)
-        return _numpy.frombuffer(buffer, dtype=_numpy.int64)
-
-    @staticmethod
-    def empty():
-        return _numpy.empty(0, dtype=_numpy.int64)
-
-    @staticmethod
-    def from_ints(values):
-        return _numpy.asarray(values, dtype=_numpy.int64)
-
-    @staticmethod
-    def tolist(col) -> List[int]:
-        return col.tolist()
-
-    @staticmethod
-    def take(col, sel):
-        return col[sel]
-
-    @staticmethod
-    def concat(parts, between=None):
-        if len(parts) == 1:
-            return parts[0]
-        if between is None:
-            return _numpy.concatenate(parts)
-        # Part by part, so the page faults of a large output are taken
-        # between probes instead of inside one uninterruptible copy.
-        out = _numpy.empty(sum(map(len, parts)), dtype=_numpy.int64)
-        offset = 0
-        for part in parts:
-            between()
-            out[offset : offset + len(part)] = part
-            offset += len(part)
-        return out
-
-    @staticmethod
-    def equal_selection(const_pairs, dup_pairs, count: int):
-        mask = None
-        for col, required in const_pairs:
-            check = col == required
-            mask = check if mask is None else (mask & check)
-        for left_col, right_col in dup_pairs:
-            check = left_col == right_col
-            mask = check if mask is None else (mask & check)
-        if mask is None:
-            return None
-        return _numpy.nonzero(mask)[0]
-
-    # -- the two-phase join --------------------------------------------- #
-    @staticmethod
-    def group_index(build_col):
-        """``(order, unique_keys, group_starts, group_counts)`` of a join's
-        build side — the O(n log n) part of the merge, which
-        :meth:`ColumnBlock.group_index` memoizes for stored columns."""
-        np = _numpy
-        build = np.asarray(build_col, dtype=np.int64)
-        order = np.argsort(build, kind="stable")
-        sorted_keys = build[order]
-        unique_keys, group_starts = np.unique(sorted_keys, return_index=True)
-        group_counts = np.diff(np.append(group_starts, len(sorted_keys)))
-        return order, unique_keys, group_starts, group_counts
-
-    @staticmethod
-    def composite_keys(probe_cols, build_cols):
-        """Several shared variables: dense-rank the composite keys.
-
-        Both sides' key rows are ranked together by one ``np.unique(axis=0)``
-        pass, so equal tuples — and only equal tuples — share a dense id, and
-        the single-key merge produces the same gather as the tuple-bucket
-        join of the stdlib kernels.
-        """
-        np = _numpy
-        probe = np.stack([np.asarray(col, dtype=np.int64) for col in probe_cols], axis=1)
-        build = np.stack([np.asarray(col, dtype=np.int64) for col in build_cols], axis=1)
-        _, inverse = np.unique(np.concatenate([probe, build], axis=0), axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)  # numpy<2.3 returns an (n, 1) inverse for axis=0
-        return inverse[: len(probe)], inverse[len(probe) :]
-
-    @classmethod
-    def join_matches(cls, probe_col, build_col, group_index=None):
-        """``((probe positions, their group starts, their group sizes, the
-        build order), output rows)`` — every array sized by an input."""
-        np = _numpy
-        probe = np.asarray(probe_col, dtype=np.int64)
-        if group_index is None:
-            group_index = cls.group_index(build_col)
-        order, unique_keys, group_starts, group_counts = group_index
-        slot = np.searchsorted(unique_keys, probe)
-        clamped = np.minimum(slot, len(unique_keys) - 1)
-        matched = (slot < len(unique_keys)) & (unique_keys[clamped] == probe)
-        positions = np.nonzero(matched)[0]
-        groups = slot[positions]
-        counts = group_counts[groups]
-        return (positions, group_starts[groups], counts, order), int(counts.sum())
-
-    @staticmethod
-    def cartesian_matches(left_count: int, right_count: int):
-        np = _numpy
-        matches = (
-            np.arange(left_count, dtype=np.int64),
-            np.zeros(left_count, dtype=np.int64),
-            np.full(left_count, right_count, dtype=np.int64),
-            np.arange(right_count, dtype=np.int64),
-        )
-        return matches, left_count * right_count
-
-    @staticmethod
-    def gather(matches, start: int = 0, stop: Optional[int] = None):
-        np = _numpy
-        positions, starts, counts, order = matches
-        if start or stop is not None:
-            positions, starts, counts = positions[start:stop], starts[start:stop], counts[start:stop]
-        out_ends = np.cumsum(counts)
-        total = int(out_ends[-1]) if len(out_ends) else 0
-        left = np.repeat(positions, counts)
-        within = np.arange(total, dtype=np.int64) - np.repeat(out_ends - counts, counts)
-        right = order[np.repeat(starts, counts) + within]
-        return left, right
-
-    @staticmethod
-    def chunk_bounds(matches, rows: int) -> List[int]:
-        np = _numpy
-        out_ends = np.cumsum(matches[2])
-        cuts = np.searchsorted(out_ends, np.arange(rows, int(out_ends[-1]), rows)) + 1
-        return np.unique(np.concatenate([[0], cuts, [len(out_ends)]])).tolist()
-
-    @staticmethod
-    def distinct_selection(key_cols, count: int):
-        np = _numpy
-        if count == 0:
-            return np.empty(0, dtype=np.int64)
-        if not key_cols:
-            return np.zeros(1, dtype=np.int64)
-        if len(key_cols) == 1:
-            _, first = np.unique(key_cols[0], return_index=True)
-        else:
-            stacked = np.stack(key_cols, axis=1)
-            _, first = np.unique(stacked, axis=0, return_index=True)
-        return np.sort(first)
-
-    # -- block maintenance and statistics ------------------------------- #
-    @classmethod
-    def appended(cls, col, tail: array):
-        return _numpy.concatenate([col, cls.column(tail)])
-
-    @staticmethod
-    def removed(col, position: int):
-        return _numpy.delete(col, position)
-
-    @staticmethod
-    def find_pair(first_col, second_col, first: int, second: int) -> Optional[int]:
-        hits = _numpy.nonzero((first_col == first) & (second_col == second))[0]
-        return int(hits[0]) if len(hits) else None
-
-    @staticmethod
-    def statistics(subjects, objects) -> PredicateStatistics:
-        """One value count per column instead of the per-row dict loop."""
-        subject_rows = _numpy.unique(subjects, return_counts=True)[1]
-        object_rows = _numpy.unique(objects, return_counts=True)[1]
-        return PredicateStatistics(
-            cardinality=len(subjects),
-            distinct_subjects=len(subject_rows),
-            distinct_objects=len(object_rows),
-            max_subject_rows=int(subject_rows.max()) if len(subject_rows) else 0,
-            max_object_rows=int(object_rows.max()) if len(object_rows) else 0,
-        )
+    probe = np.stack([np.asarray(col, dtype=np.int64) for col in probe_cols], axis=1)
+    build = np.stack([np.asarray(col, dtype=np.int64) for col in build_cols], axis=1)
+    _, inverse = np.unique(np.concatenate([probe, build], axis=0), axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)  # numpy<2.3 returns an (n, 1) inverse for axis=0
+    return inverse[: len(probe)], inverse[len(probe) :]
 
 
-def select_kernels(use_numpy: Optional[bool] = None):
-    """The kernel strategy for one table: probe-selected unless forced.
+def join_matches(probe_col, build_col, index=None):
+    """``((probe positions, their group starts, their group sizes, the build
+    order), output rows)``; ``index`` is the build side's
+    :func:`group_index` when one is already at hand."""
+    probe = np.asarray(probe_col, dtype=np.int64)
+    if index is None:
+        index = group_index(build_col)
+    order, unique_keys, group_starts, group_counts = index
+    slot = np.searchsorted(unique_keys, probe)
+    clamped = np.minimum(slot, len(unique_keys) - 1)
+    matched = (slot < len(unique_keys)) & (unique_keys[clamped] == probe)
+    positions = np.nonzero(matched)[0]
+    groups = slot[positions]
+    counts = group_counts[groups]
+    return (positions, group_starts[groups], counts, order), int(counts.sum())
 
-    ``None`` consults :func:`numpy_enabled`; ``True`` requires numpy (raising
-    when absent, so a misconfigured bench fails loudly); ``False`` forces the
-    stdlib path.
+
+def cartesian_matches(left_count: int, right_count: int):
+    matches = (
+        np.arange(left_count, dtype=np.int64),
+        np.zeros(left_count, dtype=np.int64),
+        np.full(left_count, right_count, dtype=np.int64),
+        np.arange(right_count, dtype=np.int64),
+    )
+    return matches, left_count * right_count
+
+
+def gather(matches, start: int = 0, stop: Optional[int] = None):
+    """The ``(left, right)`` gather index vectors of matched probe rows
+    ``start:stop``."""
+    positions, starts, counts, order = matches
+    if start or stop is not None:
+        positions, starts, counts = positions[start:stop], starts[start:stop], counts[start:stop]
+    out_ends = np.cumsum(counts)
+    total = int(out_ends[-1]) if len(out_ends) else 0
+    left = np.repeat(positions, counts)
+    within = np.arange(total, dtype=np.int64) - np.repeat(out_ends - counts, counts)
+    right = order[np.repeat(starts, counts) + within]
+    return left, right
+
+
+def chunk_bounds(matches, rows: int) -> List[int]:
+    """Cut points over the matched probe rows, about ``rows`` output rows (at
+    most ``rows`` plus one group) between neighbours."""
+    out_ends = np.cumsum(matches[2])
+    cuts = np.searchsorted(out_ends, np.arange(rows, int(out_ends[-1]), rows)) + 1
+    return np.unique(np.concatenate([[0], cuts, [len(out_ends)]])).tolist()
+
+
+def distinct_selection(key_cols, count: int):
+    """First-occurrence indices of each distinct key, ascending.
+
+    With no key columns every row carries the same (empty) key — only the
+    first survives, like the oracle's all-``None`` DISTINCT key.
     """
-    if use_numpy is None:
-        use_numpy = numpy_enabled()
-    if use_numpy:
-        if _numpy is None:
-            raise QueryExecutionError("numpy kernels requested but numpy is not importable")
-        return _NumpyKernels
-    return _StdlibKernels
+    if count == 0:
+        return _empty()
+    if not key_cols:
+        return np.zeros(1, dtype=np.int64)
+    if len(key_cols) == 1:
+        _, first = np.unique(key_cols[0], return_index=True)
+    else:
+        _, first = np.unique(np.stack(key_cols, axis=1), axis=0, return_index=True)
+    return np.sort(first)
 
 
 # ---------------------------------------------------------------------- #
@@ -515,7 +253,7 @@ class ColumnBlock(NamedTuple):
     def of(cls, subjects, objects, count: int) -> "ColumnBlock":
         return cls(subjects, objects, count, [None, None])
 
-    def group_index(self, column, kernels):
+    def group_index(self, column):
         """The memoized group index of one of this block's own columns, or
         ``None`` for any other array: a temporary dies with its query, so an
         index kept for it could never be hit."""
@@ -526,7 +264,7 @@ class ColumnBlock(NamedTuple):
         if index is None:
             # Concurrent readers may both build it; the results are equal
             # and the slot assignment is atomic, so last write wins.
-            index = self.group_indexes[slot] = kernels.group_index(column)
+            index = self.group_indexes[slot] = group_index(column)
         return index
 
 
@@ -541,7 +279,7 @@ class ColumnarTripleTable:
 
     Blocks follow writes when the write happens.  Every insert path groups
     its new rows by predicate and extends each touched block with one
-    ``appended``; a delete removes the row's one position.  A write replaces
+    concatenation; a delete removes the row's one position.  A write replaces
     the touched predicates' blocks and leaves every other block — and its
     group-index memo — as it was.  Readers change nothing but the two lazy
     memos: a block's group indexes and the full-table columns of
@@ -553,9 +291,8 @@ class ColumnarTripleTable:
     order, so re-inserting a dump rebuilds the same blocks.
     """
 
-    def __init__(self, dictionary: Optional[TermDictionary] = None, use_numpy: Optional[bool] = None):
+    def __init__(self, dictionary: Optional[TermDictionary] = None):
         self.dictionary = dictionary if dictionary is not None else TermDictionary()
-        self.kernels = select_kernels(use_numpy)
         self._row_set: Set[Row] = set()
         self._partition_columns: Dict[int, ColumnBlock] = {}
         self._stamps: Dict[int, int] = {}
@@ -594,11 +331,12 @@ class ColumnarTripleTable:
                 tail = tails[row[1]] = (array("q"), array("q"))
             tail[0].append(row[0])
             tail[1].append(row[2])
-        appended = self.kernels.appended
         for predicate_id, (subjects, objects) in tails.items():
             block = self.partition_columns(predicate_id)
             self._replace_block(
-                predicate_id, appended(block.subjects, subjects), appended(block.objects, objects)
+                predicate_id,
+                np.concatenate([block.subjects, _view(subjects)]),
+                np.concatenate([block.objects, _view(objects)]),
             )
         return {predicate_id: len(subjects) for predicate_id, (subjects, _) in tails.items()}
 
@@ -610,10 +348,9 @@ class ColumnarTripleTable:
         self._row_set.remove(row)
         subject_id, predicate_id, object_id = row
         block = self._partition_columns[predicate_id]
-        kernels = self.kernels
-        position = kernels.find_pair(block.subjects, block.objects, subject_id, object_id)
+        position = np.flatnonzero((block.subjects == subject_id) & (block.objects == object_id))[0]
         self._replace_block(
-            predicate_id, kernels.removed(block.subjects, position), kernels.removed(block.objects, position)
+            predicate_id, np.delete(block.subjects, position), np.delete(block.objects, position)
         )
         return True
 
@@ -626,8 +363,7 @@ class ColumnarTripleTable:
         block = self.partition_columns(predicate_id)
         rows = list(self._block_rows(predicate_id, block.subjects, block.objects))
         self._row_set.difference_update(rows)
-        empty = self.kernels.column(array("q"))
-        self._replace_block(predicate_id, empty, empty)
+        self._replace_block(predicate_id, _empty(), _empty())
         return rows
 
     # -- size and statistics -------------------------------------------- #
@@ -660,16 +396,24 @@ class ColumnarTripleTable:
         return self._stamps.get(predicate_id, 0)
 
     def predicate_statistics(self, predicate_id: int) -> PredicateStatistics:
-        """One predicate's statistics, from its block."""
+        """One predicate's statistics, from one value count per column."""
         block = self.partition_columns(predicate_id)
-        return self.kernels.statistics(block.subjects, block.objects)
+        subject_rows = np.unique(block.subjects, return_counts=True)[1]
+        object_rows = np.unique(block.objects, return_counts=True)[1]
+        return PredicateStatistics(
+            cardinality=block.count,
+            distinct_subjects=len(subject_rows),
+            distinct_objects=len(object_rows),
+            max_subject_rows=int(subject_rows.max()) if len(subject_rows) else 0,
+            max_object_rows=int(object_rows.max()) if len(object_rows) else 0,
+        )
 
     # -- blocks and the row views over them ----------------------------- #
     def partition_columns(self, predicate_id: int) -> ColumnBlock:
         """The block of one predicate (an empty one when it has no rows)."""
         block = self._partition_columns.get(predicate_id)
         if block is None:
-            empty = self.kernels.column(array("q"))
+            empty = _empty()
             block = ColumnBlock.of(empty, empty, 0)
         return block
 
@@ -677,23 +421,21 @@ class ColumnarTripleTable:
         """The whole table as ``(s, p, o, count)`` columns in scan order:
         predicates ascending by id, each in insertion order."""
         if self._full_columns is None:
-            kernels = self.kernels
             blocks = sorted(self._partition_columns.items())
             predicates = array("q")
             for predicate_id, block in blocks:
                 predicates.extend(repeat(predicate_id, block.count))
-            empty = kernels.column(array("q"))
+            empty = _empty()
             self._full_columns = (
-                kernels.concat([empty] + [block.subjects for _, block in blocks]),
-                kernels.column(predicates),
-                kernels.concat([empty] + [block.objects for _, block in blocks]),
+                concat([empty] + [block.subjects for _, block in blocks]),
+                _view(predicates),
+                concat([empty] + [block.objects for _, block in blocks]),
                 len(predicates),
             )
         return self._full_columns
 
     def _block_rows(self, predicate_id: int, subjects, objects) -> Iterator[Row]:
-        tolist = self.kernels.tolist
-        return zip(tolist(subjects), repeat(predicate_id), tolist(objects))
+        return zip(subjects.tolist(), repeat(predicate_id), objects.tolist())
 
     def scan(self) -> Iterator[Row]:
         """Every row, in table-scan order."""
@@ -715,11 +457,8 @@ class ColumnarTripleTable:
 
     def _lookup(self, predicate_id: int, column: int, key: int) -> Iterator[Row]:
         block = self.partition_columns(predicate_id)
-        kernels = self.kernels
-        selection = kernels.equal_selection([(block[column], key)], [], block.count)
-        return self._block_rows(
-            predicate_id, kernels.take(block.subjects, selection), kernels.take(block.objects, selection)
-        )
+        selection = equal_selection([(block[column], key)], [])
+        return self._block_rows(predicate_id, block.subjects[selection], block.objects[selection])
 
     def contains(self, triple: Triple) -> bool:
         row = tuple(self.dictionary.lookup_many((triple.subject, triple.predicate, triple.object)))
@@ -731,12 +470,12 @@ class ColumnarTripleTable:
         if predicate_id is None:
             return []
         block = self.partition_columns(predicate_id)
-        tolist, decode_many = self.kernels.tolist, self.dictionary.decode_many
+        decode_many = self.dictionary.decode_many
         term = self.dictionary.decode(predicate_id)
         return [
             Triple(subject, term, obj)  # type: ignore[arg-type]
             for subject, obj in zip(
-                decode_many(tolist(block.subjects)), decode_many(tolist(block.objects))
+                decode_many(block.subjects.tolist()), decode_many(block.objects.tolist())
             )
         ]
 
@@ -746,12 +485,11 @@ class ColumnarTripleTable:
         ints), in table-scan order; :meth:`load_rows` of it rebuilds the same
         blocks."""
         flat: List[int] = []
-        tolist = self.kernels.tolist
         for predicate_id, block in sorted(self._partition_columns.items()):
             count = block.count
             rows = [predicate_id] * (3 * count)
-            rows[0::3] = tolist(block.subjects)
-            rows[2::3] = tolist(block.objects)
+            rows[0::3] = block.subjects.tolist()
+            rows[2::3] = block.objects.tolist()
             flat += rows
         return flat
 
@@ -775,22 +513,21 @@ class ColumnarTripleTable:
         memoized group index when the columns were handed over uncopied),
         ``None`` for every other path.
         """
-        kernels = self.kernels
         matcher = step.matcher
         if step.access_path == "table_scan":
             subjects, predicates, objects, count = self.full_columns()
             columns_at = {0: subjects, 1: predicates, 2: objects}
-            return match_block(matcher, columns_at, {}, count, counters, kernels), None
+            return match_block(matcher, columns_at, {}, count, counters), None
 
         predicate_id = step.predicate_id
         if predicate_id is None:
-            return _empty_block(matcher.var_names, kernels), None
+            return _empty_block(matcher.var_names), None
 
         if step.access_path == "partition_scan":
             block = self.partition_columns(predicate_id)
             columns_at = {0: block.subjects, 2: block.objects}
             fixed = {1: predicate_id}
-            return match_block(matcher, columns_at, fixed, block.count, counters, kernels), block
+            return match_block(matcher, columns_at, fixed, block.count, counters), block
 
         if step.access_path == "index_subject":
             position, bound_id = 0, step.subject_id
@@ -800,11 +537,10 @@ class ColumnarTripleTable:
             raise QueryExecutionError(f"unknown access path {step.access_path!r}")
         counters.index_lookups += 1
         if bound_id is None:
-            return _empty_block(matcher.var_names, kernels), None
+            return _empty_block(matcher.var_names), None
         block = self.partition_columns(predicate_id)
         matched = match_index_block(
-            matcher, block.subjects, block.objects, predicate_id, position, bound_id,
-            block.count, counters, kernels,
+            matcher, block.subjects, block.objects, predicate_id, position, bound_id, counters
         )
         return matched, None
 
@@ -812,8 +548,8 @@ class ColumnarTripleTable:
 # ---------------------------------------------------------------------- #
 # Columnar evaluation primitives
 # ---------------------------------------------------------------------- #
-def _empty_block(names: Tuple[str, ...], kernels):
-    return names, [kernels.empty() for _ in names], 0
+def _empty_block(names: Tuple[str, ...]):
+    return names, [_empty() for _ in names], 0
 
 
 def match_block(
@@ -822,7 +558,6 @@ def match_block(
     fixed: Dict[int, int],
     count: int,
     counters: WorkCounters,
-    kernels,
 ):
     """Mask-select a column block against a compiled pattern.
 
@@ -838,24 +573,24 @@ def match_block(
     counters.rows_scanned += count
     names = matcher.var_names
     if not matcher.matchable or count == 0:
-        return _empty_block(names, kernels)
+        return _empty_block(names)
 
     const_pairs = []
     for position, required in matcher.const_checks:
         column = columns_at.get(position)
         if column is None:
             if fixed[position] != required:
-                return _empty_block(names, kernels)
+                return _empty_block(names)
         else:
             const_pairs.append((column, required))
     dup_pairs = [
         (columns_at[position], columns_at[first]) for position, first in matcher.dup_checks
     ]
-    selection = kernels.equal_selection(const_pairs, dup_pairs, count)
+    selection = equal_selection(const_pairs, dup_pairs)
     out_cols = []
     for position in matcher.var_positions:
         column = columns_at[position]
-        out_cols.append(column if selection is None else kernels.take(column, selection))
+        out_cols.append(column if selection is None else column[selection])
     out_count = count if selection is None else len(selection)
     return names, out_cols, out_count
 
@@ -867,9 +602,7 @@ def match_index_block(
     predicate_id: int,
     position: int,
     bound_id: int,
-    count: int,
     counters: WorkCounters,
-    kernels,
 ):
     """A point lookup served as a mask over the partition block.
 
@@ -883,7 +616,7 @@ def match_index_block(
     if deadline is not None:
         deadline.check(counters)
     columns_at = {0: subjects, 2: objects}
-    base = kernels.equal_selection([(columns_at[position], bound_id)], [], count)
+    base = equal_selection([(columns_at[position], bound_id)], [])
     matched = len(base)
     # The oracle charges every row the lookup yields, matching or not
     # (residual const checks come after the charge); `matched` is that
@@ -891,8 +624,8 @@ def match_index_block(
     counters.rows_scanned += matched
     names = matcher.var_names
     if not matcher.matchable or not matched:
-        return _empty_block(names, kernels)
-    sub = {pos: kernels.take(column, base) for pos, column in columns_at.items()}
+        return _empty_block(names)
+    sub = {pos: column[base] for pos, column in columns_at.items()}
     const_pairs = []
     for pos, required in matcher.const_checks:
         if pos == position:
@@ -900,22 +633,22 @@ def match_index_block(
         column = sub.get(pos)
         if column is None:  # the predicate slot, fixed by the partition
             if predicate_id != required:
-                return _empty_block(names, kernels)
+                return _empty_block(names)
         else:
             const_pairs.append((column, required))
     dup_pairs = [(sub[pos], sub[first]) for pos, first in matcher.dup_checks]
-    selection = kernels.equal_selection(const_pairs, dup_pairs, matched)
+    selection = equal_selection(const_pairs, dup_pairs)
     out_cols = []
     for pos in matcher.var_positions:
         column = sub[pos]
-        out_cols.append(column if selection is None else kernels.take(column, selection))
+        out_cols.append(column if selection is None else column[selection])
     return names, out_cols, matched if selection is None else len(selection)
 
 
 #: Output rows one gather kernel may emit while a deadline is active.  A
-#: chunk this size costs a few hundred microseconds with the numpy kernels and
-#: a few milliseconds with the stdlib ones — far inside the 2x-budget bound of
-#: a 50 ms deadline — and the per-chunk overhead stays in the noise.
+#: chunk this size costs a few hundred microseconds — far inside the
+#: 2x-budget bound of a 50 ms deadline — and the per-chunk overhead stays in
+#: the noise.
 GATHER_CHUNK_ROWS = 1 << 15
 
 
@@ -927,7 +660,6 @@ def join_block(
     block_cols: List[object],
     block_count: int,
     counters: WorkCounters,
-    kernels,
     work_budget: Optional[float] = None,
     source: Optional[ColumnBlock] = None,
 ) -> Tuple[Tuple[str, ...], List[object], int]:
@@ -950,7 +682,7 @@ def join_block(
     new_names = tuple(name for name in names if name not in schema)
     if count == 0 or block_count == 0:
         merged = schema + new_names
-        return merged, [kernels.empty() for _ in merged], 0
+        return merged, [_empty() for _ in merged], 0
 
     if not schema and count == 1:
         # The pipeline seed [()]: the pattern block becomes the pipeline.
@@ -960,17 +692,17 @@ def join_block(
     shared = [name for name in names if name in schema]
     name_position = {name: i for i, name in enumerate(names)}
     if not shared:
-        matches, total = kernels.cartesian_matches(count, block_count)
+        matches, total = cartesian_matches(count, block_count)
     elif len(shared) == 1:
         build_col = block_cols[name_position[shared[0]]]
-        matches, total = kernels.join_matches(
+        matches, total = join_matches(
             cols[schema.index(shared[0])],
             build_col,
-            source.group_index(build_col, kernels) if source is not None else None,
+            source.group_index(build_col) if source is not None else None,
         )
     else:
-        matches, total = kernels.join_matches(
-            *kernels.composite_keys(
+        matches, total = join_matches(
+            *composite_keys(
                 [cols[schema.index(name)] for name in shared],
                 [block_cols[name_position[name]] for name in shared],
             )
@@ -984,28 +716,24 @@ def join_block(
     new_cols = [block_cols[name_position[name]] for name in new_names]
 
     def gathered(start: int = 0, stop: Optional[int] = None) -> List[object]:
-        left, right = kernels.gather(matches, start, stop)
-        return [kernels.take(column, left) for column in cols] + [
-            kernels.take(column, right) for column in new_cols
-        ]
+        left, right = gather(matches, start, stop)
+        return [column[left] for column in cols] + [column[right] for column in new_cols]
 
     if deadline is None or total <= GATHER_CHUNK_ROWS:
         return schema + new_names, gathered(), total
-    bounds = kernels.chunk_bounds(matches, GATHER_CHUNK_ROWS)
+    bounds = chunk_bounds(matches, GATHER_CHUNK_ROWS)
     chunks = []
     for start, stop in zip(bounds, bounds[1:]):
         deadline.check(counters)
         chunks.append(gathered(start, stop))
-    out_cols = [
-        kernels.concat(parts, lambda: deadline.check(counters)) for parts in zip(*chunks)
-    ]
+    out_cols = [concat(parts, lambda: deadline.check(counters)) for parts in zip(*chunks)]
     return schema + new_names, out_cols, total
 
 
-def _transpose_id_rows(id_rows, width: int, kernels) -> List[object]:
+def _transpose_id_rows(id_rows, width: int) -> List[object]:
     if not id_rows:
-        return [kernels.empty() for _ in range(width)]
-    return [kernels.from_ints(column) for column in zip(*id_rows)]
+        return [_empty() for _ in range(width)]
+    return [_ids(column) for column in zip(*id_rows)]
 
 
 def join_columnar_table(
@@ -1015,7 +743,6 @@ def join_columnar_table(
     table: ResultTable,
     space: QueryTermSpace,
     counters: WorkCounters,
-    kernels,
     as_view: bool = False,
     work_budget: Optional[float] = None,
 ) -> Tuple[Tuple[str, ...], List[object], int]:
@@ -1033,16 +760,14 @@ def join_columnar_table(
     new_names = tuple(name for name in table_vars if name not in schema)
     if count == 0:
         merged = schema + new_names
-        return merged, [kernels.empty() for _ in merged], 0
+        return merged, [_empty() for _ in merged], 0
     if as_view:
         counters.view_rows_scanned += len(table)
     else:
         counters.rows_scanned += len(table)
     id_rows = table.encoded_rows(space.encode)
-    block_cols = _transpose_id_rows(id_rows, len(table_vars), kernels)
-    return join_block(
-        schema, cols, count, table_vars, block_cols, len(id_rows), counters, kernels, work_budget
-    )
+    block_cols = _transpose_id_rows(id_rows, len(table_vars))
+    return join_block(schema, cols, count, table_vars, block_cols, len(id_rows), counters, work_budget)
 
 
 def _filter_selection(
@@ -1051,7 +776,6 @@ def _filter_selection(
     count: int,
     filters,
     space: QueryTermSpace,
-    kernels,
 ):
     """Surviving row indices under the query's filters, or ``None`` for all.
 
@@ -1074,7 +798,7 @@ def _filter_selection(
         right = _compile_filter_side(flt.right, schema, space)
         if left[0] == "unbound" or right[0] == "unbound":
             # An unbound operand fails the filter for every row.
-            return kernels.from_ints([]), 0
+            return _empty(), 0
         compiled.append((flt, left, right))
 
     operand_ids = set()
@@ -1088,7 +812,7 @@ def _filter_selection(
             operand_ids.add(right_value)
         else:
             positions.add(right_value)
-    operand_cols = {position: kernels.tolist(cols[position]) for position in positions}
+    operand_cols = {position: cols[position].tolist() for position in positions}
     for column in operand_cols.values():
         operand_ids.update(column)
     id_to_term = space.decode_map(operand_ids)
@@ -1138,7 +862,7 @@ def _filter_selection(
             append(i)
     if len(keep) == count:
         return None, count
-    return kernels.from_ints(keep), len(keep)
+    return _ids(keep), len(keep)
 
 
 def finish_columnar_pipeline(
@@ -1148,7 +872,6 @@ def finish_columnar_pipeline(
     query: SelectQuery,
     counters: WorkCounters,
     space: QueryTermSpace,
-    kernels,
 ) -> ExecutionResult:
     """The columnar epilogue: filters, projection to the bound columns,
     DISTINCT on id vectors, LIMIT by slicing.  The surviving projected id
@@ -1160,18 +883,18 @@ def finish_columnar_pipeline(
         deadline.check(counters)
     selection = None
     if query.filters and count:
-        selection, count = _filter_selection(schema, cols, count, query.filters, space, kernels)
+        selection, count = _filter_selection(schema, cols, count, query.filters, space)
 
     names = query.projected_names()
     bound = [(name, schema.index(name)) for name in names if name in schema]
     projected = []
     for _name, position in bound:
         column = cols[position]
-        projected.append(column if selection is None else kernels.take(column, selection))
+        projected.append(column if selection is None else column[selection])
 
     if query.distinct:
-        distinct = kernels.distinct_selection(projected, count)
-        projected = [kernels.take(column, distinct) for column in projected]
+        distinct = distinct_selection(projected, count)
+        projected = [column[distinct] for column in projected]
         count = len(distinct)
     if query.limit is not None and count > query.limit:
         projected = [column[: query.limit] for column in projected]
@@ -1184,7 +907,7 @@ def finish_columnar_pipeline(
         counters=counters,
         store="relational",
         columns=ResultColumns(
-            tuple(name for name, _ in bound), projected, count, space, kernels.tolist
+            tuple(name for name, _ in bound), projected, count, space, np.ndarray.tolist
         ),
     )
 
@@ -1196,7 +919,6 @@ def execute_compiled(
     query: SelectQuery,
     compiled: CompiledPlan,
     dictionary,
-    kernels,
     step_block,
     work_budget: Optional[float] = None,
     extra_tables: Optional[Iterable[ResultTable]] = None,
@@ -1223,7 +945,7 @@ def execute_compiled(
     count = 1  # the pipeline seed: one zero-width row, exactly [()]
     for table in extra_tables or ():
         schema, cols, count = join_columnar_table(
-            schema, cols, count, table, space, counters, kernels, tables_are_views, work_budget
+            schema, cols, count, table, space, counters, tables_are_views, work_budget
         )
         check_work_budget(counters, work_budget)
 
@@ -1235,12 +957,11 @@ def execute_compiled(
             break
         (names, block_cols, block_count), source = step_block(step, counters)
         schema, cols, count = join_block(
-            schema, cols, count, names, block_cols, block_count, counters, kernels,
-            work_budget, source,
+            schema, cols, count, names, block_cols, block_count, counters, work_budget, source
         )
         check_work_budget(counters, work_budget)
 
-    return finish_columnar_pipeline(schema, cols, count, query, counters, space, kernels)
+    return finish_columnar_pipeline(schema, cols, count, query, counters, space)
 
 
 class ColumnarExecutor:
@@ -1266,6 +987,6 @@ class ColumnarExecutor:
         if compiled is None:
             compiled = compile_plan(plan, table.dictionary)
         return execute_compiled(
-            query, compiled, table.dictionary, table.kernels, table.step_block,
+            query, compiled, table.dictionary, table.step_block,
             work_budget, extra_tables, tables_are_views,
         )

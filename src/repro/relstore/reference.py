@@ -11,8 +11,8 @@ shared; the SQLite backend (``tests/test_differential_sql.py``) is the
 storage-independent oracle.  It is kept for two reasons:
 
 * it is the **differential oracle**: ``tests/test_differential_engine.py``
-  pits the columnar engine (both kernel sets, unsharded and sharded) against
-  it and asserts byte-identical result bindings and bit-identical logical
+  pits the columnar engine (unsharded and sharded) against it and asserts
+  byte-identical result bindings and bit-identical logical
   :class:`~repro.cost.counters.WorkCounters` across every template family;
 * it is the **benchmark baseline**: ``benchmarks/bench_hotpath.py`` measures
   the kernel-level wall-clock speedup of the columnar engine against it and

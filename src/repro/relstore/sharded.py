@@ -68,7 +68,14 @@ from repro.rdf.graph import TripleSet
 from repro.rdf.terms import IRI, Triple
 from repro.sparql.ast import SelectQuery, TriplePattern
 
-from repro.relstore.columnar import ColumnarTripleTable, ColumnBlock, Row, execute_compiled
+from repro.relstore.columnar import (
+    ColumnarTripleTable,
+    ColumnBlock,
+    Row,
+    _empty,
+    concat,
+    execute_compiled,
+)
 from repro.relstore.executor import CompiledStep, compile_plan
 from repro.relstore.stats import TableStatistics
 from repro.relstore.store import PlannedStore
@@ -427,7 +434,6 @@ class ShardedRelationalStore(PlannedStore):
             _plan, compiled = self._bound_plan(query)
         else:
             compiled = compile_plan(self.plan(query, pattern_order=pattern_order), self.dictionary)
-        kernels = self._tables[0].kernels
         step_probe_work: List[List[Tuple[int, float]]] = []
         shard_rows_scanned = 0
         unprobed_index_lookups = 0
@@ -462,11 +468,11 @@ class ShardedRelationalStore(PlannedStore):
                     unprobed_index_lookups += 1
             # A single fragment passes through `concat` as the very same
             # arrays, which is what lets its source block's memo apply.
-            block_cols = [kernels.concat(bucket) if bucket else kernels.empty() for bucket in parts]
+            block_cols = [concat(bucket) if bucket else _empty() for bucket in parts]
             return (names, block_cols, total), probes[0].source if len(probes) == 1 else None
 
         result = execute_compiled(
-            query, compiled, self.dictionary, kernels, step_block,
+            query, compiled, self.dictionary, step_block,
             work_budget, extra_tables, tables_are_views,
         )
         self._price(result, step_probe_work, shard_rows_scanned, unprobed_index_lookups)

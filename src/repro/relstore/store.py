@@ -127,10 +127,10 @@ class RelationalStore(PlannedStore):
         row budget (used by the RDB-views baseline).
     engine:
         ``"columnar"`` (default) runs the production engine: term-id
-        columns, mask selection, batched hash joins — numpy-accelerated when
-        available — with a bound-plan memo.  ``"reference"`` runs its
-        differential oracle, the decode-per-row executor, which re-plans and
-        re-resolves constants on every execution.  Both read the same
+        columns, mask selection, batched numpy hash joins — with a
+        bound-plan memo.  ``"reference"`` runs its differential oracle, the
+        decode-per-row executor, which re-plans and re-resolves constants on
+        every execution.  Both read the same
         :class:`~repro.relstore.columnar.ColumnarTripleTable`.
     dictionary:
         An existing term dictionary to encode against (the snapshot-restore

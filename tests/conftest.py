@@ -198,23 +198,53 @@ def live_endpoint(endpoint_factory):
 
 
 # --------------------------------------------------------------------------- #
+# How a store's blocks were written
+# --------------------------------------------------------------------------- #
+class StoreWriter:
+    """Writes a test's triples into the stores it builds, one of two ways.
+
+    ``loaded`` is one bulk ``load``.  ``batched`` inserts the same triples,
+    in the same order, :attr:`BATCH_ROWS` at a time: every batch extends the
+    blocks it touches, moves their write stamps and ages the statistics and
+    bound plans, and a sharded store re-checks its skew limit against a
+    smaller store each time, so it may promote other predicates than a bulk
+    load would.  Answers, order (unsharded) and work must not tell the two
+    apart.
+    """
+
+    BATCH_ROWS = 7
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def write(self, store, triples):
+        """Write ``triples`` into the relational ``store``; returns it."""
+        if self.name == "loaded":
+            store.load(triples)
+            return store
+        triples = list(triples)
+        for start in range(0, len(triples), self.BATCH_ROWS):
+            store.insert(triples[start : start + self.BATCH_ROWS])
+        return store
+
+    def dual(self, triples, **options) -> DualStore:
+        """A loaded ``DualStore(**options)`` whose master copy was written
+        this writer's way (the dual's own load then finds every row there)."""
+        dual = DualStore(**options)
+        if self.name == "batched":
+            self.write(dual.relational, triples)
+        return dual.load(triples)
+
+
+@pytest.fixture(params=["loaded", "batched"])
+def writer(request) -> StoreWriter:
+    """Run the test once per way of writing the stores it builds."""
+    return StoreWriter(request.param)
+
+
+# --------------------------------------------------------------------------- #
 # The columnar result value (repro.execution)
 # --------------------------------------------------------------------------- #
-@pytest.fixture(params=["stdlib", "numpy"])
-def kernel_set(request, monkeypatch):
-    """Run the test once per columnar kernel set: stores built inside it get
-    the stdlib kernels (``array('q')`` columns) or the numpy ones."""
-    from repro.relstore.columnar import FORCE_STDLIB_ENV, numpy_available
-
-    if request.param == "stdlib":
-        monkeypatch.setenv(FORCE_STDLIB_ENV, "1")
-    elif not numpy_available():
-        pytest.skip("numpy not importable")
-    else:
-        monkeypatch.delenv(FORCE_STDLIB_ENV, raising=False)
-    return request.param
-
-
 @pytest.fixture
 def no_row_views(monkeypatch):
     """Fail the test if anything asks a result's columns for per-row dicts or

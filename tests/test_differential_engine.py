@@ -2,18 +2,18 @@
 
 The vectorized columnar engine (``RelationalStore()``) must be
 *indistinguishable in output* from the reference executor
-(``engine="reference"``), on both of its kernel sets: byte-identical result
-bindings (same solutions, same order, same dict contents) and bit-identical
-logical :class:`~repro.cost.counters.WorkCounters` — therefore identical
-modelled seconds — across every template family, unsharded and sharded,
+(``engine="reference"``): byte-identical result bindings (same solutions,
+same order, same dict contents) and bit-identical logical
+:class:`~repro.cost.counters.WorkCounters` — therefore identical modelled
+seconds — across every template family, unsharded and sharded,
 standalone and through ``DualStore.run_query`` with physical-design mutations
 interleaved, and across a persist round-trip.  Only wall-clock may differ;
 that is the whole point.
 
-The first half of the module holds the engine to the oracle on its
-**stdlib** kernels (stores built through :func:`on_stdlib_kernels`), the
-second half on whatever kernels the environment selects — numpy, unless
-``REPRO_COLUMNAR_FORCE_STDLIB`` is set.
+Tests that take the shared ``writer`` fixture run twice: with the engine's
+store bulk-loaded, and with the same triples written in small insert batches,
+so the blocks it reads were maintained write by write.  The oracle is always
+bulk-loaded.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro import (
 )
 from repro.execution import ResultTable
 from repro.rdf import IRI, Literal, Triple, YAGO
-from repro.relstore.columnar import FORCE_STDLIB_ENV, ColumnarTripleTable
+from repro.relstore.columnar import ColumnarTripleTable
 from repro.relstore.executor import relational_work_units
 from repro.sparql import parse_query
 
@@ -44,14 +44,6 @@ SHARD_COUNTS = (1, 4)
 
 #: Aggressive skew settings so subject-sharded scatter paths are exercised.
 AGGRESSIVE = ShardingConfig(skew_threshold=0.2, min_subject_shard_rows=16)
-
-
-def on_stdlib_kernels(build):
-    """``build()`` with the production engine pinned to its stdlib kernels
-    (a table picks its kernel set when it is constructed)."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv(FORCE_STDLIB_ENV, "1")
-        return build()
 
 
 def assert_identical(warm, cold, context: str) -> None:
@@ -97,14 +89,46 @@ def reference_runs(family_workloads):
 
 
 # --------------------------------------------------------------------------- #
-# Unsharded differential: byte-identical down to binding order
+# Every template family, unsharded and sharded: byte-identical to the oracle
 # --------------------------------------------------------------------------- #
-def test_repeated_execution_through_the_bound_plan_memo_stays_identical(family_workloads, reference_runs):
+def test_columnar_engine_matches_reference_for_every_family(
+    writer, family_workloads, reference_runs
+):
+    """Full family matrix: batch hash joins + mask selection + decode-once
+    projection must reproduce the reference byte-for-byte, bit-for-bit."""
+    for label, triples, queries in family_workloads:
+        store = writer.write(RelationalStore(engine="columnar"), triples)
+        for index, (query, cold) in enumerate(zip(queries, reference_runs[label])):
+            warm = store.execute(query)
+            assert_identical(warm, cold, f"columnar {label}[{index}]")
+            assert warm.seconds == pytest.approx(cold.seconds, rel=0, abs=0)
+
+
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+def test_sharded_columnar_matches_reference_for_every_family(
+    shards, writer, family_workloads, reference_runs, fingerprint
+):
+    """Sharded columnar: per-shard column fragments concatenated in shard
+    order must carry the same multiset of bindings and identical work."""
+    for label, triples, queries in family_workloads:
+        store = writer.write(ShardedRelationalStore(shards=shards, config=AGGRESSIVE), triples)
+        for index, (query, cold) in enumerate(zip(queries, reference_runs[label])):
+            warm = store.execute(query)
+            assert fingerprint(warm) == fingerprint(cold), (
+                f"columnar {label}[{index}]: bindings diverged at N={shards}"
+            )
+            assert warm.counters.as_dict() == cold.counters.as_dict(), (
+                f"columnar {label}[{index}]: work diverged at N={shards}"
+            )
+
+
+def test_repeated_execution_through_the_bound_plan_memo_stays_identical(
+    writer, family_workloads, reference_runs
+):
     """The second execution takes the memoized (plan, compiled) path; answers
     and counters must not depend on which path bound the plan."""
     label, triples, queries = family_workloads[3]  # watdiv-complex
-    store = on_stdlib_kernels(RelationalStore)
-    store.load(triples)
+    store = writer.write(RelationalStore(), triples)
     first = [store.execute(q) for q in queries[:10]]
     for index, query in enumerate(queries[:10]):
         again = store.execute(query)
@@ -115,16 +139,15 @@ def test_repeated_execution_through_the_bound_plan_memo_stays_identical(family_w
 # --------------------------------------------------------------------------- #
 # Work budgets: engine and oracle must abort at the same step boundaries
 # --------------------------------------------------------------------------- #
-def test_capped_execution_parity(watdiv_dataset):
+def test_capped_execution_parity(writer, watdiv_dataset):
     reference = RelationalStore(engine="reference")
     reference.load(watdiv_dataset.triples)
-    stdlib = on_stdlib_kernels(RelationalStore)
-    stdlib.load(watdiv_dataset.triples)
+    columnar = writer.write(RelationalStore(), watdiv_dataset.triples)
     queries = watdiv_workload(watdiv_dataset, family="complex", seed=5).ordered()[:8]
     for query in queries:
         for budget in (1.0, 50.0, 1e9):
             cold_result, cold_seconds = reference.execute_capped(query, work_budget=budget)
-            warm_result, warm_seconds = stdlib.execute_capped(query, work_budget=budget)
+            warm_result, warm_seconds = columnar.execute_capped(query, work_budget=budget)
             assert (warm_result is None) == (cold_result is None)
             assert warm_seconds == pytest.approx(cold_seconds, rel=0, abs=0)
             if warm_result is not None:
@@ -134,13 +157,12 @@ def test_capped_execution_parity(watdiv_dataset):
 # --------------------------------------------------------------------------- #
 # Filters: the equal-id fast path must not change value-comparison semantics
 # --------------------------------------------------------------------------- #
-@pytest.fixture(scope="module")
-def filter_store_pair(mini_kg):
+@pytest.fixture
+def filter_store_pair(writer, mini_kg):
     reference = RelationalStore(engine="reference")
     reference.load(mini_kg)
-    stdlib = on_stdlib_kernels(RelationalStore)
-    stdlib.load(mini_kg)
-    return stdlib, reference
+    columnar = writer.write(RelationalStore(), mini_kg)
+    return columnar, reference
 
 
 FILTER_QUERIES = [
@@ -166,9 +188,9 @@ FILTER_QUERIES = [
 
 @pytest.mark.parametrize("text", FILTER_QUERIES)
 def test_filter_semantics_match_reference(filter_store_pair, text):
-    stdlib, reference = filter_store_pair
+    columnar, reference = filter_store_pair
     query = parse_query(text)
-    assert_identical(stdlib.execute(query), reference.execute(query), text)
+    assert_identical(columnar.execute(query), reference.execute(query), text)
 
 
 def test_nan_literals_defeat_the_equal_id_fast_path():
@@ -183,14 +205,14 @@ def test_nan_literals_defeat_the_equal_id_fast_path():
     ]
     reference = RelationalStore(engine="reference")
     reference.load(triples)
-    stdlib = on_stdlib_kernels(RelationalStore)
-    stdlib.load(triples)
+    columnar = RelationalStore()
+    columnar.load(triples)
     for operator in ("=", "!=", "<", "<=", ">", ">="):
         query = parse_query(
             "SELECT ?p WHERE { ?p y:hasAge ?x . FILTER(?x %s ?x) }" % operator
         )
         cold = reference.execute(query)
-        warm = stdlib.execute(query)
+        warm = columnar.execute(query)
         assert_identical(warm, cold, f"NaN reflexive {operator}")
         people = {b["p"] for b in warm.bindings}
         # NaN fails every reflexive comparison except `!=` (NaN != NaN is
@@ -206,7 +228,7 @@ def test_malformed_integer_literal_raises_in_both_engines():
     broken = Literal("abc", "http://www.w3.org/2001/XMLSchema#integer")
     triples = [Triple(YAGO.term("Ann"), age, broken)]
     query = parse_query("SELECT ?p WHERE { ?p y:hasAge ?x . FILTER(?x = ?x) }")
-    for store in (RelationalStore(engine="reference"), on_stdlib_kernels(RelationalStore)):
+    for store in (RelationalStore(engine="reference"), RelationalStore()):
         store.load(triples)
         with pytest.raises(ValueError):
             store.execute(query)
@@ -225,10 +247,10 @@ def test_numeric_value_equality_across_datatypes_still_matches():
     query = parse_query("SELECT ?a ?b WHERE { ?a y:hasAge ?x . ?b y:hasAge ?y . FILTER(?x = ?y) }")
     reference = RelationalStore(engine="reference")
     reference.load(store_triples)
-    stdlib = on_stdlib_kernels(RelationalStore)
-    stdlib.load(store_triples)
+    columnar = RelationalStore()
+    columnar.load(store_triples)
     cold = reference.execute(query)
-    warm = stdlib.execute(query)
+    warm = columnar.execute(query)
     assert_identical(warm, cold, "cross-datatype equality")
     pairs = {(b["a"], b["b"]) for b in warm.bindings}
     # Ann's integer 30 and Ben's double 30.0 must match each other by value.
@@ -238,11 +260,10 @@ def test_numeric_value_equality_across_datatypes_still_matches():
 # --------------------------------------------------------------------------- #
 # Migrated tables (Case 2 plans): hash join + execution-local term ids
 # --------------------------------------------------------------------------- #
-def test_extra_table_with_shared_variables_matches_reference(mini_kg):
+def test_extra_table_with_shared_variables_matches_reference(writer, mini_kg):
     reference = RelationalStore(engine="reference")
     reference.load(mini_kg)
-    stdlib = on_stdlib_kernels(RelationalStore)
-    stdlib.load(mini_kg)
+    columnar = writer.write(RelationalStore(), mini_kg)
     table = ResultTable(
         name="tmp",
         variables=("p", "tag"),
@@ -257,20 +278,19 @@ def test_extra_table_with_shared_variables_matches_reference(mini_kg):
     query = parse_query("SELECT ?p ?n ?tag WHERE { ?p y:hasGivenName ?n . }")
     for tables_are_views in (False, True):
         cold = reference.execute(query, extra_tables=[table], tables_are_views=tables_are_views)
-        warm = stdlib.execute(query, extra_tables=[table], tables_are_views=tables_are_views)
+        warm = columnar.execute(query, extra_tables=[table], tables_are_views=tables_are_views)
         assert_identical(warm, cold, f"extra table (views={tables_are_views})")
         assert len(warm) == 2
 
 
-def test_disjoint_extra_table_still_cartesian(mini_kg):
+def test_disjoint_extra_table_still_cartesian(writer, mini_kg):
     reference = RelationalStore(engine="reference")
     reference.load(mini_kg)
-    stdlib = on_stdlib_kernels(RelationalStore)
-    stdlib.load(mini_kg)
+    columnar = writer.write(RelationalStore(), mini_kg)
     table = ResultTable(name="tmp", variables=("x",), rows=[(Literal("a"),), (Literal("b"),)])
     query = parse_query("SELECT ?p ?x WHERE { ?p y:isMarriedTo ?q . }")
     cold = reference.execute(query, extra_tables=[table])
-    warm = stdlib.execute(query, extra_tables=[table])
+    warm = columnar.execute(query, extra_tables=[table])
     assert_identical(warm, cold, "disjoint extra table")
     assert len(warm) == 2 * 2  # two marriages x two tags
 
@@ -278,17 +298,16 @@ def test_disjoint_extra_table_still_cartesian(mini_kg):
 # --------------------------------------------------------------------------- #
 # Edge pattern shapes (dup-slot masks, table scans, unmatchable consts)
 # --------------------------------------------------------------------------- #
-@pytest.fixture(scope="module")
-def edge_store_pair(mini_kg):
+@pytest.fixture
+def edge_store_pair(writer, mini_kg):
     narcissus = YAGO.term("Narcissus")
     extra = [Triple(narcissus, YAGO.term("isMarriedTo"), narcissus)]
     reference = RelationalStore(engine="reference")
     reference.load(mini_kg)
     reference.insert(extra)
-    stdlib = on_stdlib_kernels(RelationalStore)
-    stdlib.load(mini_kg)
-    stdlib.insert(extra)
-    return stdlib, reference
+    columnar = writer.write(RelationalStore(), mini_kg)
+    columnar.insert(extra)
+    return columnar, reference
 
 
 EDGE_QUERIES = [
@@ -313,20 +332,20 @@ EDGE_QUERIES = [
 
 @pytest.mark.parametrize("text", EDGE_QUERIES)
 def test_edge_pattern_shapes_match_reference(edge_store_pair, text):
-    stdlib, reference = edge_store_pair
+    columnar, reference = edge_store_pair
     query = parse_query(text)
-    assert_identical(stdlib.execute(query), reference.execute(query), text)
+    assert_identical(columnar.execute(query), reference.execute(query), text)
 
 
 def test_empty_extra_table_short_circuits_identically(edge_store_pair):
     """Once an extra table empties the pipeline, later tables must charge
     nothing — in both engines."""
-    stdlib, reference = edge_store_pair
+    columnar, reference = edge_store_pair
     empty = ResultTable(name="empty", variables=("p",), rows=[])
     follow = ResultTable(name="follow", variables=("q",), rows=[(YAGO.term("Alice"),)])
     query = parse_query("SELECT ?p WHERE { ?p y:wasBornIn ?c . }")
     cold = reference.execute(query, extra_tables=[empty, follow])
-    warm = stdlib.execute(query, extra_tables=[empty, follow])
+    warm = columnar.execute(query, extra_tables=[empty, follow])
     assert_identical(warm, cold, "empty extra table")
     assert warm.counters.rows_scanned == len(empty)  # the second table never charged
 
@@ -342,14 +361,14 @@ def _fresh_triples(dataset, count: int, salt: str):
     ]
 
 
-def test_dualstore_runs_identically_with_interleaved_mutations(watdiv_dataset):
+def test_dualstore_runs_identically_with_interleaved_mutations(writer, watdiv_dataset):
     workload = watdiv_workload(watdiv_dataset, seed=41)
     queries = workload.randomized(seed=3)[:40]
 
     cold_dual = DualStore(relational_store=RelationalStore(engine="reference")).load(
         watdiv_dataset.triples
     )
-    warm_dual = on_stdlib_kernels(DualStore).load(watdiv_dataset.triples)
+    warm_dual = writer.dual(watdiv_dataset.triples)
 
     rng = random.Random(7)
     transferable = sorted({p for q in queries for p in q.predicates()}, key=lambda p: p.value)
@@ -384,7 +403,7 @@ def test_dualstore_runs_identically_with_interleaved_mutations(watdiv_dataset):
     assert cold_dual.partition_sizes() == warm_dual.partition_sizes()
 
 
-def test_sharded_dualstore_with_mutations_matches_reference(watdiv_dataset, fingerprint):
+def test_sharded_dualstore_with_mutations_matches_reference(writer, watdiv_dataset, fingerprint):
     """The full stack: reference unsharded vs the engine sharded (N=4), with
     transfers and inserts between queries."""
     workload = watdiv_workload(watdiv_dataset, seed=17)
@@ -392,9 +411,7 @@ def test_sharded_dualstore_with_mutations_matches_reference(watdiv_dataset, fing
     cold_dual = DualStore(relational_store=RelationalStore(engine="reference")).load(
         watdiv_dataset.triples
     )
-    warm_dual = on_stdlib_kernels(lambda: DualStore(shards=4, sharding=AGGRESSIVE)).load(
-        watdiv_dataset.triples
-    )
+    warm_dual = writer.dual(watdiv_dataset.triples, shards=4, sharding=AGGRESSIVE)
     transferable = sorted({p for q in queries for p in q.predicates()}, key=lambda p: p.value)
 
     for index, query in enumerate(queries):
@@ -417,252 +434,18 @@ def test_sharded_dualstore_with_mutations_matches_reference(watdiv_dataset, fing
 
 
 # --------------------------------------------------------------------------- #
-# Columnar engine: the same oracle, through batch kernels
+# Persist round-trip
 # --------------------------------------------------------------------------- #
-def test_columnar_engine_matches_reference_for_every_family(family_workloads, reference_runs):
-    """Full family matrix: batch hash joins + mask selection + decode-once
-    projection must reproduce the reference byte-for-byte, bit-for-bit."""
-    for label, triples, queries in family_workloads:
-        store = RelationalStore(engine="columnar")
-        store.load(triples)
-        for index, (query, cold) in enumerate(zip(queries, reference_runs[label])):
-            warm = store.execute(query)
-            assert_identical(warm, cold, f"columnar {label}[{index}]")
-            assert warm.seconds == pytest.approx(cold.seconds, rel=0, abs=0)
-
-
-def test_columnar_stdlib_kernels_match_reference(monkeypatch, family_workloads, reference_runs):
-    """The numpy fast path is optional: with the kill-switch set the stdlib
-    ``array('q')`` kernels must produce the very same answers and work — on
-    the full family matrix, like the numpy kernels above."""
-    monkeypatch.setenv(FORCE_STDLIB_ENV, "1")
-    for label, triples, queries in family_workloads:
-        store = RelationalStore(engine="columnar")
-        store.load(triples)
-        assert store.table.kernels.name == "stdlib"
-        for index, (query, cold) in enumerate(zip(queries, reference_runs[label])):
-            warm = store.execute(query)
-            assert_identical(warm, cold, f"stdlib columnar {label}[{index}]")
-            assert warm.seconds == pytest.approx(cold.seconds, rel=0, abs=0)
-
-
-def test_columnar_bound_plan_memo_stays_identical(family_workloads, reference_runs):
-    label, triples, queries = family_workloads[3]  # watdiv-complex
-    store = RelationalStore(engine="columnar")
-    store.load(triples)
-    first = [store.execute(q) for q in queries[:10]]
-    for index, query in enumerate(queries[:10]):
-        again = store.execute(query)
-        assert_identical(again, first[index], f"columnar memoized re-run [{index}]")
-        assert_identical(again, reference_runs[label][index], f"columnar memo vs reference [{index}]")
-
-
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_sharded_columnar_matches_reference_for_every_family(
-    shards, family_workloads, reference_runs, fingerprint
-):
-    """Sharded columnar: per-shard column fragments concatenated in shard
-    order must carry the same multiset of bindings and identical work."""
-    for label, triples, queries in family_workloads:
-        store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE)
-        store.load(triples)
-        for index, (query, cold) in enumerate(zip(queries, reference_runs[label])):
-            warm = store.execute(query)
-            assert fingerprint(warm) == fingerprint(cold), (
-                f"columnar {label}[{index}]: bindings diverged at N={shards}"
-            )
-            assert warm.counters.as_dict() == cold.counters.as_dict(), (
-                f"columnar {label}[{index}]: work diverged at N={shards}"
-            )
-
-
-def test_capped_execution_parity_columnar(watdiv_dataset):
-    """Budget aborts must land on the same step boundary in the columnar
-    engine — blocks are batched but the charges are per-step identical."""
-    reference = RelationalStore(engine="reference")
-    reference.load(watdiv_dataset.triples)
-    columnar = RelationalStore(engine="columnar")
-    columnar.load(watdiv_dataset.triples)
-    queries = watdiv_workload(watdiv_dataset, family="complex", seed=5).ordered()[:8]
-    for query in queries:
-        for budget in (1.0, 50.0, 1e9):
-            cold_result, cold_seconds = reference.execute_capped(query, work_budget=budget)
-            warm_result, warm_seconds = columnar.execute_capped(query, work_budget=budget)
-            assert (warm_result is None) == (cold_result is None)
-            assert warm_seconds == pytest.approx(cold_seconds, rel=0, abs=0)
-            if warm_result is not None:
-                assert_identical(warm_result, cold_result, f"columnar capped {budget}")
-
-
-@pytest.fixture(scope="module")
-def columnar_filter_store(mini_kg):
-    store = RelationalStore(engine="columnar")
-    store.load(mini_kg)
-    return store
-
-
-@pytest.mark.parametrize("text", FILTER_QUERIES)
-def test_columnar_filter_semantics_match_reference(columnar_filter_store, filter_store_pair, text):
-    _, reference = filter_store_pair
-    query = parse_query(text)
-    assert_identical(
-        columnar_filter_store.execute(query), reference.execute(query), f"columnar {text}"
-    )
-
-
-def test_columnar_nan_and_malformed_literals_match_reference():
-    """The vectorized equal-id selection must defer doubles to the value
-    comparison (NaN) and surface the same ValueError on malformed lexicals."""
-    age = YAGO.term("hasAge")
-    nan = Literal("nan", "http://www.w3.org/2001/XMLSchema#double")
-    triples = [
-        Triple(YAGO.term("Ann"), age, nan),
-        Triple(YAGO.term("Ben"), age, Literal.from_python(30.0)),
-    ]
-    reference = RelationalStore(engine="reference")
-    reference.load(triples)
-    columnar = RelationalStore(engine="columnar")
-    columnar.load(triples)
-    for operator in ("=", "!=", "<", "<=", ">", ">="):
-        query = parse_query("SELECT ?p WHERE { ?p y:hasAge ?x . FILTER(?x %s ?x) }" % operator)
-        assert_identical(
-            columnar.execute(query), reference.execute(query), f"columnar NaN {operator}"
-        )
-    broken = RelationalStore(engine="columnar")
-    broken.load([Triple(YAGO.term("Ann"), age, Literal("abc", "http://www.w3.org/2001/XMLSchema#integer"))])
-    with pytest.raises(ValueError):
-        broken.execute(parse_query("SELECT ?p WHERE { ?p y:hasAge ?x . FILTER(?x = ?x) }"))
-
-
-@pytest.fixture(scope="module")
-def columnar_edge_store(mini_kg):
-    store = RelationalStore(engine="columnar")
-    store.load(mini_kg)
-    store.insert([Triple(YAGO.term("Narcissus"), YAGO.term("isMarriedTo"), YAGO.term("Narcissus"))])
-    return store
-
-
-@pytest.mark.parametrize("text", EDGE_QUERIES)
-def test_columnar_edge_pattern_shapes_match_reference(columnar_edge_store, edge_store_pair, text):
-    _, reference = edge_store_pair
-    query = parse_query(text)
-    assert_identical(columnar_edge_store.execute(query), reference.execute(query), f"columnar {text}")
-
-
-def test_columnar_extra_tables_match_reference(mini_kg):
-    reference = RelationalStore(engine="reference")
-    reference.load(mini_kg)
-    columnar = RelationalStore(engine="columnar")
-    columnar.load(mini_kg)
-    shared = ResultTable(
-        name="tmp",
-        variables=("p", "tag"),
-        rows=[
-            (YAGO.term("Alice"), Literal("known")),
-            (YAGO.term("Eve"), Literal("known")),
-            (IRI("http://example.org/ghost"), Literal("phantom")),
-        ],
-    )
-    query = parse_query("SELECT ?p ?n ?tag WHERE { ?p y:hasGivenName ?n . }")
-    for tables_are_views in (False, True):
-        cold = reference.execute(query, extra_tables=[shared], tables_are_views=tables_are_views)
-        warm = columnar.execute(query, extra_tables=[shared], tables_are_views=tables_are_views)
-        assert_identical(warm, cold, f"columnar extra table (views={tables_are_views})")
-    # Disjoint table -> cartesian; empty first table -> later tables uncharged.
-    disjoint = ResultTable(name="tmp", variables=("x",), rows=[(Literal("a"),), (Literal("b"),)])
-    cartesian_query = parse_query("SELECT ?p ?x WHERE { ?p y:isMarriedTo ?q . }")
-    assert_identical(
-        columnar.execute(cartesian_query, extra_tables=[disjoint]),
-        reference.execute(cartesian_query, extra_tables=[disjoint]),
-        "columnar disjoint extra table",
-    )
-    empty = ResultTable(name="empty", variables=("p",), rows=[])
-    follow = ResultTable(name="follow", variables=("q",), rows=[(YAGO.term("Alice"),)])
-    short_query = parse_query("SELECT ?p WHERE { ?p y:wasBornIn ?c . }")
-    cold = reference.execute(short_query, extra_tables=[empty, follow])
-    warm = columnar.execute(short_query, extra_tables=[empty, follow])
-    assert_identical(warm, cold, "columnar empty extra table")
-    assert warm.counters.rows_scanned == len(empty)
-
-
-def test_columnar_dualstore_runs_identically_with_interleaved_mutations(watdiv_dataset):
-    """``DualStore()`` through the mutation gauntlet: partition
-    transfers, evictions, and inserts (which invalidate the cached column
-    blocks and age the bound-plan memo) between queries."""
-    workload = watdiv_workload(watdiv_dataset, seed=41)
-    queries = workload.randomized(seed=3)[:40]
-
-    cold_dual = DualStore(relational_store=RelationalStore(engine="reference")).load(
-        watdiv_dataset.triples
-    )
-    warm_dual = DualStore().load(watdiv_dataset.triples)
-
-    rng = random.Random(7)
-    transferable = sorted({p for q in queries for p in q.predicates()}, key=lambda p: p.value)
-    transferred: list = []
-
-    for index, query in enumerate(queries):
-        cold = cold_dual.run_query(query)
-        warm = warm_dual.run_query(query)
-        assert warm.record.route == cold.record.route, f"route diverged at query {index}"
-        assert_identical(warm.result, cold.result, f"columnar query {index} on route {cold.record.route}")
-
-        action = index % 5
-        if action == 1 and transferable:
-            predicate = transferable.pop(rng.randrange(len(transferable)))
-            cold_dual.transfer_partition(predicate)
-            warm_dual.transfer_partition(predicate)
-            transferred.append(predicate)
-        elif action == 3 and transferred:
-            predicate = transferred.pop(0)
-            cold_dual.evict_partition(predicate)
-            warm_dual.evict_partition(predicate)
-        elif action == 4:
-            fresh = _fresh_triples(watdiv_dataset, 5, salt=str(index))
-            cold_dual.insert(fresh)
-            warm_dual.insert(fresh)
-            assert len(cold_dual.relational) == len(warm_dual.relational)
-
-    assert cold_dual.graph.loaded_predicates == warm_dual.graph.loaded_predicates
-    assert cold_dual.partition_sizes() == warm_dual.partition_sizes()
-
-
-def test_columnar_sharded_dualstore_with_mutations_matches_reference(watdiv_dataset, fingerprint):
-    workload = watdiv_workload(watdiv_dataset, seed=17)
-    queries = workload.randomized(seed=29)[:25]
-    cold_dual = DualStore(relational_store=RelationalStore(engine="reference")).load(
-        watdiv_dataset.triples
-    )
-    warm_dual = DualStore(shards=4, sharding=AGGRESSIVE).load(watdiv_dataset.triples)
-    transferable = sorted({p for q in queries for p in q.predicates()}, key=lambda p: p.value)
-
-    for index, query in enumerate(queries):
-        cold = cold_dual.run_query(query)
-        warm = warm_dual.run_query(query)
-        assert warm.record.route == cold.record.route, f"route diverged at query {index}"
-        assert fingerprint(warm.result) == fingerprint(cold.result), f"bindings diverged at {index}"
-        assert warm.result.counters.as_dict() == cold.result.counters.as_dict(), (
-            f"work diverged at query {index}"
-        )
-        if index % 4 == 1 and transferable:
-            predicate = transferable.pop(0)
-            if cold_dual.graph.fits(cold_dual.relational.partition_size(predicate)):
-                cold_dual.transfer_partition(predicate)
-                warm_dual.transfer_partition(predicate)
-        elif index % 4 == 3:
-            fresh = _fresh_triples(watdiv_dataset, 3, salt=f"s{index}")
-            cold_dual.insert(fresh)
-            warm_dual.insert(fresh)
-
-
 @pytest.mark.parametrize("shards", (None, 4))
-def test_columnar_engine_survives_a_persist_round_trip(tmp_path, shards, watdiv_dataset, fingerprint):
+def test_columnar_engine_survives_a_persist_round_trip(
+    tmp_path, shards, writer, watdiv_dataset, fingerprint
+):
     """Snapshot/restore lands on columnar tables and the restored store's
     answers and logical work stay identical to the pre-snapshot store."""
     from repro.persist import load_snapshot, write_snapshot
 
     kwargs = {} if shards is None else {"shards": shards, "sharding": AGGRESSIVE}
-    dual = DualStore(**kwargs).load(watdiv_dataset.triples)
+    dual = writer.dual(watdiv_dataset.triples, **kwargs)
     queries = watdiv_workload(watdiv_dataset, seed=61).randomized(seed=67)[:10]
     before = [dual.run_query(q).result for q in queries]
 

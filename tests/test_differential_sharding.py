@@ -38,9 +38,10 @@ SHARD_COUNTS = (1, 2, 4, 7)
 #: is actually exercised, not just the one-shard-per-predicate fast path.
 AGGRESSIVE = ShardingConfig(skew_threshold=0.2, min_subject_shard_rows=16)
 
-
-# Sharding must be invisible on both kernel sets: every test takes the shared
-# ``kernel_set`` fixture, so the sharded stores it builds run the named one.
+# Sharding must be invisible however the store was written: every test takes
+# the shared ``writer`` fixture, so its sharded store is bulk-loaded once and
+# written in small insert batches once — batches re-check the skew limit
+# against a smaller store, so they may promote other predicates.
 
 
 def oracle_dual(triples) -> DualStore:
@@ -85,10 +86,9 @@ def baselines(family_workloads):
 # Standalone store differential
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_sharded_store_matches_unsharded_for_every_family(shards, kernel_set, family_workloads, baselines, fingerprint):
+def test_sharded_store_matches_unsharded_for_every_family(shards, writer, family_workloads, baselines, fingerprint):
     for label, triples, queries in family_workloads:
-        store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE)
-        store.load(triples)
+        store = writer.write(ShardedRelationalStore(shards=shards, config=AGGRESSIVE), triples)
         for query, cold in zip(queries, baselines[label]):
             warm = store.execute(query)
             assert fingerprint(warm) == fingerprint(cold), f"{label}: bindings diverged at N={shards}"
@@ -99,7 +99,7 @@ def test_sharded_store_matches_unsharded_for_every_family(shards, kernel_set, fa
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_limit_queries_agree_on_count_and_work_not_necessarily_rows(shards, kernel_set, watdiv_dataset, fingerprint):
+def test_limit_queries_agree_on_count_and_work_not_necessarily_rows(shards, writer, watdiv_dataset, fingerprint):
     """LIMIT without ORDER BY is an arbitrary subset under SPARQL semantics;
     the documented contract is count + work parity plus subset validity,
     not identical truncation choices (see relstore/sharded.py docstring)."""
@@ -107,8 +107,7 @@ def test_limit_queries_agree_on_count_and_work_not_necessarily_rows(shards, kern
 
     base = RelationalStore(engine="reference")
     base.load(watdiv_dataset.triples)
-    store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE)
-    store.load(watdiv_dataset.triples)
+    store = writer.write(ShardedRelationalStore(shards=shards, config=AGGRESSIVE), watdiv_dataset.triples)
     workload = watdiv_workload(watdiv_dataset, family="linear", seed=9)
     for query in workload.ordered()[:8]:
         limited = replace(query, limit=3)
@@ -123,11 +122,10 @@ def test_limit_queries_agree_on_count_and_work_not_necessarily_rows(shards, kern
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_sharded_metadata_matches_unsharded(shards, kernel_set, watdiv_dataset):
+def test_sharded_metadata_matches_unsharded(shards, writer, watdiv_dataset):
     base = RelationalStore(engine="reference")
     base.load(watdiv_dataset.triples)
-    store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE)
-    store.load(watdiv_dataset.triples)
+    store = writer.write(ShardedRelationalStore(shards=shards, config=AGGRESSIVE), watdiv_dataset.triples)
     assert len(store) == len(base)
     assert store.predicates() == base.predicates()
     assert store.partition_sizes() == base.partition_sizes()
@@ -143,11 +141,10 @@ def test_sharded_metadata_matches_unsharded(shards, kernel_set, watdiv_dataset):
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_estimates_match_unsharded(shards, kernel_set, watdiv_dataset, family_workloads):
+def test_estimates_match_unsharded(shards, writer, watdiv_dataset, family_workloads):
     base = RelationalStore(engine="reference")
     base.load(watdiv_dataset.triples)
-    store = ShardedRelationalStore(shards=shards, config=AGGRESSIVE)
-    store.load(watdiv_dataset.triples)
+    store = writer.write(ShardedRelationalStore(shards=shards, config=AGGRESSIVE), watdiv_dataset.triples)
     _, _, queries = family_workloads[0]
     for query in queries[:10]:
         assert store.estimate_query_seconds(query) == pytest.approx(
@@ -168,12 +165,12 @@ def _fresh_triples(dataset, count: int, salt: str):
 
 
 @pytest.mark.parametrize("shards", (2, 7))
-def test_dualstore_runs_identically_with_interleaved_mutations(shards, kernel_set, watdiv_dataset, fingerprint):
+def test_dualstore_runs_identically_with_interleaved_mutations(shards, writer, watdiv_dataset, fingerprint):
     workload = watdiv_workload(watdiv_dataset, seed=41)
     queries = workload.randomized(seed=3)[:40]
 
     base = oracle_dual(watdiv_dataset.triples)
-    sharded = DualStore(shards=shards, sharding=AGGRESSIVE).load(watdiv_dataset.triples)
+    sharded = writer.dual(watdiv_dataset.triples, shards=shards, sharding=AGGRESSIVE)
 
     rng = random.Random(7)
     transferable = sorted(
@@ -213,10 +210,10 @@ def test_dualstore_runs_identically_with_interleaved_mutations(shards, kernel_se
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_total_work_through_dualstore_is_shard_invariant(shards, kernel_set, watdiv_dataset):
+def test_total_work_through_dualstore_is_shard_invariant(shards, writer, watdiv_dataset):
     """`relational_work_for` — the tuner's currency — must not depend on N."""
     workload = watdiv_workload(watdiv_dataset, family="complex", seed=5)
     base = oracle_dual(watdiv_dataset.triples)
-    sharded = DualStore(shards=shards, sharding=AGGRESSIVE).load(watdiv_dataset.triples)
+    sharded = writer.dual(watdiv_dataset.triples, shards=shards, sharding=AGGRESSIVE)
     for query in workload.ordered()[:10]:
         assert sharded.relational_work_for(query) == base.relational_work_for(query)

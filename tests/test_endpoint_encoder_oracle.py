@@ -9,10 +9,10 @@ contract pinned here is::
 
 for every template family of the three datasets — untuned (relational route)
 and on a ``PAPER_TUNED_CONFIG`` store after tuning epochs (graph and split
-routes), on both kernel sets, served fresh and from the result cache — plus
-hand-built results for every term form and result shape the assembler
-special-cases, and a hypothesis property over random term strings whose
-shrunk counterexamples are replayed by name.
+routes), bulk-loaded and written in small batches, served fresh and from
+the result cache — plus hand-built results for every term form and result
+shape the assembler special-cases, and a hypothesis property over random term
+strings whose shrunk counterexamples are replayed by name.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def check(result: ExecutionResult, context=None) -> bytes:
 
 
 # --------------------------------------------------------------------------- #
-# Every template family, every route, both kernel sets, cached and uncached
+# Every template family, every route, cached and uncached
 # --------------------------------------------------------------------------- #
 DATASETS = {
     "yago": (generate_yago, yago_workload),
@@ -84,10 +84,14 @@ def inventories():
     return built
 
 
-def _tuned_service(triples, texts) -> QueryService:
+def _tuned_service(triples, texts, writer=None) -> QueryService:
     """A ``PAPER_TUNED_CONFIG`` store after three tuning epochs over ``texts``
-    (what makes the graph and split routes occur at all)."""
-    dual = DualStore(PAPER_TUNED_CONFIG).load(triples)
+    (what makes the graph and split routes occur at all); ``writer`` says
+    how its master copy was written (one bulk load by default)."""
+    if writer is None:
+        dual = DualStore(PAPER_TUNED_CONFIG).load(triples)
+    else:
+        dual = writer.dual(triples, config=PAPER_TUNED_CONFIG)
     service = QueryService(dual, ServiceConfig(adaptive=AdaptiveConfig(epoch_queries=0)))
     for _epoch in range(3):
         for text in texts:
@@ -98,10 +102,9 @@ def _tuned_service(triples, texts) -> QueryService:
 
 @pytest.mark.parametrize("tuned", [False, True], ids=["untuned", "tuned"])
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
-def test_every_family_equals_the_dict_oracle(inventories, dataset, tuned, kernel_set):
+def test_every_family_equals_the_dict_oracle(inventories, dataset, tuned, writer):
     triples, texts = inventories[dataset]
-    cached = _tuned_service(triples, texts) if tuned else QueryService(DualStore().load(triples))
-    assert cached.dual.relational.table.kernels.name == kernel_set
+    cached = _tuned_service(triples, texts, writer) if tuned else QueryService(writer.dual(triples))
     routes = set()
     with cached, QueryService(cached.dual, ServiceConfig(cache_results=False)) as uncached:
         for text in texts:
@@ -157,14 +160,14 @@ TERM_FORMS = [
 ]
 
 
-def _term_store() -> DualStore:
+def _term_store(writer) -> DualStore:
     triples = [Triple(IRI(f"{EX}s{i}"), P, term) for i, (term, _) in enumerate(TERM_FORMS)]
     triples += [Triple(IRI(f"{EX}s{i}"), Q, IRI(f"{EX}s{i % 3}")) for i in range(len(TERM_FORMS))]
-    return DualStore().load(TripleSet(triples))
+    return writer.dual(TripleSet(triples))
 
 
-def test_term_forms_serialize_to_the_expected_fragments(kernel_set):
-    dual = _term_store()
+def test_term_forms_serialize_to_the_expected_fragments(writer):
+    dual = _term_store(writer)
     result = dual.relational.execute(parse_query(f"SELECT ?s ?o WHERE {{ ?s <{P.value}> ?o . }}"))
     body = check(result).decode("ascii")  # ensure_ascii: the wire is pure ASCII
     rows = dict(zip(result.column("s"), result.column("o")))
@@ -175,8 +178,8 @@ def test_term_forms_serialize_to_the_expected_fragments(kernel_set):
     assert check(ExecutionResult(bindings=result.bindings, variables=result.variables)) == body.encode()
 
 
-def test_result_shapes(kernel_set):
-    dual = _term_store()
+def test_result_shapes(writer):
+    dual = _term_store(writer)
     execute = dual.relational.execute
 
     empty = execute(parse_query(f"SELECT ?s ?o WHERE {{ ?s <{EX}absent> ?o . }}"))
@@ -204,11 +207,11 @@ def test_result_shapes(kernel_set):
     check(three)
 
 
-def test_execution_local_negative_ids(kernel_set):
+def test_execution_local_negative_ids(writer):
     """A migrated table (the split route's graph leg) may carry terms the
     relational dictionary has never seen; they get negative ids, which must
     never index the dictionary's fragment table."""
-    dual = _term_store()
+    dual = _term_store(writer)
     foreign = [IRI(EX + "not-in-the-dictionary"), Literal("nor this", language="en")]
     table = ResultTable("migrated", ("s", "f"), [(IRI(EX + "s0"), foreign[0]), (IRI(EX + "s1"), foreign[1])])
     query = parse_query(f"SELECT ?s ?f ?o WHERE {{ ?s <{P.value}> ?o . }}")

@@ -46,13 +46,11 @@ def triples():
 
 
 @pytest.fixture
-def stores(kernel_set, triples):
-    """A columnar store on one kernel set and its dict-building oracle."""
-    columnar = RelationalStore()
-    columnar.load(triples)
+def stores(triples, writer):
+    """A columnar store, written ``writer``'s way, and its dict-building oracle."""
+    columnar = writer.write(RelationalStore(), triples)
     oracle = RelationalStore(engine="reference")
     oracle.load(triples)
-    assert columnar.table.kernels.name == kernel_set
     return columnar, oracle
 
 

@@ -158,16 +158,17 @@ def _global_order_rows(tables, order):
 
 
 @pytest.mark.parametrize("shards", (None, 4))
-def test_restore_equals_live_for_table_scans_and_reinserted_rows(shards, kernel_set, tmp_path):
+def test_restore_equals_live_for_table_scans_and_reinserted_rows(shards, writer, tmp_path):
     """Restore == live — bindings, order, counters — for a variable-predicate
     query (a table scan: predicates by ascending id) and around a triple that
-    was deleted and re-inserted (now last in its predicate); and a snapshot
-    whose rows are in global insertion order, as older builds wrote them,
-    restores to the same store."""
+    was deleted and re-inserted (now last in its predicate), whether the live
+    store was bulk-loaded or written in batches; and a snapshot whose rows are
+    in global insertion order, as older builds wrote them, restores to the
+    same store."""
     dataset = generate_watdiv(target_triples=800, seed=23)
     order = list(dataset.triples)
     sharding = {} if shards is None else {"shards": shards, "sharding": AGGRESSIVE}
-    dual = DualStore(TUNER_CONFIG, **sharding).load(dataset.triples)
+    dual = writer.dual(dataset.triples, config=TUNER_CONFIG, **sharding)
     moved = order[0]
     assert dual.delete([moved]) == 1
     dual.insert([moved])

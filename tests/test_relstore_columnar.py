@@ -1,11 +1,11 @@
-"""Columnar engine internals: kernel strategies, cached column blocks,
+"""Columnar engine internals: the batch kernels, cached column blocks,
 engine names and legacy snapshot tags, the sharded store's use of the one
 execute loop, and the planner's skew guard.
 
 The differential suite (``test_differential_engine.py``) proves the columnar
 engine indistinguishable from the reference oracle end to end; this module
-pins down the pieces that make that hold — kernel output *order*, how blocks
-follow writes, the numpy feature probe, and the skew-aware
+pins down the pieces that make that hold — kernel output *order* against the
+oracle's own join and DISTINCT, how blocks follow writes, and the skew-aware
 planner regression the skew guard exists to prevent.  That a maintained
 block always equals a rebuilt one under arbitrary write sequences is
 ``test_relstore_maintained.py``'s job.
@@ -13,26 +13,19 @@ block always equals a rebuilt one under arbitrary write sequences is
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import DualStore, RelationalStore, ShardedRelationalStore
-from repro.errors import QueryExecutionError
+from repro.cost.counters import WorkCounters
 from repro.rdf import IRI, Triple
 from repro.relstore import columnar
-from repro.relstore.columnar import (
-    ColumnarTripleTable,
-    _NumpyKernels,
-    _StdlibKernels,
-    numpy_available,
-    select_kernels,
-)
-from repro.relstore.executor import relational_work_units
+from repro.relstore.columnar import ColumnarTripleTable
+from repro.relstore.executor import _merge_join, distinct_bindings, relational_work_units
 from repro.relstore import planner
 from repro.relstore.planner import plan_query
 from repro.serve import QueryService, ServiceConfig
 from repro.sparql import parse_query
-
-needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
 
 
 def ex(name: str) -> IRI:
@@ -40,70 +33,83 @@ def ex(name: str) -> IRI:
 
 
 # --------------------------------------------------------------------------- #
-# Kernel strategies: both backends must emit the same gather order
+# Kernels: the numpy join and DISTINCT emit the oracle's order
 # --------------------------------------------------------------------------- #
-def _gathered(kernels, matches_and_total):
+def _gathered(matches_and_total):
     """Both phases of a join at once: ``(left, right, output rows)``."""
     matches, total = matches_and_total
-    left, right = kernels.gather(matches)
-    return left, right, total
+    left, right = columnar.gather(matches)
+    return left.tolist(), right.tolist(), total
 
 
-@needs_numpy
-def test_numpy_and_stdlib_hash_joins_emit_identical_gather_order():
+def _oracle_join(probe_keys, build_keys):
+    """The oracle's hash join of the same rows, as ``(left, right)``
+    positions: each key is a tuple of join-variable values (empty for the
+    cartesian merge)."""
+    width = len(probe_keys[0])
+    shared = [f"k{i}" for i in range(width)]
+    probe = [{**dict(zip(shared, key)), "left": i} for i, key in enumerate(probe_keys)]
+    build = [{**dict(zip(shared, key)), "right": i} for i, key in enumerate(build_keys)]
+    counters = WorkCounters()
+    joined = _merge_join(probe, build, shared, counters)
+    assert counters.rows_joined == len(joined)
+    return [row["left"] for row in joined], [row["right"] for row in joined]
+
+
+def test_hash_join_gathers_in_the_oracles_order():
     probe = [5, 3, 5, 9, 1, 3]
     build = [3, 5, 3, 7, 5, 3]
-    left_s, right_s, total_s = _gathered(_StdlibKernels, _StdlibKernels.join_matches(probe, build))
-    left_n, right_n, total_n = _gathered(
-        _NumpyKernels,
-        _NumpyKernels.join_matches(_NumpyKernels.from_ints(probe), _NumpyKernels.from_ints(build)),
-    )
-    assert total_s == total_n
-    assert list(left_n) == list(left_s)
-    assert list(right_n) == list(right_s)
+    left, right, total = _gathered(columnar.join_matches(np.array(probe), np.array(build)))
+    assert (left, right) == _oracle_join([(key,) for key in probe], [(key,) for key in build])
+    assert total == len(left)
     # Probe rows in pipeline order; within a key, build rows in block order.
-    assert list(left_s) == sorted(left_s)
-    assert list(right_s[:2]) == [1, 4]  # probe[0]=5 matches build rows 1 then 4
+    assert right[:2] == [1, 4]  # probe[0]=5 matches build rows 1 then 4
 
 
-@needs_numpy
-def test_numpy_distinct_selection_keeps_first_occurrence_order():
+def test_composite_key_join_gathers_in_the_oracles_order():
+    probe = [(1, 1), (1, 2), (2, 1), (1, 1), (3, 3)]
+    build = [(1, 1), (2, 1), (1, 1), (1, 3), (2, 1)]
+    keys = columnar.composite_keys(
+        [np.array(column) for column in zip(*probe)], [np.array(column) for column in zip(*build)]
+    )
+    left, right, total = _gathered(columnar.join_matches(*keys))
+    assert (left, right) == _oracle_join(probe, build)
+    assert total == len(left) == 6
+
+
+def test_a_join_on_a_memoized_group_index_gathers_in_the_oracles_order():
+    """A join whose build side is a stored column reuses the block's memoized
+    group index; handed it, the join gathers exactly as when it builds its
+    own — probe keys below, between and above every build key included."""
+    probe = [4, 0, 9, 2, 4, 11, 7]
+    build = [2, 4, 9, 4, 2, 7, 4]
+    block = columnar.ColumnBlock.of(np.array(build), np.arange(len(build)), len(build))
+    index = block.group_index(block.subjects)
+    assert block.group_index(block.subjects) is index
+    memoized = _gathered(columnar.join_matches(np.array(probe), block.subjects, index))
+    assert memoized == _gathered(columnar.join_matches(np.array(probe), block.subjects))
+    left, right, total = memoized
+    assert (left, right) == _oracle_join([(key,) for key in probe], [(key,) for key in build])
+    assert total == len(left) == 3 + 1 + 2 + 3 + 1
+
+
+def test_cartesian_gathers_in_the_oracles_order():
+    left, right, total = _gathered(columnar.cartesian_matches(2, 3))
+    assert (left, right) == _oracle_join([()] * 2, [()] * 3)
+    assert total == 6
+
+
+def test_distinct_selection_keeps_the_oracles_first_occurrences():
+    def oracle(*columns):
+        names = tuple(f"k{i}" for i in range(len(columns)))
+        rows = [{**dict(zip(names, row)), "at": at} for at, row in enumerate(zip(*columns))]
+        return [row["at"] for row in distinct_bindings(rows, names)]
+
     keys = [7, 2, 7, 5, 2, 7, 5]
-    assert list(_NumpyKernels.distinct_selection([_NumpyKernels.from_ints(keys)], len(keys))) == [
-        0,
-        1,
-        3,
-    ]
-    assert _StdlibKernels.distinct_selection([keys], len(keys)) == [0, 1, 3]
+    assert columnar.distinct_selection([np.array(keys)], len(keys)).tolist() == oracle(keys) == [0, 1, 3]
     # Multi-column keys: (1,1) repeats, (1,2) is new.
     a, b = [1, 1, 1], [1, 2, 1]
-    pair = [_NumpyKernels.from_ints(a), _NumpyKernels.from_ints(b)]
-    assert list(_NumpyKernels.distinct_selection(pair, 3)) == [0, 1]
-    assert _StdlibKernels.distinct_selection([a, b], 3) == [0, 1]
-
-
-@needs_numpy
-def test_numpy_and_stdlib_cartesian_agree():
-    left_n, right_n, total_n = _gathered(_NumpyKernels, _NumpyKernels.cartesian_matches(2, 3))
-    left_s, right_s, total_s = _gathered(_StdlibKernels, _StdlibKernels.cartesian_matches(2, 3))
-    assert total_n == total_s == 6
-    assert (list(left_n), list(right_n)) == (list(left_s), list(right_s))
-
-
-def test_select_kernels_honours_the_stdlib_kill_switch(monkeypatch):
-    monkeypatch.setenv(columnar.FORCE_STDLIB_ENV, "1")
-    assert select_kernels() is _StdlibKernels
-    assert not columnar.numpy_enabled()
-    # An explicit True still overrides the probe (the bench uses this).
-    if numpy_available():
-        assert select_kernels(True) is _NumpyKernels
-
-
-def test_select_kernels_fails_loudly_when_numpy_is_forced_but_absent(monkeypatch):
-    monkeypatch.setattr(columnar, "_numpy", None)
-    with pytest.raises(QueryExecutionError):
-        select_kernels(True)
-    assert select_kernels(None) is _StdlibKernels  # probe degrades silently
+    assert columnar.distinct_selection([np.array(a), np.array(b)], 3).tolist() == oracle(a, b) == [0, 1]
 
 
 # --------------------------------------------------------------------------- #
@@ -141,7 +147,7 @@ def test_a_write_replaces_exactly_the_touched_predicates_blocks():
     p_id = table.dictionary.lookup(ex("p"))
     q_id = table.dictionary.lookup(ex("q"))
     q_block = table.partition_columns(q_id)
-    q_memo = q_block.group_index(q_block.objects, table.kernels)
+    q_memo = q_block.group_index(q_block.objects)
     assert table.full_columns()[3] == 3
 
     store.insert([Triple(ex("d"), ex("p"), ex("w")), Triple(ex("e"), ex("p"), ex("v"))])
@@ -152,7 +158,7 @@ def test_a_write_replaces_exactly_the_touched_predicates_blocks():
         table.dictionary.lookup(ex(name)) for name in ("a", "b", "d", "e")
     ]
     assert table.partition_columns(q_id) is q_block
-    assert q_block.group_index(q_block.objects, table.kernels) is q_memo
+    assert q_block.group_index(q_block.objects) is q_memo
 
     store.delete(Triple(ex("b"), ex("p"), ex("y")))
     assert table._partition_columns[p_id].count == 3
@@ -172,9 +178,9 @@ def test_a_write_replaces_the_block_and_with_it_the_group_index_memo():
     table = store.table
     p_id = table.dictionary.lookup(ex("p"))
     block = table.partition_columns(p_id)
-    index = block.group_index(block.objects, table.kernels)
-    assert index is not None and block.group_index(block.objects, table.kernels) is index
-    assert block.group_index(list(block.objects), table.kernels) is None  # not its own column
+    index = block.group_index(block.objects)
+    assert index is not None and block.group_index(block.objects) is index
+    assert block.group_index(list(block.objects)) is None  # not its own column
     store.insert([Triple(ex("d"), ex("p"), ex("w"))])
     assert table.partition_columns(p_id).group_indexes == [None, None]
     assert not hasattr(columnar, "_GROUP_INDEX_CACHE")
@@ -183,8 +189,7 @@ def test_a_write_replaces_the_block_and_with_it_the_group_index_memo():
 # --------------------------------------------------------------------------- #
 # Group-index memo lifetime: on the block, never in a module global
 # --------------------------------------------------------------------------- #
-@needs_numpy
-def test_group_index_memos_are_bounded_by_the_blocks_and_die_with_them(monkeypatch):
+def test_group_index_memos_are_bounded_by_the_blocks_and_die_with_them():
     """Several hundred join executions from four reader threads memoize at
     most one group index per cached block column — temporaries are never
     memoized — and the memos are released by a write to their predicate and by
@@ -197,7 +202,6 @@ def test_group_index_memos_are_bounded_by_the_blocks_and_die_with_them(monkeypat
 
     from repro import generate_watdiv, watdiv_workload
 
-    monkeypatch.delenv(columnar.FORCE_STDLIB_ENV, raising=False)
     dataset = generate_watdiv(target_triples=1500, seed=5)
     dual = DualStore().load(dataset.triples)
     table = dual.relational.table
@@ -261,7 +265,7 @@ def test_unknown_engine_names_are_rejected_everywhere():
 
 @pytest.mark.parametrize("tag", ["idspace", "reference", "columnar", None])
 @pytest.mark.parametrize("shards", [None, 4])
-def test_legacy_engine_tags_restore_onto_the_production_engine(tag, shards, kernel_set):
+def test_legacy_engine_tags_restore_onto_the_production_engine(tag, shards, writer):
     """A snapshot written by any engine this repo ever had — tagged
     ``idspace``, ``reference``, ``columnar``, or (pre-columnar sharded
     stores) carrying no tag at all — restores onto columnar tables that
@@ -277,7 +281,7 @@ def test_legacy_engine_tags_restore_onto_the_production_engine(tag, shards, kern
         aggressive = ShardingConfig(skew_threshold=0.2, min_subject_shard_rows=16)
         live = ShardedRelationalStore(shards=shards, config=aggressive)
         live_dictionary = live.dictionary
-    live.load(dataset.triples)
+    writer.write(live, dataset.triples)
     payload = live.snapshot_state()
     assert payload["engine"] == "columnar"
     if tag is None:
@@ -301,7 +305,7 @@ def test_legacy_engine_tags_restore_onto_the_production_engine(tag, shards, kern
 # --------------------------------------------------------------------------- #
 # The sharded store runs the engine's one execute loop
 # --------------------------------------------------------------------------- #
-def test_sharded_join_over_a_placed_partition_memoizes_on_the_shard_block(kernel_set):
+def test_sharded_join_over_a_placed_partition_memoizes_on_the_shard_block(writer):
     """A predicate placed on one shard is answered from that shard's cached
     block, uncopied, and the block rides along into the join — so the join's
     group index is memoized on the shard's block exactly as the unsharded
@@ -312,11 +316,9 @@ def test_sharded_join_over_a_placed_partition_memoizes_on_the_shard_block(kernel
     query = parse_query(
         "SELECT ?s ?t WHERE { ?s <http://example.org/p> ?m . ?m <http://example.org/q> ?t . }"
     )
-    sharded = ShardedRelationalStore(shards=3)
-    sharded.load(triples)
+    sharded = writer.write(ShardedRelationalStore(shards=3), triples)
     assert not sharded.subject_sharded_predicates()
-    plain = RelationalStore()
-    plain.load(triples)
+    plain = writer.write(RelationalStore(), triples)
 
     def memoized(tables):
         """Per predicate id: which of (subjects, objects) carry a memo."""

@@ -4,7 +4,7 @@ The columnar table stores each predicate's rows as one id-column block and
 maintains the blocks, the per-predicate write stamps and (through the store)
 the statistics at write time.  After any sequence of inserts, deletes,
 re-inserts, deletes of absent rows, removal of a predicate's last row and new
-predicates, on either kernel set,
+predicates,
 
 * the row views (``scan_predicate``, ``lookup_subject``, ``lookup_object``),
   ``partition_sizes()`` and the order of ``dump_rows()`` equal a plain-Python
@@ -22,8 +22,9 @@ follow writes through the same code, stamped per shard table, and its
 placement is aggressive enough that predicates of this small domain are
 promoted to subject-sharding mid-sequence.
 
-A hypothesis state machine draws the sequences; the shrunk counterexamples it
-(or the reasoning behind the design) produced are replayed by name below, so
+A hypothesis state machine draws the sequences, once from empty stores and
+once over a bulk-loaded base; the shrunk counterexamples it (or the reasoning
+behind the design) produced are replayed by name below, on both starts, so
 they keep running whatever the random draw does.
 """
 
@@ -44,7 +45,6 @@ from repro.relstore import (
     ShardingConfig,
     collect_statistics,
 )
-from repro.relstore.columnar import numpy_available, select_kernels
 from repro.sparql import parse_query
 
 ENTITIES = [IRI(f"http://example.org/e{i}") for i in range(5)]
@@ -85,23 +85,20 @@ writes = st.one_of(
 AGGRESSIVE = ShardingConfig(skew_threshold=0.2, min_subject_shard_rows=2)
 
 
-def _tables(store):
-    return store._tables if isinstance(store, ShardedRelationalStore) else [store.table]
-
-
 class Pair:
-    """A columnar store on a chosen kernel set, a sharded one, their
-    ``reference`` oracle, and the storage model: the live rows in insertion
-    order."""
+    """A columnar store, a sharded one, their ``reference`` oracle, and the
+    storage model: the live rows in insertion order.  All three start with
+    ``base`` bulk-loaded."""
 
-    def __init__(self, use_numpy: bool):
+    def __init__(self, base=()):
         self.columnar = RelationalStore(engine="columnar")
         self.sharded = ShardedRelationalStore(shards=3, config=AGGRESSIVE)
-        for table in _tables(self.columnar) + _tables(self.sharded):
-            table.kernels = select_kernels(use_numpy)  # no block exists yet
         self.oracle = RelationalStore(engine="reference")
-        self.model: List[Triple] = []
-        self.written: Set[IRI] = set()  # predicates written since the last check
+        for store in (self.columnar, self.sharded, self.oracle):
+            store.load(base)
+        self.model: List[Triple] = list(base)
+        # predicates written since the last check
+        self.written: Set[IRI] = {triple.predicate for triple in base}
         self.stamps: Dict[IRI, int] = {}
 
     def apply(self, kind: str, arg) -> None:
@@ -184,11 +181,11 @@ def _multiset(result):
 
 
 class MaintainedEqualsRebuilt(RuleBasedStateMachine):
-    use_numpy = False
+    base = ()  # what the stores hold before the first write
 
     def __init__(self):
         super().__init__()
-        self.pair = Pair(self.use_numpy)
+        self.pair = Pair(self.base)
 
     # Several writes per step: statistics and blocks are only consulted by the
     # invariant, so a step is what accumulates between two reads.
@@ -202,25 +199,31 @@ class MaintainedEqualsRebuilt(RuleBasedStateMachine):
         self.pair.check()
 
 
+def _t(s: int, p: int, o: int) -> Triple:
+    return Triple(ENTITIES[s], PREDICATES[p], ENTITIES[o])
+
+
+#: A bulk load the writes then land on: two of the four predicates hold a row
+#: per subject (interleaved, as a load meets them), the other two start
+#: empty, and the sharded store promotes the loaded ones at load time.
+LOADED_BASE = tuple(_t(s, p, (s + 1 + p) % 5) for s in range(5) for p in range(2))
+
+
+class MaintainedOverALoadedBase(MaintainedEqualsRebuilt):
+    base = LOADED_BASE
+
+
 _SETTINGS = settings(max_examples=40, stateful_step_count=12, deadline=None, derandomize=True)
 
-TestMaintainedStdlib = MaintainedEqualsRebuilt.TestCase
-TestMaintainedStdlib.settings = _SETTINGS
-
-if numpy_available():
-
-    class _NumpyMachine(MaintainedEqualsRebuilt):
-        use_numpy = True
-
-    TestMaintainedNumpy = _NumpyMachine.TestCase
-    TestMaintainedNumpy.settings = _SETTINGS
+TestMaintained = MaintainedEqualsRebuilt.TestCase
+TestMaintained.settings = _SETTINGS
+TestMaintainedOverALoadedBase = MaintainedOverALoadedBase.TestCase
+TestMaintainedOverALoadedBase.settings = _SETTINGS
 
 
 # --------------------------------------------------------------------------- #
 # Checked-in counterexamples: each is a write sequence with reads in between
 # --------------------------------------------------------------------------- #
-def _t(s: int, p: int, o: int) -> Triple:
-    return Triple(ENTITIES[s], PREDICATES[p], ENTITIES[o])
 
 
 #: ``None`` = read everything (the invariant).
@@ -260,11 +263,12 @@ COUNTEREXAMPLES = {
 }
 
 
-@pytest.mark.parametrize("use_numpy", [False, pytest.param(True, marks=pytest.mark.skipif(
-    not numpy_available(), reason="numpy not importable"))], ids=["stdlib", "numpy"])
+@pytest.mark.parametrize("base", [(), LOADED_BASE], ids=["empty", "loaded"])
 @pytest.mark.parametrize("name", sorted(COUNTEREXAMPLES))
-def test_checked_in_counterexample(name, use_numpy):
-    pair = Pair(use_numpy)
+def test_checked_in_counterexample(name, base):
+    """Each sequence on an empty store, and over :data:`LOADED_BASE`, where
+    its writes re-insert, delete and extend rows a bulk load wrote."""
+    pair = Pair(base)
     for step in COUNTEREXAMPLES[name]:
         if step is None:
             pair.check()

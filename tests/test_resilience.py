@@ -302,18 +302,11 @@ HOT_JOIN = (
 )
 
 
-@pytest.fixture(params=[False, True], ids=["probe-selected kernels", "forced stdlib kernels"])
-def kernel_set(request, monkeypatch):
-    """Both kernel sets, whatever the environment selected for the run."""
-    from repro.relstore.columnar import FORCE_STDLIB_ENV
-
-    if request.param:
-        monkeypatch.setenv(FORCE_STDLIB_ENV, "1")
-
-
+# Each test writes its stores both ways (the shared ``writer`` fixture): the
+# kernels must abort, chunk and price alike over blocks grown batch by batch.
 class TestColumnarKernelsUnderDeadlineAndBudget:
-    def test_hot_key_hash_join_of_millions_of_rows_times_out_in_budget(self, kernel_set):
-        dual = DualStore().load(_hot_key_triples(2000))  # 4 000 000 joined rows
+    def test_hot_key_hash_join_of_millions_of_rows_times_out_in_budget(self, writer):
+        dual = writer.dual(_hot_key_triples(2000))  # 4 000 000 joined rows
         service = QueryService(dual, ServiceConfig(max_workers=1))
         try:
             budget = 0.05
@@ -326,11 +319,11 @@ class TestColumnarKernelsUnderDeadlineAndBudget:
             service.close()
 
     def test_a_join_that_completes_under_a_deadline_equals_the_unchunked_one(
-        self, kernel_set, monkeypatch
+        self, writer, monkeypatch
     ):
         from repro.relstore import columnar
 
-        dual = DualStore().load(_hot_key_triples(300))  # 90 000 rows: in budget
+        dual = writer.dual(_hot_key_triples(300))  # 90 000 rows: in budget
         plain = dual.relational.execute(parse_query(HOT_JOIN))
         monkeypatch.setattr(columnar, "GATHER_CHUNK_ROWS", 1000)  # ~90 chunks
         with deadline_scope(Deadline(60.0)):
@@ -339,25 +332,24 @@ class TestColumnarKernelsUnderDeadlineAndBudget:
         assert chunked.counters.as_dict() == plain.counters.as_dict()
 
     @staticmethod
-    def _capped_outcome(store, query, budget, monkeypatch, kernels=None):
+    def _capped_outcome(store, query, budget, monkeypatch, spy=False):
         """``(partial work, execute_capped's answer, gather calls seen)`` of an
-        over-budget run; ``kernels`` is the kernel set to spy on."""
+        over-budget run; with ``spy`` the engine's gather kernel is watched."""
         from repro.errors import WorkBudgetExceeded
+        from repro.relstore import columnar
 
         gathers = []
-        if kernels is not None:
-            real_gather = kernels.gather
+        if spy:
+            real_gather = columnar.gather
             monkeypatch.setattr(
-                kernels,
-                "gather",
-                staticmethod(lambda *args: gathers.append(args) or real_gather(*args)),
+                columnar, "gather", lambda *args: gathers.append(args) or real_gather(*args)
             )
         with pytest.raises(WorkBudgetExceeded) as excinfo:
             store.execute(query, work_budget=budget)
         return excinfo.value.partial_work, store.execute_capped(query, budget), gathers
 
     def test_capped_execution_prices_alike_and_never_allocates_the_gather(
-        self, kernel_set, monkeypatch
+        self, writer, monkeypatch
     ):
         from repro.relstore import RelationalStore
 
@@ -366,12 +358,9 @@ class TestColumnarKernelsUnderDeadlineAndBudget:
         budget = 5_000.0
         oracle = RelationalStore(engine="reference")
         oracle.load(triples)
-        store = RelationalStore()
-        store.load(triples)
+        store = writer.write(RelationalStore(), triples)
         expected = self._capped_outcome(oracle, query, budget, monkeypatch)
-        partial, capped, gathers = self._capped_outcome(
-            store, query, budget, monkeypatch, store.table.kernels
-        )
+        partial, capped, gathers = self._capped_outcome(store, query, budget, monkeypatch, spy=True)
         assert (partial, capped) == expected[:2]
         assert capped[0] is None  # capped: no result, only a price
         assert gathers == []  # the over-budget output was never materialized
@@ -380,7 +369,7 @@ class TestColumnarKernelsUnderDeadlineAndBudget:
 
     @pytest.mark.parametrize("shards", [1, 3])
     def test_sharded_capped_execution_matches_the_unsharded_store_and_never_gathers(
-        self, kernel_set, monkeypatch, shards
+        self, writer, monkeypatch, shards
     ):
         """The sharded store runs the same loop, so its budget abort lands on
         the same step with the same partial work and the same capped price —
@@ -393,14 +382,16 @@ class TestColumnarKernelsUnderDeadlineAndBudget:
         budget = 5_000.0
         plain = RelationalStore()
         plain.load(triples)
-        sharded = ShardedRelationalStore(
-            shards=shards, config=ShardingConfig(skew_threshold=0.2, min_subject_shard_rows=16)
+        sharded = writer.write(
+            ShardedRelationalStore(
+                shards=shards, config=ShardingConfig(skew_threshold=0.2, min_subject_shard_rows=16)
+            ),
+            triples,
         )
-        sharded.load(triples)
         assert bool(sharded.subject_sharded_predicates()) == (shards > 1)
         expected = self._capped_outcome(plain, query, budget, monkeypatch)
         partial, capped, gathers = self._capped_outcome(
-            sharded, query, budget, monkeypatch, sharded._tables[0].kernels
+            sharded, query, budget, monkeypatch, spy=True
         )
         assert (partial, capped) == expected[:2]
         assert capped[0] is None
