@@ -80,7 +80,7 @@ from repro.endpoint import (
     WorkerSupervisor,
     sparql_request,
 )
-from repro.graphstore import GraphStore, PropertyGraph
+from repro.graphstore import GraphStore
 from repro.persist import (
     DeltaLog,
     SnapshotManifest,
@@ -171,7 +171,6 @@ __all__ = [
     "ShardingConfig",
     "SQLiteBackend",
     "GraphStore",
-    "PropertyGraph",
     # cost
     "CostModel",
     "DEFAULT_COST_MODEL",

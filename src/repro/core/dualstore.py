@@ -127,7 +127,12 @@ class DualStore:
             self.relational = ShardedRelationalStore(cost_model=cost_model, config=sharding)
         else:
             self.relational = RelationalStore(cost_model=cost_model)
-        self.graph = GraphStore(storage_budget=storage_budget, cost_model=cost_model, throttle=throttle)
+        self.graph = GraphStore(
+            storage_budget=storage_budget,
+            cost_model=cost_model,
+            throttle=throttle,
+            dictionary=self.relational.dictionary,
+        )
         self.identifier = ComplexSubqueryIdentifier()
         self.processor = QueryProcessor(self.relational, self.graph, cost_model=cost_model)
         self.design: Optional[DualStoreDesign] = None
@@ -265,17 +270,16 @@ class DualStore:
 
         Symmetric with :meth:`insert`: the graph store's replicas are not
         touched — a resident partition legitimately lags the master copy
-        until the tuner re-transfers it.  Deleting an absent triple is a
-        no-op for that triple, but the call still bumps the generation
-        (callers asked for a mutation; caches must not trust their entries).
+        until the tuner re-transfers it.  The batch is applied at once: each
+        touched block is replaced once and derived state ages once.
+        Deleting an absent triple is a no-op for that triple, but the call
+        still bumps the generation (callers asked for a mutation; caches
+        must not trust their entries).
         """
         self._require_loaded()
         if not isinstance(triples, (list, tuple)):
             triples = list(triples)
-        removed = 0
-        for triple in triples:
-            if self.relational.delete(triple):
-                removed += 1
+        removed = self.relational.delete_all(triples)
         if self.design is not None:
             self.design.partition_sizes = self.relational.partition_sizes()
         if self._mutation_listeners:
@@ -299,11 +303,13 @@ class DualStore:
     # Physical design changes (called by tuners)
     # ------------------------------------------------------------------ #
     def transfer_partition(self, predicate: IRI) -> float:
-        """Replicate one partition into the graph store; returns import seconds."""
+        """Replicate one partition into the graph store; returns import
+        seconds.  The replica is the master copy's block itself: nothing is
+        decoded or copied, and later writes replace the master's block, not
+        the replica."""
         self._require_loaded()
         assert self.design is not None
-        triples = self.relational.partition(predicate)
-        seconds = self.graph.load_partition(predicate, triples)
+        seconds = self.graph.load_block(predicate, self.relational.partition_block(predicate))
         self.design.mark_transferred(predicate)
         self.transfer_log.append(("transfer", predicate))
         self._record_op({"op": "transfer", "p": predicate.value})

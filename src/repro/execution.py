@@ -220,35 +220,44 @@ ExecutionResult.bindings = property(_bindings, _store_as("_bindings"))  # type: 
 ExecutionResult.columns = property(_columns, _store_as("_columns"))  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResultTable:
     """A named intermediate-result table migrated into the relational store.
 
     Case 2 plans (Section 5) execute the complex subquery in the graph store
     and ship its solutions into a *temporary relational table space*; this is
-    that table.
+    that table.  It is a :class:`ResultColumns` value with one column per
+    variable: an engine result's id columns as they are (the graph leg of a
+    split plan, a materialized view), or term columns built from rows.
     """
 
     name: str
     variables: Tuple[str, ...]
-    rows: List[Tuple[TermLike, ...]]
+    columns: ResultColumns
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.columns.count
+
+    @property
+    def rows(self) -> List[Tuple[TermLike, ...]]:
+        return self.columns.rows()
 
     def to_bindings(self) -> List[Binding]:
-        return [dict(zip(self.variables, row)) for row in self.rows]
+        return self.columns.to_bindings()
 
-    def encoded_rows(self, encode: Callable[[TermLike], int]) -> List[Tuple[int, ...]]:
-        """The rows as integer-id tuples, for the columnar join pipeline.
-
-        ``encode`` is typically ``QueryTermSpace.encode``: terms known to the
-        store's dictionary keep their dictionary ids, terms that exist only
-        in this migrated table get execution-local (negative) ids — either
-        way the table joins on ints like every other pipeline input.
-        """
-        return [tuple(encode(value) for value in row) for row in self.rows]
+    @classmethod
+    def from_rows(
+        cls, name: str, variables: Sequence[str], rows: Sequence[Tuple[TermLike, ...]]
+    ) -> "ResultTable":
+        variables = tuple(variables)
+        columns = [list(column) for column in zip(*rows)] or [[] for _ in variables]
+        return cls(name, variables, ResultColumns(variables, columns, len(rows)))
 
     @classmethod
     def from_result(cls, name: str, result: ExecutionResult) -> "ResultTable":
-        return cls(name=name, variables=result.variables, rows=result.rows())
+        columns = result.columns
+        if columns.names != result.variables:  # a projected variable is unbound
+            if columns.count:
+                raise KeyError(next(n for n in result.variables if n not in columns.names))
+            columns = ResultColumns(result.variables, [[] for _ in result.variables], 0)
+        return cls(name, result.variables, columns)

@@ -131,9 +131,9 @@ def run_planner_ablation(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Abl
     relational.load(dataset.triples)
     query = parse_query(TABLE1_QUERY)
 
-    graph = GraphStore(storage_budget=None)
+    graph = GraphStore(storage_budget=None, dictionary=relational.dictionary)
     for predicate in query.predicates():
-        graph.load_partition(predicate, relational.partition(predicate))
+        graph.load_block(predicate, relational.partition_block(predicate))
 
     planned = graph.execute(query)
     naive = graph.execute(query, pattern_order=list(query.patterns))

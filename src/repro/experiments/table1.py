@@ -63,9 +63,9 @@ def run_table1(base_triples: int = 1000, steps: int = PAPER_SCALE_STEPS, seed: i
         dataset = generate_yago(base_triples * step, seed=seed)
         relational = RelationalStore()
         relational.load(dataset.triples)
-        graph = GraphStore(storage_budget=None)
+        graph = GraphStore(storage_budget=None, dictionary=relational.dictionary)
         for predicate in query.predicates():
-            graph.load_partition(predicate, relational.partition(predicate))
+            graph.load_block(predicate, relational.partition_block(predicate))
 
         relational_result = relational.execute(query)
         graph_result = graph.execute(query)

@@ -1,7 +1,5 @@
-"""Native graph store (Neo4j stand-in): property graph, traversal matcher, budgeted store."""
+"""Native graph store (Neo4j stand-in): resident id-column partitions, traversal matcher, budget."""
 
-from repro.graphstore.matcher import GraphMatcher
-from repro.graphstore.property_graph import PropertyGraph
 from repro.graphstore.store import GraphStore
 
-__all__ = ["PropertyGraph", "GraphMatcher", "GraphStore"]
+__all__ = ["GraphStore"]

@@ -1,249 +1,185 @@
 """Basic-graph-pattern matching by graph traversal with work accounting.
 
-The matcher evaluates a BGP by expanding bindings one pattern at a time using
-the adjacency lists of :class:`~repro.graphstore.property_graph.PropertyGraph`
-— the index-free-adjacency evaluation style the paper attributes to Neo4j.
+The matcher evaluates a BGP by expanding a frontier of bindings one pattern
+at a time through the adjacency of each resident partition — the
+index-free-adjacency evaluation style the paper attributes to Neo4j.  A
+resident partition is a :class:`~repro.relstore.columnar.ColumnBlock` (the
+master copy's subject and object id columns); its memoized group indexes
+are the out adjacency (grouped by subject) and the in adjacency (grouped by
+object), each neighbour list in block order.  The frontier is a schema plus
+one term-id column per variable, and each pattern extends it with the
+relational engine's own two-phase kernels (``join_matches`` /
+``cartesian_matches``, then a deadline-chunked gather):
+
+* a forward (backward) expansion joins the bound subject (object) column
+  against the out (in) adjacency;
+* containment (both ends bound) is the forward expansion's pairs, kept where
+  the neighbour is the bound object — a semi-join on the (subject, object)
+  key, since a partition holds each pair once;
+* a relationship-type scan (neither end bound) pairs every frontier row
+  with every edge.
+
 Work is charged as:
 
-* ``nodes_expanded`` — each time a vertex's adjacency list is opened,
-* ``edges_traversed`` — each neighbour (or type-scan edge) inspected.
+* ``nodes_expanded`` — each time a vertex's adjacency list is opened (one
+  per frontier row of an expansion or containment step),
+* ``edges_traversed`` — each neighbour (or type-scan edge) inspected: the
+  sum of the opened degrees, or frontier rows × partition size for a scan.
 
-Because each step extends existing bindings through adjacency lists, the work
-is proportional to the traversed neighbourhood rather than the total graph
-size, which is what keeps the graph store's latency flat as the knowledge
-graph grows (the paper's Table 1).
-
-Like the relational columnar engine, the matcher follows the
-**late-materialization** discipline: the pipeline is a flat variable schema
-plus positional tuples (extending a solution is one tuple concatenation, not
-a dict copy), and the rows that survived filters, DISTINCT, and LIMIT leave
-as columns (:class:`~repro.execution.ResultColumns`), never as per-solution
-dictionaries.  The graph side has no term dictionary — vertices *are* terms —
-so its tuples and columns hold terms rather than ids, but the
-decode-late/allocate-late structure is the same, keeping DualStore
-store-vs-store comparisons apples-to-apples.
+Both are known from the group sizes before anything output-sized exists.
+Output order is that of a per-row walk of adjacency lists: frontier rows in
+order, neighbours in block order.  FILTER, DISTINCT and LIMIT run the
+relational engine's columnar epilogue, and the projected id columns leave as
+the result.  Because each step extends existing bindings through adjacency,
+the work is proportional to the traversed neighbourhood rather than the
+total graph size, which is what keeps the graph store's latency flat as the
+knowledge graph grows (the paper's Table 1).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cost.counters import WorkCounters
 from repro.errors import QueryExecutionError
-from repro.execution import ExecutionResult, ResultColumns
-from repro.resilience.deadline import current_deadline, probed_rows
+from repro.execution import ExecutionResult
+from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import IRI, TermLike, Variable
-from repro.sparql.ast import SelectQuery, TriplePattern
+from repro.relstore.columnar import (
+    ColumnBlock,
+    cartesian_matches,
+    finish_columnar_pipeline,
+    gather_columns,
+    join_matches,
+)
+from repro.relstore.executor import QueryTermSpace
+from repro.resilience.deadline import current_deadline
 from repro.sparql.algebra import order_patterns_greedily
+from repro.sparql.ast import SelectQuery, TriplePattern
 
-from repro.graphstore.property_graph import PropertyGraph
-
-__all__ = ["GraphMatcher"]
-
-#: One pipeline row: bound terms, positionally aligned with the schema.
-_TermRow = Tuple[TermLike, ...]
+__all__ = ["match_query"]
 
 
-class GraphMatcher:
-    """Evaluates SELECT queries against a property graph by traversal."""
+def match_query(
+    query: SelectQuery,
+    blocks: Mapping[IRI, ColumnBlock],
+    dictionary: TermDictionary,
+    pattern_order: Sequence[TriplePattern] | None = None,
+) -> ExecutionResult:
+    """Match the query's BGP over the resident ``blocks`` and return the
+    projected solutions as id columns of ``dictionary``.
 
-    def __init__(self, graph: PropertyGraph):
-        self._graph = graph
-
-    # ------------------------------------------------------------------ #
-    # Public entry point
-    # ------------------------------------------------------------------ #
-    def execute(
-        self,
-        query: SelectQuery,
-        pattern_order: Sequence[TriplePattern] | None = None,
-    ) -> ExecutionResult:
-        """Match the query's BGP and return projected solutions.
-
-        ``pattern_order`` overrides the traversal order (used by the planner
-        ablation benchmark); by default patterns are ordered greedily by
-        selectivity and per-predicate edge counts.
-        """
-        for pattern in query.patterns:
-            if not isinstance(pattern.predicate, IRI):
-                raise QueryExecutionError(
-                    "the graph store only evaluates patterns with concrete predicates"
-                )
-
-        cardinality = {p: self._graph.predicate_count(p) for p in {pt.predicate for pt in query.patterns}}
-        if pattern_order is None:
-            ordered = order_patterns_greedily(query.patterns, cardinality=cardinality)
-        else:
-            ordered = list(pattern_order)
-
-        counters = WorkCounters(queries_issued=1)
-        schema: Tuple[str, ...] = ()
-        rows: List[_TermRow] = [()]
-        for pattern in ordered:
-            schema, rows = self._extend(schema, rows, pattern, counters)
-            if not rows:
-                break
-
-        if query.filters and rows:
-            rows = self._filter_rows(schema, rows, query.filters)
-
-        names = query.projected_names()
-        positions = tuple(schema.index(n) if n in schema else -1 for n in names)
-        if query.distinct:
-            deadline = current_deadline()
-            row_iter = rows if deadline is None else probed_rows(rows, deadline, counters)
-            seen: set = set()
-            unique: List[_TermRow] = []
-            for row in row_iter:
-                key = tuple(row[p] if p >= 0 else None for p in positions)
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(row)
-            rows = unique
-        if query.limit is not None:
-            rows = rows[: query.limit]
-
-        # The survivors leave as term columns; no per-solution object is built.
-        bound = [(name, p) for name, p in zip(names, positions) if p >= 0]
-        by_position = list(zip(*rows))
-        counters.results_produced += len(rows)
-
-        return ExecutionResult(
-            bindings=None,
-            variables=tuple(names),
-            counters=counters,
-            store="graph",
-            columns=ResultColumns(
-                tuple(name for name, _ in bound),
-                [by_position[p] if rows else () for _, p in bound],
-                len(rows),
-            ),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Pattern extension
-    # ------------------------------------------------------------------ #
-    def _extend(
-        self,
-        schema: Tuple[str, ...],
-        rows: List[_TermRow],
-        pattern: TriplePattern,
-        counters: WorkCounters,
-    ) -> Tuple[Tuple[str, ...], List[_TermRow]]:
-        """Extend every pipeline row through one pattern's adjacency lists.
-
-        Cancellation: with an ambient deadline active
-        (:mod:`repro.resilience.deadline`) the expansion loops probe it —
-        per stride for the bounded adjacency expansions, per pipeline row
-        for the relationship-type scans (whose per-row cost is the whole
-        edge list).  Probes never touch the counters.
-        """
-        graph = self._graph
-        predicate = pattern.predicate
-        assert isinstance(predicate, IRI)
-        deadline = current_deadline()
-        if deadline is not None:
-            deadline.check(counters)
-
-        subject_pos, subject_const, subject_var = self._operand(pattern.subject, schema)
-        object_pos, object_const, object_var = self._operand(pattern.object, schema)
-
-        out: List[_TermRow] = []
-        append = out.append
-        probed = rows if deadline is None else probed_rows(rows, deadline, counters)
-
-        if subject_var is None and object_var is None:
-            # Both endpoints known per row: containment along the adjacency list.
-            for row in probed:
-                subject = subject_const if subject_pos < 0 else row[subject_pos]
-                obj = object_const if object_pos < 0 else row[object_pos]
-                counters.nodes_expanded += 1
-                neighbours = graph.out_neighbours(subject, predicate)
-                counters.edges_traversed += len(neighbours)
-                if obj in neighbours:
-                    append(row)
-            return schema, out
-
-        if subject_var is None:
-            # Forward expansion: the object variable is new.
-            for row in probed:
-                subject = subject_const if subject_pos < 0 else row[subject_pos]
-                counters.nodes_expanded += 1
-                neighbours = graph.out_neighbours(subject, predicate)
-                counters.edges_traversed += len(neighbours)
-                for target in neighbours:
-                    append(row + (target,))
-            return schema + (object_var,), out
-
-        if object_var is None:
-            # Backward expansion: the subject variable is new.
-            for row in probed:
-                obj = object_const if object_pos < 0 else row[object_pos]
-                counters.nodes_expanded += 1
-                neighbours = graph.in_neighbours(obj, predicate)
-                counters.edges_traversed += len(neighbours)
-                for source in neighbours:
-                    append(row + (source,))
-            return schema + (subject_var,), out
-
-        # Neither endpoint bound: relationship-type scan (per pipeline row,
-        # exactly like expanding each solution through the type index).
-        if subject_var == object_var:
-            for row in rows:
-                if deadline is not None:
-                    deadline.check(counters)
-                for source, target in graph.edges(predicate):
-                    counters.edges_traversed += 1
-                    if source == target:
-                        append(row + (source,))
-            return schema + (subject_var,), out
-        for row in rows:
-            if deadline is not None:
-                deadline.check(counters)
-            for source, target in graph.edges(predicate):
-                counters.edges_traversed += 1
-                append(row + (source, target))
-        return schema + (subject_var, object_var), out
-
-    # ------------------------------------------------------------------ #
-    # Helpers
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _operand(
-        term: TermLike, schema: Tuple[str, ...]
-    ) -> Tuple[int, Optional[TermLike], Optional[str]]:
-        """Lower one pattern endpoint against the schema.
-
-        Returns ``(schema position | -1, constant | None, new var name |
-        None)``: a bound operand has a position or a constant; an operand
-        with a new-variable name is unresolved and will extend the schema.
-        """
-        if isinstance(term, Variable):
-            if term.name in schema:
-                return schema.index(term.name), None, None
-            return -1, None, term.name
-        return -1, term, None
-
-    def _filter_rows(
-        self, schema: Tuple[str, ...], rows: List[_TermRow], filters
-    ) -> List[_TermRow]:
-        """Apply FILTERs to tuple rows, materializing only each filter's own
-        operands (semantics delegate to :meth:`Filter.evaluate`)."""
-        compiled = []
-        for flt in filters:
-            var_slots = tuple(
-                (v.name, schema.index(v.name) if v.name in schema else -1)
-                for v in flt.variables()
+    ``pattern_order`` overrides the traversal order (used by the planner
+    ablation benchmark); by default patterns are ordered greedily by
+    selectivity and per-predicate edge counts.
+    """
+    for pattern in query.patterns:
+        if not isinstance(pattern.predicate, IRI):
+            raise QueryExecutionError(
+                "the graph store only evaluates patterns with concrete predicates"
             )
-            compiled.append((flt, var_slots))
-        out: List[_TermRow] = []
-        for row in rows:
-            keep = True
-            for flt, var_slots in compiled:
-                operand_binding = {name: row[p] for name, p in var_slots if p >= 0}
-                if not flt.evaluate(operand_binding):
-                    keep = False
-                    break
-            if keep:
-                out.append(row)
-        return out
+    if pattern_order is None:
+        cardinality = {}
+        for pattern in query.patterns:
+            block = blocks.get(pattern.predicate)
+            cardinality[pattern.predicate] = block.count if block is not None else 0
+        ordered = order_patterns_greedily(query.patterns, cardinality=cardinality)
+    else:
+        ordered = list(pattern_order)
+
+    counters = WorkCounters(queries_issued=1)
+    schema: Tuple[str, ...] = ()
+    cols: list = []
+    count = 1  # the seed frontier: one zero-width row
+    for pattern in ordered:
+        schema, cols, count = _extend(
+            schema, cols, count, pattern, blocks[pattern.predicate], dictionary, counters
+        )
+        if count == 0:
+            break
+    return finish_columnar_pipeline(schema, cols, count, query, counters, QueryTermSpace(dictionary))
+
+
+def _extend(
+    schema: Tuple[str, ...],
+    cols: list,
+    count: int,
+    pattern: TriplePattern,
+    block: ColumnBlock,
+    dictionary: TermDictionary,
+    counters: WorkCounters,
+):
+    """Extend the frontier through one pattern's adjacency.
+
+    With an ambient deadline active (:mod:`repro.resilience.deadline`) the
+    step probes it on entry and between gather chunks; probes never touch
+    the counters' values.
+    """
+    deadline = current_deadline()
+    if deadline is not None:
+        deadline.check(counters)
+    subjects, subject_var = _operand(pattern.subject, schema, cols, count, dictionary)
+    objects, object_var = _operand(pattern.object, schema, cols, count, dictionary)
+
+    def extended(matches, total: int, names: Tuple[str, ...], targets: list):
+        # Frontier columns follow `left`; the new columns are neighbours.
+        def produce(left, right):
+            return [column[left] for column in cols] + [target[right] for target in targets]
+
+        return schema + names, gather_columns(matches, total, produce, counters), total
+
+    if subject_var is None:
+        # Open each bound subject's out adjacency.
+        counters.nodes_expanded += count
+        matches, total = _adjacency(subjects, block, block.subjects)
+        counters.edges_traversed += total
+        if object_var is not None:  # forward expansion: the object is new
+            return extended(matches, total, (object_var,), [block.objects])
+        # Containment: keep the rows whose neighbour list holds the object.
+        stored = block.objects
+        (kept,) = gather_columns(
+            matches, total, lambda left, right: [left[stored[right] == objects[left]]], counters
+        )
+        return schema, [column[kept] for column in cols], len(kept)
+
+    if object_var is None:
+        # Backward expansion: open each bound object's in adjacency.
+        counters.nodes_expanded += count
+        matches, total = _adjacency(objects, block, block.objects)
+        counters.edges_traversed += total
+        return extended(matches, total, (subject_var,), [block.subjects])
+
+    # Neither end bound: a relationship-type scan per frontier row.
+    counters.edges_traversed += count * block.count
+    if subject_var == object_var:
+        loops = block.subjects[block.subjects == block.objects]
+        return extended(*cartesian_matches(count, len(loops)), (subject_var,), [loops])
+    pairs = cartesian_matches(count, block.count)
+    return extended(*pairs, (subject_var, object_var), [block.subjects, block.objects])
+
+
+def _adjacency(probe, block: ColumnBlock, column):
+    """Pair each probe id with its neighbour list in the adjacency grouped
+    by ``column`` (one of the block's own, so the index is memoized)."""
+    if block.count == 0:
+        return cartesian_matches(len(probe), 0)
+    return join_matches(probe, column, block.group_index(column))
+
+
+def _operand(
+    term: TermLike, schema: Tuple[str, ...], cols: list, count: int, dictionary: TermDictionary
+) -> Tuple[Optional[object], Optional[str]]:
+    """Lower one pattern endpoint against the frontier.
+
+    Returns ``(id column, None)`` for a bound endpoint — a frontier column,
+    or a constant repeated per row (``-1``, which no stored id equals, for a
+    term the dictionary lacks) — and ``(None, name)`` for a new variable.
+    """
+    if isinstance(term, Variable):
+        if term.name in schema:
+            return cols[schema.index(term.name)], None
+        return None, term.name
+    term_id = dictionary.lookup(term)
+    return np.full(count, -1 if term_id is None else term_id, dtype=np.int64), None

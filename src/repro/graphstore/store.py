@@ -4,6 +4,14 @@ The graph store is the *accelerator*: it holds only the triple partitions the
 tuner has transferred, is bounded by a storage budget ``B_G``, is expensive to
 bulk-load (the paper's reason for not keeping the master copy here), and is
 fast for complex queries thanks to index-free adjacency.
+
+A resident partition is a :class:`~repro.relstore.columnar.ColumnBlock` — the
+subject and object id columns of the master copy, over the dictionary the
+store shares with it — and its memoized group indexes are the adjacency the
+matcher (:mod:`repro.graphstore.matcher`) traverses.  A transfer hands over
+the block the master copy holds; since blocks are replaced on write and never
+changed, the replica stays the partition *as transferred* while the master
+copy moves on, and eviction drops the reference.
 """
 
 from __future__ import annotations
@@ -11,15 +19,18 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
+import numpy as np
+
 from repro.cost.model import CostModel, DEFAULT_COST_MODEL
 from repro.cost.resources import ResourceThrottle
 from repro.errors import StorageBudgetExceeded, StorageError, UnknownPartitionError
 from repro.execution import ExecutionResult
+from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import IRI, Triple
+from repro.relstore.columnar import ColumnBlock
 from repro.sparql.ast import SelectQuery, TriplePattern
 
-from repro.graphstore.matcher import GraphMatcher
-from repro.graphstore.property_graph import PropertyGraph
+from repro.graphstore.matcher import match_query
 
 __all__ = ["GraphStore"]
 
@@ -37,6 +48,10 @@ class GraphStore:
     throttle:
         Optional :class:`ResourceThrottle` modelling limited spare IO/CPU
         (Section 6.3.3); scales query latency and records Figure 7 samples.
+    dictionary:
+        The term dictionary partitions are encoded against: the master
+        copy's, so transferred blocks keep their meaning (``None`` gives a
+        standalone store its own).
     """
 
     def __init__(
@@ -44,15 +59,16 @@ class GraphStore:
         storage_budget: Optional[int] = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         throttle: Optional[ResourceThrottle] = None,
+        dictionary: Optional[TermDictionary] = None,
     ):
         if storage_budget is not None and storage_budget < 0:
             raise StorageError("storage budget must be non-negative")
         self.storage_budget = storage_budget
         self.cost_model = cost_model
         self.throttle = throttle
-        self.graph = PropertyGraph()
-        self._matcher = GraphMatcher(self.graph)
-        self._partitions: Dict[IRI, int] = {}
+        self.dictionary = dictionary if dictionary is not None else TermDictionary()
+        #: predicate -> resident block, in residency (insertion) order.
+        self._partitions: Dict[IRI, ColumnBlock] = {}
         self.total_import_seconds = 0.0
         self.import_count = 0
         # Serializes the budget check with the partition insert/removal it
@@ -72,6 +88,10 @@ class GraphStore:
             return set(self._partitions)
 
     def partition_size(self, predicate: IRI) -> int:
+        return self.partition_block(predicate).count
+
+    def partition_block(self, predicate: IRI) -> ColumnBlock:
+        """The resident replica of one partition."""
         try:
             return self._partitions[predicate]
         except KeyError:
@@ -80,36 +100,47 @@ class GraphStore:
     def used_capacity(self) -> int:
         """Triples currently stored."""
         with self._budget_lock:
-            return sum(self._partitions.values())
+            return sum(block.count for block in self._partitions.values())
 
     def remaining_capacity(self) -> Optional[int]:
         """Triples that still fit, or ``None`` when unbounded."""
         if self.storage_budget is None:
             return None
-        with self._budget_lock:
-            return self.storage_budget - sum(self._partitions.values())
+        return self.storage_budget - self.used_capacity()
 
     def fits(self, triple_count: int) -> bool:
         remaining = self.remaining_capacity()
         return remaining is None or triple_count <= remaining
 
     def load_partition(self, predicate: IRI, triples: Iterable[Triple]) -> float:
-        """Bulk-import one triple partition; returns the import latency.
-
-        Raises
-        ------
-        StorageBudgetExceeded
-            If the partition does not fit in the remaining budget.  Nothing is
-            loaded in that case.
-        StorageError
-            If a triple's predicate differs from ``predicate``.
-        """
+        """Bulk-import one partition given as triples (encoded against this
+        store's dictionary, a repeated triple once); returns the import
+        latency.  Raises like :meth:`load_block`, and :class:`StorageError`
+        if a triple's predicate differs from ``predicate``."""
         staged = list(triples)
         for triple in staged:
             if triple.predicate != predicate:
                 raise StorageError(
                     f"triple predicate {triple.predicate.value!r} does not belong to partition {predicate.value!r}"
                 )
+        encode = self.dictionary.encode
+        with self._budget_lock:  # concurrent loaders must not race on new ids
+            pairs = list(dict.fromkeys((encode(t.subject), encode(t.object)) for t in staged))
+            columns = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+            subjects, objects = columns[:, 0].copy(), columns[:, 1].copy()
+            return self.load_block(predicate, ColumnBlock.of(subjects, objects, len(pairs)))
+
+    def load_block(self, predicate: IRI, block: ColumnBlock) -> float:
+        """Make ``block`` (ids of this store's dictionary, each (subject,
+        object) pair once) the resident partition of ``predicate``; returns
+        the import latency.
+
+        Raises
+        ------
+        StorageBudgetExceeded
+            If the partition does not fit in the remaining budget.  Nothing is
+            loaded in that case.
+        """
         # Budget check and partition insert form one atomic section: two
         # concurrent loads must serialize here, or both could observe enough
         # remaining capacity and together exceed the budget.
@@ -117,18 +148,17 @@ class GraphStore:
             if predicate in self._partitions:
                 # Re-loading an existing partition replaces it (idempotent refresh).
                 self.evict_partition(predicate)
-            if not self.fits(len(staged)):
+            if not self.fits(block.count):
                 raise StorageBudgetExceeded(
-                    f"partition {predicate.value!r} ({len(staged)} triples) exceeds the remaining "
+                    f"partition {predicate.value!r} ({block.count} triples) exceeds the remaining "
                     f"graph-store budget ({self.remaining_capacity()} triples)"
                 )
-            added = self.graph.add_triples(staged)
-            self._partitions[predicate] = added
+            self._partitions[predicate] = block
             # Accounting stays inside the lock: the += read-modify-writes
             # would otherwise lose updates under the same two-loader
             # concurrency the lock exists for — and the corrupted totals
             # would be persisted verbatim by snapshot_state().
-            seconds = self.cost_model.graph_import_seconds(added)
+            seconds = self.cost_model.graph_import_seconds(block.count)
             if self.throttle is not None:
                 seconds = self.throttle.apply(seconds)
             self.total_import_seconds += seconds
@@ -140,9 +170,7 @@ class GraphStore:
         with self._budget_lock:
             if predicate not in self._partitions:
                 raise UnknownPartitionError(f"partition {predicate.value!r} is not loaded")
-            removed = self.graph.remove_predicate(predicate)
-            del self._partitions[predicate]
-            return removed
+            return self._partitions.pop(predicate).count
 
     def clear(self) -> None:
         """Evict everything (used when re-initialising an experiment)."""
@@ -184,7 +212,7 @@ class GraphStore:
         if missing:
             names = ", ".join(sorted(p.value for p in missing))
             raise StorageError(f"graph store does not hold partitions for: {names}")
-        result = self._matcher.execute(query, pattern_order=pattern_order)
+        result = match_query(query, self._partitions, self.dictionary, pattern_order)
         seconds = self.cost_model.graph_query_seconds(result.counters)
         if self.throttle is not None:
             seconds = self.throttle.apply(seconds)
@@ -197,7 +225,7 @@ class GraphStore:
     # ------------------------------------------------------------------ #
     def partition_sizes(self) -> Dict[IRI, int]:
         with self._budget_lock:
-            return dict(self._partitions)
+            return {predicate: block.count for predicate, block in self._partitions.items()}
 
     def predicates(self) -> List[IRI]:
         with self._budget_lock:
@@ -212,12 +240,10 @@ class GraphStore:
         Records the residency list **in insertion order** (dict order of
         ``_partitions``) plus budget/import accounting.  The partition
         *contents* are serialized separately by :mod:`repro.persist` from the
-        property graph itself — a resident replica is the partition *as it
-        was transferred* and may legitimately lag the master copy (inserts go
-        to the relational store only), so refeeding it from the restored
-        master would silently grow it.  Replaying loads in residency order
-        reproduces the property graph's adjacency-list and edge-list orders,
-        which the matcher's result order depends on.
+        resident blocks themselves — a resident replica is the partition *as
+        it was transferred* and may legitimately lag the master copy (writes
+        go to the relational store only), so refeeding it from the restored
+        master would silently change it.
         """
         with self._budget_lock:
             return {
@@ -227,13 +253,11 @@ class GraphStore:
                 "import_count": self.import_count,
             }
 
-    def restore_state(
-        self, state: dict, partition_source: Callable[[IRI], List[Triple]]
-    ) -> None:
+    def restore_state(self, state: dict, partition_source: Callable[[IRI], ColumnBlock]) -> None:
         """Refill an empty store from :meth:`snapshot_state`.
 
-        ``partition_source`` maps a predicate to the exact replica content
-        recorded in the snapshot (decoded by :mod:`repro.persist`).  Import
+        ``partition_source`` maps a predicate to the exact replica block
+        recorded in the snapshot (read by :mod:`repro.persist`).  Import
         accounting is restored from the snapshot rather than re-charged: a
         warm restart did not physically re-import anything in the
         modelled-cost world, and the throttle (if any) must not observe
@@ -245,8 +269,6 @@ class GraphStore:
             self.storage_budget = state["storage_budget"]
             for value in state["resident"]:
                 predicate = IRI(value)
-                staged = partition_source(predicate)
-                added = self.graph.add_triples(staged)
-                self._partitions[predicate] = added
+                self._partitions[predicate] = partition_source(predicate)
             self.total_import_seconds = float(state["total_import_seconds"])
             self.import_count = int(state["import_count"])

@@ -46,6 +46,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.core.config import DotilConfig
 from repro.core.partitions import DualStoreDesign
 from repro.cost.model import CostModel, DEFAULT_COST_MODEL
@@ -53,6 +55,7 @@ from repro.cost.resources import ResourceThrottle
 from repro.errors import SnapshotError, SnapshotIntegrityError
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import IRI, Triple
+from repro.relstore.columnar import ColumnBlock
 from repro.relstore.sharded import ShardedRelationalStore
 from repro.resilience import faults
 from repro.relstore.store import RelationalStore
@@ -301,30 +304,21 @@ def _backend_state(dual) -> Tuple[str, dict, TermDictionary]:
     )
 
 
-def _graph_state(dual, dictionary: TermDictionary) -> dict:
+def _graph_state(dual) -> dict:
     """Graph-store bookkeeping plus the resident replicas' exact contents.
 
-    A resident partition is the partition *as transferred* — after inserts it
+    A resident partition is the partition *as transferred* — after writes it
     legitimately lags the relational master copy, so the snapshot must carry
-    the replica itself (as ``(subject_id, object_id)`` pairs in edge order),
-    not a recipe to refeed it from the master.
+    the replica itself (its id columns as flat ``(subject_id, object_id)``
+    pairs in block order), not a recipe to refeed it from the master.
     """
     state = dual.graph.snapshot_state()
-    lookup = dictionary.lookup
     partition_rows: List[List[int]] = []
     for value in state["resident"]:
-        predicate = IRI(value)
-        flat: List[int] = []
-        for subject, obj in dual.graph.graph.edges(predicate):
-            subject_id, object_id = lookup(subject), lookup(obj)
-            if subject_id is None or object_id is None:  # pragma: no cover - defensive
-                raise SnapshotError(
-                    f"graph partition {value!r} holds a term missing from the shared "
-                    "dictionary; only partitions transferred from the master copy "
-                    "can be snapshotted"
-                )
-            flat.extend((subject_id, object_id))
-        partition_rows.append(flat)
+        block = dual.graph.partition_block(IRI(value))
+        flat = np.empty(2 * block.count, dtype=np.int64)
+        flat[0::2], flat[1::2] = block.subjects, block.objects
+        partition_rows.append(flat.tolist())
     state["partition_rows"] = partition_rows
     return state
 
@@ -413,7 +407,7 @@ def capture_snapshot(dual, extras: Optional[Dict[str, Any]] = None) -> CapturedS
     payloads: Dict[str, Any] = {
         "dictionary.json": {"terms": dictionary.to_payload()},
         "relational.json": relational_state,
-        "graph.json": _graph_state(dual, dictionary),
+        "graph.json": _graph_state(dual),
         "design.json": {
             "in_graph_store": sorted(p.value for p in design.in_graph_store),
             "storage_budget": design.storage_budget,
@@ -706,13 +700,9 @@ def load_snapshot(
         zip(graph_state["resident"], graph_state["partition_rows"])
     )
 
-    def replica_source(predicate: IRI) -> List[Triple]:
-        flat = replica_rows[predicate.value]
-        decode = dictionary.decode
-        return [
-            Triple(decode(flat[offset]), predicate, decode(flat[offset + 1]))
-            for offset in range(0, len(flat), 2)
-        ]
+    def replica_source(predicate: IRI) -> ColumnBlock:
+        flat = np.array(replica_rows[predicate.value], dtype=np.int64)
+        return ColumnBlock.of(flat[0::2].copy(), flat[1::2].copy(), len(flat) // 2)
 
     dual.graph.restore_state(graph_state, replica_source)
     dual.design = DualStoreDesign.from_sizes(

@@ -19,8 +19,10 @@ from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, ru
 
 from repro.cost.model import CostModel
 from repro.execution import ExecutionResult, ResultTable
+from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import TripleSet
 from repro.rdf.terms import IRI, Triple
+from repro.relstore.columnar import ColumnBlock
 from repro.relstore.planner import RelationalPlan
 from repro.relstore.stats import TableStatistics
 from repro.sparql.ast import SelectQuery, TriplePattern
@@ -39,6 +41,8 @@ class RelationalBackend(Protocol):
 
     cost_model: CostModel
     total_insert_seconds: float
+    #: The term dictionary the stored ids mean; the graph store shares it.
+    dictionary: TermDictionary
 
     # Loading and updates ---------------------------------------------- #
     def load(self, triples: Iterable[Triple] | TripleSet) -> float: ...
@@ -47,12 +51,16 @@ class RelationalBackend(Protocol):
 
     def delete(self, triple: Triple) -> bool: ...
 
+    def delete_all(self, triples: Iterable[Triple]) -> int: ...
+
     def __len__(self) -> int: ...
 
     # Metadata ---------------------------------------------------------- #
     def predicates(self) -> List[IRI]: ...
 
     def partition(self, predicate: IRI) -> List[Triple]: ...
+
+    def partition_block(self, predicate: IRI) -> ColumnBlock: ...
 
     def partition_size(self, predicate: IRI) -> int: ...
 

@@ -239,9 +239,11 @@ def distinct_selection(key_cols, count: int):
 class ColumnBlock(NamedTuple):
     """One predicate's ``(subjects, objects)`` id columns, insertion order.
 
-    ``group_indexes`` memoizes the join group index of each column.  A write
-    replaces the block, so the memo lives and dies with the arrays it
-    describes.
+    ``group_indexes`` memoizes the join group index of each column — for the
+    graph store's matcher, the out and in adjacency.  A write replaces the
+    block and never changes one in place (its arrays are read-only), so the
+    memo lives and dies with the arrays it describes, and a holder of an old
+    block — a graph replica lagging the master copy — keeps exact contents.
     """
 
     subjects: object
@@ -251,6 +253,8 @@ class ColumnBlock(NamedTuple):
 
     @classmethod
     def of(cls, subjects, objects, count: int) -> "ColumnBlock":
+        subjects.flags.writeable = False
+        objects.flags.writeable = False
         return cls(subjects, objects, count, [None, None])
 
     def group_index(self, column):
@@ -342,17 +346,42 @@ class ColumnarTripleTable:
 
     def delete(self, triple: Triple) -> bool:
         """Delete a triple; return ``True`` when it was present."""
-        row = tuple(self.dictionary.lookup_many((triple.subject, triple.predicate, triple.object)))
-        if row not in self._row_set:
-            return False
-        self._row_set.remove(row)
-        subject_id, predicate_id, object_id = row
-        block = self._partition_columns[predicate_id]
-        position = np.flatnonzero((block.subjects == subject_id) & (block.objects == object_id))[0]
-        self._replace_block(
-            predicate_id, np.delete(block.subjects, position), np.delete(block.objects, position)
-        )
-        return True
+        return self.delete_all((triple,)) == 1
+
+    def delete_all(self, triples: Iterable[Triple]) -> int:
+        """Delete triples; returns how many were present."""
+        lookup_many = self.dictionary.lookup_many
+        rows = (tuple(lookup_many((t.subject, t.predicate, t.object))) for t in triples)
+        return sum(self.delete_rows(rows).values())
+
+    def delete_rows(self, rows: Iterable[Row]) -> Dict[int, int]:
+        """Delete encoded rows; returns ``{predicate id: rows removed}``.
+
+        Present rows are grouped by predicate, and each touched block is
+        replaced once, by one mask, however many rows it loses; the
+        survivors keep their order.
+        """
+        row_set = self._row_set
+        doomed: Dict[int, Tuple[List[int], List[int]]] = {}
+        for row in rows:
+            if row not in row_set:
+                continue
+            row_set.remove(row)
+            pairs = doomed.get(row[1])
+            if pairs is None:
+                pairs = doomed[row[1]] = ([], [])
+            pairs[0].append(row[0])
+            pairs[1].append(row[2])
+        for predicate_id, (subjects, objects) in doomed.items():
+            block = self._partition_columns[predicate_id]
+            keep = np.ones(block.count, dtype=bool)
+            for subject_id, object_id in zip(subjects, objects):
+                # The row's one position: among its subject's rows, the one
+                # with its object.
+                candidates = np.flatnonzero(block.subjects == subject_id)
+                keep[candidates[block.objects[candidates] == object_id]] = False
+            self._replace_block(predicate_id, block.subjects[keep], block.objects[keep])
+        return {predicate_id: len(subjects) for predicate_id, (subjects, _) in doomed.items()}
 
     def extract_predicate(self, predicate_id: int) -> List[Row]:
         """Remove and return every row of one predicate, in insertion order.
@@ -715,25 +744,43 @@ def join_block(
 
     new_cols = [block_cols[name_position[name]] for name in new_names]
 
-    def gathered(start: int = 0, stop: Optional[int] = None) -> List[object]:
-        left, right = gather(matches, start, stop)
+    def gathered(left, right) -> List[object]:
         return [column[left] for column in cols] + [column[right] for column in new_cols]
 
+    return schema + new_names, gather_columns(matches, total, gathered, counters), total
+
+
+def gather_columns(matches, total: int, produce, counters: WorkCounters) -> List[object]:
+    """``produce(left, right)`` — output columns from gather index vectors —
+    over every matched row: in one kernel, or while a deadline is active and
+    ``total`` exceeds :data:`GATHER_CHUNK_ROWS`, in chunks of about that many
+    output rows with a probe before each, the parts concatenated between
+    probes."""
+    deadline = current_deadline()
     if deadline is None or total <= GATHER_CHUNK_ROWS:
-        return schema + new_names, gathered(), total
+        return produce(*gather(matches))
     bounds = chunk_bounds(matches, GATHER_CHUNK_ROWS)
     chunks = []
     for start, stop in zip(bounds, bounds[1:]):
         deadline.check(counters)
-        chunks.append(gathered(start, stop))
-    out_cols = [concat(parts, lambda: deadline.check(counters)) for parts in zip(*chunks)]
-    return schema + new_names, out_cols, total
+        chunks.append(produce(*gather(matches, start, stop)))
+    return [concat(parts, lambda: deadline.check(counters)) for parts in zip(*chunks)]
 
 
-def _transpose_id_rows(id_rows, width: int) -> List[object]:
-    if not id_rows:
-        return [_empty() for _ in range(width)]
-    return [_ids(column) for column in zip(*id_rows)]
+def table_id_columns(table: ResultTable, space: QueryTermSpace) -> List[object]:
+    """A migrated table's columns as ids of ``space``.  An engine's id
+    columns over the same dictionary (the graph leg of a split plan) are
+    handed over as they are; other columns are encoded term by term, and
+    terms the dictionary has never seen get execution-local ids."""
+    columns = table.columns
+    own = columns.space
+    if own is not None and own.dictionary is space.dictionary and not own.has_local_ids:
+        return [_ids(column) for column in columns.columns]
+    encode = space.encode
+    return [
+        np.fromiter(map(encode, columns.terms(index)), dtype=np.int64, count=columns.count)
+        for index in range(len(columns.names))
+    ]
 
 
 def join_columnar_table(
@@ -753,8 +800,7 @@ def join_columnar_table(
     charged (as view rows when ``as_view``) only when the pipeline is
     non-empty, then the join itself runs through :func:`join_block` (whose
     seed/cartesian branches reproduce the oracle's output order and
-    ``rows_joined`` exactly).  The table's terms are encoded once; terms the
-    dictionary has never seen get execution-local ids.
+    ``rows_joined`` exactly) over :func:`table_id_columns`.
     """
     table_vars = tuple(table.variables)
     new_names = tuple(name for name in table_vars if name not in schema)
@@ -765,9 +811,8 @@ def join_columnar_table(
         counters.view_rows_scanned += len(table)
     else:
         counters.rows_scanned += len(table)
-    id_rows = table.encoded_rows(space.encode)
-    block_cols = _transpose_id_rows(id_rows, len(table_vars))
-    return join_block(schema, cols, count, table_vars, block_cols, len(id_rows), counters, work_budget)
+    block_cols = table_id_columns(table, space)
+    return join_block(schema, cols, count, table_vars, block_cols, len(table), counters, work_budget)
 
 
 def _filter_selection(

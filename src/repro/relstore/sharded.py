@@ -352,15 +352,24 @@ class ShardedRelationalStore(PlannedStore):
         return added
 
     def delete(self, triple: Triple) -> bool:
-        predicate_id = self.dictionary.lookup(triple.predicate)
-        subject_id = self.dictionary.lookup(triple.subject)
-        if predicate_id is None or subject_id is None:
-            return False
-        placement = self._placement.get(predicate_id)
-        if placement is None:
-            return False
-        shard = self._shard_of_term(subject_id) if placement == SUBJECT_SHARDED else placement
-        removed = self._tables[shard].delete(triple)
+        return self.delete_all((triple,)) == 1
+
+    def delete_all(self, triples: Iterable[Triple]) -> int:
+        """Delete a batch of triples; returns how many were present.  The
+        batch is routed to shards first, so each shard replaces each touched
+        block once, and derived state ages once."""
+        lookup_many = self.dictionary.lookup_many
+        per_shard: List[List[Row]] = [[] for _ in self._tables]
+        for triple in triples:
+            row = tuple(lookup_many((triple.subject, triple.predicate, triple.object)))
+            placement = self._placement.get(row[1])
+            if None in row or placement is None:
+                continue
+            shard = self._shard_of_term(row[0]) if placement == SUBJECT_SHARDED else placement
+            per_shard[shard].append(row)
+        removed = sum(
+            sum(table.delete_rows(rows).values()) for table, rows in zip(self._tables, per_shard)
+        )
         if removed:
             self._plan_generation += 1
         return removed
@@ -394,6 +403,21 @@ class ShardedRelationalStore(PlannedStore):
         for table in self._tables_for_predicate(predicate_id):
             out += table.partition(predicate)
         return out
+
+    def partition_block(self, predicate: IRI) -> ColumnBlock:
+        """One predicate's blocks joined in shard order (the order of
+        :meth:`partition`); a predicate on one shard hands over its block."""
+        predicate_id = self.dictionary.lookup(predicate)
+        blocks = [
+            table.partition_columns(predicate_id)
+            for table in self._tables_for_predicate(predicate_id)
+        ]
+        if len(blocks) == 1:
+            return blocks[0]
+        subjects = concat([_empty()] + [block.subjects for block in blocks])
+        return ColumnBlock.of(
+            subjects, concat([_empty()] + [block.objects for block in blocks]), len(subjects)
+        )
 
     def partition_size(self, predicate: IRI) -> int:
         predicate_id = self.dictionary.lookup(predicate)

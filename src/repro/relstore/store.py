@@ -22,7 +22,7 @@ from repro.rdf.graph import TripleSet
 from repro.rdf.terms import IRI, Triple
 from repro.sparql.ast import SelectQuery, TriplePattern
 
-from repro.relstore.columnar import ColumnarExecutor, ColumnarTripleTable
+from repro.relstore.columnar import ColumnBlock, ColumnarExecutor, ColumnarTripleTable
 from repro.relstore.executor import (
     BoundPlanCache,
     CompiledPlan,
@@ -149,6 +149,7 @@ class RelationalStore(PlannedStore):
             raise ValueError(f"unknown relational engine {engine!r}")
         self.engine = engine
         table = self.table = ColumnarTripleTable(dictionary)
+        self.dictionary = table.dictionary
         self._executor = (
             ColumnarExecutor(table) if engine == "columnar" else ReferenceExecutor(table)
         )
@@ -185,7 +186,12 @@ class RelationalStore(PlannedStore):
         return self.load(triples)
 
     def delete(self, triple: Triple) -> bool:
-        removed = self.table.delete(triple)
+        return self.delete_all((triple,)) == 1
+
+    def delete_all(self, triples: Iterable[Triple]) -> int:
+        """Delete a batch of triples; returns how many were present.  Each
+        touched block is replaced once and derived state ages once."""
+        removed = self.table.delete_all(triples)
         if removed:
             self._invalidate_derived_state()
         return removed
@@ -200,8 +206,15 @@ class RelationalStore(PlannedStore):
         return self.table.predicates()
 
     def partition(self, predicate: IRI) -> List[Triple]:
-        """The triple partition for ``predicate`` (what gets shipped to the graph store)."""
+        """The triple partition for ``predicate``, decoded, in block order."""
         return self.table.partition(predicate)
+
+    def partition_block(self, predicate: IRI) -> ColumnBlock:
+        """The stored block of ``predicate`` (what gets shipped to the graph
+        store): blocks are replaced on write, never changed, so the holder
+        keeps the partition as it is now."""
+        predicate_id = self.dictionary.lookup(predicate)
+        return self.table.partition_columns(-1 if predicate_id is None else predicate_id)
 
     def partition_size(self, predicate: IRI) -> int:
         return self.table.predicate_cardinality(predicate)

@@ -23,7 +23,6 @@ from repro.resilience.deadline import (
     Deadline,
     current_deadline,
     deadline_scope,
-    probed_rows,
 )
 from repro.resilience.faults import (
     FaultPlan,
@@ -41,7 +40,6 @@ __all__ = [
     "Deadline",
     "current_deadline",
     "deadline_scope",
-    "probed_rows",
     "PROBE_STRIDE",
     "BreakerPolicy",
     "CircuitBreaker",

@@ -4,9 +4,8 @@ A :class:`Deadline` is a wall-clock budget carried from the serving layer
 (``timeout`` request parameter / ``ServiceConfig.default_deadline_seconds``)
 into the execution engines.  The engines cannot be preempted — they are plain
 Python loops and batch kernels — so cancellation is *cooperative*: the hot
-loops call cheap periodic probes (:meth:`Deadline.check` /
-:func:`probed_rows`), the batch kernels are emitted in bounded chunks with a
-probe between them, and an over-budget execution raises
+loops call cheap periodic probes (:meth:`Deadline.check`), the batch
+kernels are emitted in bounded chunks with a probe between them, and an over-budget execution raises
 :class:`~repro.errors.QueryTimeoutError`, which frees the executor thread
 immediately and maps to a machine-readable ``504`` at the HTTP layer — never
 a hung slot.
@@ -26,7 +25,8 @@ before it is allocated — then, while a deadline is active, between
 :data:`~repro.relstore.columnar.GATHER_CHUNK_ROWS`-row chunks of the gather
 and every :data:`PROBE_STRIDE` rows of the filter and materialize loops; a
 build side's group-index sort and DISTINCT's run unprobed), the graph matcher
-(:mod:`repro.graphstore.matcher`), the sharded coordinator's request thread
+(:mod:`repro.graphstore.matcher`: a probe per pattern step and between the
+same gather chunks), the sharded coordinator's request thread
 (running the same execute loop), and the endpoint's result encoder (a
 probe per chunk of rows, under the deadline the endpoint opens at request
 admission).  The decode-per-row reference executor
@@ -41,7 +41,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Optional, TypeVar
+from typing import Optional
 
 from repro.errors import QueryTimeoutError
 
@@ -49,7 +49,6 @@ __all__ = [
     "Deadline",
     "current_deadline",
     "deadline_scope",
-    "probed_rows",
     "PROBE_STRIDE",
 ]
 
@@ -57,8 +56,6 @@ __all__ = [
 #: pathological per-row costs keep the overshoot well under a 50 ms budget's
 #: 2x acceptance bound; large enough that the probe is amortized to noise.
 PROBE_STRIDE = 1024
-
-_T = TypeVar("_T")
 
 
 class Deadline:
@@ -130,22 +127,3 @@ def deadline_scope(deadline: Optional[Deadline]):
     finally:
         _ambient.deadline = previous
 
-
-def probed_rows(
-    rows: Iterable[_T],
-    deadline: Deadline,
-    counters=None,
-    stride: int = PROBE_STRIDE,
-) -> Iterator[_T]:
-    """Yield ``rows`` unchanged, probing the deadline every ``stride`` rows.
-
-    The streaming probe the engine scan loops wrap their row sources with
-    when (and only when) a deadline is active — zero allocation per row
-    beyond the generator frame, zero effect on work counters.
-    """
-    n = 0
-    for row in rows:
-        n += 1
-        if not n % stride:
-            deadline.check(counters)
-        yield row

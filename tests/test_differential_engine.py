@@ -264,7 +264,7 @@ def test_extra_table_with_shared_variables_matches_reference(writer, mini_kg):
     reference = RelationalStore(engine="reference")
     reference.load(mini_kg)
     columnar = writer.write(RelationalStore(), mini_kg)
-    table = ResultTable(
+    table = ResultTable.from_rows(
         name="tmp",
         variables=("p", "tag"),
         rows=[
@@ -287,7 +287,7 @@ def test_disjoint_extra_table_still_cartesian(writer, mini_kg):
     reference = RelationalStore(engine="reference")
     reference.load(mini_kg)
     columnar = writer.write(RelationalStore(), mini_kg)
-    table = ResultTable(name="tmp", variables=("x",), rows=[(Literal("a"),), (Literal("b"),)])
+    table = ResultTable.from_rows(name="tmp", variables=("x",), rows=[(Literal("a"),), (Literal("b"),)])
     query = parse_query("SELECT ?p ?x WHERE { ?p y:isMarriedTo ?q . }")
     cold = reference.execute(query, extra_tables=[table])
     warm = columnar.execute(query, extra_tables=[table])
@@ -341,8 +341,8 @@ def test_empty_extra_table_short_circuits_identically(edge_store_pair):
     """Once an extra table empties the pipeline, later tables must charge
     nothing — in both engines."""
     columnar, reference = edge_store_pair
-    empty = ResultTable(name="empty", variables=("p",), rows=[])
-    follow = ResultTable(name="follow", variables=("q",), rows=[(YAGO.term("Alice"),)])
+    empty = ResultTable.from_rows(name="empty", variables=("p",), rows=[])
+    follow = ResultTable.from_rows(name="follow", variables=("q",), rows=[(YAGO.term("Alice"),)])
     query = parse_query("SELECT ?p WHERE { ?p y:wasBornIn ?c . }")
     cold = reference.execute(query, extra_tables=[empty, follow])
     warm = columnar.execute(query, extra_tables=[empty, follow])

@@ -213,7 +213,7 @@ def test_execution_local_negative_ids(writer):
     never index the dictionary's fragment table."""
     dual = _term_store(writer)
     foreign = [IRI(EX + "not-in-the-dictionary"), Literal("nor this", language="en")]
-    table = ResultTable("migrated", ("s", "f"), [(IRI(EX + "s0"), foreign[0]), (IRI(EX + "s1"), foreign[1])])
+    table = ResultTable.from_rows("migrated", ("s", "f"), [(IRI(EX + "s0"), foreign[0]), (IRI(EX + "s1"), foreign[1])])
     query = parse_query(f"SELECT ?s ?f ?o WHERE {{ ?s <{P.value}> ?o . }}")
     result = dual.relational.execute(query, extra_tables=[table])
     assert result.columns.space.has_local_ids

@@ -1,9 +1,10 @@
-"""Unit tests for the property graph, the traversal matcher, and the graph store."""
+"""Unit tests for the graph oracle's property graph and for the graph store."""
 
 import pytest
 
+from graph_oracle import PropertyGraph
 from repro.errors import StorageBudgetExceeded, StorageError, UnknownPartitionError
-from repro.graphstore import GraphStore, PropertyGraph
+from repro.graphstore import GraphStore
 from repro.rdf import Literal, Triple, YAGO
 from repro.relstore import RelationalStore
 from repro.sparql import parse_query
@@ -278,3 +279,102 @@ class TestGraphStoreBudgetAtomicity:
         for thread in threads:
             thread.join(timeout=60)
         assert not overshoots, f"budget exceeded: {overshoots}"
+
+
+# --------------------------------------------------------------------------- #
+# Resident replicas are the master copy's blocks
+# --------------------------------------------------------------------------- #
+def _blocks_of(dual):
+    relational = dual.relational
+    tables = getattr(relational, "_tables", None) or [relational.table]
+    for table in tables:
+        yield from table._partition_columns.values()
+    for predicate in dual.graph.loaded_predicates:
+        yield dual.graph.partition_block(predicate)
+
+
+class TestResidentReplicas:
+    @pytest.mark.parametrize("shards", (None, 4))
+    def test_stored_block_arrays_are_read_only(self, yago_dataset, shards):
+        from repro import DualStore
+
+        dual = DualStore(shards=shards, storage_budget=len(yago_dataset.triples))
+        dual.load(yago_dataset.triples)
+        dual.transfer_partition(BORN)
+        dual.insert([Triple(YAGO.term("Late"), BORN, YAGO.term("Berlin"))])
+        blocks = list(_blocks_of(dual))
+        assert len(blocks) > 3
+        for block in blocks:
+            for column in (block.subjects, block.objects):
+                assert not column.flags.writeable
+                if len(column):
+                    with pytest.raises(ValueError):
+                        column[0] = column[0]
+
+    @pytest.mark.parametrize("shards", (None, 4))
+    def test_writes_after_a_transfer_leave_graph_answers_unchanged_until_retransfer(
+        self, yago_dataset, shards, fingerprint
+    ):
+        from graph_oracle import oracle_execute
+        from repro import DualStore
+
+        dual = DualStore(shards=shards, storage_budget=len(yago_dataset.triples))
+        dual.load(yago_dataset.triples)
+        queries = [
+            parse_query("SELECT ?p ?c WHERE { ?p y:wasBornIn ?c . }"),
+            parse_query("SELECT ?p ?q WHERE { ?p y:wasBornIn ?c . ?q y:wasBornIn ?c . }"),
+            parse_query("SELECT ?p WHERE { ?p y:wasBornIn ?c . ?p y:hasGivenName ?n . }"),
+        ]
+        for predicate in (BORN, GIVEN):
+            dual.transfer_partition(predicate)
+        before = [dual.graph.execute(query) for query in queries]
+
+        born = [t for t in yago_dataset.triples if t.predicate == BORN]
+        dual.insert([Triple(YAGO.term(f"Late{i}"), BORN, born[i].object) for i in range(5)])
+        assert dual.delete(born[:7]) == 7
+        for query, old in zip(queries, before):
+            lagging = dual.graph.execute(query)
+            assert lagging.bindings == old.bindings
+            assert lagging.counters.as_dict() == old.counters.as_dict()
+        master = dual.relational.execute(queries[0])
+        assert fingerprint(master) != fingerprint(before[0])
+
+        dual.transfer_partition(BORN)
+        for query in queries:
+            fresh = dual.graph.execute(query)
+            assert fingerprint(fresh) == fingerprint(dual.relational.execute(query))
+            expected = oracle_execute(dual.graph, query)
+            assert fresh.bindings == expected.bindings
+            assert fresh.counters.as_dict() == expected.counters.as_dict()
+
+    @pytest.mark.parametrize("shards", (None, 4))
+    def test_transfer_and_first_match_keep_at_most_100_bytes_per_resident_edge(self, shards):
+        import gc
+        import tracemalloc
+
+        from repro import DualStore
+        from repro.workload import generate_yago
+
+        dataset = generate_yago(6000, seed=7)
+        dual = DualStore(shards=shards, storage_budget=len(dataset.triples)).load(dataset.triples)
+        predicates = sorted(dual.partition_sizes(), key=lambda p: p.value)
+        edges = sum(dual.partition_sizes().values())
+        # Opens every partition's out and in adjacency.
+        queries = [
+            parse_query(f"SELECT ?a ?b WHERE {{ <{YAGO.term('Nobody').value}> <{p.value}> ?b . "
+                        f"?a <{p.value}> <{YAGO.term('Nowhere').value}> . }}")
+            for p in predicates
+        ]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            for predicate, query in zip(predicates, queries):
+                dual.transfer_partition(predicate)
+                dual.graph.execute(query)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        assert dual.graph.used_capacity() == edges
+        assert retained / edges <= 100, f"{retained / edges:.0f} B per resident edge"

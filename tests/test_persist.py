@@ -467,6 +467,48 @@ def test_graph_replica_lagging_the_master_copy_restores_verbatim(tmp_path):
         assert_identical(live[index].result, warm.result, f"lagging[{index}]")
 
 
+@pytest.mark.parametrize("shards", (None, 4))
+def test_graph_replica_lagging_after_an_insert_and_a_delete_restores_verbatim(shards, tmp_path):
+    """The replica's id columns are written as they are and restored straight
+    into blocks: after the master copy gained and lost rows of a resident
+    partition, the restored store answers graph-routed queries with the
+    live store's rows, order, work and seconds."""
+    from repro import IRI, Triple
+
+    dataset = generate_yago(target_triples=1500, seed=3)
+    queries = yago_workload(dataset, seed=5).ordered()[:6]
+    dual = _tuned_dual(dataset.triples, queries, shards=shards, sharding=AGGRESSIVE)
+    predicate = sorted(dual.graph.loaded_predicates, key=lambda p: p.value)[0]
+    replica = dual.graph.partition_block(predicate)
+    doomed = dual.relational.partition(predicate)[:5]
+    dual.insert([Triple(IRI(f"http://example.org/late/{i}"), predicate, doomed[i].object) for i in range(3)])
+    assert dual.delete(doomed) == 5
+    assert dual.relational.partition_size(predicate) == replica.count - 2
+    assert dual.graph.partition_block(predicate) is replica
+
+    p = f"<{predicate.value}>"
+    queries += [
+        parse_query(f"SELECT ?a ?c WHERE {{ ?a {p} ?b . ?c {p} ?b . ?a {p} ?d . ?c {p} ?d . }} LIMIT 90"),
+        parse_query(f"SELECT ?a ?b WHERE {{ ?a {p} ?b . ?b {p} ?a . }}"),
+    ]
+    live = [dual.run_query(q) for q in queries]
+    root = tmp_path / "lagging-writes"
+    dual.snapshot(root)
+    restored = DualStore.restore(root)
+
+    block = restored.graph.partition_block(predicate)
+    assert block.subjects.tolist() == replica.subjects.tolist()
+    assert block.objects.tolist() == replica.objects.tolist()
+    assert restored.graph.partition_sizes() == dual.graph.partition_sizes()
+    assert live[-2].route == live[-1].route == "graph"
+    assert len(live[-2].result) > 20
+    for index, query in enumerate(queries):
+        warm = restored.run_query(query)
+        assert warm.record.route == live[index].record.route, f"lagging[{index}]"
+        assert_identical(live[index].result, warm.result, f"lagging[{index}]")
+        assert warm.record.seconds == live[index].record.seconds
+
+
 def test_writer_thread_reacquiring_write_raises_not_deadlocks():
     """Symmetric with the read-side re-entrancy fix: a tuner epoch callback
     that *mutates* through the service (insert/transfer/checkpoint) must get

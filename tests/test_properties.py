@@ -9,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import ACTION_KEEP, ACTION_MOVE, QMatrix, STATE_GRAPH, STATE_RELATIONAL
-from repro.graphstore import GraphStore, PropertyGraph
-from repro.graphstore.matcher import GraphMatcher
+from graph_oracle import GraphMatcher, PropertyGraph
+from repro.graphstore import GraphStore
 from repro.rdf import (
     IRI,
     Literal,

@@ -154,13 +154,13 @@ class TestWorkAccounting:
 
 class TestExtraTables:
     def test_extra_table_joins_with_base_patterns(self, store):
-        table = ResultTable(name="tmp", variables=("p",), rows=[(YAGO.term("Alice"),)])
+        table = ResultTable.from_rows(name="tmp", variables=("p",), rows=[(YAGO.term("Alice"),)])
         query = parse_query("SELECT ?n WHERE { ?p y:hasGivenName ?n . }")
         result = store.execute(query, extra_tables=[table])
         assert [b["n"] for b in result.bindings] == [Literal("Alice")]
 
     def test_view_tables_charge_view_rows(self, store):
-        table = ResultTable(name="view", variables=("p",), rows=[(YAGO.term("Alice"),)])
+        table = ResultTable.from_rows(name="view", variables=("p",), rows=[(YAGO.term("Alice"),)])
         query = parse_query("SELECT ?n WHERE { ?p y:hasGivenName ?n . }")
         result = store.execute(query, extra_tables=[table], tables_are_views=True)
         assert result.counters.view_rows_scanned == 1
@@ -288,7 +288,7 @@ class TestJoinResultTableHashJoin:
         ``rows_joined`` charge."""
         alice, bob = YAGO.term("Alice"), YAGO.term("Bob")
         bindings = [{"p": alice, "x": Literal("1")}, {"p": bob, "x": Literal("2")}]
-        table = ResultTable(
+        table = ResultTable.from_rows(
             name="tmp",
             variables=("p", "tag"),
             rows=[(alice, Literal("a1")), (alice, Literal("a2")), (YAGO.term("Carol"), Literal("c"))],
@@ -304,7 +304,7 @@ class TestJoinResultTableHashJoin:
 
     def test_disjoint_table_still_produces_the_cartesian_product(self):
         bindings = [{"p": YAGO.term("Alice")}]
-        table = ResultTable(name="tmp", variables=("y",), rows=[(Literal("1"),), (Literal("2"),)])
+        table = ResultTable.from_rows(name="tmp", variables=("y",), rows=[(Literal("1"),), (Literal("2"),)])
         counters = WorkCounters()
         joined = join_result_table(bindings, table, counters)
         assert len(joined) == 2

@@ -3,8 +3,8 @@
 The columnar table stores each predicate's rows as one id-column block and
 maintains the blocks, the per-predicate write stamps and (through the store)
 the statistics at write time.  After any sequence of inserts, deletes,
-re-inserts, deletes of absent rows, removal of a predicate's last row and new
-predicates,
+batched deletes, re-inserts, deletes of absent rows, removal of a
+predicate's last row and new predicates,
 
 * the row views (``scan_predicate``, ``lookup_subject``, ``lookup_object``),
   ``partition_sizes()`` and the order of ``dump_rows()`` equal a plain-Python
@@ -72,10 +72,12 @@ QUERIES = [
 triples = st.builds(
     Triple, st.sampled_from(ENTITIES), st.sampled_from(PREDICATES), st.sampled_from(ENTITIES)
 )
-#: One write: ("insert", [triples]) / ("delete", triple).
+#: One write: ("insert", [triples]) / ("delete", triple) / ("delete_all",
+#: [triples]) — a batched delete, which may repeat a triple or name absent ones.
 writes = st.one_of(
     st.tuples(st.just("insert"), st.lists(triples, min_size=1, max_size=4)),
     st.tuples(st.just("delete"), triples),
+    st.tuples(st.just("delete_all"), st.lists(triples, min_size=1, max_size=5)),
 )
 
 
@@ -102,20 +104,27 @@ class Pair:
         self.stamps: Dict[IRI, int] = {}
 
     def apply(self, kind: str, arg) -> None:
+        removed = []
         for store in (self.columnar, self.sharded, self.oracle):
             if kind == "insert":
                 store.insert(arg)
-            else:
+            elif kind == "delete":
                 store.delete(arg)
-        for triple in arg if kind == "insert" else [arg]:
+            else:
+                removed.append(store.delete_all(arg))
+        changed = 0
+        for triple in [arg] if kind == "delete" else arg:
             present = triple in self.model
             if kind == "insert" and not present:
                 self.model.append(triple)
-            elif kind == "delete" and present:
+            elif kind != "insert" and present:
                 self.model.remove(triple)
             else:
                 continue
+            changed += 1
             self.written.add(triple.predicate)
+        if kind == "delete_all":
+            assert removed == [changed] * 3
 
     def check_storage(self) -> None:
         store, table = self.columnar, self.columnar.table
@@ -253,6 +262,14 @@ COUNTEREXAMPLES = {
         ("insert", [_t(0, 0, 1), _t(1, 0, 2), _t(0, 1, 1)]), None,
         ("insert", [_t(2, 0, 3), _t(3, 0, 4), _t(4, 0, 0), _t(1, 0, 3)]), None,
         ("delete", _t(2, 0, 3)), None,
+    ],
+    # One batched delete over two predicates: several rows of one block, a
+    # repeated triple and an absent one.  Each touched block is replaced
+    # once, the survivors keep their order, and the count is of rows removed.
+    "batched_delete_across_blocks": [
+        ("insert", [_t(0, 0, 1), _t(1, 0, 2), _t(2, 0, 3), _t(3, 0, 4), _t(0, 1, 1)]), None,
+        ("delete_all", [_t(1, 0, 2), _t(3, 0, 4), _t(1, 0, 2), _t(4, 1, 4), _t(0, 1, 1)]), None,
+        ("delete_all", [_t(0, 0, 1), _t(2, 0, 3)]), ("insert", [_t(1, 0, 2)]), None,
     ],
     # Equal (subject, object) pairs under two predicates: the delete must find
     # the position in the right predicate's block only.

@@ -207,7 +207,7 @@ class TestScatterGatherExecution:
         base = RelationalStore()
         base.load(data)
         store.load(data)
-        empty = ResultTable(name="t", variables=("s",), rows=[])
+        empty = ResultTable.from_rows(name="t", variables=("s",), rows=[])
         query = parse_query(self.QUERY)
         cold = base.execute(query, extra_tables=[empty])
         warm = store.execute(query, extra_tables=[empty])

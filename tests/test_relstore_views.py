@@ -36,7 +36,7 @@ class TestCanonicalKey:
 
 class TestViewManager:
     def _table(self, rows=1):
-        return ResultTable(name="v", variables=("p",), rows=[(YAGO.term(f"e{i}"),) for i in range(rows)])
+        return ResultTable.from_rows(name="v", variables=("p",), rows=[(YAGO.term(f"e{i}"),) for i in range(rows)])
 
     def test_observation_frequency_drives_selection(self):
         manager = MaterializedViewManager(row_budget=10)

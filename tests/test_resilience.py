@@ -58,7 +58,6 @@ from repro.resilience import (
     current_deadline,
     deadline_scope,
     faults,
-    probed_rows,
 )
 from repro.serve import QueryService, ServiceConfig
 from repro.sparql import parse_query
@@ -120,36 +119,6 @@ class TestDeadlineUnit:
             Deadline(0.0)
         with pytest.raises(ValueError):
             Deadline(-1.0)
-
-    def test_probed_rows_probes_on_the_stride_only(self):
-        clock = FakeClock()
-        probes = []
-
-        class CountingDeadline(Deadline):
-            def check(self, counters=None):
-                probes.append(counters)
-                return super().check(counters)
-
-        deadline = CountingDeadline(1.0, clock=clock)
-        rows = list(probed_rows(range(10), deadline, stride=4))
-        assert rows == list(range(10))  # rows pass through unchanged
-        assert len(probes) == 2  # after row 4 and row 8, not per row
-
-    def test_probed_rows_stops_mid_stream_when_expired(self):
-        clock = FakeClock()
-        deadline = Deadline(0.5, clock=clock)
-
-        def rows():
-            for i in range(100):
-                if i == 5:
-                    clock.advance(1.0)  # the budget expires mid-scan
-                yield i
-
-        out = []
-        with pytest.raises(QueryTimeoutError):
-            for row in probed_rows(rows(), deadline, stride=2):
-                out.append(row)
-        assert len(out) < 100
 
     def test_scope_is_ambient_nested_and_none_safe(self):
         assert current_deadline() is None
@@ -262,12 +231,12 @@ class TestDeadlineExecution:
             service.close()
 
     def test_graph_matcher_honors_the_ambient_deadline(self, yago_dataset):
-        from repro.graphstore.matcher import GraphMatcher
-        from repro.graphstore.property_graph import PropertyGraph
+        from repro.graphstore import GraphStore
         from repro.sparql import parse_query
 
-        graph = PropertyGraph()
-        graph.add_triples(yago_dataset.triples)
+        graph = GraphStore()
+        born = YAGO.term("wasBornIn")
+        graph.load_partition(born, (t for t in yago_dataset.triples if t.predicate == born))
         # Two unbound relationship-type scans over one predicate: the second
         # pattern explodes each row by every edge — millions of extensions.
         query = parse_query(
@@ -278,7 +247,39 @@ class TestDeadlineExecution:
         clock.advance(1.0)  # already expired: the first probe must fire
         with deadline_scope(deadline):
             with pytest.raises(QueryTimeoutError):
-                GraphMatcher(graph).execute(query)
+                graph.execute(query)
+
+    def test_a_graph_type_scan_times_out_between_its_gather_chunks(self, monkeypatch):
+        from repro.graphstore import GraphStore
+        from repro.relstore import columnar
+
+        ex = "http://example.org/scan/"
+        edge = IRI(ex + "edge")
+        graph = GraphStore()
+        graph.load_partition(
+            edge, [Triple(IRI(f"{ex}s{i}"), edge, IRI(f"{ex}o{i}")) for i in range(200)]
+        )
+        # The second relationship-type scan pairs 200 frontier rows with 200
+        # edges: 40 000 rows, more than one gather chunk.
+        query = parse_query(f"SELECT ?a WHERE {{ ?a <{edge.value}> ?b . ?c <{edge.value}> ?d . }}")
+        assert 200 * 200 > columnar.GATHER_CHUNK_ROWS
+        clock = FakeClock()
+        chunks = []
+        real_gather = columnar.gather
+
+        def one_second_per_chunk(matches, *bounds):
+            if bounds:  # a chunk of a deadline-chunked gather
+                chunks.append(bounds)
+                clock.advance(1.0)
+            return real_gather(matches, *bounds)
+
+        monkeypatch.setattr(columnar, "gather", one_second_per_chunk)
+        with deadline_scope(Deadline(0.5, clock=clock)):
+            with pytest.raises(QueryTimeoutError) as excinfo:
+                graph.execute(query)
+        assert len(chunks) == 1  # the probe before the second chunk fired
+        # The scan was charged before its gather began.
+        assert excinfo.value.partial_work["edges_traversed"] == 200 + 200 * 200
 
 
 # --------------------------------------------------------------------------- #
