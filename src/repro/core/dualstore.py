@@ -92,7 +92,8 @@ class DualStore:
     shards:
         When given, the relational master copy is a
         :class:`~repro.relstore.sharded.ShardedRelationalStore` with that
-        many shards (scatter-gather execution, identical logical work;
+        many modelled shards (the same answers, order and logical work as
+        the unsharded store, priced as a parallel scatter-gather;
         ``shards=1`` builds a degenerate one-shard store that prices like
         the unsharded one but still reports a scatter breakdown).
     sharding:
@@ -392,8 +393,8 @@ class DualStore:
     def snapshot(self, path, keep: int = 2):
         """Write an atomic, versioned snapshot of the whole dual store.
 
-        Persists the term dictionary, the relational triple tables (per-shard
-        when sharded, preserving placement), the graph store's residency and
+        Persists the term dictionary, the relational triple table (plus the
+        shard placement when sharded), the graph store's residency and
         budget accounting, the physical design, and table statistics, under a
         manifest carrying the format version, a dataset fingerprint, and the
         store generation.  Pure read — the generation does not change.  The

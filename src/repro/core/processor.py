@@ -64,7 +64,7 @@ class QueryProcessor:
     is guarded by a lock.
 
     The relational side is any :class:`~repro.relstore.backend.RelationalBackend`;
-    with a sharded backend, Case 2/3 executions scatter-gather across shards
+    with a sharded backend, Case 2/3 executions are priced as a scatter-gather
     transparently (the migrated intermediate table joins centrally at the
     coordinator, so split plans need no shard awareness here).
     """

@@ -5,7 +5,7 @@ dataset from N-Triples and re-learning the physical design from an untrained
 tuner.  A production serving system cannot pay that on every process restart,
 so this package persists the entire tuned state of a
 :class:`~repro.core.dualstore.DualStore` — term dictionary, relational triple
-tables (unsharded or per-shard, preserving shard placement), graph-store
+table (plus the shard placement of a sharded store), graph-store
 residency and budget accounting, the
 :class:`~repro.core.partitions.DualStoreDesign`, table statistics, and
 (through the serving layer) the adaptive tuner's window and Q-state — and

@@ -7,7 +7,7 @@ Layout of a snapshot root directory::
       snapshot-00000001-g4/        # one immutable directory per snapshot
         MANIFEST.json              # format version, fingerprint, hashes, ...
         dictionary.json            # term payloads in identifier order
-        relational.json            # rows (+ per-shard placement) and stats
+        relational.json            # rows (+ shard placement) and stats
         graph.json                 # graph-store residency + budget accounting
         design.json                # DualStoreDesign, transfer log, config
         extras.json                # optional opaque payload (serving layer)
@@ -297,7 +297,7 @@ def _backend_state(dual) -> Tuple[str, dict, TermDictionary]:
     if isinstance(backend, ShardedRelationalStore):
         return f"sharded:{backend.shard_count}", backend.snapshot_state(), backend.dictionary
     if isinstance(backend, RelationalStore):
-        return "relational", backend.snapshot_state(), backend.table.dictionary
+        return "relational", backend.snapshot_state(), backend.dictionary
     raise SnapshotError(
         f"relational backend {type(backend).__name__} does not support snapshots "
         "(only RelationalStore and ShardedRelationalStore do)"
@@ -453,19 +453,16 @@ def _fingerprint_from_payloads(payloads: Dict[str, Any]) -> str:
     the commit half pays the hashing pass outside the caller's exclusivity
     window."""
     dictionary = TermDictionary.from_payload(payloads["dictionary.json"]["terms"])
-    state = payloads["relational.json"]
-    row_lists = state["shard_rows"] if state["kind"] == "sharded" else [state["rows"]]
+    flat = payloads["relational.json"]["rows"]
     decode = dictionary.decode
-    lines: List[str] = []
-    for flat in row_lists:
-        for offset in range(0, len(flat), 3):
-            lines.append(
-                Triple(
-                    decode(flat[offset]),
-                    decode(flat[offset + 1]),  # type: ignore[arg-type]
-                    decode(flat[offset + 2]),
-                ).n3()
-            )
+    lines = [
+        Triple(
+            decode(flat[offset]),
+            decode(flat[offset + 1]),  # type: ignore[arg-type]
+            decode(flat[offset + 2]),
+        ).n3()
+        for offset in range(0, len(flat), 3)
+    ]
     return _sorted_lines_digest(lines)
 
 

@@ -5,9 +5,9 @@ side: bulk loading, cheap inserts, partition extraction, statistics, and
 work-accounted query execution.  :class:`RelationalBackend` names that
 surface so :class:`~repro.core.dualstore.DualStore` and
 :class:`~repro.core.processor.QueryProcessor` can run against either the
-single-table :class:`~repro.relstore.store.RelationalStore` or the
-scatter-gather :class:`~repro.relstore.sharded.ShardedRelationalStore`
-without caring which one is underneath.
+single-table :class:`~repro.relstore.store.RelationalStore` or its sharded
+subclass :class:`~repro.relstore.sharded.ShardedRelationalStore` without
+caring which one is underneath.
 
 The protocol is ``runtime_checkable`` so tests can assert conformance, but
 it is structural: any object with these members works.
@@ -36,7 +36,8 @@ class RelationalBackend(Protocol):
 
     Implementations: :class:`~repro.relstore.store.RelationalStore` (one
     triple table) and :class:`~repro.relstore.sharded.ShardedRelationalStore`
-    (N hash-partitioned shards behind a scatter-gather executor).
+    (the same table with a shard placement map, priced as N shards probing
+    in parallel).
     """
 
     cost_model: CostModel

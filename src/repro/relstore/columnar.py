@@ -2,9 +2,9 @@
 end to end, one execute loop.
 
 Every relational store — :class:`~repro.relstore.store.RelationalStore` and
-each shard of :class:`~repro.relstore.sharded.ShardedRelationalStore` — keeps
-its rows in a :class:`ColumnarTripleTable` and answers queries through
-:func:`execute_compiled`.  The engine stores and pipelines **term-id
+its sharded subclass :class:`~repro.relstore.sharded.ShardedRelationalStore`
+— keeps its rows in one :class:`ColumnarTripleTable` and answers queries
+through :func:`execute_compiled`.  The engine stores and pipelines **term-id
 columns**, ``int64`` numpy vectors:
 
 * :class:`ColumnarTripleTable` stores each predicate's rows as one
@@ -382,18 +382,6 @@ class ColumnarTripleTable:
                 keep[candidates[block.objects[candidates] == object_id]] = False
             self._replace_block(predicate_id, block.subjects[keep], block.objects[keep])
         return {predicate_id: len(subjects) for predicate_id, (subjects, _) in doomed.items()}
-
-    def extract_predicate(self, predicate_id: int) -> List[Row]:
-        """Remove and return every row of one predicate, in insertion order.
-
-        The sharded store moves a promoted mega-predicate's rows to other
-        shards with it.
-        """
-        block = self.partition_columns(predicate_id)
-        rows = list(self._block_rows(predicate_id, block.subjects, block.objects))
-        self._row_set.difference_update(rows)
-        self._replace_block(predicate_id, _empty(), _empty())
-        return rows
 
     # -- size and statistics -------------------------------------------- #
     def __len__(self) -> int:
@@ -971,11 +959,10 @@ def execute_compiled(
 ) -> ExecutionResult:
     """Run a compiled plan: the one execute loop of the production engine.
 
-    ``step_block(step, counters)`` is where a step's block comes from — the
-    only thing the loop's owners differ in.  It returns ``((names, columns,
-    count), source)`` and charges the access to ``counters``:
-    :meth:`ColumnarTripleTable.step_block` reads the one table; the sharded
-    store scatters the step over its shards' tables and concatenates.
+    ``step_block(step, counters)`` is where a step's block comes from.  It
+    returns ``((names, columns, count), source)`` and charges the access to
+    ``counters``: :meth:`ColumnarTripleTable.step_block` reads the table; the
+    sharded store wraps it to price the step per shard.
 
     ``extra_tables`` are temporary tables (migrated intermediate results)
     joined into the pipeline before the base-table patterns; when

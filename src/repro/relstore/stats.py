@@ -10,7 +10,7 @@ recomputes only the predicates whose write stamp moved since the last read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from repro.rdf.terms import IRI, Variable
 from repro.sparql.ast import SelectQuery, TriplePattern
@@ -223,7 +223,7 @@ class TableStatistics:
 
 
 def predicate_statistics(rows: Iterable[Row]) -> PredicateStatistics:
-    """Accumulate one predicate's statistics from its (possibly sharded) rows."""
+    """Accumulate one predicate's statistics from its rows."""
     subject_counts: Dict[int, int] = {}
     object_counts: Dict[int, int] = {}
     cardinality = 0
@@ -252,68 +252,48 @@ def collect_statistics(table: "ColumnarTripleTable") -> TableStatistics:
 
 
 class MaintainedStatistics:
-    """A store's statistics, brought up to date lazily after mutations.
+    """A table's statistics, brought up to date lazily after mutations.
 
-    Each per-predicate entry records the write stamp
+    Each per-predicate entry records the predicate's write stamp
     (:meth:`~repro.relstore.columnar.ColumnarTripleTable.write_stamp`: a
-    per-table counter value that moves with every write to the predicate and
-    never repeats) of every table holding rows of the predicate — one table
-    in the unsharded store and for a predicate placed on one shard, all of
-    them for a subject-sharded one — and is kept for as long as those stamps
-    stand; only the predicates written since the last call are recomputed,
-    from their blocks.  Values equal :func:`collect_statistics` over the
-    same rows.
-
-    The owning store says what it holds: ``tables_for(predicate_id)`` names
-    the tables with a predicate's rows, in scan order; ``predicates()`` and
-    ``total_rows()`` are the store's own; ``lookup`` maps a predicate to its
-    id.  ``generation`` is the store's plan generation, so a call between
+    table counter value that moves with every write to the predicate and
+    never repeats) and is kept for as long as that stamp stands; only the
+    predicates written since the last call are recomputed, from their
+    blocks.  Values equal :func:`collect_statistics` over the same rows.
+    ``generation`` is the owning store's plan generation, so a call between
     mutations is one comparison.
     """
 
-    def __init__(
-        self,
-        tables_for: "Callable[[int], Sequence[ColumnarTripleTable]]",
-        predicates: "Callable[[], Iterable[IRI]]",
-        total_rows: "Callable[[], int]",
-        lookup: "Callable[[IRI], Optional[int]]",
-    ):
-        self._tables_for = tables_for
-        self._predicates = predicates
-        self._total_rows = total_rows
-        self._lookup = lookup
-        #: (generation it is current for, statistics, stamps per entry) — one
+    def __init__(self, table: "ColumnarTripleTable"):
+        self._table = table
+        #: (generation it is current for, statistics, stamp per entry) — one
         #: value, so concurrent readers refreshing at once each swap in a
         #: whole state.
-        self._state: Tuple[int, Optional[TableStatistics], Dict[IRI, tuple]] = (-1, None, {})
+        self._state: Tuple[int, Optional[TableStatistics], Dict[IRI, int]] = (-1, None, {})
 
-    def _stamp(self, predicate: IRI) -> Tuple[int, "Sequence[ColumnarTripleTable]", tuple]:
-        predicate_id = self._lookup(predicate)
-        tables = self._tables_for(predicate_id)
-        return predicate_id, tables, tuple(table.write_stamp(predicate_id) for table in tables)
+    def _stamp(self, predicate: IRI) -> Tuple[int, int]:
+        predicate_id = self._table.dictionary.lookup(predicate)
+        return predicate_id, self._table.write_stamp(predicate_id)
 
     def current(self, generation: int) -> TableStatistics:
         state_generation, statistics, stamps = self._state
         if state_generation == generation:
             return statistics
+        table = self._table
         per_predicate: Dict[IRI, PredicateStatistics] = {}
-        fresh_stamps: Dict[IRI, tuple] = {}
-        for predicate in self._predicates():
-            predicate_id, tables, stamp = self._stamp(predicate)
+        fresh_stamps: Dict[IRI, int] = {}
+        for predicate in table.predicates():
+            predicate_id, stamp = self._stamp(predicate)
             fresh_stamps[predicate] = stamp
             if stamps.get(predicate) == stamp:
                 per_predicate[predicate] = statistics.per_predicate[predicate]
-            elif len(tables) == 1:
-                per_predicate[predicate] = tables[0].predicate_statistics(predicate_id)
             else:
-                per_predicate[predicate] = predicate_statistics(
-                    row for table in tables for row in table.scan_predicate(predicate_id)
-                )
-        statistics = TableStatistics(total_rows=self._total_rows(), per_predicate=per_predicate)
+                per_predicate[predicate] = table.predicate_statistics(predicate_id)
+        statistics = TableStatistics(total_rows=len(table), per_predicate=per_predicate)
         self._state = (generation, statistics, fresh_stamps)
         return statistics
 
     def install(self, generation: int, statistics: TableStatistics) -> None:
         """Adopt restored statistics as current for the rows just loaded."""
-        stamps = {predicate: self._stamp(predicate)[2] for predicate in statistics.per_predicate}
+        stamps = {predicate: self._stamp(predicate)[1] for predicate in statistics.per_predicate}
         self._state = (generation, statistics, stamps)

@@ -38,85 +38,12 @@ from repro.relstore.views import MaterializedView, MaterializedViewManager
 __all__ = ["RelationalStore", "relational_work_units"]
 
 
-class PlannedStore:
-    """What both relational stores — :class:`RelationalStore` and
-    :class:`~repro.relstore.sharded.ShardedRelationalStore` — share:
-    statistics maintained across writes, planning against them, the
-    bound-plan memo, capped execution and estimation.  Sharing them means
-    the two stores plan identically and price the counterfactual thread by
-    one convention that can never drift between them.
-
-    ``tables_for(predicate_id)`` names the tables holding a predicate's rows
-    (:class:`~repro.relstore.stats.MaintainedStatistics`); every mutation
-    bumps ``_plan_generation``.
-    """
-
-    def __init__(self, cost_model: CostModel, dictionary, tables_for):
-        self.cost_model = cost_model
-        self._dictionary = dictionary
-        self._statistics = MaintainedStatistics(
-            tables_for, self.predicates, self.__len__, dictionary.lookup
-        )
-        #: query → (plan, compiled plan) memo, invalidated by generation.
-        self._bound_plans = BoundPlanCache()
-        self._plan_generation = 0
-        self.total_insert_seconds = 0.0
-
-    def statistics(self) -> TableStatistics:
-        """Current statistics, brought up to date lazily after mutations:
-        only the predicates whose write stamp moved are recomputed.  Equal
-        for the same rows however they are sharded, so planning (join order,
-        access paths) is too — sharding changes *where* rows live, never
-        *how* queries are planned."""
-        return self._statistics.current(self._plan_generation)
-
-    def plan(
-        self, query: SelectQuery, pattern_order: Sequence[TriplePattern] | None = None
-    ) -> RelationalPlan:
-        return plan_query(query, self.statistics(), pattern_order=pattern_order)
-
-    def _bound_plan(self, query: SelectQuery) -> Tuple[RelationalPlan, CompiledPlan]:
-        """The query's plan with constants pre-resolved, memoized per store
-        generation (the serving layer replays identical parsed queries, so a
-        hit skips planning *and* every per-pattern constant lookup)."""
-        return self._bound_plans.get_or_bind(
-            query, self._plan_generation, lambda: self.plan(query), self._dictionary
-        )
-
-    def execute_capped(
-        self, query: SelectQuery, work_budget: float
-    ) -> Tuple[Optional[ExecutionResult], float]:
-        """Run with a cap; return ``(result_or_None, seconds)``.
-
-        The paper's counterfactual thread, stopped once it has run for
-        ``λ·c₁``: on budget exhaustion the result is ``None`` and the partial
-        work is priced as plain row scans.
-        """
-        try:
-            result = self.execute(query, work_budget=work_budget)
-            return result, result.seconds
-        except WorkBudgetExceeded as exc:
-            partial = WorkCounters(rows_scanned=int(exc.partial_work), queries_issued=1)
-            return None, self.cost_model.relational_query_seconds(partial)
-
-    def estimate_query_seconds(self, query: SelectQuery) -> float:
-        """Price a query from statistics only (the ideal/one-off tuners' path)."""
-        work = self.statistics().estimate_query_work(query)
-        counters = WorkCounters(rows_scanned=int(work), queries_issued=1)
-        return self.cost_model.relational_query_seconds(counters)
-
-    def content_token(self) -> int:
-        """A token that changes whenever the stored triples change.
-
-        Data mutations (``load``/``insert``/``delete``) bump it; physical
-        moves elsewhere in the dual store do not.  :mod:`repro.persist` keys
-        its dataset-fingerprint cache on this, so placement-only checkpoints
-        skip the full fingerprint pass."""
-        return self._plan_generation
-
-
-class RelationalStore(PlannedStore):
+class RelationalStore:
     """A work-accounted relational triple store.
+
+    :class:`~repro.relstore.sharded.ShardedRelationalStore` is this store
+    with a shard placement map and a scatter-gather price on top: same
+    table, same planning, same execute loop.
 
     Parameters
     ----------
@@ -148,12 +75,17 @@ class RelationalStore(PlannedStore):
         if engine not in ("reference", "columnar"):
             raise ValueError(f"unknown relational engine {engine!r}")
         self.engine = engine
+        self.cost_model = cost_model
         table = self.table = ColumnarTripleTable(dictionary)
         self.dictionary = table.dictionary
         self._executor = (
             ColumnarExecutor(table) if engine == "columnar" else ReferenceExecutor(table)
         )
-        super().__init__(cost_model, table.dictionary, lambda predicate_id: (table,))
+        self._statistics = MaintainedStatistics(table)
+        #: query → (plan, compiled plan) memo, invalidated by generation.
+        self._bound_plans = BoundPlanCache()
+        self._plan_generation = 0
+        self.total_insert_seconds = 0.0
         self.view_manager: Optional[MaterializedViewManager] = (
             MaterializedViewManager(row_budget=view_row_budget) if view_row_budget is not None else None
         )
@@ -221,6 +153,58 @@ class RelationalStore(PlannedStore):
 
     def partition_sizes(self) -> Dict[IRI, int]:
         return self.table.cardinalities()
+
+    # ------------------------------------------------------------------ #
+    # Planning and pricing
+    # ------------------------------------------------------------------ #
+    def statistics(self) -> TableStatistics:
+        """Current statistics, brought up to date lazily after mutations:
+        only the predicates whose write stamp moved are recomputed."""
+        return self._statistics.current(self._plan_generation)
+
+    def plan(
+        self, query: SelectQuery, pattern_order: Sequence[TriplePattern] | None = None
+    ) -> RelationalPlan:
+        return plan_query(query, self.statistics(), pattern_order=pattern_order)
+
+    def _bound_plan(self, query: SelectQuery) -> Tuple[RelationalPlan, CompiledPlan]:
+        """The query's plan with constants pre-resolved, memoized per store
+        generation (the serving layer replays identical parsed queries, so a
+        hit skips planning *and* every per-pattern constant lookup)."""
+        return self._bound_plans.get_or_bind(
+            query, self._plan_generation, lambda: self.plan(query), self.dictionary
+        )
+
+    def execute_capped(
+        self, query: SelectQuery, work_budget: float
+    ) -> Tuple[Optional[ExecutionResult], float]:
+        """Run with a cap; return ``(result_or_None, seconds)``.
+
+        The paper's counterfactual thread, stopped once it has run for
+        ``λ·c₁``: on budget exhaustion the result is ``None`` and the partial
+        work is priced as plain row scans.
+        """
+        try:
+            result = self.execute(query, work_budget=work_budget)
+            return result, result.seconds
+        except WorkBudgetExceeded as exc:
+            partial = WorkCounters(rows_scanned=int(exc.partial_work), queries_issued=1)
+            return None, self.cost_model.relational_query_seconds(partial)
+
+    def estimate_query_seconds(self, query: SelectQuery) -> float:
+        """Price a query from statistics only (the ideal/one-off tuners' path)."""
+        work = self.statistics().estimate_query_work(query)
+        counters = WorkCounters(rows_scanned=int(work), queries_issued=1)
+        return self.cost_model.relational_query_seconds(counters)
+
+    def content_token(self) -> int:
+        """A token that changes whenever the stored triples change.
+
+        Data mutations (``load``/``insert``/``delete``) bump it; physical
+        moves elsewhere in the dual store do not.  :mod:`repro.persist` keys
+        its dataset-fingerprint cache on this, so placement-only checkpoints
+        skip the full fingerprint pass."""
+        return self._plan_generation
 
     # ------------------------------------------------------------------ #
     # Query execution
@@ -326,10 +310,20 @@ class RelationalStore(PlannedStore):
         The payload's ``"engine"`` tag is not read: whatever engine wrote the
         snapshot (including the legacy ``"idspace"`` tag), the rows restore
         onto the production engine."""
-        store = cls(cost_model=cost_model, dictionary=dictionary)
-        store.table.load_rows(state["rows"])
+        store = cls._for_state(state, dictionary, cost_model)
+        if "rows" in state:
+            rows = state["rows"]
+        else:  # a sharded store of a build that kept one table per shard:
+            # shard by shard, so each predicate keeps the order it answered in
+            rows = [value for shard in state["shard_rows"] for value in shard]
+        store.table.load_rows(rows)
         store._statistics.install(
             store._plan_generation, TableStatistics.from_payload(state["statistics"])
         )
         store.total_insert_seconds = float(state["total_insert_seconds"])
         return store
+
+    @classmethod
+    def _for_state(cls, state: dict, dictionary, cost_model: CostModel) -> "RelationalStore":
+        """The empty store :meth:`restore_state` loads the rows into."""
+        return cls(cost_model=cost_model, dictionary=dictionary)

@@ -18,7 +18,7 @@ signatures untouched (the differential suites pin them bit-for-bit) and makes
 the probes literally free when no deadline is active — a single ``None``
 check at loop entry.
 
-Scope of coverage: the columnar relational engine
+Scope of coverage: the columnar relational engine, sharded or not
 (:mod:`repro.relstore.columnar`: a probe per block match and before each
 join's gather — whose size is known, and checked against the work budget,
 before it is allocated — then, while a deadline is active, between
@@ -26,14 +26,9 @@ before it is allocated — then, while a deadline is active, between
 and every :data:`PROBE_STRIDE` rows of the filter and materialize loops; a
 build side's group-index sort and DISTINCT's run unprobed), the graph matcher
 (:mod:`repro.graphstore.matcher`: a probe per pattern step and between the
-same gather chunks), the sharded coordinator's request thread
-(running the same execute loop), and the endpoint's result encoder (a
-probe per chunk of rows, under the deadline the endpoint opens at request
-admission).  The decode-per-row reference executor
-is an oracle and is not probed.  Scatter-pool probe threads do not see
-the request thread's ambient deadline (each shard probe is bounded by its
-shard's size); the coordinator's loop re-checks before and inside each join,
-which is what bounds end-to-end latency.
+same gather chunks), and the endpoint's result encoder (a probe per chunk of
+rows, under the deadline the endpoint opens at request admission).  The
+decode-per-row reference executor is an oracle and is not probed.
 """
 
 from __future__ import annotations

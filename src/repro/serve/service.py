@@ -20,10 +20,9 @@ on top, without changing any store or tuner semantics:
   state, so read-side parallelism is safe (see
   :class:`~repro.core.processor.QueryProcessor`'s concurrency contract);
 * **service metrics** (:mod:`repro.serve.metrics`): cache hit rates, p50/p95
-  latency, and queue depth — plus per-shard probe/queue-depth metrics
+  latency, and queue depth — plus per-shard modelled probe metrics
   (:meth:`QueryService.shard_metrics`) when the dual store's relational
-  master copy is a :class:`~repro.relstore.sharded.ShardedRelationalStore`
-  (the service then also owns a dedicated scatter pool for shard probes);
+  master copy is a :class:`~repro.relstore.sharded.ShardedRelationalStore`;
 * opt-in **online adaptive tuning** (:mod:`repro.serve.adaptive`, via
   ``ServiceConfig.adaptive``): served complex subqueries are harvested into
   a sliding :class:`~repro.serve.adaptive.WorkloadWindow` and a
@@ -221,8 +220,6 @@ class QueryService:
         self.metrics = ServiceMetrics()
         self._metrics_lock = threading.Lock()
         self._pool: Optional[ThreadPoolExecutor] = None
-        self._scatter_pool: Optional[ThreadPoolExecutor] = None
-        self._scatter_pool_denied = False
         self._pool_lock = threading.Lock()
         self._closed = False
         #: The online adaptive tuning subsystem (``None`` unless opted in via
@@ -296,18 +293,9 @@ class QueryService:
             self.dual.remove_mutation_listener(self._on_wal_event)
             self.delta_log.close()
         with self._pool_lock:
-            # Query pool first: waiting for it drains in-flight serves whose
-            # workers hold a reference to the scatter pool — shutting the
-            # scatter pool down first would crash their probe submission.
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
                 self._pool = None
-            if self._scatter_pool is not None:
-                backend = self.dual.relational
-                if isinstance(backend, ShardedRelationalStore):
-                    backend.detach_scatter_pool(self._scatter_pool)
-                self._scatter_pool.shutdown(wait=True)
-                self._scatter_pool = None
 
     def __enter__(self) -> "QueryService":
         return self
@@ -494,10 +482,6 @@ class QueryService:
     def _execute_all(
         self, plans: List[QueryPlan], deadline: Optional[Deadline] = None
     ) -> List[ProcessedQuery]:
-        if self.config.max_workers > 1:
-            # Shard-probe parallelism is independent of batch width: a single
-            # run_query over a sharded backend should scatter too.
-            self._ensure_scatter_pool()
         if len(plans) == 1 or self.config.max_workers <= 1:
             return [self._execute(plan, deadline) for plan in plans]
         pool = self._ensure_pool()
@@ -972,12 +956,11 @@ class QueryService:
     # Shard observability (sharded relational backends only)
     # ------------------------------------------------------------------ #
     def shard_metrics(self) -> Optional[List[Dict[str, float]]]:
-        """Per-shard queue-depth/latency snapshot, or ``None`` when the dual
+        """Per-shard modelled probe snapshot, or ``None`` when the dual
         store's relational master copy is not sharded.
 
         One dict per shard: probe counts, rows scanned, physical index
-        lookups, modelled busy seconds (mean/max per probe), and
-        current/peak in-flight probe depth.
+        lookups, and modelled busy seconds (mean/max per probe).
         """
         backend = self.dual.relational
         if isinstance(backend, ShardedRelationalStore):
@@ -999,33 +982,3 @@ class QueryService:
                     thread_name_prefix="repro-serve",
                 )
             return self._pool
-
-    def _ensure_scatter_pool(self) -> None:
-        backend = self.dual.relational
-        if not isinstance(backend, ShardedRelationalStore) or backend.shard_count <= 1:
-            return
-        with self._pool_lock:
-            if self._closed:
-                raise RuntimeError("QueryService is closed; create a new service to keep serving")
-            if self._scatter_pool is not None:
-                return
-            if self._scatter_pool_denied:
-                if backend.has_scatter_pool:
-                    return  # another service still provides the pool
-                # The previous owner closed and detached; try owning it now.
-                self._scatter_pool_denied = False
-            # Shard probes get their own pool: probes submitted to the query
-            # pool would deadlock once every query worker is blocked waiting
-            # on its own probes.
-            scatter_pool = ThreadPoolExecutor(
-                max_workers=min(backend.shard_count, self.config.max_workers * 2),
-                thread_name_prefix="repro-scatter",
-            )
-            if backend.attach_scatter_pool(scatter_pool):
-                self._scatter_pool = scatter_pool
-            else:
-                # Another service already provides the store's pool; ours
-                # would only be clobbering it.  Remembered so every later
-                # batch doesn't churn a throwaway pool.
-                self._scatter_pool_denied = True
-                scatter_pool.shutdown(wait=False)

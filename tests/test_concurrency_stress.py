@@ -1,6 +1,5 @@
 """Concurrency stress: a QueryService over a sharded store under mixed
-readers and mutators must never serve a stale cache hit or drop bindings
-in a shard merge.
+readers and mutators must never serve a stale cache hit or drop bindings.
 
 The stores' documented contract is that physical mutations must not run
 concurrently with query processing, so the harness wraps traffic in a
@@ -8,7 +7,7 @@ reader-writer lock: readers (service queries) share the store, mutators
 (insert / transfer / evict) take it exclusively.  What *is* being stressed
 is everything the serving layer owns — plan/result caches, generation
 validation, batch dedup, the execution pool, and the sharded store's
-scatter pool — all hammered from 8 threads at once.
+lazily filled placement memos — all hammered from 8 threads at once.
 
 Correctness oracle: every mutation bumps ``DualStore.generation``, and for
 each generation the first reader to see it computes the expected answer
@@ -17,7 +16,7 @@ equal the expectation of the generation it was served under:
 
 * a *stale cache hit* would surface an older generation's (different)
   answer — the mutators keep inserting rows that change it;
-* a *dropped shard-merge binding* would surface a subset of the expectation.
+* a *dropped binding* would surface a subset of the expectation.
 """
 
 from __future__ import annotations

@@ -285,10 +285,7 @@ class TestGraphStoreBudgetAtomicity:
 # Resident replicas are the master copy's blocks
 # --------------------------------------------------------------------------- #
 def _blocks_of(dual):
-    relational = dual.relational
-    tables = getattr(relational, "_tables", None) or [relational.table]
-    for table in tables:
-        yield from table._partition_columns.values()
+    yield from dual.relational.table._partition_columns.values()
     for predicate in dual.graph.loaded_predicates:
         yield dual.graph.partition_block(predicate)
 

@@ -15,8 +15,11 @@ Two properties carry the whole feature:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +44,7 @@ from repro.errors import SnapshotError, SnapshotIntegrityError
 from repro.persist import FORMAT_VERSION, dataset_fingerprint, list_snapshots
 from repro.persist import snapshot as snapshot_module
 from repro.rdf.dictionary import TermDictionary
+from repro.rdf.terms import IRI
 from repro.relstore.sharded import ShardingConfig
 from repro.sparql import parse_query
 
@@ -137,7 +141,7 @@ def test_restored_sharded_dualstore_preserves_placement_and_answers(
         assert warm_backend.shard_count == backend.shard_count
         assert warm_backend._placement == backend._placement
         assert warm_backend.subject_sharded_predicates() == backend.subject_sharded_predicates()
-        assert [len(t) for t in warm_backend._tables] == [len(t) for t in backend._tables]
+        assert warm_backend.shard_row_counts() == backend.shard_row_counts()
 
         for index, query in enumerate(queries):
             warm = restored.run_query(query)
@@ -148,13 +152,11 @@ def test_restored_sharded_dualstore_preserves_placement_and_answers(
 VARIABLE_PREDICATE = "SELECT ?s ?p ?o WHERE { ?s ?p ?o . }"
 
 
-def _global_order_rows(tables, order):
-    """Snapshot rows as older builds wrote them: every table's rows in global
-    insertion order (``order``), predicates interleaved."""
-    rows = [tables[0].dictionary.encode_triple(triple) for triple in order]
-    return [
-        [value for row in rows if row in table._row_set for value in row] for table in tables
-    ]
+def _global_order_rows(table, order):
+    """Snapshot rows as older builds wrote them: rows in global insertion
+    order (``order``), predicates interleaved."""
+    rows = [table.dictionary.encode_triple(triple) for triple in order]
+    return [value for row in rows if row in table._row_set for value in row]
 
 
 @pytest.mark.parametrize("shards", (None, 4))
@@ -180,7 +182,7 @@ def test_restore_equals_live_for_table_scans_and_reinserted_rows(shards, writer,
     ]
     live = [dual.relational.execute(query) for query in queries]
     partition = dual.relational.partition(moved.predicate)
-    assert moved in partition and (shards or partition[-1] == moved)
+    assert partition[-1] == moved
 
     dual.snapshot(tmp_path)
     restored = DualStore.restore(tmp_path)
@@ -188,18 +190,59 @@ def test_restore_equals_live_for_table_scans_and_reinserted_rows(shards, writer,
         assert_identical(answer, restored.relational.execute(query), f"restored[{index}]")
 
     backend = dual.relational
-    tables = backend._tables if shards else [backend.table]
     state = json.loads(json.dumps(backend.snapshot_state()))  # Python ints only
-    legacy = _global_order_rows(tables, order)
-    if shards is None:
-        state["rows"] = legacy[0]
-    else:
-        state["shard_rows"] = legacy
-    dictionary = TermDictionary.from_payload(tables[0].dictionary.to_payload())
+    state["rows"] = _global_order_rows(backend.table, order)
+    dictionary = TermDictionary.from_payload(backend.dictionary.to_payload())
     from_legacy = type(backend).restore_state(state, dictionary)
     assert from_legacy.snapshot_state() == backend.snapshot_state()
     for index, (query, answer) in enumerate(zip(queries, live)):
         assert_identical(answer, from_legacy.execute(query), f"legacy[{index}]")
+
+
+#: A snapshot written by a build that kept one triple table per shard.
+LEGACY_SHARDED = Path(__file__).with_name("fixtures") / "sharded_snapshot_legacy"
+
+
+def _answers_sha256(result) -> str:
+    lines = sorted(
+        " ".join(f"{name}={term.n3()}" for name, term in sorted(binding.items()))
+        for binding in result.bindings
+    )
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_per_shard_snapshot_of_an_older_build_restores(tmp_path):
+    """``fixtures/sharded_snapshot_legacy`` was written by a build that kept
+    one triple table per shard, so its ``relational.json`` carries per-shard
+    ``shard_rows``: ``DualStore(TUNER_CONFIG, shards=4, sharding=AGGRESSIVE)``
+    over ``generate_watdiv(800, seed=23)`` (five predicates promoted), with
+    the first triple deleted and re-inserted.  ``expected.json`` holds that
+    build's placement, per-shard row counts and, per query, the answers'
+    digest, work counters, seconds and scatter breakdown.  The snapshot
+    restores to all of them."""
+    root = tmp_path / "snapshot"
+    shutil.copytree(LEGACY_SHARDED / "snapshot", root)
+    (relational_file,) = root.glob("snapshot-*/relational.json")
+    assert "shard_rows" in json.loads(relational_file.read_text())
+    expected = json.loads((LEGACY_SHARDED / "expected.json").read_text())
+
+    backend = DualStore.restore(root).relational
+    assert backend.shard_count == 4
+    assert {value: backend.placement(IRI(value)) for value in expected["placement"]} == (
+        expected["placement"]
+    )
+    assert backend.shard_row_counts() == expected["shard_row_counts"]
+    assert [p.value for p in backend.subject_sharded_predicates()] == expected["subject_sharded"]
+    for index, case in enumerate(expected["queries"]):
+        result = backend.execute(parse_query(case["sparql"]))
+        assert len(result) == case["rows"], index
+        assert _answers_sha256(result) == case["answers_sha256"], index
+        assert result.counters.as_dict() == case["counters"], index
+        assert repr(result.seconds) == case["seconds"], index
+        scatter = result.scatter
+        assert [
+            repr(scatter.shard_seconds), repr(scatter.parallel_seconds), repr(scatter.serial_seconds)
+        ] == case["scatter"], index
 
 
 def test_dataset_fingerprint_is_layout_invariant(family_workloads, tmp_path):

@@ -170,9 +170,7 @@ def test_sharded_replay_preserves_placement_and_answers(family_cases, tmp_path):
         assert warm.generation == dual.generation
         assert warm.relational.shard_count == dual.relational.shard_count
         assert warm.relational._placement == dual.relational._placement
-        assert [len(t) for t in warm.relational._tables] == [
-            len(t) for t in dual.relational._tables
-        ]
+        assert warm.relational.shard_row_counts() == dual.relational.shard_row_counts()
         for index, query in enumerate(queries):
             replayed = warm.run_query(query)
             assert replayed.record.route == live[index].record.route, f"{label}[{index}]"

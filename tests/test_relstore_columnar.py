@@ -291,8 +291,7 @@ def test_legacy_engine_tags_restore_onto_the_production_engine(tag, shards, writ
 
     dictionary = TermDictionary.from_payload(live_dictionary.to_payload())
     restored = type(live).restore_state(payload, dictionary)
-    tables = [restored.table] if shards is None else restored._tables
-    assert all(type(table) is ColumnarTripleTable for table in tables)
+    assert type(restored.table) is ColumnarTripleTable
     assert restored.snapshot_state() == live.snapshot_state()
     for family in ("star", "snowflake"):
         for query in watdiv_workload(dataset, family=family, seed=3).randomized(seed=4):
@@ -305,26 +304,28 @@ def test_legacy_engine_tags_restore_onto_the_production_engine(tag, shards, writ
 # --------------------------------------------------------------------------- #
 # The sharded store runs the engine's one execute loop
 # --------------------------------------------------------------------------- #
-def test_sharded_join_over_a_placed_partition_memoizes_on_the_shard_block(writer):
-    """A predicate placed on one shard is answered from that shard's cached
-    block, uncopied, and the block rides along into the join — so the join's
-    group index is memoized on the shard's block exactly as the unsharded
-    store memoizes it on its table's.  (Before the loop was shared the
-    coordinator passed no block and sorted the build side on every join.)"""
+@pytest.mark.parametrize("promoted", [False, True], ids=["placed", "subject-sharded"])
+def test_sharded_join_memoizes_on_the_table_block(promoted, writer):
+    """The sharded store answers from its table's stored blocks, uncopied,
+    and the block rides along into the join — so the join's group index is
+    memoized on the block exactly as the unsharded store memoizes it, for a
+    predicate placed on one shard and for a subject-sharded one alike."""
+    from repro import ShardingConfig
+
     triples = [Triple(ex(f"s{i}"), ex("p"), ex(f"m{i % 7}")) for i in range(40)]
     triples += [Triple(ex(f"m{i}"), ex("q"), ex(f"t{i}")) for i in range(7)]
     query = parse_query(
         "SELECT ?s ?t WHERE { ?s <http://example.org/p> ?m . ?m <http://example.org/q> ?t . }"
     )
-    sharded = writer.write(ShardedRelationalStore(shards=3), triples)
-    assert not sharded.subject_sharded_predicates()
+    config = ShardingConfig(skew_threshold=0.2, min_subject_shard_rows=16) if promoted else None
+    sharded = writer.write(ShardedRelationalStore(shards=3, config=config), triples)
+    assert sharded.subject_sharded_predicates() == ([ex("p")] if promoted else [])
     plain = writer.write(RelationalStore(), triples)
 
-    def memoized(tables):
+    def memoized(table):
         """Per predicate id: which of (subjects, objects) carry a memo."""
         return {
             predicate_id: [index is not None for index in block.group_indexes]
-            for table in tables
             for predicate_id, block in table._partition_columns.items()
         }
 
@@ -333,8 +334,8 @@ def test_sharded_join_over_a_placed_partition_memoizes_on_the_shard_block(writer
     assert sharded_run.bindings == plain_run.bindings
     assert sharded_run.counters == plain_run.counters
     # Same triples in the same order: both dictionaries assign the same ids.
-    assert any(any(flags) for flags in memoized([plain.table]).values())
-    assert memoized(sharded._tables) == memoized([plain.table])
+    assert any(any(flags) for flags in memoized(plain.table).values())
+    assert memoized(sharded.table) == memoized(plain.table)
 
 
 # --------------------------------------------------------------------------- #

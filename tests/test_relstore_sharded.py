@@ -3,8 +3,6 @@ scatter-gather accounting, per-shard metrics, and backend conformance."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 
 from repro import DualStore, RelationalStore, ShardedRelationalStore, ShardingConfig
@@ -12,7 +10,6 @@ from repro.errors import WorkBudgetExceeded
 from repro.rdf.terms import IRI, Triple
 from repro.relstore.backend import RelationalBackend
 from repro.relstore.sharded import SUBJECT_SHARDED
-from repro.relstore.columnar import ColumnarTripleTable
 from repro.sparql.parser import parse_query
 
 
@@ -82,6 +79,30 @@ class TestSkewPromotion:
             t.n3() for t in triples_for("mega", 100)
         )
 
+    def test_shard_row_counts_follow_placement(self):
+        store = ShardedRelationalStore(
+            shards=4, config=ShardingConfig(skew_threshold=0.5, min_subject_shard_rows=8)
+        )
+        store.load(triples_for("mega", 100) + triples_for("tiny", 3))
+        counts = store.shard_row_counts()
+        assert sum(counts) == len(store) == 103
+        # 100 distinct subjects spread the mega-predicate over every shard.
+        assert all(counts)
+        store.delete(triples_for("tiny", 3)[0])
+        after = store.shard_row_counts()
+        assert after[store.placement(iri("tiny"))] == counts[store.placement(iri("tiny"))] - 1
+
+    def test_promoted_partition_is_the_stored_block_in_insertion_order(self):
+        store = ShardedRelationalStore(
+            shards=4, config=ShardingConfig(skew_threshold=0.5, min_subject_shard_rows=8)
+        )
+        data = triples_for("mega", 100)
+        store.load(data)
+        assert store.placement(iri("mega")) == SUBJECT_SHARDED
+        predicate_id = store.dictionary.lookup(iri("mega"))
+        assert store.partition_block(iri("mega")) is store.table.partition_columns(predicate_id)
+        assert store.partition(iri("mega")) == data
+
     def test_promotion_is_sticky_after_deletes(self):
         store = ShardedRelationalStore(
             shards=2, config=ShardingConfig(skew_threshold=0.1, min_subject_shard_rows=4)
@@ -111,24 +132,6 @@ class TestSkewPromotion:
         # A subject-bound lookup on a subject-sharded predicate probes exactly
         # one shard, charging one logical and one physical index lookup.
         assert result.counters.index_lookups == 1
-
-
-class TestExtractPredicate:
-    def test_extract_removes_rows_and_leaves_others(self):
-        table = ColumnarTripleTable()
-        keep = triples_for("keep", 5)
-        extract = triples_for("gone", 7)
-        table.insert_all(keep + extract)
-        predicate_id = table.dictionary.lookup(iri("gone"))
-        stamp = table.write_stamp(predicate_id)
-        removed = table.extract_predicate(predicate_id)
-        assert removed == [table.dictionary.encode_triple(triple) for triple in extract]
-        assert len(table) == 5
-        assert table.predicate_cardinality(iri("gone")) == 0
-        assert table.predicate_cardinality(iri("keep")) == 5
-        assert table.write_stamp(predicate_id) > stamp
-        assert table.predicates() == [iri("keep")]
-        assert table.extract_predicate(predicate_id) == []
 
 
 class TestScatterGatherExecution:
@@ -232,20 +235,57 @@ class TestScatterGatherExecution:
         assert cold.counters.index_lookups == 1
         assert warm.seconds == pytest.approx(cold.seconds, abs=0.0, rel=1e-12)
 
-    def test_pool_scatter_is_deterministic(self):
-        store = ShardedRelationalStore(
-            shards=4, config=ShardingConfig(skew_threshold=0.2, min_subject_shard_rows=4)
-        )
-        store.load(self._chain_data() + triples_for("mega", 60))
-        query = parse_query(self.QUERY)
-        serial = store.execute(query)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            store.attach_scatter_pool(pool)
-            pooled = store.execute(query)
-            store.detach_scatter_pool(pool)
-        assert store._scatter_pool is None
-        assert pooled.counters.as_dict() == serial.counters.as_dict()
-        assert pooled.bindings == serial.bindings  # same gather order, not just same set
+class TestConcurrentPricing:
+    def test_concurrent_first_executions_price_like_serial_ones(self):
+        """Readers racing to fill the per-term shard memo and the per-block
+        subject-shard memo must each price exactly what a serial run prices,
+        and the metrics board must lose no probe."""
+        import sys
+        import threading
+
+        data = TestScatterGatherExecution()._chain_data() + triples_for("mega", 300)
+        config = ShardingConfig(skew_threshold=0.2, min_subject_shard_rows=4)
+        queries = [
+            parse_query(TestScatterGatherExecution.QUERY),
+            parse_query("SELECT ?s ?o WHERE { ?s <http://example.org/mega> ?o . }"),
+            parse_query("SELECT ?s WHERE { ?s <http://example.org/mega> <http://example.org/o3> . }"),
+            parse_query("SELECT ?o WHERE { <http://example.org/s7> <http://example.org/mega> ?o . }"),
+        ]
+        serial = ShardedRelationalStore(shards=4, config=config)
+        serial.load(data)
+        expected = [(result.seconds, result.scatter) for result in map(serial.execute, queries)]
+        racing = ShardedRelationalStore(shards=4, config=config)
+        racing.load(data)
+        assert racing.subject_sharded_predicates() == [iri("mega")]
+        threads_count, rounds = 8, 5
+        barrier = threading.Barrier(threads_count)
+        errors = []
+
+        def reader(offset: int) -> None:
+            barrier.wait(timeout=30)
+            for round_index in range(rounds):
+                index = (offset + round_index) % len(queries)
+                result = racing.execute(queries[index])
+                if (result.seconds, result.scatter) != expected[index]:
+                    errors.append((index, result.seconds, result.scatter))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(i,)) for i in range(threads_count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        # The serial store ran every query once, the racing one each query
+        # threads_count * rounds / len(queries) = 10 times.
+        probes = sum(entry["probes"] for entry in racing.shard_metrics.snapshot())
+        serial_probes = sum(entry["probes"] for entry in serial.shard_metrics.snapshot())
+        assert serial_probes > 0 and probes == 10 * serial_probes
 
 
 class TestShardMetricsBoard:
@@ -258,8 +298,6 @@ class TestShardMetricsBoard:
         assert len(probed) == 1  # predicate-sharded scan touches one shard
         assert probed[0]["rows_scanned"] == 10.0
         assert probed[0]["busy_seconds"] > 0.0
-        assert probed[0]["queue_depth"] == 0.0
-        assert probed[0]["peak_queue_depth"] >= 1.0
 
 
 class TestBackendConformance:

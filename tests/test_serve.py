@@ -520,16 +520,23 @@ class TestShardedServing:
         assert service.shard_metrics() is None
 
     def test_shard_metrics_exposed_per_shard(self, sharded_dual, dataset):
+        """Each shard's busy seconds are the modelled probe seconds the
+        served queries' scatter breakdowns charged it."""
         workload = yago_workload(dataset)
         batch = workload.batches("ordered")[0]
+        charged = [0.0] * 4
         with QueryService(sharded_dual) as service:
-            service.run_batch(batch)
+            for query in batch:
+                served = service.run_query(query)
+                if not served.record.from_cache:
+                    for shard, seconds in enumerate(served.result.scatter.shard_seconds):
+                        charged[shard] += seconds
             snapshot = service.shard_metrics()
-            assert snapshot is not None and len(snapshot) == 4
-            assert sum(entry["probes"] for entry in snapshot) > 0
-            assert all(entry["queue_depth"] == 0.0 for entry in snapshot)
-            for entry in snapshot:
-                assert {"busy_seconds", "mean_probe_seconds", "max_probe_seconds", "peak_queue_depth"} <= set(entry)
+        assert snapshot is not None and len(snapshot) == 4
+        assert sum(entry["probes"] for entry in snapshot) > 0
+        for entry, seconds in zip(snapshot, charged):
+            assert {"busy_seconds", "mean_probe_seconds", "max_probe_seconds"} <= set(entry)
+            assert entry["busy_seconds"] == pytest.approx(seconds, rel=1e-12, abs=0.0)
 
     def test_sharded_batch_matches_unsharded_loop(self, sharded_dual, dual, dataset, fingerprint):
         workload = yago_workload(dataset)
@@ -542,25 +549,6 @@ class TestShardedServing:
             assert warm.record.route == cold.record.route
             assert warm.result.counters.as_dict() == cold.result.counters.as_dict()
 
-    def test_scatter_pool_lifecycle_follows_the_service(self, sharded_dual, dataset):
-        workload = yago_workload(dataset)
-        batch = workload.batches("ordered")[0]
-        service = QueryService(sharded_dual)
-        service.run_batch(batch)  # spins up both pools
-        backend = sharded_dual.relational
-        assert service._scatter_pool is not None
-        assert backend._scatter_pool is service._scatter_pool
-        service.close()
-        assert service._scatter_pool is None
-        assert backend._scatter_pool is None
-
-    def test_run_query_alone_attaches_the_scatter_pool(self, sharded_dual):
-        with QueryService(sharded_dual) as service:
-            service.run_query(ADVISOR_QUERY)  # no batch, still scatters
-            assert service._scatter_pool is not None
-            assert sharded_dual.relational._scatter_pool is service._scatter_pool
-            assert service._pool is None  # the batch pool stays down
-
     def test_cached_results_keep_their_scatter_breakdown(self, sharded_dual):
         with QueryService(sharded_dual) as service:
             cold = service.run_query(ADVISOR_QUERY)
@@ -568,35 +556,6 @@ class TestShardedServing:
             assert warm.record.from_cache
             assert cold.result.scatter is not None
             assert warm.result.scatter == cold.result.scatter
-
-    def test_second_service_does_not_clobber_the_first_services_scatter_pool(
-        self, sharded_dual, dataset
-    ):
-        workload = yago_workload(dataset)
-        batch = workload.batches("ordered")[0]
-        backend = sharded_dual.relational
-        with QueryService(sharded_dual) as first:
-            first.run_batch(batch)
-            owner_pool = backend._scatter_pool
-            assert owner_pool is first._scatter_pool is not None
-            with QueryService(sharded_dual) as second:
-                second.run_batch(batch)
-                # The first attachment wins; the second serves without one.
-                assert backend._scatter_pool is owner_pool
-                assert second._scatter_pool is None
-            # Closing the second service must leave the first's pool working.
-            assert backend._scatter_pool is owner_pool
-            again = first.run_batch(batch)
-            assert len(again) == len(batch)
-        assert backend._scatter_pool is None  # released by its owner
-
-    def test_single_worker_service_never_attaches_a_scatter_pool(self, sharded_dual, dataset):
-        workload = yago_workload(dataset)
-        batch = workload.batches("ordered")[0]
-        with QueryService(sharded_dual, ServiceConfig(max_workers=1)) as service:
-            service.run_batch(batch)
-            assert service._scatter_pool is None
-            assert sharded_dual.relational._scatter_pool is None
 
 
 # ---------------------------------------------------------------------- #
