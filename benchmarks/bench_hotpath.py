@@ -13,11 +13,11 @@ Protocol
 For each dataset scale, the join-heavy WatDiv stand-in templates (snowflake +
 complex families, ≥ 3 patterns each) run through
 
-* ``RelationalStore(engine="reference")`` — the decode-per-row oracle, the
-  baseline, and
-* ``RelationalStore(engine="columnar")`` — the production engine: numpy batch
-  kernels over term-id columns (plan memo warm after the first pass, the
-  serving-layer reality).
+* ``ReferenceStore()`` — the decode-per-row oracle of
+  ``tests/relational_oracle.py``, the baseline, and
+* ``RelationalStore()`` — the production engine: numpy batch kernels over
+  term-id columns (plan memo warm after the first pass, the serving-layer
+  reality).
 
 Each gets ``BENCH_HOTPATH_REPEATS`` timed passes; the best pass counts.
 Before timing counts, all results are checked byte-identical (bindings,
@@ -29,7 +29,8 @@ must beat the reference by ``BENCH_HOTPATH_MIN_COLUMNAR_SPEEDUP`` (default
 below; CI's perf-smoke job runs small scales with a conservative floor since
 shared runners are noisy and the columnar advantage grows with scale).
 
-Run with::
+The script puts ``src/`` and ``tests/`` on ``sys.path`` itself (the oracle is
+test code, not part of the package).  Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_hotpath.py -q -s
     # or, standalone:
@@ -45,10 +46,12 @@ import sys
 import time
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_ROOT / "src", _ROOT / "tests"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
+from relational_oracle import ReferenceStore  # noqa: E402
 from repro import RelationalStore, generate_watdiv, watdiv_workload  # noqa: E402
 from repro.relstore.executor import relational_work_units  # noqa: E402
 
@@ -61,7 +64,7 @@ SCALES = tuple(
 MIN_COLUMNAR_SPEEDUP = float(os.environ.get("BENCH_HOTPATH_MIN_COLUMNAR_SPEEDUP", "20.0"))
 REPEATS = int(os.environ.get("BENCH_HOTPATH_REPEATS", "3"))
 SEED = 7
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
+OUTPUT = _ROOT / "BENCH_hotpath.json"
 
 
 def _join_heavy_queries(dataset):
@@ -113,8 +116,8 @@ def test_engines_beat_their_baselines_on_join_heavy_templates():
         dataset = generate_watdiv(target_triples=scale, seed=SEED)
         queries = _join_heavy_queries(dataset)
 
-        reference = RelationalStore(engine="reference")
-        columnar = RelationalStore(engine="columnar")
+        reference = ReferenceStore()
+        columnar = RelationalStore()
         for store in (reference, columnar):
             store.load(dataset.triples)
 

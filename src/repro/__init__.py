@@ -108,7 +108,6 @@ from repro.relstore import (
     RelationalStore,
     ShardedRelationalStore,
     ShardingConfig,
-    SQLiteBackend,
 )
 from repro.serve import (
     AdaptiveConfig,
@@ -169,7 +168,6 @@ __all__ = [
     "RelationalStore",
     "ShardedRelationalStore",
     "ShardingConfig",
-    "SQLiteBackend",
     "GraphStore",
     # cost
     "CostModel",

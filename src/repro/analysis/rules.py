@@ -1,4 +1,4 @@
-"""The project's invariant rules (``REP001``–``REP008``).
+"""The project's invariant rules (``REP001``–``REP009``).
 
 Each rule encodes one convention the serving system depends on; the rule
 docstrings are the normative statement, ``docs/architecture.md`` §11 the
@@ -25,6 +25,7 @@ __all__ = [
     "MutationHookRule",
     "BatchDecodeRule",
     "ColumnarResultRule",
+    "OracleImportRule",
     "DEFAULT_RULES",
 ]
 
@@ -632,6 +633,58 @@ class ColumnarResultRule(Rule):
             )
 
 
+# --------------------------------------------------------------------- #
+# REP009 — the oracles stay with the tests
+# --------------------------------------------------------------------- #
+class OracleImportRule(Rule):
+    """Nothing under ``src/`` imports from ``tests/`` (the ``tests``
+    package or its oracle modules), and nothing under ``relstore/`` imports
+    a SQLite driver.
+
+    The engines' oracles — the decode-per-row relational store, the
+    object-space graph matcher, the SQLite backend — are test code: the
+    shipped package must run, and import, without them.  An import from
+    ``tests/`` works only from a checkout; a SQLite driver in the relational
+    store is an oracle's storage creeping back into the system.
+    """
+
+    name = "REP009"
+    description = (
+        "src/: no import from tests/ or its oracle modules; "
+        "relstore/: no SQLite driver import"
+    )
+
+    #: Top-level module names that only resolve with ``tests/`` on the path.
+    TEST_MODULES = frozenset(
+        ["tests", "conftest", "graph_oracle", "relational_oracle", "sql_oracle"]
+    )
+
+    @staticmethod
+    def _imported_modules(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
+        """``(node, top-level module)`` of every absolute import."""
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield node, alias.name.split(".")[0]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                yield node, node.module.split(".")[0]
+
+    def check(self, module: LintModule) -> Iterator[Finding]:
+        in_relstore = module.subpath.startswith("relstore/")
+        for node, top in self._imported_modules(module.tree):
+            if top in self.TEST_MODULES:
+                yield self.finding(
+                    module, node, f"import of test module {top!r}; oracles live in tests/"
+                )
+            elif in_relstore and top.startswith("sqlite"):
+                yield self.finding(
+                    module,
+                    node,
+                    f"relstore/ imports the SQLite driver {top!r}; the SQLite "
+                    "oracle lives in tests/",
+                )
+
+
 DEFAULT_RULES: Tuple[Rule, ...] = (
     ClockDisciplineRule(),
     ThreadDisciplineRule(),
@@ -641,4 +694,5 @@ DEFAULT_RULES: Tuple[Rule, ...] = (
     MutationHookRule(),
     BatchDecodeRule(),
     ColumnarResultRule(),
+    OracleImportRule(),
 )

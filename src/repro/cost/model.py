@@ -18,13 +18,13 @@ workloads are ~100–1000× smaller than the paper's), so the crossover
 behaviour — the graph store paying off for complex queries, the relational
 store winning simple lookups — lands at the same *relative* position.
 
-The model prices **logical work counters only**.  The production columnar
-engine and its decode-per-row reference oracle charge every counter at the
-same pipeline points (per row an access path covers, per tuple a join
-produces, per logical index lookup, per emitted result), so the modelled
-seconds of a query are *engine-invariant by construction*: swapping engines
-changes wall-clock, never a single modelled number.  ``tests/test_differential_engine.py`` pins
-this bit-identity.
+The model prices **logical work counters only**.  The columnar engine and
+its decode-per-row oracle (``tests/relational_oracle.py``) charge every
+counter at the same pipeline points (per row an access path covers, per
+tuple a join produces, per logical index lookup, per emitted result), so the
+modelled seconds of a query are *engine-invariant by construction*: swapping
+engines changes wall-clock, never a single modelled number.
+``tests/test_differential_engine.py`` pins this bit-identity.
 Absolute values are irrelevant for the reproduction (our substrate is a
 simulator, not the authors' testbed); what matters is that the *relative*
 behaviour — relational cost scaling with data size, graph cost scaling with

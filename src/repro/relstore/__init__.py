@@ -1,7 +1,7 @@
-"""Relational store (MySQL stand-in): triple table, planner, executor, views, SQLite, shards."""
+"""Relational store (MySQL stand-in): triple table, planner, engine, views, shards."""
 
 from repro.relstore.backend import RelationalBackend
-from repro.relstore.columnar import ColumnarExecutor, ColumnarTripleTable
+from repro.relstore.columnar import ColumnarTripleTable
 from repro.relstore.executor import (
     BoundPlanCache,
     CompiledPlan,
@@ -10,11 +10,8 @@ from repro.relstore.executor import (
     relational_work_units,
 )
 from repro.relstore.planner import PatternAccess, RelationalPlan, plan_query
-from repro.relstore.reference import ReferenceExecutor
 from repro.relstore.sharded import ShardedRelationalStore, ShardingConfig, ShardMetricsBoard
-from repro.relstore.sql_compiler import CompiledSQL, compile_select
-from repro.relstore.sqlite_backend import SQLiteBackend
-from repro.relstore.stats import TableStatistics, collect_statistics
+from repro.relstore.stats import TableStatistics
 from repro.relstore.store import RelationalStore
 from repro.relstore.views import MaterializedView, MaterializedViewManager, canonical_pattern_key
 
@@ -25,8 +22,6 @@ __all__ = [
     "ShardingConfig",
     "ShardMetricsBoard",
     "ColumnarTripleTable",
-    "ColumnarExecutor",
-    "ReferenceExecutor",
     "BoundPlanCache",
     "CompiledPlan",
     "compile_pattern",
@@ -36,11 +31,7 @@ __all__ = [
     "PatternAccess",
     "plan_query",
     "TableStatistics",
-    "collect_statistics",
     "MaterializedView",
     "MaterializedViewManager",
     "canonical_pattern_key",
-    "CompiledSQL",
-    "compile_select",
-    "SQLiteBackend",
 ]

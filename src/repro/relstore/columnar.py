@@ -28,7 +28,7 @@ columns**, ``int64`` numpy vectors:
 
 **Work-accounting contract.**  The logical
 :class:`~repro.cost.counters.WorkCounters` are bit-identical to the
-decode-per-row oracle (:mod:`repro.relstore.reference`): ``rows_scanned`` is
+decode-per-row oracle (``tests/relational_oracle.py``): ``rows_scanned`` is
 charged per row a block covers (the block length — matching or not, exactly
 what a row loop over the access path visits), ``rows_joined`` per produced
 join tuple (the gather length), ``index_lookups`` once per index step, and
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import repeat
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from repro.cost.counters import WorkCounters
 from repro.errors import QueryExecutionError, StorageError
 from repro.execution import ExecutionResult, ResultColumns, ResultTable
 from repro.rdf.dictionary import EncodedTriple as Row, TermDictionary
-from repro.rdf.terms import IRI, Literal, Triple
+from repro.rdf.terms import IRI, XSD_DOUBLE, XSD_INTEGER, Literal, TermLike, Triple, Variable
 from repro.resilience.deadline import PROBE_STRIDE, current_deadline
 from repro.sparql.ast import Binding, SelectQuery
 
@@ -61,18 +61,12 @@ from repro.relstore.executor import (
     CompiledPlan,
     CompiledStep,
     QueryTermSpace,
-    _TRUE_ON_EQUAL,
-    _UNSAFE_EQUAL_DATATYPES,
-    _compile_filter_side,
     check_work_budget,
-    compile_plan,
 )
-from repro.relstore.planner import RelationalPlan
 from repro.relstore.stats import PredicateStatistics
 
 __all__ = [
     "ColumnarTripleTable",
-    "ColumnarExecutor",
     "execute_compiled",
     "ColumnBlock",
 ]
@@ -425,7 +419,7 @@ class ColumnarTripleTable:
             max_object_rows=int(object_rows.max()) if len(object_rows) else 0,
         )
 
-    # -- blocks and the row views over them ----------------------------- #
+    # -- blocks ---------------------------------------------------------- #
     def partition_columns(self, predicate_id: int) -> ColumnBlock:
         """The block of one predicate (an empty one when it has no rows)."""
         block = self._partition_columns.get(predicate_id)
@@ -450,32 +444,6 @@ class ColumnarTripleTable:
                 len(predicates),
             )
         return self._full_columns
-
-    def _block_rows(self, predicate_id: int, subjects, objects) -> Iterator[Row]:
-        return zip(subjects.tolist(), repeat(predicate_id), objects.tolist())
-
-    def scan(self) -> Iterator[Row]:
-        """Every row, in table-scan order."""
-        for predicate_id in sorted(self._partition_columns):
-            yield from self.scan_predicate(predicate_id)
-
-    def scan_predicate(self, predicate_id: int) -> Iterator[Row]:
-        """One predicate's rows in insertion order."""
-        block = self.partition_columns(predicate_id)
-        return self._block_rows(predicate_id, block.subjects, block.objects)
-
-    def lookup_subject(self, predicate_id: int, subject_id: int) -> Iterator[Row]:
-        """The rows of one ``(predicate, subject)`` key, in insertion order."""
-        return self._lookup(predicate_id, 0, subject_id)
-
-    def lookup_object(self, predicate_id: int, object_id: int) -> Iterator[Row]:
-        """The rows of one ``(predicate, object)`` key, in insertion order."""
-        return self._lookup(predicate_id, 1, object_id)
-
-    def _lookup(self, predicate_id: int, column: int, key: int) -> Iterator[Row]:
-        block = self.partition_columns(predicate_id)
-        selection = equal_selection([(block[column], key)], [])
-        return self._block_rows(predicate_id, block.subjects[selection], block.objects[selection])
 
     def contains(self, triple: Triple) -> bool:
         row = tuple(self.dictionary.lookup_many((triple.subject, triple.predicate, triple.object)))
@@ -624,9 +592,8 @@ def match_index_block(
     """A point lookup served as a mask over the partition block.
 
     Emits the same rows — in the same order — and charges the same
-    ``rows_scanned`` as the oracle's walk of the table's
-    ``lookup_subject``/``lookup_object`` view: the rows of the ``(predicate,
-    key)`` bucket in insertion order, so ``rows_scanned`` is the bucket
+    ``rows_scanned`` as the oracle's walk of the ``(predicate, key)``
+    bucket: its rows in insertion order, so ``rows_scanned`` is the bucket
     length.
     """
     deadline = current_deadline()
@@ -682,9 +649,9 @@ def join_block(
 ) -> Tuple[Tuple[str, ...], List[object], int]:
     """Hash-join a pattern block into the columnar pipeline.
 
-    Mirrors the oracle's :func:`~repro.relstore.executor.join_pattern_rows`
-    decision for decision — the empty guard, the pipeline-seed handover,
-    shared-key probing versus the cartesian fallback — and charges
+    Mirrors the oracle's ``join_pattern_rows`` decision for decision — the
+    empty guard, the pipeline-seed handover, shared-key probing versus the
+    cartesian fallback — and charges
     ``rows_joined`` per produced tuple, so counters and output order are
     bit-identical.
 
@@ -783,8 +750,7 @@ def join_columnar_table(
 ) -> Tuple[Tuple[str, ...], List[object], int]:
     """Join a migrated intermediate-result table into the columnar pipeline.
 
-    Charging mirrors the oracle's
-    :func:`~repro.relstore.executor.join_result_table`: the table's rows are
+    Charging mirrors the oracle's ``join_result_table``: the table's rows are
     charged (as view rows when ``as_view``) only when the pipeline is
     non-empty, then the join itself runs through :func:`join_block` (whose
     seed/cartesian branches reproduce the oracle's output order and
@@ -801,6 +767,33 @@ def join_columnar_table(
         counters.rows_scanned += len(table)
     block_cols = table_id_columns(table, space)
     return join_block(schema, cols, count, table_vars, block_cols, len(table), counters, work_budget)
+
+
+# ---------------------------------------------------------------------- #
+# FILTER on id columns
+# ---------------------------------------------------------------------- #
+#: Filter operand lowered to ID space: ('var', schema position, name),
+#: ('const', id, term), or ('unbound', 0, None).
+_FilterSide = Tuple[str, int, Optional[TermLike]]
+
+#: Operators that hold between a term and itself.
+_TRUE_ON_EQUAL = frozenset({"=", "<=", ">="})
+
+#: Literal datatypes whose ``to_python`` conversion can misbehave — a double
+#: may be NaN (fails even reflexive comparison) and a malformed integer
+#: lexical raises ``ValueError`` — so equal ids settle nothing for them and
+#: the filter must delegate to :meth:`Filter.evaluate` like the oracle.
+_UNSAFE_EQUAL_DATATYPES = frozenset({XSD_DOUBLE, XSD_INTEGER})
+
+
+def _compile_filter_side(
+    term: TermLike, schema: Tuple[str, ...], space: QueryTermSpace
+) -> _FilterSide:
+    if isinstance(term, Variable):
+        if term.name in schema:
+            return ("var", schema.index(term.name), None)
+        return ("unbound", 0, None)
+    return ("const", space.encode(term), term)
 
 
 def _filter_selection(
@@ -994,31 +987,3 @@ def execute_compiled(
         check_work_budget(counters, work_budget)
 
     return finish_columnar_pipeline(schema, cols, count, query, counters, space)
-
-
-class ColumnarExecutor:
-    """Evaluates plans against one :class:`ColumnarTripleTable`;
-    signature-compatible with
-    :class:`~repro.relstore.reference.ReferenceExecutor`."""
-
-    def __init__(self, table: ColumnarTripleTable):
-        self._table = table
-
-    def execute(
-        self,
-        query: SelectQuery,
-        plan: RelationalPlan,
-        work_budget: Optional[float] = None,
-        extra_tables: Optional[Iterable[ResultTable]] = None,
-        tables_are_views: bool = False,
-        compiled: Optional[CompiledPlan] = None,
-    ) -> ExecutionResult:
-        """Run ``plan``; ``compiled`` is the plan with constants pre-resolved
-        (the store's bound-plan memo provides it), compiled here if absent."""
-        table = self._table
-        if compiled is None:
-            compiled = compile_plan(plan, table.dictionary)
-        return execute_compiled(
-            query, compiled, table.dictionary, table.step_block,
-            work_budget, extra_tables, tables_are_views,
-        )

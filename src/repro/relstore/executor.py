@@ -1,6 +1,5 @@
-"""What every relational executor shares: plan compilation, the execution
-term space, the bound-plan memo, work budgets — and the term-space pipeline
-of the reference oracle.
+"""What the relational engine runs on besides its kernels: plan compilation,
+the execution term space, the bound-plan memo and work budgets.
 
 * **Plan compilation.**  :func:`compile_plan` resolves the constants of every
   plan step to integer term ids once per store generation
@@ -11,23 +10,13 @@ of the reference oracle.
   execution-local negative ids for terms only a migrated intermediate-result
   table carries, so a whole pipeline runs on integers and a result's id
   columns can be decoded late, in batch.
-* **Filter operands.**  Equal ids prove term equality, so ``=``/``<=``/``>=``
-  hold and ``!=``/``<``/``>`` fail without decoding — except for the numeric
-  datatypes in ``_UNSAFE_EQUAL_DATATYPES``; different ids settle nothing (two
-  distinct terms, e.g. ``"5"^^xsd:integer`` vs ``"5.0"^^xsd:double``, may
-  still compare equal by value).
 * **Work budgets.**  :func:`check_work_budget` aborts an execution with
   :class:`~repro.errors.WorkBudgetExceeded` once the accumulated work exceeds
   the cap, which is how the tuner's counterfactual scenario stops the
   relational run at ``λ·c₁``.
-* **The reference pipeline.**  ``bind_pattern_row``, ``join_pattern_rows``,
-  ``join_result_table``, ``finish_pipeline``, ... decode every scanned row
-  into term objects and join dictionaries of those terms.  Only
-  :mod:`repro.relstore.reference` calls them; they define the charging points
-  (``rows_scanned`` per row an access path yields, ``rows_joined`` per tuple a
-  join produces, ``index_lookups`` per index step, ``results_produced`` after
-  LIMIT) the production engine is held to, bit for bit, by
-  ``tests/test_differential_engine.py``.
+
+The engine's decode-per-row oracle, whose charging points the engine is held
+to bit for bit, lives with the tests (``tests/relational_oracle.py``).
 """
 
 from __future__ import annotations
@@ -39,11 +28,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cost.counters import WorkCounters
 from repro.errors import WorkBudgetExceeded
-from repro.execution import ExecutionResult, ResultTable
-from repro.rdf.dictionary import EncodedTriple, TermDictionary
-from repro.rdf.terms import XSD_DOUBLE, XSD_INTEGER, TermLike, Variable
-from repro.sparql.ast import Binding, Filter, SelectQuery, TriplePattern
-from repro.sparql.algebra import merge_bindings
+from repro.rdf.dictionary import TermDictionary
+from repro.rdf.terms import TermLike, Variable
+from repro.sparql.ast import TriplePattern
 
 from repro.relstore.planner import RelationalPlan
 
@@ -56,15 +43,6 @@ __all__ = [
     "compile_pattern",
     "compile_plan",
     "BoundPlanCache",
-    # Term-space helpers (the reference executor's pipeline)
-    "bind_pattern_row",
-    "join_pattern_rows",
-    "join_result_table",
-    "join_extra_tables",
-    "finish_pipeline",
-    "apply_filters",
-    "project_bindings",
-    "distinct_bindings",
     "check_work_budget",
 ]
 
@@ -303,153 +281,6 @@ class BoundPlanCache:
             return len(self._entries)
 
 
-# -- Filter operands (shared with the columnar filter kernel) ----------- #
-#: Filter operand lowered to ID space: ('var', schema position, name),
-#: ('const', id, term), or ('unbound', 0, None).
-_FilterSide = Tuple[str, int, Optional[TermLike]]
-
-#: Operators that hold between a term and itself.
-_TRUE_ON_EQUAL = frozenset({"=", "<=", ">="})
-
-#: Literal datatypes whose ``to_python`` conversion can misbehave — a double
-#: may be NaN (fails even reflexive comparison) and a malformed integer
-#: lexical raises ``ValueError`` — so equal ids settle nothing for them and
-#: the filter must delegate to :meth:`Filter.evaluate` like the reference.
-_UNSAFE_EQUAL_DATATYPES = frozenset({XSD_DOUBLE, XSD_INTEGER})
-
-
-def _compile_filter_side(
-    term: TermLike, schema: Tuple[str, ...], space: QueryTermSpace
-) -> _FilterSide:
-    if isinstance(term, Variable):
-        if term.name in schema:
-            return ("var", schema.index(term.name), None)
-        return ("unbound", 0, None)
-    return ("const", space.encode(term), term)
-
-
-# ---------------------------------------------------------------------- #
-# Term-space evaluation primitives (the retained reference path)
-# ---------------------------------------------------------------------- #
-def bind_pattern_row(
-    dictionary: TermDictionary, pattern: TriplePattern, row: EncodedTriple
-) -> Optional[Binding]:
-    """Match one stored row against a pattern, producing a decoded binding.
-
-    This is the decode-per-row reference path (three decodes per row); the
-    production engine matches id columns and decodes only what a caller reads.
-    """
-    binding: Binding = {}
-    for term, term_id in zip((pattern.subject, pattern.predicate, pattern.object), row):
-        if isinstance(term, Variable):
-            value = dictionary.decode(term_id)
-            existing = binding.get(term.name)
-            if existing is not None and existing != value:
-                return None
-            binding[term.name] = value
-        else:
-            stored: TermLike = dictionary.decode(term_id)
-            if stored != term:
-                return None
-    return binding
-
-
-def join_pattern_rows(
-    bindings: List[Binding],
-    pattern: TriplePattern,
-    pattern_rows: List[Binding],
-    counters: WorkCounters,
-) -> List[Binding]:
-    """Hash-join already-materialized pattern bindings into the pipeline.
-
-    Charges ``rows_joined`` per produced tuple.
-    """
-    if not bindings or not pattern_rows:
-        return []
-
-    if bindings == [{}]:
-        counters.rows_joined += len(pattern_rows)
-        return pattern_rows
-    return _merge_join(bindings, pattern_rows, _shared_variable_names(bindings[0], pattern), counters)
-
-
-def join_result_table(
-    bindings: List[Binding],
-    table: ResultTable,
-    counters: WorkCounters,
-    as_view: bool = False,
-) -> List[Binding]:
-    """Join a migrated intermediate-result table into the pipeline.
-
-    Like :func:`join_pattern_rows`, the join runs on a hash index over the
-    variables the table shares with the pipeline; the nested-loop cartesian
-    merge only remains for tables sharing no variable at all.
-    """
-    if not bindings:
-        return []
-    if as_view:
-        counters.view_rows_scanned += len(table)
-    else:
-        counters.rows_scanned += len(table)
-    table_bindings = table.to_bindings()
-    if bindings == [{}]:
-        counters.rows_joined += len(table_bindings)
-        return table_bindings
-    shared = sorted(set(bindings[0]) & set(table.variables))
-    return _merge_join(bindings, table_bindings, shared, counters)
-
-
-def _merge_join(
-    bindings: List[Binding], rows: List[Binding], shared: List[str], counters: WorkCounters
-) -> List[Binding]:
-    """Hash-join ``rows`` into ``bindings`` on the ``shared`` variables — a
-    cartesian merge when there are none — charging ``rows_joined`` per
-    produced tuple."""
-    output: List[Binding] = []
-    if shared:
-        index: Dict[tuple, List[Binding]] = {}
-        for row in rows:
-            index.setdefault(tuple(row[name] for name in shared), []).append(row)
-        for binding in bindings:
-            for row in index.get(tuple(binding[name] for name in shared), ()):
-                merged = merge_bindings(binding, row)
-                if merged is not None:
-                    output.append(merged)
-    else:
-        for binding in bindings:
-            for row in rows:
-                merged = merge_bindings(binding, row)
-                if merged is not None:
-                    output.append(merged)
-    counters.rows_joined += len(output)
-    return output
-
-
-def apply_filters(bindings: List[Binding], filters: tuple[Filter, ...]) -> List[Binding]:
-    if not filters:
-        return bindings
-    return [b for b in bindings if all(f.evaluate(b) for f in filters)]
-
-
-def project_bindings(bindings: List[Binding], query: SelectQuery) -> List[Binding]:
-    names = query.projected_names()
-    projected: List[Binding] = []
-    for binding in bindings:
-        projected.append({name: binding[name] for name in names if name in binding})
-    return projected
-
-
-def distinct_bindings(bindings: List[Binding], names: tuple[str, ...]) -> List[Binding]:
-    seen: set[tuple] = set()
-    unique: List[Binding] = []
-    for binding in bindings:
-        key = tuple(binding.get(name) for name in names)
-        if key not in seen:
-            seen.add(key)
-            unique.append(binding)
-    return unique
-
-
 def check_work_budget(counters: WorkCounters, work_budget: Optional[float]) -> None:
     if work_budget is None:
         return
@@ -459,41 +290,3 @@ def check_work_budget(counters: WorkCounters, work_budget: Optional[float]) -> N
             f"relational execution exceeded its work budget ({spent:.0f} > {work_budget:.0f})",
             partial_work=spent,
         )
-
-
-def join_extra_tables(
-    bindings: List[Binding],
-    extra_tables: Optional[Iterable[ResultTable]],
-    counters: WorkCounters,
-    tables_are_views: bool,
-    work_budget: Optional[float],
-) -> List[Binding]:
-    """The pipeline prologue: join migrated tables, budget-checked per table."""
-    for table in extra_tables or ():
-        bindings = join_result_table(bindings, table, counters, as_view=tables_are_views)
-        check_work_budget(counters, work_budget)
-    return bindings
-
-
-def finish_pipeline(
-    bindings: List[Binding], query: SelectQuery, counters: WorkCounters
-) -> ExecutionResult:
-    """The term-space pipeline epilogue: filters, projection, DISTINCT,
-    LIMIT, result accounting."""
-    bindings = apply_filters(bindings, query.filters)
-    bindings = project_bindings(bindings, query)
-    if query.distinct:
-        bindings = distinct_bindings(bindings, query.projected_names())
-    if query.limit is not None:
-        bindings = bindings[: query.limit]
-    counters.results_produced += len(bindings)
-    return ExecutionResult(
-        bindings=bindings,
-        variables=tuple(query.projected_names()),
-        counters=counters,
-        store="relational",
-    )
-
-
-def _shared_variable_names(binding: Binding, pattern: TriplePattern) -> List[str]:
-    return sorted(set(binding) & pattern.variable_names())

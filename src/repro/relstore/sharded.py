@@ -28,7 +28,7 @@ from repro.rdf.terms import IRI, Triple
 from repro.sparql.ast import SelectQuery, TriplePattern
 
 from repro.relstore.columnar import ColumnBlock, execute_compiled
-from repro.relstore.executor import CompiledStep, compile_plan
+from repro.relstore.executor import CompiledStep
 from repro.relstore.store import RelationalStore
 
 __all__ = ["ShardingConfig", "ShardedRelationalStore", "ShardMetricsBoard", "SUBJECT_SHARDED"]
@@ -172,10 +172,7 @@ class ShardedRelationalStore(RelationalStore):
         pattern_order: Sequence[TriplePattern] | None = None,
     ) -> ExecutionResult:
         """The table's execution, each step priced as its placed shards' probes."""
-        if pattern_order is None:
-            _plan, compiled = self._bound_plan(query)
-        else:
-            compiled = compile_plan(self.plan(query, pattern_order=pattern_order), self.dictionary)
+        compiled = self._compiled(query, pattern_order)
         per_shard = [0.0] * self.shard_count
         step_costs: List[List[float]] = []
         posts: List[Tuple[int, int, int, float]] = []  # for the metrics board

@@ -10,16 +10,15 @@ recomputes only the predicates whose write stamp moved since the last read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.rdf.terms import IRI, Variable
 from repro.sparql.ast import SelectQuery, TriplePattern
 
 if TYPE_CHECKING:  # annotations only: columnar.py imports this module
-    from repro.rdf.dictionary import EncodedTriple as Row
     from repro.relstore.columnar import ColumnarTripleTable
 
-__all__ = ["TableStatistics", "MaintainedStatistics", "collect_statistics", "predicate_statistics"]
+__all__ = ["PredicateStatistics", "TableStatistics", "MaintainedStatistics"]
 
 
 @dataclass(frozen=True)
@@ -222,35 +221,6 @@ class TableStatistics:
         return scan_work + join_work
 
 
-def predicate_statistics(rows: Iterable[Row]) -> PredicateStatistics:
-    """Accumulate one predicate's statistics from its rows."""
-    subject_counts: Dict[int, int] = {}
-    object_counts: Dict[int, int] = {}
-    cardinality = 0
-    for subject_id, _, object_id in rows:
-        cardinality += 1
-        subject_counts[subject_id] = subject_counts.get(subject_id, 0) + 1
-        object_counts[object_id] = object_counts.get(object_id, 0) + 1
-    return PredicateStatistics(
-        cardinality=cardinality,
-        distinct_subjects=len(subject_counts),
-        distinct_objects=len(object_counts),
-        max_subject_rows=max(subject_counts.values(), default=0),
-        max_object_rows=max(object_counts.values(), default=0),
-    )
-
-
-def collect_statistics(table: "ColumnarTripleTable") -> TableStatistics:
-    """Compute fresh statistics by scanning each predicate's rows."""
-    per_predicate: Dict[IRI, PredicateStatistics] = {}
-    for predicate in table.predicates():
-        predicate_id = table.dictionary.lookup(predicate)
-        if predicate_id is None:
-            continue
-        per_predicate[predicate] = predicate_statistics(table.scan_predicate(predicate_id))
-    return TableStatistics(total_rows=len(table), per_predicate=per_predicate)
-
-
 class MaintainedStatistics:
     """A table's statistics, brought up to date lazily after mutations.
 
@@ -259,7 +229,8 @@ class MaintainedStatistics:
     table counter value that moves with every write to the predicate and
     never repeats) and is kept for as long as that stamp stands; only the
     predicates written since the last call are recomputed, from their
-    blocks.  Values equal :func:`collect_statistics` over the same rows.
+    blocks.  Values equal statistics collected from scratch over the same
+    rows (``collect_statistics`` of ``tests/relational_oracle.py``).
     ``generation`` is the owning store's plan generation, so a call between
     mutations is one comparison.
     """

@@ -22,16 +22,21 @@ from repro.rdf.graph import TripleSet
 from repro.rdf.terms import IRI, Triple
 from repro.sparql.ast import SelectQuery, TriplePattern
 
-from repro.relstore.columnar import ColumnBlock, ColumnarExecutor, ColumnarTripleTable
+from repro.relstore.columnar import (
+    ColumnBlock,
+    ColumnarTripleTable,
+    execute_compiled,
+    finish_columnar_pipeline,
+    table_id_columns,
+)
 from repro.relstore.executor import (
     BoundPlanCache,
     CompiledPlan,
-    distinct_bindings,
-    project_bindings,
+    QueryTermSpace,
+    compile_plan,
     relational_work_units,
 )
 from repro.relstore.planner import RelationalPlan, plan_query
-from repro.relstore.reference import ReferenceExecutor
 from repro.relstore.stats import MaintainedStatistics, TableStatistics
 from repro.relstore.views import MaterializedView, MaterializedViewManager
 
@@ -53,12 +58,9 @@ class RelationalStore:
         When given, a :class:`MaterializedViewManager` is attached with that
         row budget (used by the RDB-views baseline).
     engine:
-        ``"columnar"`` (default) runs the production engine: term-id
-        columns, mask selection, batched numpy hash joins — with a
-        bound-plan memo.  ``"reference"`` runs its differential oracle, the
-        decode-per-row executor, which re-plans and re-resolves constants on
-        every execution.  Both read the same
-        :class:`~repro.relstore.columnar.ColumnarTripleTable`.
+        Only ``"columnar"``, the one engine (term-id columns, mask
+        selection, batched numpy hash joins, a bound-plan memo); any other
+        name raises :class:`ValueError`.
     dictionary:
         An existing term dictionary to encode against (the snapshot-restore
         path rebuilds the dictionary first so persisted integer rows keep
@@ -72,15 +74,11 @@ class RelationalStore:
         engine: str = "columnar",
         dictionary=None,
     ):
-        if engine not in ("reference", "columnar"):
+        if engine != "columnar":
             raise ValueError(f"unknown relational engine {engine!r}")
-        self.engine = engine
         self.cost_model = cost_model
         table = self.table = ColumnarTripleTable(dictionary)
         self.dictionary = table.dictionary
-        self._executor = (
-            ColumnarExecutor(table) if engine == "columnar" else ReferenceExecutor(table)
-        )
         self._statistics = MaintainedStatistics(table)
         #: query → (plan, compiled plan) memo, invalidated by generation.
         self._bound_plans = BoundPlanCache()
@@ -167,14 +165,6 @@ class RelationalStore:
     ) -> RelationalPlan:
         return plan_query(query, self.statistics(), pattern_order=pattern_order)
 
-    def _bound_plan(self, query: SelectQuery) -> Tuple[RelationalPlan, CompiledPlan]:
-        """The query's plan with constants pre-resolved, memoized per store
-        generation (the serving layer replays identical parsed queries, so a
-        hit skips planning *and* every per-pattern constant lookup)."""
-        return self._bound_plans.get_or_bind(
-            query, self._plan_generation, lambda: self.plan(query), self.dictionary
-        )
-
     def execute_capped(
         self, query: SelectQuery, work_budget: float
     ) -> Tuple[Optional[ExecutionResult], float]:
@@ -225,19 +215,27 @@ class RelationalStore:
             When ``work_budget`` (in relational work units) is exhausted; the
             exception carries the partial work so the caller can price it.
         """
-        compiled: Optional[CompiledPlan] = None
-        if self.engine == "columnar" and pattern_order is None:
-            plan, compiled = self._bound_plan(query)
-        else:
-            plan = self.plan(query, pattern_order=pattern_order)
-        result = self._executor.execute(
-            query,
-            plan,
-            work_budget=work_budget,
-            extra_tables=extra_tables,
-            tables_are_views=tables_are_views,
-            compiled=compiled,
+        result = execute_compiled(
+            query, self._compiled(query, pattern_order), self.dictionary, self.table.step_block,
+            work_budget, extra_tables, tables_are_views,
         )
+        return self._priced(result)
+
+    def _compiled(
+        self, query: SelectQuery, pattern_order: Sequence[TriplePattern] | None
+    ) -> CompiledPlan:
+        """The query's plan with constants pre-resolved, memoized per store
+        generation (the serving layer replays identical parsed queries, so a
+        hit skips planning *and* every per-pattern constant lookup).  A
+        forced ``pattern_order`` is planned and compiled afresh, past the
+        memo."""
+        if pattern_order is not None:
+            return compile_plan(self.plan(query, pattern_order=pattern_order), self.dictionary)
+        return self._bound_plans.get_or_bind(
+            query, self._plan_generation, lambda: self.plan(query), self.dictionary
+        )[1]
+
+    def _priced(self, result: ExecutionResult) -> ExecutionResult:
         result.seconds = self.cost_model.relational_query_seconds(result.counters)
         result.store = "relational"
         return result
@@ -247,36 +245,22 @@ class RelationalStore:
 
         The view's defining patterns are removed from the WHERE clause and the
         view rows are joined back in as a temporary table (charged as view
-        rows).  Patterns not covered by the view run against the base table.
+        rows).  Patterns not covered by the view run against the base table;
+        a query the view covers entirely runs the engine's epilogue (FILTER,
+        projection, DISTINCT, LIMIT) over the view rows alone.
         """
         covered = set(view.patterns)
         remaining = [p for p in query.patterns if p not in covered]
         if remaining:
             residual = query.with_patterns(remaining, projection=query.projection)
-        else:
-            # Everything is covered: keep one pattern-free shell by projecting
-            # straight from the view rows.
-            residual = None
-
-        if residual is None:
-            names = query.projected_names()
-            bindings = project_bindings(view.table.to_bindings(), query)
-            if query.distinct:
-                bindings = distinct_bindings(bindings, names)
-            counters = WorkCounters(
-                view_rows_scanned=len(view.table), queries_issued=1, results_produced=len(bindings)
-            )
-            result = ExecutionResult(bindings=bindings, variables=tuple(names), counters=counters)
-        else:
-            result = self._executor.execute(
-                residual,
-                self.plan(residual),
-                extra_tables=[view.table],
-                tables_are_views=True,
-            )
-        result.seconds = self.cost_model.relational_query_seconds(result.counters)
-        result.store = "relational"
-        return result
+            return self.execute(residual, extra_tables=[view.table], tables_are_views=True)
+        table = view.table
+        counters = WorkCounters(view_rows_scanned=len(table), queries_issued=1)
+        space = QueryTermSpace(self.dictionary)
+        result = finish_columnar_pipeline(
+            tuple(table.variables), table_id_columns(table, space), len(table), query, counters, space
+        )
+        return self._priced(result)
 
     # ------------------------------------------------------------------ #
     # Durable snapshots (repro.persist)
@@ -291,7 +275,7 @@ class RelationalStore:
             )
         return {
             "kind": "relational",
-            "engine": self.engine,
+            "engine": "columnar",
             "rows": self.table.dump_rows(),
             "statistics": self.statistics().to_payload(),
             "total_insert_seconds": self.total_insert_seconds,

@@ -27,8 +27,7 @@ and every :data:`PROBE_STRIDE` rows of the filter and materialize loops; a
 build side's group-index sort and DISTINCT's run unprobed), the graph matcher
 (:mod:`repro.graphstore.matcher`: a probe per pattern step and between the
 same gather chunks), and the endpoint's result encoder (a probe per chunk of
-rows, under the deadline the endpoint opens at request admission).  The
-decode-per-row reference executor is an oracle and is not probed.
+rows, under the deadline the endpoint opens at request admission).
 """
 
 from __future__ import annotations

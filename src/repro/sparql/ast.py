@@ -44,9 +44,9 @@ def compare_terms(operator: str, left: TermLike, right: TermLike) -> bool:
     literals coerce to their Python values (so ``"30"^^xsd:integer`` compares
     numerically, not lexicographically), everything else compares on its
     string form, and an incomparable pair (``TypeError``) is ``False``.  Both
-    the Python executors (via :meth:`Filter.evaluate`) and the SQLite
-    backend's filter function delegate here, which is what keeps the SQL path
-    answer-identical to the work-accounted engines.
+    the engines (via :meth:`Filter.evaluate`) and the SQLite oracle's filter
+    function (``tests/sql_oracle.py``) delegate here, which is what keeps the
+    SQL path answer-identical to the work-accounted engines.
     """
     left_value = left.to_python() if isinstance(left, Literal) else str(left)
     right_value = right.to_python() if isinstance(right, Literal) else str(right)

@@ -6,7 +6,9 @@ partitions became id-column blocks; it stays here as the reference the
 production matcher (:mod:`repro.graphstore.matcher`) is held to by
 ``tests/test_differential_graph.py`` — the same ordered rows and the same
 ``nodes_expanded``/``edges_traversed``/``results_produced`` — the way the
-relational engine is held to :mod:`repro.relstore.reference`.
+relational engine is held to ``ReferenceStore`` in ``relational_oracle.py``
+next to it.  Oracles live with the tests; nothing under ``src/`` imports
+them (lint rule REP009).
 
 * :class:`PropertyGraph` — vertex → predicate → neighbour list (out and in),
   plus per-predicate edge lists (the relationship-type scan); vertices are

@@ -478,6 +478,40 @@ def test_rep008_is_scoped_to_the_serving_path():
 
 
 # --------------------------------------------------------------------------- #
+# REP009 — the oracles stay with the tests
+# --------------------------------------------------------------------------- #
+REP009_BAD = """
+    import sqlite3
+    import tests.relational_oracle
+    from graph_oracle import oracle_execute
+    from relational_oracle import ReferenceStore
+"""
+
+REP009_GOOD = """
+    from repro.relstore.columnar import execute_compiled
+    from . import planner
+    from .stats import TableStatistics
+
+    def store_name(graph_oracle):
+        return graph_oracle.name
+"""
+
+
+def test_rep009_flags_test_modules_everywhere_and_sqlite_in_relstore():
+    findings = lint(REP009_BAD, "src/repro/relstore/store.py")
+    assert [finding.rule for finding in findings] == ["REP009"] * 4
+    assert "SQLite" in findings[0].message
+    # Outside relstore/ the driver is not the rule's business; test modules are.
+    assert rules_hit(REP009_BAD, "src/repro/persist/snapshot.py") == ["REP009"]
+    assert len(lint(REP009_BAD, "src/repro/core/dualstore.py")) == 3
+
+
+def test_rep009_accepts_package_and_relative_imports():
+    assert rules_hit(REP009_GOOD, "src/repro/relstore/store.py") == []
+    assert rules_hit("import sqlite3\n", "src/repro/persist/catalog.py") == []
+
+
+# --------------------------------------------------------------------------- #
 # Suppressions
 # --------------------------------------------------------------------------- #
 def test_inline_suppression_on_the_flagged_line():

@@ -1,8 +1,8 @@
 """Differential suite: the production engine vs the decode-per-row reference.
 
 The vectorized columnar engine (``RelationalStore()``) must be
-*indistinguishable in output* from the reference executor
-(``engine="reference"``): byte-identical result bindings (same solutions,
+*indistinguishable in output* from the decode-per-row oracle
+(``ReferenceStore`` of ``tests/relational_oracle.py``): byte-identical result bindings (same solutions,
 same order, same dict contents) and bit-identical logical
 :class:`~repro.cost.counters.WorkCounters` — therefore identical modelled
 seconds — across every template family, unsharded and sharded,
@@ -22,6 +22,7 @@ import random
 
 import pytest
 
+from relational_oracle import ReferenceStore
 from repro import (
     DualStore,
     RelationalStore,
@@ -82,7 +83,7 @@ def reference_runs(family_workloads):
     """Reference-executor results of every workload, computed once."""
     out = {}
     for label, triples, queries in family_workloads:
-        store = RelationalStore(engine="reference")
+        store = ReferenceStore()
         store.load(triples)
         out[label] = [store.execute(query) for query in queries]
     return out
@@ -140,7 +141,7 @@ def test_repeated_execution_through_the_bound_plan_memo_stays_identical(
 # Work budgets: engine and oracle must abort at the same step boundaries
 # --------------------------------------------------------------------------- #
 def test_capped_execution_parity(writer, watdiv_dataset):
-    reference = RelationalStore(engine="reference")
+    reference = ReferenceStore()
     reference.load(watdiv_dataset.triples)
     columnar = writer.write(RelationalStore(), watdiv_dataset.triples)
     queries = watdiv_workload(watdiv_dataset, family="complex", seed=5).ordered()[:8]
@@ -159,7 +160,7 @@ def test_capped_execution_parity(writer, watdiv_dataset):
 # --------------------------------------------------------------------------- #
 @pytest.fixture
 def filter_store_pair(writer, mini_kg):
-    reference = RelationalStore(engine="reference")
+    reference = ReferenceStore()
     reference.load(mini_kg)
     columnar = writer.write(RelationalStore(), mini_kg)
     return columnar, reference
@@ -203,7 +204,7 @@ def test_nan_literals_defeat_the_equal_id_fast_path():
         Triple(YAGO.term("Ann"), age, nan),
         Triple(YAGO.term("Ben"), age, Literal.from_python(30.0)),
     ]
-    reference = RelationalStore(engine="reference")
+    reference = ReferenceStore()
     reference.load(triples)
     columnar = RelationalStore()
     columnar.load(triples)
@@ -228,7 +229,7 @@ def test_malformed_integer_literal_raises_in_both_engines():
     broken = Literal("abc", "http://www.w3.org/2001/XMLSchema#integer")
     triples = [Triple(YAGO.term("Ann"), age, broken)]
     query = parse_query("SELECT ?p WHERE { ?p y:hasAge ?x . FILTER(?x = ?x) }")
-    for store in (RelationalStore(engine="reference"), RelationalStore()):
+    for store in (ReferenceStore(), RelationalStore()):
         store.load(triples)
         with pytest.raises(ValueError):
             store.execute(query)
@@ -245,7 +246,7 @@ def test_numeric_value_equality_across_datatypes_still_matches():
         Triple(YAGO.term("Cleo"), age, Literal.from_python(31)),
     ]
     query = parse_query("SELECT ?a ?b WHERE { ?a y:hasAge ?x . ?b y:hasAge ?y . FILTER(?x = ?y) }")
-    reference = RelationalStore(engine="reference")
+    reference = ReferenceStore()
     reference.load(store_triples)
     columnar = RelationalStore()
     columnar.load(store_triples)
@@ -261,7 +262,7 @@ def test_numeric_value_equality_across_datatypes_still_matches():
 # Migrated tables (Case 2 plans): hash join + execution-local term ids
 # --------------------------------------------------------------------------- #
 def test_extra_table_with_shared_variables_matches_reference(writer, mini_kg):
-    reference = RelationalStore(engine="reference")
+    reference = ReferenceStore()
     reference.load(mini_kg)
     columnar = writer.write(RelationalStore(), mini_kg)
     table = ResultTable.from_rows(
@@ -284,7 +285,7 @@ def test_extra_table_with_shared_variables_matches_reference(writer, mini_kg):
 
 
 def test_disjoint_extra_table_still_cartesian(writer, mini_kg):
-    reference = RelationalStore(engine="reference")
+    reference = ReferenceStore()
     reference.load(mini_kg)
     columnar = writer.write(RelationalStore(), mini_kg)
     table = ResultTable.from_rows(name="tmp", variables=("x",), rows=[(Literal("a"),), (Literal("b"),)])
@@ -302,7 +303,7 @@ def test_disjoint_extra_table_still_cartesian(writer, mini_kg):
 def edge_store_pair(writer, mini_kg):
     narcissus = YAGO.term("Narcissus")
     extra = [Triple(narcissus, YAGO.term("isMarriedTo"), narcissus)]
-    reference = RelationalStore(engine="reference")
+    reference = ReferenceStore()
     reference.load(mini_kg)
     reference.insert(extra)
     columnar = writer.write(RelationalStore(), mini_kg)
@@ -365,7 +366,7 @@ def test_dualstore_runs_identically_with_interleaved_mutations(writer, watdiv_da
     workload = watdiv_workload(watdiv_dataset, seed=41)
     queries = workload.randomized(seed=3)[:40]
 
-    cold_dual = DualStore(relational_store=RelationalStore(engine="reference")).load(
+    cold_dual = DualStore(relational_store=ReferenceStore()).load(
         watdiv_dataset.triples
     )
     warm_dual = writer.dual(watdiv_dataset.triples)
@@ -408,7 +409,7 @@ def test_sharded_dualstore_with_mutations_matches_reference(writer, watdiv_datas
     transfers and inserts between queries."""
     workload = watdiv_workload(watdiv_dataset, seed=17)
     queries = workload.randomized(seed=29)[:25]
-    cold_dual = DualStore(relational_store=RelationalStore(engine="reference")).load(
+    cold_dual = DualStore(relational_store=ReferenceStore()).load(
         watdiv_dataset.triples
     )
     warm_dual = writer.dual(watdiv_dataset.triples, shards=4, sharding=AGGRESSIVE)

@@ -21,6 +21,7 @@ import random
 import pytest
 
 from graph_oracle import oracle_execute
+from relational_oracle import ReferenceStore
 from repro import (
     PAPER_TUNED_CONFIG,
     AdaptiveConfig,
@@ -107,9 +108,9 @@ def test_every_route_matches_the_oracle_under_random_residency(writer, family_wo
     routes = set()
     for label, triples, queries in family_workloads:
         dual = writer.dual(triples, storage_budget=len(triples))
-        oracle = DualStore(
-            storage_budget=len(triples), relational_store=RelationalStore(engine="reference")
-        ).load(triples)
+        oracle = DualStore(storage_budget=len(triples), relational_store=ReferenceStore()).load(
+            triples
+        )
         oracle.processor.graph = _OracleGraph(oracle.graph)
         for round_ in range(3):
             resident = [p for p in _predicates(queries) if rng.random() < 0.5]

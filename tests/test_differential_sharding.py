@@ -5,8 +5,7 @@ shard count.
 For randomized workloads drawn from every template family (WatDiv L/S/F/C,
 YAGO, Bio2RDF) and N ∈ {1, 2, 4, 7}, ``ShardedRelationalStore(N)`` must
 return the same bindings in the same order, and identical work counters, as
-the single-table reference oracle (``RelationalStore(engine="reference")``)
-— both standalone and through ``DualStore.run_query`` with transfers,
+the single-table reference oracle (``ReferenceStore()``) — both standalone and through ``DualStore.run_query`` with transfers,
 evictions, and inserts interleaved.  Only the *parallel wall-clock* pricing
 may differ; that is the whole point of sharding (and
 ``tests/test_sharded_pricing.py`` pins it).
@@ -18,6 +17,7 @@ import random
 
 import pytest
 
+from relational_oracle import ReferenceStore
 from repro import (
     DualStore,
     RelationalStore,
@@ -46,7 +46,7 @@ AGGRESSIVE = ShardingConfig(skew_threshold=0.2, min_subject_shard_rows=16)
 
 
 def oracle_dual(triples) -> DualStore:
-    return DualStore(relational_store=RelationalStore(engine="reference")).load(triples)
+    return DualStore(relational_store=ReferenceStore()).load(triples)
 
 
 # --------------------------------------------------------------------------- #
@@ -77,7 +77,7 @@ def baselines(family_workloads):
     """The unsharded oracle's execution of every workload, computed once."""
     out = {}
     for label, triples, queries in family_workloads:
-        store = RelationalStore(engine="reference")
+        store = ReferenceStore()
         store.load(triples)
         out[label] = [store.execute(query) for query in queries]
     return out
@@ -107,7 +107,7 @@ def test_limit_queries_match_unsharded_rows_and_order(shards, writer, watdiv_dat
     same subset, in the same order, for the same work."""
     from dataclasses import replace
 
-    base = RelationalStore(engine="reference")
+    base = ReferenceStore()
     base.load(watdiv_dataset.triples)
     store = writer.write(ShardedRelationalStore(shards=shards, config=AGGRESSIVE), watdiv_dataset.triples)
     workload = watdiv_workload(watdiv_dataset, family="linear", seed=9)
@@ -121,7 +121,7 @@ def test_limit_queries_match_unsharded_rows_and_order(shards, writer, watdiv_dat
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_sharded_metadata_matches_unsharded(shards, writer, watdiv_dataset):
-    base = RelationalStore(engine="reference")
+    base = ReferenceStore()
     base.load(watdiv_dataset.triples)
     store = writer.write(ShardedRelationalStore(shards=shards, config=AGGRESSIVE), watdiv_dataset.triples)
     assert len(store) == len(base)
@@ -140,7 +140,7 @@ def test_sharded_metadata_matches_unsharded(shards, writer, watdiv_dataset):
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_estimates_match_unsharded(shards, writer, watdiv_dataset, family_workloads):
-    base = RelationalStore(engine="reference")
+    base = ReferenceStore()
     base.load(watdiv_dataset.triples)
     store = writer.write(ShardedRelationalStore(shards=shards, config=AGGRESSIVE), watdiv_dataset.triples)
     _, _, queries = family_workloads[0]

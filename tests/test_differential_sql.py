@@ -1,12 +1,13 @@
 """Differential suite: the SQLite path vs the relational store's engines.
 
-The SQL compiler + SQLiteBackend answer the same SPARQL subset as the
-work-accounted Python engines, and that parity needs a guard: the stored surface forms are TEXT, so
-a carelessly compiled filter would compare ``"5"`` and ``"250"``
-lexicographically while the executors compare them numerically.  This suite
-pins answer-parity across *every* template family of all three synthetic
-datasets (YAGO, WatDiv, Bio2RDF), so any future divergence between the SQL
-path and the engines names the family that broke.
+The SQL compiler + SQLiteBackend (``tests/sql_oracle.py``) answer the same
+SPARQL subset as the work-accounted Python engines, and that parity needs a
+guard: the stored surface forms are TEXT, so a carelessly compiled filter
+would compare ``"5"`` and ``"250"`` lexicographically while the executors
+compare them numerically.  This suite pins answer-parity across *every*
+template family of all three synthetic datasets (YAGO, WatDiv, Bio2RDF), so
+any future divergence between the SQL path and the engines names the family
+that broke.
 
 SQLite keeps its own storage, so it is the *storage-independent* oracle:
 the production engine and its decode-per-row reference both read the
@@ -20,9 +21,10 @@ from __future__ import annotations
 
 import pytest
 
+from relational_oracle import ReferenceStore
+from sql_oracle import SQLiteBackend
 from repro import (
     RelationalStore,
-    SQLiteBackend,
     generate_bio2rdf,
     generate_watdiv,
     generate_yago,
@@ -62,8 +64,8 @@ def test_sql_answers_match_both_engines_for_every_family(engines, writer):
     name, triples, by_family, backend = engines
     assert by_family, f"{name}: workload has no queries"
     stores = {
-        engine: writer.write(RelationalStore(engine=engine), triples)
-        for engine in ("columnar", "reference")
+        "columnar": writer.write(RelationalStore(), triples),
+        "reference": writer.write(ReferenceStore(), triples),
     }
     for family, entries in sorted(by_family.items()):
         for template, query in entries:

@@ -14,6 +14,7 @@ import tracemalloc
 
 import pytest
 
+from relational_oracle import ReferenceStore
 from repro import DotilConfig, DualStore
 from repro.endpoint import encode_results
 from repro.errors import QueryTimeoutError
@@ -49,7 +50,7 @@ def triples():
 def stores(triples, writer):
     """A columnar store, written ``writer``'s way, and its dict-building oracle."""
     columnar = writer.write(RelationalStore(), triples)
-    oracle = RelationalStore(engine="reference")
+    oracle = ReferenceStore()
     oracle.load(triples)
     return columnar, oracle
 

@@ -12,6 +12,7 @@ properties that make the reproduction trustworthy:
 
 import pytest
 
+from sql_oracle import SQLiteBackend
 from repro.core import (
     Dotil,
     DotilConfig,
@@ -21,7 +22,7 @@ from repro.core import (
     run_workload,
 )
 from repro.graphstore import GraphStore
-from repro.relstore import RelationalStore, SQLiteBackend
+from repro.relstore import RelationalStore
 from repro.workload import generate_watdiv, watdiv_workload
 
 

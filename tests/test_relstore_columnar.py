@@ -13,15 +13,22 @@ block always equals a rebuilt one under arbitrary write sequences is
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from relational_oracle import ReferenceStore, _merge_join, distinct_bindings, scan, scan_predicate
+import repro
 from repro import DualStore, RelationalStore, ShardedRelationalStore
 from repro.cost.counters import WorkCounters
 from repro.rdf import IRI, Triple
 from repro.relstore import columnar
 from repro.relstore.columnar import ColumnarTripleTable
-from repro.relstore.executor import _merge_join, distinct_bindings, relational_work_units
+from repro.relstore.executor import relational_work_units
 from repro.relstore import planner
 from repro.relstore.planner import plan_query
 from repro.serve import QueryService, ServiceConfig
@@ -132,7 +139,7 @@ def _block_lists(table, predicate_id):
 
 
 def _rebuilt_lists(table, predicate_id):
-    rows = list(table.scan_predicate(predicate_id))
+    rows = list(scan_predicate(table, predicate_id))
     return [row[0] for row in rows], [row[2] for row in rows], len(rows)
 
 
@@ -167,7 +174,7 @@ def test_a_write_replaces_exactly_the_touched_predicates_blocks():
 
     # Readers build nothing but the lazy full-table columns.
     blocks = dict(table._partition_columns)
-    list(table.scan()), table.predicate_statistics(p_id), table.partition(ex("p"))
+    list(scan(table)), table.predicate_statistics(p_id), table.partition(ex("p"))
     assert table._partition_columns.keys() == blocks.keys()
     assert all(table._partition_columns[pid] is block for pid, block in blocks.items())
     assert table.full_columns()[3] == 4
@@ -259,8 +266,28 @@ def test_unknown_engine_names_are_rejected_everywhere():
     with pytest.raises(ValueError):
         RelationalStore(engine="idspace")  # the deleted row engine is not a name any more
     assert type(RelationalStore(engine="columnar").table) is ColumnarTripleTable
-    assert type(RelationalStore(engine="reference").table) is ColumnarTripleTable  # one table class
+    with pytest.raises(ValueError):
+        RelationalStore(engine="reference")  # the oracle is a tests-side store, not an engine
+    assert type(ReferenceStore().table) is ColumnarTripleTable  # one table class
     assert type(DualStore().relational.table) is ColumnarTripleTable
+
+
+def test_the_shipped_package_loads_no_oracle():
+    """``import repro`` loads the system only: no SQLite driver and none of
+    the oracle modules, which live in tests/."""
+    banned = (
+        "sqlite3",
+        "repro.relstore.reference",
+        "repro.relstore.sqlite_backend",
+        "repro.relstore.sql_compiler",
+    )
+    code = f"import sys, repro; print(*[m for m in {banned!r} if m in sys.modules])"
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert loaded.stdout.split() == []
 
 
 @pytest.mark.parametrize("tag", ["idspace", "reference", "columnar", None])
@@ -393,7 +420,7 @@ def test_skew_guard_demotes_the_hot_key_lookup(monkeypatch):
     assert old_plan.steps[0].pattern.predicate == ex("hasTag")
 
     # Engine invariance: the oracle plans the same join order.
-    oracle = RelationalStore(engine="reference")
+    oracle = ReferenceStore()
     oracle.load(_skewed_triples())
     assert [s.pattern for s in oracle.plan(query)] == [s.pattern for s in plan]
 

@@ -2,21 +2,19 @@
 
 import pytest
 
+from relational_oracle import ReferenceStore, join_result_table
 from repro.cost.counters import WorkCounters
 from repro.errors import WorkBudgetExceeded
 from repro.execution import ResultTable
 from repro.rdf import IRI, Literal, Triple, YAGO
 from repro.relstore import RelationalStore, plan_query, relational_work_units
-from repro.relstore.executor import (
-    QueryTermSpace,
-    join_result_table,
-)
+from repro.relstore.executor import QueryTermSpace
 from repro.sparql import parse_query
 
 
 @pytest.fixture(params=("reference", "columnar"))
 def store(request, mini_kg):
-    s = RelationalStore(engine=request.param)
+    s = ReferenceStore() if request.param == "reference" else RelationalStore()
     s.load(mini_kg)
     return s
 
@@ -224,7 +222,7 @@ class TestBoundPlanMemo:
     def test_repeated_execution_binds_the_plan_once(self, store, advisor_query):
         store.execute(advisor_query)
         first = store._bound_plans.get(advisor_query, store._plan_generation)
-        if store.engine == "reference":
+        if isinstance(store, ReferenceStore):
             # The oracle shares no memo: it re-plans and re-resolves constants
             # on every execution.
             assert first is None and len(store._bound_plans) == 0

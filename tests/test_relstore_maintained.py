@@ -6,7 +6,8 @@ the statistics at write time.  After any sequence of inserts, deletes,
 batched deletes, re-inserts, deletes of absent rows, removal of a
 predicate's last row and new predicates,
 
-* the row views (``scan_predicate``, ``lookup_subject``, ``lookup_object``),
+* the oracle's row views over the blocks (``scan_predicate``,
+  ``lookup_subject``, ``lookup_object``),
   ``partition_sizes()`` and the order of ``dump_rows()`` equal a plain-Python
   model — the list of live rows in insertion order,
 * a predicate's write stamp moved exactly when one of its rows was written,
@@ -14,7 +15,7 @@ predicate's last row and new predicates,
 * ``statistics()`` equals ``collect_statistics(table)``, down to the bytes of
   ``to_payload()`` (key order included — snapshots persist it), and
 * query answers (content *and* order) and work counters equal those of a
-  ``reference`` store fed the same operations.
+  ``ReferenceStore`` fed the same operations.
 
 A sharded store fed the same operations is held to the same statistics,
 partition sizes, answers (content and order) and work counters: it keeps
@@ -38,13 +39,16 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.rdf import IRI, Triple
-from repro.relstore import (
-    RelationalStore,
-    ShardedRelationalStore,
-    ShardingConfig,
+from relational_oracle import (
+    ReferenceStore,
     collect_statistics,
+    lookup_object,
+    lookup_subject,
+    scan,
+    scan_predicate,
 )
+from repro.rdf import IRI, Triple
+from repro.relstore import RelationalStore, ShardedRelationalStore, ShardingConfig
 from repro.sparql import parse_query
 
 ENTITIES = [IRI(f"http://example.org/e{i}") for i in range(5)]
@@ -88,14 +92,14 @@ AGGRESSIVE = ShardingConfig(skew_threshold=0.2, min_subject_shard_rows=2)
 
 
 class Pair:
-    """A columnar store, a sharded one, their ``reference`` oracle, and the
-    storage model: the live rows in insertion order.  All three start with
-    ``base`` bulk-loaded."""
+    """A columnar store, a sharded one, their ``ReferenceStore`` oracle, and
+    the storage model: the live rows in insertion order.  All three start
+    with ``base`` bulk-loaded."""
 
     def __init__(self, base=()):
         self.columnar = RelationalStore(engine="columnar")
         self.sharded = ShardedRelationalStore(shards=3, config=AGGRESSIVE)
-        self.oracle = RelationalStore(engine="reference")
+        self.oracle = ReferenceStore()
         for store in (self.columnar, self.sharded, self.oracle):
             store.load(base)
         self.model: List[Triple] = list(base)
@@ -141,15 +145,15 @@ class Pair:
             if predicate_id is None:
                 continue
             partition = [row for row in rows if row[1] == predicate_id]
-            assert list(table.scan_predicate(predicate_id)) == partition
+            assert list(scan_predicate(table, predicate_id)) == partition
             for entity in ENTITIES:
                 key = encode(entity)
                 if key is None:
                     continue
-                assert list(table.lookup_subject(predicate_id, key)) == [
+                assert list(lookup_subject(table, predicate_id, key)) == [
                     row for row in partition if row[0] == key
                 ]
-                assert list(table.lookup_object(predicate_id, key)) == [
+                assert list(lookup_object(table, predicate_id, key)) == [
                     row for row in partition if row[2] == key
                 ]
         self.written.clear()
@@ -158,7 +162,7 @@ class Pair:
         assert list(store.partition_sizes()) == sorted(sizes, key=lambda p: p.value)
         by_predicate = sorted(rows, key=lambda row: row[1])  # stable: insertion order within
         assert table.dump_rows() == [value for row in by_predicate for value in row]
-        assert list(table.scan()) == by_predicate
+        assert list(scan(table)) == by_predicate
         # Readers replaced no block.
         assert table._partition_columns.keys() == blocks.keys()
         assert all(table._partition_columns[pid] is block for pid, block in blocks.items())

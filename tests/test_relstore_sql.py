@@ -2,9 +2,10 @@
 
 import pytest
 
+from sql_oracle import SQLiteBackend, compile_select
 from repro.errors import QueryExecutionError
 from repro.rdf import Literal, Triple, YAGO
-from repro.relstore import RelationalStore, SQLiteBackend, compile_select
+from repro.relstore import RelationalStore
 from repro.sparql import parse_query
 
 

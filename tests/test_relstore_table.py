@@ -4,10 +4,17 @@ import tracemalloc
 
 import pytest
 
+from relational_oracle import (
+    collect_statistics,
+    lookup_object,
+    lookup_subject,
+    scan,
+    scan_predicate,
+)
 from repro.errors import StorageError
 from repro.rdf import Literal, Triple, YAGO
 from repro.rdf.dictionary import TermDictionary
-from repro.relstore import ColumnarTripleTable, collect_statistics
+from repro.relstore import ColumnarTripleTable
 from repro.sparql import parse_query
 
 BORN = YAGO.term("wasBornIn")
@@ -50,15 +57,15 @@ class TestTripleTable:
 
     def test_scan_predicate(self, table):
         predicate_id = table.dictionary.lookup(BORN)
-        rows = list(table.scan_predicate(predicate_id))
+        rows = list(scan_predicate(table, predicate_id))
         assert len(rows) == 2
 
     def test_point_lookups(self, table):
         predicate_id = table.dictionary.lookup(BORN)
         subject_id = table.dictionary.lookup(ALICE)
         object_id = table.dictionary.lookup(PARIS)
-        assert len(list(table.lookup_subject(predicate_id, subject_id))) == 1
-        assert len(list(table.lookup_object(predicate_id, object_id))) == 1
+        assert len(list(lookup_subject(table, predicate_id, subject_id))) == 1
+        assert len(list(lookup_object(table, predicate_id, object_id))) == 1
 
     def test_delete_unknown_triple_returns_false(self, table):
         assert not table.delete(Triple(YAGO.Zoe, BORN, BERLIN))
@@ -72,7 +79,7 @@ class TestTripleTable:
         assert len(table) == 2 and not table.contains(Triple(ALICE, BORN, BERLIN))
         assert table.predicate_cardinality(BORN) == 1
         table.insert(Triple(ALICE, BORN, BERLIN))
-        decoded = [table.dictionary.decode_triple(row) for row in table.scan()]
+        decoded = [table.dictionary.decode_triple(row) for row in scan(table)]
         assert decoded == [
             Triple(BOB, BORN, PARIS),
             Triple(ALICE, BORN, BERLIN),
@@ -80,16 +87,16 @@ class TestTripleTable:
         ]
         flat = table.dump_rows()
         assert all(type(value) is int for value in flat)  # json.dumps-safe
-        assert [tuple(flat[i : i + 3]) for i in range(0, len(flat), 3)] == list(table.scan())
+        assert [tuple(flat[i : i + 3]) for i in range(0, len(flat), 3)] == list(scan(table))
 
     def test_row_views_yield_python_ints(self, table):
         predicate_id = table.dictionary.lookup(BORN)
         subject_id = table.dictionary.lookup(ALICE)
         views = [
-            table.scan(),
-            table.scan_predicate(predicate_id),
-            table.lookup_subject(predicate_id, subject_id),
-            table.lookup_object(predicate_id, table.dictionary.lookup(BERLIN)),
+            scan(table),
+            scan_predicate(table, predicate_id),
+            lookup_subject(table, predicate_id, subject_id),
+            lookup_object(table, predicate_id, table.dictionary.lookup(BERLIN)),
         ]
         for rows in views:
             rows = list(rows)
@@ -98,7 +105,7 @@ class TestTripleTable:
     def test_loading_a_global_row_order_payload_keeps_each_predicates_order(self, table):
         """Snapshots written before predicates were stored apart list rows in
         global insertion order; loading one rebuilds the same blocks."""
-        rows = list(table.scan())
+        rows = list(scan(table))
         interleaved = [rows[0], rows[2], rows[1]]
         restored = ColumnarTripleTable(table.dictionary)
         assert restored.load_rows([value for row in interleaved for value in row]) == 3

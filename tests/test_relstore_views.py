@@ -2,6 +2,7 @@
 
 import pytest
 
+from relational_oracle import ReferenceStore
 from repro.execution import ResultTable
 from repro.rdf import Literal, YAGO
 from repro.relstore import MaterializedViewManager, RelationalStore, canonical_pattern_key
@@ -124,3 +125,32 @@ class TestExecuteWithView:
         result = store.execute_with_view(projected, view)
         assert result.distinct_rows() == store.execute(projected).distinct_rows()
         assert result.counters.rows_scanned == 0
+
+    @pytest.mark.parametrize("modifiers", ["} LIMIT 2", 'FILTER(?n != "Eve") }'], ids=["limit", "filter"])
+    def test_fully_covered_query_keeps_its_limit_and_filter(self, mini_kg, modifiers):
+        """The view rows are the pipeline, not the answer: a query the view
+        covers entirely still runs its FILTER and LIMIT."""
+        store = RelationalStore(view_row_budget=100)
+        store.load(mini_kg)
+        patterns = "?p y:wasBornIn ?city . ?p y:hasGivenName ?n ."
+        subquery = parse_query("SELECT ?p ?city ?n WHERE { %s }" % patterns)
+        materialized = ResultTable.from_result("view_0", store.execute(subquery))
+        manager = store.view_manager
+        manager.observe(subquery.patterns)
+        manager.select_views({canonical_pattern_key(subquery.patterns): (subquery.patterns, materialized)})
+        view = manager.match(subquery.patterns)
+
+        query = parse_query("SELECT ?p ?n WHERE { %s %s" % (patterns, modifiers))
+        plain = store.execute(query)
+        assert 0 < len(plain) < len(materialized)
+        result = store.execute_with_view(query, view)
+        assert result.rows() == plain.rows()
+        assert result.counters.view_rows_scanned == len(materialized)
+        assert result.counters.rows_scanned == 0
+
+        oracle = ReferenceStore()
+        oracle.load(mini_kg)
+        expected = oracle.execute_with_view(query, view)
+        assert result.bindings == expected.bindings
+        assert result.counters.as_dict() == expected.counters.as_dict()
+        assert result.seconds == expected.seconds

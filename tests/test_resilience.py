@@ -352,12 +352,13 @@ class TestColumnarKernelsUnderDeadlineAndBudget:
     def test_capped_execution_prices_alike_and_never_allocates_the_gather(
         self, writer, monkeypatch
     ):
+        from relational_oracle import ReferenceStore
         from repro.relstore import RelationalStore
 
         triples = _hot_key_triples(400)  # 160 000 joined rows, far over budget
         query = parse_query(HOT_JOIN)
         budget = 5_000.0
-        oracle = RelationalStore(engine="reference")
+        oracle = ReferenceStore()
         oracle.load(triples)
         store = writer.write(RelationalStore(), triples)
         expected = self._capped_outcome(oracle, query, budget, monkeypatch)
