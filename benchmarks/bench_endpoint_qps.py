@@ -150,7 +150,7 @@ def test_multi_worker_fleet_outperforms_single_worker():
     print()
     try:
         dual = DualStore().load(dataset.triples)
-        with QueryService(dual, ServiceConfig(max_workers=1)) as leader:
+        with QueryService(dual, ServiceConfig()) as leader:
             leader.checkpoint(path=root)
             # The ground truth every response must match, byte for byte.
             expected = {

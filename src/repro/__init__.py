@@ -37,7 +37,7 @@ True
 >>> third = service.run_batch(batch)
 >>> third.cache_hits == 0
 True
->>> service.close()  # detaches the store hook and stops the worker pool
+>>> service.close()  # detaches the store hook
 
 The uncached path of the paper's experiments is ``dual.run_query``; DOTIL
 (:class:`Dotil`) tunes the physical design underneath either path.

@@ -39,10 +39,15 @@ ROUTE_SPLIT = "split"
 
 @dataclass
 class ProcessedQuery:
-    """The routed execution of one query."""
+    """The routed execution of one query.
+
+    ``generation`` is the store generation the answer reflects, stamped by
+    the serving layer from the sample it took under its read gate
+    (``None`` straight from the processor)."""
 
     result: ExecutionResult
     record: QueryRecord
+    generation: Optional[int] = None
 
     @property
     def route(self) -> str:
@@ -57,9 +62,10 @@ class QueryProcessor:
     """Routes queries across the two stores based on the current design.
 
     Concurrency contract: ``process`` only *reads* store state, so several
-    threads may process queries at once (the serving layer's batched admission
-    path relies on this) provided no physical-design mutation — ``insert``,
-    ``transfer_partition``, ``evict_partition`` — runs concurrently.  The only
+    threads may process queries at once (the serving layer's concurrent
+    callers rely on this) provided no physical-design mutation — ``insert``,
+    ``transfer_partition``, ``evict_partition`` — runs concurrently (the
+    serving layer's read/write gate enforces that).  The only
     processor-owned mutable state is the temporary-table name counter, which
     is guarded by a lock.
 

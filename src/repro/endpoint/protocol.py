@@ -53,8 +53,6 @@ __all__ = [
     "SparqlRequest",
     "request_from_get",
     "request_from_post",
-    "query_from_get",
-    "query_from_post",
 ]
 
 #: The response media type of every successful query answer.
@@ -375,13 +373,3 @@ def request_from_post(
         "unsupported-media-type",
         f"POST bodies must be {_FORM_URLENCODED} or {_SPARQL_QUERY}, not {media!r}",
     )
-
-
-def query_from_get(query_string: str) -> str:
-    """Extract just the query text from a GET URL (compat wrapper)."""
-    return request_from_get(query_string).query
-
-
-def query_from_post(content_type: Optional[str], body: bytes) -> str:
-    """Extract just the query text from a POST body (compat wrapper)."""
-    return request_from_post(content_type, body).query

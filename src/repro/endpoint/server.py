@@ -22,11 +22,12 @@ via :meth:`QueryService.record_endpoint`, so one ``/metrics`` snapshot covers
 the whole stack and the fault-injection suite can assert shed accounting
 exactly.
 
-**Generation stamping.**  Every query response carries the serving store's
-generation in the :data:`GENERATION_HEADER` header.  In the multi-process
-mode (:mod:`repro.endpoint.worker`) a worker swaps in a whole new
-``QueryService`` when the leader commits a new snapshot generation, so the
-stamp makes replication staleness *observable*: a sequential client sees a
+**Generation stamping.**  Every query response carries, in the
+:data:`GENERATION_HEADER` header, the store generation its body was computed
+at — the one the service sampled under its read gate.  In the multi-process
+mode (:mod:`repro.endpoint.worker`) a worker applies the leader's delta
+records in place or swaps in a whole new ``QueryService``, so the stamp
+makes replication staleness *observable*: a sequential client sees a
 monotonically non-decreasing generation, and every response body is
 consistent with the stamped generation (never a torn store).
 
@@ -323,15 +324,14 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             # Re-read the service ref inside the gate: the swap (if any)
-            # happened-before our read, so generation stamps taken from this
-            # ref are exactly the store that executes the query.
+            # happened-before our read, so this ref is the store that
+            # executes the query.
             service = endpoint.service
             # One deadline per request, opened at admission: execution and
             # encoding spend the same budget.
             deadline = service.request_deadline(request.timeout_seconds)
             if endpoint.before_execute is not None:
                 endpoint.before_execute(query_text)
-            generation = service.dual.generation
             with deadline_scope(deadline):
                 processed = service.run_query(query_text)
                 try:
@@ -367,7 +367,10 @@ class _Handler(BaseHTTPRequestHandler):
             200,
             body,
             RESULTS_JSON,
-            {GENERATION_HEADER: generation, ROUTE_HEADER: processed.route},
+            # Stamped from the generation the service sampled under its read
+            # gate: the one the body was computed at, even when a write
+            # (e.g. a follower's delta apply) lands around the request.
+            {GENERATION_HEADER: processed.generation, ROUTE_HEADER: processed.route},
         )
 
     # ------------------------------------------------------------------ #

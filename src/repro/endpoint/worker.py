@@ -9,25 +9,24 @@ snapshots as the replication primitive:
   *publishes* each new state as a committed snapshot generation (any
   ``QueryService`` with a :class:`~repro.persist.SnapshotPolicy`, or explicit
   ``checkpoint()`` calls, is a leader; there is no special class);
-* N **read-only worker** processes each restore the committed snapshot,
-  serve it through their own :class:`~repro.endpoint.server.SparqlEndpoint`,
-  and follow the root's ``CURRENT`` pointer with a
-  :class:`~repro.persist.SnapshotWatcher` — when the leader commits a new
-  generation a worker restores it *beside* the serving store and atomically
-  swaps it in (:meth:`SparqlEndpoint.swap_service`), so no request ever sees
-  a half-loaded store and response generation stamps stay monotonic.
+* N **read-only worker** processes each restore the committed snapshot
+  (plus the write-ahead log's tail, :func:`~repro.persist.restore_with_log`)
+  and serve it through their own
+  :class:`~repro.endpoint.server.SparqlEndpoint`.
 
-With a delta-log leader (``SnapshotPolicy(log=True)``), workers default to
-the **catch-up path**: instead of reloading a full snapshot per published
-generation, each worker tails the committed write-ahead log
-(:class:`~repro.persist.WalTailer`) and applies new records to its serving
-store *in place* under the service's write gate — generations still only
-move forward, and each applied batch costs the record's bytes rather than a
-full restore.  The worker falls back to a full resync
-(:func:`~repro.persist.restore_with_log` + swap) whenever the log is
-missing, rotated past its position, or a record fails to apply; a root with
-no log at all behaves exactly as before (full reload per commit).  Disable
-with ``--no-catch-up``.
+Each worker follows the leader on one **catch-up loop**: it tails the
+committed write-ahead log (:class:`~repro.persist.WalTailer`) and applies
+new records to its serving store *in place* under the service's write gate —
+generations only move forward, and each applied batch costs the record's
+bytes rather than a full restore.  Whenever the log is rotated past its
+position or a record fails to apply, and whenever the root's ``CURRENT``
+pointer (watched with a :class:`~repro.persist.SnapshotWatcher`) names a
+newer snapshot than the log delivered, the worker resyncs: a full restore
+*beside* the serving store, atomically swapped in
+(:meth:`SparqlEndpoint.swap_service`), so no request ever sees a half-loaded
+store and response generation stamps stay monotonic.  A leader without a
+log is the degenerate case: the tailer finds nothing and every published
+commit is a resync.
 
 The worker is a real OS process with a CLI (``python -m
 repro.endpoint.worker --root SNAPROOT ...``) so the fleet can be supervised
@@ -83,7 +82,6 @@ class WorkerOptions:
         queue_depth: int = 16,
         admission_timeout: float = 2.0,
         cache_results: bool = True,
-        catch_up: bool = True,
         test_delay_seconds: float = 0.0,
         drain_timeout: float = 5.0,
     ):
@@ -96,24 +94,15 @@ class WorkerOptions:
         self.queue_depth = queue_depth
         self.admission_timeout = admission_timeout
         self.cache_results = cache_results
-        self.catch_up = catch_up
         self.test_delay_seconds = test_delay_seconds
         self.drain_timeout = drain_timeout
 
 
-def _worker_service(restored, cache_results: bool = True, gated: bool = False) -> QueryService:
-    # Workers serve read-only: no adaptive tuning, no snapshot policy, and
-    # inline execution (the HTTP layer already gives each request its own
-    # thread, so a batch pool inside the worker would only add queueing).
+def _worker_service(restored, cache_results: bool) -> QueryService:
+    # Workers serve read-only: no adaptive tuning, no snapshot policy.
     # ``cache_results=False`` is the benchmark mode: measured QPS must be
-    # store throughput, not result-cache hit throughput.  ``gated=True`` is
-    # the catch-up mode: delta records mutate the serving store in place, so
-    # reads and applies must exclude each other through the service's
-    # read-write gate.
-    return QueryService(
-        restored.dual,
-        ServiceConfig(max_workers=1, cache_results=cache_results, gated=gated),
-    )
+    # store throughput, not result-cache hit throughput.
+    return QueryService(restored.dual, ServiceConfig(cache_results=cache_results))
 
 
 def _write_announce(path: Path, payload: Dict[str, object]) -> None:
@@ -133,16 +122,13 @@ def run_worker(options: WorkerOptions, stop: Optional[threading.Event] = None) -
     except ValueError:  # started from a non-main thread (tests)
         pass
 
-    if options.catch_up:
-        try:
-            restored = restore_with_log(options.root)
-        except SnapshotError:
-            # A malformed log must not keep the worker down: serve the last
-            # full snapshot (and let the tailer/resync path sort the log out).
-            restored = load_snapshot(options.root)
-    else:
+    try:
+        restored = restore_with_log(options.root)
+    except SnapshotError:
+        # A malformed log must not keep the worker down: serve the last
+        # full snapshot (and let the tailer/resync path sort the log out).
         restored = load_snapshot(options.root)
-    service = _worker_service(restored, options.cache_results, gated=options.catch_up)
+    service = _worker_service(restored, options.cache_results)
     before_execute = None
     if options.test_delay_seconds > 0:
         # Fault-injection layer: stretch every request so the harness can
@@ -161,10 +147,10 @@ def run_worker(options: WorkerOptions, stop: Optional[threading.Event] = None) -
         before_execute=before_execute,
     )
     endpoint.start()
-    watcher = SnapshotWatcher(options.root, seen=restored.manifest.name)
+    watcher = SnapshotWatcher(options.root)
     generation = restored.dual.generation
     covered = restored.manifest.name  # newest committed snapshot our state covers
-    tailer = WalTailer(options.root, generation) if options.catch_up else None
+    tailer = WalTailer(options.root, generation)
     delta_records = 0
     delta_bytes = 0
     dirty = False  # a delta batch half-applied: the store MUST be replaced
@@ -196,9 +182,7 @@ def run_worker(options: WorkerOptions, stop: Optional[threading.Event] = None) -
             print(f"worker {os.getpid()}: resync failed: {exc}", file=sys.stderr)
             return False
         if forced or newer.dual.generation > generation:
-            endpoint.swap_service(
-                _worker_service(newer, options.cache_results, gated=True)
-            )
+            endpoint.swap_service(_worker_service(newer, options.cache_results))
             generation = newer.dual.generation
         covered = newer.manifest.name
         tailer = WalTailer(options.root, generation)
@@ -208,57 +192,43 @@ def run_worker(options: WorkerOptions, stop: Optional[threading.Event] = None) -
     announce()
     try:
         while not stop.wait(options.poll_interval):
-            if tailer is not None:
-                if dirty:
-                    # A previous apply failed mid-batch; retry the forced
-                    # resync every tick until a clean store is swapped in.
-                    dirty = not resync(forced=True)
-                    continue
-                try:
-                    records = tailer.poll()
-                except SnapshotError as exc:
-                    # Log rotated past us (or unreadable): the store is still
-                    # intact, so a plain resync (swap only if newer) heals it.
-                    print(f"worker {os.getpid()}: delta log gap: {exc}", file=sys.stderr)
-                    resync(forced=False)
-                    continue
-                if records:
-                    try:
-                        delta_bytes += endpoint.service.apply_wal_records(records)
-                    except ReproError as exc:
-                        print(f"worker {os.getpid()}: delta apply failed: {exc}", file=sys.stderr)
-                        dirty = not resync(forced=True)
-                        continue
-                    delta_records += len(records)
-                    generation = endpoint.service.dual.generation
-                    announce()
-                    continue
-                # No new deltas: check whether a snapshot committed *ahead* of
-                # our position (a leader publishing without a readable log).
-                name = watcher.committed_name()
-                if name is None or name == covered:
-                    continue
-                try:
-                    manifest = read_manifest(options.root)
-                except SnapshotError:
-                    continue
-                if manifest.generation <= generation:
-                    covered = manifest.name  # rotation point our deltas reached
-                    continue
-                resync(forced=False)
+            if dirty:
+                # A previous apply failed mid-batch; retry the forced
+                # resync every tick until a clean store is swapped in.
+                dirty = not resync(forced=True)
                 continue
             try:
-                newer = watcher.load_if_newer()
+                records = tailer.poll()
             except SnapshotError as exc:
-                print(f"worker {os.getpid()}: reload failed: {exc}", file=sys.stderr)
+                # Log rotated past us (or unreadable): the store is still
+                # intact, so a plain resync (swap only if newer) heals it.
+                print(f"worker {os.getpid()}: delta log gap: {exc}", file=sys.stderr)
+                resync(forced=False)
                 continue
-            if newer is None:
+            if records:
+                try:
+                    delta_bytes += endpoint.service.apply_wal_records(records)
+                except ReproError as exc:
+                    print(f"worker {os.getpid()}: delta apply failed: {exc}", file=sys.stderr)
+                    dirty = not resync(forced=True)
+                    continue
+                delta_records += len(records)
+                generation = endpoint.service.dual.generation
+                announce()
                 continue
-            if newer.dual.generation <= generation:
-                continue  # never regress, whatever the root says
-            endpoint.swap_service(_worker_service(newer, options.cache_results))
-            generation = newer.dual.generation
-            announce()
+            # No new deltas: check whether a snapshot committed *ahead* of
+            # our position (a leader publishing without a readable log).
+            name = watcher.committed_name()
+            if name is None or name == covered:
+                continue
+            try:
+                manifest = read_manifest(options.root)
+            except SnapshotError:
+                continue
+            if manifest.generation <= generation:
+                covered = manifest.name  # rotation point our deltas reached
+                continue
+            resync(forced=False)
     finally:
         # Graceful shutdown: stop admitting (503 "draining"), let in-flight
         # requests finish, then tear the socket down.  SIGKILL skips all of
@@ -288,11 +258,6 @@ def main(argv: Optional[List[str]] = None) -> None:
         help="re-execute every request (benchmark mode: measure store QPS, not cache QPS)",
     )
     parser.add_argument(
-        "--no-catch-up",
-        action="store_true",
-        help="never tail the delta log; full-snapshot reload per published generation",
-    )
-    parser.add_argument(
         "--test-delay-seconds",
         type=float,
         default=0.0,
@@ -316,7 +281,6 @@ def main(argv: Optional[List[str]] = None) -> None:
             queue_depth=args.queue_depth,
             admission_timeout=args.admission_timeout,
             cache_results=not args.no_result_cache,
-            catch_up=not args.no_catch_up,
             test_delay_seconds=args.test_delay_seconds,
             drain_timeout=args.drain_timeout,
         )
@@ -344,7 +308,6 @@ class WorkerSupervisor:
         queue_depth: int = 16,
         admission_timeout: float = 2.0,
         cache_results: bool = True,
-        catch_up: bool = True,
         test_delay_seconds: float = 0.0,
         run_dir: Optional[Union[str, Path]] = None,
     ):
@@ -358,7 +321,6 @@ class WorkerSupervisor:
         self.queue_depth = queue_depth
         self.admission_timeout = admission_timeout
         self.cache_results = cache_results
-        self.catch_up = catch_up
         self.test_delay_seconds = test_delay_seconds
         self._owns_run_dir = run_dir is None
         self.run_dir = (
@@ -404,8 +366,6 @@ class WorkerSupervisor:
         ]
         if not self.cache_results:
             cmd.append("--no-result-cache")
-        if not self.catch_up:
-            cmd.append("--no-catch-up")
         if self.test_delay_seconds > 0:
             cmd.extend(["--test-delay-seconds", str(self.test_delay_seconds)])
         env = os.environ.copy()

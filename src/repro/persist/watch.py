@@ -49,8 +49,8 @@ class SnapshotWatcher:
 
     The watcher keeps a cursor — the snapshot *name* it last saw — and
     reports a change exactly once per committed generation.  Construct it
-    with ``seen=<name>`` when the caller already restored a snapshot (the
-    worker's boot path), or leave it unset to treat the first committed
+    with ``seen=<name>`` when the caller already restored a snapshot, or
+    leave it unset to treat the first committed
     snapshot as news.
     """
 

@@ -4,7 +4,8 @@ This package is the serving substrate in front of the paper's dual-store
 structure.  :class:`QueryService` fronts a loaded
 :class:`~repro.core.dualstore.DualStore` and serves single queries or whole
 workload batches with plan caching, generation-validated result caching,
-within-batch deduplication, and a thread pool over the read-only stores.
+and within-batch deduplication, under a read/write gate that keeps every
+mutation routed through the service exclusive with in-flight serves.
 :mod:`repro.serve.adaptive` adds opt-in online adaptive tuning: a sliding
 window of served complex subqueries plus a tuning daemon that re-places
 partitions epoch by epoch while serving continues.  See

@@ -16,11 +16,13 @@ given, forever.  This module closes the loop:
   :meth:`DualStore.batch_mutations <repro.core.dualstore.DualStore.batch_mutations>`,
   so an epoch of k transfers/evictions bumps the generation **once** and the
   service's result cache is emptied once, not k times.
-* :class:`ReadWriteLock` — the concurrency seam.  Store mutations must never
-  run concurrently with query execution (the
+* :class:`ReadWriteLock` — the serving gate every
+  :class:`~repro.serve.service.QueryService` holds, adaptive or not.  Store
+  mutations must never run concurrently with query execution (the
   :class:`~repro.core.processor.QueryProcessor` contract), so serves hold the
-  gate shared and a tuning epoch holds it exclusively.  In-flight serves
-  drain, the epoch applies, serving resumes against the new placement.
+  gate shared and a tuning epoch — like every mutation routed through the
+  service — holds it exclusively.  In-flight serves drain, the epoch
+  applies, serving resumes against the new placement.
 
 Epochs can be driven three ways: explicitly (:meth:`TuningDaemon.run_epoch`
 / ``QueryService.tune_now()``), automatically every
@@ -256,22 +258,18 @@ class AdaptiveConfig:
         Builds the tuner from the dual store; defaults to DOTIL with the
         store's own config.  Any :class:`~repro.core.tuner.BaseTuner` works —
         the daemon only calls ``tune()``.
-    measure_tti:
-        Measure the modelled TTI of the window's distinct queries before and
-        after each epoch that applied moves (two extra evaluation passes per
-        such epoch).  This is the convergence signal the drift benchmark
-        plots; disable it to make epochs cheaper.  The measurement passes
-        execute through the stores, so *physical* observability — e.g. the
-        sharded backend's per-shard probe counts behind
-        ``QueryService.shard_metrics()`` — includes them; service-level
-        counters (``executions`` etc.) do not.  Disable for strictly
-        traffic-only physical metrics.
+
+    Every epoch with a non-empty window prices the window's distinct
+    queries before and after its moves (the convergence signal the drift
+    benchmark plots).  The pricing passes execute through the stores, so
+    *physical* observability — e.g. the sharded backend's per-shard probe
+    counts behind ``QueryService.shard_metrics()`` — includes them;
+    service-level counters (``executions`` etc.) do not.
     """
 
     window_size: int = 256
     epoch_queries: int = 64
     tuner_factory: Callable[[DualStore], BaseTuner] = Dotil
-    measure_tti: bool = True
 
 
 @dataclass
@@ -354,7 +352,7 @@ class TuningDaemon:
     1. takes the write side of the gate (in-flight serves drain, new serves
        and the store's caches wait),
     2. snapshots the window and resets the auto-epoch trigger,
-    3. optionally prices the window's distinct queries (TTI before),
+    3. prices the window's distinct queries (TTI before),
     4. runs ``tuner.tune(window)`` inside ``dual.batch_mutations()`` — the
        tuner transfers/evicts freely, physical effects are immediate, but the
        generation bumps coalesce into **one** (one result-cache invalidation
@@ -420,8 +418,7 @@ class TuningDaemon:
                     self.last_epoch = epoch
                 return epoch
 
-            if self.config.measure_tti:
-                epoch.tti_before = self._window_tti(entries)
+            epoch.tti_before = self._window_tti(entries)
 
             log_mark = len(self.dual.transfer_log)
             try:
@@ -438,12 +435,9 @@ class TuningDaemon:
                 raise
             epoch.generation_after = self.dual.generation
 
-            if self.config.measure_tti:
-                # Placement unchanged ⇒ modelled costs unchanged: skip the
-                # second evaluation pass instead of re-deriving the same sum.
-                epoch.tti_after = (
-                    self._window_tti(entries) if epoch.moves else epoch.tti_before
-                )
+            # Placement unchanged ⇒ modelled costs unchanged: skip the
+            # second evaluation pass instead of re-deriving the same sum.
+            epoch.tti_after = self._window_tti(entries) if epoch.moves else epoch.tti_before
 
         self._fold(epoch)
         return epoch

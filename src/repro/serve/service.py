@@ -16,9 +16,15 @@ on top, without changing any store or tuner semantics:
   ``evict_partition``;
 * a **batched admission path** (:meth:`QueryService.run_batch`) that
   deduplicates identical queries within a batch and executes the distinct
-  misses concurrently in a thread pool — query processing only reads store
-  state, so read-side parallelism is safe (see
-  :class:`~repro.core.processor.QueryProcessor`'s concurrency contract);
+  misses inline, in submission order;
+* a **serving gate** (:class:`~repro.serve.adaptive.ReadWriteLock`) that
+  every service holds: serves take it shared, every mutation routed through
+  the service (``insert``/``delete``/``transfer_partition``/
+  ``evict_partition``, delta-log catch-up, tuning epochs, checkpoint
+  captures) takes it exclusive — the
+  :class:`~repro.core.processor.QueryProcessor` concurrency contract.  The
+  service owns no threads: concurrency comes from its callers (the
+  endpoint's request handlers, a follower's poll loop, test threads);
 * **service metrics** (:mod:`repro.serve.metrics`): cache hit rates, p50/p95
   latency, and queue depth — plus per-shard modelled probe metrics
   (:meth:`QueryService.shard_metrics`) when the dual store's relational
@@ -27,8 +33,8 @@ on top, without changing any store or tuner semantics:
   ``ServiceConfig.adaptive``): served complex subqueries are harvested into
   a sliding :class:`~repro.serve.adaptive.WorkloadWindow` and a
   :class:`~repro.serve.adaptive.TuningDaemon` re-tunes the physical design
-  epoch by epoch — exclusive with in-flight serves through a read/write
-  gate, each epoch's moves batched into a single result-cache invalidation.
+  epoch by epoch — exclusive with in-flight serves through the gate, each
+  epoch's moves batched into a single result-cache invalidation.
 
 Accounting is preserved: every submitted query yields exactly one
 :class:`~repro.core.metrics.QueryRecord`, and cached/deduplicated records keep
@@ -41,8 +47,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from pathlib import Path
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -85,6 +89,11 @@ __all__ = ["ServiceConfig", "ServedBatch", "IngestReport", "QueryService"]
 #: A query may be submitted as raw SPARQL text or as an already-parsed AST.
 QueryLike = Union[str, SelectQuery]
 
+#: LRU capacity of the parsed-plan cache (and of the canonical-key memo).
+PLAN_CACHE_SIZE = 1024
+#: LRU capacity of the result cache (entries = distinct queries).
+RESULT_CACHE_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -92,16 +101,6 @@ class ServiceConfig:
 
     Attributes
     ----------
-    plan_cache_size:
-        LRU capacity of the parsed-plan cache (entries = distinct texts).
-    result_cache_size:
-        LRU capacity of the result cache (entries = distinct queries).
-    max_workers:
-        Thread-pool width for batch execution; ``1`` serves batches inline
-        with no pool at all.  With the bundled pure-Python engines the GIL
-        serializes the CPU-bound execution, so the pool mainly exercises the
-        concurrency seam (and shows up in the queue-depth gauge); it pays off
-        for real once a store backend releases the GIL (I/O, native engines).
     cache_results:
         Disable to keep only the plan cache (useful for measuring the two
         caches separately).
@@ -124,12 +123,6 @@ class ServiceConfig:
         also keeps a write-ahead delta log (:mod:`repro.persist.wal`): every
         mutation appends one record, and the policy triggers become full
         snapshot + log rotation thresholds.
-    gated:
-        Create the read/write gate even without adaptive tuning.  Required
-        when mutations (or delta-log catch-up via
-        :meth:`QueryService.apply_wal_records`) run concurrently with
-        serving — the follower workers and the churn benchmark's leader use
-        this.  Implied by ``adaptive``.
     default_deadline_seconds:
         Wall-clock budget applied to every submission that does not carry
         its own ``deadline_seconds`` (:mod:`repro.resilience.deadline`).
@@ -138,13 +131,9 @@ class ServiceConfig:
         ``None`` (the default) serves unbudgeted, exactly as before.
     """
 
-    plan_cache_size: int = 1024
-    result_cache_size: int = 4096
-    max_workers: int = 4
     cache_results: bool = True
     adaptive: Optional[AdaptiveConfig] = None
     snapshot: Optional[SnapshotPolicy] = None
-    gated: bool = False
     default_deadline_seconds: Optional[float] = None
 
 
@@ -200,7 +189,7 @@ class QueryService:
     dual:
         The (loaded) dual store to front.  The service registers an
         invalidation hook on it; call :meth:`close` (or use the service as a
-        context manager) to detach it and stop the worker pool.
+        context manager) to detach it.
     config:
         Serving tunables; defaults are fine for the bundled benchmarks.
     """
@@ -208,23 +197,21 @@ class QueryService:
     def __init__(self, dual: DualStore, config: Optional[ServiceConfig] = None):
         self.dual = dual
         self.config = config or ServiceConfig()
-        self.plan_cache = PlanCache(self.config.plan_cache_size)
-        self.result_cache = ResultCache(self.config.result_cache_size)
+        self.plan_cache = PlanCache(PLAN_CACHE_SIZE)
+        self.result_cache = ResultCache(RESULT_CACHE_SIZE)
         # Memo for parsed-query canonical keys: to_sparql() + re-tokenization
         # is parser-comparable work, so equal queries (not just the same
         # object) share one computation.  Per-service, so the memory lives
         # and dies with the service rather than pinning ASTs process-wide.
         self._key_memo: LRUCache[SelectQuery, str] = LRUCache(
-            self.config.plan_cache_size, what="canonical-key memo"
+            PLAN_CACHE_SIZE, what="canonical-key memo"
         )
         self.metrics = ServiceMetrics()
         self._metrics_lock = threading.Lock()
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
         self._closed = False
-        #: The online adaptive tuning subsystem (``None`` unless opted in via
-        #: ``ServiceConfig.adaptive``).  The gate serializes tuning epochs
-        #: (exclusive) against in-flight serves (shared).
+        #: The serving gate: serves hold it shared; mutations, delta-log
+        #: catch-up, tuning epochs and checkpoint captures hold it exclusive.
+        self._gate = ReadWriteLock()
         #: Durable checkpointing (ServiceConfig.snapshot).  The mutation
         #: counter is bumped by the invalidation hook (one per generation
         #: bump, so a batched tuning epoch counts once) and the policy is
@@ -240,10 +227,9 @@ class QueryService:
         #: Last exception a *policy-triggered* commit raised (diagnostics;
         #: the explicit checkpoint() path propagates instead).
         self.last_snapshot_error: Optional[Exception] = None
+        #: The online adaptive tuning subsystem (``None`` unless opted in via
+        #: ``ServiceConfig.adaptive``).
         self.adaptive: Optional[TuningDaemon] = None
-        self._gate: Optional[ReadWriteLock] = None
-        if self.config.adaptive is not None or self.config.gated:
-            self._gate = ReadWriteLock()
         if self.config.adaptive is not None:
             adaptive = self.config.adaptive
             self.adaptive = TuningDaemon(
@@ -274,11 +260,10 @@ class QueryService:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Detach from the dual store and shut the worker pool down.
+        """Detach from the dual store (and stop the tuning daemon).
 
-        A closed service refuses further serving (``RuntimeError``) — its
-        invalidation hook is gone, so quietly continuing would re-create the
-        worker pool with nobody left to shut it down.
+        A closed service refuses further serving (``RuntimeError``): it no
+        longer hears the store's mutations, so it must not answer for it.
         """
         if self._closed:
             return
@@ -292,10 +277,6 @@ class QueryService:
         if self.delta_log is not None:
             self.dual.remove_mutation_listener(self._on_wal_event)
             self.delta_log.close()
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
 
     def __enter__(self) -> "QueryService":
         return self
@@ -362,8 +343,9 @@ class QueryService:
         self, queries: Sequence[QueryLike], *, deadline_seconds: Optional[float] = None
     ) -> ServedBatch:
         """Serve a whole batch: dedup within the batch, check the result
-        cache per distinct query, execute the misses concurrently, and emit
-        one :class:`QueryRecord` per submitted query in submission order.
+        cache per distinct query, execute the misses inline in submission
+        order, and emit one :class:`QueryRecord` per submitted query in
+        submission order.
         ``deadline_seconds`` is one shared budget for the whole batch; the
         first over-budget execution raises
         :class:`~repro.errors.QueryTimeoutError` for the batch."""
@@ -394,11 +376,10 @@ class QueryService:
         if deadline is None:
             deadline = self.request_deadline(deadline_seconds)
 
-        # With adaptive tuning on, serves hold the gate shared so a tuning
-        # epoch (exclusive) can never mutate the store between the generation
-        # sample and the executions it tags.
-        if self._gate is not None:
-            self._gate.acquire_read()
+        # Serves hold the gate shared, so no mutation routed through the
+        # service can land between the generation sample and the executions
+        # it tags: the one sample stamps the cache entries and the answers.
+        self._gate.acquire_read()
         try:
             generation = self.dual.generation
 
@@ -416,15 +397,11 @@ class QueryService:
                 else:
                     to_execute.append(plans[index])
 
-            executed: Dict[str, ProcessedQuery] = {}
-            if to_execute:
-                for plan, processed in zip(
-                    to_execute, self._execute_all(to_execute, deadline)
-                ):
-                    executed[plan.key] = processed
+            executed = {
+                plan.key: self._execute(plan, generation, deadline) for plan in to_execute
+            }
         finally:
-            if self._gate is not None:
-                self._gate.release_read()
+            self._gate.release_read()
 
         # Assemble per-submission entries outside the metrics lock, so the
         # result/record copies cannot serialize concurrent serves.
@@ -437,13 +414,19 @@ class QueryService:
             if plan.key in hits:
                 hit = hits[plan.key]
                 record = hit.record.replicate(from_cache=True)
-                entries.append(ProcessedQuery(result=hit.result.view(), record=record))
+                entries.append(
+                    ProcessedQuery(result=hit.result.view(), record=record, generation=generation)
+                )
                 hit_count += 1
             else:
                 processed = executed[plan.key]
                 if plan.key in primary_emitted:
                     record = processed.record.replicate(from_cache=True)
-                    entries.append(ProcessedQuery(result=processed.result.view(), record=record))
+                    entries.append(
+                        ProcessedQuery(
+                            result=processed.result.view(), record=record, generation=generation
+                        )
+                    )
                     coalesced_count += 1
                 else:
                     primary_emitted.add(plan.key)
@@ -479,22 +462,14 @@ class QueryService:
                 self._maybe_checkpoint_gated()
         return ServedBatch(executions=entries, cache_hits=hit_count, coalesced=coalesced_count)
 
-    def _execute_all(
-        self, plans: List[QueryPlan], deadline: Optional[Deadline] = None
-    ) -> List[ProcessedQuery]:
-        if len(plans) == 1 or self.config.max_workers <= 1:
-            return [self._execute(plan, deadline) for plan in plans]
-        pool = self._ensure_pool()
-        return list(pool.map(lambda plan: self._execute(plan, deadline), plans))
-
-    def _execute(self, plan: QueryPlan, deadline: Optional[Deadline] = None) -> ProcessedQuery:
+    def _execute(
+        self, plan: QueryPlan, generation: int, deadline: Optional[Deadline]
+    ) -> ProcessedQuery:
+        """Execute one plan under the caller's read gate; ``generation`` is
+        the serve's one sample, stamped on the answer and its cache entry."""
         with self._metrics_lock:
             self.metrics.queue.enter()
         start = time.perf_counter()
-        # Sampled *before* execution: if a mutation lands mid-flight, the
-        # entry is tagged with the older generation and every later lookup
-        # rejects it.
-        generation = self.dual.generation
         try:
             # The deadline rides the executing thread as ambient state
             # (thread-local), so the engine hot loops can probe it without
@@ -514,6 +489,7 @@ class QueryService:
                 self.metrics.queue.leave()
                 self.metrics.wall_latency.observe(wall)
                 self.metrics.counters.executions += 1
+        processed.generation = generation
         if self.config.cache_results:
             # Cache a view, not the object handed to the caller: served
             # results cross the cache boundary in both directions (stored on
@@ -532,15 +508,15 @@ class QueryService:
 
     # ------------------------------------------------------------------ #
     # Mutations (delegated; the dual store's hooks invalidate the cache).
-    # With adaptive tuning on, each delegation takes the write side of the
-    # gate so it is exclusive with in-flight serves and tuning epochs.
+    # Each delegation takes the write side of the gate so it is exclusive
+    # with in-flight serves and tuning epochs.
     # ------------------------------------------------------------------ #
     def _gated_mutation(self, mutate: Callable[[], float]) -> float:
         """One delegated mutation: exclusive with serves/epochs via the
         write gate, followed by the snapshot-policy check (capture under the
         gate, commit outside it, failures recorded — never raised out of the
         committed mutation)."""
-        with self._write_gated():
+        with self._gate.write_locked():
             seconds = mutate()
             pending = self._try_capture_locked()
         self._commit_captured(pending, propagate=False)
@@ -589,15 +565,14 @@ class QueryService:
         """Apply committed delta-log records to the live store — the
         follower catch-up path (:mod:`repro.endpoint.worker`).
 
-        Runs under the write gate (``ServiceConfig.gated``), so in-flight
-        serves never observe a half-applied record; each record fires the
-        invalidation hook once, exactly like the leader-side mutation that
-        produced it.  Returns the framed bytes applied (the churn
+        Runs under the write gate, so in-flight serves never observe a
+        half-applied record; each record fires the invalidation hook once,
+        exactly like the leader-side mutation that produced it.  Returns the framed bytes applied (the churn
         benchmark's delta-cost measure).  Replay errors propagate — a
         drifted store must be discarded, not served.
         """
         nbytes = 0
-        with self._write_gated():
+        with self._gate.write_locked():
             for record in records:
                 apply_record(self.dual, record)
                 nbytes += record.nbytes
@@ -612,14 +587,6 @@ class QueryService:
         """Remove one partition from the graph store; returns modelled
         eviction seconds (symmetric with :meth:`transfer_partition`)."""
         return self._gated_mutation(lambda: self.dual.evict_partition(predicate))
-
-    @contextmanager
-    def _write_gated(self):
-        if self._gate is None:
-            yield
-            return
-        with self._gate.write_locked():
-            yield
 
     def request_deadline(self, deadline_seconds: Optional[float] = None) -> Optional[Deadline]:
         """A started deadline for one submission: ``deadline_seconds``, else
@@ -773,7 +740,7 @@ class QueryService:
                 "no snapshot path: configure ServiceConfig(snapshot=SnapshotPolicy(...)) "
                 "or pass checkpoint(path=...)"
             )
-        with self._write_gated():
+        with self._gate.write_locked():
             pending = self._capture_locked(path)
         if keep is not None:
             captured, target, _default_keep = pending
@@ -796,8 +763,7 @@ class QueryService:
 
     def _maybe_capture_locked(self):
         """Capture a checkpoint if the policy says one is due; caller holds
-        the writer gate (or the store's usual mutation exclusivity when
-        there is no gate).  Returns the pending capture or ``None``."""
+        the writer gate.  Returns the pending capture or ``None``."""
         if not self._snapshot_due():
             return None
         return self._capture_locked(None)
@@ -825,7 +791,7 @@ class QueryService:
         at most one capture, and the commit runs after release."""
         if not self._snapshot_due():
             return None
-        with self._write_gated():
+        with self._gate.write_locked():
             pending = self._try_capture_locked()
         return self._commit_captured(pending, propagate=False)
 
@@ -966,19 +932,3 @@ class QueryService:
         if isinstance(backend, ShardedRelationalStore):
             return backend.shard_metrics.snapshot()
         return None
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            # Re-checked under the lock: a close() racing an in-flight serve
-            # must not get its freshly shut-down pool resurrected behind it.
-            if self._closed:
-                raise RuntimeError("QueryService is closed; create a new service to keep serving")
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.config.max_workers,
-                    thread_name_prefix="repro-serve",
-                )
-            return self._pool

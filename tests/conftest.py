@@ -175,7 +175,7 @@ def endpoint_factory(endpoint_dataset):
             triples if triples is not None else endpoint_dataset.triples
         )
         service = QueryService(
-            dual, service_config or ServiceConfig(max_workers=1)
+            dual, service_config or ServiceConfig()
         )
         endpoint = SparqlEndpoint(service, config or EndpointConfig())
         endpoint.start()

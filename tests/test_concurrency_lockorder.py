@@ -58,7 +58,6 @@ def test_serving_tuning_checkpoint_and_swap_stress_is_lock_order_clean(
     primary = QueryService(
         dual,
         ServiceConfig(
-            max_workers=2,
             adaptive=AdaptiveConfig(epoch_queries=8, window_size=32),
             snapshot=SnapshotPolicy(path=tmp_path / "snaps", every_mutations=3),
         ),
@@ -98,16 +97,13 @@ def test_serving_tuning_checkpoint_and_swap_stress_is_lock_order_clean(
             errors.append(f"checkpointer: {exc!r}")
 
     def swapper() -> None:
-        # Repeatedly swap a fresh gated standby in and the primary back,
+        # Repeatedly swap a fresh standby in and the primary back,
         # racing the admission path and the counter fold against live
         # clients.  Old services are kept open until the very end —
         # in-flight requests may still be inside them.
         try:
             for swap_number in range(SERVICE_SWAPS):
-                standby = QueryService(
-                    DualStore().load(_triples(60)),
-                    ServiceConfig(max_workers=2, gated=True),
-                )
+                standby = QueryService(DualStore().load(_triples(60)))
                 spares.append(standby)
                 endpoint.swap_service(standby)
                 endpoint.swap_service(primary)

@@ -6,8 +6,8 @@ concurrently with query processing, so the harness wraps traffic in a
 reader-writer lock: readers (service queries) share the store, mutators
 (insert / transfer / evict) take it exclusively.  What *is* being stressed
 is everything the serving layer owns — plan/result caches, generation
-validation, batch dedup, the execution pool, and the sharded store's
-lazily filled placement memos — all hammered from 8 threads at once.
+validation, batch dedup, the serving gate, and the sharded store's
+lazily filled placement memos — all hammered from 8 caller threads at once.
 
 Correctness oracle: every mutation bumps ``DualStore.generation``, and for
 each generation the first reader to see it computes the expected answer
@@ -99,7 +99,7 @@ def test_mixed_readers_and_mutators_never_observe_staleness_or_dropped_bindings(
     genre = WATDIV.term("hasGenre")
     transferable = [WATDIV.term("soldBy"), WATDIV.term("locatedIn"), WATDIV.term("reviewer")]
 
-    with QueryService(dual, ServiceConfig(max_workers=4)) as service:
+    with QueryService(dual, ServiceConfig()) as service:
 
         def expectation(generation: int, text: str):
             key = (generation, text)

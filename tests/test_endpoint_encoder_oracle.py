@@ -343,7 +343,7 @@ def test_eight_clients_share_one_fragment_table(endpoint_factory, endpoint_datas
 def test_fragment_table_dies_with_its_dictionary(endpoint_dataset, tmp_path):
     """No registry, no generation: after ``restore`` + ``swap_service`` the
     old dictionary — and the table that lives on it — is garbage."""
-    config = ServiceConfig(cache_results=False, max_workers=1)
+    config = ServiceConfig(cache_results=False)
     service = QueryService(DualStore().load(endpoint_dataset.triples), config)
     endpoint = SparqlEndpoint(service, EndpointConfig())
     endpoint.start()

@@ -155,7 +155,7 @@ def _leader(tmp_path):
     """A leader service over the hand-written store, checkpointed to a root."""
     root = tmp_path / "snaps"
     dual = DualStore().load(_fault_triples())
-    service = QueryService(dual, ServiceConfig(max_workers=1))
+    service = QueryService(dual, ServiceConfig())
     service.checkpoint(path=root)
     return root, dual, service
 

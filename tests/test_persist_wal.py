@@ -657,7 +657,7 @@ def test_worker_catches_up_via_deltas_without_full_reloads(tmp_path):
     root = tmp_path / "root"
     dual = DualStore(TUNER_CONFIG).load(wat.triples)
     policy = SnapshotPolicy(path=root, every_mutations=1000, log=True, keep=2)
-    with QueryService(dual, ServiceConfig(snapshot=policy, gated=True)) as leader:
+    with QueryService(dual, ServiceConfig(snapshot=policy)) as leader:
         with WorkerSupervisor(root, workers=2, poll_interval=0.05, run_dir=tmp_path / "run") as fleet:
             fleet.wait_ready(60)
             leader.insert(fresh[:20])

@@ -205,6 +205,7 @@ def test_group_index_memos_are_bounded_by_the_blocks_and_die_with_them():
     while other reader threads inserted.)"""
     import gc
     import sys
+    import threading
     import weakref
 
     from repro import generate_watdiv, watdiv_workload
@@ -220,10 +221,19 @@ def test_group_index_memos_are_bounded_by_the_blocks_and_die_with_them():
     switch_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with QueryService(dual, ServiceConfig(max_workers=4, cache_results=False)) as service:
-            executed = 0
-            while executed < 300:
-                executed += len(service.run_batch(queries).executions)
+        with QueryService(dual, ServiceConfig(cache_results=False)) as service:
+
+            def reader():
+                while service.metrics.counters.executions < 300:
+                    service.run_batch(queries)
+
+            readers = [threading.Thread(target=reader) for _ in range(4)]
+            for thread in readers:
+                thread.start()
+            for thread in readers:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in readers)
+            assert service.metrics.counters.executions >= 300
     finally:
         sys.setswitchinterval(switch_interval)
 

@@ -150,7 +150,7 @@ class TestDeadlineExecution:
     @pytest.fixture(scope="class")
     def heavy_service(self, yago_dataset):
         dual = DualStore().load(yago_dataset.triples)
-        service = QueryService(dual, ServiceConfig(max_workers=1))
+        service = QueryService(dual, ServiceConfig())
         yield service
         service.close()
 
@@ -188,15 +188,14 @@ class TestDeadlineExecution:
         assert len(outcomes) == 4
         assert len(set(outcomes)) == 1  # all four got the same full answer
 
-    def test_100_timeouts_leak_no_threads_and_leave_the_pool_serving(
+    def test_100_timeouts_leak_no_threads_and_leave_the_service_serving(
         self, yago_dataset
     ):
         dual = DualStore().load(yago_dataset.triples)
-        service = QueryService(dual, ServiceConfig(max_workers=2))
+        service = QueryService(dual, ServiceConfig())
         try:
-            # Warm the executor pool to its steady state (both worker
-            # threads spawned) so the stability assertion below measures
-            # leakage, not lazy pool growth.
+            # Warm the service to its steady state so the stability
+            # assertion below measures leakage, not lazy first-use setup.
             service.run_query(PROBE)
             for _ in range(5):
                 with pytest.raises(QueryTimeoutError):
@@ -212,7 +211,7 @@ class TestDeadlineExecution:
             assert timeouts == 100  # a timed-out query is never cached
             assert threading.active_count() <= before  # no thread leak
             assert service.metrics.counters.query_timeouts - base == 100
-            # The executor pool survived all 100 cancellations.
+            # The service (and its gate) survived all 100 cancellations.
             assert len(service.run_query(PROBE).result.bindings) > 0
         finally:
             service.close()
@@ -220,7 +219,7 @@ class TestDeadlineExecution:
     def test_default_deadline_from_service_config(self, yago_dataset):
         dual = DualStore().load(yago_dataset.triples)
         service = QueryService(
-            dual, ServiceConfig(max_workers=1, default_deadline_seconds=0.05)
+            dual, ServiceConfig(default_deadline_seconds=0.05)
         )
         try:
             with pytest.raises(QueryTimeoutError):
@@ -308,7 +307,7 @@ HOT_JOIN = (
 class TestColumnarKernelsUnderDeadlineAndBudget:
     def test_hot_key_hash_join_of_millions_of_rows_times_out_in_budget(self, writer):
         dual = writer.dual(_hot_key_triples(2000))  # 4 000 000 joined rows
-        service = QueryService(dual, ServiceConfig(max_workers=1))
+        service = QueryService(dual, ServiceConfig())
         try:
             budget = 0.05
             with pytest.raises(QueryTimeoutError) as excinfo:
@@ -492,7 +491,7 @@ class TestEndpointDeadline:
         assert service.metrics.counters.query_timeouts == 1
 
     def test_execute_fast_encode_slow_is_a_504(self, endpoint_factory, monkeypatch):
-        endpoint, service = endpoint_factory(service_config=ServiceConfig(max_workers=1, cache_results=False))
+        endpoint, service = endpoint_factory(service_config=ServiceConfig(cache_results=False))
         self._slow_encoding(monkeypatch, FakeClock())
         budget = 0.05
         response = sparql_request(endpoint.url, PROBE, deadline_seconds=budget)
@@ -760,7 +759,7 @@ class TestPersistFaultSites:
     def test_snapshot_write_fault_never_moves_the_commit_point(self, tmp_path):
         root = tmp_path / "snaps"
         dual = DualStore().load(_mini_triples())
-        service = QueryService(dual, ServiceConfig(max_workers=1))
+        service = QueryService(dual, ServiceConfig())
         try:
             first = service.checkpoint(path=root)
             plan = FaultPlan(
@@ -785,7 +784,7 @@ class TestPersistFaultSites:
 
         root = tmp_path / "snaps"
         dual = DualStore().load(_mini_triples())
-        service = QueryService(dual, ServiceConfig(max_workers=1))
+        service = QueryService(dual, ServiceConfig())
         try:
             first = service.checkpoint(path=root)
             given = YAGO.term("hasGivenName")
@@ -1061,7 +1060,7 @@ class TestFleetMonitor:
 
     def test_record_resilience_updates_the_real_counters(self):
         dual = DualStore().load(_mini_triples())
-        service = QueryService(dual, ServiceConfig(max_workers=1))
+        service = QueryService(dual, ServiceConfig())
         try:
             service.record_resilience(worker_restarts=3, breaker_opens=2)
             service.record_resilience(worker_restarts=5)  # partial update
@@ -1085,7 +1084,7 @@ class TestSnapshotWatcherRaces:
     ):
         root = tmp_path / "snaps"
         dual = DualStore().load(_mini_triples())
-        service = QueryService(dual, ServiceConfig(max_workers=1))
+        service = QueryService(dual, ServiceConfig())
         try:
             manifest = service.checkpoint(path=root)
         finally:
@@ -1110,7 +1109,7 @@ class TestSnapshotWatcherRaces:
     def test_repeated_commit_races_never_regress_or_skip_the_head(self, tmp_path):
         root = tmp_path / "snaps"
         dual = DualStore().load(_mini_triples())
-        service = QueryService(dual, ServiceConfig(max_workers=1))
+        service = QueryService(dual, ServiceConfig())
         observed: list = []
         stop = threading.Event()
         watcher = SnapshotWatcher(root)
@@ -1161,7 +1160,7 @@ class TestChaosFleet:
     def test_seeded_chaos_serves_exactly_and_reconverges(self, tmp_path, yago_dataset):
         root = tmp_path / "snaps"
         dual = DualStore().load(yago_dataset.triples)
-        leader = QueryService(dual, ServiceConfig(max_workers=1))
+        leader = QueryService(dual, ServiceConfig())
         leader.checkpoint(path=root)
         expected = encode_results(leader.run_query(PROBE).result)
         generation = dual.generation
@@ -1274,7 +1273,7 @@ class TestChaosFleet:
         is refreshed by its successor rather than left stale."""
         root = tmp_path / "snaps"
         dual = DualStore().load(_mini_triples())
-        leader = QueryService(dual, ServiceConfig(max_workers=1))
+        leader = QueryService(dual, ServiceConfig())
         leader.checkpoint(path=root)
         expected = encode_results(leader.run_query(PROBE).result)
         try:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro import DualStore, QueryService, ServiceConfig, generate_yago, parse_query, yago_workload
@@ -270,24 +272,44 @@ class TestRunBatch:
         assert again.cache_hits == len(batch)
         assert service.metrics.counters.executions == executions_before
 
-    def test_inline_execution_with_single_worker(self, dual, dataset):
+    def test_batch_executes_on_the_calling_thread(self, service, dataset, monkeypatch):
         workload = yago_workload(dataset)
         batch = workload.batches("ordered")[0]
-        with QueryService(dual, ServiceConfig(max_workers=1)) as service:
-            served = service.run_batch(batch)
-            assert len(served) == len(batch)
-            assert service._pool is None  # never spun up a pool
+        processor = service.dual.processor
+        original = processor.process
+        threads = set()
+
+        def recording(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(processor, "process", recording)
+        served = service.run_batch(batch)
+        assert len(served) == len(batch)
+        assert threads == {threading.get_ident()}  # the service owns no threads
 
     def test_threaded_equals_inline(self, dual, dataset, fingerprint):
         workload = yago_workload(dataset)
         batch = workload.batches("random")[1]
-        with QueryService(dual, ServiceConfig(max_workers=1)) as inline_service:
+        with QueryService(dual, ServiceConfig(cache_results=False)) as inline_service:
             inline = inline_service.run_batch(batch)
-        with QueryService(dual, ServiceConfig(max_workers=8)) as threaded_service:
-            threaded = threaded_service.run_batch(batch)
-        for a, b in zip(inline, threaded):
-            assert fingerprint(a.result) == fingerprint(b.result)
-            assert a.record.seconds == b.record.seconds
+        outcomes = []
+        with QueryService(dual, ServiceConfig(cache_results=False)) as threaded_service:
+            threads = [
+                threading.Thread(
+                    target=lambda: outcomes.append(threaded_service.run_batch(batch))
+                )
+                for _ in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        assert len(outcomes) == len(threads)
+        for threaded in outcomes:
+            for a, b in zip(inline, threaded):
+                assert fingerprint(a.result) == fingerprint(b.result)
+                assert a.record.seconds == b.record.seconds
 
     def test_batch_result_adapter(self, service, dataset):
         workload = yago_workload(dataset)
@@ -327,7 +349,6 @@ class TestRunBatchEdgeCases:
         assert service.metrics.queue.current == 0
         assert service.metrics.queue.peak == 0
         assert service.metrics.modelled_latency.count == 0
-        assert service._pool is None  # an empty batch must not spin the pool up
 
     def test_empty_batch_still_requires_a_loaded_store(self):
         from repro.errors import TuningError

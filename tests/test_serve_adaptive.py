@@ -263,14 +263,6 @@ class TestAdaptiveService:
             assert metrics["last_window_tti_before"] == epoch.tti_before
             assert metrics["last_window_tti_after"] == epoch.tti_after
 
-    def test_tti_measurement_can_be_disabled(self, dual, family_mixes):
-        config = adaptive_config(measure_tti=False)
-        with QueryService(dual, ServiceConfig(adaptive=config)) as service:
-            service.run_batch(family_mixes["a"])
-            epoch = service.tune_now()
-            assert epoch.tti_before is None and epoch.tti_after is None
-            assert epoch.tti_delta is None
-
     def test_auto_epochs_trigger_on_harvest_threshold(self, dual, family_mixes):
         config = adaptive_config(epoch_queries=8)
         with QueryService(dual, ServiceConfig(adaptive=config)) as service:
@@ -404,7 +396,7 @@ class TestAdaptiveService:
         uncached truth of some placement — and the final pass exactly."""
         errors = []
         config = adaptive_config(window_size=64)
-        with QueryService(dual, ServiceConfig(adaptive=config, max_workers=4)) as service:
+        with QueryService(dual, ServiceConfig(adaptive=config)) as service:
             batch = family_mixes["a"][:12]
             truth = [fingerprint(dual.run_query(q).result) for q in batch]
 
