@@ -98,11 +98,10 @@ def test_delta_catch_up_is_strictly_cheaper_than_full_reloads():
         traffic.extend(watdiv_workload(dataset, family=family, seed=WORKLOAD_SEED).ordered())
     pool = _fresh_pool(dataset.triples, ROUNDS * BATCH)
     root = Path(tempfile.mkdtemp(prefix="repro-churn-")) / "snapshots"
-    policy = SnapshotPolicy(path=root, every_mutations=0, log=True, keep=2)
+    policy = SnapshotPolicy(path=root, log=True, keep=2)
     config = ServiceConfig(
         adaptive=AdaptiveConfig(
             window_size=1024,
-            epoch_queries=0,  # epochs fired explicitly at checkpoints
             tuner_factory=lambda dual: Dotil(dual, TUNER_CONFIG),
         ),
         snapshot=policy,

@@ -101,7 +101,6 @@ def test_adaptive_service_recovers_after_workload_drift():
     service_config = ServiceConfig(
         adaptive=AdaptiveConfig(
             window_size=max(len(phase_a), len(phase_b)),
-            epoch_queries=0,  # epochs driven explicitly, one per traffic epoch
             tuner_factory=lambda dual: Dotil(dual, TUNER_CONFIG),
         )
     )

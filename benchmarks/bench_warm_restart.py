@@ -75,10 +75,9 @@ def _service_config(snapshot_root=None):
     return ServiceConfig(
         adaptive=AdaptiveConfig(
             window_size=1024,
-            epoch_queries=0,  # epochs driven explicitly; a restart adds none
             tuner_factory=lambda dual: Dotil(dual, TUNER_CONFIG),
         ),
-        snapshot=SnapshotPolicy(path=snapshot_root, every_mutations=0)
+        snapshot=SnapshotPolicy(path=snapshot_root)
         if snapshot_root is not None
         else None,
     )

@@ -59,7 +59,6 @@ def main() -> None:
     service_config = ServiceConfig(
         adaptive=AdaptiveConfig(
             window_size=max(len(phase_a), len(phase_b)),
-            epoch_queries=0,  # we drive epochs explicitly, one per traffic epoch
             tuner_factory=lambda dual: Dotil(dual, CONFIG),
         )
     )

@@ -219,9 +219,10 @@ class DualStore:
         The usual mutation contract still applies — and is load-bearing here:
         no query may execute concurrently with the context, because until the
         exit bump a concurrent execution would be tagged with the pre-batch
-        generation while observing mid-batch store state.  The serving layer's
-        :class:`~repro.serve.adaptive.TuningDaemon` guarantees exclusivity via
-        its read/write gate.  Nesting is allowed; only the outermost exit fires.
+        generation while observing mid-batch store state.  The serving layer
+        guarantees exclusivity: ``QueryService.tune_now()`` runs the epoch
+        under the write side of its read/write gate.  Nesting is allowed; only
+        the outermost exit fires.
         """
         self._batch_depth += 1
         try:

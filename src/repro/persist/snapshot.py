@@ -86,47 +86,34 @@ _NAME_RE = re.compile(r"^snapshot-(\d{8})-g(\d+)$")
 
 @dataclass(frozen=True)
 class SnapshotPolicy:
-    """When the serving layer should checkpoint (``ServiceConfig.snapshot``).
+    """Where the serving layer checkpoints (``ServiceConfig.snapshot``).
+
+    The policy names no trigger: a snapshot is taken when
+    ``QueryService.checkpoint()`` is called.
 
     Attributes
     ----------
     path:
-        Snapshot root directory (created on first checkpoint).
-    every_mutations:
-        Checkpoint once this many generation bumps have landed since the
-        last snapshot (a batched tuning epoch counts as one).  ``0`` disables
-        the mutation-count trigger.
-    interval_seconds:
-        Also checkpoint when this much wall-clock time has passed since the
-        last snapshot.  Checked at the same safe points as the mutation
-        trigger (mutation and tuning-epoch boundaries, under the writer
-        gate) — an idle, unmutated service does not spin a timer thread.
-        ``0`` disables the interval trigger.
+        Snapshot root directory (created on first checkpoint) — the one
+        ``checkpoint()`` writes to when called without a path.
     keep:
         Completed snapshots retained in the root; older ones are pruned
         after each successful commit.
     log:
         Enable the write-ahead delta log (:mod:`repro.persist.wal`).  Every
-        mutation then appends one cheap fsync'd delta record, and the
-        ``every_mutations``/``interval_seconds`` triggers become *rotation*
-        thresholds: when one fires, a full snapshot commits and the log
-        rotates to a fresh segment anchored at it — so restores replay
-        ``snapshot + tail`` and followers catch up from the log instead of
-        reloading full snapshots.  The log keeps ``max(2, keep)`` segments,
-        in lockstep with snapshot retention.
+        mutation then appends one cheap fsync'd delta record, and each
+        ``checkpoint()`` on the policy path commits a full snapshot and
+        rotates the log to a fresh segment anchored at it — so restores
+        replay ``snapshot + tail`` and followers catch up from the log
+        instead of reloading full snapshots.  The log keeps ``max(2, keep)``
+        segments, in lockstep with snapshot retention.
     """
 
     path: Union[str, Path]
-    every_mutations: int = 0
-    interval_seconds: float = 0.0
     keep: int = 2
     log: bool = False
 
     def __post_init__(self) -> None:
-        if self.every_mutations < 0:
-            raise SnapshotError("every_mutations must be non-negative")
-        if self.interval_seconds < 0:
-            raise SnapshotError("interval_seconds must be non-negative")
         if self.keep < 1:
             raise SnapshotError("keep must retain at least one snapshot")
 

@@ -7,8 +7,9 @@ workload batches with plan caching, generation-validated result caching,
 and within-batch deduplication, under a read/write gate that keeps every
 mutation routed through the service exclusive with in-flight serves.
 :mod:`repro.serve.adaptive` adds opt-in online adaptive tuning: a sliding
-window of served complex subqueries plus a tuning daemon that re-places
-partitions epoch by epoch while serving continues.  See
+window of served complex subqueries plus a tuning daemon whose epochs,
+one per ``QueryService.tune_now()`` call, re-place partitions while serving
+continues around them.  See
 ``docs/architecture.md`` (§3 for the cache-invalidation contract, §6 for the
 adaptive subsystem).  Durable checkpointing and warm restarts
 (``ServiceConfig.snapshot`` / :meth:`QueryService.restore`) are built on

@@ -24,11 +24,9 @@ given, forever.  This module closes the loop:
   service — holds it exclusively.  In-flight serves drain, the epoch
   applies, serving resumes against the new placement.
 
-Epochs can be driven three ways: explicitly (:meth:`TuningDaemon.run_epoch`
-/ ``QueryService.tune_now()``), automatically every
-:attr:`AdaptiveConfig.epoch_queries` harvested submissions (deterministic —
-used by the drift benchmark), or on a wall-clock interval from a background
-thread (:meth:`TuningDaemon.start`).
+Epochs run when called: ``QueryService.tune_now()`` takes the write gate and
+runs :meth:`TuningDaemon.run_epoch`.  Nothing else starts one — the paper
+runs DOTIL periodically between batches, and the caller picks the period.
 
 Accounting stays honest: per epoch the daemon records the moves applied, the
 modelled import/evict seconds (symmetric — see
@@ -42,7 +40,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Iterator, List, Optional
 
 from repro.core.dualstore import DualStore
@@ -179,34 +177,20 @@ class WorkloadWindow:
         self.capacity = capacity
         self._entries: Deque[WindowEntry] = deque(maxlen=capacity)
         self._lock = threading.Lock()
-        self._pending = 0
         self.harvested = 0
 
     def record(self, key: str, query: SelectQuery, complex_subquery: ComplexSubquery) -> None:
         with self._lock:
             self._entries.append(WindowEntry(key, query, complex_subquery))
-            self._pending += 1
             self.harvested += 1
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    @property
-    def pending(self) -> int:
-        """Submissions harvested since the last epoch (the auto-epoch trigger)."""
-        with self._lock:
-            return self._pending
-
     def snapshot(self) -> List[WindowEntry]:
         """The current window contents, oldest first."""
         with self._lock:
-            return list(self._entries)
-
-    def mark_epoch(self) -> List[WindowEntry]:
-        """Snapshot the window and reset the pending-submission trigger."""
-        with self._lock:
-            self._pending = 0
             return list(self._entries)
 
     # ------------------------------------------------------------------ #
@@ -215,11 +199,12 @@ class WorkloadWindow:
     def snapshot_state(self) -> dict:
         """JSON-serializable window state.  Queries persist as their
         deterministic SPARQL rendering; the complex subqueries are re-derived
-        on restore (the identifier is a pure function of the query)."""
+        on restore (the identifier is a pure function of the query).
+        Payloads from older builds also carry a ``pending`` count; restore
+        ignores it."""
         with self._lock:
             return {
                 "capacity": self.capacity,
-                "pending": self._pending,
                 "harvested": self.harvested,
                 "entries": [[entry.key, entry.query.to_sparql()] for entry in self._entries],
             }
@@ -235,7 +220,6 @@ class WorkloadWindow:
                 if complex_subquery is None:  # pragma: no cover - harvested entries are complex
                     continue
                 self._entries.append(WindowEntry(key, query, complex_subquery))
-            self._pending = int(state["pending"])
             self.harvested = int(state["harvested"])
 
 
@@ -250,10 +234,9 @@ class AdaptiveConfig:
         one traffic epoch so a drifted mix displaces the old phase within an
         epoch or two.
     epoch_queries:
-        Run a tuning epoch automatically once this many new submissions have
-        been harvested (checked at the end of each serve).  ``0`` disables
-        auto epochs — drive them via ``QueryService.tune_now()`` or the
-        background thread instead.
+        Only ``0``: epochs run when ``QueryService.tune_now()`` is called,
+        never on a submission count.  The field remains so existing callers
+        that pass ``epoch_queries=0`` keep constructing.
     tuner_factory:
         Builds the tuner from the dual store; defaults to DOTIL with the
         store's own config.  Any :class:`~repro.core.tuner.BaseTuner` works —
@@ -268,8 +251,15 @@ class AdaptiveConfig:
     """
 
     window_size: int = 256
-    epoch_queries: int = 64
+    epoch_queries: int = 0
     tuner_factory: Callable[[DualStore], BaseTuner] = Dotil
+
+    def __post_init__(self) -> None:
+        if self.epoch_queries != 0:
+            raise ValueError(
+                f"epoch_queries={self.epoch_queries!r}: epochs run only when "
+                "QueryService.tune_now() is called; leave epoch_queries at 0"
+            )
 
 
 @dataclass
@@ -307,11 +297,11 @@ class EpochReport:
 @dataclass
 class AdaptiveMetrics:
     """Cumulative epoch accounting, exposed as
-    ``QueryService.adaptive_metrics()``."""
+    ``QueryService.adaptive_metrics()``.  Payloads from older builds also
+    carry ``epoch_failures``; restore ignores it."""
 
     epochs: int = 0
     epochs_with_moves: int = 0
-    epoch_failures: int = 0
     transfers_applied: int = 0
     evictions_applied: int = 0
     import_seconds: float = 0.0
@@ -329,7 +319,6 @@ class AdaptiveMetrics:
         return {
             "epochs": float(self.epochs),
             "epochs_with_moves": float(self.epochs_with_moves),
-            "epoch_failures": float(self.epoch_failures),
             "moves_applied": float(self.moves_applied),
             "transfers_applied": float(self.transfers_applied),
             "evictions_applied": float(self.evictions_applied),
@@ -345,118 +334,76 @@ class AdaptiveMetrics:
 class TuningDaemon:
     """Runs epoch-based tuning against the live workload window.
 
-    The daemon owns no threads until :meth:`start` is called; `run_epoch` is
-    synchronous and safe to call from any thread (epochs are serialized).
-    Every epoch:
+    The daemon owns no threads and no lock over the store: the caller of
+    :meth:`run_epoch` holds the serving gate's write side, so in-flight
+    serves have drained and new serves wait.  ``QueryService.tune_now()``
+    is that caller.  Every epoch:
 
-    1. takes the write side of the gate (in-flight serves drain, new serves
-       and the store's caches wait),
-    2. snapshots the window and resets the auto-epoch trigger,
-    3. prices the window's distinct queries (TTI before),
-    4. runs ``tuner.tune(window)`` inside ``dual.batch_mutations()`` — the
+    1. snapshots the window,
+    2. prices the window's distinct queries (TTI before),
+    3. runs ``tuner.tune(window)`` inside ``dual.batch_mutations()`` — the
        tuner transfers/evicts freely, physical effects are immediate, but the
        generation bumps coalesce into **one** (one result-cache invalidation
        per epoch, however many moves were applied),
-    5. re-prices the window if moves were applied (TTI after), and
-    6. folds the outcome into :class:`AdaptiveMetrics`.
+    4. re-prices the window if moves were applied (TTI after), and
+    5. folds the outcome into :class:`AdaptiveMetrics`.
     """
 
-    def __init__(
-        self,
-        dual: DualStore,
-        tuner: BaseTuner,
-        window: WorkloadWindow,
-        gate: ReadWriteLock,
-        config: AdaptiveConfig,
-    ):
+    def __init__(self, dual: DualStore, tuner: BaseTuner, window: WorkloadWindow):
         self.dual = dual
         self.tuner = tuner
         self.window = window
-        self.gate = gate
-        self.config = config
         self.metrics = AdaptiveMetrics()
         self.last_epoch: Optional[EpochReport] = None
-        #: Last exception a *background* epoch raised (diagnostics; the
-        #: explicit run_epoch path propagates instead).
-        self.last_error: Optional[Exception] = None
-        #: Invoked (outside the gate) after every *background-thread* epoch.
-        #: The owning service points this at its snapshot-policy check, so
-        #: daemon-driven epochs hit the same checkpoint boundary as
-        #: ``tune_now()`` and auto epochs — without it, a background-driven
-        #: service with durability configured would never checkpoint.
-        self.post_epoch_hook: Optional[Callable[[], object]] = None
-        self._epoch_lock = threading.Lock()
         # Guards metrics/last_epoch for observers: _fold mutates field by
         # field, and a reader overlapping it would see a torn snapshot that
         # breaks the moves-vs-invalidations reconciliation mid-update.
         self._metrics_lock = threading.Lock()
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
 
     # ------------------------------------------------------------------ #
     # Epochs
     # ------------------------------------------------------------------ #
     def run_epoch(self) -> EpochReport:
-        """Run one tuning epoch now (blocking until in-flight serves drain)."""
-        with self._epoch_lock:
-            return self._run_epoch_locked()
+        """Run one tuning epoch now.  The caller holds the serving gate's
+        write side (``QueryService.tune_now()`` takes it), which also makes
+        concurrent epochs run one after the other."""
+        entries = self.window.snapshot()
+        generation_before = self.dual.generation
+        epoch = EpochReport(
+            index=self.metrics.epochs,
+            window_size=len(entries),
+            report=None,
+            generation_before=generation_before,
+            generation_after=generation_before,
+        )
+        if not entries:
+            with self._metrics_lock:
+                self.metrics.epochs += 1
+                self.last_epoch = epoch
+            return epoch
 
-    def _run_epoch_locked(self) -> EpochReport:
-        with self.gate.write_locked():
-            entries = self.window.mark_epoch()
-            generation_before = self.dual.generation
-            epoch = EpochReport(
-                index=self.metrics.epochs,
-                window_size=len(entries),
-                report=None,
-                generation_before=generation_before,
-                generation_after=generation_before,
-            )
-            if not entries:
-                with self._metrics_lock:
-                    self.metrics.epochs += 1
-                    self.last_epoch = epoch
-                return epoch
+        epoch.tti_before = self._window_tti(entries)
 
-            epoch.tti_before = self._window_tti(entries)
-
-            log_mark = len(self.dual.transfer_log)
-            try:
-                with self.dual.batch_mutations():
-                    epoch.report = self.tuner.tune([e.complex_subquery for e in entries])
-            except BaseException:
-                # The tuner may have applied moves before failing — the batch
-                # context already fired their (single) invalidation, so the
-                # epoch accounting must reflect them or the books stop
-                # reconciling (invalidations_avoided == moves − fires).
-                epoch.report = self._partial_report(log_mark)
-                epoch.generation_after = self.dual.generation
-                self._fold(epoch)
-                raise
+        log_mark = len(self.dual.transfer_log)
+        try:
+            with self.dual.batch_mutations():
+                epoch.report = self.tuner.tune([e.complex_subquery for e in entries])
+        except BaseException:
+            # The tuner may have applied moves before failing — the batch
+            # context already fired their (single) invalidation, so the
+            # epoch accounting must reflect them or the books stop
+            # reconciling (invalidations_avoided == moves − fires).
+            epoch.report = self._partial_report(log_mark)
             epoch.generation_after = self.dual.generation
+            self._fold(epoch)
+            raise
+        epoch.generation_after = self.dual.generation
 
-            # Placement unchanged ⇒ modelled costs unchanged: skip the
-            # second evaluation pass instead of re-deriving the same sum.
-            epoch.tti_after = self._window_tti(entries) if epoch.moves else epoch.tti_before
-
+        # Placement unchanged ⇒ modelled costs unchanged: skip the
+        # second evaluation pass instead of re-deriving the same sum.
+        epoch.tti_after = self._window_tti(entries) if epoch.moves else epoch.tti_before
         self._fold(epoch)
         return epoch
-
-    def maybe_run_epoch(self) -> Optional[EpochReport]:
-        """Run an epoch if the auto-epoch submission threshold was reached.
-
-        The threshold is re-checked under the epoch lock: concurrent serves
-        may both see it crossed, but only the first runs an epoch — the
-        second finds the trigger reset and backs off instead of re-tuning an
-        unchanged window (and re-invalidating the just-rewarmed cache).
-        """
-        threshold = self.config.epoch_queries
-        if threshold <= 0 or self.window.pending < threshold:
-            return None
-        with self._epoch_lock:
-            if self.window.pending < threshold:
-                return None
-            return self._run_epoch_locked()
 
     def _partial_report(self, log_mark: int) -> TuningReport:
         """What a *failed* ``tune()`` physically did, reconstructed from the
@@ -552,7 +499,6 @@ class TuningDaemon:
                 m = self.metrics
                 m.epochs = int(metrics.get("epochs", 0))
                 m.epochs_with_moves = int(metrics.get("epochs_with_moves", 0))
-                m.epoch_failures = int(metrics.get("epoch_failures", 0))
                 m.transfers_applied = int(metrics.get("transfers_applied", 0))
                 m.evictions_applied = int(metrics.get("evictions_applied", 0))
                 m.import_seconds = float(metrics.get("import_seconds", 0.0))
@@ -561,56 +507,3 @@ class TuningDaemon:
                 m.tti_delta_total = float(metrics.get("tti_delta_total", 0.0))
                 m.last_window_tti_before = float(metrics.get("last_window_tti_before", 0.0))
                 m.last_window_tti_after = float(metrics.get("last_window_tti_after", 0.0))
-
-    # ------------------------------------------------------------------ #
-    # Background operation
-    # ------------------------------------------------------------------ #
-    def start(self, interval_seconds: float) -> None:
-        """Run epochs from a background thread every ``interval_seconds``.
-
-        The thread skips an interval when nothing new was harvested, so an
-        idle service does not churn the tuner.  Idempotent stop via
-        :meth:`stop` (also called by ``QueryService.close``).
-        """
-        if interval_seconds <= 0:
-            raise ValueError("interval_seconds must be positive")
-        if self._thread is not None:
-            raise RuntimeError("the tuning daemon is already running")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, args=(interval_seconds,), name="repro-tuning-daemon", daemon=True
-        )
-        self._thread.start()
-
-    def _loop(self, interval_seconds: float) -> None:
-        while not self._stop.wait(interval_seconds):
-            if not self.window.pending:
-                continue
-            try:
-                self.run_epoch()
-                hook = self.post_epoch_hook
-                if hook is not None:
-                    hook()
-            except Exception as exc:
-                # One failing epoch (a buggy custom tuner, a transient error
-                # in TTI pricing) must not silently kill adaptation for the
-                # rest of the service's life: record it and retry next tick.
-                # The explicit run_epoch()/tune_now() path still propagates.
-                with self._metrics_lock:
-                    self.last_error = exc
-                    self.metrics.epoch_failures += 1
-
-    def stop(self) -> None:
-        # Captured locally so concurrent stop() calls (close() racing a
-        # direct stop()) both join the same thread instead of one of them
-        # dereferencing None; a double join is harmless.
-        thread = self._thread
-        if thread is None:
-            return
-        self._stop.set()
-        thread.join()
-        self._thread = None
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None

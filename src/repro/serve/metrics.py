@@ -58,12 +58,11 @@ class ServiceCounters:
         cache's own cumulative counter by assignment, so every snapshot
         already carries the full total — see :attr:`MIRRORED_GAUGES`.
     snapshots_taken:
-        Durable checkpoints the service committed (``ServiceConfig.snapshot``
-        policy triggers plus explicit ``checkpoint()`` calls).
+        Durable checkpoints the service committed (``checkpoint()`` calls,
+        including the delta log's anchor snapshot).
     snapshot_failures:
-        Checkpoint commits that failed.  Policy-triggered failures are
-        recorded here (and in ``QueryService.last_snapshot_error``) instead
-        of raising out of the mutation that triggered them.
+        Checkpoint commits that failed.  ``checkpoint()`` counts the
+        failure here, then raises it to its caller.
     wal_records / wal_bytes:
         Delta-log appends (``SnapshotPolicy.log``): records durably written
         and their total framed bytes.  The churn benchmark compares these

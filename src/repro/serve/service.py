@@ -31,10 +31,17 @@ on top, without changing any store or tuner semantics:
   master copy is a :class:`~repro.relstore.sharded.ShardedRelationalStore`;
 * opt-in **online adaptive tuning** (:mod:`repro.serve.adaptive`, via
   ``ServiceConfig.adaptive``): served complex subqueries are harvested into
-  a sliding :class:`~repro.serve.adaptive.WorkloadWindow` and a
-  :class:`~repro.serve.adaptive.TuningDaemon` re-tunes the physical design
-  epoch by epoch — exclusive with in-flight serves through the gate, each
-  epoch's moves batched into a single result-cache invalidation.
+  a sliding :class:`~repro.serve.adaptive.WorkloadWindow`, and each
+  :meth:`QueryService.tune_now` call runs one
+  :class:`~repro.serve.adaptive.TuningDaemon` epoch that re-tunes the
+  physical design — exclusive with in-flight serves through the gate, its
+  moves batched into a single result-cache invalidation;
+* opt-in **durable checkpoints** (:mod:`repro.persist`, via
+  ``ServiceConfig.snapshot``): each :meth:`QueryService.checkpoint` call
+  captures a consistent cut under the gate and commits it outside.
+
+Tuning and checkpoints run when called: ``tune_now()`` and ``checkpoint()``
+are their only triggers.
 
 Accounting is preserved: every submitted query yields exactly one
 :class:`~repro.core.metrics.QueryRecord`, and cached/deduplicated records keep
@@ -49,7 +56,7 @@ import threading
 import time
 from pathlib import Path
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from repro.core.dualstore import DualStore
 from repro.core.metrics import BatchResult, QueryRecord
@@ -108,21 +115,21 @@ class ServiceConfig:
         Opt-in online adaptive tuning (:mod:`repro.serve.adaptive`).  When
         set, the service harvests served complex subqueries into a sliding
         :class:`~repro.serve.adaptive.WorkloadWindow` and owns a
-        :class:`~repro.serve.adaptive.TuningDaemon` that re-tunes the dual
-        store's physical design epoch by epoch, concurrently-safely with
-        in-flight serves.  ``None`` (the default) serves a frozen placement,
-        exactly as before.
+        :class:`~repro.serve.adaptive.TuningDaemon`; each
+        :meth:`QueryService.tune_now` call re-tunes the dual store's
+        physical design, exclusive with in-flight serves.  ``None`` (the
+        default) serves a frozen placement.
     snapshot:
-        Opt-in durable checkpointing (:mod:`repro.persist`).  When set, the
-        service snapshots the dual store (plus the adaptive window/tuner
-        state when adaptive tuning is on) under the policy's path whenever
-        its mutation-count or interval trigger fires — always under the
-        writer gate, so every snapshot is a consistent cut.  Restart with
+        Opt-in durable checkpointing (:mod:`repro.persist`).  When set,
+        :meth:`QueryService.checkpoint` with no path snapshots the dual
+        store (plus the adaptive window/tuner state when adaptive tuning is
+        on) under the policy's path — captured under the writer gate, so
+        every snapshot is a consistent cut.  Restart with
         :meth:`QueryService.restore`.  ``None`` (the default) keeps the
         service memory-only.  With ``SnapshotPolicy(log=True)`` the service
         also keeps a write-ahead delta log (:mod:`repro.persist.wal`): every
-        mutation appends one record, and the policy triggers become full
-        snapshot + log rotation thresholds.
+        mutation appends one record, and each checkpoint on the policy path
+        rotates the log onto the new snapshot.
     default_deadline_seconds:
         Wall-clock budget applied to every submission that does not carry
         its own ``deadline_seconds`` (:mod:`repro.resilience.deadline`).
@@ -212,21 +219,13 @@ class QueryService:
         #: The serving gate: serves hold it shared; mutations, delta-log
         #: catch-up, tuning epochs and checkpoint captures hold it exclusive.
         self._gate = ReadWriteLock()
-        #: Durable checkpointing (ServiceConfig.snapshot).  The mutation
-        #: counter is bumped by the invalidation hook (one per generation
-        #: bump, so a batched tuning epoch counts once) and the policy is
-        #: evaluated at mutation/epoch boundaries: the in-memory *capture*
-        #: happens under the writer gate (the consistent cut), the disk
-        #: *commit* happens after the gate is released (serving resumes while
-        #: the fsyncs run), serialized by its own I/O lock.
+        #: Durable checkpointing (ServiceConfig.snapshot): checkpoint()
+        #: captures under the writer gate (the consistent cut) and commits
+        #: after the gate is released (serving resumes while the fsyncs
+        #: run), serialized by its own I/O lock.
         self._snapshot_policy = self.config.snapshot
-        self._mutations_since_snapshot = 0
-        self._last_snapshot_monotonic = time.monotonic()
         self._snapshot_io_lock = threading.Lock()
         self.last_snapshot: Optional[SnapshotManifest] = None
-        #: Last exception a *policy-triggered* commit raised (diagnostics;
-        #: the explicit checkpoint() path propagates instead).
-        self.last_snapshot_error: Optional[Exception] = None
         #: The online adaptive tuning subsystem (``None`` unless opted in via
         #: ``ServiceConfig.adaptive``).
         self.adaptive: Optional[TuningDaemon] = None
@@ -236,15 +235,10 @@ class QueryService:
                 dual=dual,
                 tuner=adaptive.tuner_factory(dual),
                 window=WorkloadWindow(adaptive.window_size),
-                gate=self._gate,
-                config=adaptive,
             )
-            # Background-thread epochs (daemon.start) must hit the same
-            # snapshot-policy boundary as tune_now() and auto epochs.
-            self.adaptive.post_epoch_hook = self._maybe_checkpoint_gated
         #: The write-ahead delta log (SnapshotPolicy.log): mutations append
         #: delta records through the dual store's mutation-listener seam,
-        #: snapshot commits rotate.  Append/rotate failures are recorded
+        #: checkpoints on the policy path rotate.  Append/rotate failures are recorded
         #: here and in ``wal_failures`` — never raised out of a mutation.
         self.delta_log: Optional[DeltaLog] = None
         self.last_wal_error: Optional[Exception] = None
@@ -260,7 +254,7 @@ class QueryService:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Detach from the dual store (and stop the tuning daemon).
+        """Detach from the dual store.
 
         A closed service refuses further serving (``RuntimeError``): it no
         longer hears the store's mutations, so it must not answer for it.
@@ -268,11 +262,6 @@ class QueryService:
         if self._closed:
             return
         self._closed = True
-        if self.adaptive is not None:
-            # Stop the daemon first: a background epoch firing after the
-            # hook is detached would mutate the store without invalidating
-            # anything this service still holds.
-            self.adaptive.stop()
         self.dual.remove_invalidation_hook(self._on_mutation)
         if self.delta_log is not None:
             self.dual.remove_mutation_listener(self._on_wal_event)
@@ -456,10 +445,6 @@ class QueryService:
             for plan in plans:
                 if plan.complex_subquery is not None:
                     window.record(plan.key, plan.query, plan.complex_subquery)
-            # Outside the read gate by now, so an auto epoch can take the
-            # write side without deadlocking on our own serve.
-            if self.adaptive.maybe_run_epoch() is not None:
-                self._maybe_checkpoint_gated()
         return ServedBatch(executions=entries, cache_hits=hit_count, coalesced=coalesced_count)
 
     def _execute(
@@ -512,15 +497,10 @@ class QueryService:
     # with in-flight serves and tuning epochs.
     # ------------------------------------------------------------------ #
     def _gated_mutation(self, mutate: Callable[[], float]) -> float:
-        """One delegated mutation: exclusive with serves/epochs via the
-        write gate, followed by the snapshot-policy check (capture under the
-        gate, commit outside it, failures recorded — never raised out of the
-        committed mutation)."""
+        """One delegated mutation, exclusive with serves/epochs via the
+        write gate."""
         with self._gate.write_locked():
-            seconds = mutate()
-            pending = self._try_capture_locked()
-        self._commit_captured(pending, propagate=False)
-        return seconds
+            return mutate()
 
     def insert(self, triples: Iterable[Triple]) -> float:
         return self._gated_mutation(lambda: self.dual.insert(triples))
@@ -644,7 +624,6 @@ class QueryService:
         with self._metrics_lock:
             self.metrics.counters.invalidations += dropped
             self.metrics.counters.invalidation_events += 1
-            self._mutations_since_snapshot += 1
 
     # ------------------------------------------------------------------ #
     # The write-ahead delta log (SnapshotPolicy.log)
@@ -708,10 +687,8 @@ class QueryService:
         is).  Rotation failures are recorded, not raised — the snapshot
         itself committed."""
         log = self.delta_log
-        policy = self._snapshot_policy
-        if log is None or policy is None:
-            return
-        if Path(path).resolve() != Path(policy.path).resolve():
+        # A delta log implies a policy: SnapshotPolicy(log=True) opened it.
+        if log is None or Path(path).resolve() != Path(self._snapshot_policy.path).resolve():
             return
         try:
             log.rotate(manifest.generation, snapshot_name=manifest.name)
@@ -724,130 +701,47 @@ class QueryService:
     # Durable checkpoints (ServiceConfig.snapshot)
     # ------------------------------------------------------------------ #
     def checkpoint(self, path=None, keep: Optional[int] = None) -> SnapshotManifest:
-        """Snapshot the dual store (and adaptive state) right now.
+        """Snapshot the dual store (and adaptive state) right now — the one
+        way the service takes a snapshot.
 
         The in-memory capture happens under the writer gate (a consistent
         cut even with serves in flight); the disk write happens after the
         gate is released, so serving resumes while the fsyncs run.  ``path``
         defaults to the configured policy's path; without a policy it must
-        be given explicitly.  ``keep`` overrides the retention for this
-        call — important for ad-hoc backup roots, which otherwise rotate at
-        the policy's (or the default) retention and would silently drop
-        older manual backups.  Write failures propagate.
-        """
-        if path is None and self._snapshot_policy is None:
-            raise RuntimeError(
-                "no snapshot path: configure ServiceConfig(snapshot=SnapshotPolicy(...)) "
-                "or pass checkpoint(path=...)"
-            )
-        with self._gate.write_locked():
-            pending = self._capture_locked(path)
-        if keep is not None:
-            captured, target, _default_keep = pending
-            pending = (captured, target, keep)
-        return self._commit_captured(pending, propagate=True)
-
-    def _snapshot_due(self) -> bool:
-        policy = self._snapshot_policy
-        if policy is None:
-            return False
-        if policy.every_mutations:
-            with self._metrics_lock:
-                pending = self._mutations_since_snapshot
-            if pending >= policy.every_mutations:
-                return True
-        if policy.interval_seconds:
-            if time.monotonic() - self._last_snapshot_monotonic >= policy.interval_seconds:
-                return True
-        return False
-
-    def _maybe_capture_locked(self):
-        """Capture a checkpoint if the policy says one is due; caller holds
-        the writer gate.  Returns the pending capture or ``None``."""
-        if not self._snapshot_due():
-            return None
-        return self._capture_locked(None)
-
-    def _try_capture_locked(self):
-        """:meth:`_maybe_capture_locked` for the mutation paths — never
-        raises.  The mutation that triggered the capture already committed,
-        so a capture failure (e.g. an unsupported backend) must be recorded,
-        not thrown back at a caller whose operation succeeded.  The trigger
-        is consumed like a commit failure's: the next policy window retries
-        instead of every subsequent mutation re-raising."""
-        try:
-            return self._maybe_capture_locked()
-        except Exception as exc:
-            self.last_snapshot_error = exc
-            with self._metrics_lock:
-                self.metrics.counters.snapshot_failures += 1
-                self._mutations_since_snapshot = 0
-            self._last_snapshot_monotonic = time.monotonic()
-            return None
-
-    def _maybe_checkpoint_gated(self) -> Optional[SnapshotManifest]:
-        """Policy checkpoint from outside the gate (the post-epoch path):
-        due-ness is re-checked under the gate so concurrent serves race to
-        at most one capture, and the commit runs after release."""
-        if not self._snapshot_due():
-            return None
-        with self._gate.write_locked():
-            pending = self._try_capture_locked()
-        return self._commit_captured(pending, propagate=False)
-
-    def _capture_locked(self, path) -> Tuple[CapturedSnapshot, "Path", int]:
-        """The consistency-critical half of a checkpoint (no I/O).
-
-        Resets the policy triggers at capture time — the cut is taken; if
-        the later commit fails, the failure is recorded and the *next*
-        policy window retries, rather than every subsequent mutation
-        re-attempting a doomed write.
+        be given explicitly.  A commit on the policy path rotates the delta
+        log onto the new snapshot.  ``keep`` overrides the retention for
+        this call — important for ad-hoc backup roots, which otherwise
+        rotate at the policy's (or the default) retention and would silently
+        drop older manual backups.  A capture older than the root's
+        committed snapshot is skipped (the newer manifest is returned).
+        Write failures count in ``snapshot_failures`` and propagate.
         """
         policy = self._snapshot_policy
-        on_policy_path = path is None
         if path is None:
-            assert policy is not None  # guarded by checkpoint()/_snapshot_due()
+            if policy is None:
+                raise RuntimeError(
+                    "no snapshot path: configure ServiceConfig(snapshot=SnapshotPolicy(...)) "
+                    "or pass checkpoint(path=...)"
+                )
             path = policy.path
-        elif policy is not None:
-            on_policy_path = Path(path).resolve() == Path(policy.path).resolve()
+        if keep is None:
+            keep = policy.keep if policy is not None else 2
         extras = None
-        if self.adaptive is not None:
-            extras = {"adaptive": self.adaptive.snapshot_state()}
-        captured = capture_snapshot(self.dual, extras=extras)
-        if on_policy_path:
-            # Only a checkpoint on the policy's own path satisfies the
-            # policy: an explicit side checkpoint to an ad-hoc path must
-            # not quench the triggers, or the configured path would fall
-            # arbitrarily behind the state it is meant to protect.
-            with self._metrics_lock:
-                self._mutations_since_snapshot = 0
-            self._last_snapshot_monotonic = time.monotonic()
-        return (captured, path, policy.keep if policy else 2)
+        with self._gate.write_locked():
+            if self.adaptive is not None:
+                extras = {"adaptive": self.adaptive.snapshot_state()}
+            captured = capture_snapshot(self.dual, extras=extras)
+        return self._commit_captured(captured, path, keep)
 
-    def _commit_captured(
-        self, pending: Optional[Tuple[CapturedSnapshot, "Path", int]], propagate: bool
-    ) -> Optional[SnapshotManifest]:
-        """The I/O half of a checkpoint, outside the writer gate.
-
-        Policy-triggered commits (``propagate=False``) record failures in
-        :attr:`last_snapshot_error` / ``snapshot_failures`` instead of
-        raising — a full disk must not poison the mutation that triggered
-        the checkpoint (the mutation itself already committed).  The
-        explicit :meth:`checkpoint` path propagates.
-        """
-        if pending is None:
-            return None
-        captured, path, keep = pending
+    def _commit_captured(self, captured: CapturedSnapshot, path, keep: int) -> SnapshotManifest:
+        """The I/O half of a checkpoint, outside the writer gate."""
         try:
             with self._snapshot_io_lock:
                 manifest = commit_snapshot(captured, path, keep=keep)
-        except Exception as exc:
+        except Exception:
             with self._metrics_lock:
                 self.metrics.counters.snapshot_failures += 1
-            self.last_snapshot_error = exc
-            if propagate:
-                raise
-            return None
+            raise
         self.last_snapshot = manifest
         if manifest.generation == captured.generation:
             # A returned manifest with a *newer* generation means the commit
@@ -895,22 +789,26 @@ class QueryService:
             and "adaptive" in restored.extras
         ):
             service.adaptive.restore_state(restored.extras["adaptive"])
-        service.last_snapshot = restored.manifest
+        if service.last_snapshot is None:
+            # A delta-log service that found no resumable tail already
+            # anchored (and reported) a newer snapshot of its own.
+            service.last_snapshot = restored.manifest
         return service
 
     # ------------------------------------------------------------------ #
     # Online adaptive tuning (ServiceConfig.adaptive)
     # ------------------------------------------------------------------ #
     def tune_now(self) -> EpochReport:
-        """Run one tuning epoch synchronously (adaptive mode only)."""
+        """Run one tuning epoch synchronously (adaptive mode only) — the one
+        way the service tunes.  The epoch holds the write gate: in-flight
+        serves drain first, and concurrent calls run one after the other."""
         if self.adaptive is None:
             raise RuntimeError(
                 "adaptive tuning is not enabled; construct the service with "
                 "ServiceConfig(adaptive=AdaptiveConfig(...))"
             )
-        epoch = self.adaptive.run_epoch()
-        self._maybe_checkpoint_gated()
-        return epoch
+        with self._gate.write_locked():
+            return self.adaptive.run_epoch()
 
     def adaptive_metrics(self) -> Optional[Dict[str, float]]:
         """Cumulative epoch metrics, or ``None`` when adaptive tuning is off."""

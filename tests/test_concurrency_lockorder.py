@@ -1,10 +1,11 @@
 """Full-system lock-order stress under the lockgraph detector.
 
 Drives every concurrent subsystem at once over one live HTTP endpoint —
-query serving (gate read side), tuning epochs (gate write side),
-mutation-triggered *and* explicit checkpointing (snapshot I/O lock under
-the write gate), and endpoint ``swap_service`` (service lock against
-in-flight requests) — while ``lock_graph`` (conftest) records every
+query serving (gate read side), explicit ``tune_now()`` epochs (gate write
+side), explicit checkpointing on the policy path and on a side path
+(capture under the write gate, commit under the snapshot I/O lock), and
+endpoint ``swap_service`` (service lock against in-flight requests) —
+while ``lock_graph`` (conftest) records every
 project lock acquisition.  The acceptance contract: the run completes
 live (answers are served, mutations land, snapshots commit, swaps happen)
 and the observed acquisition-order graph is **acyclic** — the fixture's
@@ -25,11 +26,14 @@ from repro import (
 )
 from repro.endpoint import EndpointConfig, SparqlEndpoint
 from repro.endpoint.client import sparql_request
+from repro.persist import list_snapshots
 from repro.rdf.terms import IRI, Triple
 
 CLIENT_THREADS = 3
 REQUESTS_PER_CLIENT = 25
 MUTATION_ROUNDS = 18
+POLICY_CHECKPOINT_EVERY = 3
+TUNING_EPOCHS = 6
 EXPLICIT_CHECKPOINTS = 4
 SERVICE_SWAPS = 4
 
@@ -58,8 +62,8 @@ def test_serving_tuning_checkpoint_and_swap_stress_is_lock_order_clean(
     primary = QueryService(
         dual,
         ServiceConfig(
-            adaptive=AdaptiveConfig(epoch_queries=8, window_size=32),
-            snapshot=SnapshotPolicy(path=tmp_path / "snaps", every_mutations=3),
+            adaptive=AdaptiveConfig(window_size=32),
+            snapshot=SnapshotPolicy(path=tmp_path / "snaps"),
         ),
     )
     endpoint = SparqlEndpoint(primary, EndpointConfig(max_inflight=4, queue_depth=8))
@@ -84,10 +88,19 @@ def test_serving_tuning_checkpoint_and_swap_stress_is_lock_order_clean(
         try:
             for round_number in range(MUTATION_ROUNDS):
                 batch = _triples(4, offset=1000 + 4 * round_number)
-                primary.insert(batch)  # policy checkpoints every 3 mutations
+                primary.insert(batch)
                 primary.delete(batch[:2])
+                if round_number % POLICY_CHECKPOINT_EVERY == POLICY_CHECKPOINT_EVERY - 1:
+                    primary.checkpoint()  # on the policy path
         except Exception as exc:  # pragma: no cover
             errors.append(f"mutator: {exc!r}")
+
+    def tuner() -> None:
+        try:
+            for _ in range(TUNING_EPOCHS):
+                primary.tune_now()
+        except Exception as exc:  # pragma: no cover
+            errors.append(f"tuner: {exc!r}")
 
     def checkpointer() -> None:
         try:
@@ -117,6 +130,7 @@ def test_serving_tuning_checkpoint_and_swap_stress_is_lock_order_clean(
         for index in range(CLIENT_THREADS)
     ]
     threads.append(threading.Thread(target=mutator, name="stress-mutator", daemon=True))
+    threads.append(threading.Thread(target=tuner, name="stress-tuner", daemon=True))
     threads.append(threading.Thread(target=checkpointer, name="stress-checkpoint", daemon=True))
     threads.append(threading.Thread(target=swapper, name="stress-swapper", daemon=True))
     try:
@@ -134,7 +148,8 @@ def test_serving_tuning_checkpoint_and_swap_stress_is_lock_order_clean(
     assert errors == [], "\n".join(errors)
     assert served, "no query was ever answered during the stress run"
     assert endpoint.reloads == 2 * SERVICE_SWAPS
-    assert primary.last_snapshot is not None, "no snapshot committed during the run"
+    assert primary.adaptive.metrics.epochs >= 1, "no tuning epoch ran during the run"
+    assert list_snapshots(tmp_path / "snaps"), "no snapshot committed on the policy path"
 
     # The headline assertion (also re-checked by the fixture's teardown):
     # heavy cross-subsystem concurrency produced a rich acquisition-order

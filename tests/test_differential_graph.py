@@ -146,7 +146,7 @@ def test_every_dotil_window_subquery_prices_like_the_oracle(writer):
         return seconds, result
 
     dual.graph_cost = checked_graph_cost
-    service = QueryService(dual, ServiceConfig(adaptive=AdaptiveConfig(epoch_queries=0)))
+    service = QueryService(dual, ServiceConfig(adaptive=AdaptiveConfig()))
     try:
         batches = yago_workload(dataset, seed=9).batches("random")
         for batch in batches:

@@ -92,7 +92,7 @@ def _tuned_service(triples, texts, writer=None) -> QueryService:
         dual = DualStore(PAPER_TUNED_CONFIG).load(triples)
     else:
         dual = writer.dual(triples, config=PAPER_TUNED_CONFIG)
-    service = QueryService(dual, ServiceConfig(adaptive=AdaptiveConfig(epoch_queries=0)))
+    service = QueryService(dual, ServiceConfig(adaptive=AdaptiveConfig()))
     for _epoch in range(3):
         for text in texts:
             service.run_query(text)

@@ -268,17 +268,14 @@ def test_restored_service_serves_identically_with_adaptive_state(tmp_path):
     dual = DualStore(TUNER_CONFIG).load(dataset.triples)
     root = tmp_path / "serve"
     config = ServiceConfig(
-        adaptive=AdaptiveConfig(
-            epoch_queries=0, tuner_factory=lambda d: Dotil(d, TUNER_CONFIG)
-        ),
-        snapshot=SnapshotPolicy(path=root, every_mutations=1),
+        adaptive=AdaptiveConfig(tuner_factory=lambda d: Dotil(d, TUNER_CONFIG)),
+        snapshot=SnapshotPolicy(path=root),
     )
     with QueryService(dual, config) as live:
         live.run_batch(batch)
         epoch = live.tune_now()
         assert epoch.moves > 0
-        # The epoch's single generation bump crossed every_mutations=1, so
-        # the post-epoch checkpoint fired on its own.
+        live.checkpoint()  # the post-epoch checkpoint
         assert live.metrics.counters.snapshots_taken == 1
         assert live.last_snapshot is not None
         live.checkpoint()  # explicit checkpoint after the post-epoch serves
@@ -317,7 +314,7 @@ def test_restore_without_adaptive_config_ignores_adaptive_extras(tmp_path):
     dual = DualStore(TUNER_CONFIG).load(dataset.triples)
     root = tmp_path / "plain"
     config = ServiceConfig(
-        adaptive=AdaptiveConfig(epoch_queries=0, tuner_factory=lambda d: Dotil(d, TUNER_CONFIG))
+        adaptive=AdaptiveConfig(tuner_factory=lambda d: Dotil(d, TUNER_CONFIG))
     )
     with QueryService(dual, config) as live:
         live.run_batch(batch)
@@ -331,6 +328,128 @@ def test_restore_without_adaptive_config_ignores_adaptive_extras(tmp_path):
         assert warm_batch.tti == live_batch.tti
     finally:
         restored.close()
+
+
+def test_adaptive_payload_of_an_older_build_restores(tmp_path):
+    """Older builds wrote the window's ``pending`` trigger count and the
+    metrics' ``epoch_failures``; a restore ignores both keys and brings back
+    everything else exactly."""
+    from repro.persist import capture_snapshot, commit_snapshot
+
+    dataset = generate_watdiv(target_triples=2000, seed=7)
+    batch = watdiv_workload(dataset, family="star", seed=19).ordered()
+    dual = DualStore(TUNER_CONFIG).load(dataset.triples)
+    config = ServiceConfig(adaptive=AdaptiveConfig(tuner_factory=lambda d: Dotil(d, TUNER_CONFIG)))
+    with QueryService(dual, config) as live:
+        live.run_batch(batch)
+        assert live.tune_now().moves > 0
+        live.run_batch(batch[:5])
+        current = live.adaptive.snapshot_state()
+    window = current["window"]
+    metrics = current["metrics"]
+    older = {
+        "window": {
+            "capacity": window["capacity"],
+            "pending": 5,
+            "harvested": window["harvested"],
+            "entries": window["entries"],
+        },
+        "tuner": current["tuner"],
+        "metrics": {
+            "epochs": metrics["epochs"],
+            "epochs_with_moves": metrics["epochs_with_moves"],
+            "epoch_failures": 2.0,
+            **{key: value for key, value in metrics.items() if key not in ("epochs", "epochs_with_moves")},
+        },
+    }
+    root = tmp_path / "older"
+    commit_snapshot(capture_snapshot(dual, extras={"adaptive": older}), root)
+    expected = json.loads(json.dumps(older))
+
+    restored = QueryService.restore(root, config)
+    try:
+        state = restored.adaptive.snapshot_state()
+        assert state["window"]["entries"] == expected["window"]["entries"]
+        assert state["window"]["harvested"] == expected["window"]["harvested"]
+        assert "pending" not in state["window"]
+        assert state["tuner"]["qtable"] == expected["tuner"]["qtable"]
+        assert state["tuner"]["rng"] == expected["tuner"]["rng"]
+        del expected["metrics"]["epoch_failures"]
+        assert state["metrics"] == expected["metrics"]
+    finally:
+        restored.close()
+
+
+def test_writes_and_epochs_take_no_snapshot_until_checkpoint(tmp_path):
+    """A snapshot policy names where to checkpoint, not when: mutations,
+    serves and epochs write nothing until ``checkpoint()`` is called."""
+    dataset = generate_watdiv(target_triples=2000, seed=7)
+    batch = watdiv_workload(dataset, family="star", seed=19).ordered()
+    dual = DualStore(TUNER_CONFIG).load(dataset.triples)
+    root = tmp_path / "policy"
+    config = ServiceConfig(
+        adaptive=AdaptiveConfig(tuner_factory=lambda d: Dotil(d, TUNER_CONFIG)),
+        snapshot=SnapshotPolicy(path=root),
+    )
+    with QueryService(dual, config) as service:
+        sizes = dual.partition_sizes()
+        predicate = min(sizes, key=lambda p: (sizes[p], p.value))
+        for _ in range(5):
+            service.insert([])
+            service.transfer_partition(predicate)
+            service.evict_partition(predicate)
+        service.run_batch(batch)
+        assert service.tune_now().moves > 0
+        service.run_batch(batch)
+        assert list_snapshots(root) == []
+        assert service.last_snapshot is None
+        assert service.metrics.counters.snapshots_taken == 0
+        manifest = service.checkpoint()
+        assert list_snapshots(root) == [manifest.name]
+        assert service.metrics.counters.snapshots_taken == 1
+
+
+def test_checkpoint_keep_override_prunes_the_policy_path(tmp_path):
+    """``checkpoint(keep=...)`` overrides the policy's retention for that
+    call only; the next plain checkpoint rotates at the policy's ``keep``."""
+    dataset = generate_yago(target_triples=1200, seed=3)
+    dual = DualStore(TUNER_CONFIG).load(dataset.triples)
+    root = tmp_path / "kept"
+    with QueryService(dual, ServiceConfig(snapshot=SnapshotPolicy(path=root, keep=3))) as service:
+        names = []
+        for _ in range(4):
+            service.insert([])
+            names.append(service.checkpoint().name)
+        assert list_snapshots(root) == names[-3:]
+        service.insert([])
+        names.append(service.checkpoint(keep=1).name)
+        assert list_snapshots(root) == names[-1:]
+        for _ in range(3):
+            service.insert([])
+            names.append(service.checkpoint().name)
+        assert list_snapshots(root) == names[-3:]
+    assert read_manifest(root).name == names[-1]
+
+
+def test_checkpoint_payload_omits_the_retired_trigger_keys(tmp_path):
+    """A checkpoint writes the adaptive window and metrics without the
+    auto-epoch ``pending`` count and the background ``epoch_failures``."""
+    dataset = generate_watdiv(target_triples=2000, seed=7)
+    batch = watdiv_workload(dataset, family="star", seed=19).ordered()
+    dual = DualStore(TUNER_CONFIG).load(dataset.triples)
+    config = ServiceConfig(adaptive=AdaptiveConfig(tuner_factory=lambda d: Dotil(d, TUNER_CONFIG)))
+    root = tmp_path / "fresh"
+    with QueryService(dual, config) as service:
+        service.run_batch(batch)
+        service.tune_now()
+        service.run_batch(batch[:3])
+        service.checkpoint(path=root)
+        live_window = service.adaptive.window.snapshot_state()
+    adaptive = load_snapshot(root).extras["adaptive"]
+    assert set(adaptive["window"]) == {"capacity", "harvested", "entries"}
+    assert adaptive["window"]["entries"] == json.loads(json.dumps(live_window["entries"]))
+    assert "epoch_failures" not in adaptive["metrics"]
+    assert adaptive["metrics"]["epochs"] == 1.0
 
 
 def test_checkpoint_without_policy_or_path_is_an_error(tmp_path):
@@ -567,28 +686,6 @@ def test_writer_thread_reacquiring_write_raises_not_deadlocks():
         pass
 
 
-def test_adhoc_checkpoint_does_not_quench_the_policy_trigger(tmp_path):
-    """An explicit checkpoint(path=...) to a side path must not reset the
-    configured policy's mutation counter — otherwise the policy path falls
-    arbitrarily behind the state it is meant to protect."""
-    dataset = generate_yago(target_triples=1200, seed=3)
-    dual = DualStore(TUNER_CONFIG).load(dataset.triples)
-    policy_root = tmp_path / "policy"
-    adhoc_root = tmp_path / "adhoc"
-    config = ServiceConfig(snapshot=SnapshotPolicy(path=policy_root, every_mutations=2))
-    with QueryService(dual, config) as service:
-        service.insert([])  # 1 of 2 pending mutations
-        service.checkpoint(path=adhoc_root)  # side backup: must not reset
-        service.insert([])  # 2 of 2 → the policy trigger must fire now
-        assert policy_root.exists(), "policy snapshot never fired after an ad-hoc checkpoint"
-        assert read_manifest(policy_root).generation == dual.generation
-        # A checkpoint *on* the policy path does reset the trigger.
-        service.checkpoint()
-        service.insert([])
-        before = read_manifest(policy_root).generation
-        assert before == dual.generation - 1  # one pending mutation, below threshold
-
-
 def test_stale_tmp_artifacts_are_swept_on_the_next_write(crashable_store):
     """A hard crash can leak `.tmp-*` dirs and `CURRENT.tmp-*` pointer files
     that retention never matches; the next writer sweeps them."""
@@ -636,39 +733,31 @@ def test_fingerprint_is_cached_until_the_content_changes(tmp_path):
         backend.predicates = original
 
 
-def test_failed_policy_checkpoint_does_not_poison_mutations(tmp_path, monkeypatch):
-    """A policy-triggered commit that fails (full/unwritable disk) must be
-    recorded, not raised out of the mutation that triggered it — the
-    mutation already committed, and later mutations must keep working."""
+def test_checkpoint_counts_and_propagates_a_commit_failure(tmp_path, monkeypatch):
+    """A failed commit (full/unwritable disk) is counted in
+    snapshot_failures and raised to the checkpoint() caller; mutations keep
+    working, and once the disk recovers the next checkpoint commits."""
     dataset = generate_yago(target_triples=1200, seed=3)
     dual = DualStore(TUNER_CONFIG).load(dataset.triples)
     root = tmp_path / "fragile"
-    config = ServiceConfig(snapshot=SnapshotPolicy(path=root, every_mutations=1))
+    config = ServiceConfig(snapshot=SnapshotPolicy(path=root))
     with QueryService(dual, config) as service:
-        generation_before = dual.generation
 
         def failing_commit(*args, **kwargs):
             raise OSError("injected: disk full")
 
         monkeypatch.setattr("repro.serve.service.commit_snapshot", failing_commit)
-        seconds = service.insert([])  # the mutation itself must succeed
-        assert seconds >= 0.0
-        assert dual.generation == generation_before + 1
-        assert service.metrics.counters.snapshot_failures == 1
-        assert isinstance(service.last_snapshot_error, OSError)
-        # The trigger was consumed at capture time: the next mutation does
-        # not re-attempt the doomed write on the spot...
-        service.insert([])
-        assert service.metrics.counters.snapshot_failures == 2  # every_mutations=1 re-arms
-        monkeypatch.undo()
-        # ...and once the disk recovers, the next window commits fine.
-        service.insert([])
-        assert service.metrics.counters.snapshots_taken == 1
-        assert read_manifest(root).generation == dual.generation
-        # The explicit path still propagates.
-        monkeypatch.setattr("repro.serve.service.commit_snapshot", failing_commit)
         with pytest.raises(OSError, match="disk full"):
             service.checkpoint()
+        assert service.metrics.counters.snapshot_failures == 1
+        assert service.metrics.counters.snapshots_taken == 0
+        generation_before = dual.generation
+        assert service.insert([]) >= 0.0
+        assert dual.generation == generation_before + 1
+        monkeypatch.undo()
+        service.checkpoint()
+        assert service.metrics.counters.snapshots_taken == 1
+        assert read_manifest(root).generation == dual.generation
 
 
 def test_snapshot_io_runs_outside_the_writer_gate(tmp_path, monkeypatch):
@@ -681,8 +770,8 @@ def test_snapshot_io_runs_outside_the_writer_gate(tmp_path, monkeypatch):
     dual = DualStore(TUNER_CONFIG).load(dataset.triples)
     root = tmp_path / "gated"
     config = ServiceConfig(
-        adaptive=AdaptiveConfig(epoch_queries=0, tuner_factory=lambda d: Dotil(d, TUNER_CONFIG)),
-        snapshot=SnapshotPolicy(path=root, every_mutations=1),
+        adaptive=AdaptiveConfig(tuner_factory=lambda d: Dotil(d, TUNER_CONFIG)),
+        snapshot=SnapshotPolicy(path=root),
     )
     with QueryService(dual, config) as service:
         gate_states = []
@@ -692,13 +781,15 @@ def test_snapshot_io_runs_outside_the_writer_gate(tmp_path, monkeypatch):
             return real_commit(captured, path, keep=keep)
 
         monkeypatch.setattr("repro.serve.service.commit_snapshot", observing_commit)
-        service.insert([])  # mutation path
+        service.insert([])
+        service.checkpoint()  # after a mutation
         service.run_batch(
             yago_workload(dataset, seed=5).ordered()[:4]
         )
-        service.tune_now()  # post-epoch path
-        service.checkpoint()  # explicit path
-        assert gate_states, "no commit observed"
+        service.tune_now()
+        service.checkpoint()  # after an epoch
+        service.checkpoint()  # with nothing in between
+        assert len(gate_states) == 3, "a checkpoint's commit was not observed"
         assert not any(gate_states), "a snapshot commit ran while the writer gate was held"
 
 
@@ -751,60 +842,20 @@ def test_capture_is_hash_free_and_commit_derives_the_same_fingerprint(crashable_
     assert capture_snapshot(dual).dataset_fingerprint == manifest.dataset_fingerprint
 
 
-def test_failed_policy_capture_does_not_poison_mutations(tmp_path):
-    """Symmetric with the commit-failure guarantee: a capture that cannot
-    run (unsupported backend — here a store with materialized views) must be
-    recorded, not raised out of the mutation that triggered it."""
+def test_checkpoint_of_an_unsnapshottable_backend_raises(tmp_path):
+    """A capture that cannot run (unsupported backend — here a store with
+    materialized views) fails checkpoint() loudly; the service's mutations
+    are unaffected."""
     from repro.relstore import RelationalStore
 
     dataset = generate_yago(target_triples=1200, seed=3)
     backend = RelationalStore(view_row_budget=64)  # snapshotting unsupported
     dual = DualStore(TUNER_CONFIG, relational_store=backend).load(dataset.triples)
-    config = ServiceConfig(snapshot=SnapshotPolicy(path=tmp_path / "views", every_mutations=1))
+    config = ServiceConfig(snapshot=SnapshotPolicy(path=tmp_path / "views"))
     with QueryService(dual, config) as service:
-        generation_before = dual.generation
-        seconds = service.insert([])  # must succeed despite the doomed capture
-        assert seconds >= 0.0
-        assert dual.generation == generation_before + 1
-        assert service.metrics.counters.snapshot_failures == 1
-        assert isinstance(service.last_snapshot_error, SnapshotError)
-        service.insert([])  # and later mutations keep working too
-        # The explicit path still surfaces the problem loudly.
+        assert service.insert([]) >= 0.0
         with pytest.raises(SnapshotError, match="materialized views"):
             service.checkpoint()
-
-
-def test_background_thread_epochs_hit_the_snapshot_policy(tmp_path):
-    """Epochs driven by the daemon's background thread must evaluate the
-    snapshot policy like tune_now()/auto epochs — a background-driven
-    service with durability configured must actually checkpoint."""
-    import time as time_module
-
-    dataset = generate_watdiv(target_triples=2000, seed=7)
-    batch = watdiv_workload(dataset, family="star", seed=19).ordered()
-    dual = DualStore(TUNER_CONFIG).load(dataset.triples)
-    root = tmp_path / "background"
-    config = ServiceConfig(
-        adaptive=AdaptiveConfig(
-            epoch_queries=0, tuner_factory=lambda d: Dotil(d, TUNER_CONFIG)
-        ),
-        snapshot=SnapshotPolicy(path=root, every_mutations=1),
-    )
-    with QueryService(dual, config) as service:
-        service.run_batch(batch)  # harvest the window (no epoch yet)
-        service.adaptive.start(interval_seconds=0.02)
-        deadline = time_module.monotonic() + 10.0
-        while time_module.monotonic() < deadline:
-            if service.metrics.counters.snapshots_taken:
-                break
-            time_module.sleep(0.02)
-        service.adaptive.stop()
-        assert service.metrics.counters.snapshots_taken >= 1, (
-            "background epochs never evaluated the snapshot policy"
-        )
-        assert service.adaptive.metrics.epochs >= 1
-    restored = DualStore.restore(root)
-    assert restored.design.in_graph_store == dual.design.in_graph_store
 
 
 def test_sweep_handles_nested_tmp_directories(crashable_store):
@@ -854,14 +905,14 @@ def test_stale_capture_skip_is_not_counted_as_a_snapshot(tmp_path):
     dataset = generate_yago(target_triples=1200, seed=3)
     dual = DualStore(TUNER_CONFIG).load(dataset.triples)
     root = tmp_path / "stale-count"
-    config = ServiceConfig(snapshot=SnapshotPolicy(path=root, every_mutations=0))
+    config = ServiceConfig(snapshot=SnapshotPolicy(path=root))
     with QueryService(dual, config) as service:
         stale = capture_snapshot(dual)
         service.insert([])
         service.checkpoint()  # commits the newer generation
         assert service.metrics.counters.snapshots_taken == 1
         # Force-commit the stale capture through the service's commit path.
-        manifest = service._commit_captured((stale, root, 2), propagate=True)
+        manifest = service._commit_captured(stale, root, 2)
         assert manifest.generation == dual.generation  # the newer one came back
         assert service.metrics.counters.snapshots_taken == 1, "stale skip was counted"
 

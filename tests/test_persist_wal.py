@@ -130,7 +130,7 @@ def test_snapshot_plus_replay_is_byte_identical_for_every_family(family_cases, t
     for label, triples, queries, fresh in family_cases:
         root = tmp_path / label
         dual = _tuned_dual(triples, queries)
-        policy = SnapshotPolicy(path=root, every_mutations=1000, log=True, keep=2)
+        policy = SnapshotPolicy(path=root, log=True, keep=2)
         with QueryService(dual, ServiceConfig(snapshot=policy)) as service:
             base = read_manifest(root)
             _mutate_every_op_kind(service, triples, fresh)
@@ -160,7 +160,7 @@ def test_sharded_replay_preserves_placement_and_answers(family_cases, tmp_path):
     label, triples, queries, fresh = family_cases[1]  # watdiv-star
     root = tmp_path / "sharded"
     dual = _tuned_dual(triples, queries, shards=4, sharding=AGGRESSIVE)
-    policy = SnapshotPolicy(path=root, every_mutations=1000, log=True, keep=2)
+    policy = SnapshotPolicy(path=root, log=True, keep=2)
     with QueryService(dual, ServiceConfig(snapshot=policy)) as service:
         _mutate_every_op_kind(service, triples, fresh)
         assert service.metrics.counters.wal_failures == 0, service.last_wal_error
@@ -183,7 +183,7 @@ def test_log_mode_restore_resumes_appending(family_cases, tmp_path):
     where the crashed leader left off."""
     _label, triples, queries, fresh = family_cases[0]
     root = tmp_path / "resume"
-    policy = SnapshotPolicy(path=root, every_mutations=1000, log=True, keep=2)
+    policy = SnapshotPolicy(path=root, log=True, keep=2)
     dual = _tuned_dual(triples, queries)
     with QueryService(dual, ServiceConfig(snapshot=policy)) as service:
         service.insert(fresh[:20])
@@ -202,6 +202,46 @@ def test_log_mode_restore_resumes_appending(family_cases, tmp_path):
     assert warm.generation == final
     for index, query in enumerate(queries[:6]):
         assert_identical(live[index].result, warm.run_query(query).result, f"resume[{index}]")
+
+
+def test_log_mode_restore_reports_the_snapshot_it_anchored(tmp_path):
+    """Restoring a root that has no delta log with ``log=True`` anchors a
+    fresh snapshot; ``last_snapshot`` names that one, not the older snapshot
+    the restore read.  A restore that resumes an existing log commits
+    nothing and reports the snapshot it read."""
+    dataset = generate_yago(target_triples=1200, seed=3)
+    root = tmp_path / "unlogged"
+    dual = DualStore(TUNER_CONFIG).load(dataset.triples)
+    with QueryService(dual, ServiceConfig(snapshot=SnapshotPolicy(path=root))) as service:
+        written = service.checkpoint()
+
+    logged = ServiceConfig(snapshot=SnapshotPolicy(path=root, log=True))
+    with QueryService.restore(root, logged) as reborn:
+        anchored = read_manifest(root)
+        assert anchored.name != written.name
+        assert reborn.metrics.counters.snapshots_taken == 1
+        assert reborn.last_snapshot.name == anchored.name
+
+    with QueryService.restore(root, logged) as resumed:
+        assert resumed.metrics.counters.snapshots_taken == 0
+        assert resumed.last_snapshot.name == anchored.name
+
+
+def test_only_a_checkpoint_on_the_policy_path_rotates_the_log(tmp_path):
+    dataset = generate_yago(target_triples=1200, seed=3)
+    root = tmp_path / "policy"
+    dual = DualStore(TUNER_CONFIG).load(dataset.triples)
+    config = ServiceConfig(snapshot=SnapshotPolicy(path=root, log=True, keep=3))
+    with QueryService(dual, config) as service:
+        anchored = [segment.name for segment in list_segments(root)]
+        assert len(anchored) == 1
+        service.insert([])
+        service.checkpoint(path=tmp_path / "side")
+        assert [segment.name for segment in list_segments(root)] == anchored
+        service.checkpoint()
+        segments = list_segments(root)
+        assert [segment.name for segment in segments[:-1]] == anchored
+        assert segments[-1].base_generation == dual.generation
 
 
 # --------------------------------------------------------------------------- #
@@ -441,7 +481,7 @@ def test_crash_at_every_append_step_keeps_the_tail_replayable(tmp_path, monkeypa
 
     probe_root = tmp_path / "probe"
     dual = DualStore(TUNER_CONFIG).load(triples)
-    policy = SnapshotPolicy(path=probe_root, every_mutations=1000, log=True, keep=2)
+    policy = SnapshotPolicy(path=probe_root, log=True, keep=2)
     counter = _CrashAt(real_write, fail_at=10**9)
     monkeypatch.setattr(wal_module, "_write_frame", counter)
     with QueryService(dual, ServiceConfig(snapshot=policy)) as service:
@@ -453,7 +493,7 @@ def test_crash_at_every_append_step_keeps_the_tail_replayable(tmp_path, monkeypa
     for fail_at in range(1, total_writes + 1):
         root = tmp_path / f"crash-{torn_bytes}-{fail_at}"
         dual = DualStore(TUNER_CONFIG).load(triples)
-        policy = SnapshotPolicy(path=root, every_mutations=1000, log=True, keep=2)
+        policy = SnapshotPolicy(path=root, log=True, keep=2)
         crash = _CrashAt(real_write, fail_at=fail_at, torn_bytes=torn_bytes)
         monkeypatch.setattr(wal_module, "_write_frame", crash)
         with QueryService(dual, ServiceConfig(snapshot=policy)) as service:
@@ -475,7 +515,7 @@ def test_crash_during_rotation_re_anchors_on_the_next_checkpoint(tmp_path, monke
     fresh = _fresh_triples(triples, generate_watdiv(target_triples=700, seed=7))
     root = tmp_path / "rotate-crash"
     dual = DualStore(TUNER_CONFIG).load(triples)
-    policy = SnapshotPolicy(path=root, every_mutations=1000, log=True, keep=2)
+    policy = SnapshotPolicy(path=root, log=True, keep=2)
     real_write = wal_module._write_frame
     with QueryService(dual, ServiceConfig(snapshot=policy)) as service:
         service.insert(fresh[:6])
@@ -501,7 +541,7 @@ def test_append_failure_never_raises_out_of_the_mutation(tmp_path, monkeypatch):
     fresh = _fresh_triples(triples, generate_watdiv(target_triples=600, seed=9))
     root = tmp_path / "append-crash"
     dual = DualStore(TUNER_CONFIG).load(triples)
-    policy = SnapshotPolicy(path=root, every_mutations=1000, log=True, keep=2)
+    policy = SnapshotPolicy(path=root, log=True, keep=2)
     with QueryService(dual, ServiceConfig(snapshot=policy)) as service:
         def explode(handle, frame):
             raise OSError("injected: disk full")
@@ -521,7 +561,7 @@ def test_unrepresentable_mutation_closes_the_log(tmp_path):
     triples = generate_watdiv(target_triples=400, seed=9).triples
     root = tmp_path / "unrepresentable"
     dual = DualStore(TUNER_CONFIG).load(triples)
-    policy = SnapshotPolicy(path=root, every_mutations=1000, log=True, keep=2)
+    policy = SnapshotPolicy(path=root, log=True, keep=2)
     with QueryService(dual, ServiceConfig(snapshot=policy)) as service:
         # A bare bump with no recorded ops is what a re-``load`` (or any
         # future op the vocabulary does not cover) produces.
@@ -564,7 +604,7 @@ def test_tailer_and_full_restore_agree_through_live_service_churn(tmp_path):
     fresh = _fresh_triples(triples, generate_watdiv(target_triples=900, seed=31))
     root = tmp_path / "churn"
     dual = DualStore(TUNER_CONFIG).load(triples)
-    policy = SnapshotPolicy(path=root, every_mutations=1000, log=True, keep=2)
+    policy = SnapshotPolicy(path=root, log=True, keep=2)
     with QueryService(dual, ServiceConfig(snapshot=policy)) as leader:
         follower = load_snapshot(root).dual
         tailer = WalTailer(root, follower.generation)
@@ -656,7 +696,7 @@ def test_worker_catches_up_via_deltas_without_full_reloads(tmp_path):
     fresh = _fresh_triples(wat.triples, generate_watdiv(target_triples=1000, seed=23))
     root = tmp_path / "root"
     dual = DualStore(TUNER_CONFIG).load(wat.triples)
-    policy = SnapshotPolicy(path=root, every_mutations=1000, log=True, keep=2)
+    policy = SnapshotPolicy(path=root, log=True, keep=2)
     with QueryService(dual, ServiceConfig(snapshot=policy)) as leader:
         with WorkerSupervisor(root, workers=2, poll_interval=0.05, run_dir=tmp_path / "run") as fleet:
             fleet.wait_ready(60)

@@ -16,6 +16,7 @@ from repro import (
     LRUTuner,
     QueryService,
     ServiceConfig,
+    SnapshotPolicy,
     generate_watdiv,
     parse_query,
     watdiv_workload,
@@ -52,7 +53,6 @@ def dual(dataset):
 def adaptive_config(**overrides):
     defaults = dict(
         window_size=128,
-        epoch_queries=0,
         tuner_factory=lambda dual: Dotil(dual, TUNER_CONFIG),
     )
     defaults.update(overrides)
@@ -162,22 +162,18 @@ class TestWorkloadWindow:
             for i in (2, 3, 4)
         ]
 
-    def test_mark_epoch_resets_pending_but_keeps_entries(self, dual):
-        window = WorkloadWindow(capacity=8)
-        key, query, subquery = self._entry(
-            dual, "SELECT ?u WHERE { ?u wsdbm:likes ?p . ?p wsdbm:hasGenre ?g . }"
-        )
-        window.record(key, query, subquery)
-        window.record(key, query, subquery)
-        assert window.pending == 2
-        entries = window.mark_epoch()
-        assert len(entries) == 2
-        assert window.pending == 0
-        assert len(window) == 2
-
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             WorkloadWindow(capacity=0)
+
+
+class TestAdaptiveConfig:
+    def test_epoch_queries_accepts_only_zero(self):
+        with pytest.raises(ValueError, match="tune_now"):
+            AdaptiveConfig(epoch_queries=8)
+        # The frozen benchmark spine's call keeps constructing.
+        config = AdaptiveConfig(window_size=64, epoch_queries=0)
+        assert config.window_size == 64 and config.epoch_queries == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -263,14 +259,6 @@ class TestAdaptiveService:
             assert metrics["last_window_tti_before"] == epoch.tti_before
             assert metrics["last_window_tti_after"] == epoch.tti_after
 
-    def test_auto_epochs_trigger_on_harvest_threshold(self, dual, family_mixes):
-        config = adaptive_config(epoch_queries=8)
-        with QueryService(dual, ServiceConfig(adaptive=config)) as service:
-            service.run_batch(family_mixes["a"][:30])
-            metrics = service.adaptive_metrics()
-            assert metrics["epochs"] >= 1.0
-            assert service.adaptive.window.pending < 8
-
     def test_baseline_tuners_plug_in(self, dual, family_mixes):
         config = adaptive_config(tuner_factory=LRUTuner)
         with QueryService(dual, ServiceConfig(adaptive=config)) as service:
@@ -279,64 +267,15 @@ class TestAdaptiveService:
             assert epoch.moves > 0
             assert epoch.invalidations == 1
 
-    def test_background_daemon_runs_epochs(self, dual, family_mixes):
-        import time
-
-        with QueryService(dual, ServiceConfig(adaptive=adaptive_config())) as service:
-            service.run_batch(family_mixes["a"][:10])
-            service.adaptive.start(interval_seconds=0.02)
-            deadline = time.monotonic() + 30.0
-            while service.adaptive.metrics.epochs == 0 and time.monotonic() < deadline:
-                time.sleep(0.02)
-            service.adaptive.stop()
-            assert service.adaptive.metrics.epochs >= 1
-            # An idle interval (nothing newly harvested) must not add epochs.
-            assert service.adaptive.window.pending == 0
-
-    def test_background_daemon_survives_a_failing_epoch(self, dual, family_mixes):
-        import time
-
-        class FlakyTuner(LRUTuner):
-            calls = 0
-
+    def test_tune_now_propagates_a_tuner_error(self, dual, family_mixes):
+        class FailingTuner(LRUTuner):
             def tune(self, recent, upcoming=None):
-                type(self).calls += 1
-                if type(self).calls == 1:
-                    raise RuntimeError("transient tuner failure")
-                return super().tune(recent, upcoming)
+                raise RuntimeError("tuner failure")
 
-        config = adaptive_config(tuner_factory=FlakyTuner)
+        config = adaptive_config(tuner_factory=FailingTuner)
         with QueryService(dual, ServiceConfig(adaptive=config)) as service:
-            daemon = service.adaptive
-            service.run_batch(family_mixes["a"][:10])
-            daemon.start(interval_seconds=0.02)
-            deadline = time.monotonic() + 30.0
-            while daemon.metrics.epoch_failures == 0 and time.monotonic() < deadline:
-                time.sleep(0.02)
-            # The failure is recorded, the thread is still alive, and — once
-            # fresh traffic re-arms the trigger — the next epoch succeeds.
-            # (The failed epoch already counts in `epochs`, so the retry is
-            # observed through `epochs_with_moves`: only a *successful* LRU
-            # pass over fresh traffic applies moves.)
-            assert daemon.metrics.epoch_failures == 1
-            assert isinstance(daemon.last_error, RuntimeError)
-            assert daemon.running
-            assert daemon.metrics.epochs_with_moves == 0
-            service.run_batch(family_mixes["a"][:10])
-            deadline = time.monotonic() + 30.0
-            while daemon.metrics.epochs_with_moves == 0 and time.monotonic() < deadline:
-                time.sleep(0.02)
-            daemon.stop()
-            assert daemon.metrics.epochs_with_moves >= 1
-            assert daemon.metrics.epoch_failures == 1
-
-        # The explicit path still propagates tuner errors to the caller.
-        FlakyTuner.calls = 0
-        dual2 = DualStore(TUNER_CONFIG).load(generate_watdiv(500, seed=3).triples)
-        with QueryService(dual2, ServiceConfig(adaptive=adaptive_config(
-                tuner_factory=FlakyTuner))) as service:
             service.run_batch(family_mixes["a"][:4])
-            with pytest.raises(RuntimeError):
+            with pytest.raises(RuntimeError, match="tuner failure"):
                 service.tune_now()
 
     def test_failed_epoch_still_accounts_applied_moves(self, dual, family_mixes):
@@ -375,22 +314,6 @@ class TestAdaptiveService:
             # outside an epoch).
             assert service.metrics.counters.invalidation_events == 3
 
-    def test_close_stops_the_background_daemon(self, dual):
-        service = QueryService(dual, ServiceConfig(adaptive=adaptive_config()))
-        service.adaptive.start(interval_seconds=30.0)
-        assert service.adaptive.running
-        service.close()
-        assert not service.adaptive.running
-
-    def test_daemon_start_validates_and_refuses_double_start(self, dual):
-        with QueryService(dual, ServiceConfig(adaptive=adaptive_config())) as service:
-            with pytest.raises(ValueError):
-                service.adaptive.start(interval_seconds=0.0)
-            service.adaptive.start(interval_seconds=30.0)
-            with pytest.raises(RuntimeError):
-                service.adaptive.start(interval_seconds=30.0)
-            service.adaptive.stop()
-
     def test_concurrent_serves_and_epochs_stay_consistent(self, dual, family_mixes, fingerprint):
         """Serving threads race tuning epochs; every answer must match the
         uncached truth of some placement — and the final pass exactly."""
@@ -428,6 +351,66 @@ class TestAdaptiveService:
             # Every epoch bumped the generation at most once.
             metrics = service.adaptive_metrics()
             assert service.metrics.counters.invalidation_events <= metrics["epochs"]
+
+    def test_service_starts_no_threads(self, dual, family_mixes, tmp_path):
+        """Serving, writes, epochs and checkpoints all run on the caller's
+        thread: the service never starts one of its own."""
+        before = set(threading.enumerate())
+        config = ServiceConfig(
+            adaptive=adaptive_config(),
+            snapshot=SnapshotPolicy(path=tmp_path / "snap", log=True),
+        )
+        with QueryService(dual, config) as service:
+            service.run_batch(family_mixes["a"])
+            service.transfer_partition(_smallest_partitions(dual, 1)[0])
+            assert service.tune_now().moves > 0
+            service.checkpoint()
+            service.run_batch(family_mixes["b"][:6])
+            assert set(threading.enumerate()) == before
+        assert set(threading.enumerate()) == before
+
+    def test_concurrent_tune_now_calls_run_one_after_the_other(self, dual, family_mixes):
+        """The write gate is the epochs' only lock: two callers racing
+        tune_now() get two whole epochs, never two overlapping ones."""
+        import time
+
+        spans = []
+        spans_lock = threading.Lock()
+
+        class RecordingTuner(LRUTuner):
+            def tune(self, recent, upcoming=None):
+                with spans_lock:
+                    spans.append(("enter", threading.get_ident()))
+                time.sleep(0.05)  # widen the window an overlap would need
+                try:
+                    return super().tune(recent, upcoming)
+                finally:
+                    with spans_lock:
+                        spans.append(("exit", threading.get_ident()))
+
+        config = adaptive_config(tuner_factory=RecordingTuner)
+        errors = []
+        with QueryService(dual, ServiceConfig(adaptive=config)) as service:
+            service.run_batch(family_mixes["a"][:10])
+            start = threading.Barrier(2)
+
+            def tune():
+                try:
+                    start.wait(timeout=10)
+                    service.tune_now()
+                except Exception as exc:  # pragma: no cover - failure reporting
+                    errors.append(repr(exc))
+
+            threads = [threading.Thread(target=tune) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(t.is_alive() for t in threads), "concurrent tune_now() deadlocked"
+            assert not errors, errors
+            assert [kind for kind, _ in spans] == ["enter", "exit", "enter", "exit"]
+            assert spans[0][1] == spans[1][1] and spans[2][1] == spans[3][1]
+            assert service.adaptive.metrics.epochs == 2
 
 
 # ---------------------------------------------------------------------- #
@@ -605,7 +588,6 @@ class TestReadWriteLockReentrancy:
         dual = DualStore(TUNER_CONFIG).load(dataset.triples)
         config = ServiceConfig(
             adaptive=AdaptiveConfig(
-                epoch_queries=0,
                 tuner_factory=lambda d: ServingTuner(d, service_ref),
             )
         )
