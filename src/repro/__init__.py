@@ -72,7 +72,7 @@ from repro.core import (
     run_workload,
     run_workload_repeated,
 )
-from repro.cost import CostModel, DEFAULT_COST_MODEL, ResourceThrottle, SimulatedClock, WorkCounters
+from repro.cost import CostModel, DEFAULT_COST_MODEL, ResourceThrottle, WorkCounters
 from repro.endpoint import (
     EndpointConfig,
     EndpointPool,
@@ -173,7 +173,6 @@ __all__ = [
     "CostModel",
     "DEFAULT_COST_MODEL",
     "WorkCounters",
-    "SimulatedClock",
     "ResourceThrottle",
     # rdf / sparql
     "IRI",

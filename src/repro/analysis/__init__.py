@@ -1,16 +1,16 @@
 """Project-invariant static analysis and dynamic lock-order checking.
 
-Eight PRs of growth turned this reproduction into a heavily concurrent
-serving system whose correctness rests on a handful of conventions: clocks
-are injected, background threads are named, durable renames are fsynced,
-swallowed exceptions leave evidence, mirrored gauges are assigned (never
-accumulated), and every :class:`~repro.core.dualstore.DualStore` mutation
-fires the listener hook.  This package enforces those conventions
-mechanically:
+The serving system's correctness rests on a handful of conventions:
+clocks are injected, background threads are named, durable renames are
+fsynced, swallowed exceptions leave evidence, every
+:class:`~repro.core.dualstore.DualStore` mutation fires the listener hook,
+columnar kernels decode in batch, the serving path reads result columns,
+and ``src/`` never imports the test oracles.  This package enforces those
+conventions mechanically:
 
 * :mod:`repro.analysis.lint` + :mod:`repro.analysis.rules` — an ``ast``
-  based invariant linter (rules ``REP001``–``REP006``) with ``file:line``
-  findings, inline ``# repro: allow[RULE]`` suppressions and a CLI
+  based invariant linter (``python -m repro.analysis --list-rules``) with
+  ``file:line`` findings, inline ``# repro: allow[RULE]`` suppressions and a CLI
   (``python -m repro.analysis src/``) that exits non-zero on findings.
 * :mod:`repro.analysis.lockgraph` — a runtime lock-order race detector:
   instruments the project's lock classes, records per-thread held-sets,

@@ -19,7 +19,7 @@ from repro.analysis.rules import DEFAULT_RULES
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Lint the repro source tree against the project invariants (REP001-REP009).",
+        description="Lint the repro source tree against the project invariants (see --list-rules).",
     )
     parser.add_argument(
         "paths",

@@ -1,4 +1,5 @@
-"""The project's invariant rules (``REP001``–``REP009``).
+"""The project's invariant rules (``REP001``–``REP004``, ``REP006``–``REP009``;
+``REP005`` is retired and its ID is not reused).
 
 Each rule encodes one convention the serving system depends on; the rule
 docstrings are the normative statement, ``docs/architecture.md`` §11 the
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.lint import Finding, LintModule, Rule
 
@@ -21,7 +22,6 @@ __all__ = [
     "ThreadDisciplineRule",
     "DurableRenameRule",
     "ExceptionEvidenceRule",
-    "MirroredGaugeRule",
     "MutationHookRule",
     "BatchDecodeRule",
     "ColumnarResultRule",
@@ -81,23 +81,6 @@ def _scopes(tree: ast.Module) -> Iterator[Tuple[Optional[str], Sequence[ast.stmt
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node.name, node.body
-
-
-def _enclosing_functions(tree: ast.Module) -> Dict[ast.AST, str]:
-    """Map every AST node to the name of its innermost enclosing function."""
-    owners: Dict[ast.AST, str] = {}
-
-    def visit(node: ast.AST, owner: Optional[str]) -> None:
-        for child in ast.iter_child_nodes(node):
-            child_owner = owner
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                child_owner = child.name
-            if child_owner is not None:
-                owners[child] = child_owner
-            visit(child, child_owner)
-
-    visit(tree, None)
-    return owners
 
 
 # --------------------------------------------------------------------- #
@@ -355,97 +338,6 @@ class ExceptionEvidenceRule(Rule):
 
 
 # --------------------------------------------------------------------- #
-# REP005 — mirrored gauges are assigned, never accumulated
-# --------------------------------------------------------------------- #
-class MirroredGaugeRule(Rule):
-    """Mirrored ``ServiceCounters`` gauges may only be written by plain
-    assignment at their registered mirror sites, never with ``+=``.
-
-    These five fields mirror cumulative totals owned elsewhere (the result
-    cache, the endpoint's admission gate, the fleet monitor, the replica
-    breakers); ``merge``/``add`` take ``max`` over them.  An ``+=``
-    anywhere — or an assignment outside the registered sites — would
-    double-count the owner's total.
-    """
-
-    name = "REP005"
-    description = (
-        "mirrored gauges (endpoint_requests, shed_load, stale_rejections, "
-        "worker_restarts, breaker_opens) are written by assignment at "
-        "registered mirror sites only, never +="
-    )
-
-    #: Mirrored fields of :class:`repro.serve.metrics.ServiceCounters`.
-    GAUGES = frozenset(
-        ["endpoint_requests", "shed_load", "stale_rejections", "worker_restarts", "breaker_opens"]
-    )
-    #: gauge -> {(module subpath, function name)} allowed to assign it.
-    MIRROR_SITES: Dict[str, Set[Tuple[str, str]]] = {
-        "stale_rejections": {("serve/service.py", "_serve")},
-        "endpoint_requests": {("serve/service.py", "record_endpoint")},
-        "shed_load": {("serve/service.py", "record_endpoint")},
-        "worker_restarts": {("serve/service.py", "record_resilience")},
-        "breaker_opens": {("serve/service.py", "record_resilience")},
-    }
-
-    @classmethod
-    def _gauge_target(cls, target: ast.AST) -> Optional[ast.Attribute]:
-        """The attribute node when ``target`` writes ``<counters>.<gauge>``."""
-        if not (isinstance(target, ast.Attribute) and target.attr in cls.GAUGES):
-            return None
-        receiver = target.value
-        receiver_name = (
-            receiver.attr
-            if isinstance(receiver, ast.Attribute)
-            else receiver.id
-            if isinstance(receiver, ast.Name)
-            else ""
-        )
-        # The discipline governs ServiceCounters instances; by project
-        # convention those are reachable as ``counters`` / ``*.counters``.
-        # Same-named fields on their owning objects (e.g. the result
-        # cache's own cumulative stale_rejections) are the mirrored
-        # *sources* and stay free to accumulate.
-        if receiver_name == "counters" or receiver_name.endswith("_counters"):
-            return target
-        return None
-
-    def check(self, module: LintModule) -> Iterator[Finding]:
-        owners = _enclosing_functions(module.tree)
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.AugAssign):
-                gauge = self._gauge_target(node.target)
-                if gauge is not None:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"mirrored gauge {gauge.attr!r} written with an "
-                        "augmented assignment; mirror the owner's cumulative "
-                        "total by plain assignment instead",
-                    )
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    gauge = self._gauge_target(target)
-                    if gauge is None:
-                        continue
-                    site = (module.subpath, owners.get(node, ""))
-                    if site in self.MIRROR_SITES.get(gauge.attr, set()):
-                        continue
-                    yield self.finding(
-                        module,
-                        node,
-                        f"mirrored gauge {gauge.attr!r} assigned outside its "
-                        "registered mirror site(s) "
-                        + ", ".join(
-                            sorted(
-                                f"{path}:{func}"
-                                for path, func in self.MIRROR_SITES.get(gauge.attr, set())
-                            )
-                        ),
-                    )
-
-
-# --------------------------------------------------------------------- #
 # REP006 — DualStore mutations fire the listener hook
 # --------------------------------------------------------------------- #
 class MutationHookRule(Rule):
@@ -656,7 +548,14 @@ class OracleImportRule(Rule):
 
     #: Top-level module names that only resolve with ``tests/`` on the path.
     TEST_MODULES = frozenset(
-        ["tests", "conftest", "graph_oracle", "relational_oracle", "sql_oracle"]
+        [
+            "tests",
+            "conftest",
+            "graph_oracle",
+            "relational_oracle",
+            "sql_oracle",
+            "results_json_oracle",
+        ]
     )
 
     @staticmethod
@@ -690,7 +589,6 @@ DEFAULT_RULES: Tuple[Rule, ...] = (
     ThreadDisciplineRule(),
     DurableRenameRule(),
     ExceptionEvidenceRule(),
-    MirroredGaugeRule(),
     MutationHookRule(),
     BatchDecodeRule(),
     ColumnarResultRule(),

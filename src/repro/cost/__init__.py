@@ -1,15 +1,10 @@
-"""Deterministic cost accounting: work counters, latency model, clocks, throttles."""
+"""Deterministic cost accounting: work counters, latency model, throttles."""
 
-from repro.cost.clock import Clock, SimulatedClock, Stopwatch, WallClock
 from repro.cost.counters import WorkCounters
 from repro.cost.model import CostModel, DEFAULT_COST_MODEL
 from repro.cost.resources import ResourceSample, ResourceThrottle, SlowdownReport
 
 __all__ = [
-    "Clock",
-    "SimulatedClock",
-    "WallClock",
-    "Stopwatch",
     "WorkCounters",
     "CostModel",
     "DEFAULT_COST_MODEL",

@@ -26,8 +26,6 @@ from repro.endpoint.protocol import (
     encode_results,
     request_from_get,
     request_from_post,
-    results_to_json,
-    term_to_json,
 )
 from repro.endpoint.server import (
     GENERATION_HEADER,
@@ -55,7 +53,6 @@ __all__ = [
     "fetch_json",
     "request_from_get",
     "request_from_post",
-    "results_to_json",
     "run_worker",
     "sparql_request",
 ]

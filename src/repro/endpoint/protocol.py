@@ -45,8 +45,6 @@ __all__ = [
     "RESULTS_JSON",
     "ERROR_JSON",
     "ProtocolError",
-    "term_to_json",
-    "results_to_json",
     "encode_results",
     "encode_error",
     "negotiate_accept",
@@ -92,49 +90,13 @@ class ProtocolError(ReproError):
 # --------------------------------------------------------------------------- #
 # Result serialization
 # --------------------------------------------------------------------------- #
-def term_to_json(term: TermLike) -> Dict[str, str]:
-    """One bound term as a SPARQL-results-JSON term object."""
-    if isinstance(term, IRI):
-        return {"type": "uri", "value": term.value}
-    if isinstance(term, Literal):
-        obj = {"type": "literal", "value": term.lexical}
-        if term.language is not None:
-            obj["xml:lang"] = term.language
-        elif term.datatype and term.datatype != XSD_STRING:
-            obj["datatype"] = term.datatype
-        return obj
-    if isinstance(term, BlankNode):
-        return {"type": "bnode", "value": term.label}
-    raise ProtocolError(  # pragma: no cover - executor never binds variables
-        500, "unencodable-term", f"cannot serialize term of kind {term.kind!r}"
-    )
-
-
-def results_to_json(result: ExecutionResult) -> Dict[str, object]:
-    """The results-JSON document for one execution, as plain dicts.
-
-    The documented dict form of the wire format, and the oracle the tests
-    hold :func:`encode_results` to; the serving path never builds it.
-    Binding keys are emitted in the projection order (``result.variables``),
-    not dict-insertion order, so the document is deterministic for a given
-    solution sequence no matter how the executor assembled its binding dicts.
-    """
-    variables = list(result.variables)
-    bindings: List[Dict[str, Dict[str, str]]] = []
-    for binding in result.bindings:  # repro: allow[REP008]
-        bindings.append(
-            {name: term_to_json(binding[name]) for name in variables if name in binding}
-        )
-    return {"head": {"vars": variables}, "results": {"bindings": bindings}}
-
-
 #: What ``json.dumps`` itself calls for a string under ``ensure_ascii=True``,
-#: so a fragment's escapes equal the dict form's by construction.
+#: so a fragment's escapes equal those of ``json.dumps`` over the dict form.
 _quote = json.encoder.encode_basestring_ascii
 
 
 def _term_fragment(term: TermLike) -> str:
-    """``json.dumps(term_to_json(term), separators=(",", ":"))``, directly."""
+    """One bound term as its compact SPARQL-results-JSON object text."""
     if isinstance(term, IRI):
         return '{"type":"uri","value":' + _quote(term.value) + "}"
     if isinstance(term, Literal):
@@ -184,7 +146,8 @@ def encode_results(result: ExecutionResult) -> bytes:
     This is the single serialization both the live endpoint and the
     conformance tests use, so "byte-identical to a direct
     ``QueryService`` answer" is checkable with ``==`` on bytes.  The bytes
-    equal ``json.dumps(results_to_json(result), separators=(",", ":"))``,
+    equal ``json.dumps`` (compact separators) over the results document's
+    dict form (the test oracle in ``tests/results_json_oracle.py``),
     assembled from the result's columns by joining strings: per column a
     list of term fragments, zipped into rows at C speed, with no per-row
     object in between.

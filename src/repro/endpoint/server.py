@@ -15,12 +15,10 @@ built entirely on :mod:`http.server` so it adds no dependencies:
 :class:`AdmissionGate`: at most ``max_inflight`` requests execute at once,
 at most ``queue_depth`` more may wait (up to ``admission_timeout_seconds``)
 for an execution slot, and everything beyond that is *shed* immediately with
-``503`` + ``Retry-After`` and a machine-readable error body.  The gate keeps
-exact cumulative counts; they are mirrored into
-:attr:`ServiceCounters.endpoint_requests` / :attr:`ServiceCounters.shed_load`
-via :meth:`QueryService.record_endpoint`, so one ``/metrics`` snapshot covers
-the whole stack and the fault-injection suite can assert shed accounting
-exactly.
+``503`` + ``Retry-After`` and a machine-readable error body.  The gate is
+the one owner of the exact cumulative admitted and shed counts; ``/metrics``
+reports them under ``"endpoint"``, so the fault-injection suite can assert
+shed accounting exactly.
 
 **Generation stamping.**  Every query response carries, in the
 :data:`GENERATION_HEADER` header, the store generation its body was computed
@@ -320,7 +318,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "request shed: the admission queue is full",
                 {"Retry-After": endpoint.retry_after_hint()},
             )
-            endpoint.mirror_admission()
             return
         try:
             # Re-read the service ref inside the gate: the swap (if any)
@@ -362,7 +359,6 @@ class _Handler(BaseHTTPRequestHandler):
             return
         finally:
             gate.release()
-            endpoint.mirror_admission()
         self._respond(
             200,
             body,
@@ -395,7 +391,6 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle_metrics(self) -> None:
         endpoint = self.server.endpoint
         service = endpoint.service
-        endpoint.mirror_admission()
         admission = endpoint.gate.snapshot()
         admission["draining"] = endpoint.draining
         admission["drain_rejections"] = endpoint.drain_rejections
@@ -534,10 +529,8 @@ class SparqlEndpoint:
         every request admitted afterwards sees the new one — so a sequential
         client observes a monotonic generation, never a torn store.  The old
         service is handed back, not closed: requests may still be inside it.
-        Its cumulative counters are folded into the new service's so the
-        endpoint's ``/metrics`` stays a process-lifetime view across reloads
-        (mirrored gauges take the max, per
-        :attr:`~repro.serve.metrics.ServiceCounters.MIRRORED_GAUGES`).
+        Its cumulative counters are added into the new service's so the
+        endpoint's ``/metrics`` stays a process-lifetime view across reloads.
         """
         with self._service_lock:
             old, self._service = self._service, service
@@ -576,13 +569,6 @@ class SparqlEndpoint:
                 return False
             time.sleep(0.02)
         return True
-
-    # ------------------------------------------------------------------ #
-    # Counter mirroring (serve-layer visibility of admission events)
-    # ------------------------------------------------------------------ #
-    def mirror_admission(self) -> None:
-        """Copy the gate's cumulative totals into the service counters."""
-        self.service.record_endpoint(requests=self.gate.admitted, shed=self.gate.shed)
 
     def retry_after_hint(self) -> int:
         """The ``Retry-After`` seconds for a rejected request, scaled by load.

@@ -378,9 +378,6 @@ class DeltaLog:
         self._segment: Optional[WalSegment] = None
         self._head_generation: Optional[int] = None
         self._sequence_floor = 0
-        #: Cumulative accounting (diagnostics and the churn benchmark).
-        self.records_appended = 0
-        self.bytes_appended = 0
 
     # -- introspection ------------------------------------------------- #
     @property
@@ -488,8 +485,6 @@ class DeltaLog:
                 self._close_locked()
                 raise
             self._head_generation = generation
-            self.records_appended += 1
-            self.bytes_appended += len(frame)
             return len(frame)
 
     def recover(self, head_generation: int) -> bool:

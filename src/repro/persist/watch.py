@@ -130,29 +130,3 @@ class SnapshotWatcher:
         assert last is not None
         self._seen = entry_cursor
         raise last
-
-    def wait_for_generation(
-        self, generation: int, *, timeout: float = 30.0, interval: float = 0.05
-    ) -> SnapshotManifest:
-        """Block until a snapshot with ``manifest.generation >= generation``
-        is committed; raises :class:`SnapshotError` on timeout.
-
-        Leader-side convenience for tests and orchestration ("my commit is
-        now visible to followers of this root").  Does not move the cursor
-        used by :meth:`poll`/:meth:`load_if_newer`.
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            if self.committed_name() is not None:
-                try:
-                    manifest = read_manifest(self.root)
-                except SnapshotError:
-                    manifest = None
-                if manifest is not None and manifest.generation >= generation:
-                    return manifest
-            if time.monotonic() >= deadline:
-                raise SnapshotError(
-                    f"no snapshot with generation >= {generation} committed under "
-                    f"{self.root} within {timeout:.1f}s"
-                )
-            time.sleep(interval)

@@ -21,10 +21,7 @@ Every decision is taken in :meth:`poll_once`, a synchronous deterministic
 sweep over the fleet driven by an injectable clock — the unit tests run it
 against a scripted fake supervisor and a fake clock, no processes and no
 sleeps.  :meth:`start` wraps it in the background thread production uses.
-
-Restart totals can be mirrored into a :class:`QueryService`'s counters
-(``worker_restarts``) via the ``service`` argument, so one ``/metrics``
-snapshot tells the whole resilience story.
+The monitor owns the restart totals (:attr:`FleetMonitor.total_restarts`).
 """
 
 from __future__ import annotations
@@ -83,9 +80,6 @@ class FleetMonitor:
         ``restart(i)``, ``announce(i)``, ``url(i)``.
     policy:
         Timing/threshold tunables.
-    service:
-        Optional :class:`~repro.serve.service.QueryService` to mirror the
-        cumulative restart total into (``worker_restarts``).
     probe:
         Health probe ``url -> bool`` (injectable for tests); the default
         GETs ``/healthz`` and accepts any 200.
@@ -98,13 +92,11 @@ class FleetMonitor:
         supervisor,
         policy: Optional[MonitorPolicy] = None,
         *,
-        service=None,
         probe: Optional[Callable[[str], bool]] = None,
         clock=time.monotonic,
     ):
         self.supervisor = supervisor
         self.policy = policy or MonitorPolicy()
-        self._service = service
         self._probe = probe if probe is not None else self._http_probe
         self._clock = clock
         self._lock = threading.Lock()
@@ -215,8 +207,6 @@ class FleetMonitor:
         # Grace period: the fresh worker gets a full stuck window to come up
         # before the next sweep can call it stuck.
         self._last_ok[index] = now
-        if self._service is not None:
-            self._service.record_resilience(worker_restarts=self.total_restarts)
 
     # ------------------------------------------------------------------ #
     # Background-thread mode

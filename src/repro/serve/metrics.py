@@ -26,6 +26,11 @@ __all__ = ["ServiceCounters", "LatencyDigest", "QueueGauge", "ServiceMetrics"]
 class ServiceCounters:
     """Accumulated serving-layer events.
 
+    The service increments every field itself, so every field sums on
+    :meth:`add`/:meth:`merge`.  A count another object owns (the endpoint's
+    admission gate, a fleet monitor's restarts, a client pool's breaker
+    trips) is read from that owner, never copied in here.
+
     Attributes
     ----------
     queries_served:
@@ -54,9 +59,8 @@ class ServiceCounters:
     stale_rejections:
         Result-cache entries rejected at lookup time by the generation check
         (the belt-and-braces path; normally the invalidation hook already
-        emptied the cache).  **Mirrored gauge**: the service copies the
-        cache's own cumulative counter by assignment, so every snapshot
-        already carries the full total — see :attr:`MIRRORED_GAUGES`.
+        emptied the cache).  The cache reports each rejection to the serve
+        that made it, which counts it here.
     snapshots_taken:
         Durable checkpoints the service committed (``checkpoint()`` calls,
         including the delta log's anchor snapshot).
@@ -72,49 +76,12 @@ class ServiceCounters:
         ``QueryService.last_wal_error``; the log closes and the next
         successful snapshot commit re-anchors it — never raised out of the
         mutation that triggered the append).
-    endpoint_requests:
-        HTTP requests the SPARQL endpoint *admitted* into an execution slot
-        (:mod:`repro.endpoint.server`).  **Mirrored gauge**: the endpoint's
-        admission gate owns the cumulative total (it survives worker
-        hot-reloads) and copies it in by assignment via
-        :meth:`QueryService.record_endpoint`.
-    shed_load:
-        HTTP requests the endpoint shed with ``503`` + ``Retry-After``
-        because the bounded admission queue was full (or the queued wait
-        timed out).  **Mirrored gauge**, same discipline as
-        ``endpoint_requests`` — the fault suite asserts this total matches
-        the client-observed 503s exactly.
     query_timeouts:
         Requests cancelled cooperatively because they exceeded their
         deadline (:mod:`repro.resilience.deadline`) — while executing, or at
         the endpoint while encoding the results; each one surfaced as a
         :class:`~repro.errors.QueryTimeoutError` (a 504 at the endpoint).
-        Incremented by the service itself, so it sums across merges.
-    worker_restarts:
-        Worker processes a :class:`~repro.resilience.fleet.FleetMonitor`
-        restarted (exits and stuck workers alike).  **Mirrored gauge**: the
-        monitor owns the cumulative total and copies it in by assignment via
-        :meth:`QueryService.record_resilience`.
-    breaker_opens:
-        Circuit-breaker trips in the serving path's client pool
-        (:class:`~repro.endpoint.client.EndpointPool`).  **Mirrored gauge**,
-        assigned via :meth:`QueryService.record_resilience`; the chaos suite
-        asserts it exactly equals the injected kill schedule.
     """
-
-    #: Fields the service mirrors *by assignment* from another cumulative
-    #: counter instead of incrementing itself.  Two snapshots of one service
-    #: both carry the full running total, so ``merge``/``add`` must take the
-    #: max of these fields — summing would double-count every shared event.
-    MIRRORED_GAUGES = frozenset(
-        {
-            "stale_rejections",
-            "endpoint_requests",
-            "shed_load",
-            "worker_restarts",
-            "breaker_opens",
-        }
-    )
 
     queries_served: int = 0
     batches_served: int = 0
@@ -132,15 +99,10 @@ class ServiceCounters:
     wal_records: int = 0
     wal_bytes: int = 0
     wal_failures: int = 0
-    endpoint_requests: int = 0
-    shed_load: int = 0
     query_timeouts: int = 0
-    worker_restarts: int = 0
-    breaker_opens: int = 0
 
     def merge(self, other: "ServiceCounters") -> "ServiceCounters":
-        """Return a new counter object with both contributions combined
-        (summed, except the :attr:`MIRRORED_GAUGES`, which take the max)."""
+        """Return a new counter object with both contributions summed."""
         merged = ServiceCounters()
         merged.add(self)
         merged.add(other)
@@ -149,11 +111,7 @@ class ServiceCounters:
     def add(self, other: "ServiceCounters") -> None:
         """Accumulate ``other`` into this counter object in place."""
         for f in fields(ServiceCounters):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            if f.name in self.MIRRORED_GAUGES:
-                setattr(self, f.name, max(mine, theirs))
-            else:
-                setattr(self, f.name, mine + theirs)
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def as_dict(self) -> Dict[str, int]:
         return {f.name: int(getattr(self, f.name)) for f in fields(ServiceCounters)}

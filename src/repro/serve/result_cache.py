@@ -25,7 +25,7 @@ now — and the experiments' TTI accounting must stay truthful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.core.metrics import QueryRecord
 from repro.execution import ExecutionResult
@@ -50,30 +50,31 @@ class ResultCache(LRUCache[str, CachedExecution]):
 
     def __init__(self, capacity: int = 4096):
         super().__init__(capacity, what="result cache")
-        #: Entries rejected by the lookup-time generation check (diagnostics).
-        self.stale_rejections = 0
 
-    def get(self, key: str, generation: int) -> Optional[CachedExecution]:  # type: ignore[override]
-        """The entry for ``key``, or ``None`` if absent or stale.
+    def get(  # type: ignore[override]
+        self, key: str, generation: int
+    ) -> Tuple[Optional[CachedExecution], bool]:
+        """``(entry, stale)``: the entry for ``key`` (``None`` if absent or
+        stale) and whether this lookup dropped a stale entry.
 
         A stale entry (recorded under an *older* generation than the caller
-        observed) is dropped on sight and counted in
-        :attr:`stale_rejections`.  An entry from a *newer* generation than
-        the caller's snapshot is a miss but is left in place: it was cached
-        by a serve that already saw the mutation, so it is fresh for every
-        up-to-date caller and must not be evicted by a straggler.
+        observed) is dropped on sight; the caller counts the rejection.  An
+        entry from a *newer* generation than the caller's snapshot is a miss
+        but is left in place: it was cached by a serve that already saw the
+        mutation, so it is fresh for every up-to-date caller and must not be
+        evicted by a straggler.
         """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                return None
+                return None, False
             if entry.generation != generation:
-                if entry.generation < generation:
+                stale = entry.generation < generation
+                if stale:
                     del self._entries[key]
-                    self.stale_rejections += 1
-                return None
+                return None, stale
             self._entries.move_to_end(key)
-            return entry
+            return entry, False
 
     def put(self, entry: CachedExecution) -> None:  # type: ignore[override]
         super().put(entry.key, entry)

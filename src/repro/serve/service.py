@@ -379,8 +379,12 @@ class QueryService:
 
             hits: Dict[str, CachedExecution] = {}
             to_execute: List[QueryPlan] = []
+            stale_count = 0
             for key, index in primaries.items():
-                entry = self.result_cache.get(key, generation) if self.config.cache_results else None
+                entry = None
+                if self.config.cache_results:
+                    entry, stale = self.result_cache.get(key, generation)
+                    stale_count += stale
                 if entry is not None:
                     hits[key] = entry
                 else:
@@ -424,10 +428,7 @@ class QueryService:
 
         with self._metrics_lock:
             counters = self.metrics.counters
-            # The cache counts rejections cumulatively under its own lock;
-            # mirror by assignment (not delta) so concurrent serves cannot
-            # cross-count each other's rejections.
-            counters.stale_rejections = self.result_cache.stale_rejections
+            counters.stale_rejections += stale_count
             counters.result_cache_hits += hit_count
             counters.duplicates_coalesced += coalesced_count
             counters.result_cache_misses += miss_count
@@ -583,41 +584,6 @@ class QueryService:
         did (``query_timeouts``)."""
         with self._metrics_lock:
             self.metrics.counters.query_timeouts += 1
-
-    def record_endpoint(self, *, requests: int, shed: int) -> None:
-        """Mirror the HTTP endpoint's cumulative admission accounting.
-
-        The admission gate (:class:`repro.endpoint.server.AdmissionGate`)
-        owns the running totals — it outlives worker hot-reloads that replace
-        the service — so these are **assigned**, not incremented, exactly
-        like the result cache's ``stale_rejections`` (see
-        :attr:`~repro.serve.metrics.ServiceCounters.MIRRORED_GAUGES`).  One
-        ``metrics.snapshot()`` then covers the whole serving stack, wire to
-        store.
-        """
-        with self._metrics_lock:
-            self.metrics.counters.endpoint_requests = requests
-            self.metrics.counters.shed_load = shed
-
-    def record_resilience(
-        self,
-        *,
-        worker_restarts: Optional[int] = None,
-        breaker_opens: Optional[int] = None,
-    ) -> None:
-        """Mirror resilience-subsystem cumulative totals into the counters.
-
-        The :class:`~repro.resilience.fleet.FleetMonitor` owns the restart
-        total and the :class:`~repro.endpoint.client.EndpointPool` owns the
-        breaker-trip total; both are **assigned** (mirrored-gauge
-        discipline, like :meth:`record_endpoint`), so one
-        ``metrics.snapshot()`` tells the whole resilience story.
-        """
-        with self._metrics_lock:
-            if worker_restarts is not None:
-                self.metrics.counters.worker_restarts = worker_restarts
-            if breaker_opens is not None:
-                self.metrics.counters.breaker_opens = breaker_opens
 
     def _on_mutation(self, generation: int) -> None:
         dropped = self.result_cache.invalidate_all()

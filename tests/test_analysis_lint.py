@@ -287,52 +287,6 @@ def test_rep004_flags_broad_member_of_a_tuple():
 
 
 # --------------------------------------------------------------------------- #
-# REP005 — mirrored gauges are assigned at mirror sites only
-# --------------------------------------------------------------------------- #
-def test_rep005_flags_augmented_writes_to_mirrored_gauges():
-    source = """
-        class Handler:
-            def serve(self):
-                self.metrics.counters.shed_load += 1
-    """
-    (finding,) = lint(source, "src/repro/endpoint/server.py")
-    assert finding.rule == "REP005"
-    assert "shed_load" in finding.message
-
-
-def test_rep005_flags_assignment_outside_the_registered_mirror_site():
-    source = """
-        class Handler:
-            def serve(self):
-                self.metrics.counters.worker_restarts = 7
-    """
-    assert rules_hit(source, "src/repro/endpoint/server.py") == ["REP005"]
-    # Even in the right file, only the registered function may mirror.
-    assert rules_hit(source, "src/repro/serve/service.py") == ["REP005"]
-
-
-def test_rep005_accepts_assignment_at_the_registered_mirror_site():
-    source = """
-        class QueryService:
-            def record_endpoint(self, *, requests, shed):
-                self.metrics.counters.endpoint_requests = requests
-                self.metrics.counters.shed_load = shed
-    """
-    assert rules_hit(source, "src/repro/serve/service.py") == []
-
-
-def test_rep005_leaves_the_owning_source_counters_alone():
-    # The result cache's own cumulative stale_rejections is the mirrored
-    # *source*; only ServiceCounters mirrors are governed.
-    source = """
-        class ResultCache:
-            def reject(self):
-                self.stale_rejections += 1
-    """
-    assert rules_hit(source, "src/repro/serve/result_cache.py") == []
-
-
-# --------------------------------------------------------------------------- #
 # REP006 — DualStore mutations fire the listener hook
 # --------------------------------------------------------------------------- #
 def test_rep006_flags_mutators_that_skip_the_hook():

@@ -1,4 +1,4 @@
-"""Unit tests for work counters, the cost model, clocks, and throttles."""
+"""Unit tests for work counters, the cost model, and throttles."""
 
 import pytest
 
@@ -6,8 +6,6 @@ from repro.cost import (
     CostModel,
     DEFAULT_COST_MODEL,
     ResourceThrottle,
-    SimulatedClock,
-    WallClock,
     WorkCounters,
 )
 from repro.errors import ConfigError
@@ -87,37 +85,6 @@ class TestCostModel:
             WorkCounters(nodes_expanded=2_000, edges_traversed=6_000)
         )
         assert relational > graph * 10
-
-
-class TestClocks:
-    def test_simulated_clock_advances_only_when_charged(self):
-        clock = SimulatedClock()
-        assert clock.now() == 0.0
-        clock.charge(1.5)
-        assert clock.now() == 1.5
-
-    def test_simulated_clock_rejects_negative_values(self):
-        with pytest.raises(ConfigError):
-            SimulatedClock(-1.0)
-        with pytest.raises(ConfigError):
-            SimulatedClock().charge(-0.1)
-
-    def test_simulated_clock_stopwatch(self):
-        clock = SimulatedClock()
-        with clock.stopwatch() as watch:
-            clock.charge(2.0)
-        assert watch.elapsed == pytest.approx(2.0)
-
-    def test_simulated_clock_reset(self):
-        clock = SimulatedClock(5.0)
-        clock.reset()
-        assert clock.now() == 0.0
-
-    def test_wall_clock_moves_forward(self):
-        clock = WallClock()
-        first = clock.now()
-        clock.charge(100.0)  # no-op for a wall clock
-        assert clock.now() >= first
 
 
 class TestResourceThrottle:

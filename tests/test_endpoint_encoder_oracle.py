@@ -1,9 +1,9 @@
 """An oracle for the results encoder that is not the encoder.
 
 ``encode_results`` assembles the wire bytes from a result's columns by joining
-per-term JSON fragments; ``results_to_json`` is the documented dict form of
-the same document and shares no code with it beyond the term classes.  The
-contract pinned here is::
+per-term JSON fragments; ``results_to_json`` (``results_json_oracle.py``
+next to this file) is the dict form of the same document and shares no code
+with it beyond the term classes.  The contract pinned here is::
 
     encode_results(r) == json.dumps(results_to_json(r), separators=(",", ":")).encode()
 
@@ -26,6 +26,7 @@ import weakref
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from results_json_oracle import results_to_json
 from repro import (
     PAPER_TUNED_CONFIG,
     AdaptiveConfig,
@@ -34,7 +35,6 @@ from repro import (
     ServiceConfig,
 )
 from repro.endpoint import EndpointConfig, SparqlEndpoint, encode_results, sparql_request
-from repro.endpoint.protocol import results_to_json
 from repro.errors import TermError
 from repro.execution import ExecutionResult, ResultColumns, ResultTable
 from repro.rdf import IRI, Literal, Triple, TripleSet, XSD

@@ -57,7 +57,7 @@ class TestSaturation:
         """1 executing + 2 queued fills the gate (max_inflight=1,
         queue_depth=2); the next 3 requests are shed — no more, no fewer —
         and the held requests all complete once the slot frees up."""
-        endpoint, service = endpoint_factory(
+        endpoint, _service = endpoint_factory(
             triples=_fault_triples(),
             config=EndpointConfig(
                 max_inflight=1,
@@ -109,17 +109,56 @@ class TestSaturation:
             assert not thread.is_alive(), "held request never completed"
         assert statuses == [200, 200, 200]
 
-        # Exact accounting, end to end: the gate, the mirrored service
-        # counter, and the /metrics document all agree with the client.
+        # Exact accounting, end to end: the gate and the /metrics document
+        # both agree with the client.
         assert endpoint.gate.shed == 3
         assert endpoint.gate.admitted == 3
         endpoint.before_execute = None
         metrics = fetch_json(endpoint.url, "/metrics")
         assert metrics["endpoint"]["shed_load"] == 3
-        assert metrics["service"]["counters"]["shed_load"] == 3
-        assert service.metrics.counters.shed_load == 3
         # Idle again: the hint relaxes back to the configured base.
         assert endpoint.retry_after_hint() == 3
+
+    def test_metrics_reads_admission_from_the_gate_alone(self, endpoint_factory):
+        """N admitted and k shed requests show up once, under "endpoint"; the
+        service counters carry no copy of endpoint, restart or breaker
+        totals (their owners are the gate, the fleet monitor and the pool)."""
+        endpoint, _service = endpoint_factory(
+            triples=_fault_triples(),
+            config=EndpointConfig(
+                max_inflight=1, queue_depth=0, admission_timeout_seconds=30.0
+            ),
+        )
+        in_slot = threading.Event()
+        release = threading.Event()
+
+        def hold(_query: str) -> None:
+            in_slot.set()
+            release.wait(timeout=30)
+
+        endpoint.before_execute = hold
+        held = threading.Thread(target=sparql_request, args=(endpoint.url, PROBE))
+        held.start()
+        try:
+            assert in_slot.wait(timeout=10), "first request never reached execution"
+            shed = 2
+            for _ in range(shed):
+                assert sparql_request(endpoint.url, PROBE).status == 503
+        finally:
+            release.set()
+            held.join(timeout=30)
+        assert not held.is_alive(), "held request never completed"
+        endpoint.before_execute = None
+        admitted = 4
+        for _ in range(admitted - 1):
+            assert sparql_request(endpoint.url, PROBE).status == 200
+
+        metrics = fetch_json(endpoint.url, "/metrics")
+        assert metrics["endpoint"]["admitted"] == admitted
+        assert metrics["endpoint"]["shed_load"] == shed
+        counters = metrics["service"]["counters"]
+        for key in counters:
+            assert not any(word in key for word in ("endpoint", "shed", "restart", "breaker"))
 
     def test_malformed_requests_never_consume_slots(self, endpoint_factory):
         """A 400 must come back even from a saturated endpoint: protocol

@@ -16,6 +16,7 @@ import urllib.request
 
 import pytest
 
+from repro import DualStore, QueryService
 from repro.endpoint import (
     ERROR_JSON,
     GENERATION_HEADER,
@@ -25,6 +26,7 @@ from repro.endpoint import (
 )
 from repro.rdf import IRI, Literal, Triple, TripleSet, XSD, YAGO
 from repro.rdf.terms import BlankNode
+from repro.serve.result_cache import CachedExecution
 
 
 def _raw(url: str, *, method: str = "GET", data: bytes | None = None, headers: dict | None = None):
@@ -253,12 +255,37 @@ class TestControlPlane:
         payload = json.loads(body)
         assert payload["endpoint"]["admitted"] >= 1
         assert payload["endpoint"]["shed_load"] == 0
-        counters = payload["service"]["counters"]
-        # The gate's totals are mirrored into the service counters, so one
-        # /metrics document accounts for the whole stack consistently.
-        assert counters["endpoint_requests"] == payload["endpoint"]["admitted"]
-        assert counters["shed_load"] == payload["endpoint"]["shed_load"]
+        assert payload["service"]["counters"]["queries_served"] >= 1
         assert int(headers[GENERATION_HEADER]) == payload["generation"]
+
+    def test_swap_keeps_the_stale_rejection_total(
+        self, live_endpoint, endpoint_dataset, endpoint_workload
+    ):
+        """A stale-entry rejection counted before a hot swap survives it:
+        the swap adds the old service's counters into the new one's, and a
+        serve on the new service adds only its own rejections."""
+        endpoint, service = live_endpoint
+        query = endpoint_workload.queries[0].query.to_sparql()
+        cold = service.run_query(query)
+        service.result_cache.put(
+            CachedExecution(
+                key=service.resolve(query).key,
+                result=cold.result,
+                record=cold.record,
+                generation=service.dual.generation - 1,
+            )
+        )
+        assert sparql_request(endpoint.url, query).status == 200
+        assert service.metrics.counters.stale_rejections == 1
+
+        with QueryService(DualStore().load(endpoint_dataset.triples)) as fresh:
+            endpoint.swap_service(fresh)
+            try:
+                assert fresh.metrics.counters.stale_rejections == 1
+                assert sparql_request(endpoint.url, query).status == 200
+                assert fresh.metrics.counters.stale_rejections == 1
+            finally:
+                endpoint.swap_service(service)
 
 
 class TestPoolRetryBackoff:

@@ -16,9 +16,9 @@ Four layers of coverage, from pure units to a live multi-process fleet:
   + injected transport I/O errors + latency spikes) over a real 4-worker
   fleet behind the circuit-breaking pool: the closed-loop workload completes
   with zero client-visible hangs, every answer byte-identical to the direct
-  in-process answer, the monitor restores full fleet health, and
-  ``worker_restarts`` / ``breaker_opens`` / ``query_timeouts`` match the
-  injected schedule *exactly*.
+  in-process answer, the monitor restores full fleet health, and the
+  monitor's ``total_restarts``, the pool's ``breaker_opens`` and the
+  services' ``query_timeouts`` match the injected schedule *exactly*.
 """
 
 from __future__ import annotations
@@ -939,12 +939,11 @@ class FakeSupervisor:
 
 
 class TestFleetMonitor:
-    def _monitor(self, supervisor, clock, *, probe=None, service=None, **policy):
+    def _monitor(self, supervisor, clock, *, probe=None, **policy):
         return FleetMonitor(
             supervisor,
             MonitorPolicy(**policy),
             probe=probe if probe is not None else (lambda _url: True),
-            service=service,
             clock=clock,
         )
 
@@ -1039,40 +1038,6 @@ class TestFleetMonitor:
         clock.advance(6.0)
         monitor.poll_once()
         assert fleet.restarted == [0]
-
-    def test_restart_totals_are_mirrored_into_the_service(self):
-        class FakeService:
-            def __init__(self):
-                self.calls: list = []
-
-            def record_resilience(self, **kwargs):
-                self.calls.append(kwargs)
-
-        clock = FakeClock()
-        fleet = FakeSupervisor(workers=2)
-        service = FakeService()
-        monitor = self._monitor(fleet, clock, service=service)
-        fleet.alive[0] = False
-        fleet.alive[1] = False
-        monitor.poll_once()
-        assert monitor.total_restarts == 2
-        assert service.calls[-1] == {"worker_restarts": 2}
-
-    def test_record_resilience_updates_the_real_counters(self):
-        dual = DualStore().load(_mini_triples())
-        service = QueryService(dual, ServiceConfig())
-        try:
-            service.record_resilience(worker_restarts=3, breaker_opens=2)
-            service.record_resilience(worker_restarts=5)  # partial update
-            counters = service.metrics.counters
-            assert counters.worker_restarts == 5
-            assert counters.breaker_opens == 2
-            # Mirrored gauges merge by max, not sum.
-            merged = counters.merge(counters)
-            assert merged.worker_restarts == 5
-            assert merged.breaker_opens == 2
-        finally:
-            service.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -1186,7 +1151,6 @@ class TestChaosFleet:
                     stuck_after_seconds=10.0,
                     backoff_base_seconds=0.1,
                 ),
-                service=leader,
             ).start()
 
             def drive(n: int) -> None:
@@ -1254,12 +1218,11 @@ class TestChaosFleet:
                 assert breaker.state == CLOSED
                 assert pool.breaker_opens == count  # recovery added no trips
 
-            # ---- Converged: exact fleet-wide accounting.
+            # ---- Converged: exact fleet-wide accounting, read from the
+            # owners (the monitor's restarts, the pool's breaker trips).
             assert monitor.total_restarts == len(kills)
             assert monitor.quarantines == 0
-            assert leader.metrics.counters.worker_restarts == len(kills)
-            leader.record_resilience(breaker_opens=pool.breaker_opens)
-            assert leader.metrics.counters.breaker_opens == len(kills)
+            assert pool.breaker_opens == len(kills)
             assert pool.shed_retries == 0  # nothing was shed: no lost work
         finally:
             if monitor is not None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
@@ -167,8 +168,20 @@ class TestResultCacheInvalidation:
                 generation=dual.generation - 1,
             )
         )
-        assert service.result_cache.get(key, dual.generation) is None
-        assert service.result_cache.stale_rejections == 1
+        assert service.result_cache.get(key, dual.generation) == (None, True)
+        assert len(service.result_cache) == 0  # dropped on sight
+        # The rejection is the serve's to count: a serve that meets a stale
+        # entry adds it to the service counters.
+        service.result_cache.put(
+            CachedExecution(
+                key=key,
+                result=cold.result,
+                record=cold.record,
+                generation=dual.generation - 1,
+            )
+        )
+        assert not service.run_query(ADVISOR_QUERY).record.from_cache
+        assert service.metrics.counters.stale_rejections == 1
 
     def test_load_bumps_generation(self, dataset):
         dual = DualStore()
@@ -474,17 +487,16 @@ class TestServiceMetrics:
         assert merged.result_cache_hit_rate == pytest.approx(0.8)
         assert ServiceCounters().result_cache_hit_rate == 0.0
 
-    def test_endpoint_gauges_merge_as_max_not_sum(self):
-        """endpoint_requests/shed_load are mirrored by assignment from the
-        admission gate, so two snapshots of one endpoint both carry the full
-        total — merging must take the max, like stale_rejections."""
-        before = ServiceCounters(endpoint_requests=10, shed_load=2, executions=4)
-        after = ServiceCounters(endpoint_requests=25, shed_load=3, executions=6)
-        merged = before.merge(after)
-        assert merged.endpoint_requests == 25
-        assert merged.shed_load == 3
-        assert merged.executions == 10  # ordinary counters still sum
-        assert {"endpoint_requests", "shed_load"} <= ServiceCounters.MIRRORED_GAUGES
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ServiceCounters)])
+    def test_merge_and_add_sum_every_field(self, name):
+        """Every field is a count the service increments itself, so both
+        ways of combining counters sum it — none is a copied gauge."""
+        earlier = ServiceCounters(**{name: 3})
+        later = ServiceCounters(**{name: 4})
+        assert getattr(earlier.merge(later), name) == 7
+        earlier.add(later)
+        assert getattr(earlier, name) == 7
+        assert getattr(later, name) == 4
 
     def test_service_snapshot_after_traffic(self, service, dataset):
         workload = yago_workload(dataset)

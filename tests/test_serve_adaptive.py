@@ -453,40 +453,6 @@ class TestReadWriteLock:
 # ---------------------------------------------------------------------- #
 # Serve-metrics regressions (the satellite bugfixes)
 # ---------------------------------------------------------------------- #
-class TestMirroredGaugeCounters:
-    def test_merge_takes_max_of_mirrored_gauges(self):
-        earlier = ServiceCounters(queries_served=5, stale_rejections=3)
-        later = ServiceCounters(queries_served=9, stale_rejections=4)
-        merged = earlier.merge(later)
-        # Plain counters sum; the mirrored cumulative gauge must not.
-        assert merged.queries_served == 14
-        assert merged.stale_rejections == 4
-
-    def test_add_is_gauge_aware_in_place(self):
-        counters = ServiceCounters(stale_rejections=7)
-        counters.add(ServiceCounters(stale_rejections=2, invalidations=1))
-        assert counters.stale_rejections == 7
-        assert counters.invalidations == 1
-
-    def test_two_snapshots_of_one_service_do_not_double_count(self, dual):
-        with QueryService(dual) as service:
-            query = "SELECT ?u WHERE { ?u wsdbm:likes ?p . ?p wsdbm:hasGenre ?g . }"
-            service.run_query(query)
-            # Plant a stale entry so the lookup-time check rejects it.
-            key = service.resolve(query).key
-            entry = service.result_cache._entries[key]
-            entry.generation -= 1
-            service.run_query(query)
-            first = service.metrics.counters.copy()
-            second = service.metrics.counters.copy()
-            assert first.stale_rejections == 1
-            assert first.merge(second).stale_rejections == 1
-
-    def test_copy_preserves_gauges(self):
-        counters = ServiceCounters(stale_rejections=5)
-        assert counters.copy().stale_rejections == 5
-
-
 class TestBoundedLatencyDigest:
     def test_exact_percentiles_under_the_cap(self):
         digest = LatencyDigest(capacity=16)
