@@ -104,7 +104,6 @@ from repro.resilience import (
     deadline_scope,
 )
 from repro.relstore import (
-    RelationalBackend,
     RelationalStore,
     ShardedRelationalStore,
     ShardingConfig,
@@ -164,7 +163,6 @@ __all__ = [
     "run_workload",
     "run_workload_repeated",
     # stores
-    "RelationalBackend",
     "RelationalStore",
     "ShardedRelationalStore",
     "ShardingConfig",

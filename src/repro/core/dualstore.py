@@ -24,10 +24,9 @@ from repro.cost.model import CostModel, DEFAULT_COST_MODEL
 from repro.cost.resources import ResourceThrottle
 from repro.errors import StorageBudgetExceeded, TuningError
 from repro.execution import ExecutionResult
-from repro.rdf.dictionary import term_to_payload
+from repro.rdf.dictionary import triple_to_payload
 from repro.rdf.graph import TripleSet
 from repro.rdf.terms import IRI, Triple
-from repro.relstore.backend import RelationalBackend
 from repro.relstore.executor import relational_work_units
 from repro.relstore.sharded import ShardedRelationalStore, ShardingConfig
 from repro.relstore.store import RelationalStore
@@ -41,16 +40,6 @@ from repro.core.partitions import DualStoreDesign
 from repro.core.processor import ProcessedQuery, QueryProcessor
 
 __all__ = ["DualStore", "MoveReceipt"]
-
-
-def _triple_payload(triple: Triple) -> list:
-    """The JSON op encoding of one triple, shared with the delta log's
-    reader (:func:`repro.persist.wal.triple_from_payload`)."""
-    return [
-        term_to_payload(triple.subject),
-        term_to_payload(triple.predicate),
-        term_to_payload(triple.object),
-    ]
 
 
 @dataclass
@@ -101,9 +90,10 @@ class DualStore:
         sharded store with :class:`ShardedRelationalStore`'s own default
         shard count.
     relational_store:
-        An already-built :class:`~repro.relstore.backend.RelationalBackend`
-        to use instead of constructing one (overrides ``shards``/``sharding``;
-        the caller is responsible for matching cost models).
+        An already-built :class:`~repro.relstore.store.RelationalStore` (or
+        sharded store) to use instead of constructing one (overrides
+        ``shards``/``sharding``; the caller is responsible for matching cost
+        models).
     """
 
     def __init__(
@@ -114,12 +104,12 @@ class DualStore:
         storage_budget: Optional[int] = None,
         shards: Optional[int] = None,
         sharding: Optional[ShardingConfig] = None,
-        relational_store: Optional[RelationalBackend] = None,
+        relational_store: Optional[RelationalStore] = None,
     ):
         self.config = config
         self.cost_model = cost_model
         if relational_store is not None:
-            self.relational: RelationalBackend = relational_store
+            self.relational: RelationalStore = relational_store
         elif shards is not None:
             self.relational = ShardedRelationalStore(
                 shards=shards, cost_model=cost_model, config=sharding
@@ -262,7 +252,7 @@ class DualStore:
         if self.design is not None:
             self.design.partition_sizes = self.relational.partition_sizes()
         if self._mutation_listeners:
-            self._record_op({"op": "insert", "t": [_triple_payload(t) for t in triples]})
+            self._record_op({"op": "insert", "t": [triple_to_payload(t) for t in triples]})
         self._bump_generation()
         return seconds
 
@@ -285,7 +275,7 @@ class DualStore:
         if self.design is not None:
             self.design.partition_sizes = self.relational.partition_sizes()
         if self._mutation_listeners:
-            self._record_op({"op": "delete", "t": [_triple_payload(t) for t in triples]})
+            self._record_op({"op": "delete", "t": [triple_to_payload(t) for t in triples]})
         self._bump_generation()
         return removed
 
@@ -396,9 +386,9 @@ class DualStore:
 
         Persists the term dictionary, the relational triple table (plus the
         shard placement when sharded), the graph store's residency and
-        budget accounting, the physical design, and table statistics, under a
-        manifest carrying the format version, a dataset fingerprint, and the
-        store generation.  Pure read — the generation does not change.  The
+        budget accounting, and the physical design, under a manifest
+        carrying the format version, the store generation and every data
+        file's SHA-256.  Pure read — the generation does not change.  The
         caller must hold the usual mutation exclusivity (the serving layer
         checkpoints under its writer gate), making the snapshot a consistent
         cut.  Returns the committed
@@ -415,17 +405,19 @@ class DualStore:
         cost_model: CostModel = DEFAULT_COST_MODEL,
         throttle: Optional[ResourceThrottle] = None,
     ) -> "DualStore":
-        """Rebuild a dual store from the committed snapshot under ``path``.
+        """Rebuild a dual store from the committed snapshot under ``path``
+        plus the write-ahead log's tail, when the root has one
+        (:func:`~repro.persist.wal.restore_with_log`).
 
-        The restored store is execution-equivalent to the snapshotted one:
+        The restored store is execution-equivalent to the live one:
         byte-identical bindings, bit-identical work counters, identical
-        generation, placement, and statistics.  The tuner configuration is
-        read from the snapshot; the cost model and throttle are runtime
-        concerns supplied by the caller.
+        generation, placement, and statistics (recomputed from the rows).
+        The tuner configuration is read from the snapshot; the cost model
+        and throttle are runtime concerns supplied by the caller.
         """
-        from repro.persist.snapshot import load_snapshot  # lazy: avoids an import cycle
+        from repro.persist.wal import restore_with_log  # lazy: avoids an import cycle
 
-        return load_snapshot(path, cost_model=cost_model, throttle=throttle).dual
+        return restore_with_log(path, cost_model=cost_model, throttle=throttle).dual
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -24,7 +24,7 @@ from typing import Optional
 from repro.cost.model import CostModel, DEFAULT_COST_MODEL
 from repro.execution import ExecutionResult, ResultTable
 from repro.graphstore.store import GraphStore
-from repro.relstore.backend import RelationalBackend
+from repro.relstore.store import RelationalStore
 from repro.sparql.ast import SelectQuery
 
 from repro.core.identifier import ComplexSubquery
@@ -69,15 +69,15 @@ class QueryProcessor:
     processor-owned mutable state is the temporary-table name counter, which
     is guarded by a lock.
 
-    The relational side is any :class:`~repro.relstore.backend.RelationalBackend`;
-    with a sharded backend, Case 2/3 executions are priced as a scatter-gather
+    The relational side is a :class:`~repro.relstore.store.RelationalStore`;
+    with a sharded store, Case 2/3 executions are priced as a scatter-gather
     transparently (the migrated intermediate table joins centrally at the
     coordinator, so split plans need no shard awareness here).
     """
 
     def __init__(
         self,
-        relational: RelationalBackend,
+        relational: RelationalStore,
         graph: GraphStore,
         cost_model: CostModel = DEFAULT_COST_MODEL,
     ):

@@ -7,10 +7,11 @@ so this package persists the entire tuned state of a
 :class:`~repro.core.dualstore.DualStore` — term dictionary, relational triple
 table (plus the shard placement of a sharded store), graph-store
 residency and budget accounting, the
-:class:`~repro.core.partitions.DualStoreDesign`, table statistics, and
-(through the serving layer) the adaptive tuner's window and Q-state — and
-restores it with full fidelity: the restored store answers every query with
-byte-identical bindings and bit-identical work counters.
+:class:`~repro.core.partitions.DualStoreDesign`, and (through the serving
+layer) the adaptive tuner's window and Q-state — and restores it with full
+fidelity: the restored store (its table statistics recomputed from the
+restored rows) answers every query with byte-identical bindings and
+bit-identical work counters.
 
 Snapshots are *versioned* and written *atomically*: each snapshot is a fresh
 directory populated and fsynced before being renamed into place, and a
@@ -41,7 +42,6 @@ from repro.persist.snapshot import (
     SnapshotPolicy,
     capture_snapshot,
     commit_snapshot,
-    dataset_fingerprint,
     list_snapshots,
     load_snapshot,
     read_manifest,
@@ -78,7 +78,6 @@ __all__ = [
     "SnapshotPolicy",
     "capture_snapshot",
     "commit_snapshot",
-    "dataset_fingerprint",
     "list_snapshots",
     "load_snapshot",
     "read_manifest",

@@ -5,12 +5,18 @@ Layout of a snapshot root directory::
     <root>/
       CURRENT                      # text: name of the committed snapshot dir
       snapshot-00000001-g4/        # one immutable directory per snapshot
-        MANIFEST.json              # format version, fingerprint, hashes, ...
+        MANIFEST.json              # format version, generation, file hashes, ...
         dictionary.json            # term payloads in identifier order
-        relational.json            # rows (+ shard placement) and stats
+        relational.json            # rows (+ shard placement)
         graph.json                 # graph-store residency + budget accounting
         design.json                # DualStoreDesign, transfer log, config
         extras.json                # optional opaque payload (serving layer)
+
+A snapshot holds state, not derivations: planner statistics are recomputed
+from the restored rows on first use.  Snapshots of older builds, whose
+manifest also carries a dataset fingerprint and whose ``relational.json``
+also carries ``statistics`` and ``engine`` keys, restore the same way; those
+keys are not read.
 
 Write protocol (the classic temp-dir + fsync + rename commit):
 
@@ -23,7 +29,7 @@ Write protocol (the classic temp-dir + fsync + rename commit):
 
 Read protocol: follow ``CURRENT``, parse the manifest, verify the format
 version and every data file's SHA-256 against the manifest, then rebuild the
-store bottom-up (dictionary → relational backend → graph residency → design).
+store bottom-up (dictionary → relational store → graph residency → design).
 Any inconsistency raises :class:`~repro.errors.SnapshotIntegrityError` — a
 restore never half-loads.
 
@@ -41,10 +47,9 @@ import re
 import shutil
 import time
 import uuid
-import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -54,7 +59,7 @@ from repro.cost.model import CostModel, DEFAULT_COST_MODEL
 from repro.cost.resources import ResourceThrottle
 from repro.errors import SnapshotError, SnapshotIntegrityError
 from repro.rdf.dictionary import TermDictionary
-from repro.rdf.terms import IRI, Triple
+from repro.rdf.terms import IRI
 from repro.relstore.columnar import ColumnBlock
 from repro.relstore.sharded import ShardedRelationalStore
 from repro.resilience import faults
@@ -68,7 +73,6 @@ __all__ = [
     "SnapshotPolicy",
     "capture_snapshot",
     "commit_snapshot",
-    "dataset_fingerprint",
     "list_snapshots",
     "load_snapshot",
     "read_manifest",
@@ -126,7 +130,6 @@ class SnapshotManifest:
     name: str
     created_at: float
     generation: int
-    dataset_fingerprint: str
     store_kind: str
     triple_count: int
     config: Dict[str, Any]
@@ -138,7 +141,6 @@ class SnapshotManifest:
             "name": self.name,
             "created_at": self.created_at,
             "generation": self.generation,
-            "dataset_fingerprint": self.dataset_fingerprint,
             "store_kind": self.store_kind,
             "triple_count": self.triple_count,
             "config": self.config,
@@ -153,7 +155,6 @@ class SnapshotManifest:
                 name=str(payload["name"]),
                 created_at=float(payload["created_at"]),
                 generation=int(payload["generation"]),
-                dataset_fingerprint=str(payload["dataset_fingerprint"]),
                 store_kind=str(payload["store_kind"]),
                 triple_count=int(payload["triple_count"]),
                 config=dict(payload["config"]),
@@ -170,51 +171,6 @@ class RestoredSnapshot:
     dual: Any  # DualStore; typed loosely to avoid an import cycle at runtime
     manifest: SnapshotManifest
     extras: Optional[Dict[str, Any]]
-
-
-# --------------------------------------------------------------------------- #
-# Fingerprinting
-# --------------------------------------------------------------------------- #
-#: backend → (content token, fingerprint).  The full fingerprint pass renders
-#: and sorts every triple, which is too much to pay inside the writer gate on
-#: every checkpoint — placement moves (transfer/evict/epoch) cannot change the
-#: logical content, so the digest is reused until a *data* mutation bumps the
-#: backend's content token.
-_FINGERPRINT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _sorted_lines_digest(lines: List[str]) -> str:
-    """SHA-256 over the sorted lines — the one digest loop both fingerprint
-    paths (live backend and captured payloads) share, so they cannot drift."""
-    digest = hashlib.sha256()
-    for line in sorted(lines):
-        digest.update(line.encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
-
-
-def dataset_fingerprint(backend) -> str:
-    """Order-insensitive SHA-256 of the store's logical triple content.
-
-    Hashes the sorted N-Triples lines, so the same knowledge graph yields the
-    same fingerprint no matter the shard count, row order, or insertion
-    history — the manifest field that tells two snapshots of one dataset
-    apart from snapshots of different data.  Cached per backend until its
-    triple content changes (see :meth:`RelationalStore.content_token`).
-    """
-    token_method = getattr(backend, "content_token", None)
-    token = token_method() if callable(token_method) else None
-    if token is not None:
-        cached = _FINGERPRINT_CACHE.get(backend)
-        if cached is not None and cached[0] == token:
-            return cached[1]
-    lines: List[str] = []
-    for predicate in backend.predicates():
-        lines.extend(triple.n3() for triple in backend.partition(predicate))
-    fingerprint = _sorted_lines_digest(lines)
-    if token is not None:
-        _FINGERPRINT_CACHE[backend] = (token, fingerprint)
-    return fingerprint
 
 
 # --------------------------------------------------------------------------- #
@@ -283,12 +239,7 @@ def _backend_state(dual) -> Tuple[str, dict, TermDictionary]:
     backend = dual.relational
     if isinstance(backend, ShardedRelationalStore):
         return f"sharded:{backend.shard_count}", backend.snapshot_state(), backend.dictionary
-    if isinstance(backend, RelationalStore):
-        return "relational", backend.snapshot_state(), backend.dictionary
-    raise SnapshotError(
-        f"relational backend {type(backend).__name__} does not support snapshots "
-        "(only RelationalStore and ShardedRelationalStore do)"
-    )
+    return "relational", backend.snapshot_state(), backend.dictionary
 
 
 def _graph_state(dual) -> dict:
@@ -360,7 +311,7 @@ class CapturedSnapshot:
 
     :func:`capture_snapshot` builds it under the caller's mutation
     exclusivity (fast — pure object traversal, no hashing, no I/O);
-    :func:`commit_snapshot` serializes, fingerprints, and fsyncs it to disk
+    :func:`commit_snapshot` serializes, hashes, and fsyncs it to disk
     *without* needing that exclusivity, so the serving layer can release its
     writer gate before paying the disk."""
 
@@ -369,12 +320,6 @@ class CapturedSnapshot:
     store_kind: str
     triple_count: int
     config: Dict[str, Any]
-    #: ``None`` when the fingerprint cache missed at capture time; the commit
-    #: half then derives it from the captured payloads (outside the gate) and
-    #: back-fills the cache through ``backend_ref`` if the content is unchanged.
-    dataset_fingerprint: Optional[str] = None
-    content_token: Optional[int] = None
-    backend_ref: Optional[Callable[[], Any]] = None
 
 
 def capture_snapshot(dual, extras: Optional[Dict[str, Any]] = None) -> CapturedSnapshot:
@@ -383,10 +328,8 @@ def capture_snapshot(dual, extras: Optional[Dict[str, Any]] = None) -> CapturedS
     The caller must guarantee mutation exclusivity for the duration (the
     serving layer holds its writer gate); the returned capture no longer
     aliases any mutable store internals, so committing it later — after the
-    gate is released — still writes exactly this cut.  Deliberately does no
-    hashing: the dataset fingerprint is either taken from the cache or left
-    for :func:`commit_snapshot` to derive from the captured payloads, so a
-    data mutation never makes the gated section pay a full-dataset pass."""
+    gate is released — still writes exactly this cut.  No hashing and no
+    serialization happen here; :func:`commit_snapshot` pays for both."""
     if dual.design is None:
         raise SnapshotError("the dual store has no data; load() before snapshotting")
     store_kind, relational_state, dictionary = _backend_state(dual)
@@ -404,14 +347,6 @@ def capture_snapshot(dual, extras: Optional[Dict[str, Any]] = None) -> CapturedS
     }
     if extras is not None:
         payloads[_EXTRAS] = extras
-    backend = dual.relational
-    token_method = getattr(backend, "content_token", None)
-    token = token_method() if callable(token_method) else None
-    fingerprint: Optional[str] = None
-    if token is not None:
-        cached = _FINGERPRINT_CACHE.get(backend)
-        if cached is not None and cached[0] == token:
-            fingerprint = cached[1]
     return CapturedSnapshot(
         payloads=payloads,
         generation=dual.generation,
@@ -425,32 +360,7 @@ def capture_snapshot(dual, extras: Optional[Dict[str, Any]] = None) -> CapturedS
             "lam": dual.config.lam,
             "seed": dual.config.seed,
         },
-        dataset_fingerprint=fingerprint,
-        content_token=token,
-        backend_ref=weakref.ref(backend) if token is not None else None,
     )
-
-
-def _fingerprint_from_payloads(payloads: Dict[str, Any]) -> str:
-    """The dataset fingerprint derived from a capture's own payloads.
-
-    Produces exactly what :func:`dataset_fingerprint` computes on the live
-    backend — the same ``Triple.n3()`` lines through the same
-    :func:`_sorted_lines_digest` — without touching the store; this is how
-    the commit half pays the hashing pass outside the caller's exclusivity
-    window."""
-    dictionary = TermDictionary.from_payload(payloads["dictionary.json"]["terms"])
-    flat = payloads["relational.json"]["rows"]
-    decode = dictionary.decode
-    lines = [
-        Triple(
-            decode(flat[offset]),
-            decode(flat[offset + 1]),  # type: ignore[arg-type]
-            decode(flat[offset + 2]),
-        ).n3()
-        for offset in range(0, len(flat), 3)
-    ]
-    return _sorted_lines_digest(lines)
 
 
 def commit_snapshot(
@@ -484,13 +394,6 @@ def commit_snapshot(
     _sweep_stale_tmp(root)
     _sweep_uncommitted(root)
 
-    fingerprint = captured.dataset_fingerprint
-    if fingerprint is None:
-        fingerprint = _fingerprint_from_payloads(captured.payloads)
-        backend = captured.backend_ref() if captured.backend_ref is not None else None
-        if backend is not None and backend.content_token() == captured.content_token:
-            _FINGERPRINT_CACHE[backend] = (captured.content_token, fingerprint)
-
     payloads = captured.payloads
     name = f"snapshot-{_next_sequence(root):08d}-g{captured.generation}"
     manifest = SnapshotManifest(
@@ -498,7 +401,6 @@ def commit_snapshot(
         name=name,
         created_at=time.time(),
         generation=captured.generation,
-        dataset_fingerprint=fingerprint,
         store_kind=captured.store_kind,
         triple_count=captured.triple_count,
         config=dict(captured.config),
@@ -696,9 +598,4 @@ def load_snapshot(
     )
     dual.transfer_log = [(kind, IRI(value)) for kind, value in design_state["transfer_log"]]
     dual.generation = manifest.generation
-    # Seed the fingerprint cache with the manifest's value: the restored
-    # content *is* what that fingerprint hashes, so the first checkpoint
-    # after a warm restart (placement-only or not-yet-mutated) skips the
-    # full-dataset pass.
-    _FINGERPRINT_CACHE[backend] = (backend.content_token(), manifest.dataset_fingerprint)
     return RestoredSnapshot(dual=dual, manifest=manifest, extras=extras)

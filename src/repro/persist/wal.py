@@ -56,8 +56,8 @@ from repro.cost.model import CostModel, DEFAULT_COST_MODEL
 from repro.cost.resources import ResourceThrottle
 from repro.errors import WalError, WalGapError, WalReplayError
 from repro.persist.snapshot import RestoredSnapshot, _fsync_dir, load_snapshot
-from repro.rdf.dictionary import term_from_payload, term_to_payload
-from repro.rdf.terms import IRI, Triple
+from repro.rdf.dictionary import triple_from_payload, triple_to_payload
+from repro.rdf.terms import IRI
 from repro.resilience import faults
 
 __all__ = [
@@ -84,24 +84,6 @@ WAL_DIR = "wal"
 _MAGIC = b"WAL1"
 _HEADER = struct.Struct("<II")  # body length, CRC32 of the body
 _SEGMENT_RE = re.compile(r"^wal-(\d{8})-g(\d+)\.log$")
-
-
-# --------------------------------------------------------------------------- #
-# Op payloads (the JSON bodies of mutation records)
-# --------------------------------------------------------------------------- #
-def triple_to_payload(triple: Triple) -> list:
-    """JSON-serializable encoding of one concrete triple (term payloads)."""
-    return [
-        term_to_payload(triple.subject),
-        term_to_payload(triple.predicate),
-        term_to_payload(triple.object),
-    ]
-
-
-def triple_from_payload(payload: list) -> Triple:
-    """Inverse of :func:`triple_to_payload`."""
-    subject, predicate, obj = (term_from_payload(item) for item in payload)
-    return Triple(subject, predicate, obj)  # type: ignore[arg-type]
 
 
 # --------------------------------------------------------------------------- #

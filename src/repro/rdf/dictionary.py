@@ -14,7 +14,14 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.errors import SnapshotIntegrityError, StorageError
 from repro.rdf.terms import BlankNode, IRI, Literal, TermLike, Triple
 
-__all__ = ["TermDictionary", "EncodedTriple", "term_to_payload", "term_from_payload"]
+__all__ = [
+    "TermDictionary",
+    "EncodedTriple",
+    "term_to_payload",
+    "term_from_payload",
+    "triple_to_payload",
+    "triple_from_payload",
+]
 
 
 def term_to_payload(term: TermLike) -> list:
@@ -52,6 +59,22 @@ def term_from_payload(payload: list) -> TermLike:
 
 #: A triple encoded as (subject_id, predicate_id, object_id).
 EncodedTriple = Tuple[int, int, int]
+
+
+def triple_to_payload(triple: Triple) -> list:
+    """JSON-serializable encoding of one concrete triple (term payloads):
+    the op encoding of the write-ahead log (:mod:`repro.persist.wal`)."""
+    return [
+        term_to_payload(triple.subject),
+        term_to_payload(triple.predicate),
+        term_to_payload(triple.object),
+    ]
+
+
+def triple_from_payload(payload: list) -> Triple:
+    """Inverse of :func:`triple_to_payload`."""
+    subject, predicate, obj = (term_from_payload(item) for item in payload)
+    return Triple(subject, predicate, obj)  # type: ignore[arg-type]
 
 
 class TermDictionary:

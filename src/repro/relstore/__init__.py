@@ -1,6 +1,5 @@
 """Relational store (MySQL stand-in): triple table, planner, engine, views, shards."""
 
-from repro.relstore.backend import RelationalBackend
 from repro.relstore.columnar import ColumnarTripleTable
 from repro.relstore.executor import (
     BoundPlanCache,
@@ -16,7 +15,6 @@ from repro.relstore.store import RelationalStore
 from repro.relstore.views import MaterializedView, MaterializedViewManager, canonical_pattern_key
 
 __all__ = [
-    "RelationalBackend",
     "RelationalStore",
     "ShardedRelationalStore",
     "ShardingConfig",

@@ -28,16 +28,14 @@ class PredicateStatistics:
     ``max_subject_rows`` / ``max_object_rows`` record the *largest* point
     lookup the predicate can serve (the hottest key's row count).  They feed
     the planner's skew guard: under heavy skew the average lookup size wildly
-    underprices the lookups that actually dominate a batched join.  A value
-    of ``0`` means "not collected" (pre-skew snapshots); the ``worst_*``
-    properties then fall back to the average-based estimate.
+    underprices the lookups that actually dominate a batched join.
     """
 
     cardinality: int
     distinct_subjects: int
     distinct_objects: int
-    max_subject_rows: int = 0
-    max_object_rows: int = 0
+    max_subject_rows: int
+    max_object_rows: int
 
     @property
     def avg_fanout(self) -> float:
@@ -71,21 +69,6 @@ class PredicateStatistics:
         if self.cardinality == 0:
             return 0
         return max(1, int(round(self.avg_fanin)))
-
-    @property
-    def worst_subject_rows(self) -> int:
-        """Largest ``(predicate, subject)`` lookup; average-based fallback
-        when the worst case was never collected."""
-        if self.cardinality == 0:
-            return 0
-        return self.max_subject_rows or self.subject_lookup_rows
-
-    @property
-    def worst_object_rows(self) -> int:
-        """Largest ``(predicate, object)`` lookup, with the same fallback."""
-        if self.cardinality == 0:
-            return 0
-        return self.max_object_rows or self.object_lookup_rows
 
 
 @dataclass
@@ -136,8 +119,8 @@ class TableStatistics:
         if stats is None:
             return 0
         if access_path == "index_subject":
-            return stats.worst_subject_rows
-        return stats.worst_object_rows
+            return stats.max_subject_rows
+        return stats.max_object_rows
 
     def estimate_pattern_rows(self, pattern: TriplePattern) -> int:
         """Estimated number of rows matching a single triple pattern."""
@@ -156,49 +139,6 @@ class TableStatistics:
         if not isinstance(pattern.subject, Variable) or not isinstance(pattern.object, Variable):
             rows = max(1, rows // max(1, len(self.per_predicate)))
         return rows
-
-    # ------------------------------------------------------------------ #
-    # Durable snapshots (repro.persist)
-    # ------------------------------------------------------------------ #
-    def to_payload(self) -> dict:
-        """A JSON-serializable snapshot of the statistics.
-
-        Recomputing statistics after a restore would yield identical values
-        (they are a pure function of the rows), but persisting them lets a
-        warm restart skip the recompute pass entirely — the planner is ready
-        on the first served query.
-        """
-        return {
-            "total_rows": self.total_rows,
-            "per_predicate": {
-                predicate.value: [
-                    s.cardinality,
-                    s.distinct_subjects,
-                    s.distinct_objects,
-                    s.max_subject_rows,
-                    s.max_object_rows,
-                ]
-                for predicate, s in self.per_predicate.items()
-            },
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "TableStatistics":
-        # Pre-skew snapshots carry 3-entry lists; the worst-case fields then
-        # stay 0 and the ``worst_*`` properties fall back to the averages.
-        return cls(
-            total_rows=int(payload["total_rows"]),
-            per_predicate={
-                IRI(value): PredicateStatistics(
-                    cardinality=int(entry[0]),
-                    distinct_subjects=int(entry[1]),
-                    distinct_objects=int(entry[2]),
-                    max_subject_rows=int(entry[3]) if len(entry) > 3 else 0,
-                    max_object_rows=int(entry[4]) if len(entry) > 4 else 0,
-                )
-                for value, entry in payload["per_predicate"].items()
-            },
-        )
 
     def estimate_query_work(self, query: SelectQuery) -> float:
         """Rough relational work units (rows touched) for a whole query.
@@ -242,10 +182,6 @@ class MaintainedStatistics:
         #: whole state.
         self._state: Tuple[int, Optional[TableStatistics], Dict[IRI, int]] = (-1, None, {})
 
-    def _stamp(self, predicate: IRI) -> Tuple[int, int]:
-        predicate_id = self._table.dictionary.lookup(predicate)
-        return predicate_id, self._table.write_stamp(predicate_id)
-
     def current(self, generation: int) -> TableStatistics:
         state_generation, statistics, stamps = self._state
         if state_generation == generation:
@@ -254,7 +190,8 @@ class MaintainedStatistics:
         per_predicate: Dict[IRI, PredicateStatistics] = {}
         fresh_stamps: Dict[IRI, int] = {}
         for predicate in table.predicates():
-            predicate_id, stamp = self._stamp(predicate)
+            predicate_id = table.dictionary.lookup(predicate)
+            stamp = table.write_stamp(predicate_id)
             fresh_stamps[predicate] = stamp
             if stamps.get(predicate) == stamp:
                 per_predicate[predicate] = statistics.per_predicate[predicate]
@@ -263,8 +200,3 @@ class MaintainedStatistics:
         statistics = TableStatistics(total_rows=len(table), per_predicate=per_predicate)
         self._state = (generation, statistics, fresh_stamps)
         return statistics
-
-    def install(self, generation: int, statistics: TableStatistics) -> None:
-        """Adopt restored statistics as current for the rows just loaded."""
-        stamps = {predicate: self._stamp(predicate)[1] for predicate in statistics.per_predicate}
-        self._state = (generation, statistics, stamps)

@@ -187,15 +187,6 @@ class RelationalStore:
         counters = WorkCounters(rows_scanned=int(work), queries_issued=1)
         return self.cost_model.relational_query_seconds(counters)
 
-    def content_token(self) -> int:
-        """A token that changes whenever the stored triples change.
-
-        Data mutations (``load``/``insert``/``delete``) bump it; physical
-        moves elsewhere in the dual store do not.  :mod:`repro.persist` keys
-        its dataset-fingerprint cache on this, so placement-only checkpoints
-        skip the full fingerprint pass."""
-        return self._plan_generation
-
     # ------------------------------------------------------------------ #
     # Query execution
     # ------------------------------------------------------------------ #
@@ -266,8 +257,9 @@ class RelationalStore:
     # Durable snapshots (repro.persist)
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> dict:
-        """JSON-serializable store state (rows + statistics; the dictionary
-        is persisted separately since the graph/dual layers share it)."""
+        """JSON-serializable store state: the rows (the dictionary is
+        persisted separately since the graph/dual layers share it; the
+        statistics are derived from the rows and not persisted)."""
         if self.view_manager is not None:
             raise SnapshotError(
                 "snapshotting a store with materialized views is not supported; "
@@ -275,9 +267,7 @@ class RelationalStore:
             )
         return {
             "kind": "relational",
-            "engine": "columnar",
             "rows": self.table.dump_rows(),
-            "statistics": self.statistics().to_payload(),
             "total_insert_seconds": self.total_insert_seconds,
         }
 
@@ -289,11 +279,11 @@ class RelationalStore:
         dictionary.  Each predicate's row order (and therefore scan order,
         query results, and work counters) matches the snapshotted store
         exactly — also for payloads written in global row order, which
-        older builds wrote.
+        older builds wrote.  Statistics are computed from the rows on first
+        use.
 
-        The payload's ``"engine"`` tag is not read: whatever engine wrote the
-        snapshot (including the legacy ``"idspace"`` tag), the rows restore
-        onto the production engine."""
+        Older builds also wrote ``"engine"`` and ``"statistics"`` keys; they
+        are not read."""
         store = cls._for_state(state, dictionary, cost_model)
         if "rows" in state:
             rows = state["rows"]
@@ -301,9 +291,6 @@ class RelationalStore:
             # shard by shard, so each predicate keeps the order it answered in
             rows = [value for shard in state["shard_rows"] for value in shard]
         store.table.load_rows(rows)
-        store._statistics.install(
-            store._plan_generation, TableStatistics.from_payload(state["statistics"])
-        )
         store.total_insert_seconds = float(state["total_insert_seconds"])
         return store
 

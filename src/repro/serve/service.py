@@ -71,7 +71,6 @@ from repro.persist.snapshot import (
     SnapshotPolicy,
     capture_snapshot,
     commit_snapshot,
-    load_snapshot,
 )
 from repro.persist.wal import DeltaLog, WalRecord, apply_record, restore_with_log
 from repro.rdf.terms import IRI, Triple
@@ -735,19 +734,15 @@ class QueryService:
         snapshotted placement's modelled TTI immediately, with **zero**
         tuning epochs (``benchmarks/bench_warm_restart.py`` pins this).
 
-        With ``SnapshotPolicy(log=True)`` in ``config``, the restore replays
-        the delta-log tail on top of the snapshot
-        (:func:`~repro.persist.wal.restore_with_log`), resuming at the exact
-        pre-crash generation — a torn final record is truncated and the new
-        service keeps appending where the log left off.  Adaptive Q-state
-        restores to the last *full* snapshot (the log records store
-        mutations, not tuner learning).
+        The restore replays the root's delta-log tail, when it has one, on
+        top of the snapshot (:func:`~repro.persist.wal.restore_with_log`),
+        resuming at the exact pre-crash generation whatever ``config`` says.
+        With ``SnapshotPolicy(log=True)`` in ``config``, a torn final record
+        is truncated and the new service keeps appending where the log left
+        off.  Adaptive Q-state restores to the last *full* snapshot (the log
+        records store mutations, not tuner learning).
         """
-        policy = config.snapshot if config is not None else None
-        if policy is not None and policy.log:
-            restored = restore_with_log(path, cost_model=cost_model, throttle=throttle)
-        else:
-            restored = load_snapshot(path, cost_model=cost_model, throttle=throttle)
+        restored = restore_with_log(path, cost_model=cost_model, throttle=throttle)
         service = cls(restored.dual, config)
         if (
             service.adaptive is not None

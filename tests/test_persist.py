@@ -41,7 +41,7 @@ from repro import (
     yago_workload,
 )
 from repro.errors import SnapshotError, SnapshotIntegrityError
-from repro.persist import FORMAT_VERSION, dataset_fingerprint, list_snapshots
+from repro.persist import FORMAT_VERSION, list_snapshots
 from repro.persist import snapshot as snapshot_module
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import IRI
@@ -53,6 +53,16 @@ TUNER_CONFIG = DotilConfig(r_bg=0.2, prob=1.0, gamma=0.7, lam=4.5)
 #: Aggressive skew settings so the sharded round trip covers subject-sharded
 #: (promoted mega-predicate) placement as well.
 AGGRESSIVE = ShardingConfig(skew_threshold=0.2, min_subject_shard_rows=16)
+
+
+def ex_iri(name: str) -> IRI:
+    return IRI(f"http://example.org/{name}")
+
+
+def assert_same_statistics(restored, live) -> None:
+    """Equal statistics, predicates in the same order."""
+    assert restored == live
+    assert list(restored.per_predicate) == list(live.per_predicate)
 
 
 def assert_identical(live, restored, context: str) -> None:
@@ -112,10 +122,7 @@ def test_restored_dualstore_is_execution_equivalent_for_every_family(family_work
         assert restored.graph.storage_budget == dual.graph.storage_budget
         assert restored.transfer_log == dual.transfer_log
         assert restored.config == dual.config
-        assert (
-            restored.relational.statistics().to_payload()
-            == dual.relational.statistics().to_payload()
-        )
+        assert_same_statistics(restored.relational.statistics(), dual.relational.statistics())
         assert manifest.format_version == FORMAT_VERSION
         assert manifest.triple_count == len(dual.relational)
 
@@ -245,23 +252,128 @@ def test_per_shard_snapshot_of_an_older_build_restores(tmp_path):
         ] == case["scatter"], index
 
 
-def test_dataset_fingerprint_is_layout_invariant(family_workloads, tmp_path):
-    """Same logical dataset → same manifest fingerprint, unsharded or N=4."""
-    _, triples, queries = family_workloads[0]
-    flat = DualStore(TUNER_CONFIG).load(triples)
-    sharded = DualStore(TUNER_CONFIG, shards=4, sharding=AGGRESSIVE).load(triples)
-    assert dataset_fingerprint(flat.relational) == dataset_fingerprint(sharded.relational)
-    flat.snapshot(tmp_path / "flat")
-    sharded.snapshot(tmp_path / "sharded")
-    assert (
-        read_manifest(tmp_path / "flat").dataset_fingerprint
-        == read_manifest(tmp_path / "sharded").dataset_fingerprint
+#: A flat snapshot written by a build that also persisted derived values.
+LEGACY_FLAT = Path(__file__).with_name("fixtures") / "flat_snapshot_legacy"
+
+
+def _ordered_answers_sha256(result) -> str:
+    lines = (
+        " ".join(f"{name}={term.n3()}" for name, term in sorted(binding.items()))
+        for binding in result.bindings
     )
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-# --------------------------------------------------------------------------- #
-# Round-trip fidelity: the serving layer (caches, adaptive state)
-# --------------------------------------------------------------------------- #
+def test_flat_snapshot_of_an_older_build_restores(tmp_path):
+    """``fixtures/flat_snapshot_legacy`` (``fixtures/make_flat_snapshot_legacy.py``)
+    was written by a build that also persisted a dataset fingerprint, the
+    planner statistics and an engine tag: a tuned WatDiv store with one
+    resident partition and one delete.  It restores to that build's
+    generation, placement, answers (content and order), work counters and
+    seconds, and its recomputed statistics equal the persisted ones."""
+    root = tmp_path / "snapshot"
+    shutil.copytree(LEGACY_FLAT / "snapshot", root)
+    (manifest_file,) = root.glob("snapshot-*/MANIFEST.json")
+    assert "dataset_fingerprint" in json.loads(manifest_file.read_text())
+    (relational_file,) = root.glob("snapshot-*/relational.json")
+    legacy_state = json.loads(relational_file.read_text())
+    assert {"statistics", "engine"} <= legacy_state.keys()
+    expected = json.loads((LEGACY_FLAT / "expected.json").read_text())
+
+    dual = DualStore.restore(root)
+    assert dual.generation == expected["generation"]
+    assert sorted(p.value for p in dual.design.in_graph_store) == expected["resident"]
+    assert [[kind, p.value] for kind, p in dual.transfer_log] == expected["transfer_log"]
+    assert len(dual.relational) == expected["triple_count"]
+    persisted = legacy_state["statistics"]
+    statistics = dual.relational.statistics()
+    assert statistics.total_rows == persisted["total_rows"]
+    assert {
+        p.value: [
+            s.cardinality, s.distinct_subjects, s.distinct_objects,
+            s.max_subject_rows, s.max_object_rows,
+        ]
+        for p, s in statistics.per_predicate.items()
+    } == persisted["per_predicate"]
+    assert [p.value for p in statistics.per_predicate] == list(persisted["per_predicate"])
+    for index, case in enumerate(expected["queries"]):
+        processed = dual.run_query(parse_query(case["sparql"]))
+        result = processed.result
+        assert processed.record.route == case["route"], index
+        assert len(result) == case["rows"], index
+        assert _ordered_answers_sha256(result) == case["answers_sha256"], index
+        assert result.counters.as_dict() == case["counters"], index
+        assert repr(processed.record.seconds) == case["record_seconds"], index
+        assert repr(result.seconds) == case["result_seconds"], index
+
+
+@pytest.mark.parametrize("shards", (None, 4))
+def test_new_snapshots_carry_no_derived_values(family_workloads, tmp_path, shards):
+    """A snapshot holds state only: no fingerprint in the manifest, no
+    statistics or engine tag in ``relational.json``; the manifest still
+    hashes every data file."""
+    _, triples, queries = family_workloads[0]
+    dual = _tuned_dual(triples, queries, shards=shards, sharding=AGGRESSIVE if shards else None)
+    manifest = dual.snapshot(tmp_path)
+    snapshot_dir = tmp_path / manifest.name
+    manifest_payload = json.loads((snapshot_dir / "MANIFEST.json").read_text())
+    assert "dataset_fingerprint" not in manifest_payload
+    assert set(manifest_payload["file_hashes"]) == {
+        "dictionary.json", "relational.json", "graph.json", "design.json"
+    }
+    relational_payload = json.loads((snapshot_dir / "relational.json").read_text())
+    assert "statistics" not in relational_payload
+    assert "engine" not in relational_payload
+    assert relational_payload["kind"] == ("sharded" if shards else "relational")
+
+
+@pytest.mark.parametrize("shards", (None, 4))
+def test_restored_statistics_equal_a_fresh_collection(family_workloads, tmp_path, shards):
+    """A restored store computes its statistics from its rows on first use:
+    they equal the oracle's from-scratch collection and the live store's,
+    predicate order included."""
+    from relational_oracle import collect_statistics
+
+    _, triples, queries = family_workloads[4]  # yago: skewed predicates
+    dual = _tuned_dual(triples, queries, shards=shards, sharding=AGGRESSIVE if shards else None)
+    dual.delete([next(iter(triples))])
+    dual.snapshot(tmp_path)
+    restored = DualStore.restore(tmp_path).relational
+    first = restored.statistics()
+    fresh = collect_statistics(restored.table)
+    assert_same_statistics(first, fresh)
+    assert_same_statistics(first, dual.relational.statistics())
+
+
+@pytest.mark.parametrize("log", (False, True))
+def test_checkpoint_after_an_insert_decodes_no_term(tmp_path, monkeypatch, log):
+    """A checkpoint serializes ids and term payloads: after a write it
+    decodes no stored id and renders no triple."""
+    from repro import Triple
+
+    dataset = generate_yago(target_triples=1200, seed=3)
+    dual = DualStore(TUNER_CONFIG).load(dataset.triples)
+    config = ServiceConfig(snapshot=SnapshotPolicy(path=tmp_path / "root", log=log))
+    with QueryService(dual, config) as service:
+        service.checkpoint()
+        service.insert([Triple(ex_iri("s"), ex_iri("p"), ex_iri("o"))])
+        calls = []
+        watched = ((TermDictionary, "decode"), (TermDictionary, "decode_many"), (Triple, "n3"))
+        for owner, name in watched:
+            original = getattr(owner, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+        manifest = service.checkpoint()
+        monkeypatch.undo()
+    assert calls == []
+    assert manifest.generation == dual.generation
+    assert len(DualStore.restore(tmp_path / "root").relational) == len(dual.relational)
+
+
 def test_restored_service_serves_identically_with_adaptive_state(tmp_path):
     dataset = generate_watdiv(target_triples=2500, seed=7)
     batch = watdiv_workload(dataset, family="snowflake", seed=19).ordered()
@@ -703,36 +815,6 @@ def test_stale_tmp_artifacts_are_swept_on_the_next_write(crashable_store):
     DualStore.restore(root)
 
 
-def test_fingerprint_is_cached_until_the_content_changes(tmp_path):
-    """Placement-only checkpoints must not re-render the whole dataset: the
-    fingerprint recomputes only when the backend's content token moves."""
-    from repro import Triple, IRI
-
-    dataset = generate_yago(target_triples=1200, seed=3)
-    dual = DualStore(TUNER_CONFIG).load(dataset.triples)
-    backend = dual.relational
-    calls = {"n": 0}
-    original = backend.predicates
-
-    def counting_predicates():
-        calls["n"] += 1
-        return original()
-
-    backend.predicates = counting_predicates
-    try:
-        first = dataset_fingerprint(backend)
-        passes_after_first = calls["n"]
-        assert dataset_fingerprint(backend) == first
-        assert calls["n"] == passes_after_first, "unchanged content recomputed the fingerprint"
-        # A data mutation moves the token and forces a recompute.
-        dual.insert([Triple(IRI("http://example.org/s"), IRI("http://example.org/p"), IRI("http://example.org/o"))])
-        second = dataset_fingerprint(backend)
-        assert second != first
-        assert calls["n"] > passes_after_first
-    finally:
-        backend.predicates = original
-
-
 def test_checkpoint_counts_and_propagates_a_commit_failure(tmp_path, monkeypatch):
     """A failed commit (full/unwritable disk) is counted in
     snapshot_failures and raised to the checkpoint() caller; mutations keep
@@ -812,36 +894,6 @@ def test_stale_capture_cannot_roll_back_a_newer_commit(crashable_store):
     assert DualStore.restore(root).generation == dual.generation
 
 
-def test_capture_is_hash_free_and_commit_derives_the_same_fingerprint(crashable_store):
-    """On a fingerprint-cache miss the capture half must not pay the
-    full-dataset hashing pass under the caller's exclusivity — the commit
-    half derives the identical fingerprint from the captured payloads."""
-    from repro.persist import capture_snapshot, commit_snapshot
-
-    dual, _queries, root = crashable_store
-    backend = dual.relational
-    dual.insert([])  # move the content token so the fingerprint cache misses
-
-    calls = {"n": 0}
-    original = backend.predicates
-
-    def counting_predicates():
-        calls["n"] += 1
-        return original()
-
-    backend.predicates = counting_predicates
-    try:
-        captured = capture_snapshot(dual)
-        assert captured.dataset_fingerprint is None, "capture computed the fingerprint"
-        assert calls["n"] == 0, "capture walked the dataset for hashing"
-        manifest = commit_snapshot(captured, root)
-    finally:
-        backend.predicates = original
-    assert manifest.dataset_fingerprint == dataset_fingerprint(backend)
-    # The commit back-filled the cache, so the next capture embeds it.
-    assert capture_snapshot(dual).dataset_fingerprint == manifest.dataset_fingerprint
-
-
 def test_checkpoint_of_an_unsnapshottable_backend_raises(tmp_path):
     """A capture that cannot run (unsupported backend — here a store with
     materialized views) fails checkpoint() loudly; the service's mutations
@@ -915,16 +967,3 @@ def test_stale_capture_skip_is_not_counted_as_a_snapshot(tmp_path):
         manifest = service._commit_captured(stale, root, 2)
         assert manifest.generation == dual.generation  # the newer one came back
         assert service.metrics.counters.snapshots_taken == 1, "stale skip was counted"
-
-
-def test_restore_seeds_the_fingerprint_cache(crashable_store, tmp_path):
-    """The restored content is exactly what the manifest fingerprint hashes:
-    the first capture after a warm restart must embed it from the cache
-    instead of leaving the commit half to redo the full-dataset pass."""
-    from repro.persist import capture_snapshot
-
-    dual, _queries, root = crashable_store
-    manifest = dual.snapshot(root)
-    restored = DualStore.restore(root)
-    captured = capture_snapshot(restored)
-    assert captured.dataset_fingerprint == manifest.dataset_fingerprint

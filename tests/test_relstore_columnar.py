@@ -306,7 +306,7 @@ def test_legacy_engine_tags_restore_onto_the_production_engine(tag, shards, writ
     """A snapshot written by any engine this repo ever had — tagged
     ``idspace``, ``reference``, ``columnar``, or (pre-columnar sharded
     stores) carrying no tag at all — restores onto columnar tables that
-    answer exactly like the live store, and the key is still written."""
+    answer exactly like the live store.  The key is no longer written."""
     from repro import ShardingConfig, generate_watdiv, watdiv_workload
     from repro.rdf.dictionary import TermDictionary
 
@@ -320,10 +320,8 @@ def test_legacy_engine_tags_restore_onto_the_production_engine(tag, shards, writ
         live_dictionary = live.dictionary
     writer.write(live, dataset.triples)
     payload = live.snapshot_state()
-    assert payload["engine"] == "columnar"
-    if tag is None:
-        del payload["engine"]
-    else:
+    assert "engine" not in payload
+    if tag is not None:
         payload["engine"] = tag
 
     dictionary = TermDictionary.from_payload(live_dictionary.to_payload())
@@ -451,23 +449,20 @@ def test_skew_guard_demotes_the_hot_key_lookup(monkeypatch):
 
 
 def test_skew_statistics_survive_the_payload_round_trip():
+    """The skew statistics are not persisted: a store restored from its
+    snapshot payload recomputes them from the rows, hot key included."""
+    from repro.rdf.dictionary import TermDictionary
+
     store = RelationalStore(engine="columnar")
     store.load(_skewed_triples())
     stats = store.statistics()
     hot = stats.per_predicate[ex("hasTag")]
     assert hot.max_object_rows == 60
-    assert hot.worst_object_rows == 60
 
-    from repro.relstore.stats import TableStatistics
-
-    restored = TableStatistics.from_payload(stats.to_payload())
+    payload = store.snapshot_state()
+    assert "statistics" not in payload
+    dictionary = TermDictionary.from_payload(store.dictionary.to_payload())
+    restored = RelationalStore.restore_state(payload, dictionary).statistics()
     assert restored.per_predicate[ex("hasTag")].max_object_rows == 60
-
-    # Pre-skew payloads (3-entry lists) fall back to the average estimate.
-    legacy_payload = stats.to_payload()
-    for entry in legacy_payload["per_predicate"].values():
-        del entry[3:]
-    legacy = TableStatistics.from_payload(legacy_payload)
-    legacy_hot = legacy.per_predicate[ex("hasTag")]
-    assert legacy_hot.max_object_rows == 0
-    assert legacy_hot.worst_object_rows == legacy_hot.object_lookup_rows
+    assert restored == stats
+    assert list(restored.per_predicate) == list(stats.per_predicate)

@@ -8,7 +8,6 @@ import pytest
 from repro import DualStore, RelationalStore, ShardedRelationalStore, ShardingConfig
 from repro.errors import WorkBudgetExceeded
 from repro.rdf.terms import IRI, Triple
-from repro.relstore.backend import RelationalBackend
 from repro.relstore.sharded import SUBJECT_SHARDED
 from repro.sparql.parser import parse_query
 
@@ -301,10 +300,6 @@ class TestShardMetricsBoard:
 
 
 class TestBackendConformance:
-    def test_both_stores_satisfy_the_protocol(self):
-        assert isinstance(RelationalStore(), RelationalBackend)
-        assert isinstance(ShardedRelationalStore(shards=2), RelationalBackend)
-
     def test_dualstore_accepts_shards_argument(self):
         dual = DualStore(shards=3)
         assert isinstance(dual.relational, ShardedRelationalStore)
