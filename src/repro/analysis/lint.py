@@ -110,11 +110,15 @@ class Rule:
     """Base class for invariant rules.
 
     Subclasses set :attr:`name` (``REPnnn``) and :attr:`description`,
-    optionally narrow :meth:`applies_to`, and implement :meth:`check`.
+    optionally narrow :meth:`applies_to`, implement :meth:`check`, and may
+    override :meth:`prepare` to see every module of the run first.
     """
 
     name: str = ""
     description: str = ""
+
+    def prepare(self, modules: Sequence[LintModule]) -> None:
+        """Called once per run with every parsed module, before any check."""
 
     def applies_to(self, module: LintModule) -> bool:
         return True
@@ -136,36 +140,47 @@ def _sort_key(finding: Finding):
     return (finding.path, finding.line, finding.col, finding.rule)
 
 
+def _parse(source: str, path: str) -> LintModule | Finding:
+    """The parsed module, or the parse-error finding for it."""
+    try:
+        return LintModule(path, source)
+    except SyntaxError as exc:
+        return Finding(
+            rule=PARSE_ERROR_RULE,
+            path=path,
+            line=exc.lineno or 0,
+            col=(exc.offset or 1) - 1,
+            message=f"cannot parse file: {exc.msg}",
+        )
+
+
+def _lint_modules(
+    parsed: Sequence[LintModule | Finding], rules: Optional[Sequence[Rule]]
+) -> List[Finding]:
+    if rules is None:
+        from repro.analysis.rules import DEFAULT_RULES
+
+        rules = DEFAULT_RULES
+    modules = [module for module in parsed if isinstance(module, LintModule)]
+    findings = [finding for finding in parsed if isinstance(finding, Finding)]
+    for rule in rules:
+        rule.prepare(modules)
+        for module in modules:
+            if not rule.applies_to(module):
+                continue
+            for found in rule.check(module):
+                if not module.suppressed(found.rule, found.line):
+                    findings.append(found)
+    return sorted(findings, key=_sort_key)
+
+
 def lint_source(
     source: str,
     path: str = "<string>",
     rules: Optional[Sequence[Rule]] = None,
 ) -> List[Finding]:
     """Lint one source text under ``path`` (which drives rule scoping)."""
-    if rules is None:
-        from repro.analysis.rules import DEFAULT_RULES
-
-        rules = DEFAULT_RULES
-    try:
-        module = LintModule(path, source)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                rule=PARSE_ERROR_RULE,
-                path=path,
-                line=exc.lineno or 0,
-                col=(exc.offset or 1) - 1,
-                message=f"cannot parse file: {exc.msg}",
-            )
-        ]
-    findings = []
-    for rule in rules:
-        if not rule.applies_to(module):
-            continue
-        for found in rule.check(module):
-            if not module.suppressed(found.rule, found.line):
-                findings.append(found)
-    return sorted(findings, key=_sort_key)
+    return _lint_modules([_parse(source, path)], rules)
 
 
 def iter_python_files(paths: Iterable[str]) -> Iterator[Path]:
@@ -183,8 +198,8 @@ def lint_paths(
     rules: Optional[Sequence[Rule]] = None,
 ) -> List[Finding]:
     """Lint every Python file under ``paths``; returns sorted findings."""
-    findings: List[Finding] = []
-    for file_path in iter_python_files(paths):
-        source = file_path.read_text(encoding="utf-8")
-        findings.extend(lint_source(source, str(file_path), rules))
-    return sorted(findings, key=_sort_key)
+    parsed = [
+        _parse(file_path.read_text(encoding="utf-8"), str(file_path))
+        for file_path in iter_python_files(paths)
+    ]
+    return _lint_modules(parsed, rules)

@@ -39,7 +39,7 @@ from __future__ import annotations
 import sys
 import threading
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["LockGraph", "LockOrderError", "instrument"]

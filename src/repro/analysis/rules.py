@@ -1,4 +1,4 @@
-"""The project's invariant rules (``REP001``–``REP004``, ``REP006``–``REP009``;
+"""The project's invariant rules (``REP001``–``REP004``, ``REP006``–``REP010``;
 ``REP005`` is retired and its ID is not reused).
 
 Each rule encodes one convention the serving system depends on; the rule
@@ -26,6 +26,7 @@ __all__ = [
     "BatchDecodeRule",
     "ColumnarResultRule",
     "OracleImportRule",
+    "UnusedImportRule",
     "DEFAULT_RULES",
 ]
 
@@ -584,6 +585,103 @@ class OracleImportRule(Rule):
                 )
 
 
+# --------------------------------------------------------------------- #
+# REP010 — every import is used
+# --------------------------------------------------------------------- #
+def _dotted_name(module: LintModule) -> str:
+    """``repro.core.dualstore`` for ``.../repro/core/dualstore.py``."""
+    parts = module.subpath[: -len(".py")].split("/")
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(["repro", *parts])
+
+
+def _imported_from(module: LintModule, node: ast.ImportFrom) -> str:
+    """The absolute module a ``from ... import`` reads, relative ones resolved."""
+    if not node.level:
+        return node.module or ""
+    package = _dotted_name(module).split(".")
+    if not module.subpath.endswith("__init__.py"):
+        package.pop()
+    base = package[: len(package) - (node.level - 1)]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
+class UnusedImportRule(Rule):
+    """Every name an ``import`` binds is used by its module.
+
+    A name counts as used when the module reads it (in code, or inside a
+    string annotation), lists it in ``__all__``, or another linted module
+    imports it from this one (a re-export).  An unused import is a
+    dependency nobody needs: it slows every import of the module, can close
+    an import cycle, and tells the reader the module uses what it does not.
+    ``from __future__`` imports are exempt.
+    """
+
+    name = "REP010"
+    description = "every imported name is used, listed in __all__, or re-imported elsewhere"
+
+    def __init__(self) -> None:
+        self._reimported: Set[Tuple[str, str]] = set()
+
+    def prepare(self, modules: Sequence[LintModule]) -> None:
+        self._reimported = {
+            (_imported_from(module, node), alias.name)
+            for module in modules
+            for node in ast.walk(module.tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+
+    @staticmethod
+    def _used_names(tree: ast.Module) -> Set[str]:
+        used: Set[str] = set()
+        annotations: List[Optional[ast.AST]] = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.arg):
+                annotations.append(node.annotation)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                annotations.append(node.returns)
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                if isinstance(node, ast.AnnAssign):
+                    annotations.append(node.annotation)
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if node.value is not None and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in targets
+                ):
+                    used.update(
+                        element.value
+                        for element in ast.walk(node.value)
+                        if isinstance(element, ast.Constant) and isinstance(element.value, str)
+                    )
+        for annotation in filter(None, annotations):
+            for node in ast.walk(annotation):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    try:
+                        parsed = ast.parse(node.value, mode="eval")
+                    except SyntaxError:
+                        continue
+                    used.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+        return used
+
+    def check(self, module: LintModule) -> Iterator[Finding]:
+        used = self._used_names(module.tree)
+        dotted = _dotted_name(module)
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Import):
+                bound = [(alias, alias.asname or alias.name.split(".")[0]) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [(alias, alias.asname or alias.name) for alias in node.names]
+            else:
+                continue
+            for alias, name in bound:
+                if name == "*" or name in used or (dotted, name) in self._reimported:
+                    continue
+                yield self.finding(module, alias, f"{name!r} is imported but never used")
+
+
 DEFAULT_RULES: Tuple[Rule, ...] = (
     ClockDisciplineRule(),
     ThreadDisciplineRule(),
@@ -593,4 +691,5 @@ DEFAULT_RULES: Tuple[Rule, ...] = (
     BatchDecodeRule(),
     ColumnarResultRule(),
     OracleImportRule(),
+    UnusedImportRule(),
 )

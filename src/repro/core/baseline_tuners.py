@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.errors import StorageBudgetExceeded
 from repro.rdf.terms import IRI

@@ -16,17 +16,18 @@ tuning policies, which is exactly what the tuner-comparison experiment needs.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.cost.model import CostModel, DEFAULT_COST_MODEL
 from repro.cost.resources import ResourceThrottle
-from repro.errors import StorageBudgetExceeded, TuningError
+from repro.errors import TuningError
 from repro.execution import ExecutionResult
 from repro.rdf.dictionary import triple_to_payload
 from repro.rdf.graph import TripleSet
-from repro.rdf.terms import IRI, Triple
+from repro.rdf.terms import IRI, Triple, Variable
 from repro.relstore.executor import relational_work_units
 from repro.relstore.sharded import ShardedRelationalStore, ShardingConfig
 from repro.relstore.store import RelationalStore
@@ -35,11 +36,12 @@ from repro.sparql.ast import SelectQuery
 
 from repro.core.config import DEFAULT_CONFIG, DotilConfig
 from repro.core.identifier import ComplexSubquery, ComplexSubqueryIdentifier
-from repro.core.metrics import QueryRecord
 from repro.core.partitions import DualStoreDesign
 from repro.core.processor import ProcessedQuery, QueryProcessor
 
-__all__ = ["DualStore", "MoveReceipt"]
+__all__ = ["DualStore", "MoveReceipt", "PricingMemo"]
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -61,6 +63,43 @@ class MoveReceipt:
     def seconds(self) -> float:
         """Total modelled cost of the batch (imports plus evictions)."""
         return self.import_seconds + self.evict_seconds
+
+
+class PricingMemo:
+    """Prices of queries, each kept with the read-set stamp it was computed
+    under (:meth:`DualStore.read_stamp`).
+
+    One slot per ``(kind, query)``: a call whose stamp equals the slot's
+    returns the stored value, any other computes it afresh and overwrites
+    the slot.  A price is a function of what the stamp names, so a hit
+    returns what the fresh run would.  Beyond :attr:`SLOTS` slots the oldest
+    is dropped.  Nothing of it is persisted: a restored store starts cold.
+    """
+
+    #: Three kinds of price for each of up to ~170 distinct queries (a
+    #: 256-submission window holds a few dozen).
+    SLOTS = 512
+
+    def __init__(self) -> None:
+        self._entries: Dict[Tuple[str, SelectQuery], Tuple[object, object]] = {}
+        self._lock = threading.Lock()
+
+    def price(self, kind: str, query: SelectQuery, stamp: object, compute: Callable[[], T]) -> T:
+        key = (kind, query)
+        with self._lock:
+            slot = self._entries.get(key)
+        if slot is not None and slot[0] == stamp:
+            return slot[1]  # type: ignore[return-value]
+        value = compute()
+        with self._lock:
+            self._entries[key] = (stamp, value)
+            if len(self._entries) > self.SLOTS:
+                del self._entries[next(iter(self._entries))]
+        return value
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
 
 
 class DualStore:
@@ -148,6 +187,9 @@ class DualStore:
         # positive, generation bumps are coalesced into one fired at exit.
         self._batch_depth: int = 0
         self._batched_bump_pending: bool = False
+        #: The tuner's and the tuning daemon's prices, memoized on what they
+        #: read (see :meth:`graph_cost`).
+        self.pricing = PricingMemo()
 
     # ------------------------------------------------------------------ #
     # Mutation generations (consumed by repro.serve caches)
@@ -357,12 +399,64 @@ class DualStore:
         return receipt
 
     # ------------------------------------------------------------------ #
-    # Costs used by the tuner's reward computation
+    # Costs used by the tuner's reward computation and the tuning daemon
     # ------------------------------------------------------------------ #
+    def read_stamp(self, query: SelectQuery, relational: bool = True, graph: bool = True) -> tuple:
+        """Everything a price of ``query`` reads, as one comparable value.
+
+        Per pattern, the dictionary id of each constant (``None`` while the
+        dictionary lacks the term: an insert to another predicate can add
+        it) and, for a concrete predicate, the content of the block that
+        answers for it — on the ``relational`` side the master copy's
+        (:meth:`RelationalStore.predicate_stamp`, with the placement on a
+        sharded store), on the ``graph`` side the resident replica's serial
+        or ``None``.  A replica is named by its contents, not by the transfer
+        that made it resident, so re-transferring an unchanged block keeps
+        the stamp.  An unbound predicate reads the whole table
+        (:meth:`RelationalStore.table_stamp`); the graph side also reads the
+        throttle's slowdown factor.
+        """
+        lookup = self.relational.dictionary.lookup
+        master = self.relational.predicate_stamp if relational else None
+        replica = self.graph.replica_stamp if graph else None
+        throttle = self.graph.throttle
+        stamp: list = [throttle.slowdown_factor() if graph and throttle is not None else None]
+        append = stamp.append
+        whole_table = False
+        for pattern in query.patterns:
+            subject, predicate, obj = pattern.subject, pattern.predicate, pattern.object
+            if not isinstance(subject, Variable):
+                append(lookup(subject))
+            if not isinstance(obj, Variable):
+                append(lookup(obj))
+            if isinstance(predicate, Variable):
+                whole_table = True
+                continue
+            predicate_id = lookup(predicate)
+            append(predicate_id)
+            if master is not None:
+                append(master(predicate_id))
+            if replica is not None:
+                append(replica(predicate))
+        for flt in query.filters:
+            stamp += [lookup(t) for t in (flt.left, flt.right) if not isinstance(t, Variable)]
+        if whole_table and relational:
+            append(self.relational.table_stamp())
+        return tuple(stamp)
+
     def graph_cost(self, subquery: SelectQuery) -> Tuple[float, ExecutionResult]:
-        """Cost ``c1`` of running a complex subquery in the graph store."""
-        result = self.graph.execute(subquery)
-        return result.seconds, result
+        """Cost ``c1`` of running a complex subquery in the graph store.
+
+        This and the two prices below go through :attr:`pricing`: a query
+        is executed once per :meth:`read_stamp` (a tuning epoch re-prices
+        the same few distinct queries many times over), so a hit hands back
+        the result object of the run it replays — read it, do not change it."""
+
+        def run() -> Tuple[float, ExecutionResult]:
+            result = self.graph.execute(subquery)
+            return result.seconds, result
+
+        return self.pricing.price("graph", subquery, self.read_stamp(subquery, relational=False), run)
 
     def counterfactual_relational_cost(self, subquery: SelectQuery, cap_seconds: float) -> float:
         """Cost ``c2``: the relational run capped at ``cap_seconds``.
@@ -371,12 +465,24 @@ class DualStore:
         given a work budget equivalent to the cap; if it finishes within the
         budget the true cost is returned, otherwise the cap itself.
         """
-        per_row = max(self.cost_model.relational_row_scan, 1e-12)
-        work_budget = max(1.0, (cap_seconds - self.cost_model.relational_query_overhead) / per_row)
-        result, seconds = self.relational.execute_capped(subquery, work_budget=work_budget)
-        if result is None:
-            return cap_seconds
-        return min(seconds, cap_seconds)
+
+        def run() -> float:
+            per_row = max(self.cost_model.relational_row_scan, 1e-12)
+            work_budget = max(1.0, (cap_seconds - self.cost_model.relational_query_overhead) / per_row)
+            result, seconds = self.relational.execute_capped(subquery, work_budget=work_budget)
+            if result is None:
+                return cap_seconds
+            return min(seconds, cap_seconds)
+
+        stamp = (cap_seconds, self.read_stamp(subquery, graph=False))
+        return self.pricing.price("capped", subquery, stamp, run)
+
+    def routed_seconds(self, query: SelectQuery) -> float:
+        """Modelled seconds of serving ``query`` under the current placement
+        (:meth:`run_query`'s routed execution, past every serving cache)."""
+        return self.pricing.price(
+            "routed", query, self.read_stamp(query), lambda: self.run_query(query).record.seconds
+        )
 
     # ------------------------------------------------------------------ #
     # Durable snapshots (repro.persist)

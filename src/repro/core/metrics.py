@@ -9,7 +9,7 @@ These records capture both, per query, per batch, and per workload run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cost.counters import WorkCounters
 from repro.sparql.ast import SelectQuery

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.errors import StorageBudgetExceeded, TuningError
+from repro.errors import TuningError
 from repro.rdf.terms import IRI
 from repro.sparql.ast import SelectQuery
 

@@ -17,7 +17,7 @@ assert the direction of the effect rather than absolute values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.runner import run_workload

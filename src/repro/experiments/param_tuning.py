@@ -14,7 +14,7 @@ and the summed Q-matrix for every value.  The qualitative findings:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.config import DEFAULT_CONFIG, DotilConfig

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.cost.resources import ResourceSample, ResourceThrottle, SlowdownReport
+from repro.cost.resources import ResourceSample, ResourceThrottle
 from repro.core.runner import run_workload
 from repro.core.variants import RDBGDB
 from repro.workload.yago import generate_yago, yago_workload

@@ -97,6 +97,12 @@ class GraphStore:
         except KeyError:
             raise UnknownPartitionError(f"partition {predicate.value!r} is not loaded") from None
 
+    def replica_stamp(self, predicate: IRI) -> Optional[int]:
+        """The resident replica's block serial (its contents), or ``None``
+        when the partition is not resident."""
+        block = self._partitions.get(predicate)
+        return block.serial if block is not None else None
+
     def used_capacity(self) -> int:
         """Triples currently stored."""
         with self._budget_lock:

@@ -43,7 +43,7 @@ counter equality against the oracle.
 from __future__ import annotations
 
 from array import array
-from itertools import repeat
+from itertools import count as counter, repeat
 from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
@@ -230,6 +230,10 @@ def distinct_selection(key_cols, count: int):
 # ---------------------------------------------------------------------- #
 # Columnar storage: one id-column block per predicate
 # ---------------------------------------------------------------------- #
+#: Serials of :class:`ColumnBlock`: process-wide, so no two blocks share one.
+_block_serials = counter(1)
+
+
 class ColumnBlock(NamedTuple):
     """One predicate's ``(subjects, objects)`` id columns, insertion order.
 
@@ -238,18 +242,22 @@ class ColumnBlock(NamedTuple):
     block and never changes one in place (its arrays are read-only), so the
     memo lives and dies with the arrays it describes, and a holder of an old
     block — a graph replica lagging the master copy — keeps exact contents.
+    ``serial`` names those contents: every block made by :meth:`of` gets one
+    that no other block in the process has, so two equal serials mean the
+    same rows in the same order.
     """
 
     subjects: object
     objects: object
     count: int
     group_indexes: List[object]  # [of subjects, of objects], None until needed
+    serial: int
 
     @classmethod
     def of(cls, subjects, objects, count: int) -> "ColumnBlock":
         subjects.flags.writeable = False
         objects.flags.writeable = False
-        return cls(subjects, objects, count, [None, None])
+        return cls(subjects, objects, count, [None, None], next(_block_serials))
 
     def group_index(self, column):
         """The memoized group index of one of this block's own columns, or
@@ -271,9 +279,9 @@ class ColumnarTripleTable:
     predicate, and nothing else that holds a triple.
 
     Beside the blocks the table keeps a set of encoded rows (duplicate
-    detection) and a per-predicate *write stamp* drawn from a per-table
-    counter that only goes up: a statistics entry records the stamp when it
-    is computed and is reused while the stamp stands.
+    detection).  A predicate's *write stamp* is its block's serial: a
+    statistics entry records the stamp when it is computed and is reused
+    while the stamp stands.
 
     Blocks follow writes when the write happens.  Every insert path groups
     its new rows by predicate and extends each touched block with one
@@ -293,15 +301,11 @@ class ColumnarTripleTable:
         self.dictionary = dictionary if dictionary is not None else TermDictionary()
         self._row_set: Set[Row] = set()
         self._partition_columns: Dict[int, ColumnBlock] = {}
-        self._stamps: Dict[int, int] = {}
-        self._clock = 0
         self._full_columns: Optional[Tuple[object, object, object, int]] = None
 
     # -- writes --------------------------------------------------------- #
     def _replace_block(self, predicate_id: int, subjects, objects) -> None:
         self._partition_columns[predicate_id] = ColumnBlock.of(subjects, objects, len(subjects))
-        self._clock += 1
-        self._stamps[predicate_id] = self._clock
         self._full_columns = None
 
     def insert(self, triple: Triple) -> bool:
@@ -400,11 +404,19 @@ class ColumnarTripleTable:
     def cardinalities(self) -> Dict[IRI, int]:
         return {p: self.predicate_cardinality(p) for p in self.predicates()}
 
-    def write_stamp(self, predicate_id: int) -> int:
+    def write_stamp(self, predicate_id: Optional[int]) -> int:
         """A value that differs after any write to the predicate's rows and
-        never repeats: what a statistics entry records when it is computed
-        and compares before reuse.  ``0`` means never written."""
-        return self._stamps.get(predicate_id, 0)
+        never repeats — its block's serial: what a statistics entry records
+        when it is computed and compares before reuse.  ``0`` means never
+        written."""
+        block = self._partition_columns.get(predicate_id)  # type: ignore[arg-type]
+        return block.serial if block is not None else 0
+
+    def table_stamp(self) -> int:
+        """A value that differs after any write to the table and never
+        repeats: the newest block serial (a write's block is newer than every
+        block before it)."""
+        return max((block.serial for block in self._partition_columns.values()), default=0)
 
     def predicate_statistics(self, predicate_id: int) -> PredicateStatistics:
         """One predicate's statistics, from one value count per column."""

@@ -116,6 +116,14 @@ class ShardedRelationalStore(RelationalStore):
         terms = self.dictionary.decode_many(promoted)
         return sorted((term for term in terms if isinstance(term, IRI)), key=lambda p: p.value)
 
+    def predicate_stamp(self, predicate_id: Optional[int]) -> object:
+        """The table's stamp of the predicate plus its placement."""
+        return super().predicate_stamp(predicate_id), self._placement.get(predicate_id)  # type: ignore[arg-type]
+
+    def table_stamp(self) -> object:
+        """The table's stamp plus the rows per shard a table scan probes."""
+        return super().table_stamp(), tuple(self.shard_row_counts())
+
     def shard_row_counts(self) -> List[int]:
         """The rows each shard holds under the current placement."""
         counts = np.zeros(self.shard_count, dtype=np.int64)

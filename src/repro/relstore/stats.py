@@ -165,9 +165,9 @@ class MaintainedStatistics:
     """A table's statistics, brought up to date lazily after mutations.
 
     Each per-predicate entry records the predicate's write stamp
-    (:meth:`~repro.relstore.columnar.ColumnarTripleTable.write_stamp`: a
-    table counter value that moves with every write to the predicate and
-    never repeats) and is kept for as long as that stamp stands; only the
+    (:meth:`~repro.relstore.columnar.ColumnarTripleTable.write_stamp`: its
+    block's serial, which moves with every write to the predicate and never
+    repeats) and is kept for as long as that stamp stands; only the
     predicates written since the last call are recomputed, from their
     blocks.  Values equal statistics collected from scratch over the same
     rows (``collect_statistics`` of ``tests/relational_oracle.py``).

@@ -149,6 +149,16 @@ class RelationalStore:
     def partition_size(self, predicate: IRI) -> int:
         return self.table.predicate_cardinality(predicate)
 
+    def predicate_stamp(self, predicate_id: Optional[int]) -> object:
+        """Everything an execution reads of one predicate's rows, as one
+        comparable value: equal stamps price a pattern on it equally."""
+        return self.table.write_stamp(predicate_id)
+
+    def table_stamp(self) -> object:
+        """Like :meth:`predicate_stamp` for a scan of the whole table (an
+        unbound predicate, whose plan also reads the table's size)."""
+        return self.table.table_stamp()
+
     def partition_sizes(self) -> Dict[IRI, int]:
         return self.table.cardinalities()
 

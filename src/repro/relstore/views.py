@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.execution import ResultTable
-from repro.rdf.terms import IRI, Literal, TermLike, Variable
+from repro.rdf.terms import IRI, TermLike, Variable
 from repro.sparql.ast import TriplePattern
 
 __all__ = ["canonical_pattern_key", "MaterializedView", "MaterializedViewManager"]

@@ -242,12 +242,14 @@ class AdaptiveConfig:
         store's own config.  Any :class:`~repro.core.tuner.BaseTuner` works —
         the daemon only calls ``tune()``.
 
-    Every epoch with a non-empty window prices the window's distinct
-    queries before and after its moves (the convergence signal the drift
-    benchmark plots).  The pricing passes execute through the stores, so
-    *physical* observability — e.g. the sharded backend's per-shard probe
-    counts behind ``QueryService.shard_metrics()`` — includes them;
-    service-level counters (``executions`` etc.) do not.
+    Every epoch with a non-empty window prices the window before and after
+    its moves (the convergence signal the drift benchmark plots) through
+    :meth:`DualStore.routed_seconds`, which executes a query only when what
+    it reads changed since its last price (the dual store's pricing memo).
+    Only those executions reach the stores, so *physical* observability —
+    e.g. the sharded backend's per-shard probe counts behind
+    ``QueryService.shard_metrics()`` — includes them and not the memo hits;
+    service-level counters (``executions`` etc.) include neither.
     """
 
     window_size: int = 256
@@ -345,7 +347,7 @@ class TuningDaemon:
        tuner transfers/evicts freely, physical effects are immediate, but the
        generation bumps coalesce into **one** (one result-cache invalidation
        per epoch, however many moves were applied),
-    4. re-prices the window if moves were applied (TTI after), and
+    4. re-prices the window (TTI after), and
     5. folds the outcome into :class:`AdaptiveMetrics`.
     """
 
@@ -398,10 +400,7 @@ class TuningDaemon:
             self._fold(epoch)
             raise
         epoch.generation_after = self.dual.generation
-
-        # Placement unchanged ⇒ modelled costs unchanged: skip the
-        # second evaluation pass instead of re-deriving the same sum.
-        epoch.tti_after = self._window_tti(entries) if epoch.moves else epoch.tti_before
+        epoch.tti_after = self._window_tti(entries)
         self._fold(epoch)
         return epoch
 
@@ -427,21 +426,14 @@ class TuningDaemon:
         return report
 
     def _window_tti(self, entries: List[WindowEntry]) -> float:
-        """Modelled TTI of the window under the *current* placement.
-
-        Distinct queries are priced once (straight through the processor —
-        the serving caches must not mask a placement change) and weighted by
-        their multiplicity in the window, so the sum is what serving the
-        window's traffic would cost right now.
-        """
-        priced: Dict[str, float] = {}
+        """Modelled TTI of the window under the *current* placement: the sum
+        of every entry's routed price (past the serving caches, which must
+        not mask a placement change), so it is what serving the window's
+        traffic would cost right now."""
+        routed_seconds = self.dual.routed_seconds
         total = 0.0
         for entry in entries:
-            seconds = priced.get(entry.key)
-            if seconds is None:
-                processed = self.dual.processor.process(entry.query, entry.complex_subquery)
-                seconds = priced[entry.key] = processed.record.seconds
-            total += seconds
+            total += routed_seconds(entry.query)
         return total
 
     def _fold(self, epoch: EpochReport) -> None:

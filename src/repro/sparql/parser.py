@@ -17,7 +17,7 @@ expressible in this subset.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.errors import ParseError
 from repro.rdf.namespace import DEFAULT_PREFIXES, PrefixMap, RDF

@@ -15,7 +15,7 @@ per-predicate bookkeeping.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 

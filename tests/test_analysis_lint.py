@@ -439,12 +439,16 @@ REP009_BAD = """
     import tests.relational_oracle
     from graph_oracle import oracle_execute
     from relational_oracle import ReferenceStore
+
+    ORACLES = (sqlite3, tests.relational_oracle, oracle_execute, ReferenceStore)
 """
 
 REP009_GOOD = """
     from repro.relstore.columnar import execute_compiled
     from . import planner
     from .stats import TableStatistics
+
+    ENGINE = (execute_compiled, planner, TableStatistics)
 
     def store_name(graph_oracle):
         return graph_oracle.name
@@ -462,7 +466,69 @@ def test_rep009_flags_test_modules_everywhere_and_sqlite_in_relstore():
 
 def test_rep009_accepts_package_and_relative_imports():
     assert rules_hit(REP009_GOOD, "src/repro/relstore/store.py") == []
-    assert rules_hit("import sqlite3\n", "src/repro/persist/catalog.py") == []
+    assert rules_hit("import sqlite3\n\nCATALOG = sqlite3\n", "src/repro/persist/catalog.py") == []
+
+
+# --------------------------------------------------------------------------- #
+# REP010 — every import is used
+# --------------------------------------------------------------------------- #
+REP010_BAD = """
+    import os.path
+    from typing import Dict, Optional
+    from repro.errors import StorageError as Failure
+
+    def size(table: Dict[str, int]) -> int:
+        return len(table)
+"""
+
+REP010_GOOD = """
+    from __future__ import annotations
+
+    import os.path
+    from typing import TYPE_CHECKING, Callable, Optional
+    from repro.errors import StorageError
+    from repro.rdf.terms import IRI, Literal
+
+    if TYPE_CHECKING:
+        from repro.core.dualstore import DualStore
+
+    __all__: list = ["IRI"]
+    __all__ += ["Literal"]
+
+    def run(store: "Optional[DualStore]", hook: "Callable[[], None] | None") -> str:
+        if store is None:
+            raise StorageError("no store")
+        return os.path.join("a", "b")
+"""
+
+
+def test_rep010_flags_each_unused_name_at_its_alias():
+    findings = lint(REP010_BAD, "src/repro/core/x.py")
+    assert [(finding.rule, finding.line) for finding in findings] == [
+        ("REP010", 2), ("REP010", 3), ("REP010", 4)
+    ]
+    messages = " ".join(finding.message for finding in findings)
+    for name in ("'os'", "'Optional'", "'Failure'"):
+        assert name in messages
+    assert "'Dict'" not in messages
+
+
+def test_rep010_accepts_code_string_annotation_all_and_future_uses():
+    assert rules_hit(REP010_GOOD, "src/repro/core/x.py") == []
+
+
+def test_rep010_accepts_a_name_another_module_reimports(tmp_path):
+    package = tmp_path / "src" / "repro"
+    (package / "core").mkdir(parents=True)
+    (package / "core" / "base.py").write_text("from typing import Dict, List\n", encoding="utf-8")
+    (package / "core" / "user.py").write_text(
+        "from repro.core.base import Dict\nfrom .base import List\n\nUSED = (Dict, List)\n",
+        encoding="utf-8",
+    )
+    assert lint_paths([str(package)]) == []
+    # Linted alone, nothing re-imports them.
+    alone = lint_paths([str(package / "core" / "base.py")])
+    assert [finding.rule for finding in alone] == ["REP010", "REP010"]
 
 
 # --------------------------------------------------------------------------- #
