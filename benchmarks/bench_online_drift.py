@@ -18,10 +18,11 @@ assertions pin the two headline properties:
    better than the static service's on the drifted mix, and strictly better
    than its own TTI at the drift epoch (it converges back toward a re-tuned
    optimum instead of staying degraded).
-2. **One invalidation per epoch** — however many transfers/evictions an epoch
-   applies, the service's result cache is emptied exactly once per epoch
-   (``invalidation_events`` equals the epoch count; the moves are batched
-   through ``DualStore.batch_mutations``).
+2. **One generation bump per epoch** — however many transfers/evictions an
+   epoch applies, the store's generation advances exactly once (the moves
+   are batched through ``DualStore.batch_mutations``).  The result cache
+   drops only the entries whose queries read a moved partition
+   (``invalidation_events`` counts those drops).
 
 Everything asserted is modelled (work counters priced by the deterministic
 cost model), so the numbers are machine-independent.  Results land in
@@ -128,7 +129,9 @@ def test_adaptive_service_recovers_after_workload_drift():
             batch = phase_a if phase == "A" else phase_b
             adaptive_tti = adaptive.run_batch(batch).tti
             static_tti = static.run_batch(batch).tti
+            generation = adaptive_dual.generation
             epoch_report = adaptive.tune_now()
+            generation_bumps = adaptive_dual.generation - generation
             adaptive_ttis.append(adaptive_tti)
             static_ttis.append(static_tti)
             report["timeline"].append(
@@ -138,7 +141,7 @@ def test_adaptive_service_recovers_after_workload_drift():
                     "adaptive_tti": adaptive_tti,
                     "static_tti": static_tti,
                     "moves": epoch_report.moves,
-                    "invalidations": epoch_report.invalidations,
+                    "generation_bumps": generation_bumps,
                     "window_tti_before": epoch_report.tti_before,
                     "window_tti_after": epoch_report.tti_after,
                 }
@@ -146,7 +149,7 @@ def test_adaptive_service_recovers_after_workload_drift():
             print(
                 f"BENCH_ONLINE_DRIFT epoch={epoch} phase={phase} "
                 f"adaptive_tti={adaptive_tti:.4f} static_tti={static_tti:.4f} "
-                f"moves={epoch_report.moves} invalidations={epoch_report.invalidations}"
+                f"moves={epoch_report.moves} generation_bumps={generation_bumps}"
             )
 
         counters = adaptive.metrics.counters
@@ -165,8 +168,7 @@ def test_adaptive_service_recovers_after_workload_drift():
         f"static={static_ttis[-1]:.4f} "
         f"improvement={report['final_epoch']['improvement_percent']:.1f}% "
         f"moves={daemon_metrics['moves_applied']:.0f} "
-        f"invalidation_events={counters.invalidation_events} "
-        f"invalidations_avoided={daemon_metrics['invalidations_avoided']:.0f}"
+        f"invalidation_events={counters.invalidation_events}"
     )
     print(f"BENCH_ONLINE_DRIFT wrote {OUTPUT}")
 
@@ -183,19 +185,15 @@ def test_adaptive_service_recovers_after_workload_drift():
     # The static placement really is frozen: identical mix, identical cost.
     assert static_ttis[-1] == static_ttis[drift_epoch]
 
-    # 2. Exactly one result-cache invalidation per tuning epoch, however many
-    #    moves each epoch applied.
+    # 2. Exactly one generation bump per tuning epoch, however many moves
+    #    each epoch applied.
     for entry in report["timeline"]:
-        assert entry["invalidations"] <= 1, entry
+        assert entry["generation_bumps"] <= 1, entry
         if entry["moves"]:
-            assert entry["invalidations"] == 1, entry
+            assert entry["generation_bumps"] == 1, entry
     epochs_with_moves = sum(1 for entry in report["timeline"] if entry["moves"])
-    assert counters.invalidation_events == epochs_with_moves
     # Batching actually paid: some epoch applied more than one move.
     assert daemon_metrics["moves_applied"] > epochs_with_moves
-    assert daemon_metrics["invalidations_avoided"] == (
-        daemon_metrics["moves_applied"] - epochs_with_moves
-    )
 
 
 if __name__ == "__main__":

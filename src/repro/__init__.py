@@ -30,14 +30,24 @@ True
 >>> second.tti == first.tti  # cached records keep the modelled seconds
 True
 
-Mutating the store invalidates cached results, so a hit can never be stale:
+A cached answer keeps the read stamp of what its query read and hits only
+while the stamp stands.  A write to a predicate the batch does not read
+leaves every answer cached; a write to one it reads re-executes the queries
+over it:
 
->>> service.insert([]) >= 0.0
+>>> from repro import IRI, Triple
+>>> def fact(name):
+...     predicate = IRI("http://yago-knowledge.org/resource/" + name)
+...     return Triple(IRI("urn:example:ada"), predicate, IRI("urn:example:bob"))
+>>> service.insert([fact("isMarriedTo")]) >= 0.0
 True
->>> third = service.run_batch(batch)
->>> third.cache_hits == 0
+>>> service.run_batch(batch).cache_hits == len(batch)
 True
->>> service.close()  # detaches the store hook
+>>> service.insert([fact("wasBornIn")]) >= 0.0
+True
+>>> service.run_batch(batch).cache_hits < len(batch)
+True
+>>> service.close()  # a closed service refuses to serve
 
 The uncached path of the paper's experiments is ``dual.run_query``; DOTIL
 (:class:`Dotil`) tunes the physical design underneath either path.

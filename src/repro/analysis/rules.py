@@ -347,9 +347,9 @@ class MutationHookRule(Rule):
     entering ``self.batch_mutations()``, or delegating to another mutation
     method that does.
 
-    The hook is the seam the WAL, snapshot daemon, and cache invalidation
-    hang off; a mutation path that skips it silently desynchronises every
-    replica and cache in the system.
+    The hook is the seam the WAL and the generation the snapshots and
+    followers track hang off; a mutation path that skips it silently
+    desynchronises every replica in the system.
     """
 
     name = "REP006"

@@ -16,18 +16,18 @@ tuning policies, which is exactly what the tuner-comparison experiment needs.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.cost.model import CostModel, DEFAULT_COST_MODEL
 from repro.cost.resources import ResourceThrottle
 from repro.errors import TuningError
 from repro.execution import ExecutionResult
+from repro.lru import LRUCache
 from repro.rdf.dictionary import triple_to_payload
 from repro.rdf.graph import TripleSet
-from repro.rdf.terms import IRI, Triple, Variable
+from repro.rdf.terms import IRI, Triple
 from repro.relstore.executor import relational_work_units
 from repro.relstore.sharded import ShardedRelationalStore, ShardingConfig
 from repro.relstore.store import RelationalStore
@@ -39,9 +39,7 @@ from repro.core.identifier import ComplexSubquery, ComplexSubqueryIdentifier
 from repro.core.partitions import DualStoreDesign
 from repro.core.processor import ProcessedQuery, QueryProcessor
 
-__all__ = ["DualStore", "MoveReceipt", "PricingMemo"]
-
-T = TypeVar("T")
+__all__ = ["DualStore", "MoveReceipt"]
 
 
 @dataclass
@@ -63,43 +61,6 @@ class MoveReceipt:
     def seconds(self) -> float:
         """Total modelled cost of the batch (imports plus evictions)."""
         return self.import_seconds + self.evict_seconds
-
-
-class PricingMemo:
-    """Prices of queries, each kept with the read-set stamp it was computed
-    under (:meth:`DualStore.read_stamp`).
-
-    One slot per ``(kind, query)``: a call whose stamp equals the slot's
-    returns the stored value, any other computes it afresh and overwrites
-    the slot.  A price is a function of what the stamp names, so a hit
-    returns what the fresh run would.  Beyond :attr:`SLOTS` slots the oldest
-    is dropped.  Nothing of it is persisted: a restored store starts cold.
-    """
-
-    #: Three kinds of price for each of up to ~170 distinct queries (a
-    #: 256-submission window holds a few dozen).
-    SLOTS = 512
-
-    def __init__(self) -> None:
-        self._entries: Dict[Tuple[str, SelectQuery], Tuple[object, object]] = {}
-        self._lock = threading.Lock()
-
-    def price(self, kind: str, query: SelectQuery, stamp: object, compute: Callable[[], T]) -> T:
-        key = (kind, query)
-        with self._lock:
-            slot = self._entries.get(key)
-        if slot is not None and slot[0] == stamp:
-            return slot[1]  # type: ignore[return-value]
-        value = compute()
-        with self._lock:
-            self._entries[key] = (stamp, value)
-            if len(self._entries) > self.SLOTS:
-                del self._entries[next(iter(self._entries))]
-        return value
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
 
 class DualStore:
@@ -168,50 +129,43 @@ class DualStore:
         self.design: Optional[DualStoreDesign] = None
         self._explicit_budget = storage_budget
         self.transfer_log: List[Tuple[str, IRI]] = []
-        #: Monotonic counter bumped on every mutation that can change query
-        #: answers or routing (load/insert/transfer/evict).  Serving-layer
-        #: caches tag entries with the generation they were computed under and
-        #: treat any entry from an older generation as stale, so a cache can
-        #: never return a result that predates a mutation.
+        #: Monotonic counter bumped on every mutation (load/insert/delete/
+        #: transfer/evict): the store's version for replication and the wire
+        #: — the write-ahead log, snapshots, followers and the endpoint's
+        #: ``X-Repro-Generation``.  No cache reads it: a cache entry carries
+        #: the :meth:`read_stamp` of what it read.
         self.generation: int = 0
-        self._invalidation_hooks: List[Callable[[int], None]] = []
         #: Mutation listeners receive the *content* of each generation bump —
-        #: the ordered op payloads that produced it — before the invalidation
-        #: hooks fire.  This is the seam the write-ahead delta log
-        #: (:mod:`repro.persist.wal`) attaches to; op payloads are only
-        #: collected while at least one listener is registered, so the
-        #: listener-free path stays allocation-free and streaming.
+        #: the ordered op payloads that produced it.  This is the seam the
+        #: write-ahead delta log (:mod:`repro.persist.wal`) attaches to; op
+        #: payloads are only collected while at least one listener is
+        #: registered, so the listener-free path stays allocation-free and
+        #: streaming.
         self._mutation_listeners: List[Callable[[List[dict], int], None]] = []
         self._pending_ops: List[dict] = []
         # Batched-mutation state (see batch_mutations): while the depth is
         # positive, generation bumps are coalesced into one fired at exit.
         self._batch_depth: int = 0
         self._batched_bump_pending: bool = False
-        #: The tuner's and the tuning daemon's prices, memoized on what they
-        #: read (see :meth:`graph_cost`).
-        self.pricing = PricingMemo()
+        #: The tuner's and the tuning daemon's prices, keyed by
+        #: ``(kind, query)`` and kept under what they read (see
+        #: :meth:`graph_cost`): three kinds for each of up to ~170 distinct
+        #: queries (a 256-submission window holds a few dozen).  Nothing of
+        #: it is persisted: a restored store starts cold.
+        self.pricing: LRUCache[Tuple[str, SelectQuery], object] = LRUCache(512, "pricing memo")
 
     # ------------------------------------------------------------------ #
-    # Mutation generations (consumed by repro.serve caches)
+    # Mutation generations (consumed by repro.persist)
     # ------------------------------------------------------------------ #
-    def add_invalidation_hook(self, hook: Callable[[int], None]) -> None:
-        """Register a callback invoked with the new generation after every
-        answer-changing mutation (``load``, ``insert``, ``transfer_partition``,
-        ``evict_partition``)."""
-        self._invalidation_hooks.append(hook)
-
-    def remove_invalidation_hook(self, hook: Callable[[int], None]) -> None:
-        self._invalidation_hooks.remove(hook)
-
     def add_mutation_listener(self, listener: Callable[[List[dict], int], None]) -> None:
         """Register a callback invoked with ``(ops, generation)`` after every
-        generation bump, *before* the invalidation hooks.  ``ops`` is the
-        ordered list of JSON-serializable op payloads the bump coalesced
-        (one per mutation inside a :meth:`batch_mutations` block, one total
-        otherwise); an empty list means the bump came from a mutation the op
-        vocabulary cannot represent (e.g. a re-``load``).  Listeners must not
-        raise — an exception would propagate out of the mutation that
-        committed successfully."""
+        generation bump.  ``ops`` is the ordered list of JSON-serializable op
+        payloads the bump coalesced (one per mutation inside a
+        :meth:`batch_mutations` block, one total otherwise); an empty list
+        means the bump came from a mutation the op vocabulary cannot
+        represent (e.g. a re-``load``).  Listeners must not raise — an
+        exception would propagate out of the mutation that committed
+        successfully."""
         self._mutation_listeners.append(listener)
 
     def remove_mutation_listener(self, listener: Callable[[List[dict], int], None]) -> None:
@@ -234,8 +188,6 @@ class DualStore:
             # The last listener detached mid-collection; drop the orphans so
             # they cannot leak into a later listener's first event.
             self._pending_ops = []
-        for hook in self._invalidation_hooks:
-            hook(self.generation)
 
     @contextmanager
     def batch_mutations(self) -> Iterator["DualStore"]:
@@ -244,9 +196,9 @@ class DualStore:
         Inside the context, mutations (``insert``/``transfer_partition``/
         ``evict_partition``) take full physical effect immediately but do not
         bump :attr:`generation`; on exit, if any mutation happened, the
-        generation advances **once** and the invalidation hooks fire **once**.
-        This is what lets a tuning epoch of k moves cost the serving layer one
-        result-cache invalidation instead of k.
+        generation advances **once** and the mutation listeners hear **one**
+        event carrying every op.  This is what lets a tuning epoch of k moves
+        cost the write-ahead log one record instead of k.
 
         The usual mutation contract still applies — and is load-bearing here:
         no query may execute concurrently with the context, because until the
@@ -305,10 +257,9 @@ class DualStore:
         Symmetric with :meth:`insert`: the graph store's replicas are not
         touched — a resident partition legitimately lags the master copy
         until the tuner re-transfers it.  The batch is applied at once: each
-        touched block is replaced once and derived state ages once.
-        Deleting an absent triple is a no-op for that triple, but the call
-        still bumps the generation (callers asked for a mutation; caches
-        must not trust their entries).
+        touched block is replaced once.  Deleting an absent triple is a no-op
+        for that triple, but the call still bumps the generation (callers
+        asked for a mutation, and the write-ahead log records it).
         """
         self._require_loaded()
         if not isinstance(triples, (list, tuple)):
@@ -370,8 +321,8 @@ class DualStore:
     def transfer_partitions(self, predicates: Iterable[IRI]) -> float:
         """Transfer several partitions; returns the total import seconds.
 
-        A known batch of moves, so it batches: one generation bump and one
-        invalidation for the lot (see :meth:`apply_moves`)."""
+        A known batch of moves, so it batches: one generation bump for the
+        lot (see :meth:`apply_moves`)."""
         return self.apply_moves(transfers=predicates).import_seconds
 
     def apply_moves(
@@ -383,9 +334,8 @@ class DualStore:
 
         Evictions run first (they free budget for the incoming transfers),
         then transfers, all inside :meth:`batch_mutations` — so however many
-        moves the batch contains, the serving layer sees exactly one
-        invalidation.  Returns a :class:`MoveReceipt` with the modelled cost
-        of each direction.
+        moves the batch contains, the generation advances once.  Returns a
+        :class:`MoveReceipt` with the modelled cost of each direction.
         """
         self._require_loaded()
         receipt = MoveReceipt()
@@ -402,47 +352,17 @@ class DualStore:
     # Costs used by the tuner's reward computation and the tuning daemon
     # ------------------------------------------------------------------ #
     def read_stamp(self, query: SelectQuery, relational: bool = True, graph: bool = True) -> tuple:
-        """Everything a price of ``query`` reads, as one comparable value.
-
-        Per pattern, the dictionary id of each constant (``None`` while the
-        dictionary lacks the term: an insert to another predicate can add
-        it) and, for a concrete predicate, the content of the block that
-        answers for it — on the ``relational`` side the master copy's
-        (:meth:`RelationalStore.predicate_stamp`, with the placement on a
-        sharded store), on the ``graph`` side the resident replica's serial
-        or ``None``.  A replica is named by its contents, not by the transfer
-        that made it resident, so re-transferring an unchanged block keeps
-        the stamp.  An unbound predicate reads the whole table
-        (:meth:`RelationalStore.table_stamp`); the graph side also reads the
-        throttle's slowdown factor.
+        """Everything a routed execution of ``query`` reads, as one
+        comparable value — the freshness rule of every cache in front of
+        the store: the ``relational`` side's
+        :meth:`RelationalStore.read_stamp` (the dictionary ids alone when
+        ``relational`` is false) and the ``graph`` side's
+        :meth:`GraphStore.read_stamp`.  Derived from store state, so a
+        mutation by any path moves the stamp of exactly the queries that
+        read what it changed.
         """
-        lookup = self.relational.dictionary.lookup
-        master = self.relational.predicate_stamp if relational else None
-        replica = self.graph.replica_stamp if graph else None
-        throttle = self.graph.throttle
-        stamp: list = [throttle.slowdown_factor() if graph and throttle is not None else None]
-        append = stamp.append
-        whole_table = False
-        for pattern in query.patterns:
-            subject, predicate, obj = pattern.subject, pattern.predicate, pattern.object
-            if not isinstance(subject, Variable):
-                append(lookup(subject))
-            if not isinstance(obj, Variable):
-                append(lookup(obj))
-            if isinstance(predicate, Variable):
-                whole_table = True
-                continue
-            predicate_id = lookup(predicate)
-            append(predicate_id)
-            if master is not None:
-                append(master(predicate_id))
-            if replica is not None:
-                append(replica(predicate))
-        for flt in query.filters:
-            stamp += [lookup(t) for t in (flt.left, flt.right) if not isinstance(t, Variable)]
-        if whole_table and relational:
-            append(self.relational.table_stamp())
-        return tuple(stamp)
+        stamp = self.relational.read_stamp(query, rows=relational)
+        return stamp + self.graph.read_stamp(query) if graph else stamp
 
     def graph_cost(self, subquery: SelectQuery) -> Tuple[float, ExecutionResult]:
         """Cost ``c1`` of running a complex subquery in the graph store.
@@ -456,7 +376,8 @@ class DualStore:
             result = self.graph.execute(subquery)
             return result.seconds, result
 
-        return self.pricing.price("graph", subquery, self.read_stamp(subquery, relational=False), run)
+        stamp = self.read_stamp(subquery, relational=False)
+        return self.pricing.memo(("graph", subquery), stamp, run)
 
     def counterfactual_relational_cost(self, subquery: SelectQuery, cap_seconds: float) -> float:
         """Cost ``c2``: the relational run capped at ``cap_seconds``.
@@ -475,13 +396,13 @@ class DualStore:
             return min(seconds, cap_seconds)
 
         stamp = (cap_seconds, self.read_stamp(subquery, graph=False))
-        return self.pricing.price("capped", subquery, stamp, run)
+        return self.pricing.memo(("capped", subquery), stamp, run)
 
     def routed_seconds(self, query: SelectQuery) -> float:
         """Modelled seconds of serving ``query`` under the current placement
         (:meth:`run_query`'s routed execution, past every serving cache)."""
-        return self.pricing.price(
-            "routed", query, self.read_stamp(query), lambda: self.run_query(query).record.seconds
+        return self.pricing.memo(
+            ("routed", query), self.read_stamp(query), lambda: self.run_query(query).record.seconds
         )
 
     # ------------------------------------------------------------------ #

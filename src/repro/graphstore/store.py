@@ -97,11 +97,19 @@ class GraphStore:
         except KeyError:
             raise UnknownPartitionError(f"partition {predicate.value!r} is not loaded") from None
 
-    def replica_stamp(self, predicate: IRI) -> Optional[int]:
-        """The resident replica's block serial (its contents), or ``None``
-        when the partition is not resident."""
-        block = self._partitions.get(predicate)
-        return block.serial if block is not None else None
+    def read_stamp(self, query: SelectQuery) -> tuple:
+        """What an execution of ``query`` reads of this store beyond the
+        shared dictionary, as one comparable value: the throttle's slowdown
+        factor and, per concrete predicate, the resident replica's block
+        serial — its contents, not the transfer that made it resident — or
+        ``None`` when the partition is not resident."""
+        partitions, throttle = self._partitions, self.throttle
+        stamp = [throttle.slowdown_factor() if throttle is not None else None]
+        for pattern in query.patterns:
+            if pattern.has_concrete_predicate:
+                block = partitions.get(pattern.predicate)
+                stamp.append(block.serial if block is not None else None)
+        return tuple(stamp)
 
     def used_capacity(self) -> int:
         """Triples currently stored."""

@@ -284,8 +284,7 @@ def apply_record(dual, record: WalRecord) -> None:
 
     The ops replay through the store's own mutation methods inside
     :meth:`~repro.core.dualstore.DualStore.batch_mutations`, so one record
-    costs exactly one bump (matching the bump that produced it) and the
-    store's invalidation hooks fire once.  Raises
+    costs exactly one bump (matching the bump that produced it).  Raises
     :class:`~repro.errors.WalReplayError` if the resulting generation does
     not match the record's — a drifted replay must never be served.
     """

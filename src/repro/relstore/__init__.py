@@ -2,7 +2,6 @@
 
 from repro.relstore.columnar import ColumnarTripleTable
 from repro.relstore.executor import (
-    BoundPlanCache,
     CompiledPlan,
     compile_pattern,
     compile_plan,
@@ -20,7 +19,6 @@ __all__ = [
     "ShardingConfig",
     "ShardMetricsBoard",
     "ColumnarTripleTable",
-    "BoundPlanCache",
     "CompiledPlan",
     "compile_pattern",
     "compile_plan",

@@ -14,9 +14,9 @@ columns**, ``int64`` numpy vectors:
   the row's one position.
 * Pattern access is mask selection over those blocks: constants arrive
   pre-resolved on the :class:`~repro.relstore.executor.CompiledStep` (bound
-  once per store generation through the
-  :class:`~repro.relstore.executor.BoundPlanCache`), so a partition scan with
-  no residual checks is a zero-copy handover of the stored columns.
+  once per read-set stamp through the store's bound-plan memo), so a
+  partition scan with no residual checks is a zero-copy handover of the
+  stored columns.
 * Hash joins are a sort/searchsorted merge on the join column producing
   gather index vectors, so the pipeline state is a list of columns, never
   row tuples.
@@ -302,10 +302,12 @@ class ColumnarTripleTable:
         self._row_set: Set[Row] = set()
         self._partition_columns: Dict[int, ColumnBlock] = {}
         self._full_columns: Optional[Tuple[object, object, object, int]] = None
+        self._newest_serial = 0
 
     # -- writes --------------------------------------------------------- #
     def _replace_block(self, predicate_id: int, subjects, objects) -> None:
-        self._partition_columns[predicate_id] = ColumnBlock.of(subjects, objects, len(subjects))
+        block = self._partition_columns[predicate_id] = ColumnBlock.of(subjects, objects, len(subjects))
+        self._newest_serial = block.serial
         self._full_columns = None
 
     def insert(self, triple: Triple) -> bool:
@@ -414,9 +416,9 @@ class ColumnarTripleTable:
 
     def table_stamp(self) -> int:
         """A value that differs after any write to the table and never
-        repeats: the newest block serial (a write's block is newer than every
-        block before it)."""
-        return max((block.serial for block in self._partition_columns.values()), default=0)
+        repeats: the newest block's serial (a write's block is newer than
+        every block before it).  ``0`` means never written."""
+        return self._newest_serial
 
     def predicate_statistics(self, predicate_id: int) -> PredicateStatistics:
         """One predicate's statistics, from one value count per column."""

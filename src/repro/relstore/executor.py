@@ -1,9 +1,9 @@
 """What the relational engine runs on besides its kernels: plan compilation,
-the execution term space, the bound-plan memo and work budgets.
+the execution term space and work budgets.
 
 * **Plan compilation.**  :func:`compile_plan` resolves the constants of every
-  plan step to integer term ids once per store generation
-  (:class:`BoundPlanCache`), never per row; the production engine
+  plan step to integer term ids once per read-set stamp (the store's
+  bound-plan memo), never per row; the production engine
   (:mod:`repro.relstore.columnar`) matches stored id columns against the
   resulting :class:`CompiledStep` s.
 * **Term space.**  :class:`QueryTermSpace` is the dictionary plus
@@ -21,8 +21,6 @@ to bit for bit, lives with the tests (``tests/relational_oracle.py``).
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -42,7 +40,6 @@ __all__ = [
     "CompiledPlan",
     "compile_pattern",
     "compile_plan",
-    "BoundPlanCache",
     "check_work_budget",
 ]
 
@@ -220,65 +217,6 @@ def compile_plan(plan: RelationalPlan, dictionary: TermDictionary) -> CompiledPl
             )
         )
     return CompiledPlan(steps=tuple(steps))
-
-
-class BoundPlanCache:
-    """Thread-safe LRU memo of ``query → (plan, compiled plan)``.
-
-    Entries are tagged with the owning store's *plan generation*, bumped on
-    every mutation (new terms may appear, statistics may shift, so both the
-    ordering and the resolved constant ids can change).  A hit therefore
-    skips planning *and* re-resolving pattern constants — the plan is bound
-    to a store generation exactly once, no matter how many times the serving
-    layer replays the (already plan-cached) query.
-    """
-
-    def __init__(self, capacity: int = 512):
-        self._capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[object, Tuple[int, RelationalPlan, CompiledPlan]]" = OrderedDict()
-
-    def get(self, key: object, generation: int) -> Optional[Tuple[RelationalPlan, CompiledPlan]]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry[0] != generation:
-                return None
-            self._entries.move_to_end(key)
-            return entry[1], entry[2]
-
-    def put(self, key: object, generation: int, plan: RelationalPlan, compiled: CompiledPlan) -> None:
-        with self._lock:
-            self._entries[key] = (generation, plan, compiled)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-
-    def get_or_bind(
-        self,
-        key: object,
-        generation: int,
-        planner,
-        dictionary: TermDictionary,
-    ) -> Tuple[RelationalPlan, CompiledPlan]:
-        """The whole binding protocol: memo hit, or plan + compile + store.
-
-        ``planner`` is the owning store's zero-argument plan builder; it (and
-        the compile) runs outside the lock — concurrent readers may bind the
-        same query twice, which is benign (last write wins, both are valid
-        for this generation).  Shared by both stores so the protocol cannot
-        drift between them.
-        """
-        cached = self.get(key, generation)
-        if cached is not None:
-            return cached
-        plan = planner()
-        compiled = compile_plan(plan, dictionary)
-        self.put(key, generation, plan, compiled)
-        return plan, compiled
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
 
 def check_work_budget(counters: WorkCounters, work_budget: Optional[float]) -> None:

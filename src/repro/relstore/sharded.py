@@ -159,7 +159,6 @@ class ShardedRelationalStore(RelationalStore):
         """Insert triples, placing new predicates and promoting those past the
         skew limit (one shard needs no balancing); returns the insert price."""
         added = self.table.insert_rows(self.dictionary.encode_triples(triples))
-        self._invalidate_derived_state()
         ideal = len(self) / self.shard_count
         limit = max(self.config.min_subject_shard_rows, self.config.skew_threshold * ideal)
         new = [predicate_id for predicate_id in added if predicate_id not in self._placement]

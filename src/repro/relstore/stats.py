@@ -170,23 +170,24 @@ class MaintainedStatistics:
     repeats) and is kept for as long as that stamp stands; only the
     predicates written since the last call are recomputed, from their
     blocks.  Values equal statistics collected from scratch over the same
-    rows (``collect_statistics`` of ``tests/relational_oracle.py``).
-    ``generation`` is the owning store's plan generation, so a call between
-    mutations is one comparison.
+    rows (``collect_statistics`` of ``tests/relational_oracle.py``).  The
+    whole is kept under the table's stamp, so a call between writes is one
+    comparison.
     """
 
     def __init__(self, table: "ColumnarTripleTable"):
         self._table = table
-        #: (generation it is current for, statistics, stamp per entry) — one
-        #: value, so concurrent readers refreshing at once each swap in a
+        #: (table stamp it is current for, statistics, stamp per entry) —
+        #: one value, so concurrent readers refreshing at once each swap in a
         #: whole state.
         self._state: Tuple[int, Optional[TableStatistics], Dict[IRI, int]] = (-1, None, {})
 
-    def current(self, generation: int) -> TableStatistics:
-        state_generation, statistics, stamps = self._state
-        if state_generation == generation:
-            return statistics
+    def current(self) -> TableStatistics:
         table = self._table
+        table_stamp = table.table_stamp()
+        state_stamp, statistics, stamps = self._state
+        if state_stamp == table_stamp:
+            return statistics
         per_predicate: Dict[IRI, PredicateStatistics] = {}
         fresh_stamps: Dict[IRI, int] = {}
         for predicate in table.predicates():
@@ -198,5 +199,5 @@ class MaintainedStatistics:
             else:
                 per_predicate[predicate] = table.predicate_statistics(predicate_id)
         statistics = TableStatistics(total_rows=len(table), per_predicate=per_predicate)
-        self._state = (generation, statistics, fresh_stamps)
+        self._state = (table_stamp, statistics, fresh_stamps)
         return statistics

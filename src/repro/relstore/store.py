@@ -18,8 +18,9 @@ from repro.cost.counters import WorkCounters
 from repro.cost.model import CostModel, DEFAULT_COST_MODEL
 from repro.errors import SnapshotError, WorkBudgetExceeded
 from repro.execution import ExecutionResult, ResultTable
+from repro.lru import LRUCache
 from repro.rdf.graph import TripleSet
-from repro.rdf.terms import IRI, Triple
+from repro.rdf.terms import IRI, Triple, Variable
 from repro.sparql.ast import SelectQuery, TriplePattern
 
 from repro.relstore.columnar import (
@@ -30,7 +31,6 @@ from repro.relstore.columnar import (
     table_id_columns,
 )
 from repro.relstore.executor import (
-    BoundPlanCache,
     CompiledPlan,
     QueryTermSpace,
     compile_plan,
@@ -80,9 +80,8 @@ class RelationalStore:
         table = self.table = ColumnarTripleTable(dictionary)
         self.dictionary = table.dictionary
         self._statistics = MaintainedStatistics(table)
-        #: query → (plan, compiled plan) memo, invalidated by generation.
-        self._bound_plans = BoundPlanCache()
-        self._plan_generation = 0
+        #: query → compiled plan, kept under the query's read stamp.
+        self._bound_plans: LRUCache[SelectQuery, CompiledPlan] = LRUCache(512, "bound-plan memo")
         self.total_insert_seconds = 0.0
         self.view_manager: Optional[MaterializedViewManager] = (
             MaterializedViewManager(row_budget=view_row_budget) if view_row_budget is not None else None
@@ -94,22 +93,9 @@ class RelationalStore:
     def load(self, triples: Iterable[Triple] | TripleSet) -> float:
         """Bulk-load triples; returns the modelled insert latency."""
         inserted = self.table.insert_all(triples)
-        self._invalidate_derived_state()
         seconds = self.cost_model.relational_insert_seconds(inserted)
         self.total_insert_seconds += seconds
         return seconds
-
-    def _invalidate_derived_state(self) -> None:
-        """Age out statistics and bound plans after any mutation.
-
-        New terms may have entered the dictionary and cardinalities may have
-        shifted, so both the plan ordering and the pre-resolved constant ids
-        of every bound plan are suspect; bumping the generation makes the
-        memo re-bind lazily, one query at a time.  Statistics keep their
-        per-predicate entries: the next reader recomputes only the
-        predicates whose write stamp moved.
-        """
-        self._plan_generation += 1
 
     def insert(self, triples: Iterable[Triple]) -> float:
         """Insert new knowledge (the cheap-update property of the store)."""
@@ -120,11 +106,8 @@ class RelationalStore:
 
     def delete_all(self, triples: Iterable[Triple]) -> int:
         """Delete a batch of triples; returns how many were present.  Each
-        touched block is replaced once and derived state ages once."""
-        removed = self.table.delete_all(triples)
-        if removed:
-            self._invalidate_derived_state()
-        return removed
+        touched block is replaced once."""
+        return self.table.delete_all(triples)
 
     def __len__(self) -> int:
         return len(self.table)
@@ -159,6 +142,41 @@ class RelationalStore:
         unbound predicate, whose plan also reads the table's size)."""
         return self.table.table_stamp()
 
+    def read_stamp(self, query: SelectQuery, rows: bool = True) -> tuple:
+        """Everything an execution of ``query`` reads of this store, as one
+        comparable value: equal stamps give an equal plan, answer and price.
+
+        Per pattern, the dictionary id of each constant (``None`` while the
+        dictionary lacks the term: an insert to another predicate can add
+        it) and, for a concrete predicate, its :meth:`predicate_stamp`; a
+        pattern with an unbound predicate reads the whole table
+        (:meth:`table_stamp`); a FILTER reads the ids of its constants.
+        ``rows=False`` leaves the rows out: the ids alone are what the graph
+        store reads of the dictionary it shares with this one.
+        """
+        lookup = self.dictionary.lookup
+        stamp: list = []
+        append = stamp.append
+        whole_table = False
+        for pattern in query.patterns:
+            subject, predicate, obj = pattern.subject, pattern.predicate, pattern.object
+            if not isinstance(subject, Variable):
+                append(lookup(subject))
+            if not isinstance(obj, Variable):
+                append(lookup(obj))
+            if isinstance(predicate, Variable):
+                whole_table = True
+                continue
+            predicate_id = lookup(predicate)
+            append(predicate_id)
+            if rows:
+                append(self.predicate_stamp(predicate_id))
+        for flt in query.filters:
+            stamp += [lookup(t) for t in (flt.left, flt.right) if not isinstance(t, Variable)]
+        if whole_table and rows:
+            append(self.table_stamp())
+        return tuple(stamp)
+
     def partition_sizes(self) -> Dict[IRI, int]:
         return self.table.cardinalities()
 
@@ -168,7 +186,7 @@ class RelationalStore:
     def statistics(self) -> TableStatistics:
         """Current statistics, brought up to date lazily after mutations:
         only the predicates whose write stamp moved are recomputed."""
-        return self._statistics.current(self._plan_generation)
+        return self._statistics.current()
 
     def plan(
         self, query: SelectQuery, pattern_order: Sequence[TriplePattern] | None = None
@@ -225,16 +243,17 @@ class RelationalStore:
     def _compiled(
         self, query: SelectQuery, pattern_order: Sequence[TriplePattern] | None
     ) -> CompiledPlan:
-        """The query's plan with constants pre-resolved, memoized per store
-        generation (the serving layer replays identical parsed queries, so a
-        hit skips planning *and* every per-pattern constant lookup).  A
-        forced ``pattern_order`` is planned and compiled afresh, past the
-        memo."""
+        """The query's plan with constants pre-resolved, memoized under the
+        query's :meth:`read_stamp` — the plan reads the statistics of the
+        rows the stamp names, the compile the ids it names — so a replay
+        skips planning *and* every per-pattern constant lookup.  Concurrent
+        readers may bind the same query twice, which is benign.  A forced
+        ``pattern_order`` is planned and compiled afresh, past the memo."""
         if pattern_order is not None:
             return compile_plan(self.plan(query, pattern_order=pattern_order), self.dictionary)
-        return self._bound_plans.get_or_bind(
-            query, self._plan_generation, lambda: self.plan(query), self.dictionary
-        )[1]
+        return self._bound_plans.memo(
+            query, self.read_stamp(query), lambda: compile_plan(self.plan(query), self.dictionary)
+        )
 
     def _priced(self, result: ExecutionResult) -> ExecutionResult:
         result.seconds = self.cost_model.relational_query_seconds(result.counters)

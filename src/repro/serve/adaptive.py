@@ -14,8 +14,10 @@ given, forever.  This module closes the loop:
   it to any :class:`~repro.core.tuner.BaseTuner` (DOTIL by default), and let
   the tuner mutate the dual store — all inside
   :meth:`DualStore.batch_mutations <repro.core.dualstore.DualStore.batch_mutations>`,
-  so an epoch of k transfers/evictions bumps the generation **once** and the
-  service's result cache is emptied once, not k times.
+  so an epoch of k transfers/evictions bumps the generation **once** and
+  writes one delta-log record, not k.  The service's result cache needs no
+  word from it: a move changes the read stamp of exactly the cached queries
+  over the moved partitions.
 * :class:`ReadWriteLock` — the serving gate every
   :class:`~repro.serve.service.QueryService` holds, adaptive or not.  Store
   mutations must never run concurrently with query execution (the
@@ -30,9 +32,8 @@ runs DOTIL periodically between batches, and the caller picks the period.
 
 Accounting stays honest: per epoch the daemon records the moves applied, the
 modelled import/evict seconds (symmetric — see
-:meth:`DualStore.evict_partition`), the modelled TTI of the window before
-and after the epoch (so convergence after a drift is measurable), and the
-result-cache invalidations *avoided* by batching (k moves − 1 fire).
+:meth:`DualStore.evict_partition`), and the modelled TTI of the window before
+and after the epoch (so convergence after a drift is measurable).
 """
 
 from __future__ import annotations
@@ -271,22 +272,12 @@ class EpochReport:
     index: int
     window_size: int
     report: Optional[TuningReport]
-    generation_before: int
-    generation_after: int
     tti_before: Optional[float] = None
     tti_after: Optional[float] = None
 
     @property
     def moves(self) -> int:
         return self.report.moves if self.report is not None else 0
-
-    @property
-    def invalidations(self) -> int:
-        """Generation bumps (= result-cache invalidations) this epoch caused.
-
-        At most 1 by construction — the whole epoch runs inside
-        ``DualStore.batch_mutations``."""
-        return self.generation_after - self.generation_before
 
     @property
     def tti_delta(self) -> Optional[float]:
@@ -300,7 +291,8 @@ class EpochReport:
 class AdaptiveMetrics:
     """Cumulative epoch accounting, exposed as
     ``QueryService.adaptive_metrics()``.  Payloads from older builds also
-    carry ``epoch_failures``; restore ignores it."""
+    carry ``epoch_failures`` and ``invalidations_avoided``; restore ignores
+    them."""
 
     epochs: int = 0
     epochs_with_moves: int = 0
@@ -308,7 +300,6 @@ class AdaptiveMetrics:
     evictions_applied: int = 0
     import_seconds: float = 0.0
     evict_seconds: float = 0.0
-    invalidations_avoided: int = 0
     tti_delta_total: float = 0.0
     last_window_tti_before: float = 0.0
     last_window_tti_after: float = 0.0
@@ -326,7 +317,6 @@ class AdaptiveMetrics:
             "evictions_applied": float(self.evictions_applied),
             "import_seconds": self.import_seconds,
             "evict_seconds": self.evict_seconds,
-            "invalidations_avoided": float(self.invalidations_avoided),
             "tti_delta_total": self.tti_delta_total,
             "last_window_tti_before": self.last_window_tti_before,
             "last_window_tti_after": self.last_window_tti_after,
@@ -345,8 +335,8 @@ class TuningDaemon:
     2. prices the window's distinct queries (TTI before),
     3. runs ``tuner.tune(window)`` inside ``dual.batch_mutations()`` — the
        tuner transfers/evicts freely, physical effects are immediate, but the
-       generation bumps coalesce into **one** (one result-cache invalidation
-       per epoch, however many moves were applied),
+       generation bumps coalesce into **one** (one delta-log record per
+       epoch, however many moves were applied),
     4. re-prices the window (TTI after), and
     5. folds the outcome into :class:`AdaptiveMetrics`.
     """
@@ -358,8 +348,8 @@ class TuningDaemon:
         self.metrics = AdaptiveMetrics()
         self.last_epoch: Optional[EpochReport] = None
         # Guards metrics/last_epoch for observers: _fold mutates field by
-        # field, and a reader overlapping it would see a torn snapshot that
-        # breaks the moves-vs-invalidations reconciliation mid-update.
+        # field, and a reader overlapping it would see a torn snapshot (say,
+        # transfers counted but not their seconds).
         self._metrics_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -370,14 +360,7 @@ class TuningDaemon:
         write side (``QueryService.tune_now()`` takes it), which also makes
         concurrent epochs run one after the other."""
         entries = self.window.snapshot()
-        generation_before = self.dual.generation
-        epoch = EpochReport(
-            index=self.metrics.epochs,
-            window_size=len(entries),
-            report=None,
-            generation_before=generation_before,
-            generation_after=generation_before,
-        )
+        epoch = EpochReport(index=self.metrics.epochs, window_size=len(entries), report=None)
         if not entries:
             with self._metrics_lock:
                 self.metrics.epochs += 1
@@ -392,14 +375,11 @@ class TuningDaemon:
                 epoch.report = self.tuner.tune([e.complex_subquery for e in entries])
         except BaseException:
             # The tuner may have applied moves before failing — the batch
-            # context already fired their (single) invalidation, so the
-            # epoch accounting must reflect them or the books stop
-            # reconciling (invalidations_avoided == moves − fires).
+            # context already committed them, so the epoch accounting must
+            # reflect them too.
             epoch.report = self._partial_report(log_mark)
-            epoch.generation_after = self.dual.generation
             self._fold(epoch)
             raise
-        epoch.generation_after = self.dual.generation
         epoch.tti_after = self._window_tti(entries)
         self._fold(epoch)
         return epoch
@@ -448,10 +428,6 @@ class TuningDaemon:
                 metrics.evict_seconds += report.evict_seconds
                 if epoch.moves:
                     metrics.epochs_with_moves += 1
-                    # Unbatched, every move would have fired the invalidation
-                    # hook; batched, the epoch fired it epoch.invalidations
-                    # (≤ 1) times.
-                    metrics.invalidations_avoided += epoch.moves - epoch.invalidations
             if epoch.tti_delta is not None:
                 metrics.tti_delta_total += epoch.tti_delta
                 metrics.last_window_tti_before = epoch.tti_before or 0.0
@@ -495,7 +471,6 @@ class TuningDaemon:
                 m.evictions_applied = int(metrics.get("evictions_applied", 0))
                 m.import_seconds = float(metrics.get("import_seconds", 0.0))
                 m.evict_seconds = float(metrics.get("evict_seconds", 0.0))
-                m.invalidations_avoided = int(metrics.get("invalidations_avoided", 0))
                 m.tti_delta_total = float(metrics.get("tti_delta_total", 0.0))
                 m.last_window_tti_before = float(metrics.get("last_window_tti_before", 0.0))
                 m.last_window_tti_after = float(metrics.get("last_window_tti_after", 0.0))

@@ -50,17 +50,12 @@ class ServiceCounters:
     duplicates_coalesced:
         Submissions that shared another submission's execution inside one
         batch (batch deduplication); counted as neither hit nor miss.
-    invalidations:
-        Result-cache entries dropped because the dual store mutated.
     invalidation_events:
-        Times the result cache was emptied (one per invalidation-hook fire,
-        however many entries each fire dropped).  A tuning epoch applying k
-        moves through :meth:`DualStore.batch_mutations` contributes exactly 1.
-    stale_rejections:
-        Result-cache entries rejected at lookup time by the generation check
-        (the belt-and-braces path; normally the invalidation hook already
-        emptied the cache).  The cache reports each rejection to the serve
-        that made it, which counts it here.
+        Result-cache entries dropped at lookup because the query's read
+        stamp (:meth:`DualStore.read_stamp`) moved since they were stored —
+        a write, transfer or eviction reached something the query reads.
+        The cache reports each drop to the serve that made it, which counts
+        it here.
     snapshots_taken:
         Durable checkpoints the service committed (``checkpoint()`` calls,
         including the delta log's anchor snapshot).
@@ -91,9 +86,7 @@ class ServiceCounters:
     result_cache_hits: int = 0
     result_cache_misses: int = 0
     duplicates_coalesced: int = 0
-    invalidations: int = 0
     invalidation_events: int = 0
-    stale_rejections: int = 0
     snapshots_taken: int = 0
     snapshot_failures: int = 0
     wal_records: int = 0

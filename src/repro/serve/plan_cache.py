@@ -9,8 +9,8 @@ parser and the :class:`~repro.core.identifier.ComplexSubqueryIdentifier`.
 
 Plans stay valid across physical-design changes (transfers/evictions change
 *routing*, which the query processor decides per execution, not the parse or
-the complex-subquery decomposition), so this cache never needs invalidation —
-only LRU capacity eviction.
+the complex-subquery decomposition), so its entries carry the constant stamp
+(:class:`~repro.lru.LRUCache`) and leave only by LRU capacity eviction.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional
 from repro.core.identifier import ComplexSubquery
 from repro.sparql.ast import SelectQuery
 
-from repro.serve.lru import LRUCache
+from repro.lru import LRUCache
 
 __all__ = ["QueryPlan", "PlanCache"]
 

@@ -10,10 +10,16 @@ on top, without changing any store or tuner semantics:
 * a **plan cache** (:mod:`repro.serve.plan_cache`) keyed by canonical query
   text, so repeated template instantiations skip the SPARQL parser and the
   complex-subquery identifier;
-* a generation-validated **result cache** (:mod:`repro.serve.result_cache`)
-  invalidated through :meth:`DualStore.add_invalidation_hook`, so a cached
-  answer can never survive an ``insert``/``transfer_partition``/
-  ``evict_partition``;
+* a **result cache** (:attr:`QueryService.result_cache`, an
+  :class:`~repro.lru.LRUCache` keyed like the plan cache) whose entries
+  carry :meth:`DualStore.read_stamp` of their query: a lookup hits only while
+  everything the query reads — the constants' dictionary ids, the master
+  blocks of its predicates, their graph replicas, the throttle — is as it
+  was, so a cached answer survives the writes it did not read and no
+  other.  Transfers and evictions move the stamp of the queries over their
+  predicates even though they cannot change an answer: they change the
+  route, and a cached ``route`` and modelled ``seconds`` must say how the
+  store would execute the query now;
 * a **batched admission path** (:meth:`QueryService.run_batch`) that
   deduplicates identical queries within a batch and executes the distinct
   misses inline, in submission order;
@@ -35,7 +41,7 @@ on top, without changing any store or tuner semantics:
   :meth:`QueryService.tune_now` call runs one
   :class:`~repro.serve.adaptive.TuningDaemon` epoch that re-tunes the
   physical design — exclusive with in-flight serves through the gate, its
-  moves batched into a single result-cache invalidation;
+  moves batched into a single generation bump;
 * opt-in **durable checkpoints** (:mod:`repro.persist`, via
   ``ServiceConfig.snapshot``): each :meth:`QueryService.checkpoint` call
   captures a consistent cut under the gate and commits it outside.
@@ -56,7 +62,7 @@ import threading
 import time
 from pathlib import Path
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.dualstore import DualStore
 from repro.core.metrics import BatchResult, QueryRecord
@@ -64,6 +70,7 @@ from repro.core.processor import ProcessedQuery
 from repro.cost.model import CostModel, DEFAULT_COST_MODEL
 from repro.cost.resources import ResourceThrottle
 from repro.errors import QueryTimeoutError, SnapshotError
+from repro.lru import LRUCache
 from repro.resilience.deadline import Deadline, current_deadline, deadline_scope
 from repro.persist.snapshot import (
     CapturedSnapshot,
@@ -85,10 +92,8 @@ from repro.serve.adaptive import (
     TuningDaemon,
     WorkloadWindow,
 )
-from repro.serve.lru import LRUCache
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.plan_cache import PlanCache, QueryPlan
-from repro.serve.result_cache import CachedExecution, ResultCache
 
 __all__ = ["ServiceConfig", "ServedBatch", "IngestReport", "QueryService"]
 
@@ -193,9 +198,9 @@ class QueryService:
     Parameters
     ----------
     dual:
-        The (loaded) dual store to front.  The service registers an
-        invalidation hook on it; call :meth:`close` (or use the service as a
-        context manager) to detach it.
+        The (loaded) dual store to front.  With a delta log the service
+        registers a mutation listener on it; call :meth:`close` (or use the
+        service as a context manager) to detach it.
     config:
         Serving tunables; defaults are fine for the bundled benchmarks.
     """
@@ -204,7 +209,10 @@ class QueryService:
         self.dual = dual
         self.config = config or ServiceConfig()
         self.plan_cache = PlanCache(PLAN_CACHE_SIZE)
-        self.result_cache = ResultCache(RESULT_CACHE_SIZE)
+        #: canonical key → served execution, under the query's read stamp.
+        self.result_cache: LRUCache[str, ProcessedQuery] = LRUCache(
+            RESULT_CACHE_SIZE, "result cache"
+        )
         # Memo for parsed-query canonical keys: to_sparql() + re-tokenization
         # is parser-comparable work, so equal queries (not just the same
         # object) share one computation.  Per-service, so the memory lives
@@ -247,21 +255,18 @@ class QueryService:
             )
             self._anchor_delta_log()
             dual.add_mutation_listener(self._on_wal_event)
-        dual.add_invalidation_hook(self._on_mutation)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Detach from the dual store.
+        """Detach from the dual store and close the delta log.
 
-        A closed service refuses further serving (``RuntimeError``): it no
-        longer hears the store's mutations, so it must not answer for it.
+        A closed service refuses further serving (``RuntimeError``).
         """
         if self._closed:
             return
         self._closed = True
-        self.dual.remove_invalidation_hook(self._on_mutation)
         if self.delta_log is not None:
             self.dual.remove_mutation_listener(self._on_wal_event)
             self.delta_log.close()
@@ -285,15 +290,12 @@ class QueryService:
         expanded-IRI text form share one cache entry too.
         """
         if isinstance(query, SelectQuery):
-            key = self._key_memo.get(query)
-            if key is None:
-                key = canonical_query_text(query.to_sparql())
-                self._key_memo.put(query, key)
+            key = self._key_memo.memo(query, None, lambda: canonical_query_text(query.to_sparql()))
             parsed: Optional[SelectQuery] = query
         else:
             key = canonical_query_text(query)
             parsed = None
-        plan = self.plan_cache.get(key)
+        plan, _ = self.plan_cache.get(key)
         if plan is not None:
             with self._metrics_lock:
                 self.metrics.counters.plan_cache_hits += 1
@@ -365,8 +367,9 @@ class QueryService:
             deadline = self.request_deadline(deadline_seconds)
 
         # Serves hold the gate shared, so no mutation routed through the
-        # service can land between the generation sample and the executions
-        # it tags: the one sample stamps the cache entries and the answers.
+        # service can land between the samples and the executions they tag:
+        # the generation goes on the answers, each query's read stamp on its
+        # cache lookup and its cache entry.
         self._gate.acquire_read()
         try:
             generation = self.dual.generation
@@ -376,21 +379,23 @@ class QueryService:
             for index, plan in enumerate(plans):
                 primaries.setdefault(plan.key, index)
 
-            hits: Dict[str, CachedExecution] = {}
-            to_execute: List[QueryPlan] = []
-            stale_count = 0
+            hits: Dict[str, ProcessedQuery] = {}
+            to_execute: List[Tuple[QueryPlan, object]] = []
+            dropped = 0
             for key, index in primaries.items():
-                entry = None
+                plan, stamp, entry = plans[index], None, None
                 if self.config.cache_results:
-                    entry, stale = self.result_cache.get(key, generation)
-                    stale_count += stale
+                    stamp = self.dual.read_stamp(plan.query)
+                    entry, drop = self.result_cache.get(key, stamp)
+                    dropped += drop
                 if entry is not None:
                     hits[key] = entry
                 else:
-                    to_execute.append(plans[index])
+                    to_execute.append((plan, stamp))
 
             executed = {
-                plan.key: self._execute(plan, generation, deadline) for plan in to_execute
+                plan.key: self._execute(plan, stamp, generation, deadline)
+                for plan, stamp in to_execute
             }
         finally:
             self._gate.release_read()
@@ -427,7 +432,7 @@ class QueryService:
 
         with self._metrics_lock:
             counters = self.metrics.counters
-            counters.stale_rejections += stale_count
+            counters.invalidation_events += dropped
             counters.result_cache_hits += hit_count
             counters.duplicates_coalesced += coalesced_count
             counters.result_cache_misses += miss_count
@@ -448,10 +453,11 @@ class QueryService:
         return ServedBatch(executions=entries, cache_hits=hit_count, coalesced=coalesced_count)
 
     def _execute(
-        self, plan: QueryPlan, generation: int, deadline: Optional[Deadline]
+        self, plan: QueryPlan, stamp: object, generation: int, deadline: Optional[Deadline]
     ) -> ProcessedQuery:
         """Execute one plan under the caller's read gate; ``generation`` is
-        the serve's one sample, stamped on the answer and its cache entry."""
+        the serve's one sample, stamped on the answer, and ``stamp`` the
+        query's read stamp, its cache entry's."""
         with self._metrics_lock:
             self.metrics.queue.enter()
         start = time.perf_counter()
@@ -482,19 +488,18 @@ class QueryService:
             # (sorting bindings, merging counters) must not reach another's.
             # Views share the immutable columns, so a put or a hit is O(1).
             self.result_cache.put(
-                CachedExecution(
-                    key=plan.key,
+                plan.key,
+                ProcessedQuery(
                     result=processed.result.view(),
                     record=processed.record.replicate(from_cache=False),
-                    generation=generation,
-                )
+                ),
+                stamp,
             )
         return processed
 
     # ------------------------------------------------------------------ #
-    # Mutations (delegated; the dual store's hooks invalidate the cache).
-    # Each delegation takes the write side of the gate so it is exclusive
-    # with in-flight serves and tuning epochs.
+    # Mutations (delegated).  Each delegation takes the write side of the
+    # gate so it is exclusive with in-flight serves and tuning epochs.
     # ------------------------------------------------------------------ #
     def _gated_mutation(self, mutate: Callable[[], float]) -> float:
         """One delegated mutation, exclusive with serves/epochs via the
@@ -518,11 +523,11 @@ class QueryService:
     ) -> IngestReport:
         """Bulk streaming ingest: consume ``triples`` in chunks.
 
-        Each chunk is one gated :meth:`insert` — one generation bump, one
-        result-cache invalidation, and (in delta-log mode) one log record —
-        so a million-triple stream costs thousands of cheap boundaries, not
-        millions.  Statistics are left to the next reader, which recomputes
-        only the predicates the stream wrote.
+        Each chunk is one gated :meth:`insert` — one generation bump and (in
+        delta-log mode) one log record — so a million-triple stream costs
+        thousands of cheap boundaries, not millions.  Statistics are left
+        to the next reader, which recomputes only the predicates the stream
+        wrote.
         """
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
@@ -546,10 +551,10 @@ class QueryService:
         follower catch-up path (:mod:`repro.endpoint.worker`).
 
         Runs under the write gate, so in-flight serves never observe a
-        half-applied record; each record fires the invalidation hook once,
-        exactly like the leader-side mutation that produced it.  Returns the framed bytes applied (the churn
-        benchmark's delta-cost measure).  Replay errors propagate — a
-        drifted store must be discarded, not served.
+        half-applied record; each record bumps the generation once, exactly
+        like the leader-side mutation that produced it.  Returns the framed
+        bytes applied (the churn benchmark's delta-cost measure).  Replay
+        errors propagate — a drifted store must be discarded, not served.
         """
         nbytes = 0
         with self._gate.write_locked():
@@ -583,12 +588,6 @@ class QueryService:
         did (``query_timeouts``)."""
         with self._metrics_lock:
             self.metrics.counters.query_timeouts += 1
-
-    def _on_mutation(self, generation: int) -> None:
-        dropped = self.result_cache.invalidate_all()
-        with self._metrics_lock:
-            self.metrics.counters.invalidations += dropped
-            self.metrics.counters.invalidation_events += 1
 
     # ------------------------------------------------------------------ #
     # The write-ahead delta log (SnapshotPolicy.log)

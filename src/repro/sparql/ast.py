@@ -152,12 +152,22 @@ class SelectQuery:
     filters: Tuple[Filter, ...] = field(default_factory=tuple)
     distinct: bool = False
     limit: Optional[int] = None
+    #: The hash, computed on first use: every cache lookup keys on a query,
+    #: and re-hashing each pattern and term costs more than the lookup.
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.patterns:
             raise ParseError("a SELECT query must contain at least one triple pattern")
         if self.limit is not None and self.limit < 0:
             raise ParseError("LIMIT must be non-negative")
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = hash((self.projection, self.patterns, self.filters, self.distinct, self.limit))
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
     # ------------------------------------------------------------------ #
     # Introspection used by the identifier, planner, and tuner

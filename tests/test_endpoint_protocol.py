@@ -17,6 +17,7 @@ import urllib.request
 import pytest
 
 from repro import DualStore, QueryService
+from repro.core.processor import ProcessedQuery
 from repro.endpoint import (
     ERROR_JSON,
     GENERATION_HEADER,
@@ -26,7 +27,6 @@ from repro.endpoint import (
 )
 from repro.rdf import IRI, Literal, Triple, TripleSet, XSD, YAGO
 from repro.rdf.terms import BlankNode
-from repro.serve.result_cache import CachedExecution
 
 
 def _raw(url: str, *, method: str = "GET", data: bytes | None = None, headers: dict | None = None):
@@ -258,32 +258,27 @@ class TestControlPlane:
         assert payload["service"]["counters"]["queries_served"] >= 1
         assert int(headers[GENERATION_HEADER]) == payload["generation"]
 
-    def test_swap_keeps_the_stale_rejection_total(
+    def test_swap_keeps_the_invalidation_event_total(
         self, live_endpoint, endpoint_dataset, endpoint_workload
     ):
-        """A stale-entry rejection counted before a hot swap survives it:
-        the swap adds the old service's counters into the new one's, and a
-        serve on the new service adds only its own rejections."""
+        """A stale-entry drop counted before a hot swap survives it: the
+        swap adds the old service's counters into the new one's, and a serve
+        on the new service adds only its own drops."""
         endpoint, service = live_endpoint
         query = endpoint_workload.queries[0].query.to_sparql()
         cold = service.run_query(query)
-        service.result_cache.put(
-            CachedExecution(
-                key=service.resolve(query).key,
-                result=cold.result,
-                record=cold.record,
-                generation=service.dual.generation - 1,
-            )
-        )
+        # An entry stored under a stamp the store has moved past.
+        planted = ProcessedQuery(result=cold.result, record=cold.record)
+        service.result_cache.put(service.resolve(query).key, planted, ("outdated",))
         assert sparql_request(endpoint.url, query).status == 200
-        assert service.metrics.counters.stale_rejections == 1
+        assert service.metrics.counters.invalidation_events == 1
 
         with QueryService(DualStore().load(endpoint_dataset.triples)) as fresh:
             endpoint.swap_service(fresh)
             try:
-                assert fresh.metrics.counters.stale_rejections == 1
+                assert fresh.metrics.counters.invalidation_events == 1
                 assert sparql_request(endpoint.url, query).status == 200
-                assert fresh.metrics.counters.stale_rejections == 1
+                assert fresh.metrics.counters.invalidation_events == 1
             finally:
                 endpoint.swap_service(service)
 

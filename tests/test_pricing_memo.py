@@ -1,24 +1,32 @@
-"""The dual store's pricing memo: DOTIL's ``c1`` (``graph_cost``), its
-capped counterfactual ``c2`` and the tuning daemon's routed window prices
-are executed once per *read-set stamp* (``DualStore.read_stamp``) and
-replayed from ``DualStore.pricing`` while the stamp stands.
+"""The read-set stamp (``DualStore.read_stamp``), the one freshness rule of
+every cache: the dual store's pricing memo (DOTIL's ``c1`` — ``graph_cost``
+—, its capped counterfactual ``c2`` and the tuning daemon's routed window
+prices), the serving layer's result cache and the relational store's
+bound-plan memo each replay a value while the stamp it was computed under
+stands.
 
-Two contracts:
+Three contracts:
 
 * **The stamp names every input.**  Each ingredient below changes a stamp
   and makes the memo re-price, and the re-priced value — like every hit —
   equals a run with no memo at all.  Evicting and re-transferring an
   unchanged block must *hit*: a replica is named by its contents.
-* **Memo on == memo off.**  A run whose memo never hits learns the same
-  Q-tables, applies the same moves and measures the same window TTIs, epoch
-  by epoch — on the paper's tuned configuration, and under interleaved
-  writes, epochs, checkpoints and a mid-run restore.  The memo's size stays
-  bounded while it does.
+* **Cache on == cache off.**  A run whose pricing memo, result cache or
+  bound-plan memo never hits serves the same records (bindings, counters,
+  seconds, route), learns the same Q-tables, applies the same moves and
+  measures the same window TTIs, epoch by epoch — on the paper's tuned
+  configuration, and under interleaved writes, epochs, checkpoints and a
+  mid-run restore.  The memo's size stays bounded while it does.
+* **No hook needed.**  A mutation made directly on the ``DualStore``,
+  past the service, is never served stale, and a hit carries the
+  generation of the serve that made it.
 """
 
 from __future__ import annotations
 
 import json
+
+import pytest
 
 from repro import (
     PAPER_TUNED_CONFIG,
@@ -37,7 +45,8 @@ from repro import (
     watdiv_workload,
     yago_workload,
 )
-from repro.core.dualstore import PricingMemo
+from repro.endpoint import encode_results
+from repro.lru import LRUCache
 from repro.rdf.namespace import YAGO
 from repro.relstore.sharded import SUBJECT_SHARDED
 
@@ -47,28 +56,35 @@ BORN, ADVISOR, MARRIED, GIVEN = (
 CAP = 1e9  # a cap no mini-graph run reaches: c2 is the full relational price
 
 
-class CountingMemo(PricingMemo):
+#: The capacity of ``DualStore.pricing``.
+PRICING_SLOTS = DualStore().pricing.capacity
+
+
+class CountingMemo(LRUCache):
     """The production memo, counting the calls that had to execute."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, capacity=PRICING_SLOTS):
+        super().__init__(capacity)
         self.calls = 0
         self.misses = 0
 
-    def price(self, kind, query, stamp, compute):
+    def memo(self, key, stamp, compute):
         self.calls += 1
 
         def counted():
             self.misses += 1
             return compute()
 
-        return super().price(kind, query, stamp, counted)
+        return super().memo(key, stamp, counted)
 
 
-class NeverHits(PricingMemo):
+class NeverHits(LRUCache):
     """A memo that executes every call: the reference run."""
 
-    def price(self, kind, query, stamp, compute):
+    def __init__(self):
+        super().__init__(1)
+
+    def memo(self, key, stamp, compute):
         return compute()
 
 
@@ -265,17 +281,17 @@ def test_every_price_of_a_sharded_workload_equals_a_fresh_run():
 
 def test_the_memo_keeps_at_most_its_slots_dropping_the_oldest():
     memo = CountingMemo()
-    queries = [parse_query(f"SELECT ?s WHERE {{ ?s <urn:p{n}> ?o . }}") for n in range(PricingMemo.SLOTS + 3)]
+    queries = [parse_query(f"SELECT ?s WHERE {{ ?s <urn:p{n}> ?o . }}") for n in range(PRICING_SLOTS + 3)]
     for n, query in enumerate(queries):
-        assert memo.price("graph", query, (), lambda: n) == n
-    assert len(memo) == PricingMemo.SLOTS
-    assert memo.price("graph", queries[-1], (), lambda: "again") == len(queries) - 1
-    assert memo.price("graph", queries[0], (), lambda: "again") == "again"
+        assert memo.memo(("graph", query), (), lambda: n) == n
+    assert len(memo) == PRICING_SLOTS
+    assert memo.memo(("graph", queries[-1]), (), lambda: "again") == len(queries) - 1
+    assert memo.memo(("graph", queries[0]), (), lambda: "again") == "again"
     assert memo.misses == len(queries) + 1
 
 
 # ---------------------------------------------------------------------- #
-# Memo on == memo off
+# Cache on == cache off
 # ---------------------------------------------------------------------- #
 def epoch_trace(service, epoch):
     """Everything an epoch learned, moved and measured, as plain data."""
@@ -315,12 +331,15 @@ CHURN_LAPS = 20
 RESTORE_AFTER_LAP = 7
 
 
-def churn_run(memo_factory, root):
-    """Zipf-repeated reads between insert/delete batches, one epoch and one
-    checkpoint per lap, and a warm restart from the checkpoint mid-run.
-    Each lap leaves the data as it found it, so its epoch runs mid-lap,
-    after a different write each lap: a price replayed across a write would
-    have been computed over other rows."""
+def served_record(processed):
+    """What a client sees of one served answer (not whether it was cached)."""
+    record = processed.record
+    return (processed.result.bindings, record.counters.as_dict(), record.seconds, record.route)
+
+
+def churn_dataset():
+    """The churn run's data: the WatDiv graph less its held-out triples, the
+    four batches of held-out triples the laps write, and the reads."""
     dataset = generate_watdiv(target_triples=2500, seed=7)
     triples = sorted(dataset.triples, key=Triple.n3)
     held = triples[3::40]
@@ -328,20 +347,37 @@ def churn_run(memo_factory, root):
     batches = [held[start : start + 12] for start in range(0, len(held), 12)][:4]
     inventory = watdiv_workload(dataset, seed=19).ordered()[:16]
     reads = [query for rank, query in enumerate(inventory, 1) for _ in range(max(1, 8 // rank))]
+    return [t for t in triples if t not in held_set], batches, inventory, reads
+
+
+def churn_run(root, pricing=CountingMemo, bound_plans=None, cache_results=True):
+    """Zipf-repeated reads between insert/delete batches, one epoch and one
+    checkpoint per lap, and a warm restart from the checkpoint mid-run.
+    Each lap leaves the data as it found it, so its epoch runs mid-lap,
+    after a different write each lap: a price replayed across a write would
+    have been computed over other rows.  ``pricing`` and ``bound_plans``
+    make the dual store's memos (``None`` keeps the store's own);
+    ``cache_results`` switches the result cache."""
+    base, batches, inventory, reads = churn_dataset()
     config = ServiceConfig(
-        cache_results=True,
+        cache_results=cache_results,
         adaptive=AdaptiveConfig(window_size=64),
         snapshot=SnapshotPolicy(path=root, log=True),
     )
-    dual = DualStore(PAPER_TUNED_CONFIG).load([t for t in triples if t not in held_set])
-    dual.pricing = memo_factory()
-    service = QueryService(dual, config)
-    trace, sizes = [], []
+
+    def fit(dual):
+        dual.pricing = pricing()
+        if bound_plans is not None:
+            dual.relational._bound_plans = bound_plans()
+        return dual
+
+    service = QueryService(fit(DualStore(PAPER_TUNED_CONFIG).load(base)), config)
+    trace, sizes, services = [], [], [service]
     try:
         for lap in range(CHURN_LAPS):
             served = []
             for index, batch in enumerate(batches):
-                served += [service.run_query(query).record.seconds for query in reads[index::len(batches)]]
+                served += [served_record(service.run_query(query)) for query in reads[index::len(batches)]]
                 service.insert(batch)
                 if index:
                     service.delete(batches[index - 1])
@@ -354,26 +390,116 @@ def churn_run(memo_factory, root):
                 service.close()
                 service = QueryService.restore(root, config)
                 assert len(service.dual.pricing) == 0, "a restored store starts cold"
-                service.dual.pricing = memo_factory()
+                fit(service.dual)
+                services.append(service)
     finally:
         service.close()
-    return trace, sizes, len(set(inventory))
+    return trace, sizes, len(set(inventory)), services
 
 
-def test_churn_with_a_restore_is_identical_with_the_memo_off(tmp_path):
-    memos = []
-
-    def counting():
-        memos.append(CountingMemo())
-        return memos[-1]
-
-    with_memo, sizes, distinct = churn_run(counting, tmp_path / "on")
-    without, _sizes, _ = churn_run(NeverHits, tmp_path / "off")
-    for lap, (on, off) in enumerate(zip(with_memo, without)):
+def assert_same_laps(with_cache, without):
+    assert len(with_cache) == len(without) == CHURN_LAPS
+    for lap, (on, off) in enumerate(zip(with_cache, without)):
         assert on == off, f"lap {lap} diverged"
-    assert len(with_memo) == CHURN_LAPS
-    assert sum(memo.misses for memo in memos) < sum(memo.calls for memo in memos)
+
+
+@pytest.fixture(scope="module")
+def churn_with_every_cache(tmp_path_factory):
+    """The churn run with every cache on, its memos counting."""
+    memos = {"pricing": [], "bound plans": []}
+
+    def counting(kind):
+        def make():
+            memos[kind].append(CountingMemo())
+            return memos[kind][-1]
+
+        return make
+
+    run = churn_run(
+        tmp_path_factory.mktemp("on"), pricing=counting("pricing"), bound_plans=counting("bound plans")
+    )
+    return run, memos
+
+
+def test_churn_with_a_restore_is_identical_with_the_memo_off(churn_with_every_cache, tmp_path):
+    (with_memo, sizes, distinct, _services), memos = churn_with_every_cache
+    without, _sizes, _, _ = churn_run(tmp_path, pricing=NeverHits)
+    assert_same_laps(with_memo, without)
+    pricing = memos["pricing"]
+    assert sum(memo.misses for memo in pricing) < sum(memo.calls for memo in pricing)
     # One slot per (kind, query): bounded by the distinct queries, and it
     # stops growing once the laps repeat.
     assert max(sizes) <= 3 * distinct
     assert sizes[-1] == sizes[-5]
+
+
+def test_churn_with_a_restore_is_identical_with_the_result_cache_off(churn_with_every_cache, tmp_path):
+    (with_cache, _sizes, _, services), _memos = churn_with_every_cache
+    without, _sizes, _, _ = churn_run(tmp_path, cache_results=False)
+    assert_same_laps(with_cache, without)
+    counters = [service.metrics.counters for service in services]
+    hits = sum(c.result_cache_hits for c in counters)
+    misses = sum(c.result_cache_misses for c in counters)
+    assert 3 * hits > hits + misses, "the cache barely hit: the test shows nothing"
+    assert sum(c.invalidation_events for c in counters) > 0, "no write reached a cached query"
+
+
+def test_churn_with_a_restore_is_identical_with_the_bound_plan_memo_off(
+    churn_with_every_cache, tmp_path
+):
+    (with_memo, _sizes, _, _services), memos = churn_with_every_cache
+    without, _sizes, _, _ = churn_run(tmp_path, bound_plans=NeverHits)
+    assert_same_laps(with_memo, without)
+    bound = memos["bound plans"]
+    assert sum(memo.misses for memo in bound) < sum(memo.calls for memo in bound) / 2
+
+
+# ---------------------------------------------------------------------- #
+# No hook needed
+# ---------------------------------------------------------------------- #
+def test_a_direct_store_mutation_is_never_served_stale():
+    """Writes, transfers and evictions made on the ``DualStore`` itself,
+    past the service's gate and without a hook: every served answer equals
+    an uncached run, and the queries the mutation did not read still hit."""
+    base, batches, inventory, _reads = churn_dataset()
+    dual = DualStore(PAPER_TUNED_CONFIG).load(base)
+    predicates = sorted({p for query in inventory for p in query.predicates()}, key=lambda p: p.value)
+    mutations = [
+        lambda: dual.insert(batches[0]),
+        lambda: dual.transfer_partitions(predicates[:3]),
+        lambda: dual.delete(batches[0][:5]),
+        lambda: dual.evict_partition(predicates[1]),
+        lambda: dual.insert(batches[1]),
+        lambda: dual.transfer_partition(predicates[1]),
+    ]
+    hits_after_a_mutation = 0
+    with QueryService(dual) as service:
+        service.run_batch(inventory)
+        for mutate in mutations:
+            mutate()
+            served = service.run_batch(inventory)
+            for query, processed in zip(inventory, served):
+                assert served_record(processed) == served_record(dual.run_query(query))
+            hits_after_a_mutation += served.cache_hits
+        assert hits_after_a_mutation > 0, "every write reached every query: the test shows nothing"
+        assert service.metrics.counters.invalidation_events > 0
+
+
+def test_a_hit_after_an_unrelated_write_carries_the_serves_generation():
+    """The ``X-Repro-Generation`` contract: a response body is what a fresh
+    execution at the stamped generation returns, also when it is a hit
+    cached before a write it did not read."""
+    base, batches, inventory, _reads = churn_dataset()
+    dual = DualStore(PAPER_TUNED_CONFIG).load(base)
+    with QueryService(dual) as service:
+        service.run_batch(inventory)
+        unread = [t for t in batches[0] if not any(t.predicate in q.predicates() for q in inventory)]
+        assert unread, "every held-out triple is read by the inventory"
+        service.insert(unread)
+        served = service.run_batch(inventory)
+        assert served.cache_hits == len(inventory)
+        with QueryService(dual, ServiceConfig(cache_results=False)) as uncached:
+            for query, processed in zip(inventory, served):
+                fresh = uncached.run_query(query)
+                assert processed.generation == fresh.generation == dual.generation
+                assert encode_results(processed.result) == encode_results(fresh.result)

@@ -221,7 +221,7 @@ class TestPlanner:
 class TestBoundPlanMemo:
     def test_repeated_execution_binds_the_plan_once(self, store, advisor_query):
         store.execute(advisor_query)
-        first = store._bound_plans.get(advisor_query, store._plan_generation)
+        first, _ = store._bound_plans.get(advisor_query, store.read_stamp(advisor_query))
         if isinstance(store, ReferenceStore):
             # The oracle shares no memo: it re-plans and re-resolves constants
             # on every execution.
@@ -229,9 +229,43 @@ class TestBoundPlanMemo:
             return
         assert first is not None
         store.execute(advisor_query)
-        again = store._bound_plans.get(advisor_query, store._plan_generation)
+        again, _ = store._bound_plans.get(advisor_query, store.read_stamp(advisor_query))
         # Same memo entry: the plan was not re-planned nor re-compiled.
-        assert again[0] is first[0] and again[1] is first[1]
+        assert again is first
+
+    def test_a_write_the_query_does_not_read_keeps_its_bound_plan(self, store, advisor_query):
+        """The memo keys on the query's relational read stamp, not on a
+        whole-store generation: a write elsewhere keeps the binding, a
+        write to a predicate the query reads re-binds it."""
+        if isinstance(store, ReferenceStore):
+            return
+        store.execute(advisor_query)
+        first, _ = store._bound_plans.get(advisor_query, store.read_stamp(advisor_query))
+        store.insert([Triple(YAGO.term("Zoe"), YAGO.term("isMarriedTo"), YAGO.term("Max"))])
+        kept, dropped = store._bound_plans.get(advisor_query, store.read_stamp(advisor_query))
+        assert kept is first and not dropped
+        store.insert([Triple(YAGO.term("Zoe"), YAGO.term("wasBornIn"), YAGO.term("Berlin"))])
+        stale, dropped = store._bound_plans.get(advisor_query, store.read_stamp(advisor_query))
+        assert stale is None and dropped
+
+    def test_a_write_that_reorders_the_plan_rebinds_it(self, store):
+        """The bound plan is ordered by the statistics of the rows its stamp
+        names: a write that makes the first step the larger one re-plans."""
+        alpha, beta = YAGO.term("alpha"), YAGO.term("beta")
+
+        def facts(predicate, count, prefix):
+            return [Triple(YAGO.term(f"{prefix}{n}"), predicate, YAGO.term(f"o{n}")) for n in range(count)]
+
+        store.insert(facts(alpha, 3, "s") + facts(beta, 6, "s"))
+        query = parse_query("SELECT ?s WHERE { ?s y:alpha ?o . ?s y:beta ?p . }")
+
+        def bound_order():
+            return [step.pattern.predicate for step in store._compiled(query, None).steps]
+
+        assert bound_order() == [alpha, beta]
+        store.insert(facts(alpha, 10, "t"))
+        assert bound_order() == [beta, alpha]
+        assert bound_order() == [step.pattern.predicate for step in store.plan(query).steps]
 
     def test_mutations_invalidate_bound_constants(self, store):
         """A constant unknown at first binding must be re-resolved after an
@@ -249,20 +283,21 @@ class TestBoundPlanMemo:
             RelationalStore(engine="no-such-engine")
 
     def test_memo_evicts_least_recently_bound_plan(self, store):
-        from repro.relstore import BoundPlanCache
+        from repro.lru import LRUCache
 
-        cache = BoundPlanCache(capacity=2)
+        cache = LRUCache(capacity=2)
         plans = {}
         for name in ("a", "b", "c"):
             query = parse_query("SELECT ?p WHERE { ?p y:%s ?o . }" % name)
             plan = store.plan(query)
             plans[name] = (query, plan)
-            cache.put(query, generation=1, plan=plan, compiled=None)
+            cache.put(query, plan, stamp=1)
         assert len(cache) == 2
-        assert cache.get(plans["a"][0], generation=1) is None  # evicted
-        assert cache.get(plans["c"][0], generation=1) is not None
-        # A stale generation misses even for a resident entry.
-        assert cache.get(plans["c"][0], generation=2) is None
+        assert cache.get(plans["a"][0], 1) == (None, False)  # evicted
+        assert cache.get(plans["c"][0], 1) == (plans["c"][1], False)
+        # Another stamp misses even for a resident entry, and drops it.
+        assert cache.get(plans["c"][0], 2) == (None, True)
+        assert plans["c"][0] not in cache
 
 
 class TestQueryTermSpace:

@@ -1,4 +1,4 @@
-"""Tests for the serving layer: caches, invalidation, batching, metrics."""
+"""Tests for the serving layer: caches, freshness, batching, metrics."""
 
 from __future__ import annotations
 
@@ -9,10 +9,11 @@ import pytest
 
 from repro import DualStore, QueryService, ServiceConfig, generate_yago, parse_query, yago_workload
 from repro.endpoint import encode_results
-from repro.serve.lru import LRUCache
+from repro.core.processor import ProcessedQuery
+from repro.lru import LRUCache
+from repro.rdf import Triple, YAGO
 from repro.serve.metrics import LatencyDigest, ServiceCounters
 from repro.serve.plan_cache import PlanCache, QueryPlan
-from repro.serve.result_cache import CachedExecution, ResultCache
 from repro.sparql.parser import canonical_query_text
 
 ADVISOR_QUERY = """
@@ -111,9 +112,9 @@ class TestPlanCache:
 
 
 # ---------------------------------------------------------------------- #
-# Result cache + invalidation contract
+# Result cache + freshness contract (the read stamp)
 # ---------------------------------------------------------------------- #
-class TestResultCacheInvalidation:
+class TestResultCacheFreshness:
     def test_second_serve_is_a_cache_hit_and_byte_identical(self, service, fingerprint):
         cold = service.run_query(ADVISOR_QUERY)
         warm = service.run_query(ADVISOR_QUERY)
@@ -123,25 +124,42 @@ class TestResultCacheInvalidation:
         assert warm.record.seconds == cold.record.seconds
         assert warm.record.route == cold.record.route
 
-    def test_insert_invalidates(self, service, dataset):
-        service.run_query(ADVISOR_QUERY)
+    def test_insert_to_a_read_predicate_invalidates(self, service):
+        cold = service.run_query(ADVISOR_QUERY)
         assert len(service.result_cache) == 1
-        service.insert([next(iter(dataset.triples))])
-        assert len(service.result_cache) == 0
-        assert service.metrics.counters.invalidations == 1
+        hal, alice = YAGO.term("Hal"), YAGO.term("Alice")
+        service.insert([
+            Triple(hal, YAGO.term("wasBornIn"), YAGO.term("Berlin")),
+            Triple(hal, YAGO.term("hasAcademicAdvisor"), alice),
+            Triple(alice, YAGO.term("wasBornIn"), YAGO.term("Berlin")),
+        ])
+        assert len(service.result_cache) == 1  # dropped at lookup, not by a hook
         after = service.run_query(ADVISOR_QUERY)
         assert not after.record.from_cache
+        assert service.metrics.counters.invalidation_events == 1
+        assert len(after.result) == len(cold.result) + 1  # Hal
+
+    def test_insert_to_an_unread_predicate_keeps_the_entry(self, service, fingerprint):
+        cold = service.run_query(ADVISOR_QUERY)
+        generation = service.dual.generation
+        service.insert([Triple(YAGO.term("Hal"), YAGO.term("isMarriedTo"), YAGO.term("Alice"))])
+        warm = service.run_query(ADVISOR_QUERY)
+        assert warm.record.from_cache
+        assert fingerprint(warm.result) == fingerprint(cold.result)
+        assert service.metrics.counters.invalidation_events == 0
+        # The hit is stamped with the generation that served it.
+        assert warm.generation == service.dual.generation == generation + 1
 
     def test_transfer_partition_invalidates_and_reroutes(self, service, dual, fingerprint):
         cold = service.run_query(ADVISOR_QUERY)
         assert cold.record.route == "relational"
         for predicate in parse_query(ADVISOR_QUERY).predicates():
             service.transfer_partition(predicate)
-        assert len(service.result_cache) == 0
         warm = service.run_query(ADVISOR_QUERY)
         assert not warm.record.from_cache
         assert warm.record.route == "graph"
         assert fingerprint(warm.result) == fingerprint(cold.result)
+        assert service.metrics.counters.invalidation_events == 1
 
     def test_evict_partition_invalidates(self, service, dual):
         predicates = sorted(parse_query(ADVISOR_QUERY).predicates(), key=lambda p: p.value)
@@ -150,38 +168,25 @@ class TestResultCacheInvalidation:
         graph_served = service.run_query(ADVISOR_QUERY)
         assert graph_served.record.route == "graph"
         service.evict_partition(predicates[0])
-        assert len(service.result_cache) == 0
         back = service.run_query(ADVISOR_QUERY)
         assert not back.record.from_cache
         assert back.record.route == "relational"
+        assert service.metrics.counters.invalidation_events == 1
 
-    def test_generation_check_rejects_stale_entries_without_hook(self, service, dual):
-        # Plant an entry tagged with an outdated generation directly, modelling
-        # a hook-less cache: the lookup-time generation check must reject it.
+    def test_stamp_check_rejects_stale_entries(self, service, dual):
+        # Plant an entry under a stamp the store has moved past: the lookup
+        # drops it, and the serve that met it counts the drop.
         cold = service.run_query(ADVISOR_QUERY)
-        key = service.resolve(ADVISOR_QUERY).key
-        service.result_cache.put(
-            CachedExecution(
-                key=key,
-                result=cold.result,
-                record=cold.record,
-                generation=dual.generation - 1,
-            )
-        )
-        assert service.result_cache.get(key, dual.generation) == (None, True)
+        plan = service.resolve(ADVISOR_QUERY)
+        stamp = dual.read_stamp(plan.query)
+        planted = ProcessedQuery(result=cold.result, record=cold.record)
+        service.result_cache.put(plan.key, planted, ("outdated",))
+        assert service.result_cache.get(plan.key, stamp) == (None, True)
         assert len(service.result_cache) == 0  # dropped on sight
-        # The rejection is the serve's to count: a serve that meets a stale
-        # entry adds it to the service counters.
-        service.result_cache.put(
-            CachedExecution(
-                key=key,
-                result=cold.result,
-                record=cold.record,
-                generation=dual.generation - 1,
-            )
-        )
+        service.result_cache.put(plan.key, planted, ("outdated",))
         assert not service.run_query(ADVISOR_QUERY).record.from_cache
-        assert service.metrics.counters.stale_rejections == 1
+        assert service.metrics.counters.invalidation_events == 1
+        assert service.result_cache.get(plan.key, stamp)[0] is not None
 
     def test_load_bumps_generation(self, dataset):
         dual = DualStore()
@@ -189,11 +194,14 @@ class TestResultCacheInvalidation:
         dual.load(dataset.triples)
         assert dual.generation == 1
 
-    def test_close_detaches_hook(self, dual):
+    def test_close_leaves_the_store_working(self, dual, dataset):
         service = QueryService(dual)
+        service.run_query(ADVISOR_QUERY)
         service.close()
-        dual.insert([])  # must not call into a closed service
-        assert service.metrics.counters.invalidations == 0
+        before = dual.generation
+        dual.insert([next(iter(dataset.triples))])  # nothing calls into the closed service
+        assert dual.generation == before + 1
+        assert service.metrics.counters.invalidation_events == 0
 
     def test_closed_service_refuses_to_serve(self, dual):
         service = QueryService(dual)
@@ -237,12 +245,16 @@ class TestResultCacheInvalidation:
             assert service.metrics.counters.executions == 2
             assert len(service.result_cache) == 0
 
-    def test_result_cache_lru_eviction(self):
-        cache = ResultCache(capacity=1)
-        record = object()
-        cache.put(CachedExecution(key="a", result=None, record=record, generation=1))
-        cache.put(CachedExecution(key="b", result=None, record=record, generation=1))
-        assert len(cache) == 1 and "a" not in cache
+    def test_result_cache_lru_eviction(self, dual):
+        with QueryService(dual) as service:
+            service.result_cache.capacity = 1
+            other = "SELECT ?p WHERE { ?p y:hasAcademicAdvisor ?a . }"
+            service.run_query(ADVISOR_QUERY)
+            service.run_query(other)
+            assert len(service.result_cache) == 1
+            assert service.resolve(ADVISOR_QUERY).key not in service.result_cache
+            assert service.run_query(other).record.from_cache
+            assert service.metrics.counters.invalidation_events == 0  # evicted, not dropped
 
 
 # ---------------------------------------------------------------------- #
@@ -604,21 +616,44 @@ class TestLRUCacheFalsyValues:
         cache = LRUCache(capacity=4)
         for key, value in (("zero", 0), ("empty", ""), ("nothing", []), ("false", False)):
             cache.put(key, value)
-            assert cache.get(key) == value
+            assert cache.get(key) == (value, False)
             assert key in cache
 
     def test_missing_key_is_still_a_miss(self):
         cache = LRUCache(capacity=4)
-        assert cache.get("absent") is None
+        assert cache.get("absent") == (None, False)
 
     def test_falsy_entry_survives_capacity_pressure_after_a_hit(self):
         cache = LRUCache(capacity=2)
         cache.put("falsy", 0)
         cache.put("other", 1)
         # The hit must move "falsy" to the recent end ...
-        assert cache.get("falsy") == 0
+        assert cache.get("falsy") == (0, False)
         # ... so the next insert evicts "other", not the falsy entry.
         cache.put("newcomer", 2)
-        assert cache.get("falsy") == 0
-        assert cache.get("other") is None
+        assert cache.get("falsy") == (0, False)
+        assert cache.get("other") == (None, False)
         assert len(cache) == 2
+
+
+class TestLRUCacheStamps:
+    def test_a_hit_needs_an_equal_stamp_and_a_mismatch_drops(self):
+        cache = LRUCache(capacity=4)
+        cache.put("q", "answer", stamp=(1, 2))
+        assert cache.get("q", (1, 2)) == ("answer", False)
+        assert cache.get("q", (1, 3)) == (None, True)
+        assert "q" not in cache
+        assert cache.get("q", (1, 2)) == (None, False)  # the drop is reported once
+
+    def test_memo_computes_once_per_stamp(self):
+        cache = LRUCache(capacity=4)
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return len(calls)
+
+        assert cache.memo("q", "a", compute) == 1
+        assert cache.memo("q", "a", compute) == 1
+        assert cache.memo("q", "b", compute) == 2
+        assert len(cache) == 1

@@ -84,12 +84,12 @@ class TestBatchedMutations:
         assert receipt.evicted == predicates[:2]
         assert receipt.evict_seconds > 0.0
 
-    def test_apply_moves_fires_hooks_once(self, dual):
+    def test_apply_moves_fires_listeners_once(self, dual):
         fired = []
-        dual.add_invalidation_hook(fired.append)
+        dual.add_mutation_listener(lambda ops, generation: fired.append((len(ops), generation)))
         predicates = _smallest_partitions(dual, 3)
         dual.apply_moves(transfers=predicates)
-        assert fired == [dual.generation]
+        assert fired == [(3, dual.generation)]
 
     def test_apply_moves_evicts_before_transferring(self, dual):
         sizes = dual.partition_sizes()
@@ -196,33 +196,39 @@ class TestAdaptiveService:
             service.run_batch(batch)  # all result-cache hits
             assert service.adaptive.window.harvested == 2 * harvested
 
-    def test_epoch_applies_moves_with_one_invalidation(self, dual, family_mixes):
+    def test_epoch_applies_moves_with_one_generation_bump(self, dual, family_mixes):
         with QueryService(dual, ServiceConfig(adaptive=adaptive_config())) as service:
-            service.run_batch(family_mixes["a"])
+            batch = family_mixes["a"]
+            service.run_batch(batch)
             assert len(service.result_cache) > 0
-            generation = dual.generation
+            generation, resident = dual.generation, set(dual.graph.loaded_predicates)
             epoch = service.tune_now()
             assert epoch.moves > 1
-            assert epoch.invalidations == 1
             assert dual.generation == generation + 1
-            assert len(service.result_cache) == 0
-            assert service.metrics.counters.invalidation_events == 1
             metrics = service.adaptive_metrics()
             assert metrics["epochs"] == 1.0
-            assert metrics["invalidations_avoided"] == epoch.moves - 1
+            assert metrics["moves_applied"] == epoch.moves
+            # The re-serve drops exactly the cached queries over a partition
+            # that changed residency (one evicted and transferred back is
+            # the same replica); every other query still hits.
+            moved = resident ^ dual.graph.loaded_predicates
+            stale = {service.resolve(q).key for q in batch if q.predicates() & moved}
+            assert 0 < len(stale) < len({service.resolve(q).key for q in batch})
+            again = service.run_batch(batch)
+            assert service.metrics.counters.invalidation_events == len(stale)
+            assert again.cache_hits == sum(service.resolve(q).key not in stale for q in batch)
 
     def test_epoch_on_empty_window_is_a_noop(self, dual):
         with QueryService(dual, ServiceConfig(adaptive=adaptive_config())) as service:
             epoch = service.tune_now()
             assert epoch.window_size == 0
             assert epoch.moves == 0
-            assert epoch.invalidations == 0
             assert dual.generation == 1  # only the load bump
 
     def test_epoch_without_moves_does_not_invalidate(self, dual, family_mixes):
         # The LRU tuner converges on a stable desired set under a repeating
-        # mix: the second epoch applies no moves, so the generation (and the
-        # result cache) must be left alone.
+        # mix: the second epoch applies no moves, so the generation (and
+        # every cached answer) must be left alone.
         config = adaptive_config(tuner_factory=LRUTuner)
         with QueryService(dual, ServiceConfig(adaptive=config)) as service:
             service.run_batch(family_mixes["a"])
@@ -231,10 +237,12 @@ class TestAdaptiveService:
             service.run_batch(family_mixes["a"])
             cached = len(service.result_cache)
             assert cached > 0
+            generation = dual.generation
             second = service.tune_now()
             assert second.moves == 0
-            assert second.invalidations == 0
+            assert dual.generation == generation
             assert len(service.result_cache) == cached
+            assert service.run_batch(family_mixes["a"]).cache_hits == len(family_mixes["a"])
 
     def test_served_answers_track_the_new_placement(self, dual, family_mixes, fingerprint):
         with QueryService(dual, ServiceConfig(adaptive=adaptive_config())) as service:
@@ -242,12 +250,14 @@ class TestAdaptiveService:
             cold = service.run_batch(batch)
             service.tune_now()
             warm = service.run_batch(batch)
-            # Fresh executions (the epoch invalidated the cache), identical
-            # answers, and routing that matches the uncached store.
-            assert warm.cache_hits == 0
+            # Fresh executions of the queries over moved partitions, hits
+            # for the rest, identical answers, and routing and prices that
+            # match the uncached store for every one of them.
+            assert warm.cache_hits < len(batch)
             for before, after, query in zip(cold, warm, batch):
                 assert fingerprint(after.result) == fingerprint(before.result)
-                assert after.record.route == dual.run_query(query).record.route
+                uncached = dual.run_query(query).record
+                assert (after.record.route, after.record.seconds) == (uncached.route, uncached.seconds)
 
     def test_modelled_tti_delta_is_measured(self, dual, family_mixes):
         with QueryService(dual, ServiceConfig(adaptive=adaptive_config())) as service:
@@ -263,9 +273,10 @@ class TestAdaptiveService:
         config = adaptive_config(tuner_factory=LRUTuner)
         with QueryService(dual, ServiceConfig(adaptive=config)) as service:
             service.run_batch(family_mixes["a"])
+            generation = dual.generation
             epoch = service.tune_now()
             assert epoch.moves > 0
-            assert epoch.invalidations == 1
+            assert dual.generation == generation + 1
 
     def test_tune_now_propagates_a_tuner_error(self, dual, family_mixes):
         class FailingTuner(LRUTuner):
@@ -280,8 +291,7 @@ class TestAdaptiveService:
 
     def test_failed_epoch_still_accounts_applied_moves(self, dual, family_mixes):
         """A tuner that dies mid-epoch leaves its already-applied moves (and
-        their single invalidation) on the books — the reconciliation
-        invariants must survive the failure path."""
+        their single generation bump) on the books."""
 
         class DiesAfterOneMove(LRUTuner):
             def tune(self, recent, upcoming=None):
@@ -295,24 +305,23 @@ class TestAdaptiveService:
             generation = dual.generation
             with pytest.raises(RuntimeError):
                 service.tune_now()
-            # The batched context fired exactly one invalidation on unwind.
+            # The batched context bumped the generation once on unwind.
             assert dual.generation == generation + 1
-            assert service.metrics.counters.invalidation_events == 1
             metrics = service.adaptive_metrics()
             assert metrics["moves_applied"] == 1.0
             assert metrics["epochs_with_moves"] == 1.0
             assert metrics["import_seconds"] > 0.0
-            assert metrics["invalidations_avoided"] == 0.0
 
     def test_mutations_through_an_adaptive_service_take_the_write_gate(self, dual):
         with QueryService(dual, ServiceConfig(adaptive=adaptive_config())) as service:
             predicate = _smallest_partitions(dual, 1)[0]
+            generation = dual.generation
             assert service.transfer_partition(predicate) > 0.0
             assert service.evict_partition(predicate) > 0.0
             assert service.insert([]) >= 0.0
-            # Three mutations, three invalidation-hook fires (no batching
-            # outside an epoch).
-            assert service.metrics.counters.invalidation_events == 3
+            # Three mutations, three generation bumps (no batching outside
+            # an epoch).
+            assert dual.generation == generation + 3
 
     def test_concurrent_serves_and_epochs_stay_consistent(self, dual, family_mixes, fingerprint):
         """Serving threads race tuning epochs; every answer must match the
@@ -348,9 +357,12 @@ class TestAdaptiveService:
                 thread.join(timeout=120)
             assert not any(t.is_alive() for t in threads), "adaptive stress deadlocked"
             assert not errors, errors[:5]
-            # Every epoch bumped the generation at most once.
+            # Every epoch bumped the generation at most once, and every
+            # dropped cache entry was re-executed.
             metrics = service.adaptive_metrics()
-            assert service.metrics.counters.invalidation_events <= metrics["epochs"]
+            assert dual.generation <= 1 + metrics["epochs"]
+            counters = service.metrics.counters
+            assert counters.invalidation_events <= counters.executions
 
     def test_service_starts_no_threads(self, dual, family_mixes, tmp_path):
         """Serving, writes, epochs and checkpoints all run on the caller's

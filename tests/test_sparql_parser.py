@@ -115,6 +115,16 @@ class TestQueryAst:
         assert reparsed.patterns == example1_query.patterns
         assert reparsed.projected_names() == example1_query.projected_names()
 
+    def test_a_query_is_hashed_once_and_compares_by_its_fields(self):
+        text = "SELECT ?s WHERE { ?s y:age ?a . ?s y:hasGivenName ?n . FILTER(?a > 1) }"
+        query, again = parse_query(text), parse_query(text)
+        assert query._hash is None
+        assert hash(query) == hash(again) and query == again
+        assert query._hash == hash(query)  # kept after the first call
+        reduced = query.with_patterns([query.patterns[1]])
+        assert reduced != query and reduced._hash is None
+        assert hash(reduced) == hash(again.with_patterns([again.patterns[1]]))
+
     def test_query_requires_at_least_one_pattern(self):
         with pytest.raises(ParseError):
             SelectQuery(projection=(), patterns=())
